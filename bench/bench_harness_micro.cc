@@ -1,8 +1,9 @@
 // google-benchmark micro-suite for the harness itself: cost of one test case
 // end to end (task creation, value construction, dispatch, classification)
 // per OS personality, plus the building blocks (tuple generation, simulated
-// memory access, machine boot) and the trace-spine overhead per sink mode
-// (disabled / counters-only / full ring), reported to BENCH_trace.json.
+// memory access, range protect/unmap, CRT set-up, machine boot) and the
+// trace-spine overhead per sink mode (disabled / counters-only / full ring),
+// reported to BENCH_trace.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "clib/crt.h"
 #include "harness/world.h"
 
 namespace {
@@ -139,6 +141,46 @@ void BM_SimMemoryWrite(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 4);
 }
 BENCHMARK(BM_SimMemoryWrite);
+
+// Range operations over a stack-sized mapping: a 4 GiB VirtualProtect /
+// VirtualFree (size_neg1-class arguments) over 16 mapped pages.
+constexpr sim::Addr kMicroStack = 0x7ff0'0000 - 0x1'0000;
+constexpr std::uint64_t kMicroStackSize = 0x1'0000;
+constexpr std::uint64_t kWholeRange = 1ull << 32;
+
+void BM_ProtectWholeRange(benchmark::State& state) {
+  sim::AddressSpace mem;
+  mem.map(kMicroStack, kMicroStackSize, sim::kPermRW);
+  for (auto _ : state) {
+    mem.protect(kMicroStack, kWholeRange, sim::kPermRead);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ProtectWholeRange);
+
+void BM_UnmapWholeRange(benchmark::State& state) {
+  // Each iteration maps the stack again (from the free list) and unmaps it.
+  sim::AddressSpace mem;
+  for (auto _ : state) {
+    mem.map(kMicroStack, kMicroStackSize, sim::kPermRW);
+    mem.unmap(kMicroStack, kWholeRange);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_UnmapWholeRange);
+
+void BM_CrtStateFirstUse(benchmark::State& state) {
+  // What a C-library case pays to set up its CRT: acquire a recycled task,
+  // build its CRT state (ctype table, _iob, standard streams), release it.
+  sim::Machine machine(sim::OsVariant::kWinNT4);
+  machine.release_process(machine.acquire_process());
+  for (auto _ : state) {
+    auto p = machine.acquire_process();
+    benchmark::DoNotOptimize(&clib::crt_state(*p));
+    machine.release_process(std::move(p));
+  }
+}
+BENCHMARK(BM_CrtStateFirstUse);
 
 void BM_RunCaseTraceMode(benchmark::State& state) {
   const auto mode = static_cast<trace::TraceSink::Mode>(state.range(0));

@@ -1,11 +1,16 @@
 #include "clib/crt.h"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
 #include <cerrno>
 
 namespace ballista::clib {
 
 namespace {
+
+/// The ctype table covers c in [-128, 255].
+constexpr std::size_t kCtypeEntries = 384;
 
 std::uint8_t classify_char(int c) {
   std::uint8_t bits = 0;
@@ -21,6 +26,19 @@ std::uint8_t classify_char(int c) {
   return bits;
 }
 
+/// The ctype table's contents, computed once per program: every CRT set-up
+/// stores the same image, so it costs one page-run write instead of 3,072
+/// libc classifier calls and 384 single-byte stores.
+const std::array<std::uint8_t, kCtypeEntries>& ctype_image() {
+  static const auto image = [] {
+    std::array<std::uint8_t, kCtypeEntries> t{};
+    for (int c = -128; c <= 255; ++c)
+      t[static_cast<std::size_t>(128 + c)] = classify_char(c & 0xff);
+    return t;
+  }();
+  return image;
+}
+
 CrtState& build_state(sim::SimProcess& proc) {
   auto state = std::make_shared<CrtState>();
   auto& mem = proc.mem();
@@ -32,11 +50,8 @@ CrtState& build_state(sim::SimProcess& proc) {
   constexpr Addr kCtypeRegion = 0x7000'0000;
   const Addr page = kCtypeRegion;
   mem.map(page, sim::kPageSize, sim::kPermRW);
-  state->ctype_table = page + sim::kPageSize - 384;
-  for (int c = -128; c <= 255; ++c) {
-    mem.write_u8(state->ctype_table + 128 + c,
-                 classify_char(c & 0xff), sim::Access::kKernel);
-  }
+  state->ctype_table = page + sim::kPageSize - kCtypeEntries;
+  mem.write_bytes(state->ctype_table, ctype_image(), sim::Access::kKernel);
 
   // _iob region: room for 64 FILE structures.
   state->iob_base = mem.alloc(64 * kFileStructSize);
@@ -211,6 +226,20 @@ void CharWidth::put(CallContext& ctx, Addr a, std::uint64_t i,
     mem.write_u8(a + i, static_cast<std::uint8_t>(c), sim::Access::kUser);
   else
     mem.write_u16(a + 2 * i, static_cast<std::uint16_t>(c), sim::Access::kUser);
+}
+
+std::vector<std::uint8_t> gather_bytes(sim::AddressSpace& mem, Addr a,
+                                       std::uint64_t n) {
+  std::vector<std::uint8_t> out;
+  while (out.size() < n) {
+    const std::size_t done = out.size();
+    const Addr at = a + done;
+    const std::size_t seg = std::min<std::uint64_t>(
+        sim::kPageSize - at % sim::kPageSize, n - done);
+    out.resize(done + seg);
+    mem.read_bytes(at, {out.data() + done, seg}, sim::Access::kUser);
+  }
+  return out;
 }
 
 std::uint32_t CharScanner::at(std::uint64_t i) {

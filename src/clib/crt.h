@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/execctx.h"
 #include "core/typelib.h"
@@ -122,6 +123,13 @@ struct CharWidth {
 };
 inline constexpr CharWidth kNarrow{1};
 inline constexpr CharWidth kWide{2};
+
+/// Reads [a, a+n) in user mode into a host buffer grown one page segment at
+/// a time, so a read that faults after its first page costs one page, not n
+/// zero-filled bytes.  Faults exactly where one read_bytes over the whole
+/// range would.
+std::vector<std::uint8_t> gather_bytes(sim::AddressSpace& mem, Addr a,
+                                       std::uint64_t n);
 
 /// Page-buffered sequential character reader.  Access checks are
 /// page-granular, so buffering the page a character lands in (loaded lazily,

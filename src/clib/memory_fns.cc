@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
 #include "clib/crt.h"
 #include "clib/defs.h"
@@ -165,8 +164,7 @@ CallOutcome do_memmove(CallContext& ctx) {
   auto& mem = ctx.proc().mem();
   const std::uint64_t len = std::min(n, kScanCap);
   // Full gather then full scatter, as before (that is what makes it a move).
-  std::vector<std::uint8_t> tmp(len);
-  mem.read_bytes(src, tmp, sim::Access::kUser);
+  const auto tmp = gather_bytes(mem, src, len);
   mem.write_bytes(dst, tmp, sim::Access::kUser);
   return ok(dst);
 }

@@ -21,11 +21,9 @@ using sim::Addr;
 
 std::string read_path(CallContext& ctx, Addr p, CharWidth w) {
   std::string out;
-  auto& mem = ctx.proc().mem();
+  CharScanner sc(ctx, p, w);
   for (std::uint64_t i = 0; i < 4096; ++i) {
-    const std::uint32_t c = w.bytes == 1
-                                ? mem.read_u8(p + i, sim::Access::kUser)
-                                : mem.read_u16(p + 2 * i, sim::Access::kUser);
+    const std::uint32_t c = sc.at(i);
     if (c == 0) break;
     out.push_back(static_cast<char>(c & 0xff));
   }

@@ -10,6 +10,7 @@
 // testing: conversions that need a variadic argument fetch stack garbage,
 // modeled as address 0 — %s and %n therefore fault exactly as they did on
 // the real systems.
+#include <algorithm>
 #include <cerrno>
 #include <string>
 #include <vector>
@@ -50,13 +51,12 @@ bool store_bytes(CallContext& ctx, Addr a, std::span<const std::uint8_t> in) {
 std::vector<std::uint8_t> load_bytes(CallContext& ctx, Addr a,
                                      std::uint64_t n) {
   n = std::min(n, kIoCap);
-  std::vector<std::uint8_t> out(n);
   if (ctx.hazard() != core::CrashStyle::kNone) {
+    std::vector<std::uint8_t> out(n);
     (void)ctx.k_read(a, out);
     return out;
   }
-  ctx.proc().mem().read_bytes(a, out, sim::Access::kUser);
-  return out;
+  return gather_bytes(ctx.proc().mem(), a, n);
 }
 
 CallOutcome fread_impl(CallContext& ctx) {
@@ -66,8 +66,11 @@ CallOutcome fread_impl(CallContext& ctx) {
   if (ref.status != FileRef::Status::kOk) return core::error_reported(0);
   if (size == 0 || n == 0) return ok(0);
   maybe_block_on_stdin(ctx, ref);
-  const std::uint64_t total = std::min(size * n, kIoCap);
-  std::vector<std::uint8_t> data(total);
+  // Size the buffer by what the stream still holds, not by the request.
+  const auto& contents = ref.obj->node()->data();
+  const std::uint64_t pos = ref.obj->position();
+  const std::uint64_t left = pos < contents.size() ? contents.size() - pos : 0;
+  std::vector<std::uint8_t> data(std::min({size * n, kIoCap, left}));
   const std::uint64_t got = ref.obj->read_at(data);
   data.resize(got);
   store_bytes(ctx, ptr, data);

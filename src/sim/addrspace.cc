@@ -7,6 +7,38 @@
 
 namespace ballista::sim {
 
+namespace {
+
+/// Calls `visit` on every private page of [start, start+size) that is
+/// mapped, dropping the entry when it returns true.  It walks whichever is
+/// smaller: the page numbers in the range or the mapped set.  A size_neg1
+/// VirtualProtect spans a million page numbers while a case maps a few
+/// dozen pages, so the range operations cost what they touch.  A range
+/// whose end wraps past the top of the address space is empty, as it was
+/// for the page-number walk.
+template <typename PageMap, typename Visit>
+void for_each_mapped(PageMap& pages, Addr start, std::uint64_t size,
+                     Visit visit) {
+  const Addr first = page_of(start);
+  const Addr last = page_of(start + (size ? size - 1 : 0));
+  if (last < first) return;
+  if (last - first < pages.size()) {
+    for (Addr pg = first; pg <= last; ++pg) {
+      auto it = pages.find(pg);
+      if (it != pages.end() && visit(it->second)) pages.erase(it);
+    }
+    return;
+  }
+  for (auto it = pages.begin(); it != pages.end();) {
+    if (it->first >= first && it->first <= last && visit(it->second))
+      it = pages.erase(it);
+    else
+      ++it;
+  }
+}
+
+}  // namespace
+
 SharedArena::SharedArena() = default;
 
 Page* SharedArena::page(Addr a) {
@@ -53,14 +85,10 @@ void AddressSpace::map(Addr start, std::uint64_t size, std::uint8_t perm,
 void AddressSpace::unmap(Addr start, std::uint64_t size) {
   if (hub_ != nullptr)
     hub_->notify(MutationKind::kPageUnmap, page_of(start));
-  const Addr first = page_of(start);
-  const Addr last = page_of(start + (size ? size - 1 : 0));
-  for (Addr pg = first; pg <= last; ++pg) {
-    auto it = pages_.find(pg);
-    if (it == pages_.end()) continue;
-    retire_page(std::move(it->second));
-    pages_.erase(it);
-  }
+  for_each_mapped(pages_, start, size, [this](std::unique_ptr<Page>& slot) {
+    retire_page(std::move(slot));
+    return true;
+  });
 }
 
 void AddressSpace::reset() {
@@ -116,12 +144,10 @@ void AddressSpace::restore() {
 void AddressSpace::protect(Addr start, std::uint64_t size, std::uint8_t perm) {
   if (hub_ != nullptr)
     hub_->notify(MutationKind::kPageProtect, page_of(start));
-  const Addr first = page_of(start);
-  const Addr last = page_of(start + (size ? size - 1 : 0));
-  for (Addr pg = first; pg <= last; ++pg) {
-    auto it = pages_.find(pg);
-    if (it != pages_.end()) it->second->perm = perm;
-  }
+  for_each_mapped(pages_, start, size, [perm](std::unique_ptr<Page>& slot) {
+    slot->perm = perm;
+    return false;
+  });
 }
 
 bool AddressSpace::is_mapped(Addr a) const noexcept {

@@ -1,7 +1,13 @@
 // Unit tests for the simulated address space and MMU fault behaviour.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
+#include <optional>
+
 #include "sim/addrspace.h"
+#include "sim/machine.h"
+#include "sim/mutation.h"
 
 namespace ballista::sim {
 namespace {
@@ -184,6 +190,161 @@ TEST(AddressSpace, WithoutArenaLowAndHighAddressesFault) {
   AddressSpace mem;  // NT/Linux style: no shared arena
   EXPECT_THROW(mem.read_u8(0x100, Access::kKernel), SimFault);
   EXPECT_THROW(mem.read_u8(kSharedArenaBase, Access::kKernel), SimFault);
+}
+
+// --- range operations over a few mapped pages ---------------------------------
+//
+// protect/unmap walk whichever is smaller, the page numbers of the range or
+// the mapped set.  Each call is checked against the page-by-page walk over
+// every page number in the range, on a space shaped like a task: a
+// checkpointed 64 KiB stack plus a few harness allocations.
+
+constexpr Addr kStackBase = 0x7ff0'0000 - 0x1'0000;
+constexpr std::uint64_t kAll = std::numeric_limits<std::uint64_t>::max();
+
+/// Page number -> permission of every private page a test mapped.
+using PageModel = std::map<Addr, std::uint8_t>;
+
+/// The reference: visit every page number from first to last, one by one.
+/// `perm` set = protect, unset = unmap.
+PageModel reference_walk(PageModel model, Addr start, std::uint64_t size,
+                         std::optional<std::uint8_t> perm) {
+  const Addr first = page_of(start);
+  const Addr last = page_of(start + (size ? size - 1 : 0));
+  for (Addr pg = first; pg <= last; ++pg) {
+    const auto it = model.find(pg);
+    if (it == model.end()) continue;
+    if (perm)
+      it->second = *perm;
+    else
+      model.erase(it);
+  }
+  return model;
+}
+
+class RangeWalk : public ::testing::Test {
+ protected:
+  /// A Win95 space: it sees the shared arena.
+  RangeWalk() : machine_(OsVariant::kWin95), mem_(&machine_.arena()) {
+    mem_.set_mutation_hub(&machine_.mutations());
+    map(kStackBase, 16 * kPageSize, kPermRW);
+    mem_.checkpoint();
+    for (std::uint64_t size : {64, 4096, 3 * 4096, 100, 8192, 32}) {
+      const Addr a = mem_.alloc(size);
+      for (Addr pg = page_of(a); pg <= page_of(a + size - 1); ++pg)
+        model_[pg] = kPermRW;
+    }
+    map(0x0040'0000, 5 * kPageSize, kPermRead);
+    map(0x7000'0000, kPageSize, kPermRW);
+    hub().set_counting(true);
+    hub().open_window();
+  }
+
+  void map(Addr start, std::uint64_t size, std::uint8_t perm) {
+    mem_.map(start, size, perm);
+    for (Addr pg = page_of(start); pg <= page_of(start + size - 1); ++pg)
+      model_[pg] = perm;
+  }
+
+  MutationHub& hub() { return machine_.mutations(); }
+
+  /// Asserts the space holds exactly `want`: every page the test ever
+  /// mapped is mapped with the model's permission or not at all, and no
+  /// other private page exists.
+  void expect_pages(const PageModel& want, const PageModel& ever) {
+    EXPECT_EQ(mem_.mapped_page_count(), want.size());
+    for (const auto& [pg, perm] : ever) {
+      const Addr a = pg * kPageSize;
+      const auto it = want.find(pg);
+      if (it == want.end()) {
+        EXPECT_FALSE(mem_.is_mapped(a)) << std::hex << a;
+      } else {
+        EXPECT_TRUE(mem_.is_mapped(a)) << std::hex << a;
+        EXPECT_EQ(mem_.perm_of(a), it->second) << std::hex << a;
+      }
+    }
+  }
+
+  /// Runs protect (perm set) or unmap over [start, start+size) and checks
+  /// the result against the reference walk and the hub's single point.
+  void check(Addr start, std::uint64_t size,
+             std::optional<std::uint8_t> perm) {
+    const PageModel want = reference_walk(model_, start, size, perm);
+    const MutationKind kind =
+        perm ? MutationKind::kPageProtect : MutationKind::kPageUnmap;
+    const std::uint64_t seq = hub().seq(), before = hub().count(kind);
+    if (perm)
+      mem_.protect(start, size, *perm);
+    else
+      mem_.unmap(start, size);
+    EXPECT_EQ(hub().seq(), seq + 1);
+    EXPECT_EQ(hub().count(kind), before + 1);
+    const PageModel ever = model_;
+    model_ = want;
+    expect_pages(want, ever);
+  }
+
+  Machine machine_;
+  AddressSpace mem_;
+  PageModel model_;
+};
+
+TEST_F(RangeWalk, ProtectWholeRangeFromAMappedPage) {
+  check(kStackBase + 3 * kPageSize, 0xFFFF'FFFF, kPermRead);
+  // From the first allocation up: everything above it, the stack included.
+  check(0x0010'0000, 0xFFFF'FFFF, kPermNone);
+  // A handful of pages: the range is now the smaller side.
+  check(kStackBase + kPageSize + 7, 2 * kPageSize, kPermRW);
+}
+
+TEST_F(RangeWalk, UnmapWholeRangeFromAMappedPage) {
+  check(kStackBase + 5 * kPageSize, 0xFFFF'FFFF, std::nullopt);
+  check(0x0010'0000 + 10, 2 * kPageSize, std::nullopt);
+  check(0, 0xFFFF'FFFF, std::nullopt);
+  EXPECT_EQ(mem_.mapped_page_count(), 0u);
+}
+
+TEST_F(RangeWalk, WrappingRangesMatchTheReference) {
+  // From a page boundary, a size that wraps past the top ends one page
+  // below the start: the range is empty.
+  check(kStackBase, kAll, kPermRead);
+  check(kStackBase, kAll - kPageSize, std::nullopt);
+  // From inside a page, the wrapped end can land back in the start page.
+  check(kStackBase + 5, kAll, kPermNone);
+  check(0x0040'0000 + 9, kAll, std::nullopt);
+  check(kAll - 10, 100, kPermNone);
+}
+
+TEST_F(RangeWalk, ArenaPagesAreUntouched) {
+  // Materialize arena pages in the low system area and the shared arena.
+  mem_.write_u8(0x100, 7, Access::kKernel);
+  mem_.write_u8(kSharedArenaBase + 0x2000, 9, Access::kKernel);
+  check(0, 0xFFFF'FFFF, kPermRead);
+  check(kSharedArenaBase - 2 * kPageSize, 0x4000'0000, kPermNone);
+  check(0, 0xFFFF'FFFF, std::nullopt);
+  for (const Addr a : {Addr{0x100}, kSharedArenaBase + 0x2000}) {
+    EXPECT_TRUE(mem_.is_mapped(a));
+    EXPECT_EQ(mem_.perm_of(a), kPermRW);
+    EXPECT_EQ(machine_.arena().page(a)->perm, kPermRW);
+  }
+  EXPECT_EQ(mem_.read_u8(0x100, Access::kKernel), 7);
+  mem_.write_u8(kSharedArenaBase + 0x2000, 10, Access::kKernel);
+}
+
+TEST_F(RangeWalk, RestoreRemapsUnmappedStackPagesZeroed) {
+  mem_.write_u32(kStackBase + 4 * kPageSize + 8, 0xDEADBEEF, Access::kUser);
+  mem_.protect(kStackBase + 9 * kPageSize, kPageSize, kPermRead);
+  check(kStackBase - 4 * kPageSize, 0xFFFF'FFFF, std::nullopt);
+  EXPECT_FALSE(mem_.is_mapped(kStackBase));
+  mem_.restore();
+  EXPECT_EQ(mem_.mapped_page_count(), 16u);
+  for (Addr a = kStackBase; a < kStackBase + 16 * kPageSize; a += kPageSize) {
+    EXPECT_EQ(mem_.perm_of(a), kPermRW) << std::hex << a;
+    for (Addr off = 0; off < kPageSize; off += 4)
+      ASSERT_EQ(mem_.read_u32(a + off), 0u) << std::hex << a + off;
+  }
+  // Allocations made after the checkpoint are gone.
+  EXPECT_FALSE(mem_.is_mapped(0x0010'0000));
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 // through direct dispatch so results (not just classifications) are visible.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+
 #include "clib/crt.h"
 #include "tests/test_util.h"
 
@@ -255,6 +258,195 @@ TEST_F(ClibFixture, ReallocPreservesPrefix) {
   proc->mem().write_cstr(a.ret, "seven!!", sim::Access::kKernel);
   const auto b = call("realloc", {a.ret, 64});
   EXPECT_EQ(str_at(b.ret), "seven!!");
+}
+
+// --- CRT set-up and host buffers sized by the bytes that move ----------------
+
+/// One direct call of a registered MuT on a given machine and task.
+CallOutcome dispatch(sim::Machine& m, sim::SimProcess& proc, const char* name,
+                     std::vector<RawArg> args) {
+  const core::MuT* mut = shared_world().registry.find(name);
+  EXPECT_NE(mut, nullptr) << name;
+  core::CallContext ctx(m, proc, *mut, args);
+  m.kernel_enter();
+  return mut->impl(ctx);
+}
+
+/// The fault a call raises (fails the test when it returns instead).
+sim::Fault fault_of(sim::Machine& m, sim::SimProcess& proc, const char* name,
+                    std::vector<RawArg> args) {
+  try {
+    dispatch(m, proc, name, std::move(args));
+  } catch (const sim::SimFault& f) {
+    return f.fault();
+  }
+  ADD_FAILURE() << name << " did not fault";
+  return {};
+}
+
+/// The ctype classification, recomputed from libc for comparison.
+std::uint8_t libc_ctype(int c) {
+  const unsigned char u = static_cast<unsigned char>(c);
+  std::uint8_t bits = 0;
+  if (std::isupper(u)) bits |= kCtUpper;
+  if (std::islower(u)) bits |= kCtLower;
+  if (std::isdigit(u)) bits |= kCtDigit;
+  if (std::isspace(u)) bits |= kCtSpace;
+  if (std::ispunct(u)) bits |= kCtPunct;
+  if (std::iscntrl(u)) bits |= kCtCntrl;
+  if (std::isxdigit(u)) bits |= kCtHex;
+  if (std::isprint(u)) bits |= kCtPrint;
+  return bits;
+}
+
+constexpr OsVariant kCrtFlavors[] = {OsVariant::kLinux, OsVariant::kWinNT4,
+                                     OsVariant::kWinCE};
+
+TEST(CrtSetup, CtypeTableHoldsTheClassificationUnderEveryFlavor) {
+  for (const OsVariant v : kCrtFlavors) {
+    sim::Machine m(v);
+    // A fresh task, then a recycled one: both get the same table.
+    for (int round = 0; round < 2; ++round) {
+      auto proc = m.acquire_process();
+      const sim::Addr table = crt_state(*proc).ctype_table;
+      for (int c = -128; c <= 255; ++c)
+        ASSERT_EQ(proc->mem().read_u8(table + 128 + c, sim::Access::kKernel),
+                  libc_ctype(c & 0xff))
+            << sim::variant_name(v) << " c=" << c;
+      // Flush against the end of its page: one past it is unmapped.
+      EXPECT_FALSE(proc->mem().is_mapped(table + 384));
+      m.release_process(std::move(proc));
+    }
+  }
+}
+
+TEST(CrtSetup, FirstUseInsideACaseAnnouncesTheSamePoints) {
+  sim::Machine m(OsVariant::kWinNT4);
+  auto proc = m.acquire_process();
+  auto& hub = m.mutations();
+  hub.set_counting(true);
+  hub.open_window();
+  crt_state(*proc);
+  hub.close_window();
+  // Ten mappings (ctype page, _iob, two static buffers, a buffer and a lock
+  // per standard stream), one write point for the whole ctype table, one
+  // per standard FILE structure, and three handle inserts.
+  EXPECT_EQ(hub.count(sim::MutationKind::kPageMap), 10u);
+  EXPECT_EQ(hub.count(sim::MutationKind::kPageWrite), 4u);
+  EXPECT_EQ(hub.count(sim::MutationKind::kHandleCreate), 3u);
+  EXPECT_EQ(hub.seq(), 17u);
+  m.release_process(std::move(proc));
+}
+
+TEST(CrtSetup, CutAtTheCtypePointLeavesTheWholeTableUnwritten) {
+  sim::Machine m(OsVariant::kLinux);
+  auto proc = m.acquire_process();
+  auto& hub = m.mutations();
+  hub.arm(sim::FaultPlan{2});  // point 1 maps the page, point 2 fills it
+  hub.open_window();
+  EXPECT_THROW(crt_state(*proc), sim::KernelPanic);
+  hub.close_window();
+  EXPECT_EQ(hub.cut_fired_at(), 2u);
+  const sim::Addr table = 0x7000'0000 + sim::kPageSize - 384;
+  for (sim::Addr a = table; a < table + 384; ++a)
+    ASSERT_EQ(proc->mem().read_u8(a, sim::Access::kKernel), 0) << a - table;
+}
+
+TEST(CrtBuffers, FreadOfAMegabyteCopiesWhatTheStreamHolds) {
+  const std::string payload = "stream contents: 42 1999 ballista\n";
+  for (const OsVariant v : kCrtFlavors) {
+    sim::Machine m(v);
+    auto proc = m.acquire_process();
+    auto node = std::make_shared<sim::FsNode>("stream.dat", false);
+    node->data().assign(payload.begin(), payload.end());
+    const sim::Addr fp =
+        make_file_struct(*proc, node, kFRead | kFWrite | kFOpen);
+    const sim::Addr buf = proc->mem().alloc(sim::kPageSize);
+    // size*n far beyond 1 MiB: whole items of what the stream holds.
+    EXPECT_EQ(dispatch(m, *proc, "fread", {buf, 1, 0xffffffff, fp}).ret, 34u)
+        << sim::variant_name(v);
+    EXPECT_EQ(proc->mem().read_cstr(buf, 64, sim::Access::kKernel), payload);
+    EXPECT_EQ(dispatch(m, *proc, "fread", {buf, 1, 0xffffffff, fp}).ret, 0u);
+    EXPECT_EQ(dispatch(m, *proc, "fseek", {fp, 0, 0}).ret, 0u);
+    EXPECT_EQ(
+        dispatch(m, *proc, "fread", {buf + 100, 2, 0x80000000, fp}).ret, 17u);
+    EXPECT_EQ(proc->mem().read_cstr(buf + 100, 64, sim::Access::kKernel),
+              payload);
+    m.release_process(std::move(proc));
+  }
+}
+
+TEST_F(ClibFixture, FwriteOverAnUnmappedPageFaultsThereAndWritesNothing) {
+  const auto f = call("fopen", {cstr("/tmp/fw.dat"), cstr("w")});
+  ASSERT_NE(f.ret, 0u);
+  const sim::Addr src = proc->mem().alloc(64) + 60;
+  const sim::Addr guard = sim::page_base(src) + sim::kPageSize;
+  for (const RawArg n : {RawArg{0xffffffff}, RawArg{1 << 20}, RawArg{5000}}) {
+    const sim::Fault flt = fault_of(machine, *proc, "fwrite", {src, 1, n, f.ret});
+    EXPECT_EQ(flt.address, guard);
+    EXPECT_FALSE(flt.is_write);
+  }
+  const auto node = machine.fs().resolve(
+      machine.fs().parse("/tmp/fw.dat", sim::FileSystem::root_path()));
+  ASSERT_NE(node, nullptr);
+  EXPECT_TRUE(node->data().empty());
+}
+
+TEST_F(ClibFixture, MemmoveOverAnUnmappedPageFaultsThereAndMovesNothing) {
+  const sim::Addr dst = proc->mem().alloc(sim::kPageSize);
+  const std::vector<std::uint8_t> fill(sim::kPageSize, 0x5a);
+  proc->mem().write_bytes(dst, fill, sim::Access::kKernel);
+  const sim::Addr src = proc->mem().alloc(64) + 60;
+  const sim::Addr guard = sim::page_base(src) + sim::kPageSize;
+  for (const RawArg n : {RawArg{0xffffffff}, RawArg{4096}}) {
+    const sim::Fault flt = fault_of(machine, *proc, "memmove", {dst, src, n});
+    EXPECT_EQ(flt.address, guard);
+    EXPECT_FALSE(flt.is_write);
+  }
+  std::vector<std::uint8_t> now(sim::kPageSize);
+  proc->mem().read_bytes(dst, now, sim::Access::kKernel);
+  EXPECT_EQ(now, fill);
+}
+
+TEST_F(ClibFixture, PathReadsFaultAtTheFirstUnmappedByte) {
+  const sim::Addr page = proc->mem().alloc(sim::kPageSize);
+  const std::vector<std::uint8_t> fill(sim::kPageSize, 'p');
+  proc->mem().write_bytes(page, fill, sim::Access::kKernel);
+  const sim::Addr guard = page + sim::kPageSize;
+  // Paths are read up to 4,096 characters, so start inside the page.
+  for (const sim::Addr path : {page + 1, page + 4000}) {
+    EXPECT_EQ(fault_of(machine, *proc, "fopen", {path, cstr("r")}).address,
+              guard);
+    EXPECT_EQ(fault_of(machine, *proc, "remove", {path}).address, guard);
+    EXPECT_EQ(
+        fault_of(machine, *proc, "rename", {cstr("/tmp/a"), path}).address,
+        guard);
+  }
+  const sim::Addr dangling = proc->mem().alloc_dangling(32);
+  EXPECT_EQ(fault_of(machine, *proc, "fopen", {dangling, cstr("r")}).address,
+            dangling);
+}
+
+TEST(CrtBuffers, MisalignedWidePathRaisesMisalignmentOnCe) {
+  sim::Machine m(OsVariant::kWinCE);
+  auto proc = m.acquire_process();
+  auto& mem = proc->mem();
+  const sim::Addr odd = mem.alloc_wstr(u"/tmp/fixture.dat") + 1;
+  const sim::Addr mode = mem.alloc_wstr(u"r");
+  for (const sim::Fault& flt : {fault_of(m, *proc, "_wfopen", {odd, mode}),
+                                fault_of(m, *proc, "_wremove", {odd})}) {
+    EXPECT_EQ(flt.type, sim::FaultType::kMisalignment);
+    EXPECT_EQ(flt.address, odd);
+  }
+  // An aligned wide path that runs into unmapped memory faults at its
+  // first unmapped byte.
+  const sim::Addr page = mem.alloc(sim::kPageSize);
+  for (sim::Addr a = page; a < page + sim::kPageSize; a += 2)
+    mem.write_u16(a, u'w', sim::Access::kKernel);
+  const sim::Fault flt = fault_of(m, *proc, "_wfopen", {page + 64, mode});
+  EXPECT_EQ(flt.type, sim::FaultType::kAccessViolation);
+  EXPECT_EQ(flt.address, page + sim::kPageSize);
+  m.release_process(std::move(proc));
 }
 
 }  // namespace

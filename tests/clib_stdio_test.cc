@@ -58,6 +58,11 @@ struct BadFileCase {
   Outcome ce;
 };
 
+// Names each case by its value key. Without this, gtest prints the raw
+// struct bytes — a string-literal address and padding — so the case names
+// changed from one run to the next.
+void PrintTo(const BadFileCase& c, std::ostream* os) { *os << c.value; }
+
 class BadFilePointer : public ::testing::TestWithParam<BadFileCase> {};
 
 TEST_P(BadFilePointer, EachCrtHandlesItsWay) {

@@ -20,10 +20,13 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/ballista.h"
@@ -46,6 +49,20 @@ std::optional<sim::OsVariant> parse_os(const std::string& s) {
   if (s == "wince") return sim::OsVariant::kWinCE;
   if (s == "linux") return sim::OsVariant::kLinux;
   return std::nullopt;
+}
+
+/// Plain decimal digits that fit in 64 bits, or nullopt.
+std::optional<std::uint64_t> parse_decimal(std::string_view s) {
+  if (s.empty()) return std::nullopt;
+  std::uint64_t v = 0;
+  for (const char c : s) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const std::uint64_t d = static_cast<std::uint64_t>(c - '0');
+    if (v > (std::numeric_limits<std::uint64_t>::max() - d) / 10)
+      return std::nullopt;
+    v = v * 10 + d;
+  }
+  return v;
 }
 
 struct Args {
@@ -121,17 +138,30 @@ Args parse_args(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Every numeric flag takes plain decimal digits: no sign, no overflow,
+    // no trailing text, and at least `min`.
+    auto number = [&](const char* text, auto& out, std::uint64_t min) {
+      const auto v = parse_decimal(text);
+      using T = std::remove_reference_t<decltype(out)>;
+      if (!v || *v < min || *v > std::numeric_limits<T>::max()) {
+        std::cerr << "invalid value '" << text << "' for "
+                  << flag.substr(0, flag.find('=')) << "\n";
+        a.ok = false;
+        return;
+      }
+      out = static_cast<T>(*v);
+    };
     if (flag == "--os") {
       a.os = parse_os(next());
       if (!a.os) a.ok = false;
     } else if (flag == "--cap") {
-      a.cap = std::strtoull(next(), nullptr, 10);
+      number(next(), a.cap, 1);
     } else if (flag == "--seed") {
-      a.seed = std::strtoull(next(), nullptr, 10);
+      number(next(), a.seed, 0);
     } else if (flag == "--mut") {
       a.mut = next();
     } else if (flag == "--case") {
-      a.case_index = std::strtoull(next(), nullptr, 10);
+      number(next(), a.case_index, 0);
     } else if (flag == "--groups") {
       a.groups = next();
       if (a.groups.empty()) a.ok = false;
@@ -144,21 +174,17 @@ Args parse_args(int argc, char** argv) {
     } else if (flag == "--trace") {
       a.trace_events = 16;
     } else if (flag.rfind("--trace=", 0) == 0) {
-      a.trace_events = std::strtoull(flag.c_str() + 8, nullptr, 10);
-      if (*a.trace_events == 0) a.ok = false;
+      number(flag.c_str() + 8, a.trace_events.emplace(), 1);
     } else if (flag == "--event-counters") {
       a.event_counters = true;
     } else if (flag == "--crash-points") {
       a.crash_points = 16;
     } else if (flag.rfind("--crash-points=", 0) == 0) {
-      a.crash_points = std::strtoull(flag.c_str() + 15, nullptr, 10);
-      if (*a.crash_points == 0) a.ok = false;
+      number(flag.c_str() + 15, a.crash_points.emplace(), 1);
     } else if (flag == "--cut") {
-      a.cut = std::strtoull(next(), nullptr, 10);
-      if (a.cut == 0) a.ok = false;
+      number(next(), a.cut, 1);
     } else if (flag == "--jobs") {
-      a.jobs = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
-      if (a.jobs == 0) a.ok = false;
+      number(next(), a.jobs, 1);
     } else if (flag == "--api") {
       const std::string v = next();
       if (v == "sys")
@@ -174,22 +200,17 @@ Args parse_args(int argc, char** argv) {
       a.log_dir = next();
       if (a.log_dir.empty()) a.ok = false;
     } else if (flag == "--quota") {
-      a.quota = std::strtoull(next(), nullptr, 10);
-      if (a.quota == 0) a.ok = false;
+      number(next(), a.quota, 1);
     } else if (flag == "--detach-at") {
-      a.detach_at = std::strtoull(next(), nullptr, 10);
-      if (*a.detach_at == 0) a.ok = false;
+      number(next(), a.detach_at.emplace(), 1);
     } else if (flag == "--halt-at") {
-      a.halt_at = std::strtoull(next(), nullptr, 10);
-      if (*a.halt_at == 0) a.ok = false;
+      number(next(), a.halt_at.emplace(), 1);
     } else if (flag == "--wire-trace") {
       a.wire_trace = true;
     } else if (flag == "--shard-cases") {
-      a.shard_cases = std::strtoull(next(), nullptr, 10);
-      if (a.shard_cases == 0) a.ok = false;
+      number(next(), a.shard_cases, 1);
     } else if (flag == "--shard-bytes") {
-      a.shard_bytes = std::strtoull(next(), nullptr, 10);
-      if (*a.shard_bytes == 0) a.ok = false;
+      number(next(), a.shard_bytes.emplace(), 1);
     } else if (flag == "--store") {
       a.store = next();
     } else if (flag == "--resume") {
