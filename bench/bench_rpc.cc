@@ -38,21 +38,6 @@ double seconds_since(Clock::time_point start) {
 std::vector<rpc::Message> corpus() {
   using namespace rpc;
   std::vector<Message> frames;
-  frames.push_back(Message{TestRequest{"GetThreadContext", 1234}});
-  frames.push_back(Message{TestResult{"strncpy", 7, core::CaseCode::kAbort,
-                                      "ACCESS_VIOLATION reading 0x0"}});
-  frames.push_back(Message{RebootNotice{
-      TestResult{"VirtualAlloc", 9, core::CaseCode::kCatastrophic,
-                 "page fault in kernel context"}}});
-  frames.push_back(Message{Shutdown{}});
-  frames.push_back(Message{ShardRequest{"fclose", 128, 64}});
-
-  ShardResult shard;
-  shard.mut_name = "memcpy";
-  shard.first = 40;
-  shard.codes.assign(48, core::CaseCode::kPassWithError);
-  frames.push_back(Message{shard});
-
   Hello hello;
   hello.spec.variant = 3;
   hello.spec.cap = 5000;

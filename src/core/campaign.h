@@ -42,8 +42,8 @@ enum class CaseCode : std::uint8_t {
 };
 
 /// Maps a classified CaseResult onto the compact per-case code.  Shared by
-/// the sequential reference loop, the shard executor and the RPC harness so
-/// the three paths can never drift apart.
+/// the sequential reference loop, run_shard and the CE file-drop client
+/// (rpc/ce_file_drop) so the three paths can never drift apart.
 inline CaseCode case_code(const CaseResult& r) noexcept {
   switch (r.outcome) {
     case Outcome::kAbort: return CaseCode::kAbort;

@@ -1,11 +1,8 @@
 #include "core/crashplan.h"
 
 #include <algorithm>
-#include <exception>
-#include <mutex>
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include "core/executor.h"
 #include "core/generator.h"
@@ -251,59 +248,7 @@ CrashCampaignResult run_crash_engine(sim::OsVariant variant,
                                      const Registry& registry,
                                      const CrashOptions& opt) {
   const Plan plan = crash_plan_for(variant, registry, opt);
-
-  const unsigned jobs = std::max(
-      1u, std::min<unsigned>(
-              opt.jobs, plan.shards.empty()
-                            ? 1u
-                            : static_cast<unsigned>(plan.shards.size())));
-  std::vector<CrashShardOutcome> outcomes(plan.shards.size());
-
-  const auto cached = [&](const Shard& s) -> const CrashShardOutcome* {
-    return opt.shard_cache ? opt.shard_cache(s) : nullptr;
-  };
-
-  if (jobs == 1) {
-    MachinePool pool(variant, 1);
-    for (const Shard& s : plan.shards) {
-      if (const CrashShardOutcome* c = cached(s)) {
-        outcomes[s.index] = *c;
-        continue;
-      }
-      outcomes[s.index] = run_crash_shard(pool.checkout(0), s, opt);
-      if (opt.on_shard_complete) opt.on_shard_complete(outcomes[s.index]);
-    }
-  } else {
-    MachinePool pool(variant, jobs);
-    ShardQueue queue(plan, jobs);
-    std::mutex complete_mu;
-    std::vector<std::exception_ptr> errors(jobs);
-    std::vector<std::thread> workers;
-    workers.reserve(jobs);
-    for (unsigned w = 0; w < jobs; ++w) {
-      workers.emplace_back([&, w] {
-        try {
-          while (const Shard* s = queue.next(w)) {
-            if (const CrashShardOutcome* c = cached(*s)) {
-              outcomes[s->index] = *c;
-              continue;
-            }
-            outcomes[s->index] = run_crash_shard(pool.checkout(w), *s, opt);
-            if (opt.on_shard_complete) {
-              std::lock_guard<std::mutex> lock(complete_mu);
-              opt.on_shard_complete(outcomes[s->index]);
-            }
-          }
-        } catch (...) {
-          errors[w] = std::current_exception();
-        }
-      });
-    }
-    for (auto& t : workers) t.join();
-    for (auto& e : errors)
-      if (e) std::rethrow_exception(e);
-  }
-  return merge_crash_outcomes(plan, std::move(outcomes));
+  return merge_crash_outcomes(plan, execute_plan(plan, opt, run_crash_shard));
 }
 
 CrashVerdict crash_probe_case(sim::OsVariant variant, const MuT& mut,

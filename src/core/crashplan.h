@@ -9,8 +9,10 @@
 //   plan      crash_plan_for builds a core::Plan directly — one ShardItem per
 //             case-range slice, NO hazard chaining: every cut ends in a
 //             reboot, so each case is trivially a clean shard boundary.
-//   schedule  the same MachinePool / ShardQueue; run_crash_engine mirrors
-//             run_engine's jobs==1 and threaded paths.
+//   schedule  run_crash_engine hands run_crash_shard to the engine's own
+//             executor (core/sched execute_plan), so the crash campaign
+//             differs from the robustness campaign only in its per-shard
+//             function: same jobs clamp, pool, queue, hook contract.
 //   execute   run_crash_shard: per case, a counting pass (MutationHub in
 //             counting mode) fixes the point count N; then for each selected
 //             k <= N: checkpointed state -> arm(FaultPlan{k}) -> run ->

@@ -256,19 +256,124 @@ Plan plan_for(sim::OsVariant variant, const Registry& registry,
   return make_plan(variant, registry, popt);
 }
 
+void fan_out(unsigned workers,
+             const std::function<void(unsigned, const std::atomic<bool>&)>& work,
+             const std::function<void()>& drain) {
+  std::atomic<bool> stop{false};
+  if (workers <= 1) {
+    work(0, stop);
+    if (drain) drain();
+    return;
+  }
+  std::atomic<unsigned> active{workers};
+  std::vector<std::exception_ptr> errors(workers);
+  std::vector<std::thread> threads;
+  threads.reserve(workers);
+  try {
+    for (unsigned w = 0; w < workers; ++w) {
+      threads.emplace_back([&, w] {
+        try {
+          work(w, stop);
+        } catch (...) {
+          errors[w] = std::current_exception();
+          stop.store(true, std::memory_order_relaxed);
+        }
+        active.fetch_sub(1, std::memory_order_release);
+      });
+    }
+  } catch (...) {  // a thread could not be started: stop and join the rest
+    stop.store(true, std::memory_order_relaxed);
+    for (auto& t : threads) t.join();
+    throw;
+  }
+  // The final pass runs after every worker has published (acquire pairs
+  // with their release), so nothing a worker handed over is left undrained.
+  std::exception_ptr drain_error;
+  if (drain) {
+    for (;;) {
+      const bool final_pass = active.load(std::memory_order_acquire) == 0;
+      try {
+        drain();
+      } catch (...) {
+        drain_error = std::current_exception();
+        stop.store(true, std::memory_order_relaxed);
+        break;
+      }
+      if (final_pass) break;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  }
+  for (auto& t : threads) t.join();
+  for (auto& e : errors)
+    if (e) std::rethrow_exception(e);
+  if (drain_error) std::rethrow_exception(drain_error);
+}
+
 namespace {
 
 /// Wait-free completion hand-off: each worker appends finished shard indices
-/// to its own ring and publishes with a release store; the engine thread is
+/// to its own ring and publishes with a release store; the calling thread is
 /// the only consumer.  Capacity is the full shard count, so a producer can
 /// never block or wrap.
 struct CompletionRing {
   std::vector<std::size_t> slots;
   alignas(64) std::atomic<std::size_t> published{0};
-  std::size_t drained = 0;  // engine-thread-only cursor
+  std::size_t drained = 0;  // consumer-only cursor
 };
 
 }  // namespace
+
+void detail::execute_shards(
+    const Plan& plan, unsigned jobs,
+    const std::function<bool(const Shard&)>& adopt,
+    const std::function<void(sim::Machine&, const Shard&)>& run,
+    const std::function<void(std::size_t)>& complete, EngineMetrics* metrics) {
+  jobs = std::max(1u, std::min<unsigned>(
+                          jobs, plan.shards.empty()
+                                    ? 1u
+                                    : static_cast<unsigned>(plan.shards.size())));
+  MachinePool pool(plan.variant, jobs);
+  // At jobs 1 the single deque pops in plan order and the hook runs inline
+  // right after its shard; otherwise workers publish completions to their
+  // rings and the calling thread drains them, keeping hook calls serialized
+  // without a critical section.
+  ShardQueue queue(plan, jobs);
+  std::vector<CompletionRing> rings(jobs > 1 && complete ? jobs : 0);
+  for (auto& r : rings) r.slots.resize(plan.shards.size());
+
+  const auto work = [&](unsigned w, const std::atomic<bool>& stop) {
+    while (const Shard* s = queue.next(w)) {
+      if (stop.load(std::memory_order_relaxed)) break;
+      if (adopt(*s)) continue;
+      run(pool.checkout(w), *s);
+      if (!complete) continue;
+      if (rings.empty()) {
+        complete(s->index);
+      } else {
+        CompletionRing& r = rings[w];
+        const std::size_t n = r.published.load(std::memory_order_relaxed);
+        r.slots[n] = s->index;
+        r.published.store(n + 1, std::memory_order_release);
+      }
+    }
+  };
+  std::function<void()> drain;
+  if (!rings.empty()) {
+    drain = [&] {
+      for (CompletionRing& r : rings) {
+        const std::size_t pub = r.published.load(std::memory_order_acquire);
+        while (r.drained < pub) complete(r.slots[r.drained++]);
+      }
+    };
+  }
+  fan_out(jobs, work, drain);
+
+  if (metrics) {
+    metrics->jobs = jobs;
+    metrics->contended_steals = queue.contended_steals();
+    metrics->machine_rebuilds = pool.machine_rebuilds();
+  }
+}
 
 CampaignResult run_engine(sim::OsVariant variant, const Registry& registry,
                           const CampaignOptions& opt) {
@@ -279,106 +384,8 @@ CampaignResult run_engine(sim::OsVariant variant, const Registry& registry,
   const auto t0 = Clock::now();
   const Plan plan = plan_for(variant, registry, opt);
   const auto t_planned = Clock::now();
-
-  const unsigned jobs =
-      std::max(1u, std::min<unsigned>(
-                       opt.jobs, plan.shards.empty()
-                                     ? 1u
-                                     : static_cast<unsigned>(
-                                           plan.shards.size())));
-  std::vector<ShardOutcome> outcomes(plan.shards.size());
-
-  // Resume support: a cached shard is adopted wholesale and never re-run (or
-  // re-reported through on_shard_complete — it is already in the log).
-  const auto cached = [&](const Shard& s) -> const ShardOutcome* {
-    return opt.shard_cache ? opt.shard_cache(s) : nullptr;
-  };
-
-  std::uint64_t contended_steals = 0;
-  std::uint64_t machine_rebuilds = 0;
-
-  if (jobs == 1) {
-    MachinePool pool(variant, 1);
-    for (const Shard& s : plan.shards) {
-      if (const ShardOutcome* c = cached(s)) {
-        outcomes[s.index] = *c;
-        continue;
-      }
-      outcomes[s.index] = run_shard(pool.checkout(0), s, opt);
-      if (opt.on_shard_complete) opt.on_shard_complete(outcomes[s.index]);
-    }
-    machine_rebuilds = pool.machine_rebuilds();
-  } else {
-    MachinePool pool(variant, jobs);
-    ShardQueue queue(plan, jobs);
-    std::vector<CompletionRing> rings(jobs);
-    if (opt.on_shard_complete)
-      for (auto& r : rings) r.slots.resize(plan.shards.size());
-    std::atomic<unsigned> active{jobs};
-    std::atomic<bool> stop{false};
-    std::vector<std::exception_ptr> errors(jobs);
-    std::vector<std::thread> workers;
-    workers.reserve(jobs);
-    for (unsigned w = 0; w < jobs; ++w) {
-      workers.emplace_back([&, w] {
-        try {
-          while (const Shard* s = queue.next(w)) {
-            if (stop.load(std::memory_order_relaxed)) break;
-            if (const ShardOutcome* c = cached(*s)) {
-              outcomes[s->index] = *c;
-              continue;
-            }
-            outcomes[s->index] = run_shard(pool.checkout(w), *s, opt);
-            if (opt.on_shard_complete) {
-              CompletionRing& r = rings[w];
-              const std::size_t n =
-                  r.published.load(std::memory_order_relaxed);
-              r.slots[n] = s->index;
-              r.published.store(n + 1, std::memory_order_release);
-            }
-          }
-        } catch (...) {
-          errors[w] = std::current_exception();
-        }
-        active.fetch_sub(1, std::memory_order_release);
-      });
-    }
-
-    // The engine thread drains completion rings while workers run, replacing
-    // the old per-worker critical section: workers publish and move on, and
-    // on_shard_complete calls stay serialized because this is the sole
-    // consumer.  A throwing hook aborts the campaign: stop the workers,
-    // join, rethrow.
-    std::exception_ptr hook_error;
-    if (opt.on_shard_complete) {
-      for (;;) {
-        const bool final_pass =
-            active.load(std::memory_order_acquire) == 0;
-        for (CompletionRing& r : rings) {
-          const std::size_t pub = r.published.load(std::memory_order_acquire);
-          while (r.drained < pub && !hook_error) {
-            try {
-              opt.on_shard_complete(outcomes[r.slots[r.drained]]);
-            } catch (...) {
-              hook_error = std::current_exception();
-              stop.store(true, std::memory_order_relaxed);
-            }
-            ++r.drained;
-          }
-          if (hook_error) break;
-        }
-        if (hook_error || final_pass) break;
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-    }
-    for (auto& t : workers) t.join();
-    for (auto& e : errors)
-      if (e) std::rethrow_exception(e);
-    if (hook_error) std::rethrow_exception(hook_error);
-    contended_steals = queue.contended_steals();
-    machine_rebuilds = pool.machine_rebuilds();
-  }
-
+  std::vector<ShardOutcome> outcomes =
+      execute_plan(plan, opt, run_shard, opt.metrics);
   const auto t_executed = Clock::now();
   CampaignResult result = merge_outcomes(plan, std::move(outcomes));
   if (opt.metrics) {
@@ -386,9 +393,6 @@ CampaignResult run_engine(sim::OsVariant variant, const Registry& registry,
     opt.metrics->execute_seconds = seconds(t_planned, t_executed);
     opt.metrics->merge_seconds = seconds(t_executed, Clock::now());
     opt.metrics->shards = plan.shards.size();
-    opt.metrics->jobs = jobs;
-    opt.metrics->contended_steals = contended_steals;
-    opt.metrics->machine_rebuilds = machine_rebuilds;
   }
   return result;
 }

@@ -2,7 +2,10 @@
 //
 //   plan      (core/plan)      enumerate shards, no machine involved
 //   schedule  (core/workqueue) per-worker Chase–Lev deques + seeded stealing;
-//             (this file)      MachinePool + std::thread workers; jobs = 1
+//             (this file)      execute_plan: MachinePool + fan_out workers,
+//                              shared by the robustness campaign, the crash
+//                              campaign (core/crashplan) and, through
+//                              fan_out alone, the campaign server; jobs = 1
 //                              degenerates to the exact legacy sequential
 //                              order
 //   execute   (this file)      run_shard mirrors the legacy single-machine
@@ -19,7 +22,9 @@
 // fixed by the plan, not by thread timing.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -114,6 +119,63 @@ CampaignResult merge_outcomes(const Plan& plan,
 /// re-plans bit-identically to the run that wrote the log.
 Plan plan_for(sim::OsVariant variant, const Registry& registry,
               const CampaignOptions& opt);
+
+/// The one place src/ starts threads.  Runs work(w, stop) for every worker
+/// w in [0, workers): on the calling thread when workers == 1, else each on
+/// a thread of its own.  While they run, the calling thread calls `drain`
+/// (when set) every 200 µs, and once more after the last worker has
+/// returned.  An exception from a worker or from `drain` raises `stop`
+/// (workers poll it between units of work) and is rethrown once every
+/// thread has joined, a worker's in preference to drain's; a throwing
+/// `drain` is never called again.
+void fan_out(unsigned workers,
+             const std::function<void(unsigned worker,
+                                      const std::atomic<bool>& stop)>& work,
+             const std::function<void()>& drain = {});
+
+namespace detail {
+/// Type-erased body of execute_plan.  `adopt(shard)` returns true when the
+/// shard's outcome came from the cache, `run` executes one shard and
+/// `complete` (may be empty) reports one executed shard by index.
+void execute_shards(const Plan& plan, unsigned jobs,
+                    const std::function<bool(const Shard&)>& adopt,
+                    const std::function<void(sim::Machine&, const Shard&)>& run,
+                    const std::function<void(std::size_t)>& complete,
+                    EngineMetrics* metrics);
+}  // namespace detail
+
+/// The shard executor every campaign flavour shares, generic over its
+/// options and outcome types (CampaignOptions/ShardOutcome,
+/// CrashOptions/CrashShardOutcome).  Runs `run` over every shard of `plan`
+/// on min(opt.jobs, shards) pooled machines and returns the outcomes indexed
+/// by shard.  A shard opt.shard_cache returns is adopted and neither re-run
+/// nor reported.  opt.on_shard_complete fires once per executed shard, always
+/// on the calling thread: inline right after the shard at jobs 1, else from
+/// the completion-ring drain.  A throwing hook or shard stops the campaign
+/// and propagates.  `metrics`, when set, receives jobs, contended steals and
+/// machine rebuilds.
+template <class Options, class Outcome>
+std::vector<Outcome> execute_plan(const Plan& plan, const Options& opt,
+                                  Outcome (*run)(sim::Machine&, const Shard&,
+                                                 const Options&),
+                                  EngineMetrics* metrics = nullptr) {
+  std::vector<Outcome> outcomes(plan.shards.size());
+  std::function<void(std::size_t)> complete;
+  if (opt.on_shard_complete)
+    complete = [&](std::size_t i) { opt.on_shard_complete(outcomes[i]); };
+  detail::execute_shards(
+      plan, opt.jobs,
+      [&](const Shard& s) {
+        const Outcome* c = opt.shard_cache ? opt.shard_cache(s) : nullptr;
+        if (c != nullptr) outcomes[s.index] = *c;
+        return c != nullptr;
+      },
+      [&](sim::Machine& m, const Shard& s) {
+        outcomes[s.index] = run(m, s, opt);
+      },
+      complete, metrics);
+  return outcomes;
+}
 
 /// The full engine: plan -> schedule/execute -> merge.  Campaign::run is a
 /// thin façade over this.

@@ -10,10 +10,10 @@
 namespace ballista::rpc {
 
 // Serialization is built from the shared wire primitives (common/wire.h) so
-// the RPC shard messages and the persistent store's shard records stay one
-// dialect: LE integers, u64-length-prefixed strings, CaseCode bytes.  The
-// kStreamedShard payload goes one step further and *is* the store's
-// kShardOutcome record encoding (store/store.h codecs).
+// the RPC frames and the persistent store's records stay one dialect: LE
+// integers, u64-length-prefixed strings, CaseCode bytes.  The kStreamedShard
+// payload goes one step further and *is* the store's kShardOutcome record
+// encoding (store/store.h codecs).
 
 using wire::put_str;
 using wire::put_u32;
@@ -29,20 +29,12 @@ struct overloaded : Ts... {
 template <class... Ts>
 overloaded(Ts...) -> overloaded<Ts...>;
 
-static_assert(std::is_same_v<std::variant_alternative_t<0, Message>,
-                             TestRequest>);
-static_assert(std::is_same_v<std::variant_alternative_t<3, Message>,
-                             Shutdown>);
-static_assert(std::is_same_v<std::variant_alternative_t<11, Message>,
-                             Complete>);
-static_assert(std::variant_size_v<Message> == 12);
-
-void put_result_fields(std::vector<std::uint8_t>& out, const TestResult& r) {
-  put_str(out, r.mut_name);
-  put_u64(out, r.case_index);
-  out.push_back(static_cast<std::uint8_t>(r.code));
-  put_str(out, r.detail);
-}
+// Message alternative index + kFirstTag == frame tag.
+constexpr std::size_t kFirstTag = static_cast<std::size_t>(MessageType::kHello);
+static_assert(std::is_same_v<std::variant_alternative_t<0, Message>, Hello>);
+static_assert(std::is_same_v<std::variant_alternative_t<5, Message>, Complete>);
+static_assert(std::variant_size_v<Message> == 6 &&
+              static_cast<std::size_t>(MessageType::kComplete) == kFirstTag + 5);
 
 void put_counters(std::vector<std::uint8_t>& out, const trace::Counters& c) {
   for (std::uint64_t v : c.n) put_u64(out, v);
@@ -103,12 +95,6 @@ bool read_spec(wire::Reader& r, CampaignSpec& s) {
 
 std::string_view message_type_name(MessageType t) noexcept {
   switch (t) {
-    case MessageType::kTestRequest: return "test-request";
-    case MessageType::kTestResult: return "test-result";
-    case MessageType::kRebootNotice: return "reboot-notice";
-    case MessageType::kShutdown: return "shutdown";
-    case MessageType::kShardRequest: return "shard-request";
-    case MessageType::kShardResult: return "shard-result";
     case MessageType::kHello: return "hello";
     case MessageType::kAttach: return "attach";
     case MessageType::kDetach: return "detach";
@@ -134,7 +120,7 @@ std::string_view error_code_name(ErrorCode c) noexcept {
 }
 
 MessageType message_type(const Message& m) noexcept {
-  return static_cast<MessageType>(m.index() + 1);
+  return static_cast<MessageType>(m.index() + kFirstTag);
 }
 
 std::vector<std::uint8_t> encode(const Message& m) {
@@ -142,28 +128,6 @@ std::vector<std::uint8_t> encode(const Message& m) {
   out.push_back(static_cast<std::uint8_t>(message_type(m)));
   std::visit(
       overloaded{
-          [&](const TestRequest& r) {
-            put_str(out, r.mut_name);
-            put_u64(out, r.case_index);
-          },
-          [&](const TestResult& r) { put_result_fields(out, r); },
-          [&](const RebootNotice& r) { put_result_fields(out, r.report); },
-          [&](const Shutdown&) {},
-          [&](const ShardRequest& r) {
-            put_str(out, r.mut_name);
-            put_u64(out, r.first);
-            put_u64(out, r.count);
-          },
-          [&](const ShardResult& r) {
-            put_str(out, r.mut_name);
-            put_u64(out, r.first);
-            put_u64(out, r.codes.size());
-            for (core::CaseCode c : r.codes)
-              out.push_back(static_cast<std::uint8_t>(c));
-            out.push_back(r.crashed ? 1 : 0);
-            put_str(out, r.detail);
-            put_counters(out, r.counters);
-          },
           [&](const Hello& h) {
             put_u32(out, h.protocol_version);
             put_spec(out, h.spec);
@@ -201,77 +165,8 @@ std::optional<Message> decode(const std::vector<std::uint8_t>& frame) {
   if (frame.empty()) return std::nullopt;
   wire::Reader r(frame, 1);
 
-  const auto read_result = [&r]() -> std::optional<TestResult> {
-    auto name = r.str();
-    auto idx = r.u64();
-    if (!name || !idx) return std::nullopt;
-    const auto code = r.u8();
-    if (!code || *code > static_cast<std::uint8_t>(core::CaseCode::kHindering))
-      return std::nullopt;
-    auto detail = r.str();
-    if (!detail) return std::nullopt;
-    return TestResult{std::move(*name), *idx,
-                      static_cast<core::CaseCode>(*code), std::move(*detail)};
-  };
-
   std::optional<Message> m;
   switch (frame[0]) {
-    case 1: {
-      auto name = r.str();
-      auto idx = r.u64();
-      if (!name || !idx) return std::nullopt;
-      m = TestRequest{std::move(*name), *idx};
-      break;
-    }
-    case 2: {
-      auto res = read_result();
-      if (!res) return std::nullopt;
-      m = std::move(*res);
-      break;
-    }
-    case 3: {
-      auto res = read_result();
-      if (!res) return std::nullopt;
-      m = RebootNotice{std::move(*res)};
-      break;
-    }
-    case 4:
-      m = Shutdown{};
-      break;
-    case 5: {
-      auto name = r.str();
-      auto first = r.u64();
-      auto count = r.u64();
-      if (!name || !first || !count) return std::nullopt;
-      m = ShardRequest{std::move(*name), *first, *count};
-      break;
-    }
-    case 6: {
-      auto name = r.str();
-      auto first = r.u64();
-      auto ncodes = r.u64();
-      if (!name || !first || !ncodes || *ncodes > (1u << 20) ||
-          r.pos + *ncodes + 1 > frame.size())
-        return std::nullopt;
-      ShardResult sr;
-      sr.mut_name = std::move(*name);
-      sr.first = *first;
-      sr.codes.reserve(static_cast<std::size_t>(*ncodes));
-      for (std::uint64_t i = 0; i < *ncodes; ++i) {
-        const std::uint8_t c = frame[r.pos++];
-        if (c > static_cast<std::uint8_t>(core::CaseCode::kHindering))
-          return std::nullopt;
-        sr.codes.push_back(static_cast<core::CaseCode>(c));
-      }
-      const std::uint8_t crashed = frame[r.pos++];
-      if (crashed > 1) return std::nullopt;  // must re-encode byte-exactly
-      sr.crashed = crashed == 1;
-      auto detail = r.str();
-      if (!detail || !read_counters(r, sr.counters)) return std::nullopt;
-      sr.detail = std::move(*detail);
-      m = std::move(sr);
-      break;
-    }
     case 7: {
       const auto version = r.u32();
       if (!version) return std::nullopt;
@@ -374,31 +269,6 @@ std::string describe(const Message& m) {
   std::string out(message_type_name(message_type(m)));
   std::visit(
       overloaded{
-          [&](const TestRequest& r) {
-            out += " mut=" + r.mut_name + " case=" +
-                   std::to_string(r.case_index);
-          },
-          [&](const TestResult& r) {
-            out += " mut=" + r.mut_name + " case=" +
-                   std::to_string(r.case_index) + " code=" +
-                   std::to_string(static_cast<int>(r.code));
-          },
-          [&](const RebootNotice& r) {
-            out += " mut=" + r.report.mut_name + " case=" +
-                   std::to_string(r.report.case_index);
-          },
-          [&](const Shutdown&) {},
-          [&](const ShardRequest& r) {
-            out += " mut=" + r.mut_name + " first=" +
-                   std::to_string(r.first) + " count=" +
-                   std::to_string(r.count);
-          },
-          [&](const ShardResult& r) {
-            out += " mut=" + r.mut_name + " first=" +
-                   std::to_string(r.first) + " codes=" +
-                   std::to_string(r.codes.size()) +
-                   (r.crashed ? " crashed" : "");
-          },
           [&](const Hello& h) {
             out += " v" + std::to_string(h.protocol_version) + " os=" +
                    os_name(h.spec.variant) + " cap=" +

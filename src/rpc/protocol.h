@@ -8,12 +8,12 @@
 // messages with explicit little-endian serialization, exactly as they would
 // travel over a socket.
 //
-// Protocol v2 adds the campaign-service message set: a session handshake
+// Protocol v2 is the campaign-service message set: a session handshake
 // (kHello -> kAttach), teardown (kDetach), a structured error model (kError)
 // and the streamed shard-outcome frames a CampaignServer emits while a
-// session's campaign executes (kStreamedShard ... kComplete).  The v1 frames
-// (types 1-6) are encoded byte-identically to the original build, so old
-// captures stay decodable and offset-sensitive readers stay valid.
+// session's campaign executes (kStreamedShard ... kComplete).  Tags 1-6
+// belonged to the retired v1 request/result and shard frames; they are never
+// reused, and decode() rejects them like any unknown tag.
 #pragma once
 
 #include <cstdint>
@@ -30,17 +30,12 @@ namespace ballista::rpc {
 
 /// Bumped whenever a frame layout changes or a message type is added; a
 /// kHello carrying any other version is refused with kBadVersion rather than
-/// mis-parsed.  v1 = the original request/result + shard frames, v2 = the
+/// mis-parsed.  v1 = the retired request/result + shard frames, v2 = the
 /// session/campaign-service set.
 inline constexpr std::uint32_t kProtocolVersion = 2;
 
+/// Frame tags (the first byte of every frame).  1-6 are retired (v1).
 enum class MessageType : std::uint8_t {
-  kTestRequest = 1,    // server -> client: run case N of MuT X
-  kTestResult = 2,     // client -> server: outcome of one case
-  kRebootNotice = 3,   // client -> server: machine went down, rebooted
-  kShutdown = 4,       // server -> client: campaign over
-  kShardRequest = 5,   // server -> client: run cases [first, first+count) of X
-  kShardResult = 6,    // client -> server: per-case codes for (part of) a shard
   kHello = 7,          // client -> server: open/reattach a campaign session
   kAttach = 8,         // server -> client: session accepted, resume state
   kDetach = 9,         // client -> server: leave; campaign parks, log persists
@@ -50,50 +45,6 @@ enum class MessageType : std::uint8_t {
 };
 
 std::string_view message_type_name(MessageType t) noexcept;
-
-struct TestRequest {
-  std::string mut_name;
-  std::uint64_t case_index = 0;
-};
-
-struct TestResult {
-  std::string mut_name;
-  std::uint64_t case_index = 0;
-  core::CaseCode code = core::CaseCode::kPassWithError;
-  std::string detail;
-};
-
-/// Same payload layout as TestResult, distinct type tag: the client announces
-/// that the target machine went down and has been rebooted.
-struct RebootNotice {
-  TestResult report;
-};
-
-struct Shutdown {};
-
-/// One planned case range (core/plan CaseRange) shipped as a unit: the split
-/// harness amortizes a round-trip over `count` cases instead of one per case.
-struct ShardRequest {
-  std::string mut_name;
-  std::uint64_t first = 0;
-  std::uint64_t count = 0;
-};
-
-/// Per-case codes for the executed prefix of a shard request.  When the
-/// machine went down mid-range, `crashed` is set, `codes` covers only the
-/// cases that ran (the last one being the Catastrophic case) and `detail`
-/// carries the crash reason; the client reboots before its next poll.
-struct ShardResult {
-  std::string mut_name;
-  std::uint64_t first = 0;
-  std::vector<core::CaseCode> codes;
-  bool crashed = false;
-  std::string detail;
-  /// Per-event-kind totals over the executed cases (trace spine counters);
-  /// serialized after `detail` so older offset-sensitive readers of the
-  /// prefix stay valid.
-  trace::Counters counters;
-};
 
 /// Everything a CampaignServer needs to re-derive a campaign's plan — and
 /// therefore its store fingerprint — on its own side of the wire.  Scheduling
@@ -171,10 +122,9 @@ struct Complete {
 };
 
 /// One wire message.  Alternative order mirrors the MessageType tags
-/// (index + 1 == tag), which message_type() and the codec rely on.
-using Message = std::variant<TestRequest, TestResult, RebootNotice, Shutdown,
-                             ShardRequest, ShardResult, Hello, Attach, Detach,
-                             Error, StreamedShard, Complete>;
+/// (index + kHello == tag), which message_type() and the codec rely on.
+using Message =
+    std::variant<Hello, Attach, Detach, Error, StreamedShard, Complete>;
 
 MessageType message_type(const Message& m) noexcept;
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <exception>
-#include <thread>
 #include <utility>
 
 #include "store/format.h"
@@ -235,38 +233,19 @@ bool CampaignServer::schedule_round() {
   }
   if (batch.empty()) return false;
 
-  // Execute the batch, one pooled machine per unit.  Shard outcomes depend
-  // only on (variant, options, shard) — checkout() hands over a fully reset
-  // (or freshly built, on variant change) machine — so the batch's partition
-  // across slots and threads cannot influence any result.
-  const auto run_unit = [this](Unit& u) {
-    u.outcome = core::run_shard(
-        pool_.checkout(0, u.session->variant()),
-        u.session->plan().shards.at(u.shard), u.session->options());
-  };
-  if (batch.size() == 1) {
-    run_unit(batch[0]);
-  } else {
-    std::vector<std::exception_ptr> errors(batch.size());
-    std::vector<std::thread> workers;
-    workers.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      workers.emplace_back([this, &batch, &errors, i] {
-        try {
-          batch[i].outcome = core::run_shard(
-              pool_.checkout(static_cast<unsigned>(i),
-                             batch[i].session->variant()),
-              batch[i].session->plan().shards.at(batch[i].shard),
-              batch[i].session->options());
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      });
-    }
-    for (auto& t : workers) t.join();
-    for (auto& e : errors)
-      if (e) std::rethrow_exception(e);
-  }
+  // Execute the batch on the engine's fan-out, unit w on pooled machine w.
+  // Shard outcomes depend only on (variant, options, shard) — checkout()
+  // hands over a fully reset (or freshly built, on variant change) machine —
+  // so the batch's partition across slots and threads cannot influence any
+  // result.
+  core::fan_out(static_cast<unsigned>(batch.size()),
+                [&](unsigned w, const std::atomic<bool>&) {
+                  Unit& u = batch[w];
+                  u.outcome = core::run_shard(
+                      pool_.checkout(w, u.session->variant()),
+                      u.session->plan().shards.at(u.shard),
+                      u.session->options());
+                });
   shards_executed_ += batch.size();
 
   // Record, stream and (maybe) seal in collection order — the same order a

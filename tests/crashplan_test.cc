@@ -95,6 +95,50 @@ TEST(CrashEngine, MergedResultIsIdenticalForAnyJobsValue) {
   EXPECT_EQ(seq.total_cuts, seq.consistent + seq.inconsistent + seq.no_cut);
 }
 
+TEST(CrashEngine, ThrowingHookStopsTheCampaign) {
+  // CrashOptions promises CampaignOptions' hook contract: a throwing
+  // on_shard_complete aborts the campaign at any jobs value, and no hook
+  // call follows the throw.  Both engines, so the contract cannot drift.
+  struct HookFailed {};
+  const auto& world = shared_world();
+  for (const unsigned jobs : {1u, 4u}) {
+    const std::string label = "jobs=" + std::to_string(jobs);
+    int calls = 0;  // the hook only ever runs on the calling thread
+
+    CrashOptions crash = small_options();
+    crash.shard_cases = 4;
+    crash.jobs = jobs;
+    ASSERT_GT(core::crash_plan_for(OsVariant::kWinNT4, world.registry, crash)
+                  .shards.size(),
+              2 * jobs);
+    crash.on_shard_complete = [&](const CrashShardOutcome&) {
+      if (++calls == 2) throw HookFailed{};
+    };
+    EXPECT_THROW(
+        core::run_crash_engine(OsVariant::kWinNT4, world.registry, crash),
+        HookFailed)
+        << label;
+    EXPECT_EQ(calls, 2) << "crash engine, " << label;
+
+    core::CampaignOptions robust;
+    robust.cap = 8;
+    robust.shard_cases = 4;
+    robust.jobs = jobs;
+    ASSERT_GT(core::plan_for(OsVariant::kWinNT4, world.registry, robust)
+                  .shards.size(),
+              2 * jobs);
+    calls = 0;
+    robust.on_shard_complete = [&](const core::ShardOutcome&) {
+      if (++calls == 2) throw HookFailed{};
+    };
+    EXPECT_THROW(
+        core::Campaign::run(OsVariant::kWinNT4, world.registry, robust),
+        HookFailed)
+        << label;
+    EXPECT_EQ(calls, 2) << "robustness engine, " << label;
+  }
+}
+
 TEST(CrashProbe, MatchesTheCountingPassAndRejectsOutOfRangeCuts) {
   const auto& world = shared_world();
   const core::MuT* mut = world.registry.find("CreateFile");
@@ -244,39 +288,49 @@ TEST(CrashStore, FreshRunSealsAndLoadsBack) {
 
 TEST(CrashStore, TruncatedLogResumesToTheIdenticalResult) {
   const auto& world = shared_world();
-  const CrashOptions opt = small_options();
-  const std::string master = temp_blog("resume_master");
-  const store::CrashStoreRun full = store::run_crash_with_store(
-      OsVariant::kWinNT4, world.registry, opt, master, false);
-  ASSERT_TRUE(full.ok) << full.error;
+  // jobs 4 sends the replayed prefix through the executor's cache path on
+  // worker threads, and the re-executed suffix through the completion rings.
+  for (const unsigned jobs : {1u, 4u}) {
+    const std::string label = "jobs=" + std::to_string(jobs);
+    CrashOptions opt = small_options();
+    opt.jobs = jobs;
+    const std::string master = temp_blog("resume_master");
+    const store::CrashStoreRun full = store::run_crash_with_store(
+        OsVariant::kWinNT4, world.registry, opt, master, false);
+    ASSERT_TRUE(full.ok) << label << ": " << full.error;
 
-  std::vector<char> bytes;
-  {
-    std::ifstream f(master, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(f),
-                 std::istreambuf_iterator<char>());
+    std::vector<char> bytes;
+    {
+      std::ifstream f(master, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(f),
+                   std::istreambuf_iterator<char>());
+    }
+    ASSERT_GT(bytes.size(), 64u) << label;
+
+    // Cut the sealed log roughly in half (mid-frame) and resume: the
+    // replayed prefix plus the re-executed suffix must merge to the
+    // identical result.
+    const std::string stub = temp_blog("resume_cut");
+    {
+      std::ofstream f(stub, std::ios::binary | std::ios::trunc);
+      f.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
+    }
+    const store::CrashStoreRun resumed = store::run_crash_with_store(
+        OsVariant::kWinNT4, world.registry, opt, stub, /*resume=*/true);
+    ASSERT_TRUE(resumed.ok) << label << ": " << resumed.error;
+    EXPECT_GT(resumed.shards_reused, 0u) << label;
+    EXPECT_GT(resumed.shards_executed, 0u) << label;
+    EXPECT_EQ(core::diff_crash_results(full.result, resumed.result), "")
+        << label;
+
+    const store::CrashStoreRun loaded =
+        store::load_crash_result(world.registry, stub);
+    ASSERT_TRUE(loaded.ok) << label << ": " << loaded.error;
+    EXPECT_EQ(core::diff_crash_results(full.result, loaded.result), "")
+        << label;
+    std::remove(master.c_str());
+    std::remove(stub.c_str());
   }
-  ASSERT_GT(bytes.size(), 64u);
-
-  // Cut the sealed log roughly in half (mid-frame) and resume: the replayed
-  // prefix plus the re-executed suffix must merge to the identical result.
-  const std::string stub = temp_blog("resume_cut");
-  {
-    std::ofstream f(stub, std::ios::binary | std::ios::trunc);
-    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
-  }
-  const store::CrashStoreRun resumed = store::run_crash_with_store(
-      OsVariant::kWinNT4, world.registry, opt, stub, /*resume=*/true);
-  ASSERT_TRUE(resumed.ok) << resumed.error;
-  EXPECT_GT(resumed.shards_executed, 0u);
-  EXPECT_EQ(core::diff_crash_results(full.result, resumed.result), "");
-
-  const store::CrashStoreRun loaded =
-      store::load_crash_result(world.registry, stub);
-  ASSERT_TRUE(loaded.ok) << loaded.error;
-  EXPECT_EQ(core::diff_crash_results(full.result, loaded.result), "");
-  std::remove(master.c_str());
-  std::remove(stub.c_str());
 }
 
 TEST(CrashStore, RecordFlavorsNeverMix) {

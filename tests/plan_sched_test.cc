@@ -16,45 +16,8 @@ namespace ballista::core {
 namespace {
 
 using sim::OsVariant;
+using testing::expect_same_result;
 using testing::shared_world;
-
-void expect_same_result(const CampaignResult& a, const CampaignResult& b,
-                        const std::string& label) {
-  EXPECT_EQ(a.variant, b.variant) << label;
-  EXPECT_EQ(a.reboots, b.reboots) << label;
-  EXPECT_EQ(a.total_cases, b.total_cases) << label;
-  EXPECT_EQ(a.event_counters, b.event_counters) << label;
-  ASSERT_EQ(a.stats.size(), b.stats.size()) << label;
-  for (std::size_t i = 0; i < a.stats.size(); ++i) {
-    const MutStats& x = a.stats[i];
-    const MutStats& y = b.stats[i];
-    const std::string at = label + " / " + std::string(x.mut->name);
-    EXPECT_EQ(x.mut, y.mut) << at;
-    EXPECT_EQ(x.planned, y.planned) << at;
-    EXPECT_EQ(x.executed, y.executed) << at;
-    EXPECT_EQ(x.passes, y.passes) << at;
-    EXPECT_EQ(x.aborts, y.aborts) << at;
-    EXPECT_EQ(x.restarts, y.restarts) << at;
-    EXPECT_EQ(x.silent_candidates, y.silent_candidates) << at;
-    EXPECT_EQ(x.hindering, y.hindering) << at;
-    EXPECT_EQ(x.catastrophic, y.catastrophic) << at;
-    EXPECT_EQ(x.crash_case, y.crash_case) << at;
-    EXPECT_EQ(x.crash_detail, y.crash_detail) << at;
-    EXPECT_EQ(x.crash_tuple, y.crash_tuple) << at;
-    EXPECT_EQ(x.crash_reproducible_single, y.crash_reproducible_single) << at;
-    EXPECT_EQ(x.case_codes, y.case_codes) << at;
-    EXPECT_EQ(x.event_counts, y.event_counts) << at;
-    // Crash-trace tails are captured on the machine that died; schedules
-    // with different tick streams must still agree on the causal chain
-    // (event kinds + case stamps), though raw tick values may differ.
-    ASSERT_EQ(x.crash_trace.size(), y.crash_trace.size()) << at;
-    for (std::size_t k = 0; k < x.crash_trace.size(); ++k) {
-      EXPECT_EQ(x.crash_trace[k].kind, y.crash_trace[k].kind) << at;
-      EXPECT_EQ(x.crash_trace[k].case_index, y.crash_trace[k].case_index)
-          << at;
-    }
-  }
-}
 
 // --- plan structure ---------------------------------------------------------
 

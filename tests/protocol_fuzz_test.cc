@@ -20,7 +20,7 @@ TEST_P(ProtocolFuzz, DecodeNeverCrashesAndRoundTripsWhenItAccepts) {
     Frame frame(len);
     for (auto& b : frame) b = static_cast<std::uint8_t>(rng.next());
     // Bias some frames toward valid-looking types so the accept path is
-    // exercised too (all twelve v1+v2 tags).
+    // exercised too (the six v2 tags and the six retired v1 tags).
     if (!frame.empty() && iter % 3 == 0)
       frame[0] = static_cast<std::uint8_t>(1 + rng.next_below(12));
     const auto msg = decode(frame);
@@ -33,35 +33,21 @@ TEST_P(ProtocolFuzz, DecodeNeverCrashesAndRoundTripsWhenItAccepts) {
 
 TEST_P(ProtocolFuzz, TruncationsOfValidFramesAreRejectedOrConsistent) {
   SplitMix64 rng(GetParam() ^ 0xabcdef);
-  const Message m{TestResult{"GetThreadContext", rng.next_below(10000),
-                             core::CaseCode::kAbort, "detail text"}};
-  const Frame full = encode(m);
-  for (std::size_t cut = 0; cut < full.size(); ++cut) {
-    const Frame truncated(full.begin(),
-                          full.begin() + static_cast<std::ptrdiff_t>(cut));
-    const auto msg = decode(truncated);
-    if (msg.has_value()) {
-      EXPECT_EQ(encode(*msg), truncated);
-    }
-  }
-}
-
-TEST_P(ProtocolFuzz, TruncationsOfShardResultFramesAreRejectedOrConsistent) {
-  SplitMix64 rng(GetParam() ^ 0x5a5a5a);
-  ShardResult sr;
-  sr.mut_name = "strncpy";
-  sr.first = rng.next_below(10000);
-  for (int i = 0; i < 9; ++i)
-    sr.codes.push_back(static_cast<core::CaseCode>(rng.next_below(6)));
-  sr.crashed = true;
-  sr.detail = "delayed failure from corrupted shared arena";
-  const Frame full = encode(Message{std::move(sr)});
-  for (std::size_t cut = 0; cut < full.size(); ++cut) {
-    const Frame truncated(full.begin(),
-                          full.begin() + static_cast<std::ptrdiff_t>(cut));
-    const auto msg = decode(truncated);
-    if (msg.has_value()) {
-      EXPECT_EQ(encode(*msg), truncated);
+  const Message frames[] = {
+      Message{Error{ErrorCode::kStoreFailure, rng.next_below(10000),
+                    "could not append to session log"}},
+      Message{Attach{rng.next_below(100), 9, rng.next_below(10000),
+                     {0, rng.next_below(9)}}},
+  };
+  for (const Message& m : frames) {
+    const Frame full = encode(m);
+    for (std::size_t cut = 0; cut < full.size(); ++cut) {
+      const Frame truncated(full.begin(),
+                            full.begin() + static_cast<std::ptrdiff_t>(cut));
+      const auto msg = decode(truncated);
+      if (msg.has_value()) {
+        EXPECT_EQ(encode(*msg), truncated);
+      }
     }
   }
 }

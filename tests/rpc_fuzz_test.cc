@@ -17,26 +17,6 @@ namespace {
 
 std::vector<Message> corpus() {
   std::vector<Message> frames;
-  frames.push_back(Message{TestRequest{"GetThreadContext", 1234}});
-  frames.push_back(Message{TestResult{"strncpy", 7, core::CaseCode::kAbort,
-                                      "ACCESS_VIOLATION reading 0x0"}});
-  frames.push_back(Message{RebootNotice{
-      TestResult{"VirtualAlloc", 9, core::CaseCode::kCatastrophic,
-                 "page fault in kernel context"}}});
-  frames.push_back(Message{Shutdown{}});
-  frames.push_back(Message{ShardRequest{"fclose", 128, 64}});
-
-  ShardResult shard;
-  shard.mut_name = "memcpy";
-  shard.first = 40;
-  shard.codes = {core::CaseCode::kPassWithError, core::CaseCode::kAbort,
-                 core::CaseCode::kCatastrophic};
-  shard.crashed = true;
-  shard.detail = "delayed failure from corrupted shared arena";
-  shard.counters[trace::EventKind::kSyscallEnter] = 17;
-  shard.counters[trace::EventKind::kPanic] = 1;
-  frames.push_back(Message{shard});
-
   Hello hello;
   hello.spec.variant = 3;
   hello.spec.cap = 40;

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/wire.h"
 #include "rpc/server.h"
 #include "store/format.h"
 #include "tests/store_test_util.h"
@@ -36,6 +37,7 @@ namespace {
 using core::CampaignOptions;
 using core::CampaignResult;
 using sim::OsVariant;
+using testing::expect_same_result;
 using testing::shared_world;
 using testing::TinyWorld;
 using testing::tiny_options;
@@ -52,30 +54,6 @@ std::vector<unsigned char> slurp(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   EXPECT_TRUE(f.good()) << path;
   return {std::istreambuf_iterator<char>(f), {}};
-}
-
-void expect_same_result(const CampaignResult& a, const CampaignResult& b,
-                        const std::string& label) {
-  EXPECT_EQ(a.variant, b.variant) << label;
-  EXPECT_EQ(a.reboots, b.reboots) << label;
-  EXPECT_EQ(a.total_cases, b.total_cases) << label;
-  EXPECT_EQ(a.event_counters, b.event_counters) << label;
-  ASSERT_EQ(a.stats.size(), b.stats.size()) << label;
-  for (std::size_t i = 0; i < a.stats.size(); ++i) {
-    const core::MutStats& x = a.stats[i];
-    const core::MutStats& y = b.stats[i];
-    const std::string at = label + " / " + std::string(x.mut->name);
-    EXPECT_EQ(x.mut->name, y.mut->name) << at;
-    EXPECT_EQ(x.executed, y.executed) << at;
-    EXPECT_EQ(x.passes, y.passes) << at;
-    EXPECT_EQ(x.aborts, y.aborts) << at;
-    EXPECT_EQ(x.restarts, y.restarts) << at;
-    EXPECT_EQ(x.hindering, y.hindering) << at;
-    EXPECT_EQ(x.catastrophic, y.catastrophic) << at;
-    EXPECT_EQ(x.crash_case, y.crash_case) << at;
-    EXPECT_EQ(x.case_codes, y.case_codes) << at;
-    EXPECT_EQ(x.event_counts, y.event_counts) << at;
-  }
 }
 
 /// Drives server and clients until every client is complete or errored (or
@@ -187,6 +165,39 @@ TEST(CampaignService, ConcurrentSessionsMatchSoloRunsAtAnyJobs) {
                          "jobs=" + std::to_string(jobs) + " client " +
                              std::to_string(i));
     }
+  }
+}
+
+TEST(CampaignService, CrashingSessionMatchesSoloRun) {
+  // TinyWorld never crashes, so this is the test that streams Catastrophic
+  // outcomes (crash detail, tuple, trace tail, repro verdict) over the wire.
+  const auto& world = shared_world();
+  CampaignOptions opt;
+  opt.cap = 30;
+  const OsVariant v = OsVariant::kWin98;
+  const CampaignResult solo = core::Campaign::run(v, world.registry, opt);
+
+  for (const unsigned jobs : {1u, 4u}) {
+    const std::string label = "jobs=" + std::to_string(jobs);
+    ServerConfig cfg;
+    cfg.jobs = jobs;
+    cfg.quota = jobs;
+    CampaignServer server(world.registry, cfg);
+    Channel ch;
+    server.bind(ch.a());
+    CampaignClient client(ch.b(), world.registry, v, opt);
+    ASSERT_TRUE(client.hello());
+    pump(server, {&client});
+
+    ASSERT_TRUE(client.complete()) << label;
+    const auto result = client.result();
+    ASSERT_TRUE(result.has_value()) << label;
+    expect_same_result(solo, *result, label);
+    const core::MutStats* gtc = result->find("GetThreadContext");
+    ASSERT_NE(gtc, nullptr) << label;
+    EXPECT_TRUE(gtc->catastrophic) << label;
+    EXPECT_TRUE(gtc->crash_reproducible_single) << label;  // Listing 1
+    EXPECT_GT(result->reboots, 0) << label;
   }
 }
 
@@ -384,10 +395,27 @@ TEST(CampaignService, UnexpectedV1FrameGetsMalformed) {
   CampaignServer server(world.registry);
   Channel ch;
   server.bind(ch.a());
-  const auto reply =
-      ask(server, ch, encode(Message{TestRequest{"tiny_probe", 0}}));
+  // The bytes of a v1 test-request frame for case 0 of tiny_probe: tag 1 is
+  // retired, so the frame no longer decodes at all.
+  Frame v1{1};
+  wire::put_str(v1, "tiny_probe");
+  wire::put_u64(v1, 0);
+  const auto reply = ask(server, ch, std::move(v1));
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(std::get<Error>(*reply).code, ErrorCode::kMalformed);
+  EXPECT_EQ(server.session_count(), 0u);
+}
+
+TEST(CampaignService, ServerOnlyFrameFromAClientGetsMalformed) {
+  const TinyWorld world;
+  CampaignServer server(world.registry);
+  Channel ch;
+  server.bind(ch.a());
+  const auto reply = ask(server, ch, encode(Message{Complete{}}));
+  ASSERT_TRUE(reply.has_value());
+  const Error& e = std::get<Error>(*reply);
+  EXPECT_EQ(e.code, ErrorCode::kMalformed);
+  EXPECT_NE(e.message.find("complete"), std::string::npos) << e.message;
 }
 
 TEST(CampaignService, DoubleAttachOfTheSameCampaignIsRefused) {

@@ -1,9 +1,16 @@
-// Tests for the split (client/server) harness: wire protocol round trips,
-// channel delivery, campaign-over-RPC equivalence with the in-process
-// campaign, and the Windows CE file-drop arrangement.
+// Tests for the harness's wire layer and its Windows CE arrangement: v2
+// protocol round trips and tag pins, channel delivery, and the CE file-drop
+// client and host loop (§3.2).
 #include <gtest/gtest.h>
 
-#include "rpc/harness_rpc.h"
+#include <set>
+#include <utility>
+
+#include "common/rng.h"
+#include "core/report.h"
+#include "rpc/ce_file_drop.h"
+#include "rpc/channel.h"
+#include "rpc/protocol.h"
 #include "tests/test_util.h"
 
 namespace ballista::rpc {
@@ -13,97 +20,65 @@ using core::CaseCode;
 using sim::OsVariant;
 using testing::shared_world;
 
-TEST(Protocol, RequestRoundTrip) {
-  const Message m{TestRequest{"GetThreadContext", 1234}};
-  const auto decoded = decode(encode(m));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(message_type(*decoded), MessageType::kTestRequest);
-  const auto& request = std::get<TestRequest>(*decoded);
-  EXPECT_EQ(request.mut_name, "GetThreadContext");
-  EXPECT_EQ(request.case_index, 1234u);
-}
-
-TEST(Protocol, ResultRoundTrip) {
-  const Message m{
-      TestResult{"strncpy", 7, CaseCode::kAbort, "ACCESS_VIOLATION reading 0x0"}};
-  const auto decoded = decode(encode(m));
-  ASSERT_TRUE(decoded.has_value());
-  const auto& result = std::get<TestResult>(*decoded);
-  EXPECT_EQ(result.mut_name, "strncpy");
-  EXPECT_EQ(result.code, CaseCode::kAbort);
-  EXPECT_EQ(result.detail, "ACCESS_VIOLATION reading 0x0");
-}
-
-TEST(Protocol, ShardRequestRoundTrip) {
-  const Message m{ShardRequest{"VirtualAlloc", 128, 64}};
-  const auto decoded = decode(encode(m));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(message_type(*decoded), MessageType::kShardRequest);
-  const auto& request = std::get<ShardRequest>(*decoded);
-  EXPECT_EQ(request.mut_name, "VirtualAlloc");
-  EXPECT_EQ(request.first, 128u);
-  EXPECT_EQ(request.count, 64u);
-}
-
-TEST(Protocol, ShardResultRoundTrip) {
-  const Message m{ShardResult{"fclose",
-                              7,
-                              {CaseCode::kPassWithError, CaseCode::kAbort,
-                               CaseCode::kCatastrophic},
-                              true,
-                              "page fault in kernel context",
-                              {}}};
-  const auto decoded = decode(encode(m));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(message_type(*decoded), MessageType::kShardResult);
-  const auto& result = std::get<ShardResult>(*decoded);
-  EXPECT_EQ(result.mut_name, "fclose");
-  EXPECT_EQ(result.first, 7u);
-  EXPECT_EQ(result.codes.size(), 3u);
-  EXPECT_EQ(result.codes[2], CaseCode::kCatastrophic);
-  EXPECT_TRUE(result.crashed);
-  EXPECT_EQ(result.detail, "page fault in kernel context");
-}
-
-TEST(Protocol, ShardResultRejectsBadCrashedByteAndBadCodes) {
-  const Message m{
-      ShardResult{"x", 0, {CaseCode::kPassWithError}, false, "", {}}};
-  Frame enc = encode(m);
-  // Layout: type(1) + name(8+1) + first(8) + ncodes(8) + codes(1) + crashed.
-  // These offsets are a v1 compatibility pin: protocol v2 must not move them.
-  const std::size_t code_at = 1 + 8 + 1 + 8 + 8;
-  Frame bad_code = enc;
-  bad_code[code_at] = 200;
-  EXPECT_FALSE(decode(bad_code).has_value());
-  Frame bad_crashed = enc;
-  bad_crashed[code_at + 1] = 2;  // would not re-encode byte-exactly
-  EXPECT_FALSE(decode(bad_crashed).has_value());
-}
-
-TEST(Protocol, ShutdownRoundTrip) {
-  const auto decoded = decode(encode(Message{Shutdown{}}));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(message_type(*decoded), MessageType::kShutdown);
-}
-
 TEST(Protocol, MalformedFramesAreRejected) {
   EXPECT_FALSE(decode({}).has_value());
   EXPECT_FALSE(decode({99}).has_value());          // unknown type
-  EXPECT_FALSE(decode({1, 5, 0, 0}).has_value());  // truncated request
-  // Trailing garbage after a valid shutdown.
-  EXPECT_FALSE(decode({4, 0}).has_value());
-  // Huge declared string length.
-  Frame f{1};
-  for (int i = 0; i < 8; ++i) f.push_back(0xff);
-  EXPECT_FALSE(decode(f).has_value());
-  // Out-of-range case code.
-  Frame enc = encode(Message{TestResult{"x", 0, CaseCode::kPassWithError, ""}});
-  // The code byte sits right after name(8+1) + index(8) + type(1).
-  enc[1 + 8 + 1 + 8] = 200;
-  EXPECT_FALSE(decode(enc).has_value());
+  EXPECT_FALSE(decode({9, 5, 0, 0}).has_value());  // truncated detach
+  // Trailing garbage after a valid detach.
+  Frame padded = encode(Message{Detach{7}});
+  padded.push_back(0);
+  EXPECT_FALSE(decode(padded).has_value());
+  // Huge declared string length: the error message's u64 length follows
+  // type(1) + code(1) + session(8).
+  Frame huge = encode(Message{Error{ErrorCode::kMalformed, 0, ""}});
+  for (std::size_t i = 10; i < 18; ++i) huge[i] = 0xff;
+  EXPECT_FALSE(decode(huge).has_value());
+  // An attach declaring more completed shards than the frame holds.
+  Frame attach = encode(Message{Attach{1, 2, 3, {0}}});
+  attach[1 + 8 + 8 + 8] = 2;  // count follows session, shards, planned
+  EXPECT_FALSE(decode(attach).has_value());
+  // Out-of-range error code (valid codes start at 1).
+  Frame zero = encode(Message{Error{ErrorCode::kMalformed, 0, ""}});
+  zero[1] = 0;
+  EXPECT_FALSE(decode(zero).has_value());
 }
 
-// --- protocol v2: the campaign-service message set ---------------------------
+TEST(Protocol, V2TagsAndBytesArePinned) {
+  // Message's alternatives no longer start at tag 1, so pin every tag, one
+  // full frame and the retired range explicitly.
+  EXPECT_EQ(kProtocolVersion, 2u);
+  const std::pair<Message, std::uint8_t> tagged[] = {
+      {Message{Hello{}}, 7},          {Message{Attach{}}, 8},
+      {Message{Detach{}}, 9},         {Message{Error{}}, 10},
+      {Message{StreamedShard{}}, 11}, {Message{Complete{}}, 12},
+  };
+  for (const auto& [m, tag] : tagged) {
+    const Frame f = encode(m);
+    ASSERT_FALSE(f.empty());
+    EXPECT_EQ(f[0], tag) << describe(m);
+    EXPECT_EQ(static_cast<std::uint8_t>(message_type(m)), tag);
+  }
+  EXPECT_EQ(encode(Message{Detach{7}}), (Frame{9, 7, 0, 0, 0, 0, 0, 0, 0}));
+
+  // Tags 1-6 (the v1 frames) are rejected whatever follows them: nothing,
+  // any v2 payload, or random bytes.
+  SplitMix64 rng(0x7a95);
+  for (std::uint8_t tag = 1; tag <= 6; ++tag) {
+    EXPECT_FALSE(decode({tag}).has_value()) << int{tag};
+    for (const auto& [m, v2_tag] : tagged) {
+      Frame f = encode(m);
+      f[0] = tag;
+      EXPECT_FALSE(decode(f).has_value())
+          << int{tag} << " over " << describe(m);
+    }
+    for (int i = 0; i < 64; ++i) {
+      Frame f(1 + rng.next_below(48));
+      for (auto& b : f) b = static_cast<std::uint8_t>(rng.next());
+      f[0] = tag;
+      EXPECT_FALSE(decode(f).has_value()) << int{tag};
+    }
+  }
+}
 
 TEST(Protocol, HelloRoundTrip) {
   Hello h;
@@ -205,12 +180,6 @@ TEST(Protocol, CompleteRoundTrip) {
 
 TEST(Protocol, DescribeNamesEveryMessageType) {
   const Message samples[] = {
-      Message{TestRequest{"f", 0}},
-      Message{TestResult{"f", 0, CaseCode::kPassWithError, ""}},
-      Message{RebootNotice{TestResult{"f", 0, CaseCode::kCatastrophic, ""}}},
-      Message{Shutdown{}},
-      Message{ShardRequest{"f", 0, 1}},
-      Message{ShardResult{"f", 0, {}, false, "", {}}},
       Message{Hello{}},
       Message{Attach{1, 2, 3, {}}},
       Message{Detach{1}},
@@ -266,53 +235,11 @@ TEST(Channel, DirectionsAreBoundedIndependently) {
   EXPECT_EQ(*ch.a().try_recv(), (Frame{9}));
 }
 
-TEST(RpcCampaign, MatchesInProcessCampaignOnLinux) {
-  const auto& world = shared_world();
-  core::CampaignOptions opt;
-  opt.cap = 40;
-  const auto direct =
-      core::Campaign::run(OsVariant::kLinux, world.registry, opt);
-
-  Channel ch;
-  TestClient client(ch.b(), OsVariant::kLinux, world.registry, 40,
-                    opt.seed);
-  TestServer server(ch.a(), world.registry, 40, opt.seed);
-  const auto over_rpc =
-      server.run(OsVariant::kLinux, [&] { client.poll(); });
-
-  ASSERT_EQ(direct.stats.size(), over_rpc.stats.size());
-  for (std::size_t i = 0; i < direct.stats.size(); ++i) {
-    EXPECT_EQ(direct.stats[i].mut->name, over_rpc.stats[i].mut->name);
-    EXPECT_EQ(direct.stats[i].aborts, over_rpc.stats[i].aborts)
-        << direct.stats[i].mut->name;
-    EXPECT_EQ(direct.stats[i].restarts, over_rpc.stats[i].restarts)
-        << direct.stats[i].mut->name;
-    EXPECT_EQ(direct.stats[i].passes, over_rpc.stats[i].passes)
-        << direct.stats[i].mut->name;
-  }
-  EXPECT_EQ(direct.total_cases, over_rpc.total_cases);
-}
-
-TEST(RpcCampaign, CrashesAreReportedAndRebooted) {
-  const auto& world = shared_world();
-  Channel ch;
-  TestClient client(ch.b(), OsVariant::kWin98, world.registry, 30,
-                    0x8a11157a);
-  TestServer server(ch.a(), world.registry, 30, 0x8a11157a);
-  const auto result = server.run(OsVariant::kWin98, [&] { client.poll(); });
-  const auto* gtc = result.find("GetThreadContext");
-  ASSERT_NE(gtc, nullptr);
-  EXPECT_TRUE(gtc->catastrophic);
-  EXPECT_TRUE(gtc->crash_reproducible_single);  // Listing 1 reproduces
-  EXPECT_GT(client.reboots(), 0);
-  EXPECT_GT(result.reboots, 0);
-}
-
 TEST(CeFileDrop, ResultsTravelThroughTheTargetFilesystem) {
   const auto& world = shared_world();
   sim::Machine target(OsVariant::kWinCE);
   CeFileDropClient client(target, world.registry, 30, 0x8a11157a);
-  ASSERT_TRUE(client.execute({"GetTickCount", 0}));
+  ASSERT_TRUE(client.execute("GetTickCount", 0));
   // The result file is on the target.
   auto& fs = target.fs();
   auto node = fs.resolve(fs.parse("/tmp/ballista_result.txt",
@@ -332,7 +259,7 @@ TEST(CeFileDrop, CrashLeavesNoResultFile) {
   core::TupleGenerator gen(*mut, 30, 0x8a11157a);
   bool crashed = false;
   for (std::uint64_t i = 0; i < gen.count(); ++i) {
-    if (!client.execute({"GetThreadContext", i})) {
+    if (!client.execute("GetThreadContext", i)) {
       crashed = true;
       break;
     }
@@ -360,7 +287,7 @@ TEST(CeFileDrop, IsSlowerByOrdersOfMagnitude) {
   sim::Machine target(OsVariant::kWinCE);
   CeFileDropClient client(target, world.registry, 30, 0x8a11157a);
   const auto t0 = target.ticks();
-  ASSERT_TRUE(client.execute({"GetTickCount", 0}));
+  ASSERT_TRUE(client.execute("GetTickCount", 0));
   EXPECT_GT(target.ticks() - t0, 5'000u);
 }
 

@@ -122,8 +122,8 @@ TEST(SyncGroup, ParallelCampaignsAreBitIdentical) {
 }
 
 /// Runs one case of a *sync-group* MuT (bare names would resolve to the
-/// paper's process-primitives twin).
-core::CaseResult run_sync_case(OsVariant v, std::string_view name,
+/// paper's process-primitives twin) on `machine`, whose variant it takes.
+core::CaseResult run_sync_case(std::string_view name,
                                const std::vector<std::string>& value_names,
                                sim::Machine* machine) {
   const core::MuT* mut =
@@ -141,14 +141,12 @@ TEST(SyncGroup, NtReportsInvalidHandleWhereWin9xSilentlySucceeds) {
   // error return), Win95's loose stub reports success having done nothing —
   // a Silent candidate for Figure-2 voting.
   sim::Machine nt(OsVariant::kWinNT4);
-  const auto rn = run_sync_case(OsVariant::kWinNT4, "SetEvent", {"ev_closed"},
-                                &nt);
+  const auto rn = run_sync_case("SetEvent", {"ev_closed"}, &nt);
   EXPECT_EQ(rn.outcome, core::Outcome::kPass);
   EXPECT_FALSE(rn.success_no_error);
 
   sim::Machine w95(OsVariant::kWin95);
-  const auto r9 = run_sync_case(OsVariant::kWin95, "SetEvent", {"ev_closed"},
-                                &w95);
+  const auto r9 = run_sync_case("SetEvent", {"ev_closed"}, &w95);
   EXPECT_EQ(r9.outcome, core::Outcome::kPass);
   EXPECT_TRUE(r9.success_no_error);
 }
@@ -157,22 +155,21 @@ TEST(SyncGroup, WaitSemanticsConsumeTheSignal) {
   // An auto-reset event satisfies exactly one zero-timeout wait; a second
   // wait times out.  Manual-reset events keep satisfying waits.
   sim::Machine nt(OsVariant::kWinNT4);
-  auto first = run_sync_case(OsVariant::kWinNT4, "WaitForSingleObject",
+  auto first = run_sync_case("WaitForSingleObject",
                              {"w_event_signaled", "st_0"}, &nt);
   EXPECT_EQ(first.outcome, core::Outcome::kPass);
 
   // ReleaseMutex without ownership is an error on every variant — Win9x
   // validates mutex ownership even where it skips handle validation.
   sim::Machine w98(OsVariant::kWin98);
-  const auto rm = run_sync_case(OsVariant::kWin98, "ReleaseMutex",
-                                {"mx_free"}, &w98);
+  const auto rm = run_sync_case("ReleaseMutex", {"mx_free"}, &w98);
   EXPECT_EQ(rm.outcome, core::Outcome::kPass);
   EXPECT_FALSE(rm.success_no_error);
 }
 
 TEST(SyncGroup, InfiniteWaitOnUnsignaledObjectHangsTheTask) {
   sim::Machine nt(OsVariant::kWinNT4);
-  const auto r = run_sync_case(OsVariant::kWinNT4, "WaitForSingleObject",
+  const auto r = run_sync_case("WaitForSingleObject",
                                {"w_event_unsignaled", "st_infinite"}, &nt);
   EXPECT_EQ(r.outcome, core::Outcome::kRestart);  // watchdog kills the hang
 }
