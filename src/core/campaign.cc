@@ -46,7 +46,7 @@ CampaignResult Campaign::run_sequential(sim::OsVariant variant,
       ++stats.executed;
       ++result.total_cases;
       stats.event_counts += r.events;
-      if (opt.record_cases) stats.case_codes.push_back(case_code(r));
+      stats.case_codes.push_back(case_code(r));
 
       if (machine.arena().corruption() > corruption_seen) {
         corruption_seen = machine.arena().corruption();
@@ -95,22 +95,20 @@ CampaignResult Campaign::run_sequential(sim::OsVariant variant,
             // Single-test reproduction pass (paper §4): run the crashing
             // case alone on the rebooted machine.  Immediate-style crashes
             // reproduce; interference-style ones do not (`*`).
-            if (opt.repro_pass) {
-              const CaseResult rerun = executor.run_case(
-                  *mut, tuple, static_cast<std::int64_t>(i));
-              stats.crash_reproducible_single =
-                  rerun.outcome == Outcome::kCatastrophic;
-              if (machine.crashed()) {
-                machine.restore(sim::RestoreLevel::kReboot);
-                ++result.reboots;
-              } else if (machine.arena().corruption() > 0) {
-                // The repro attempt may have re-corrupted the arena without
-                // dying; clear it so the next MuT starts clean.
-                machine.restore(sim::RestoreLevel::kReboot);
-              }
-              corruption_seen = 0;
-              last_corruptor = -1;
+            const CaseResult rerun = executor.run_case(
+                *mut, tuple, static_cast<std::int64_t>(i));
+            stats.crash_reproducible_single =
+                rerun.outcome == Outcome::kCatastrophic;
+            if (machine.crashed()) {
+              machine.restore(sim::RestoreLevel::kReboot);
+              ++result.reboots;
+            } else if (machine.arena().corruption() > 0) {
+              // The repro attempt may have re-corrupted the arena without
+              // dying; clear it so the next MuT starts clean.
+              machine.restore(sim::RestoreLevel::kReboot);
             }
+            corruption_seen = 0;
+            last_corruptor = -1;
             // The crash interrupted this MuT's test set; it stays incomplete.
             i = gen.count();  // terminate loop
           }

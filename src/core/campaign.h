@@ -78,6 +78,8 @@ struct MutStats {
   /// crashes again; false is the paper's `*` (inter-test interference).
   bool crash_reproducible_single = false;
 
+  /// One code per executed case, in case order: Figure 2's voting and the
+  /// cross-run diff (core/diff.h) read it.
   std::vector<CaseCode> case_codes;
 
   /// Per-event-kind totals over this MuT's executed cases (repro-pass reruns
@@ -104,10 +106,6 @@ struct MutStats {
 struct CampaignOptions {
   std::uint64_t cap = kDefaultCap;
   std::uint64_t seed = 0x8a11157a;
-  /// Keep per-case codes (needed for voting; ~1 byte/case).
-  bool record_cases = true;
-  /// Re-run each crashing case standalone to classify `*` reproducibility.
-  bool repro_pass = true;
   /// Restrict to one ApiKind (e.g. C library only); nullopt = everything the
   /// variant supports.
   std::optional<ApiKind> only_api;
@@ -133,10 +131,6 @@ struct CampaignOptions {
   /// Maximum case-range size when the planner slices hazard-free MuTs into
   /// parallel shards (see core/plan.h).
   std::uint64_t shard_cases = 2048;
-  /// Cache-footprint budget per shard in simulated bytes (see
-  /// PlanOptions::shard_bytes).  Unset keeps pure case-count slicing and the
-  /// historical shard boundaries.
-  std::optional<std::uint64_t> shard_bytes;
   /// When non-null, run_engine fills these observability counters (phase
   /// timings, steal contention, machine rebuilds).  Never affects results.
   EngineMetrics* metrics = nullptr;

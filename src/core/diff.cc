@@ -36,8 +36,7 @@ std::string_view code_name(CaseCode c) noexcept {
 }
 
 /// Drift in the catastrophic-crash bookkeeping, independent of the verdict
-/// stream (a `*` flip or a moved blame matters even when case_codes match,
-/// e.g. when record_cases was off).
+/// stream (a `*` flip or a moved blame matters even when case_codes match).
 bool crash_fields_differ(const MutStats& a, const MutStats& b) noexcept {
   return a.catastrophic != b.catastrophic || a.crash_case != b.crash_case ||
          a.crash_reproducible_single != b.crash_reproducible_single;

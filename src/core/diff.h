@@ -2,11 +2,11 @@
 // classifies drift.
 //
 // The unit of comparison is the per-case CRASH verdict stream
-// (MutStats::case_codes, recorded when CampaignOptions::record_cases is on):
-// two runs over the same plan assign case index i of a MuT the same tuple, so
-// an elementwise compare pinpoints exactly which tuples changed behaviour —
-// the question a regression gate ("did upgrading NT4 -> Win2000 change any
-// verdict?") actually asks.  Aggregate counters are compared per MuT as a
+// (MutStats::case_codes, one code per executed case): two runs over the same
+// plan assign case index i of a MuT the same tuple, so an elementwise compare
+// pinpoints exactly which tuples changed behaviour — the question a
+// regression gate ("did upgrading NT4 -> Win2000 change any verdict?")
+// actually asks.  Aggregate counters are compared per MuT as a
 // second, weaker signal: equal verdicts with different kernel-event counters
 // means the observable behaviour held but the path through the kernel moved.
 //

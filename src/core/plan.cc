@@ -16,16 +16,6 @@ std::uint64_t fuse_bound(const MuT& mut, const sim::Personality& pers) {
   return static_cast<std::uint64_t>(std::max(pers.corruption_fuse, 0));
 }
 
-/// Modelled simulated-memory footprint of one test case: every materialized
-/// argument maps at most one data page plus allocator/guard overhead, so two
-/// pages per parameter is a safe upper bound.  Zero-parameter MuTs still
-/// touch their task stack — count them as one slot.
-std::uint64_t case_footprint_bytes(const MuT& mut) {
-  const std::uint64_t slots =
-      std::max<std::uint64_t>(mut.params.size(), 1);
-  return slots * 2 * sim::kPageSize;
-}
-
 }  // namespace
 
 Plan make_plan(sim::OsVariant variant, const Registry& registry,
@@ -71,23 +61,12 @@ Plan make_plan(sim::OsVariant variant, const Registry& registry,
       continue;
     }
 
-    // Footprint-aware slice: never larger than shard_cases, shrunk until the
-    // modelled bytes one shard touches fit the opt-in cache budget.
-    std::uint64_t mut_slice = slice;
-    if (opt.shard_bytes) {
-      const std::uint64_t by_bytes =
-          std::max<std::uint64_t>(*opt.shard_bytes / case_footprint_bytes(*mut),
-                                  1);
-      mut_slice = std::min(mut_slice, by_bytes);
-    }
-
     const bool splittable = chain.empty() && dirty == 0 &&
                             mut->hazard_on(variant) == CrashStyle::kNone &&
-                            opt.allow_split && planned > mut_slice;
+                            planned > slice;
     if (splittable) {
-      for (std::uint64_t first = 0; first < planned; first += mut_slice)
-        emit({{mut, mi, {first, std::min(mut_slice, planned - first)},
-               planned}});
+      for (std::uint64_t first = 0; first < planned; first += slice)
+        emit({{mut, mi, {first, std::min(slice, planned - first)}, planned}});
       continue;
     }
 

@@ -76,15 +76,6 @@ struct PlanOptions {
   /// Maximum case-range size when slicing hazard-free MuTs; larger MuTs are
   /// split into ceil(planned / shard_cases) shards.
   std::uint64_t shard_cases = 2048;
-  /// Cache-footprint budget per shard, in simulated bytes.  When set, a
-  /// splittable MuT's slice shrinks below shard_cases until the modelled
-  /// footprint (per-case argument pages × cases) fits the budget, so a
-  /// worker's resident simulated pages stay cache-sized between machine
-  /// resets.  Unset keeps the pure case-count slicing (and therefore the
-  /// historical shard boundaries and golden logs) unchanged.
-  std::optional<std::uint64_t> shard_bytes;
-  /// Allow case-range splitting of hazard-free MuTs at all.
-  bool allow_split = true;
   /// Emit exactly one shard containing every MuT (exact sequential
   /// execution).  Required when CampaignOptions::machine_setup is set: the
   /// hook pre-ages the one legacy machine, so no boundary is provably clean.

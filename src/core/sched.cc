@@ -46,8 +46,7 @@ ShardOutcome run_shard(sim::Machine& machine, const Shard& shard,
     if (item.range.count == 0) continue;
     TupleGenerator gen(*item.mut, opt.cap, opt.seed);
     const std::uint64_t end = item.range.first + item.range.count;
-    if (opt.record_cases)
-      stats.case_codes.reserve(static_cast<std::size_t>(item.range.count));
+    stats.case_codes.reserve(static_cast<std::size_t>(item.range.count));
     TupleCursor cur = gen.begin(item.range.first, scratch);
 
     for (std::uint64_t i = item.range.first; i < end;) {
@@ -57,7 +56,7 @@ ShardOutcome run_shard(sim::Machine& machine, const Shard& shard,
       ++stats.executed;
       ++out.executed_cases;
       stats.event_counts += r.events;
-      if (opt.record_cases) stats.case_codes.push_back(case_code(r));
+      stats.case_codes.push_back(case_code(r));
 
       if (machine.arena().corruption() > corruption_seen) {
         corruption_seen = machine.arena().corruption();
@@ -107,22 +106,20 @@ ShardOutcome run_shard(sim::Machine& machine, const Shard& shard,
             // Single-test reproduction pass (paper §4): run the crashing
             // case alone on the rebooted machine.  Immediate-style crashes
             // reproduce; interference-style ones do not (`*`).
-            if (opt.repro_pass) {
-              const CaseResult rerun = executor.run_case(
-                  *item.mut, tuple, static_cast<std::int64_t>(i));
-              stats.crash_reproducible_single =
-                  rerun.outcome == Outcome::kCatastrophic;
-              if (machine.crashed()) {
-                machine.restore(sim::RestoreLevel::kReboot);
-                ++out.reboots;
-              } else if (machine.arena().corruption() > 0) {
-                // The repro attempt may have re-corrupted the arena without
-                // dying; clear it so the next MuT starts clean.
-                machine.restore(sim::RestoreLevel::kReboot);
-              }
-              corruption_seen = 0;
-              last_corruptor = -1;
+            const CaseResult rerun = executor.run_case(
+                *item.mut, tuple, static_cast<std::int64_t>(i));
+            stats.crash_reproducible_single =
+                rerun.outcome == Outcome::kCatastrophic;
+            if (machine.crashed()) {
+              machine.restore(sim::RestoreLevel::kReboot);
+              ++out.reboots;
+            } else if (machine.arena().corruption() > 0) {
+              // The repro attempt may have re-corrupted the arena without
+              // dying; clear it so the next MuT starts clean.
+              machine.restore(sim::RestoreLevel::kReboot);
             }
+            corruption_seen = 0;
+            last_corruptor = -1;
             // The crash interrupted this MuT's test set; it stays incomplete.
             i = end;  // terminate loop
           }
@@ -251,7 +248,6 @@ Plan plan_for(sim::OsVariant variant, const Registry& registry,
   popt.only_api = opt.only_api;
   popt.group_mask = opt.group_mask;
   popt.shard_cases = opt.shard_cases;
-  popt.shard_bytes = opt.shard_bytes;
   popt.single_shard = static_cast<bool>(opt.machine_setup);
   return make_plan(variant, registry, popt);
 }

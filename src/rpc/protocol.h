@@ -56,6 +56,8 @@ struct CampaignSpec {
   std::uint64_t seed = 0x8a11157a;
   std::uint8_t has_only_api = 0;
   std::uint8_t only_api = 0;  // core::ApiKind, valid when has_only_api
+  /// Always 1: case codes and the repro pass are unconditional.  The bytes
+  /// stay so protocol-v2 frames keep their layout.
   std::uint8_t record_cases = 1;
   std::uint8_t repro_pass = 1;
   std::uint64_t shard_cases = 2048;

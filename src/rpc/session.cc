@@ -13,8 +13,6 @@ CampaignSpec spec_for(sim::OsVariant variant,
   s.has_only_api = opt.only_api.has_value() ? 1 : 0;
   s.only_api =
       opt.only_api ? static_cast<std::uint8_t>(*opt.only_api) : 0;
-  s.record_cases = opt.record_cases ? 1 : 0;
-  s.repro_pass = opt.repro_pass ? 1 : 0;
   s.shard_cases = opt.shard_cases;
   s.has_group_filter = opt.group_mask.has_value() ? 1 : 0;
   s.group_mask = opt.group_mask.value_or(0);
@@ -24,10 +22,11 @@ CampaignSpec spec_for(sim::OsVariant variant,
 std::optional<core::CampaignOptions> options_from_spec(const CampaignSpec& s) {
   // A spec must be canonical (flag bytes boolean, absent fields zeroed) and
   // name only variants/apis/groups this build knows, or the session layer
-  // could not re-derive the same plan the client fingerprinted.
+  // could not re-derive the same plan the client fingerprinted.  Case codes
+  // and the repro pass are always on, so their bytes have one valid value.
   if (s.variant > static_cast<std::uint8_t>(sim::OsVariant::kLinux))
     return std::nullopt;
-  if (s.has_only_api > 1 || s.record_cases > 1 || s.repro_pass > 1 ||
+  if (s.has_only_api > 1 || s.record_cases != 1 || s.repro_pass != 1 ||
       s.has_group_filter > 1)
     return std::nullopt;
   if (s.has_only_api != 0 &&
@@ -43,8 +42,6 @@ std::optional<core::CampaignOptions> options_from_spec(const CampaignSpec& s) {
   core::CampaignOptions opt;
   opt.cap = s.cap;
   opt.seed = s.seed;
-  opt.record_cases = s.record_cases != 0;
-  opt.repro_pass = s.repro_pass != 0;
   opt.shard_cases = s.shard_cases;
   if (s.has_only_api != 0)
     opt.only_api = static_cast<core::ApiKind>(s.only_api);

@@ -28,8 +28,9 @@ namespace ballista::rpc {
 /// travel; scheduling (jobs/quotas) stays server-side.
 CampaignSpec spec_for(sim::OsVariant variant, const core::CampaignOptions& opt);
 
-/// Semantic validation + conversion; nullopt when the spec names an unknown
-/// variant/api or a group mask with bits past the registered groups.
+/// Semantic validation + conversion; nullopt when the spec is non-canonical
+/// or names an unknown variant/api or a group mask with bits past the
+/// registered groups.
 std::optional<core::CampaignOptions> options_from_spec(const CampaignSpec& s);
 
 enum class SessionState : std::uint8_t {

@@ -27,7 +27,8 @@
 #include <cstdint>
 #include <string>
 
-#include "core/plan.h"
+#include "core/campaign.h"
+#include "core/crashplan.h"
 #include "core/registry.h"
 
 namespace ballista::store {
@@ -53,6 +54,8 @@ struct RunHeader {
   std::uint64_t seed = 0;
   std::uint8_t has_only_api = 0;
   std::uint8_t only_api = 0;  // core::ApiKind when has_only_api
+  /// Fixed by the log's flavour: 1 in robustness logs (case codes and the
+  /// repro pass are unconditional), 0 in crash logs.
   std::uint8_t record_cases = 1;
   std::uint8_t repro_pass = 1;
   std::uint64_t shard_cases = 0;
@@ -63,7 +66,7 @@ struct RunHeader {
   /// either existed; the decoder treats an absent tail as all-zero.  Each
   /// tail is tagged by its leading byte — 1 = crash-enumeration tail,
   /// 2 = group-filter tail — and tails appear in tag order, so every
-  /// header has exactly one encoding.
+  /// header has exactly one encoding.  Any other tag is refused.
   std::uint8_t crash_mode = 0;  // 1 = crash-enumeration campaign
   std::uint64_t crash_max_cuts = 0;
   std::uint32_t crash_group_mask = 0;  // bitmask over core::FuncGroup ids
@@ -71,11 +74,6 @@ struct RunHeader {
   /// --groups mask instead of the registry's default-campaign groups.
   std::uint8_t has_group_filter = 0;
   std::uint32_t group_mask = 0;  // bitmask over core::FuncGroup wire ids
-  /// Shard-byte-budget tail (tag 3): set when the campaign sized shards to a
-  /// cache-footprint budget (--shard-bytes).  The budget moves shard
-  /// boundaries, so it is part of the fingerprint.
-  std::uint8_t has_shard_bytes = 0;
-  std::uint64_t shard_bytes = 0;
 
   friend bool operator==(const RunHeader& a, const RunHeader& b) noexcept {
     return a.variant == b.variant && a.mut_list_hash == b.mut_list_hash &&
@@ -89,9 +87,7 @@ struct RunHeader {
            a.crash_max_cuts == b.crash_max_cuts &&
            a.crash_group_mask == b.crash_group_mask &&
            a.has_group_filter == b.has_group_filter &&
-           a.group_mask == b.group_mask &&
-           a.has_shard_bytes == b.has_shard_bytes &&
-           a.shard_bytes == b.shard_bytes;
+           a.group_mask == b.group_mask;
   }
   friend bool operator!=(const RunHeader& a, const RunHeader& b) noexcept {
     return !(a == b);
@@ -111,6 +107,9 @@ std::uint64_t value_pool_hash(const core::Plan& plan);
 /// fingerprinted, so such campaigns are not storable.
 RunHeader make_run_header(const core::Plan& plan,
                           const core::CampaignOptions& opt);
+/// The header a crash-enumeration campaign stamps on the plan crash_plan_for
+/// derives from `opt`: crash_mode 1, record_cases and repro_pass 0.
+RunHeader make_run_header(const core::Plan& plan, const core::CrashOptions& opt);
 
 /// Human-readable field-by-field mismatch report for resume errors.
 std::string describe_header_mismatch(const RunHeader& want,

@@ -66,26 +66,45 @@ std::uint64_t value_pool_hash(const core::Plan& plan) {
   return f.h;
 }
 
-RunHeader make_run_header(const core::Plan& plan,
-                          const core::CampaignOptions& opt) {
+namespace {
+
+/// The header fields both flavours take from the plan and the options they
+/// share.
+template <class Options>
+RunHeader plan_header(const core::Plan& plan, const Options& opt) {
   RunHeader h;
   h.variant = static_cast<std::uint8_t>(plan.variant);
   h.mut_list_hash = mut_list_hash(plan);
   h.value_pool_hash = value_pool_hash(plan);
   h.cap = opt.cap;
   h.seed = opt.seed;
-  h.has_only_api = opt.only_api.has_value() ? 1 : 0;
-  h.only_api =
-      opt.only_api ? static_cast<std::uint8_t>(*opt.only_api) : 0;
-  h.record_cases = opt.record_cases ? 1 : 0;
-  h.repro_pass = opt.repro_pass ? 1 : 0;
   h.shard_cases = opt.shard_cases;
   h.plan_shards = plan.shards.size();
   h.total_planned = plan.total_planned;
+  return h;
+}
+
+}  // namespace
+
+RunHeader make_run_header(const core::Plan& plan,
+                          const core::CampaignOptions& opt) {
+  RunHeader h = plan_header(plan, opt);
+  h.has_only_api = opt.only_api.has_value() ? 1 : 0;
+  h.only_api =
+      opt.only_api ? static_cast<std::uint8_t>(*opt.only_api) : 0;
   h.has_group_filter = opt.group_mask.has_value() ? 1 : 0;
   h.group_mask = opt.group_mask.value_or(0);
-  h.has_shard_bytes = opt.shard_bytes.has_value() ? 1 : 0;
-  h.shard_bytes = opt.shard_bytes.value_or(0);
+  return h;
+}
+
+RunHeader make_run_header(const core::Plan& plan,
+                          const core::CrashOptions& opt) {
+  RunHeader h = plan_header(plan, opt);
+  h.record_cases = 0;
+  h.repro_pass = 0;
+  h.crash_mode = 1;
+  h.crash_max_cuts = opt.max_cuts;
+  h.crash_group_mask = opt.group_mask;
   return h;
 }
 
@@ -116,8 +135,6 @@ std::string describe_header_mismatch(const RunHeader& want,
   field("crash_group_mask", want.crash_group_mask, got.crash_group_mask);
   field("has_group_filter", want.has_group_filter, got.has_group_filter);
   field("group_mask", want.group_mask, got.group_mask);
-  field("has_shard_bytes", want.has_shard_bytes, got.has_shard_bytes);
-  field("shard_bytes", want.shard_bytes, got.shard_bytes);
   return out;
 }
 
@@ -442,10 +459,6 @@ std::vector<std::uint8_t> encode_run_header(const RunHeader& h) {
     wire::put_u8(out, 2);
     wire::put_u32(out, h.group_mask);
   }
-  if (h.has_shard_bytes != 0) {
-    wire::put_u8(out, 3);
-    wire::put_u64(out, h.shard_bytes);
-  }
   return out;
 }
 
@@ -474,22 +487,20 @@ bool decode_run_header(const std::uint8_t* payload, std::size_t size,
     return false;
   // Optional tagged tails: absent on default-campaign (and legacy) headers.
   // Tag 1 = crash-enumeration tail (the tag byte doubles as crash_mode),
-  // tag 2 = group-filter tail, tag 3 = shard-byte-budget tail.  Tails must
-  // appear in ascending tag order at most once each, so every RunHeader
-  // value has exactly one encoding.
+  // tag 2 = group-filter tail.  Tails must appear in ascending tag order at
+  // most once each, so every RunHeader value has exactly one encoding.  Any
+  // other tag is refused, including the retired shard-byte-budget tail 3:
+  // its budget moved shard boundaries this build can no longer reproduce.
   std::uint8_t crash_mode = 0;
   std::uint64_t crash_max_cuts = 0;
   std::uint32_t crash_group_mask = 0;
   std::uint8_t has_group_filter = 0;
   std::uint32_t group_mask = 0;
-  std::uint8_t has_shard_bytes = 0;
-  std::uint64_t shard_bytes = 0;
   while (r.pos != r.size) {
     const auto tag = r.u8();
     if (!tag) return false;
     if (*tag == 1) {
-      if (crash_mode != 0 || has_group_filter != 0 || has_shard_bytes != 0)
-        return false;
+      if (crash_mode != 0 || has_group_filter != 0) return false;
       const auto max_cuts = r.u64();
       const auto gmask = r.u32();
       if (!max_cuts || !gmask) return false;
@@ -497,7 +508,7 @@ bool decode_run_header(const std::uint8_t* payload, std::size_t size,
       crash_max_cuts = *max_cuts;
       crash_group_mask = *gmask;
     } else if (*tag == 2) {
-      if (has_group_filter != 0 || has_shard_bytes != 0) return false;
+      if (has_group_filter != 0) return false;
       const auto gmask = r.u32();
       // Fail-safe: a mask with bits past the registered groups comes from a
       // newer build whose plan this one cannot reproduce.
@@ -505,12 +516,6 @@ bool decode_run_header(const std::uint8_t* payload, std::size_t size,
         return false;
       has_group_filter = 1;
       group_mask = *gmask;
-    } else if (*tag == 3) {
-      if (has_shard_bytes != 0) return false;
-      const auto bytes = r.u64();
-      if (!bytes || *bytes == 0) return false;
-      has_shard_bytes = 1;
-      shard_bytes = *bytes;
     } else {
       return false;
     }
@@ -519,28 +524,24 @@ bool decode_run_header(const std::uint8_t* payload, std::size_t size,
        *seed,      *has_api,       *api,       *record_cases,
        *repro,     *shard_cases,   *plan_shards, *total_planned,
        crash_mode, crash_max_cuts, crash_group_mask,
-       has_group_filter, group_mask, has_shard_bytes, shard_bytes};
+       has_group_filter, group_mask};
   return true;
 }
 
-struct CompleteMarker {
-  std::uint64_t total_cases = 0;
-  std::int64_t reboots = 0;
-  trace::Counters counters;
-};
-
-std::vector<std::uint8_t> encode_complete_raw(std::uint64_t total_cases,
-                                              std::int64_t reboots,
-                                              const trace::Counters& counters) {
-  std::vector<std::uint8_t> out;
-  wire::put_u64(out, total_cases);
-  wire::put_i64(out, reboots);
-  put_counters(out, counters);
-  return out;
+/// The completion marker a merged result seals its log with.
+CompleteMarker marker_of(const core::CampaignResult& r) {
+  return {r.total_cases, r.reboots, r.event_counters};
+}
+CompleteMarker marker_of(const core::CrashCampaignResult& r) {
+  return {r.total_cuts, r.reboots, trace::Counters{}};
 }
 
-std::vector<std::uint8_t> encode_complete(const core::CampaignResult& r) {
-  return encode_complete_raw(r.total_cases, r.reboots, r.event_counters);
+std::vector<std::uint8_t> encode_complete(const CompleteMarker& m) {
+  std::vector<std::uint8_t> out;
+  wire::put_u64(out, m.total_cases);
+  wire::put_i64(out, m.reboots);
+  put_counters(out, m.counters);
+  return out;
 }
 
 bool decode_complete(const std::uint8_t* payload, std::size_t size,
@@ -713,25 +714,6 @@ bool decode_crash_shard_outcome(const std::uint8_t* payload, std::size_t size,
   return r.pos == r.size;
 }
 
-RunHeader make_crash_run_header(const core::Plan& plan,
-                                const core::CrashOptions& opt) {
-  RunHeader h;
-  h.variant = static_cast<std::uint8_t>(plan.variant);
-  h.mut_list_hash = mut_list_hash(plan);
-  h.value_pool_hash = value_pool_hash(plan);
-  h.cap = opt.cap;
-  h.seed = opt.seed;
-  h.record_cases = 0;
-  h.repro_pass = 0;
-  h.shard_cases = opt.shard_cases;
-  h.plan_shards = plan.shards.size();
-  h.total_planned = plan.total_planned;
-  h.crash_mode = 1;
-  h.crash_max_cuts = opt.max_cuts;
-  h.crash_group_mask = opt.group_mask;
-  return h;
-}
-
 // --- reader ------------------------------------------------------------------
 
 StoreContents read_store(const std::vector<std::uint8_t>& bytes) {
@@ -818,9 +800,7 @@ StoreContents read_store(const std::vector<std::uint8_t>& bytes) {
           return c;
         }
         c.complete = true;
-        c.complete_total_cases = m.total_cases;
-        c.complete_reboots = m.reboots;
-        c.complete_counters = m.counters;
+        c.seal = m;
         break;
       }
       case RecordType::kRunHeader:
@@ -920,81 +900,157 @@ bool CampaignStore::append_shard(const core::ShardOutcome& outcome) {
   return write_frame(RecordType::kShardOutcome, encode_shard_outcome(outcome));
 }
 
-bool CampaignStore::append_complete(const core::CampaignResult& result) {
-  return write_frame(RecordType::kRunComplete, encode_complete(result));
-}
-
-bool CampaignStore::append_crash_shard(const core::CrashShardOutcome& outcome) {
+bool CampaignStore::append_shard(const core::CrashShardOutcome& outcome) {
   return write_frame(RecordType::kCrashOutcome,
                      encode_crash_shard_outcome(outcome));
 }
 
-bool CampaignStore::append_complete_crash(
-    const core::CrashCampaignResult& result) {
-  // total_cases carries total_cuts; crash logs serialize no trace counters.
+bool CampaignStore::append_complete(const core::CampaignResult& result) {
   return write_frame(RecordType::kRunComplete,
-                     encode_complete_raw(result.total_cuts, result.reboots,
-                                         trace::Counters{}));
+                     encode_complete(marker_of(result)));
+}
+
+bool CampaignStore::append_complete(const core::CrashCampaignResult& result) {
+  return write_frame(RecordType::kRunComplete,
+                     encode_complete(marker_of(result)));
 }
 
 // --- drivers -----------------------------------------------------------------
 
 namespace {
 
+/// What the flavour-generic drivers below need to know about each flavour.
+template <class Flavor>
+struct FlavorOps;
+
+template <>
+struct FlavorOps<RobustnessLog> {
+  static constexpr std::uint8_t kCrashMode = 0;
+  static core::Plan plan(sim::OsVariant v, const core::Registry& registry,
+                         const core::CampaignOptions& opt) {
+    return core::plan_for(v, registry, opt);
+  }
+  static core::CampaignResult run(sim::OsVariant v,
+                                  const core::Registry& registry,
+                                  const core::CampaignOptions& opt) {
+    return core::Campaign::run(v, registry, opt);
+  }
+  static core::CampaignResult merge(const core::Plan& plan,
+                                    std::vector<core::ShardOutcome> out) {
+    return core::merge_outcomes(plan, std::move(out));
+  }
+  static std::vector<core::ShardOutcome>& records(StoreContents& c) {
+    return c.outcomes;
+  }
+  /// Cases a decoded partial claims to have executed.
+  static std::uint64_t cases_run(const core::MutStats& s) {
+    return s.executed;
+  }
+  /// The options a log's own header was written with.
+  static core::CampaignOptions options(const RunHeader& h) {
+    core::CampaignOptions opt;
+    opt.cap = h.cap;
+    opt.seed = h.seed;
+    opt.shard_cases = h.shard_cases;
+    if (h.has_only_api != 0)
+      opt.only_api = static_cast<core::ApiKind>(h.only_api);
+    if (h.has_group_filter != 0) opt.group_mask = h.group_mask;
+    return opt;
+  }
+};
+
+template <>
+struct FlavorOps<CrashLog> {
+  static constexpr std::uint8_t kCrashMode = 1;
+  static core::Plan plan(sim::OsVariant v, const core::Registry& registry,
+                         const core::CrashOptions& opt) {
+    return core::crash_plan_for(v, registry, opt);
+  }
+  static core::CrashCampaignResult run(sim::OsVariant v,
+                                       const core::Registry& registry,
+                                       const core::CrashOptions& opt) {
+    return core::run_crash_engine(v, registry, opt);
+  }
+  static core::CrashCampaignResult merge(
+      const core::Plan& plan, std::vector<core::CrashShardOutcome> out) {
+    return core::merge_crash_outcomes(plan, std::move(out));
+  }
+  static std::vector<core::CrashShardOutcome>& records(StoreContents& c) {
+    return c.crash_outcomes;
+  }
+  static std::uint64_t cases_run(const core::CrashMutStats& s) {
+    return s.cases_counted;
+  }
+  static core::CrashOptions options(const RunHeader& h) {
+    core::CrashOptions opt;
+    opt.cap = h.cap;
+    opt.seed = h.seed;
+    opt.shard_cases = h.shard_cases;
+    opt.max_cuts = h.crash_max_cuts;
+    opt.group_mask = h.crash_group_mask;
+    return opt;
+  }
+};
+
+const char* flavor_name(std::uint8_t crash_mode) {
+  return crash_mode == 0 ? "robustness" : "crash-enumeration";
+}
+
+template <class Flavor>
+using OutcomeCache = std::map<std::size_t, typename Flavor::Outcome>;
+
 /// A decoded record is only usable if it describes exactly the work the
 /// re-derived plan assigns to its shard index; the first implausible record
 /// ends the usable prefix (same rule as a checksum failure).
+template <class Flavor>
 bool outcome_matches_plan(const core::Plan& plan,
-                          core::ShardOutcome& o) {
+                          typename Flavor::Outcome& o) {
   if (o.shard_index >= plan.shards.size()) return false;
   const core::Shard& s = plan.shards[o.shard_index];
   if (o.partials.size() != s.items.size()) return false;
   for (std::size_t i = 0; i < o.partials.size(); ++i) {
-    core::ShardOutcome::MutPartial& p = o.partials[i];
+    auto& p = o.partials[i];
     const core::ShardItem& it = s.items[i];
     if (p.mut_index != it.mut_index || p.range_first != it.range.first ||
-        p.stats.planned != it.planned || p.stats.executed > it.range.count)
+        p.stats.planned != it.planned ||
+        FlavorOps<Flavor>::cases_run(p.stats) > it.range.count)
       return false;
     p.stats.mut = it.mut;
   }
   return true;
 }
 
-using OutcomeCache = std::map<std::size_t, core::ShardOutcome>;
-
-/// Adopts the plan-consistent prefix of `contents.outcomes` (first record per
+/// Adopts the plan-consistent prefix of the log's records (first record per
 /// shard index wins; a duplicate means the log was stitched, stop there).
-OutcomeCache build_cache(const core::Plan& plan, StoreContents& contents) {
-  OutcomeCache cache;
-  for (core::ShardOutcome& o : contents.outcomes) {
-    if (!outcome_matches_plan(plan, o)) break;
+template <class Flavor>
+OutcomeCache<Flavor> build_cache(const core::Plan& plan,
+                                 StoreContents& contents) {
+  OutcomeCache<Flavor> cache;
+  for (auto& o : FlavorOps<Flavor>::records(contents)) {
+    if (!outcome_matches_plan<Flavor>(plan, o)) break;
     if (!cache.emplace(o.shard_index, std::move(o)).second) break;
   }
   return cache;
 }
 
-core::CampaignResult merge_cache(const core::Plan& plan, OutcomeCache cache) {
-  std::vector<core::ShardOutcome> outcomes(plan.shards.size());
+template <class Flavor>
+typename Flavor::Result merge_cache(const core::Plan& plan,
+                                    OutcomeCache<Flavor> cache) {
+  std::vector<typename Flavor::Outcome> outcomes(plan.shards.size());
   for (auto& [index, o] : cache) outcomes[index] = std::move(o);
-  return core::merge_outcomes(plan, std::move(outcomes));
-}
-
-bool summary_matches(const StoreContents& contents,
-                     const core::CampaignResult& merged) {
-  return contents.complete_total_cases == merged.total_cases &&
-         contents.complete_reboots == merged.reboots &&
-         contents.complete_counters == merged.event_counters;
+  return FlavorOps<Flavor>::merge(plan, std::move(outcomes));
 }
 
 }  // namespace
 
-// --- ResumableLog ------------------------------------------------------------
+// --- BasicResumableLog -------------------------------------------------------
 
-ResumableLog::Opened ResumableLog::open(const std::string& path,
-                                        const core::Plan& plan,
-                                        const RunHeader& header, Mode mode) {
+template <class Flavor>
+typename BasicResumableLog<Flavor>::Opened BasicResumableLog<Flavor>::open(
+    const std::string& path, const core::Plan& plan, const RunHeader& header,
+    Mode mode) {
   Opened out;
-  auto log = std::unique_ptr<ResumableLog>(new ResumableLog());
+  auto log = std::unique_ptr<BasicResumableLog>(new BasicResumableLog());
   log->path_ = path;
 
   bool create = mode == Mode::kCreate;
@@ -1027,11 +1083,9 @@ ResumableLog::Opened ResumableLog::open(const std::string& path,
                 describe_header_mismatch(header, contents.header);
     return out;
   }
-  log->cache_ = build_cache(plan, contents);
+  log->cache_ = build_cache<Flavor>(plan, contents);
   log->complete_ = contents.complete;
-  log->complete_total_cases_ = contents.complete_total_cases;
-  log->complete_reboots_ = contents.complete_reboots;
-  log->complete_counters_ = contents.complete_counters;
+  log->seal_ = contents.seal;
   if (contents.complete && log->cache_.size() == plan.shards.size()) {
     // Sealed and fully covered: nothing will ever be appended, so no write
     // handle is taken (fail() stays true if someone tries anyway).
@@ -1047,51 +1101,55 @@ ResumableLog::Opened ResumableLog::open(const std::string& path,
   return out;
 }
 
-bool ResumableLog::summary_matches(
-    const core::CampaignResult& merged) const noexcept {
-  return complete_total_cases_ == merged.total_cases &&
-         complete_reboots_ == merged.reboots &&
-         complete_counters_ == merged.event_counters;
+template <class Flavor>
+bool BasicResumableLog<Flavor>::summary_matches(
+    const Result& merged) const noexcept {
+  return marker_of(merged) == seal_;
 }
 
-bool ResumableLog::append_shard(const core::ShardOutcome& outcome) {
+template <class Flavor>
+bool BasicResumableLog<Flavor>::append_shard(const Outcome& outcome) {
   return store_ != nullptr && store_->append_shard(outcome);
 }
 
-bool ResumableLog::seal(const core::CampaignResult& result) {
+template <class Flavor>
+bool BasicResumableLog<Flavor>::seal(const Result& result) {
   return store_ != nullptr && store_->append_complete(result);
 }
 
-StoreRun run_with_store(sim::OsVariant variant, const core::Registry& registry,
-                        const core::CampaignOptions& opt,
-                        const std::string& path, bool resume) {
-  StoreRun out;
-  if (opt.machine_setup || opt.task_setup) {
-    out.error = "campaigns with ambient-state hooks cannot be stored "
-                "(their machine state is not fingerprintable)";
-    return out;
-  }
+template class BasicResumableLog<RobustnessLog>;
+template class BasicResumableLog<CrashLog>;
+
+// --- the flavour-generic run and load drivers ---------------------------------
+
+namespace {
+
+template <class Flavor>
+BasicStoreRun<Flavor> run_log(sim::OsVariant variant,
+                              const core::Registry& registry,
+                              const typename Flavor::Options& opt,
+                              const std::string& path, bool resume) {
+  using Log = BasicResumableLog<Flavor>;
+  BasicStoreRun<Flavor> out;
   if (opt.shard_cache || opt.on_shard_complete) {
     out.error = "the store manages the engine's shard hooks itself";
     return out;
   }
 
-  const core::Plan plan = core::plan_for(variant, registry, opt);
-  const RunHeader header = make_run_header(plan, opt);
-
-  ResumableLog::Opened opened = ResumableLog::open(
-      path, plan, header,
-      resume ? ResumableLog::Mode::kResume : ResumableLog::Mode::kCreate);
+  const core::Plan plan = FlavorOps<Flavor>::plan(variant, registry, opt);
+  typename Log::Opened opened =
+      Log::open(path, plan, make_run_header(plan, opt),
+                resume ? Log::Mode::kResume : Log::Mode::kCreate);
   out.log_status = opened.status;
   if (opened.log == nullptr) {
     out.error = opened.error;
     return out;
   }
-  ResumableLog& log = *opened.log;
+  Log& log = *opened.log;
 
   if (log.recovered_complete() && log.cached().size() == plan.shards.size()) {
     // Nothing to do: the log already holds the whole campaign.
-    out.result = merge_cache(plan, log.cached());
+    out.result = merge_cache<Flavor>(plan, log.cached());
     if (!log.summary_matches(out.result)) {
       out.error = path + ": merged result does not match the log's "
                          "completion marker (refusing to trust it)";
@@ -1102,21 +1160,21 @@ StoreRun run_with_store(sim::OsVariant variant, const core::Registry& registry,
     return out;
   }
 
-  core::CampaignOptions run_opt = opt;
+  typename Flavor::Options run_opt = opt;
   run_opt.shard_cache =
-      [&log](const core::Shard& s) -> const core::ShardOutcome* {
+      [&log](const core::Shard& s) -> const typename Flavor::Outcome* {
     const auto it = log.cached().find(s.index);
     return it == log.cached().end() ? nullptr : &it->second;
   };
   std::size_t executed = 0;
-  run_opt.on_shard_complete = [&](const core::ShardOutcome& o) {
+  run_opt.on_shard_complete = [&](const typename Flavor::Outcome& o) {
     if (!log.append_shard(o))
       throw std::runtime_error("campaign store: append failed on " + path);
     ++executed;
   };
 
   try {
-    out.result = core::Campaign::run(variant, registry, run_opt);
+    out.result = FlavorOps<Flavor>::run(variant, registry, run_opt);
   } catch (const std::exception& e) {
     out.error = e.what();
     return out;
@@ -1131,35 +1189,33 @@ StoreRun run_with_store(sim::OsVariant variant, const core::Registry& registry,
   return out;
 }
 
-StoreRun load_result(const core::Registry& registry, const std::string& path) {
-  StoreRun out;
+template <class Flavor>
+BasicStoreRun<Flavor> load_log(const core::Registry& registry,
+                               const std::string& path) {
+  BasicStoreRun<Flavor> out;
   StoreContents contents = read_store_file(path);
   out.log_status = contents.status;
   if (contents.status == ReadStatus::kBadHeader) {
     out.error = path + ": " + contents.error;
     return out;
   }
+  const RunHeader& got = contents.header;
+  if (got.crash_mode != FlavorOps<Flavor>::kCrashMode) {
+    out.error = path + ": not a " +
+                flavor_name(FlavorOps<Flavor>::kCrashMode) +
+                " log (it records a " + flavor_name(got.crash_mode) +
+                " campaign)";
+    return out;
+  }
 
-  const auto variant = static_cast<sim::OsVariant>(contents.header.variant);
-  core::CampaignOptions opt;
-  opt.cap = contents.header.cap;
-  opt.seed = contents.header.seed;
-  opt.record_cases = contents.header.record_cases != 0;
-  opt.repro_pass = contents.header.repro_pass != 0;
-  opt.shard_cases = contents.header.shard_cases;
-  if (contents.header.has_only_api != 0)
-    opt.only_api = static_cast<core::ApiKind>(contents.header.only_api);
-  if (contents.header.has_group_filter != 0)
-    opt.group_mask = contents.header.group_mask;
-  if (contents.header.has_shard_bytes != 0)
-    opt.shard_bytes = contents.header.shard_bytes;
-
-  const core::Plan plan = core::plan_for(variant, registry, opt);
+  const auto variant = static_cast<sim::OsVariant>(got.variant);
+  const typename Flavor::Options opt = FlavorOps<Flavor>::options(got);
+  const core::Plan plan = FlavorOps<Flavor>::plan(variant, registry, opt);
   const RunHeader want = make_run_header(plan, opt);
-  if (contents.header != want) {
+  if (got != want) {
     out.error = path + ": log does not match the current catalog "
                        "(was it written by a different build?):\n" +
-                describe_header_mismatch(want, contents.header);
+                describe_header_mismatch(want, got);
     return out;
   }
   if (!contents.complete) {
@@ -1169,7 +1225,7 @@ StoreRun load_result(const core::Registry& registry, const std::string& path) {
                 "); finish it with --resume first";
     return out;
   }
-  OutcomeCache cache = build_cache(plan, contents);
+  OutcomeCache<Flavor> cache = build_cache<Flavor>(plan, contents);
   if (cache.size() != plan.shards.size()) {
     out.error = path + ": log is sealed but covers only " +
                 std::to_string(cache.size()) + " of " +
@@ -1177,196 +1233,44 @@ StoreRun load_result(const core::Registry& registry, const std::string& path) {
     return out;
   }
   out.shards_reused = cache.size();
-  out.result = merge_cache(plan, std::move(cache));
-  if (!summary_matches(contents, out.result)) {
+  out.result = merge_cache<Flavor>(plan, std::move(cache));
+  if (marker_of(out.result) != contents.seal) {
     out.error = path + ": merged result does not match the log's completion "
                        "marker (refusing to trust it)";
     return out;
   }
   out.ok = true;
   return out;
-}
-
-// --- crash-enumeration drivers ----------------------------------------------
-
-namespace {
-
-bool crash_outcome_matches_plan(const core::Plan& plan,
-                                core::CrashShardOutcome& o) {
-  if (o.shard_index >= plan.shards.size()) return false;
-  const core::Shard& s = plan.shards[o.shard_index];
-  if (o.partials.size() != s.items.size()) return false;
-  for (std::size_t i = 0; i < o.partials.size(); ++i) {
-    core::CrashShardOutcome::MutPartial& p = o.partials[i];
-    const core::ShardItem& it = s.items[i];
-    if (p.mut_index != it.mut_index || p.range_first != it.range.first ||
-        p.stats.planned != it.planned ||
-        p.stats.cases_counted > it.range.count)
-      return false;
-    p.stats.mut = it.mut;
-  }
-  return true;
-}
-
-using CrashOutcomeCache = std::map<std::size_t, core::CrashShardOutcome>;
-
-CrashOutcomeCache build_crash_cache(const core::Plan& plan,
-                                    StoreContents& contents) {
-  CrashOutcomeCache cache;
-  for (core::CrashShardOutcome& o : contents.crash_outcomes) {
-    if (!crash_outcome_matches_plan(plan, o)) break;
-    if (!cache.emplace(o.shard_index, std::move(o)).second) break;
-  }
-  return cache;
-}
-
-core::CrashCampaignResult merge_crash_cache(const core::Plan& plan,
-                                            CrashOutcomeCache cache) {
-  std::vector<core::CrashShardOutcome> outcomes(plan.shards.size());
-  for (auto& [index, o] : cache) outcomes[index] = std::move(o);
-  return core::merge_crash_outcomes(plan, std::move(outcomes));
-}
-
-bool crash_summary_matches(const StoreContents& contents,
-                           const core::CrashCampaignResult& merged) {
-  return contents.complete_total_cases == merged.total_cuts &&
-         contents.complete_reboots == merged.reboots &&
-         contents.complete_counters == trace::Counters{};
 }
 
 }  // namespace
 
-CrashStoreRun run_crash_with_store(sim::OsVariant variant,
-                                   const core::Registry& registry,
-                                   const core::CrashOptions& opt,
-                                   const std::string& path, bool resume) {
-  CrashStoreRun out;
-  if (opt.shard_cache || opt.on_shard_complete) {
-    out.error = "the store manages the engine's shard hooks itself";
+StoreRun run_with_store(sim::OsVariant variant, const core::Registry& registry,
+                        const core::CampaignOptions& opt,
+                        const std::string& path, bool resume) {
+  if (opt.machine_setup || opt.task_setup) {
+    StoreRun out;
+    out.error = "campaigns with ambient-state hooks cannot be stored "
+                "(their machine state is not fingerprintable)";
     return out;
   }
+  return run_log<RobustnessLog>(variant, registry, opt, path, resume);
+}
 
-  const core::Plan plan = core::crash_plan_for(variant, registry, opt);
-  const RunHeader header = make_crash_run_header(plan, opt);
+CrashStoreRun run_with_store(sim::OsVariant variant,
+                             const core::Registry& registry,
+                             const core::CrashOptions& opt,
+                             const std::string& path, bool resume) {
+  return run_log<CrashLog>(variant, registry, opt, path, resume);
+}
 
-  std::unique_ptr<CampaignStore> log;
-  CrashOutcomeCache cache;
-  std::string err;
-  if (resume) {
-    StoreContents contents = read_store_file(path);
-    out.log_status = contents.status;
-    if (contents.status == ReadStatus::kBadHeader) {
-      out.error = path + ": " + contents.error;
-      return out;
-    }
-    if (contents.header != header) {
-      out.error = path + ": log fingerprint does not match this campaign:\n" +
-                  describe_header_mismatch(header, contents.header);
-      return out;
-    }
-    cache = build_crash_cache(plan, contents);
-    if (contents.complete && cache.size() == plan.shards.size()) {
-      out.result = merge_crash_cache(plan, std::move(cache));
-      if (!crash_summary_matches(contents, out.result)) {
-        out.error = path + ": merged result does not match the log's "
-                           "completion marker (refusing to trust it)";
-        return out;
-      }
-      out.shards_reused = plan.shards.size();
-      out.ok = true;
-      return out;
-    }
-    log = CampaignStore::open_append(path, contents.valid_bytes, &err);
-  } else {
-    log = CampaignStore::create(path, header, &err);
-  }
-  if (log == nullptr) {
-    out.error = err;
-    return out;
-  }
-
-  core::CrashOptions run_opt = opt;
-  run_opt.shard_cache =
-      [&cache](const core::Shard& s) -> const core::CrashShardOutcome* {
-    const auto it = cache.find(s.index);
-    return it == cache.end() ? nullptr : &it->second;
-  };
-  std::size_t executed = 0;
-  run_opt.on_shard_complete = [&](const core::CrashShardOutcome& o) {
-    if (!log->append_crash_shard(o))
-      throw std::runtime_error("campaign store: append failed on " + path);
-    ++executed;
-  };
-
-  try {
-    out.result = core::run_crash_engine(variant, registry, run_opt);
-  } catch (const std::exception& e) {
-    out.error = e.what();
-    return out;
-  }
-  if (!log->append_complete_crash(out.result)) {
-    out.error = "campaign store: could not seal " + path;
-    return out;
-  }
-  out.shards_reused = cache.size();
-  out.shards_executed = executed;
-  out.ok = true;
-  return out;
+StoreRun load_result(const core::Registry& registry, const std::string& path) {
+  return load_log<RobustnessLog>(registry, path);
 }
 
 CrashStoreRun load_crash_result(const core::Registry& registry,
                                 const std::string& path) {
-  CrashStoreRun out;
-  StoreContents contents = read_store_file(path);
-  out.log_status = contents.status;
-  if (contents.status == ReadStatus::kBadHeader) {
-    out.error = path + ": " + contents.error;
-    return out;
-  }
-  if (contents.header.crash_mode == 0) {
-    out.error = path + ": not a crash-enumeration log";
-    return out;
-  }
-
-  const auto variant = static_cast<sim::OsVariant>(contents.header.variant);
-  core::CrashOptions opt;
-  opt.cap = contents.header.cap;
-  opt.seed = contents.header.seed;
-  opt.shard_cases = contents.header.shard_cases;
-  opt.max_cuts = contents.header.crash_max_cuts;
-  opt.group_mask = contents.header.crash_group_mask;
-
-  const core::Plan plan = core::crash_plan_for(variant, registry, opt);
-  const RunHeader want = make_crash_run_header(plan, opt);
-  if (contents.header != want) {
-    out.error = path + ": log does not match the current catalog "
-                       "(was it written by a different build?):\n" +
-                describe_header_mismatch(want, contents.header);
-    return out;
-  }
-  if (!contents.complete) {
-    out.error = path + ": log is incomplete (" +
-                std::string(read_status_name(contents.status)) +
-                (contents.error.empty() ? "" : ": " + contents.error) +
-                "); finish it with --resume first";
-    return out;
-  }
-  CrashOutcomeCache cache = build_crash_cache(plan, contents);
-  if (cache.size() != plan.shards.size()) {
-    out.error = path + ": log is sealed but covers only " +
-                std::to_string(cache.size()) + " of " +
-                std::to_string(plan.shards.size()) + " shards";
-    return out;
-  }
-  out.shards_reused = cache.size();
-  out.result = merge_crash_cache(plan, std::move(cache));
-  if (!crash_summary_matches(contents, out.result)) {
-    out.error = path + ": merged result does not match the log's completion "
-                       "marker (refusing to trust it)";
-    return out;
-  }
-  out.ok = true;
-  return out;
+  return load_log<CrashLog>(registry, path);
 }
 
 }  // namespace ballista::store

@@ -15,10 +15,11 @@
 // treat the first implausible record as the end of the usable prefix.
 //
 // Resuming: run_with_store re-plans (bit-identical by construction — same
-// fingerprint), replays the log's shard outcomes through
-// CampaignOptions::shard_cache, executes only the missing shards (appending
-// them to the same log), and merges.  The result is indistinguishable from
-// an uninterrupted run at any --jobs.
+// fingerprint), replays the log's shard outcomes through the options'
+// shard_cache, executes only the missing shards (appending them to the same
+// log), and merges.  The result is indistinguishable from an uninterrupted
+// run at any --jobs.  Robustness and crash-enumeration logs share one run
+// driver and one load driver, generic over the log's flavour.
 #pragma once
 
 #include <cstdio>
@@ -42,6 +43,17 @@ enum class ReadStatus : std::uint8_t {
 
 std::string_view read_status_name(ReadStatus s) noexcept;
 
+/// The merged totals a kRunComplete record seals a log with.  A crash log's
+/// case total is its cut total, and its event counters are zero.
+struct CompleteMarker {
+  std::uint64_t total_cases = 0;
+  std::int64_t reboots = 0;
+  trace::Counters counters;
+
+  friend bool operator==(const CompleteMarker&,
+                         const CompleteMarker&) = default;
+};
+
 /// Everything the reader could salvage from a log.
 struct StoreContents {
   RunHeader header;
@@ -51,11 +63,9 @@ struct StoreContents {
   /// Crash-enumeration shard records (header.crash_mode == 1 logs only; a
   /// log never mixes the two record flavors).
   std::vector<core::CrashShardOutcome> crash_outcomes;
-  /// kRunComplete seen: merged totals follow.
+  /// kRunComplete seen: `seal` holds the merged totals it recorded.
   bool complete = false;
-  std::uint64_t complete_total_cases = 0;
-  std::int64_t complete_reboots = 0;
-  trace::Counters complete_counters;
+  CompleteMarker seal;
   ReadStatus status = ReadStatus::kBadHeader;
   std::string error;  // human-readable when status != kOk
   /// Byte length of the recovered prefix; resuming truncates here first.
@@ -80,12 +90,6 @@ std::vector<std::uint8_t> encode_crash_shard_outcome(
 bool decode_crash_shard_outcome(const std::uint8_t* payload, std::size_t size,
                                 core::CrashShardOutcome& out);
 
-/// The header a crash-enumeration campaign stamps on the plan crash_plan_for
-/// derives from `opt` (crash_mode = 1; the base-campaign-only knobs
-/// record_cases/repro_pass are pinned to 0).
-RunHeader make_crash_run_header(const core::Plan& plan,
-                                const core::CrashOptions& opt);
-
 /// Append-only writer.  All methods return false (and latch fail()) on I/O
 /// error; nothing throws.
 class CampaignStore {
@@ -103,15 +107,14 @@ class CampaignStore {
   CampaignStore(const CampaignStore&) = delete;
   CampaignStore& operator=(const CampaignStore&) = delete;
 
-  /// Frames, appends and flushes one completed shard.
+  /// Frames, appends and flushes one completed shard of either flavour.
   bool append_shard(const core::ShardOutcome& outcome);
-  /// Appends the completion marker with the merged totals.
+  bool append_shard(const core::CrashShardOutcome& outcome);
+  /// Appends the completion marker with the merged totals.  A crash log's
+  /// marker carries total_cuts as its case total and zero event counters
+  /// (crash logs never serialize traces).
   bool append_complete(const core::CampaignResult& result);
-
-  /// Crash-log flavors of the two appends (total_cases carries total_cuts;
-  /// the event-counter slots are zero — crash logs never serialize traces).
-  bool append_crash_shard(const core::CrashShardOutcome& outcome);
-  bool append_complete_crash(const core::CrashCampaignResult& result);
+  bool append_complete(const core::CrashCampaignResult& result);
 
   bool fail() const noexcept { return failed_; }
 
@@ -128,20 +131,41 @@ class CampaignStore {
 /// its session table and per-session log files on this.
 std::uint64_t run_fingerprint(const RunHeader& h);
 
-/// Incremental create-or-resume access to one campaign's log: the recovery,
-/// fingerprint-check, cache-building and append machinery of run_with_store
-/// factored out so long-lived callers (the campaign server streams shards
-/// into many of these at once) can drive the engine hooks themselves.
-class ResumableLog {
+// --- the two log flavours ---------------------------------------------------
+
+/// A robustness campaign's log: kShardOutcome records.
+struct RobustnessLog {
+  using Options = core::CampaignOptions;
+  using Outcome = core::ShardOutcome;
+  using Result = core::CampaignResult;
+};
+
+/// A crash-enumeration campaign's log (header.crash_mode == 1):
+/// kCrashOutcome records.
+struct CrashLog {
+  using Options = core::CrashOptions;
+  using Outcome = core::CrashShardOutcome;
+  using Result = core::CrashCampaignResult;
+};
+
+/// Incremental create-or-resume access to one campaign's log of either
+/// flavour: the recovery, fingerprint-check, cache-building and append
+/// machinery the store drivers run on, exposed so long-lived callers (the
+/// campaign server streams shards into many of these at once) can drive the
+/// engine hooks themselves.  It is the only code that resumes a log.
+template <class Flavor>
+class BasicResumableLog {
  public:
+  using Outcome = typename Flavor::Outcome;
+  using Result = typename Flavor::Result;
   enum class Mode : std::uint8_t {
     kCreate,          // fresh log; truncates whatever was at `path`
     kResume,          // existing log required; recover its valid prefix
     kCreateOrResume,  // resume if `path` exists, else create
   };
   struct Opened {
-    std::unique_ptr<ResumableLog> log;  // null on failure
-    std::string error;                  // set when !log
+    std::unique_ptr<BasicResumableLog> log;  // null on failure
+    std::string error;                       // set when !log
     /// What the reader said about an existing log (kOk for fresh creates).
     ReadStatus status = ReadStatus::kOk;
   };
@@ -153,47 +177,55 @@ class ResumableLog {
 
   const std::string& path() const noexcept { return path_; }
   /// Plan-consistent shard outcomes recovered from the log, keyed by shard
-  /// index, MutStats rebound to the plan's MuTs.  Feed to
-  /// CampaignOptions::shard_cache; cached shards must not be re-appended.
-  const std::map<std::size_t, core::ShardOutcome>& cached() const noexcept {
+  /// index, stats rebound to the plan's MuTs.  Feed to the options'
+  /// shard_cache; cached shards must not be re-appended.
+  const std::map<std::size_t, Outcome>& cached() const noexcept {
     return cache_;
   }
   /// The recovered log already carried a completion marker.
   bool recovered_complete() const noexcept { return complete_; }
   /// Cross-checks a merged result against the recovered completion marker
   /// (only meaningful when recovered_complete()).
-  bool summary_matches(const core::CampaignResult& merged) const noexcept;
+  bool summary_matches(const Result& merged) const noexcept;
 
   /// Frames, appends and flushes one completed shard.
-  bool append_shard(const core::ShardOutcome& outcome);
+  bool append_shard(const Outcome& outcome);
   /// Appends the completion marker with the merged totals.
-  bool seal(const core::CampaignResult& result);
+  bool seal(const Result& result);
   bool fail() const noexcept { return !store_ || store_->fail(); }
 
  private:
-  ResumableLog() = default;
+  BasicResumableLog() = default;
 
   std::string path_;
   std::unique_ptr<CampaignStore> store_;  // null once sealed-and-covered
-  std::map<std::size_t, core::ShardOutcome> cache_;
+  std::map<std::size_t, Outcome> cache_;
   bool complete_ = false;
-  std::uint64_t complete_total_cases_ = 0;
-  std::int64_t complete_reboots_ = 0;
-  trace::Counters complete_counters_;
+  CompleteMarker seal_;
 };
+
+extern template class BasicResumableLog<RobustnessLog>;
+extern template class BasicResumableLog<CrashLog>;
+
+/// The robustness log, which the campaign server streams sessions into.
+using ResumableLog = BasicResumableLog<RobustnessLog>;
 
 // --- drivers -----------------------------------------------------------------
 
-struct StoreRun {
+template <class Flavor>
+struct BasicStoreRun {
   bool ok = false;
   std::string error;  // set when !ok
-  core::CampaignResult result;
+  typename Flavor::Result result;
   /// Shards adopted from the log vs. executed this invocation.
   std::size_t shards_reused = 0;
   std::size_t shards_executed = 0;
   /// What the reader reported about the log that was opened (resume/load).
   ReadStatus log_status = ReadStatus::kOk;
 };
+
+using StoreRun = BasicStoreRun<RobustnessLog>;
+using CrashStoreRun = BasicStoreRun<CrashLog>;
 
 /// Runs (or resumes) one campaign with the log at `path`.
 ///   resume == false: create a fresh log, run everything, append each shard
@@ -205,36 +237,20 @@ struct StoreRun {
 StoreRun run_with_store(sim::OsVariant variant, const core::Registry& registry,
                         const core::CampaignOptions& opt,
                         const std::string& path, bool resume);
+/// The same for a crash-enumeration campaign, whose fingerprint also embeds
+/// crash_mode, max_cuts and the group mask.
+CrashStoreRun run_with_store(sim::OsVariant variant,
+                             const core::Registry& registry,
+                             const core::CrashOptions& opt,
+                             const std::string& path, bool resume);
 
 /// Reconstructs the CampaignResult a sealed log recorded, without executing
-/// anything.  Requires a complete log whose fingerprint matches `registry`
-/// (the variant and plan parameters come from the header itself); the merged
-/// totals are cross-checked against the completion marker, so a log that
-/// would mis-merge is rejected rather than trusted.
+/// anything.  Requires a complete robustness log whose fingerprint matches
+/// `registry` (the variant and plan parameters come from the header itself);
+/// the merged totals are cross-checked against the completion marker, so a
+/// log that would mis-merge is rejected rather than trusted.
 StoreRun load_result(const core::Registry& registry, const std::string& path);
-
-// --- crash-enumeration drivers ----------------------------------------------
-
-struct CrashStoreRun {
-  bool ok = false;
-  std::string error;
-  core::CrashCampaignResult result;
-  std::size_t shards_reused = 0;
-  std::size_t shards_executed = 0;
-  ReadStatus log_status = ReadStatus::kOk;
-};
-
-/// Runs (or resumes) one crash-enumeration campaign with the log at `path`.
-/// Same contract as run_with_store: resume recovers the valid prefix, checks
-/// the fingerprint (which embeds crash_mode/max_cuts/group_mask), re-runs
-/// only the missing shards and seals the log.
-CrashStoreRun run_crash_with_store(sim::OsVariant variant,
-                                   const core::Registry& registry,
-                                   const core::CrashOptions& opt,
-                                   const std::string& path, bool resume);
-
-/// Reconstructs the CrashCampaignResult a sealed crash log recorded, without
-/// executing anything.  Plan parameters come from the header itself.
+/// The same for a sealed crash-enumeration log.
 CrashStoreRun load_crash_result(const core::Registry& registry,
                                 const std::string& path);
 

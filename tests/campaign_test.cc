@@ -132,9 +132,7 @@ TEST_F(CampaignTest, CaseCodesAreRecordedPerCase) {
   reg.add(make("mixed", [](CallContext& c) -> CallOutcome {
     return c.arg32(0) < 2 ? ok(0) : c.win_fail(87);
   }));
-  CampaignOptions opt;
-  opt.record_cases = true;
-  const auto r = Campaign::run(OsVariant::kWinNT4, reg, opt);
+  const auto r = Campaign::run(OsVariant::kWinNT4, reg);
   ASSERT_EQ(r.stats[0].case_codes.size(), 4u);
   EXPECT_EQ(r.stats[0].case_codes[0], CaseCode::kPassNoError);
   EXPECT_EQ(r.stats[0].case_codes[3], CaseCode::kPassWithError);

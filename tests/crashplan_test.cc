@@ -9,7 +9,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/ballista.h"
@@ -244,7 +246,7 @@ TEST(CrashStoreCodec, CrashHeaderTailRoundTripsThroughAFile) {
   opt.group_mask = crash_group_bit(core::FuncGroup::kFileDirAccess);
   const core::Plan plan =
       core::crash_plan_for(OsVariant::kWin2000, world.registry, opt);
-  const store::RunHeader header = store::make_crash_run_header(plan, opt);
+  const store::RunHeader header = store::make_run_header(plan, opt);
   EXPECT_EQ(header.crash_mode, 1u);
   EXPECT_EQ(header.crash_max_cuts, opt.max_cuts);
   EXPECT_EQ(header.crash_group_mask, opt.group_mask);
@@ -266,7 +268,7 @@ TEST(CrashStore, FreshRunSealsAndLoadsBack) {
   const auto& world = shared_world();
   const CrashOptions opt = small_options();
   const std::string path = temp_blog("fresh");
-  const store::CrashStoreRun run = store::run_crash_with_store(
+  const store::CrashStoreRun run = store::run_with_store(
       OsVariant::kWinNT4, world.registry, opt, path, /*resume=*/false);
   ASSERT_TRUE(run.ok) << run.error;
   EXPECT_EQ(run.shards_reused, 0u);
@@ -295,7 +297,7 @@ TEST(CrashStore, TruncatedLogResumesToTheIdenticalResult) {
     CrashOptions opt = small_options();
     opt.jobs = jobs;
     const std::string master = temp_blog("resume_master");
-    const store::CrashStoreRun full = store::run_crash_with_store(
+    const store::CrashStoreRun full = store::run_with_store(
         OsVariant::kWinNT4, world.registry, opt, master, false);
     ASSERT_TRUE(full.ok) << label << ": " << full.error;
 
@@ -315,7 +317,7 @@ TEST(CrashStore, TruncatedLogResumesToTheIdenticalResult) {
       std::ofstream f(stub, std::ios::binary | std::ios::trunc);
       f.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
     }
-    const store::CrashStoreRun resumed = store::run_crash_with_store(
+    const store::CrashStoreRun resumed = store::run_with_store(
         OsVariant::kWinNT4, world.registry, opt, stub, /*resume=*/true);
     ASSERT_TRUE(resumed.ok) << label << ": " << resumed.error;
     EXPECT_GT(resumed.shards_reused, 0u) << label;
@@ -333,6 +335,48 @@ TEST(CrashStore, TruncatedLogResumesToTheIdenticalResult) {
   }
 }
 
+TEST(CrashStore, ResumeRejectsFingerprintMismatch) {
+  const auto& world = shared_world();
+  const CrashOptions opt = small_options();
+  const std::string path = temp_blog("fingerprint");
+  ASSERT_TRUE(store::run_with_store(OsVariant::kWinNT4, world.registry, opt,
+                                    path, /*resume=*/false)
+                  .ok);
+  // Tear the log in half, so a resume that trusted it would trim the torn
+  // tail and append to it.
+  std::vector<char> bytes;
+  {
+    std::ifstream f(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(f),
+                 std::istreambuf_iterator<char>());
+    bytes.resize(bytes.size() / 2);
+  }
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  CrashOptions more_cuts = opt;
+  more_cuts.max_cuts = opt.max_cuts + 1;
+  CrashOptions memory_only = opt;
+  memory_only.group_mask = crash_group_bit(core::FuncGroup::kMemoryManagement);
+  for (const auto& [other, field] :
+       {std::pair{more_cuts, "crash_max_cuts"},
+        std::pair{memory_only, "crash_group_mask"}}) {
+    const store::CrashStoreRun r = store::run_with_store(
+        OsVariant::kWinNT4, world.registry, other, path, /*resume=*/true);
+    EXPECT_FALSE(r.ok) << field;
+    EXPECT_NE(r.error.find(field), std::string::npos) << r.error;
+  }
+
+  // A refused resume leaves the log exactly as it found it.
+  std::ifstream f(path, std::ios::binary);
+  EXPECT_EQ(std::vector<char>(std::istreambuf_iterator<char>(f),
+                              std::istreambuf_iterator<char>()),
+            bytes);
+  std::remove(path.c_str());
+}
+
 TEST(CrashStore, RecordFlavorsNeverMix) {
   const auto& world = shared_world();
   const CrashOptions copt = small_options();
@@ -344,7 +388,7 @@ TEST(CrashStore, RecordFlavorsNeverMix) {
   const std::string crash_path = temp_blog("flavor_crash");
   {
     auto log = CampaignStore::create(
-        crash_path, store::make_crash_run_header(crash_plan, copt), &err);
+        crash_path, store::make_run_header(crash_plan, copt), &err);
     ASSERT_NE(log, nullptr) << err;
     core::ShardOutcome base;
     base.shard_index = 0;
@@ -353,6 +397,13 @@ TEST(CrashStore, RecordFlavorsNeverMix) {
   const store::StoreContents c1 = store::read_store_file(crash_path);
   EXPECT_EQ(c1.status, ReadStatus::kCorrupt);
   EXPECT_TRUE(c1.crash_outcomes.empty());
+  // load_result refuses a crash log by naming its flavour.
+  const store::StoreRun not_base =
+      store::load_result(world.registry, crash_path);
+  EXPECT_FALSE(not_base.ok);
+  EXPECT_NE(not_base.error.find("records a crash-enumeration campaign"),
+            std::string::npos)
+      << not_base.error;
 
   // And a crash record inside a base log is equally rejected.
   testing::TinyWorld tiny;
@@ -371,13 +422,13 @@ TEST(CrashStore, RecordFlavorsNeverMix) {
     ASSERT_NE(log, nullptr) << err;
     CrashShardOutcome crash;
     crash.shard_index = 0;
-    ASSERT_TRUE(log->append_crash_shard(crash));
+    ASSERT_TRUE(log->append_shard(crash));
   }
   const store::StoreContents c2 = store::read_store_file(base_path);
   EXPECT_EQ(c2.status, ReadStatus::kCorrupt);
   EXPECT_TRUE(c2.outcomes.empty());
 
-  // load_crash_result refuses a base-campaign log outright.
+  // And load_crash_result refuses a base-campaign log.
   const store::CrashStoreRun wrong =
       store::load_crash_result(tiny.registry, base_path);
   EXPECT_FALSE(wrong.ok);

@@ -81,14 +81,11 @@ TEST(SessionLayer, SpecRoundTripsThroughOptions) {
   opt.seed = 0xfeed;
   opt.only_api = core::ApiKind::kWin32Sys;
   opt.group_mask = 0x3;
-  opt.record_cases = false;
   const CampaignSpec spec = spec_for(OsVariant::kWinNT4, opt);
   const auto back = options_from_spec(spec);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->cap, opt.cap);
   EXPECT_EQ(back->seed, opt.seed);
-  EXPECT_EQ(back->record_cases, opt.record_cases);
-  EXPECT_EQ(back->repro_pass, opt.repro_pass);
   EXPECT_EQ(back->shard_cases, opt.shard_cases);
   EXPECT_EQ(back->only_api, opt.only_api);
   EXPECT_EQ(back->group_mask, opt.group_mask);
@@ -105,9 +102,15 @@ TEST(SessionLayer, RejectsNonCanonicalSpecs) {
   CampaignSpec s = good;
   s.variant = 99;
   EXPECT_FALSE(options_from_spec(s).has_value());
-  s = good;
-  s.record_cases = 2;
-  EXPECT_FALSE(options_from_spec(s).has_value());
+  // Case codes and the repro pass are always on: their bytes must be 1.
+  for (const std::uint8_t flag : {0, 2}) {
+    s = good;
+    s.record_cases = flag;
+    EXPECT_FALSE(options_from_spec(s).has_value());
+    s = good;
+    s.repro_pass = flag;
+    EXPECT_FALSE(options_from_spec(s).has_value());
+  }
   s = good;
   s.only_api = 1;  // value without has_only_api: two encodings, one meaning
   EXPECT_FALSE(options_from_spec(s).has_value());

@@ -8,6 +8,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "common/wire.h"
 #include "core/diff.h"
 #include "core/sched.h"
 #include "store/store.h"
@@ -124,6 +125,40 @@ TEST(Store, ResumeRejectsFingerprintMismatch) {
       run_with_store(OsVariant::kWinNT4, tiny.registry, opt, path, true);
   EXPECT_FALSE(wrong_registry.ok);
   std::remove(path.c_str());
+}
+
+TEST(Store, RetiredShardBytesTailIsABadHeader) {
+  // A header payload as format version 1 lays it out, with no tails.
+  std::vector<std::uint8_t> header;
+  wire::put_u8(header, static_cast<std::uint8_t>(OsVariant::kWinNT4));
+  wire::put_u64(header, 0x1111);  // mut_list_hash
+  wire::put_u64(header, 0x2222);  // value_pool_hash
+  wire::put_u64(header, 20);      // cap
+  wire::put_u64(header, 7);       // seed
+  wire::put_u8(header, 0);        // has_only_api
+  wire::put_u8(header, 0);        // only_api
+  wire::put_u8(header, 1);        // record_cases
+  wire::put_u8(header, 1);        // repro_pass
+  wire::put_u64(header, 2048);    // shard_cases
+  wire::put_u64(header, 3);       // plan_shards
+  wire::put_u64(header, 60);      // total_planned
+  const auto log_with = [](const std::vector<std::uint8_t>& payload) {
+    std::vector<std::uint8_t> log;
+    wire::put_u32(log, kMagic);
+    wire::put_u32(log, kFormatVersion);
+    wire::put_frame(log, static_cast<std::uint8_t>(RecordType::kRunHeader),
+                    payload);
+    return log;
+  };
+  ASSERT_EQ(read_store(log_with(header)).status, ReadStatus::kOk);
+
+  // Tail tag 3 carried a retired per-shard byte budget, which moved shard
+  // boundaries: such a log must fail loudly, never be re-planned.
+  wire::put_u8(header, 3);
+  wire::put_u64(header, 1u << 20);
+  const StoreContents c = read_store(log_with(header));
+  EXPECT_EQ(c.status, ReadStatus::kBadHeader);
+  EXPECT_NE(c.error.find("header"), std::string::npos) << c.error;
 }
 
 TEST(Store, LoadRejectsIncompleteAndBogusLogs) {

@@ -108,11 +108,6 @@ struct Args {
   /// --shard-cases N (run/serve/attach): target cases per plan shard.  Part
   /// of the campaign fingerprint — both ends of a resume must agree on it.
   std::uint64_t shard_cases = 2048;
-  /// --shard-bytes N (run): additionally cap each shard's estimated working
-  /// set so one shard fits a cache budget.  Part of the campaign fingerprint
-  /// when set (stored as a RunHeader tail); unset keeps historical shard
-  /// boundaries and golden logs byte-identical.
-  std::optional<std::uint64_t> shard_bytes;
   /// Non-flag operands (only the diff command takes any).
   std::vector<std::string> positional;
   /// Every `--flag` token seen, in order — pure-operand commands (diff,
@@ -209,8 +204,6 @@ Args parse_args(int argc, char** argv) {
       a.wire_trace = true;
     } else if (flag == "--shard-cases") {
       number(next(), a.shard_cases, 1);
-    } else if (flag == "--shard-bytes") {
-      number(next(), a.shard_bytes.emplace(), 1);
     } else if (flag == "--store") {
       a.store = next();
     } else if (flag == "--resume") {
@@ -237,7 +230,7 @@ int usage() {
       "      [--groups LIST] [--mut-csv F] [--value-csv F] [--analyze]\n"
       "      [--trace[=N]] [--event-counters] [--crash-points[=N]]\n"
       "      [--store F.blog | --resume F.blog] [--baseline F.blog]\n"
-      "      [--shard-cases N] [--shard-bytes N]\n"
+      "      [--shard-cases N]\n"
       "  serve --sessions LIST [--cap N] [--seed S] [--jobs N] [--quota N]\n"
       "      [--shard-cases N] [--log-dir D] [--detach-at K | --halt-at K]\n"
       "      [--wire-trace]                       multi-session campaign server\n"
@@ -263,13 +256,11 @@ int usage() {
       "recovers such a log and re-runs only the missing shards; --baseline\n"
       "diffs the run against an earlier log and exits 3 on any drift.\n"
       "Store flags require a single --os.  See README.md for details.\n"
-      "--shard-bytes N additionally caps each shard's estimated working set\n"
-      "(cache-footprint shard sizing); the merged results are identical, only\n"
-      "shard boundaries move.  Both ends of a resume must agree on it.\n"
       "--crash-points[=N] runs a crash-enumeration campaign instead of a\n"
       "robustness campaign: each case's persistence points are counted, then\n"
       "up to N cuts per case are injected and post-reboot consistency is\n"
-      "verified.  Store/resume/baseline/jobs compose; repro --cut K replays\n"
+      "verified.  It takes --os --cap --seed --jobs --shard-cases, the store\n"
+      "flags and --groups (default filedir,memory).  repro --cut K replays\n"
       "one (MuT, case, k) cut standalone.\n"
       "`serve` multiplexes one campaign session per --sessions OS token over\n"
       "a shared machine pool; with --log-dir each session streams into its\n"
@@ -285,9 +276,8 @@ core::ApiKind sys_kind_for(sim::OsVariant v) {
                                      : core::ApiKind::kWin32Sys;
 }
 
-/// Resolved --groups filter.  A list equal to the default-campaign set
-/// normalizes to "no filter" so `run` and `run --groups <defaults>` produce
-/// byte-identical logs (same RunHeader, no group-filter tail).
+/// Resolved --groups filter: the parsed mask exactly as given, unset when
+/// --groups is absent (each campaign flavour then uses its own default).
 struct GroupsArg {
   bool ok = true;
   std::optional<std::uint32_t> mask;
@@ -297,13 +287,11 @@ GroupsArg parse_groups(const Args& a) {
   GroupsArg g;
   if (a.groups.empty()) return g;
   std::string err;
-  const auto mask = core::parse_group_list(a.groups, &err);
-  if (!mask) {
+  g.mask = core::parse_group_list(a.groups, &err);
+  if (!g.mask) {
     std::cerr << err << "\n";
     g.ok = false;
-    return g;
   }
-  if (*mask != core::kDefaultCampaignGroupMask) g.mask = *mask;
   return g;
 }
 
@@ -431,40 +419,52 @@ void print_crash_summary(std::ostream& os,
          << (f.detail.empty() ? "" : "  (" + f.detail + ")") << "\n";
 }
 
-int cmd_run_crash(const harness::World& world, const Args& a,
-                  const GroupsArg& groups) {
-  if (a.api) {
-    std::cerr << "--api does not apply to crash enumeration (the group mask "
-                 "selects the MuTs)\n";
-    return 2;
-  }
-  std::vector<core::CrashCampaignResult> results;
+/// Runs one campaign per selected OS, through the store when --store or
+/// --resume names a log.  Both campaign flavours share it, so both take the
+/// common flags alike; `tune(opt, v)` adds the flavour's own.  nullopt once
+/// a store error is reported.
+template <class Options, class Result, class Tune>
+std::optional<std::vector<Result>> run_variants(
+    const harness::World& world, const Args& a,
+    Result (*engine)(sim::OsVariant, const core::Registry&, const Options&),
+    const Tune& tune) {
+  std::vector<Result> results;
   for (sim::OsVariant v : os_list(a)) {
-    core::CrashOptions opt;
+    Options opt;
     opt.cap = a.cap;
     opt.seed = a.seed;
     opt.jobs = a.jobs;
-    opt.max_cuts = *a.crash_points;
-    // --groups overrides the default crash mask (filedir|memory).
-    if (groups.mask) opt.group_mask = *groups.mask;
-    if (!a.store.empty() || !a.resume.empty()) {
-      const bool resume = !a.resume.empty();
-      const std::string& path = resume ? a.resume : a.store;
-      store::CrashStoreRun run =
-          store::run_crash_with_store(v, world.registry, opt, path, resume);
-      if (!run.ok) {
-        std::cerr << run.error << "\n";
-        return 1;
-      }
-      std::cout << path << ": " << run.shards_reused
-                << " shard(s) replayed from the log, " << run.shards_executed
-                << " executed\n";
-      results.push_back(std::move(run.result));
-    } else {
-      results.push_back(core::run_crash_engine(v, world.registry, opt));
+    opt.shard_cases = a.shard_cases;
+    tune(opt, v);
+    if (a.store.empty() && a.resume.empty()) {
+      results.push_back(engine(v, world.registry, opt));
+      continue;
     }
+    const bool resume = !a.resume.empty();
+    const std::string& path = resume ? a.resume : a.store;
+    auto run = store::run_with_store(v, world.registry, opt, path, resume);
+    if (!run.ok) {
+      std::cerr << run.error << "\n";
+      return std::nullopt;
+    }
+    std::cout << path << ": " << run.shards_reused
+              << " shard(s) replayed from the log, " << run.shards_executed
+              << " executed\n";
+    results.push_back(std::move(run.result));
   }
-  for (const auto& r : results) print_crash_summary(std::cout, r);
+  return results;
+}
+
+int cmd_run_crash(const harness::World& world, const Args& a,
+                  const GroupsArg& groups) {
+  const auto results = run_variants(
+      world, a, core::run_crash_engine,
+      [&](core::CrashOptions& opt, sim::OsVariant) {
+        opt.max_cuts = *a.crash_points;
+        if (groups.mask) opt.group_mask = *groups.mask;
+      });
+  if (!results) return 1;
+  for (const auto& r : *results) print_crash_summary(std::cout, r);
   if (!a.baseline.empty()) {
     const store::CrashStoreRun base =
         store::load_crash_result(world.registry, a.baseline);
@@ -473,7 +473,7 @@ int cmd_run_crash(const harness::World& world, const Args& a,
       return 1;
     }
     const std::string d =
-        core::diff_crash_results(base.result, results.front());
+        core::diff_crash_results(base.result, results->front());
     if (!d.empty()) {
       std::cerr << "regression gate: crash run drifted from baseline "
                 << a.baseline << ": " << d << "\n";
@@ -499,40 +499,24 @@ int cmd_run(const harness::World& world, const Args& a) {
   const GroupsArg groups = parse_groups(a);
   if (!groups.ok) return usage();
   if (a.crash_points) return cmd_run_crash(world, a, groups);
-  std::vector<core::CampaignResult> results;
-  for (sim::OsVariant v : os_list(a)) {
-    core::CampaignOptions opt;
-    opt.cap = a.cap;
-    opt.seed = a.seed;
-    opt.jobs = a.jobs;
-    opt.shard_cases = a.shard_cases;
-    opt.shard_bytes = a.shard_bytes;
-    opt.group_mask = groups.mask;
-    if (a.api)
-      opt.only_api =
-          *a.api == core::ApiKind::kWin32Sys ? sys_kind_for(v) : *a.api;
-    if (!a.store.empty() || !a.resume.empty()) {
-      const bool resume = !a.resume.empty();
-      const std::string& path = resume ? a.resume : a.store;
-      store::StoreRun run =
-          store::run_with_store(v, world.registry, opt, path, resume);
-      if (!run.ok) {
-        std::cerr << run.error << "\n";
-        return 1;
-      }
-      std::cout << path << ": " << run.shards_reused
-                << " shard(s) replayed from the log, " << run.shards_executed
-                << " executed\n";
-      results.push_back(std::move(run.result));
-    } else {
-      results.push_back(core::Campaign::run(v, world.registry, opt));
-    }
-  }
-  core::print_table1(std::cout, results);
-  for (const auto& r : results) print_observability(r, a);
-  for (const auto& r : results) {
+  const auto results = run_variants(
+      world, a, core::Campaign::run,
+      [&](core::CampaignOptions& opt, sim::OsVariant v) {
+        // A list equal to the default-campaign groups is no filter, so `run`
+        // and `run --groups <defaults>` write byte-identical logs (same
+        // RunHeader, no group-filter tail).
+        if (groups.mask != core::kDefaultCampaignGroupMask)
+          opt.group_mask = groups.mask;
+        if (a.api)
+          opt.only_api =
+              *a.api == core::ApiKind::kWin32Sys ? sys_kind_for(v) : *a.api;
+      });
+  if (!results) return 1;
+  core::print_table1(std::cout, *results);
+  for (const auto& r : *results) print_observability(r, a);
+  for (const auto& r : *results) {
     if (!a.mut_csv.empty()) {
-      std::ofstream f(a.mut_csv, results.size() == 1
+      std::ofstream f(a.mut_csv, results->size() == 1
                                      ? std::ios::out
                                      : std::ios::app);
       core::write_mut_csv(f, r);
@@ -557,7 +541,7 @@ int cmd_run(const harness::World& world, const Args& a) {
       return 1;
     }
     const core::CampaignDiff d =
-        core::diff_campaigns(base.result, results.front());
+        core::diff_campaigns(base.result, results->front());
     core::print_diff(std::cout, d);
     if (!d.identical()) {
       std::cerr << "regression gate: run drifted from baseline " << a.baseline
@@ -1025,6 +1009,9 @@ int cmd_attach(const harness::World& world, const Args& a) {
 /// different subcommand, or a trailing operand — would be silently ignored,
 /// which hides typos like `repro --store x.blog` or `run nt4`; reject with
 /// usage + exit 2 instead (same contract as the diff/stats operand checks).
+/// A crash-enumeration run (`run --crash-points`) takes the run flags that
+/// shape a crash campaign, none of those that shape or report a robustness
+/// one.
 const std::set<std::string>* allowed_flags(const std::string& command) {
   static const std::map<std::string, std::set<std::string>> kAllowed = {
       {"list-muts", {"--os", "--api"}},
@@ -1034,7 +1021,10 @@ const std::set<std::string>* allowed_flags(const std::string& command) {
        {"--os", "--cap", "--seed", "--api", "--jobs", "--groups", "--mut-csv",
         "--value-csv", "--analyze", "--trace", "--event-counters",
         "--crash-points", "--store", "--resume", "--baseline",
-        "--shard-cases", "--shard-bytes"}},
+        "--shard-cases"}},
+      {"run --crash-points",
+       {"--os", "--cap", "--seed", "--jobs", "--groups", "--crash-points",
+        "--store", "--resume", "--baseline", "--shard-cases"}},
       {"serve",
        {"--sessions", "--cap", "--seed", "--jobs", "--quota", "--shard-cases",
         "--log-dir", "--detach-at", "--halt-at", "--wire-trace"}},
@@ -1057,12 +1047,15 @@ const std::set<std::string>* allowed_flags(const std::string& command) {
 int main(int argc, char** argv) {
   const Args a = parse_args(argc, argv);
   if (!a.ok) return usage();
-  const std::set<std::string>* allowed = allowed_flags(a.command);
+  const std::string mode = a.command == "run" && a.crash_points
+                               ? "run --crash-points"
+                               : a.command;
+  const std::set<std::string>* allowed = allowed_flags(mode);
   if (allowed != nullptr) {
     for (const std::string& f : a.flags_seen) {
       const std::string base = f.substr(0, f.find('='));  // --trace=8 → --trace
       if (allowed->count(base) == 0) {
-        std::cerr << "unexpected argument '" << base << "' for " << a.command
+        std::cerr << "unexpected argument '" << base << "' for " << mode
                   << "\n";
         return usage();
       }
