@@ -1,9 +1,9 @@
 // google-benchmark micro-suite for the harness itself: cost of one test case
 // end to end (task creation, value construction, dispatch, classification)
 // per OS personality, plus the building blocks (tuple generation, simulated
-// memory access, range protect/unmap, CRT set-up, machine boot) and the
-// trace-spine overhead per sink mode (disabled / counters-only / full ring),
-// reported to BENCH_trace.json.
+// memory access, range protect/unmap, a large map, CRT set-up, machine boot)
+// and the trace-spine overhead per sink mode (disabled / counters-only /
+// full ring), reported to BENCH_trace.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -168,6 +168,23 @@ void BM_UnmapWholeRange(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UnmapWholeRange);
+
+void BM_MapLarge(benchmark::State& state) {
+  // A 16 MiB mapping (a large malloc/calloc value) on a task-shaped space,
+  // mapped and unmapped again: costs what the page table does, since no
+  // page of it is written.
+  constexpr sim::Addr kLargeBase = 0x1000'0000;
+  constexpr std::uint64_t kLargeSize = 16ull << 20;
+  sim::AddressSpace mem;
+  mem.map(kMicroStack, kMicroStackSize, sim::kPermRW);
+  mem.checkpoint();
+  for (auto _ : state) {
+    mem.map(kLargeBase, kLargeSize, sim::kPermRW);
+    mem.unmap(kLargeBase, kLargeSize);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MapLarge);
 
 void BM_CrtStateFirstUse(benchmark::State& state) {
   // What a C-library case pays to set up its CRT: acquire a recycled task,

@@ -60,15 +60,14 @@ CaseResult Executor::run_case(const MuT& mut,
   if (task_setup_) task_setup_(*proc);
   ValueCtx vctx{machine_, *proc};
 
-  std::vector<RawArg> args;
-  args.reserve(tuple.size());
-  for (const TestValue* v : tuple) args.push_back(v->make(vctx));
+  args_.clear();
+  for (const TestValue* v : tuple) args_.push_back(v->make(vctx));
 
   // Sentinel error state so the classifier can see whether the call reported.
   proc->set_last_error(0);
   proc->set_errno(0);
 
-  CallContext ctx(machine_, *proc, mut, args);
+  CallContext ctx(machine_, *proc, mut, args_);
   // Mutation points exist only while the module under test runs: harness
   // work (tuple materialization above, process recycling, fixture restores)
   // must never count as a persistence point.

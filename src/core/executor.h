@@ -59,6 +59,8 @@ class Executor {
  private:
   sim::Machine& machine_;
   std::function<void(sim::SimProcess&)> task_setup_;
+  /// The materialized arguments of the case in flight, reused across cases.
+  std::vector<RawArg> args_;
 };
 
 }  // namespace ballista::core

@@ -9,13 +9,19 @@ namespace ballista::sim {
 
 namespace {
 
-/// Calls `visit` on every private page of [start, start+size) that is
-/// mapped, dropping the entry when it returns true.  It walks whichever is
-/// smaller: the page numbers in the range or the mapped set.  A size_neg1
-/// VirtualProtect spans a million page numbers while a case maps a few
-/// dozen pages, so the range operations cost what they touch.  A range
-/// whose end wraps past the top of the address space is empty, as it was
-/// for the page-number walk.
+/// What every unwritten page reads as.
+constexpr PageBytes kZeroPage{};
+
+const std::uint8_t* bytes_of(const Page& p) noexcept {
+  return p.data != nullptr ? p.data->data() : kZeroPage.data();
+}
+
+/// Calls `visit(it)` on every private page of [start, start+size) that is
+/// mapped; `visit` may retire the page.  It walks whichever is smaller: the
+/// page numbers in the range or the mapped set.  A size_neg1 VirtualProtect
+/// spans a million page numbers while a case maps a few dozen pages, so the
+/// range operations cost what they touch.  A range whose end wraps past the
+/// top of the address space is empty, as it was for the page-number walk.
 template <typename PageMap, typename Visit>
 void for_each_mapped(PageMap& pages, Addr start, std::uint64_t size,
                      Visit visit) {
@@ -24,16 +30,14 @@ void for_each_mapped(PageMap& pages, Addr start, std::uint64_t size,
   if (last < first) return;
   if (last - first < pages.size()) {
     for (Addr pg = first; pg <= last; ++pg) {
-      auto it = pages.find(pg);
-      if (it != pages.end() && visit(it->second)) pages.erase(it);
+      const auto it = pages.find(pg);
+      if (it != pages.end()) visit(it);
     }
     return;
   }
   for (auto it = pages.begin(); it != pages.end();) {
-    if (it->first >= first && it->first <= last && visit(it->second))
-      it = pages.erase(it);
-    else
-      ++it;
+    const auto cur = it++;
+    if (cur->first >= first && cur->first <= last) visit(cur);
   }
 }
 
@@ -42,30 +46,58 @@ void for_each_mapped(PageMap& pages, Addr start, std::uint64_t size,
 SharedArena::SharedArena() = default;
 
 Page* SharedArena::page(Addr a) {
-  const Addr pg = page_of(a);
-  auto it = pages_.find(pg);
-  if (it == pages_.end()) {
-    auto p = std::make_unique<Page>();
-    // Arena pages are readable/writable from kernel context; the AddressSpace
-    // decides what user mode may do with them per personality.
-    p->perm = kPermRW;
-    p->kernel_only = true;
-    it = pages_.emplace(pg, std::move(p)).first;
+  const auto [it, created] = pages_.try_emplace(page_of(a));
+  if (created) {
+    // Arena pages are readable/writable from kernel context; the
+    // AddressSpace decides what user mode may do with them per personality.
+    it->second.kernel_only = true;
+    it->second.touched = true;
   }
-  return it->second.get();
+  return &it->second;
 }
 
-std::unique_ptr<Page> AddressSpace::take_page() {
-  if (free_pages_.empty()) return std::make_unique<Page>();
-  auto p = std::move(free_pages_.back());
-  free_pages_.pop_back();
-  p->data.fill(0);  // recycled pages must look freshly allocated
-  p->dirty = false;
-  return p;
+void AddressSpace::touch(Page& p, Addr pg) {
+  if (p.touched) return;
+  p.touched = true;
+  touched_.push_back(pg);
 }
 
-void AddressSpace::retire_page(std::unique_ptr<Page> p) {
-  if (free_pages_.size() < kMaxFreePages) free_pages_.push_back(std::move(p));
+std::uint8_t* AddressSpace::backing(Page& p, Addr pg) {
+  if (p.data == nullptr) {
+    if (free_bytes_.empty()) {
+      p.data = std::make_unique<PageBytes>();
+    } else {
+      p.data = std::move(free_bytes_.back());
+      free_bytes_.pop_back();
+      p.data->fill(0);  // recycled storage must look freshly allocated
+    }
+    touch(p, pg);
+  }
+  return p.data->data();
+}
+
+void AddressSpace::drop_bytes(Page& p) {
+  if (p.data != nullptr && free_bytes_.size() < kMaxFreePages)
+    free_bytes_.push_back(std::move(p.data));
+  p.data.reset();
+}
+
+void AddressSpace::retire(PageMap::iterator it) {
+  drop_bytes(it->second);
+  auto node = pages_.extract(it);
+  if (free_nodes_.size() < kMaxFreePages)
+    free_nodes_.push_back(std::move(node));
+}
+
+AddressSpace::PageMap::iterator AddressSpace::entry(Addr pg) {
+  const auto it = pages_.find(pg);
+  if (it != pages_.end()) return it;
+  if (free_nodes_.empty()) return pages_.try_emplace(pg).first;
+  auto node = std::move(free_nodes_.back());
+  free_nodes_.pop_back();
+  node.key() = pg;
+  node.mapped() = Page{};
+  return pages_.insert(std::move(node)).position;
 }
 
 void AddressSpace::map(Addr start, std::uint64_t size, std::uint8_t perm,
@@ -75,32 +107,41 @@ void AddressSpace::map(Addr start, std::uint64_t size, std::uint8_t perm,
   const Addr first = page_of(start);
   const Addr last = page_of(start + (size ? size - 1 : 0));
   for (Addr pg = first; pg <= last; ++pg) {
-    auto& slot = pages_[pg];
-    if (!slot) slot = take_page();
-    slot->perm = perm;
-    slot->kernel_only = kernel_only;
+    Page& p = entry(pg)->second;
+    p.perm = perm;
+    p.kernel_only = kernel_only;
+    touch(p, pg);
   }
 }
 
 void AddressSpace::unmap(Addr start, std::uint64_t size) {
   if (hub_ != nullptr)
     hub_->notify(MutationKind::kPageUnmap, page_of(start));
-  for_each_mapped(pages_, start, size, [this](std::unique_ptr<Page>& slot) {
-    retire_page(std::move(slot));
-    return true;
-  });
+  for_each_mapped(pages_, start, size,
+                  [this](PageMap::iterator it) { retire(it); });
 }
 
 void AddressSpace::reset() {
-  for (auto& [pg, page] : pages_) retire_page(std::move(page));
-  pages_.clear();
+  while (!pages_.empty()) retire(pages_.begin());
+  touched_.clear();
   bump_ = kBumpBase;
 }
 
 void AddressSpace::checkpoint() {
   image_.clear();
-  for (const auto& [pg, page] : pages_)
-    image_.emplace(pg, std::make_pair(page->perm, page->kernel_only));
+  for (auto& [pg, page] : pages_) {
+    image_.push_back({pg, page.perm, page.kernel_only});
+    // Checkpointed pages are all-zero by contract, so dropping their
+    // storage changes nothing visible and makes the next write to any of
+    // them land on the touched list.
+    drop_bytes(page);
+    page.touched = false;
+  }
+  std::sort(image_.begin(), image_.end(),
+            [](const ImageEntry& x, const ImageEntry& y) {
+              return x.page < y.page;
+            });
+  touched_.clear();
   image_bump_ = bump_;
   has_image_ = true;
 }
@@ -110,32 +151,31 @@ void AddressSpace::restore() {
     reset();
     return;
   }
-  for (auto it = pages_.begin(); it != pages_.end();) {
-    const auto cp = image_.find(it->first);
-    if (cp == image_.end()) {
-      retire_page(std::move(it->second));
-      it = pages_.erase(it);
+  for (const Addr pg : touched_) {
+    const auto it = pages_.find(pg);
+    if (it == pages_.end()) continue;  // unmapped again by the case
+    const auto cp = std::lower_bound(
+        image_.begin(), image_.end(), pg,
+        [](const ImageEntry& e, Addr page) { return e.page < page; });
+    if (cp == image_.end() || cp->page != pg) {
+      retire(it);
       continue;
     }
-    Page& p = *it->second;
-    if (p.dirty) {
-      p.data.fill(0);
-      p.dirty = false;
-    }
-    p.perm = cp->second.first;
-    p.kernel_only = cp->second.second;
-    ++it;
+    Page& p = it->second;
+    drop_bytes(p);
+    p.perm = cp->perm;
+    p.kernel_only = cp->kernel_only;
+    p.touched = false;
   }
-  // A case may have unmapped checkpointed pages (wild VirtualFree/munmap
-  // values can land in the stack); remap those.
+  touched_.clear();
+  // Every page mapped since the checkpoint was touched and is gone, so a
+  // short page table means the case unmapped checkpointed pages (wild
+  // VirtualFree/munmap values can land in the stack); map those again.
   if (pages_.size() != image_.size()) {
-    for (const auto& [pg, meta] : image_) {
-      auto& slot = pages_[pg];
-      if (!slot) {
-        slot = take_page();
-        slot->perm = meta.first;
-        slot->kernel_only = meta.second;
-      }
+    for (const ImageEntry& e : image_) {
+      Page& p = entry(e.page)->second;
+      p.perm = e.perm;
+      p.kernel_only = e.kernel_only;
     }
   }
   bump_ = image_bump_;
@@ -144,9 +184,9 @@ void AddressSpace::restore() {
 void AddressSpace::protect(Addr start, std::uint64_t size, std::uint8_t perm) {
   if (hub_ != nullptr)
     hub_->notify(MutationKind::kPageProtect, page_of(start));
-  for_each_mapped(pages_, start, size, [perm](std::unique_ptr<Page>& slot) {
-    slot->perm = perm;
-    return false;
+  for_each_mapped(pages_, start, size, [this, perm](PageMap::iterator it) {
+    it->second.perm = perm;
+    touch(it->second, it->first);
   });
 }
 
@@ -157,7 +197,7 @@ bool AddressSpace::is_mapped(Addr a) const noexcept {
 
 std::uint8_t AddressSpace::perm_of(Addr a) const noexcept {
   auto it = pages_.find(page_of(a));
-  if (it != pages_.end()) return it->second->perm;
+  if (it != pages_.end()) return it->second.perm;
   if (arena_ != nullptr && arena_->contains(a)) return kPermRW;
   return kPermNone;
 }
@@ -207,11 +247,11 @@ Addr AddressSpace::alloc_dangling(std::uint64_t size) {
   return base;
 }
 
-Page* AddressSpace::page_for(Addr a, Access m, bool write) const {
+const Page* AddressSpace::page_for(Addr a, Access m, bool write) const {
   auto it = pages_.find(page_of(a));
-  Page* p = nullptr;
+  const Page* p = nullptr;
   if (it != pages_.end()) {
-    p = it->second.get();
+    p = &it->second;
   } else if (arena_ != nullptr && arena_->contains(a)) {
     p = arena_->page(a);
   }
@@ -245,16 +285,15 @@ void AddressSpace::check_alignment(Addr a, std::uint64_t size,
 }
 
 std::uint8_t AddressSpace::read_u8(Addr a, Access m) const {
-  return page_for(a, m, false)->data[a % kPageSize];
+  return bytes_of(*page_for(a, m, false))[a % kPageSize];
 }
 
 void AddressSpace::write_u8(Addr a, std::uint8_t v, Access m) {
-  Page* p = page_for(a, m, true);
+  Page* p = writable_page(a, m);
   // Announce after the access check (a faulting store mutates nothing) and
   // before applying, so an armed cut leaves this very byte unwritten.
   if (hub_ != nullptr) hub_->notify(MutationKind::kPageWrite, page_of(a));
-  p->dirty = true;
-  p->data[a % kPageSize] = v;
+  backing(*p, page_of(a))[a % kPageSize] = v;
 }
 
 // Multi-byte accessors and bulk transfers walk page-granular segments: one
@@ -318,7 +357,7 @@ void AddressSpace::read_bytes(Addr a, std::span<std::uint8_t> out,
     const std::size_t off = addr % kPageSize;
     const std::size_t n =
         std::min<std::size_t>(kPageSize - off, out.size() - done);
-    std::memcpy(out.data() + done, p->data.data() + off, n);
+    std::memcpy(out.data() + done, bytes_of(*p) + off, n);
     done += n;
   }
 }
@@ -328,18 +367,17 @@ void AddressSpace::write_bytes(Addr a, std::span<const std::uint8_t> in,
   std::size_t done = 0;
   while (done < in.size()) {
     const Addr addr = a + done;
-    Page* p = page_for(addr, m, true);
+    Page* p = writable_page(addr, m);
     // One persistence point per page run, announced after the access check
     // and before the bytes land — the same coalesced sequence the byte-wise
     // walk produced (consecutive same-page stores were one point), so crash
     // cut numbering is unchanged and an armed cut still leaves the whole
     // page run unwritten.
     if (hub_ != nullptr) hub_->notify(MutationKind::kPageWrite, page_of(addr));
-    p->dirty = true;
     const std::size_t off = addr % kPageSize;
     const std::size_t n =
         std::min<std::size_t>(kPageSize - off, in.size() - done);
-    std::memcpy(p->data.data() + off, in.data() + done, n);
+    std::memcpy(backing(*p, page_of(addr)) + off, in.data() + done, n);
     done += n;
   }
 }
@@ -353,7 +391,7 @@ std::string AddressSpace::read_cstr(Addr a, std::size_t max_len,
     const Page* p = page_for(addr, m, false);
     const std::size_t off = addr % kPageSize;
     const std::size_t n = std::min<std::size_t>(kPageSize - off, max_len - i);
-    const std::uint8_t* base = p->data.data() + off;
+    const std::uint8_t* base = bytes_of(*p) + off;
     const void* nul = std::memchr(base, 0, n);
     const std::size_t len =
         nul != nullptr
@@ -393,7 +431,7 @@ bool AddressSpace::check_range(Addr a, std::uint64_t size, bool write,
     auto it = pages_.find(page_of(pg));
     const Page* p = nullptr;
     if (it != pages_.end()) {
-      p = it->second.get();
+      p = &it->second;
     } else if (arena_ != nullptr && arena_->contains(pg)) {
       // The arena is demand-created; treat it as present for probing.
       return m == Access::kKernel;

@@ -59,15 +59,22 @@ enum PermBits : std::uint8_t {
 /// (that bypass is precisely the Win9x failure mode the paper documents).
 enum class Access : std::uint8_t { kUser, kKernel };
 
+/// The bytes of one page.
+using PageBytes = std::array<std::uint8_t, kPageSize>;
+
+/// One page-table entry, stored by value in its owner's page map.
 struct Page {
   std::uint8_t perm = kPermRW;
   bool kernel_only = false;
-  /// Written since the owning space's checkpoint().  The restore() fast path
-  /// re-zeroes exactly the dirty pages, so an untouched 64 KiB stack costs
-  /// nothing to recycle.  Every mutation funnels through
-  /// AddressSpace::write_u8, the one place that sets this.
-  bool dirty = false;
-  std::array<std::uint8_t, kPageSize> data{};
+  /// Already on the owning space's touched list (mapped, written or
+  /// re-protected since its checkpoint()), so restore() visits this page.
+  /// Arena pages start touched: no space's restore() ever visits them.
+  bool touched = false;
+  /// The page's contents, or null until its first write: an unwritten page
+  /// reads as zeros and costs no host memory.  Every mutation funnels
+  /// through AddressSpace::write_u8/write_bytes, whose AddressSpace::backing
+  /// call is the one place that allocates it.
+  std::unique_ptr<PageBytes> data;
 };
 
 /// Pages shared machine-wide.  On Win9x personalities this models the shared
@@ -82,6 +89,7 @@ class SharedArena {
     return a < kLowSystemEnd || (a >= kSharedArenaBase && a < kSharedArenaEnd);
   }
 
+  /// The arena page containing `a`, created (unwritten) on first use.
   Page* page(Addr a);
 
   /// Number of kernel-context writes that have landed in the arena since the
@@ -94,7 +102,7 @@ class SharedArena {
   }
 
  private:
-  std::unordered_map<Addr, std::unique_ptr<Page>> pages_;
+  std::unordered_map<Addr, Page> pages_;
   int corruption_ = 0;
 };
 
@@ -128,13 +136,17 @@ class AddressSpace {
   /// Captures the current mapping set (page numbers + permissions) as the
   /// image restore() returns to.  Checkpointed pages must be all-zero at
   /// capture time — SimProcess checkpoints right after mapping its fresh
-  /// stack — so restore() can re-zero dirty pages instead of keeping copies.
+  /// stack — so restore() can drop what a case wrote instead of keeping
+  /// copies.
   void checkpoint();
   /// Returns to the checkpoint() image in cost proportional to what the
-  /// case dirtied: pages mapped since are retired, checkpointed pages that
-  /// were written are re-zeroed (untouched ones cost nothing), permissions
-  /// are squared back, and the bump allocator rewinds.  Without a prior
-  /// checkpoint this degenerates to reset().
+  /// case touched: it visits only the touched list, the pages mapped,
+  /// written or re-protected since the checkpoint.  Pages mapped since are
+  /// retired, written checkpointed pages give up their storage (and read as
+  /// zeros again), permissions are squared back, and the bump allocator
+  /// rewinds.  Only when the case unmapped a checkpointed page does it walk
+  /// the image to map it again.  Without a prior checkpoint this
+  /// degenerates to reset().
   void restore();
   void protect(Addr start, std::uint64_t size, std::uint8_t perm);
   bool is_mapped(Addr a) const noexcept;
@@ -200,22 +212,47 @@ class AddressSpace {
   std::size_t mapped_page_count() const noexcept { return pages_.size(); }
 
  private:
-  Page* page_for(Addr a, Access m, bool write) const;
+  using PageMap = std::unordered_map<Addr, Page>;
+  struct ImageEntry {
+    Addr page;
+    std::uint8_t perm;
+    bool kernel_only;
+  };
+
+  const Page* page_for(Addr a, Access m, bool write) const;
+  /// page_for for the write paths, which may mutate this space.
+  Page* writable_page(Addr a, Access m) {
+    return const_cast<Page*>(page_for(a, m, true));
+  }
   [[noreturn]] void fault(FaultType t, Addr a, bool write) const;
   void check_alignment(Addr a, std::uint64_t size, bool write) const;
-  /// A zeroed page, reusing a free-listed one when available.
-  std::unique_ptr<Page> take_page();
-  void retire_page(std::unique_ptr<Page> p);
+  /// The map entry for page `pg`, inserted unwritten (on a free-listed
+  /// node when there is one) if absent.
+  PageMap::iterator entry(Addr pg);
+  /// Puts page `pg` on the touched list restore() walks, once.
+  void touch(Page& p, Addr pg);
+  /// The writable bytes of page `pg`, backing it with zeroed storage (from
+  /// the free list when it has some) on its first write.
+  std::uint8_t* backing(Page& p, Addr pg);
+  /// Moves a page's storage, if any, to the free list.
+  void drop_bytes(Page& p);
+  /// Unmaps the page at `it`: its storage and its map node go to the free
+  /// lists, so mapping it again allocates nothing.
+  void retire(PageMap::iterator it);
 
   static constexpr Addr kBumpBase = 0x0010'0000;  // harness allocation region
-  /// Free-list cap: a test case maps a few dozen pages (stack + argument
-  /// buffers); anything beyond this is an outlier not worth caching.
+  /// Free-list cap, for page storage and for map nodes alike: a test case
+  /// maps and writes a few dozen pages (stack + argument buffers); a
+  /// 16 MiB mapping is an outlier whose nodes are not worth caching.
   static constexpr std::size_t kMaxFreePages = 256;
 
-  std::unordered_map<Addr, std::unique_ptr<Page>> pages_;
-  std::vector<std::unique_ptr<Page>> free_pages_;
-  /// page number -> (perm, kernel_only) at checkpoint time.
-  std::unordered_map<Addr, std::pair<std::uint8_t, bool>> image_;
+  PageMap pages_;
+  std::vector<std::unique_ptr<PageBytes>> free_bytes_;
+  std::vector<PageMap::node_type> free_nodes_;
+  /// Page numbers touched since the checkpoint (see Page::touched).
+  std::vector<Addr> touched_;
+  /// The checkpointed pages, sorted by page number.
+  std::vector<ImageEntry> image_;
   bool has_image_ = false;
   Addr image_bump_ = kBumpBase;
   SharedArena* arena_;

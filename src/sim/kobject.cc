@@ -58,46 +58,58 @@ std::string_view object_kind_name(ObjectKind k) noexcept {
   return "Unknown";
 }
 
-std::uint64_t HandleTable::insert(std::shared_ptr<KernelObject> obj) {
+std::size_t HandleTable::slot_of(std::uint64_t h) const noexcept {
+  if (posix_numbering_) return h;
+  return h % 4 == 0 ? h / 4 : kNoSlot;
+}
+
+std::size_t HandleTable::next_live(std::size_t slot) const noexcept {
+  while (slot < slots_.size() && slots_[slot] == nullptr) ++slot;
+  return slot;
+}
+
+void HandleTable::put(std::size_t slot, ObjectRef obj) {
+  if (slot >= slots_.size()) slots_.resize(slot + 1);
+  if (slots_[slot] == nullptr) ++live_;
+  slots_[slot] = std::move(obj);
+}
+
+std::uint64_t HandleTable::insert(ObjectRef obj) {
   std::uint64_t h;
   if (posix_numbering_) {
-    h = lowest_free(0);
+    // POSIX fd allocation: the lowest unused slot.
+    h = 0;
+    while (h < slots_.size() && slots_[h] != nullptr) ++h;
   } else {
     h = next_win32_;
     next_win32_ += 4;
   }
   obj->bind_mutation_hub(hub_);
   if (hub_ != nullptr) hub_->notify(MutationKind::kHandleCreate, h);
-  table_.emplace(h, std::move(obj));
+  put(slot_of(h), std::move(obj));
   return h;
 }
 
-void HandleTable::insert_at(std::uint64_t h, std::shared_ptr<KernelObject> obj) {
+void HandleTable::insert_at(std::uint64_t h, ObjectRef obj) {
+  if (slot_of(h) == kNoSlot) return;
   obj->bind_mutation_hub(hub_);
   if (hub_ != nullptr) hub_->notify(MutationKind::kHandleCreate, h);
-  table_[h] = std::move(obj);
+  put(slot_of(h), std::move(obj));
 }
 
-std::shared_ptr<KernelObject> HandleTable::get(std::uint64_t h) const noexcept {
-  auto it = table_.find(h);
-  return it == table_.end() ? nullptr : it->second;
+HandleTable::ObjectRef HandleTable::get(std::uint64_t h) const noexcept {
+  const std::size_t slot = slot_of(h);
+  return slot < slots_.size() ? slots_[slot] : nullptr;
 }
 
 bool HandleTable::close(std::uint64_t h) {
-  auto it = table_.find(h);
-  if (it == table_.end()) return false;  // no mutation, no point
+  const std::size_t slot = slot_of(h);
+  if (slot >= slots_.size() || slots_[slot] == nullptr)
+    return false;  // no mutation, no point
   if (hub_ != nullptr) hub_->notify(MutationKind::kHandleClose, h);
-  table_.erase(it);
+  slots_[slot].reset();
+  --live_;
   return true;
-}
-
-std::uint64_t HandleTable::lowest_free(std::uint64_t min) const noexcept {
-  std::uint64_t h = min;
-  for (auto it = table_.lower_bound(min); it != table_.end() && it->first == h;
-       ++it) {
-    ++h;
-  }
-  return h;
 }
 
 }  // namespace ballista::sim

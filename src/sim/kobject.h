@@ -3,15 +3,19 @@
 // Win32 HANDLEs and POSIX file descriptors both resolve through a HandleTable
 // to reference-counted kernel objects.  Handle values follow NT conventions
 // (multiples of 4 starting at 4) so that "small integer that is not a valid
-// handle" test values behave as they did on the paper's systems.
+// handle" test values behave as they did on the paper's systems.  Both kinds
+// of value are dense small integers, so the table is a flat vector of slots
+// (Win32 handle h in slot h/4, POSIX fd n in slot n), not a search tree.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/fault.h"
@@ -66,6 +70,13 @@ class KernelObject {
 
  protected:
   MutationHub* mutation_hub() const noexcept { return hub_; }
+  /// The kernel-side state of a just-constructed object: the given signal
+  /// state, set silently, and no hub binding.  For the reset() methods that
+  /// let SimProcess::recycle reuse its objects in place.
+  void reset_kernel_state(bool signaled) noexcept {
+    signaled_ = signaled;
+    hub_ = nullptr;
+  }
 
  private:
   ObjectKind kind_;
@@ -201,6 +212,16 @@ class ThreadObject final : public KernelObject {
       : KernelObject(ObjectKind::kThread), tid_(tid), owner_pid_(owner_pid) {
     set_signaled(false);  // running threads are non-signaled
   }
+  /// Returns the object to the state the constructor gives it.
+  void reset(std::uint64_t tid, std::uint64_t owner_pid) noexcept {
+    reset_kernel_state(false);
+    tid_ = tid;
+    owner_pid_ = owner_pid;
+    ctx_ = {};
+    suspend_count = 0;
+    priority = 0;
+    exit_code = 0x103;
+  }
   std::uint64_t tid() const noexcept { return tid_; }
   std::uint64_t owner_pid() const noexcept { return owner_pid_; }
   ThreadContextData& context() noexcept { return ctx_; }
@@ -220,6 +241,12 @@ class ProcessObject final : public KernelObject {
       : KernelObject(ObjectKind::kProcess), pid_(pid) {
     set_signaled(false);
   }
+  /// Returns the object to the state the constructor gives it.
+  void reset(std::uint64_t pid) noexcept {
+    reset_kernel_state(false);
+    pid_ = pid;
+    exit_code = 0x103;
+  }
   std::uint64_t pid() const noexcept { return pid_; }
   std::uint32_t exit_code = 0x103;
 
@@ -232,6 +259,13 @@ class HeapObject final : public KernelObject {
  public:
   HeapObject(std::uint64_t initial, std::uint64_t maximum)
       : KernelObject(ObjectKind::kHeap), initial_(initial), max_(maximum) {}
+  /// Returns the object to the state the constructor gives it.
+  void reset(std::uint64_t initial, std::uint64_t maximum) noexcept {
+    reset_kernel_state(true);
+    initial_ = initial;
+    max_ = maximum;
+    allocations.clear();
+  }
   std::uint64_t initial_size() const noexcept { return initial_; }
   std::uint64_t max_size() const noexcept { return max_; }
   /// live allocations: address -> size
@@ -245,29 +279,72 @@ class HeapObject final : public KernelObject {
 class PipeObject final : public KernelObject {
  public:
   PipeObject() : KernelObject(ObjectKind::kPipe) {}
+  /// Returns the object to the state the constructor gives it (keeping the
+  /// buffer's capacity).
+  void reset() noexcept {
+    reset_kernel_state(true);
+    buffer.clear();
+    read_end_open = true;
+    write_end_open = true;
+  }
   std::vector<std::uint8_t> buffer;
   bool read_end_open = true;
   bool write_end_open = true;
 };
 
-/// Per-process handle table.  NT-style handle values (4, 8, 12, ...).
+/// Per-process handle table: a flat vector of slots.  Win32 handle h lives
+/// in slot h/4 (a value that is not a multiple of 4 names nothing); POSIX
+/// fd n lives in slot n.  Handles are few and small (Win32 numbering never
+/// reuses a value within a process, and dup2 targets are bounded at 1024),
+/// so lookups index the vector and reset() keeps its capacity: a recycled
+/// process refills its table without allocating.
 class HandleTable {
  public:
-  std::uint64_t insert(std::shared_ptr<KernelObject> obj);
-  /// Inserts at a specific slot (POSIX dup2 semantics).
-  void insert_at(std::uint64_t h, std::shared_ptr<KernelObject> obj);
-  std::shared_ptr<KernelObject> get(std::uint64_t h) const noexcept;
+  using ObjectRef = std::shared_ptr<KernelObject>;
+
+  std::uint64_t insert(ObjectRef obj);
+  /// Inserts at a specific slot (POSIX dup2 semantics; the caller bounds
+  /// `h`, since the vector grows to reach it).  A Win32 value that is not a
+  /// multiple of 4 names no slot, and inserting there does nothing.
+  void insert_at(std::uint64_t h, ObjectRef obj);
+  ObjectRef get(std::uint64_t h) const noexcept;
   /// Announces kHandleClose for live handles; may throw KernelPanic when an
   /// armed cut fires (hence not noexcept).
   bool close(std::uint64_t h);
   bool valid(std::uint64_t h) const noexcept { return get(h) != nullptr; }
-  /// Lowest unused slot >= min (POSIX fd allocation rule).
-  std::uint64_t lowest_free(std::uint64_t min = 0) const noexcept;
-  std::size_t size() const noexcept { return table_.size(); }
-  const std::map<std::uint64_t, std::shared_ptr<KernelObject>>& entries()
-      const noexcept {
-    return table_;
-  }
+  /// Number of live handles.
+  std::size_t size() const noexcept { return live_; }
+
+  /// Live handles in ascending order, as (handle, object) pairs.
+  class Entries {
+   public:
+    class iterator {
+     public:
+      iterator(const HandleTable& t, std::size_t slot)
+          : t_(&t), slot_(t.next_live(slot)) {}
+      std::pair<std::uint64_t, const ObjectRef&> operator*() const {
+        return {t_->handle_of(slot_), t_->slots_[slot_]};
+      }
+      iterator& operator++() {
+        slot_ = t_->next_live(slot_ + 1);
+        return *this;
+      }
+      bool operator==(const iterator& o) const noexcept {
+        return slot_ == o.slot_;
+      }
+
+     private:
+      const HandleTable* t_;
+      std::size_t slot_;
+    };
+    explicit Entries(const HandleTable& t) : t_(t) {}
+    iterator begin() const { return {t_, 0}; }
+    iterator end() const { return {t_, t_.slots_.size()}; }
+
+   private:
+    const HandleTable& t_;
+  };
+  Entries entries() const noexcept { return Entries(*this); }
 
   /// POSIX mode allocates small consecutive integers starting at 0; Win32
   /// mode allocates multiples of 4 starting at 4.
@@ -279,16 +356,29 @@ class HandleTable {
   void set_mutation_hub(MutationHub* hub) noexcept { hub_ = hub; }
 
   /// Drops every handle and rewinds handle numbering to the fresh-table
-  /// state (the numbering mode persists).  Cost is the live handle count —
-  /// the table itself is the dirty set.  Part of SimProcess::recycle's
-  /// pristine contract.
+  /// state (the numbering mode persists).  Cost is the slot count, and the
+  /// vector keeps its capacity.  Part of SimProcess::recycle's pristine
+  /// contract.
   void reset() noexcept {
-    table_.clear();
+    slots_.clear();
+    live_ = 0;
     next_win32_ = 4;
   }
 
  private:
-  std::map<std::uint64_t, std::shared_ptr<KernelObject>> table_;
+  static constexpr std::size_t kNoSlot =
+      std::numeric_limits<std::size_t>::max();
+  /// The slot handle `h` lives in, or kNoSlot when `h` names none.
+  std::size_t slot_of(std::uint64_t h) const noexcept;
+  std::uint64_t handle_of(std::size_t slot) const noexcept {
+    return posix_numbering_ ? slot : slot * 4;
+  }
+  /// The first live slot at or after `slot`, or slots_.size().
+  std::size_t next_live(std::size_t slot) const noexcept;
+  void put(std::size_t slot, ObjectRef obj);
+
+  std::vector<ObjectRef> slots_;
+  std::size_t live_ = 0;
   std::uint64_t next_win32_ = 4;
   bool posix_numbering_ = false;
   MutationHub* hub_ = nullptr;

@@ -28,11 +28,7 @@ std::unique_ptr<SimProcess> Machine::acquire_process() {
     ++built_;
   }
 
-  // Standard streams: three pipe-backed stream objects (POSIX numbering gives
-  // fds 0/1/2, Win32 numbering handles 4/8/12 — decided by the table).
-  proc->std_in = proc->handles().insert(std::make_shared<PipeObject>());
-  proc->std_out = proc->handles().insert(std::make_shared<PipeObject>());
-  proc->std_err = proc->handles().insert(std::make_shared<PipeObject>());
+  proc->open_std_streams();
   return proc;
 }
 

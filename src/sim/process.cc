@@ -24,6 +24,20 @@ const std::map<std::string, std::string>& default_env() {
   return env;
 }
 
+constexpr std::uint64_t kDefaultHeapInitial = 1 << 20;
+
+/// Brings `obj` back to its just-constructed state: in place (T::reset
+/// takes the constructor's arguments) when the process holds the only
+/// reference, otherwise as a new object, so whoever still holds the old one
+/// keeps it as it was.
+template <typename T, typename... Args>
+void renew(std::shared_ptr<T>& obj, Args... args) {
+  if (obj.use_count() == 1)
+    obj->reset(args...);
+  else
+    obj = std::make_shared<T>(args...);
+}
+
 }  // namespace
 
 SimProcess::SimProcess(Machine& machine, std::uint64_t pid, SharedArena* arena,
@@ -39,7 +53,8 @@ SimProcess::SimProcess(Machine& machine, std::uint64_t pid, SharedArena* arena,
 
   main_thread_ = std::make_shared<ThreadObject>(next_tid_++, pid_);
   self_object_ = std::make_shared<ProcessObject>(pid_);
-  default_heap_ = std::make_shared<HeapObject>(1 << 20, 0);
+  default_heap_ = std::make_shared<HeapObject>(kDefaultHeapInitial, 0);
+  for (auto& pipe : std_pipes_) pipe = std::make_shared<PipeObject>();
 
   env_ = default_env();
   cwd_.components = {"tmp"};
@@ -69,17 +84,31 @@ void SimProcess::recycle(std::uint64_t pid) {
   }
 
   // Kernel objects a case can mutate (thread context, priorities, exit
-  // codes, heap bookkeeping) are rebuilt rather than scrubbed — three small
-  // allocations, versus auditing every mutable field.
-  main_thread_ = std::make_shared<ThreadObject>(next_tid_++, pid_);
-  self_object_ = std::make_shared<ProcessObject>(pid_);
-  default_heap_ = std::make_shared<HeapObject>(1 << 20, 0);
+  // codes, heap bookkeeping, std-stream buffers) are reset in place: rebuilt
+  // they cost six allocations per case.  Each reset() names every mutable
+  // field of its class, and Lifecycle.RecycledProcessIsObservationallyFresh
+  // dirties every one of them and compares against a fresh process, so a
+  // field added without a reset fails that test.  The handle table was
+  // reset above, so an object still shared here is held by someone outside
+  // the process, and gets a successor instead.
+  renew(main_thread_, next_tid_++, pid_);
+  renew(self_object_, pid_);
+  renew(default_heap_, kDefaultHeapInitial, std::uint64_t{0});
+  for (auto& pipe : std_pipes_) renew(pipe);
 
   // CRT state lives in the (now reset) simulated memory; the clib layer
   // rebuilds it lazily at identical addresses (the bump allocator rewound).
   crt_state_.reset();
 
   std_in = std_out = std_err = 0;
+}
+
+void SimProcess::open_std_streams() {
+  // POSIX numbering gives fds 0/1/2, Win32 numbering handles 4/8/12 —
+  // decided by the table.
+  std_in = handles_.insert(std_pipes_[0]);
+  std_out = handles_.insert(std_pipes_[1]);
+  std_err = handles_.insert(std_pipes_[2]);
 }
 
 std::shared_ptr<ThreadObject> SimProcess::spawn_thread() {

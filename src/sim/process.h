@@ -5,6 +5,7 @@
 // which is how the paper's inter-test-interference crashes are reproduced.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -31,10 +32,17 @@ class SimProcess {
   /// Returns the task to freshly-constructed state under a new pid, in cost
   /// proportional to what the previous case dirtied: mappings and handles
   /// are their own dirty sets, env/cwd verify against the canonical defaults
-  /// before rebuilding.  Machine::acquire_process calls this when it hands
-  /// out a pooled process; a recycled task is observationally identical to a
-  /// new one (same addresses, same handle values, same defaults).
+  /// before rebuilding, and the kernel objects are reset in place.
+  /// Machine::acquire_process calls this when it hands out a pooled
+  /// process; a recycled task is observationally identical to a new one
+  /// (same addresses, same handle values, same defaults).
   void recycle(std::uint64_t pid);
+
+  /// Installs the standard-stream pipes in the handle table and records
+  /// their handles in std_in/std_out/std_err.  Machine::acquire_process
+  /// calls this on every process it hands out, once the table is wired to
+  /// the machine's mutation hub.
+  void open_std_streams();
 
   Machine& machine() noexcept { return machine_; }
   std::uint64_t pid() const noexcept { return pid_; }
@@ -101,6 +109,8 @@ class SimProcess {
   std::shared_ptr<ThreadObject> main_thread_;
   std::shared_ptr<ProcessObject> self_object_;
   std::shared_ptr<HeapObject> default_heap_;
+  /// stdin, stdout and stderr.
+  std::array<std::shared_ptr<PipeObject>, 3> std_pipes_;
   std::shared_ptr<void> crt_state_;
   std::uint64_t next_tid_;
 };

@@ -192,6 +192,98 @@ TEST(AddressSpace, WithoutArenaLowAndHighAddressesFault) {
   EXPECT_THROW(mem.read_u8(kSharedArenaBase, Access::kKernel), SimFault);
 }
 
+// --- pages backed on first write --------------------------------------------
+
+TEST(AddressSpace, UnwrittenPagesReadAsZeros) {
+  AddressSpace mem;
+  mem.map(0x60000, 2 * kPageSize, kPermRW);
+  EXPECT_EQ(mem.read_u8(0x60000), 0);
+  EXPECT_EQ(mem.read_u8(0x61FFF), 0);
+  EXPECT_EQ(mem.read_u64(0x60FF8), 0u);
+  std::vector<std::uint8_t> buf(2 * kPageSize, 0xAA);
+  mem.read_bytes(0x60000, buf);
+  EXPECT_EQ(buf, std::vector<std::uint8_t>(2 * kPageSize, 0));
+  EXPECT_EQ(mem.read_cstr(0x60000), "");
+  EXPECT_TRUE(mem.check_range(0x60000, 2 * kPageSize, true, Access::kUser));
+  // A string that runs off a written page ends at the unwritten one.
+  mem.write_bytes(0x60FFE, std::vector<std::uint8_t>{'h', 'i'});
+  EXPECT_EQ(mem.read_cstr(0x60FFE), "hi");
+  std::fill(buf.begin(), buf.end(), 0xAA);
+  mem.read_bytes(0x60000, buf);
+  EXPECT_EQ(buf[kPageSize - 2], 'h');
+  EXPECT_EQ(buf[kPageSize - 1], 'i');
+  EXPECT_EQ(buf[kPageSize], 0);
+}
+
+constexpr Addr kCheckpointStack = 0x7ff0'0000 - 0x1'0000;
+
+TEST(AddressSpace, RestoreAfterLargeMapKeepsTheCheckpointCount) {
+  AddressSpace mem;
+  mem.map(kCheckpointStack, 16 * kPageSize, kPermRW);
+  mem.checkpoint();
+  const std::size_t at_checkpoint = mem.mapped_page_count();
+  mem.map(0x1000'0000, 16ull << 20, kPermRW);
+  EXPECT_EQ(mem.mapped_page_count(), at_checkpoint + 4096);
+  mem.write_u8(0x1000'0000 + (8ull << 20), 1);
+  mem.restore();
+  EXPECT_EQ(mem.mapped_page_count(), at_checkpoint);
+  EXPECT_FALSE(mem.is_mapped(0x1000'0000));
+}
+
+TEST(AddressSpace, WrittenStackPageReadsZeroAfterRestore) {
+  AddressSpace mem;
+  mem.map(kCheckpointStack, 16 * kPageSize, kPermRW);
+  mem.checkpoint();
+  for (int round = 0; round < 3; ++round) {
+    mem.write_u32(kCheckpointStack + 3 * kPageSize + 16, 0xCAFEBABE);
+    mem.write_u8(kCheckpointStack + 15 * kPageSize + 4095, 0x7F);
+    mem.restore();
+    EXPECT_EQ(mem.read_u32(kCheckpointStack + 3 * kPageSize + 16), 0u);
+    EXPECT_EQ(mem.read_u8(kCheckpointStack + 15 * kPageSize + 4095), 0);
+  }
+}
+
+TEST(AddressSpace, UnmappedOrReprotectedStackPagesComeBackZeroed) {
+  AddressSpace mem;
+  mem.map(kCheckpointStack, 4 * kPageSize, kPermRW);
+  mem.map(kCheckpointStack + 4 * kPageSize, kPageSize, kPermRead,
+          /*kernel_only=*/true);
+  mem.checkpoint();
+  for (Addr pg = 0; pg < 4; ++pg)
+    mem.write_u8(kCheckpointStack + pg * kPageSize + 1, 0x11);
+  mem.unmap(kCheckpointStack + kPageSize, kPageSize);
+  mem.protect(kCheckpointStack + 2 * kPageSize, kPageSize, kPermNone);
+  mem.protect(kCheckpointStack + 4 * kPageSize, kPageSize, kPermRW);
+  mem.write_u8(kCheckpointStack + 4 * kPageSize, 0x22, Access::kKernel);
+  mem.restore();
+  EXPECT_EQ(mem.mapped_page_count(), 5u);
+  for (Addr pg = 0; pg < 4; ++pg) {
+    const Addr a = kCheckpointStack + pg * kPageSize;
+    EXPECT_EQ(mem.perm_of(a), kPermRW) << pg;
+    EXPECT_EQ(mem.read_u8(a + 1), 0) << pg;
+  }
+  const Addr ko = kCheckpointStack + 4 * kPageSize;
+  EXPECT_EQ(mem.perm_of(ko), kPermRead);
+  EXPECT_THROW(mem.read_u8(ko, Access::kUser), SimFault);
+  EXPECT_EQ(mem.read_u8(ko, Access::kKernel), 0);
+  EXPECT_THROW(mem.write_u8(ko, 1, Access::kKernel), SimFault);
+}
+
+TEST(SharedArena, PageReadsZeroUntilWrittenAndClearWipesIt) {
+  SharedArena arena;
+  AddressSpace mem(&arena);
+  const Addr a = kSharedArenaBase + 0x1234;
+  EXPECT_EQ(mem.read_u8(a, Access::kKernel), 0);
+  EXPECT_EQ(arena.page(a)->data, nullptr);
+  mem.write_u8(a, 0x42, Access::kKernel);
+  ASSERT_NE(arena.page(a)->data, nullptr);
+  EXPECT_EQ(mem.read_u8(a, Access::kKernel), 0x42);
+  EXPECT_EQ(mem.read_u8(a + 1, Access::kKernel), 0);
+  arena.clear();
+  EXPECT_EQ(arena.page(a)->data, nullptr);
+  EXPECT_EQ(mem.read_u8(a, Access::kKernel), 0);
+}
+
 // --- range operations over a few mapped pages ---------------------------------
 //
 // protect/unmap walk whichever is smaller, the page numbers of the range or

@@ -60,6 +60,79 @@ TEST(HandleTable, SharedObjectsSurviveOneClose) {
   EXPECT_EQ(t.get(h2)->name(), "ev");
 }
 
+TEST(HandleTable, Win32ValuesOffTheGridNameNothing) {
+  HandleTable t;
+  const auto h = t.insert(std::make_shared<PipeObject>());
+  ASSERT_EQ(h, 4u);
+  EXPECT_EQ(t.get(0), nullptr);
+  EXPECT_EQ(t.get(5), nullptr);
+  EXPECT_EQ(t.get(1ull << 62), nullptr);
+  EXPECT_FALSE(t.close(5));
+  EXPECT_FALSE(t.close(1ull << 62));
+  EXPECT_NE(t.get(4), nullptr);
+}
+
+TEST(HandleTable, PosixDupFarThenInsertTakesLowestFree) {
+  HandleTable t;
+  t.set_posix_numbering(true);
+  for (int i = 0; i < 3; ++i) t.insert(std::make_shared<PipeObject>());
+  auto far = std::make_shared<PipeObject>();
+  t.insert_at(1024, far);  // dup2's largest target
+  EXPECT_EQ(t.get(1024), far);
+  EXPECT_EQ(t.insert(std::make_shared<PipeObject>()), 3u);
+  EXPECT_EQ(t.size(), 5u);
+  t.close(1);
+  EXPECT_EQ(t.insert(std::make_shared<PipeObject>()), 1u);
+  EXPECT_EQ(t.get(1ull << 62), nullptr);
+}
+
+TEST(HandleTable, ResetRewindsNumberingAndSize) {
+  for (const bool posix : {false, true}) {
+    HandleTable t;
+    t.set_posix_numbering(posix);
+    std::uint64_t first = 0;
+    for (int i = 0; i < 5; ++i) {
+      const auto h = t.insert(std::make_shared<PipeObject>());
+      if (i == 0) first = h;
+    }
+    t.close(first);
+    EXPECT_EQ(t.size(), 4u);
+    t.reset();
+    EXPECT_EQ(t.size(), 0u);
+    EXPECT_EQ(t.get(first), nullptr);
+    EXPECT_EQ(t.insert(std::make_shared<PipeObject>()), posix ? 0u : 4u);
+    EXPECT_EQ(t.size(), 1u);
+  }
+}
+
+TEST(HandleTable, EntriesAscend) {
+  HandleTable win;
+  std::vector<std::shared_ptr<PipeObject>> objs;
+  for (int i = 0; i < 5; ++i) {
+    objs.push_back(std::make_shared<PipeObject>());
+    win.insert(objs.back());
+  }
+  win.close(12);
+  std::vector<std::uint64_t> seen;
+  for (const auto& [h, obj] : win.entries()) {
+    seen.push_back(h);
+    EXPECT_EQ(obj, objs[h / 4 - 1]);
+  }
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{4, 8, 16, 20}));
+
+  HandleTable posix;
+  posix.set_posix_numbering(true);
+  posix.insert_at(7, std::make_shared<PipeObject>());
+  posix.insert(std::make_shared<PipeObject>());
+  posix.insert(std::make_shared<PipeObject>());
+  seen.clear();
+  for (const auto& [h, obj] : posix.entries()) {
+    seen.push_back(h);
+    EXPECT_NE(obj, nullptr);
+  }
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 7}));
+}
+
 TEST(FileObject, ReadWriteAdvancesPosition) {
   auto node = std::make_shared<FsNode>("f", false);
   FileObject f(node, FileObject::kAccessRead | FileObject::kAccessWrite,

@@ -192,6 +192,47 @@ TEST(Lifecycle, RebootedFixtureIsNotRebuiltAgainByTheNextCase) {
 
 // --- process pool ------------------------------------------------------------
 
+std::shared_ptr<sim::PipeObject> pipe_at(sim::SimProcess& p, std::uint64_t h) {
+  return std::static_pointer_cast<sim::PipeObject>(p.handles().get(h));
+}
+
+/// Every field of the process's kernel objects, compared with `want`'s.
+void expect_same_kernel_objects(sim::SimProcess& got, sim::SimProcess& want) {
+  const sim::ThreadObject& t = *got.main_thread();
+  const sim::ThreadObject& wt = *want.main_thread();
+  EXPECT_EQ(t.tid(), wt.tid());
+  EXPECT_EQ(t.owner_pid(), wt.owner_pid());
+  EXPECT_EQ(t.signaled(), wt.signaled());
+  EXPECT_EQ(t.suspend_count, wt.suspend_count);
+  EXPECT_EQ(t.priority, wt.priority);
+  EXPECT_EQ(t.exit_code, wt.exit_code);
+  auto& ctx = got.main_thread()->context();
+  auto& wctx = want.main_thread()->context();
+  EXPECT_EQ(ctx.flags, wctx.flags);
+  EXPECT_EQ(ctx.regs, wctx.regs);
+
+  EXPECT_EQ(got.self_object()->pid(), want.self_object()->pid());
+  EXPECT_EQ(got.self_object()->signaled(), want.self_object()->signaled());
+  EXPECT_EQ(got.self_object()->exit_code, want.self_object()->exit_code);
+
+  EXPECT_EQ(got.default_heap()->allocations, want.default_heap()->allocations);
+  EXPECT_EQ(got.default_heap()->initial_size(),
+            want.default_heap()->initial_size());
+  EXPECT_EQ(got.default_heap()->max_size(), want.default_heap()->max_size());
+  EXPECT_EQ(got.default_heap()->signaled(), want.default_heap()->signaled());
+
+  for (const auto h : {got.std_in, got.std_out, got.std_err}) {
+    const auto pipe = pipe_at(got, h);
+    const auto wpipe = pipe_at(want, h);
+    ASSERT_NE(pipe, nullptr) << h;
+    ASSERT_NE(wpipe, nullptr) << h;
+    EXPECT_EQ(pipe->buffer, wpipe->buffer) << h;
+    EXPECT_EQ(pipe->read_end_open, wpipe->read_end_open) << h;
+    EXPECT_EQ(pipe->write_end_open, wpipe->write_end_open) << h;
+    EXPECT_EQ(pipe->signaled(), wpipe->signaled()) << h;
+  }
+}
+
 TEST(Lifecycle, RecycledProcessIsObservationallyFresh) {
   sim::Machine m(OsVariant::kWinNT4);
   sim::Machine reference(OsVariant::kWinNT4);
@@ -205,28 +246,86 @@ TEST(Lifecycle, RecycledProcessIsObservationallyFresh) {
   first->cwd().components = {"somewhere", "else"};
   first->set_last_error(87);
   first->set_errno(22);
+  // ...including every mutable field of its kernel objects.
+  sim::ThreadObject& thread = *first->main_thread();
+  thread.context().flags = 0x1003f;
+  thread.context().regs.fill(0xDEADBEEF);
+  thread.suspend_count = 3;
+  thread.priority = 15;
+  thread.exit_code = 7;
+  thread.set_signaled(true);
+  first->self_object()->exit_code = 9;
+  first->self_object()->set_signaled(true);
+  first->default_heap()->allocations[0x0030'0000] = 64;
+  for (const auto h : {first->std_in, first->std_out, first->std_err}) {
+    const auto pipe = pipe_at(*first, h);
+    pipe->buffer.assign(100, 0x5A);
+    pipe->read_end_open = false;
+    pipe->write_end_open = false;
+    pipe->set_signaled(false);
+  }
+  const sim::ThreadObject* thread_before = first->main_thread().get();
   m.release_process(std::move(first));
 
   auto recycled = m.acquire_process();
   ASSERT_EQ(m.processes_recycled(), 1u);
+  // Two constructions, so the fresh process has the recycled one's pid.
+  auto discarded = reference.acquire_process();
   auto fresh = reference.acquire_process();
+  ASSERT_EQ(reference.processes_recycled(), 0u);
 
   // Same pid sequence a fresh-construction machine would produce.
   EXPECT_EQ(recycled->pid(), pid0 + 1);
+  EXPECT_EQ(recycled->pid(), fresh->pid());
   // Identical observable state: std handles, table shape, env, cwd, errors.
   EXPECT_EQ(recycled->std_in, fresh->std_in);
   EXPECT_EQ(recycled->std_out, fresh->std_out);
   EXPECT_EQ(recycled->std_err, fresh->std_err);
   EXPECT_EQ(recycled->handles().size(), fresh->handles().size());
-  EXPECT_EQ(recycled->handles().insert(std::make_shared<sim::PipeObject>()),
-            fresh->handles().insert(std::make_shared<sim::PipeObject>()));
   EXPECT_EQ(recycled->env(), fresh->env());
   EXPECT_EQ(recycled->cwd().components, fresh->cwd().components);
   EXPECT_EQ(recycled->last_error(), 0u);
   EXPECT_EQ(recycled->err_no(), 0);
   EXPECT_EQ(recycled->main_thread()->tid(), recycled->pid() * 1000 + 1);
+  expect_same_kernel_objects(*recycled, *fresh);
+  // Nothing outside the process held its objects, so they were reset in
+  // place rather than replaced.
+  EXPECT_EQ(recycled->main_thread().get(), thread_before);
+  EXPECT_EQ(recycled->handles().insert(std::make_shared<sim::PipeObject>()),
+            fresh->handles().insert(std::make_shared<sim::PipeObject>()));
   // The dirty mapping is gone; the stack is back.
   EXPECT_FALSE(recycled->mem().is_mapped(0x6000'0000));
+}
+
+TEST(Lifecycle, HeldKernelObjectIsNotRecycledInPlace) {
+  sim::Machine m(OsVariant::kWinNT4);
+  auto first = m.acquire_process();
+  const std::shared_ptr<sim::ThreadObject> thread = first->main_thread();
+  const std::shared_ptr<sim::PipeObject> out = pipe_at(*first, first->std_out);
+  const std::uint64_t tid0 = thread->tid();
+  thread->priority = 2;
+  thread->exit_code = 0;
+  out->buffer = {1, 2, 3};
+  out->write_end_open = false;
+  m.release_process(std::move(first));
+
+  auto recycled = m.acquire_process();
+  ASSERT_EQ(m.processes_recycled(), 1u);
+  // Whoever held the old objects still sees them as they were...
+  EXPECT_EQ(thread->tid(), tid0);
+  EXPECT_EQ(thread->priority, 2);
+  EXPECT_EQ(thread->exit_code, 0u);
+  EXPECT_EQ(out->buffer, (std::vector<std::uint8_t>{1, 2, 3}));
+  EXPECT_FALSE(out->write_end_open);
+  // ...and the recycled process has fresh successors.
+  EXPECT_NE(recycled->main_thread(), thread);
+  EXPECT_EQ(recycled->main_thread()->tid(), recycled->pid() * 1000 + 1);
+  EXPECT_EQ(recycled->main_thread()->priority, 0);
+  EXPECT_EQ(recycled->main_thread()->exit_code, 0x103u);
+  const auto out2 = pipe_at(*recycled, recycled->std_out);
+  EXPECT_NE(out2, out);
+  EXPECT_TRUE(out2->buffer.empty());
+  EXPECT_TRUE(out2->write_end_open);
 }
 
 TEST(Lifecycle, AlwaysRebuildPolicyDisablesPooling) {

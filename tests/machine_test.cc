@@ -62,7 +62,10 @@ TEST(Machine, KernelEnterOnCrashedMachineRethrows) {
 
 TEST(Machine, RebootClearsEverything) {
   Machine m(OsVariant::kWin98);
-  m.arena().page(0x100)->data[0] = 0xFF;
+  // A kernel-context store through a task's view backs the arena page.
+  AddressSpace view(&m.arena());
+  view.write_u8(0x100, 0xFF, Access::kKernel);
+  ASSERT_NE(m.arena().page(0x100)->data, nullptr);
   try {
     m.panic(PanicKind::kInduced);
   } catch (const KernelPanic&) {
@@ -71,7 +74,9 @@ TEST(Machine, RebootClearsEverything) {
   EXPECT_FALSE(m.crashed());
   EXPECT_NO_THROW(m.kernel_enter());
   EXPECT_EQ(m.arena().corruption(), 0);
-  EXPECT_EQ(m.arena().page(0x100)->data[0], 0);  // arena wiped
+  // Arena wiped: the page is unwritten again and reads as zero.
+  EXPECT_EQ(m.arena().page(0x100)->data, nullptr);
+  EXPECT_EQ(view.read_u8(0x100, Access::kKernel), 0);
 }
 
 TEST(Machine, CriticalCorruptionPanicsImmediately) {
