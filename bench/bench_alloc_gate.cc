@@ -1,19 +1,26 @@
-// Heap-allocation count gate.
+// Heap-allocation and C++ throw count gate.
 //
-// Counts calls to the global operator new (every form, new[] included) over
-// two fixed workloads and compares them with the baseline committed in
-// tests/golden/alloc_baseline.json:
+// Counts calls to the global operator new (every form, new[] included) and
+// C++ throws over fixed workloads and compares them with the baseline
+// committed in tests/golden/alloc_baseline.json:
 //
 //   - 10,000 acquire/release cycles of a pooled task on a warmed NT4 machine,
 //     which must allocate nothing;
 //   - the NT4 default campaign at cap 2000 and jobs 1.  Its first run makes a
 //     few more allocations than later runs (function-local statics), so the
-//     gate counts the second run.
+//     gate counts the second run;
+//   - one run of the seven-variant default campaign at cap 2000 and jobs 1,
+//     whose throws are counted.  Simulated faults are values, so what still
+//     throws is the rare KernelPanic and TaskHang.
 //
-// Allocation counts do not depend on the host, so unlike a timing floor this
-// gate trips on the first per-case allocation anyone adds.  Exits 3 when a
-// count grows past its baseline (or the campaign's case count moved, which
-// means the baseline no longer describes this workload).  A change that
+// Throws are counted by linking with -Wl,--wrap=__cxa_throw, which routes
+// every throw the project's code makes through __wrap___cxa_throw below
+// (throws made inside the C++ runtime library itself are not seen).
+//
+// The counts do not depend on the host, so unlike a timing floor this gate
+// trips on the first per-case allocation or throw anyone adds.  Exits 3 when
+// a count grows past its baseline (or a campaign's case count moved, which
+// means the baseline no longer describes that workload).  A change that
 // means to grow a count re-pins the baseline with:
 //
 //   bench_alloc_gate --write-baseline tests/golden/alloc_baseline.json
@@ -26,14 +33,27 @@
 #include <new>
 #include <sstream>
 #include <string>
+#include <typeinfo>
 
 #include "harness/world.h"
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_throws{0};
 
 }  // namespace
+
+extern "C" {
+[[noreturn]] void __real___cxa_throw(void* obj, std::type_info* type,
+                                     void (*dtor)(void*));
+
+[[noreturn]] void __wrap___cxa_throw(void* obj, std::type_info* type,
+                                     void (*dtor)(void*)) {
+  g_throws.fetch_add(1, std::memory_order_relaxed);
+  __real___cxa_throw(obj, type, dtor);
+}
+}
 
 // The standard's default new[], nothrow and array-delete forms forward to
 // these, so replacing them counts (and frees) every global allocation.
@@ -69,6 +89,9 @@ struct Counts {
   std::uint64_t recycle_allocs = 0;
   std::uint64_t campaign_cases = 0;
   std::uint64_t campaign_allocs = 0;
+  std::uint64_t campaign_throws = 0;  // informational: not gated
+  std::uint64_t campaign7_cases = 0;
+  std::uint64_t campaign7_throws = 0;
 };
 
 Counts measure(const harness::World& world) {
@@ -85,11 +108,18 @@ Counts measure(const harness::World& world) {
   opt.cap = kCampaignCap;
   opt.jobs = 1;
   core::Campaign::run(sim::OsVariant::kWinNT4, world.registry, opt);
-  const std::uint64_t c0 = g_allocs.load();
+  const std::uint64_t c0 = g_allocs.load(), t0 = g_throws.load();
   const auto result =
       core::Campaign::run(sim::OsVariant::kWinNT4, world.registry, opt);
   c.campaign_allocs = g_allocs.load() - c0;
+  c.campaign_throws = g_throws.load() - t0;
   c.campaign_cases = result.total_cases;
+
+  const std::uint64_t t7 = g_throws.load();
+  for (const sim::OsVariant v : sim::kAllVariants)
+    c.campaign7_cases +=
+        core::Campaign::run(v, world.registry, opt).total_cases;
+  c.campaign7_throws = g_throws.load() - t7;
   return c;
 }
 
@@ -128,12 +158,18 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(kRecycleCycles),
               static_cast<unsigned long long>(c.recycle_allocs));
   std::printf("NT4 default campaign, cap %llu, jobs 1, second run: %llu cases, "
-              "%llu allocations (%.3f per case)\n",
+              "%llu allocations (%.3f per case), %llu throws\n",
               static_cast<unsigned long long>(kCampaignCap),
               static_cast<unsigned long long>(c.campaign_cases),
               static_cast<unsigned long long>(c.campaign_allocs),
               static_cast<double>(c.campaign_allocs) /
-                  static_cast<double>(c.campaign_cases));
+                  static_cast<double>(c.campaign_cases),
+              static_cast<unsigned long long>(c.campaign_throws));
+  std::printf("seven-variant default campaign, cap %llu, jobs 1: %llu cases, "
+              "%llu throws\n",
+              static_cast<unsigned long long>(kCampaignCap),
+              static_cast<unsigned long long>(c.campaign7_cases),
+              static_cast<unsigned long long>(c.campaign7_throws));
 
   if (write_baseline) {
     std::ofstream(baseline_path)
@@ -143,7 +179,11 @@ int main(int argc, char** argv) {
         << "  \"campaign\": \"nt4 default groups cap=" << kCampaignCap
         << " jobs=1, second run\",\n"
         << "  \"campaign_cases\": " << c.campaign_cases << ",\n"
-        << "  \"campaign_allocs\": " << c.campaign_allocs << "\n}\n";
+        << "  \"campaign_allocs\": " << c.campaign_allocs << ",\n"
+        << "  \"campaign7\": \"seven variants default groups cap="
+        << kCampaignCap << " jobs=1\",\n"
+        << "  \"campaign7_cases\": " << c.campaign7_cases << ",\n"
+        << "  \"campaign7_throws\": " << c.campaign7_throws << "\n}\n";
     std::printf("wrote %s\n", baseline_path.c_str());
     return 0;
   }
@@ -154,7 +194,9 @@ int main(int argc, char** argv) {
   Counts base;
   if (!in || !read_field(ss.str(), "recycle_allocs", base.recycle_allocs) ||
       !read_field(ss.str(), "campaign_cases", base.campaign_cases) ||
-      !read_field(ss.str(), "campaign_allocs", base.campaign_allocs)) {
+      !read_field(ss.str(), "campaign_allocs", base.campaign_allocs) ||
+      !read_field(ss.str(), "campaign7_cases", base.campaign7_cases) ||
+      !read_field(ss.str(), "campaign7_throws", base.campaign7_throws)) {
     std::fprintf(stderr, "cannot read the allocation baseline from %s\n",
                  baseline_path.c_str());
     return 2;
@@ -180,10 +222,28 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(base.campaign_allocs));
     ok = false;
   }
+  if (c.campaign7_cases != base.campaign7_cases) {
+    std::fprintf(stderr, "seven-variant campaign ran %llu cases, baseline "
+                         "%llu: the baseline no longer describes this "
+                         "workload\n",
+                 static_cast<unsigned long long>(c.campaign7_cases),
+                 static_cast<unsigned long long>(base.campaign7_cases));
+    ok = false;
+  } else if (c.campaign7_throws > base.campaign7_throws) {
+    std::fprintf(stderr, "THROW REGRESSION: the seven-variant campaign made "
+                         "%llu throws, baseline %llu\n",
+                 static_cast<unsigned long long>(c.campaign7_throws),
+                 static_cast<unsigned long long>(base.campaign7_throws));
+    ok = false;
+  }
   if (!ok) return 3;
   if (c.campaign_allocs < base.campaign_allocs)
     std::printf("below the baseline of %llu; re-pin it to lock the gain in\n",
                 static_cast<unsigned long long>(base.campaign_allocs));
-  std::printf("allocation gate: ok\n");
+  if (c.campaign7_throws < base.campaign7_throws)
+    std::printf("below the throw baseline of %llu; re-pin it to lock the "
+                "gain in\n",
+                static_cast<unsigned long long>(base.campaign7_throws));
+  std::printf("allocation and throw gate: ok\n");
   return 0;
 }

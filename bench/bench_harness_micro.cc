@@ -11,6 +11,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <vector>
 
 #include "clib/crt.h"
 #include "harness/world.h"
@@ -56,6 +57,30 @@ void BM_RunCaseSyscall(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_RunCaseSyscall);
+
+void BM_RunCaseFault(benchmark::State& state) {
+  // NT4 memset over its aborting tuples (arg 0) or its passing ones (arg 1):
+  // what a simulated fault adds to a case.
+  const bool aborting = state.range(0) == 0;
+  const core::MuT* mut = world().registry.find("memset");
+  sim::Machine machine(sim::OsVariant::kWinNT4);
+  core::Executor executor(machine);
+  core::TupleGenerator gen(*mut);
+  std::vector<std::uint64_t> picked;
+  for (std::uint64_t k = 0; k < gen.count(); ++k) {
+    const auto r = executor.run_case(*mut, gen.tuple(k));
+    if ((r.outcome == core::Outcome::kAbort) == aborting) picked.push_back(k);
+  }
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    const auto r =
+        executor.run_case(*mut, gen.tuple(picked[i++ % picked.size()]));
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["tuples"] = static_cast<double>(picked.size());
+}
+BENCHMARK(BM_RunCaseFault)->Arg(0)->Arg(1);
 
 void BM_TupleGeneration(benchmark::State& state) {
   const core::MuT* mut = world().registry.find("CreateFile");  // 7 params
@@ -136,7 +161,8 @@ void BM_SimMemoryWrite(benchmark::State& state) {
   for (auto _ : state) {
     const std::uint64_t slot = i % 1024;
     ++i;
-    mem.write_u32(a + slot * 4, static_cast<std::uint32_t>(i));
+    benchmark::DoNotOptimize(
+        mem.write_u32(a + slot * 4, static_cast<std::uint32_t>(i)));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 4);
 }

@@ -27,9 +27,11 @@ core::ApiImpl wrap_with_validation(const core::MuT& original,
     const bool in_table = fp >= st.iob_base &&
                           fp + clib::kFileStructSize <= st.iob_end &&
                           (fp - st.iob_base) % clib::kFileStructSize == 0;
+    std::uint32_t magic = 0;
     if (!in_table ||
-        ctx.proc().mem().read_u32(fp + clib::kFileOffMagic,
-                                  sim::Access::kKernel) != clib::kFileMagic) {
+        ctx.proc().mem().read_u32(fp + clib::kFileOffMagic, &magic,
+                                  sim::Access::kKernel) ||
+        magic != clib::kFileMagic) {
       ctx.proc().set_errno(EBADF);
       return core::error_reported(static_cast<std::uint64_t>(-1));
     }

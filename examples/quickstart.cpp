@@ -28,9 +28,15 @@ int main() {
     auto& mem = ctx.proc().mem();
     const sim::Addr dst = ctx.arg_addr(0), src = ctx.arg_addr(1);
     const std::uint64_t n = ctx.arg(2);
-    for (std::uint64_t i = 0; i < n && i < (1 << 20); ++i)
-      mem.write_u8(dst + i, mem.read_u8(src + i, sim::Access::kUser),
-                   sim::Access::kUser);
+    // A bad pointer faults in the task: return the fault, the executor
+    // classifies it as an Abort.
+    for (std::uint64_t i = 0; i < n && i < (1 << 20); ++i) {
+      std::uint8_t b = 0;
+      if (auto f = mem.read_u8(src + i, &b, sim::Access::kUser))
+        return ctx.raise(*f);
+      if (auto f = mem.write_u8(dst + i, b, sim::Access::kUser))
+        return ctx.raise(*f);
+    }
     return core::ok(dst);
   };
   registry.add(std::move(blit));

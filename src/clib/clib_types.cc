@@ -44,10 +44,10 @@ void register_clib_types(core::TypeLibrary& lib) {
              const sim::Addr fp = make_valid_file(c, true);
              // Mimic fclose: cleared magic, flags and internal pointers.
              auto& mem = c.proc.mem();
-             mem.write_u32(fp + kFileOffMagic, 0, Access::kKernel);
-             mem.write_u32(fp + kFileOffFlags, 0, Access::kKernel);
-             mem.write_u32(fp + kFileOffBuf, 0, Access::kKernel);
-             mem.write_u32(fp + kFileOffLock, 0, Access::kKernel);
+             mem.poke_u32(fp + kFileOffMagic, 0);
+             mem.poke_u32(fp + kFileOffFlags, 0);
+             mem.poke_u32(fp + kFileOffBuf, 0);
+             mem.poke_u32(fp + kFileOffLock, 0);
              return fp;
            })
       .add("file_null", true, [](ValueCtx&) { return RawArg{0}; })
@@ -63,11 +63,11 @@ void register_clib_types(core::TypeLibrary& lib) {
       .add("file_bad_magic", true, [](ValueCtx& c) {
         auto& mem = c.proc.mem();
         const sim::Addr fp = mem.alloc(32);
-        mem.write_u32(fp + kFileOffMagic, 0x12345678, Access::kKernel);
-        mem.write_u32(fp + kFileOffHandle, 0xdddddddd, Access::kKernel);
-        mem.write_u32(fp + kFileOffFlags, 0xffffffff, Access::kKernel);
-        mem.write_u32(fp + kFileOffBuf, 0x41414141, Access::kKernel);
-        mem.write_u32(fp + kFileOffLock, 0x42424242, Access::kKernel);
+        mem.poke_u32(fp + kFileOffMagic, 0x12345678);
+        mem.poke_u32(fp + kFileOffHandle, 0xdddddddd);
+        mem.poke_u32(fp + kFileOffFlags, 0xffffffff);
+        mem.poke_u32(fp + kFileOffBuf, 0x41414141);
+        mem.poke_u32(fp + kFileOffLock, 0x42424242);
         return fp;
       });
 
@@ -98,8 +98,8 @@ void register_clib_types(core::TypeLibrary& lib) {
            [](ValueCtx& c) {
              auto& mem = c.proc.mem();
              const sim::Addr base = mem.alloc(64 + 16);
-             mem.write_u64(base, kHeapMagic, Access::kKernel);
-             mem.write_u64(base + 8, 64, Access::kKernel);
+             mem.poke_u64(base, kHeapMagic);
+             mem.poke_u64(base + 8, 64);
              c.proc.default_heap()->allocations[base + 16] = 64;
              return base + 16;
            })
@@ -110,8 +110,8 @@ void register_clib_types(core::TypeLibrary& lib) {
            [](ValueCtx& c) {
              auto& mem = c.proc.mem();
              const sim::Addr base = mem.alloc(64 + 16);
-             mem.write_u64(base, kHeapMagic, Access::kKernel);
-             mem.write_u64(base + 8, 64, Access::kKernel);
+             mem.poke_u64(base, kHeapMagic);
+             mem.poke_u64(base + 8, 64);
              c.proc.default_heap()->allocations[base + 16] = 64;
              return base + 24;  // 8 bytes past the true allocation start
            })
@@ -127,19 +127,19 @@ void register_clib_types(core::TypeLibrary& lib) {
            [](ValueCtx& c) {
              auto& mem = c.proc.mem();
              const sim::Addr a = mem.alloc(8);
-             mem.write_u32(a, 930000000u, Access::kKernel);  // mid-1999
+             mem.poke_u32(a, 930000000u);  // mid-1999
              return a;
            })
       .add("time_zero", false,
            [](ValueCtx& c) {
              const sim::Addr a = c.proc.mem().alloc(8);
-             c.proc.mem().write_u32(a, 0, Access::kKernel);
+             c.proc.mem().poke_u32(a, 0);
              return a;
            })
       .add("time_huge", true,
            [](ValueCtx& c) {
              const sim::Addr a = c.proc.mem().alloc(8);
-             c.proc.mem().write_u32(a, 0xffffffff, Access::kKernel);
+             c.proc.mem().poke_u32(a, 0xffffffff);
              return a;
            })
       .add("time_null", true, [](ValueCtx&) { return RawArg{0}; })
@@ -160,8 +160,7 @@ void register_clib_types(core::TypeLibrary& lib) {
              const sim::Addr a = mem.alloc(40);
              const std::int32_t f[9] = {30, 45, 13, 28, 5, 99, 1, 178, 0};
              for (int i = 0; i < 9; ++i)
-               mem.write_u32(a + 4 * i, static_cast<std::uint32_t>(f[i]),
-                             Access::kKernel);
+               mem.poke_u32(a + 4 * i, static_cast<std::uint32_t>(f[i]));
              return a;
            })
       .add("tm_out_of_range", true,
@@ -171,8 +170,7 @@ void register_clib_types(core::TypeLibrary& lib) {
              const std::int32_t f[9] = {99, -5, 200, 99, 0x7fffffff,
                                         0x7fffffff, 0x7fffffff, -1, 7};
              for (int i = 0; i < 9; ++i)
-               mem.write_u32(a + 4 * i, static_cast<std::uint32_t>(f[i]),
-                             Access::kKernel);
+               mem.poke_u32(a + 4 * i, static_cast<std::uint32_t>(f[i]));
              return a;
            })
       .add("tm_null", true, [](ValueCtx&) { return RawArg{0}; })

@@ -51,7 +51,7 @@ CrtState& build_state(sim::SimProcess& proc) {
   const Addr page = kCtypeRegion;
   mem.map(page, sim::kPageSize, sim::kPermRW);
   state->ctype_table = page + sim::kPageSize - kCtypeEntries;
-  mem.write_bytes(state->ctype_table, ctype_image(), sim::Access::kKernel);
+  mem.poke_bytes(state->ctype_table, ctype_image());
 
   // _iob region: room for 64 FILE structures.
   state->iob_base = mem.alloc(64 * kFileStructSize);
@@ -103,34 +103,37 @@ Addr make_file_struct(sim::SimProcess& proc, std::shared_ptr<sim::FsNode> node,
 
   const Addr buf = mem.alloc(512);
   const Addr lock = mem.alloc(16);
-  const auto k = sim::Access::kKernel;
-  mem.write_u32(fp + kFileOffMagic, kFileMagic, k);
-  mem.write_u32(fp + kFileOffHandle, static_cast<std::uint32_t>(h), k);
-  mem.write_u32(fp + kFileOffFlags, flags, k);
-  mem.write_u32(fp + kFileOffBuf, static_cast<std::uint32_t>(buf), k);
-  mem.write_u32(fp + kFileOffLock, static_cast<std::uint32_t>(lock), k);
-  mem.write_u32(fp + kFileOffUnget, 0xffffffff, k);
-  mem.write_u32(fp + kFileOffPos, 0, k);
+  mem.poke_u32(fp + kFileOffMagic, kFileMagic);
+  mem.poke_u32(fp + kFileOffHandle, static_cast<std::uint32_t>(h));
+  mem.poke_u32(fp + kFileOffFlags, flags);
+  mem.poke_u32(fp + kFileOffBuf, static_cast<std::uint32_t>(buf));
+  mem.poke_u32(fp + kFileOffLock, static_cast<std::uint32_t>(lock));
+  mem.poke_u32(fp + kFileOffUnget, 0xffffffff);
+  mem.poke_u32(fp + kFileOffPos, 0);
   return fp;
 }
 
-std::uint32_t file_field_read(CallContext& ctx, Addr fp, Addr off) {
+MemStatus file_field_read(CallContext& ctx, Addr fp, Addr off,
+                          std::uint32_t* v) {
+  *v = 0;
   if (ctx.os().crt_in_kernel) {
-    std::uint32_t v = 0;
     // Hazard/probe semantics applied by the context; a kSilent (deferred
     // stub) result reads as zero, which downstream treats as garbage.
-    ctx.k_read_u32(fp + off, &v);
-    return v;
+    if (ctx.k_read_u32(fp + off, v) == MemStatus::kFault)
+      return MemStatus::kFault;
+    return MemStatus::kOk;
   }
-  return ctx.proc().mem().read_u32(fp + off, sim::Access::kUser);
+  return ctx.trap(ctx.proc().mem().read_u32(fp + off, v, sim::Access::kUser));
 }
 
-void file_field_write(CallContext& ctx, Addr fp, Addr off, std::uint32_t v) {
+MemStatus file_field_write(CallContext& ctx, Addr fp, Addr off,
+                           std::uint32_t v) {
   if (ctx.os().crt_in_kernel) {
-    ctx.k_write_u32(fp + off, v);
-    return;
+    if (ctx.k_write_u32(fp + off, v) == MemStatus::kFault)
+      return MemStatus::kFault;
+    return MemStatus::kOk;
   }
-  ctx.proc().mem().write_u32(fp + off, v, sim::Access::kUser);
+  return ctx.trap(ctx.proc().mem().write_u32(fp + off, v, sim::Access::kUser));
 }
 
 FileRef resolve_file(CallContext& ctx, Addr fp, bool ce_prevalidates) {
@@ -138,7 +141,20 @@ FileRef resolve_file(CallContext& ctx, Addr fp, bool ce_prevalidates) {
   ref.fp = fp;
   const auto flavor = ctx.os().crt;
   auto& proc = ctx.proc();
+  auto& mem = proc.mem();
   CrtState& st = crt_state(ctx.proc());
+  // Marks the stream faulted when an access took a (recorded) fault.
+  const auto faulted = [&](MemStatus s) {
+    if (s != MemStatus::kFault) return false;
+    ref.status = FileRef::Status::kFault;
+    return true;
+  };
+  const auto fault = [&](const sim::MaybeFault& f) {
+    return faulted(ctx.trap(f));
+  };
+  const auto field = [&](Addr off, std::uint32_t* v) {
+    return faulted(file_field_read(ctx, fp, off, v));
+  };
 
   if (flavor == sim::CrtFlavor::kMsvcrt) {
     // MSVC CRT: _iob range check before touching anything (this is why the
@@ -148,8 +164,9 @@ FileRef resolve_file(CallContext& ctx, Addr fp, bool ce_prevalidates) {
       proc.set_errno(EINVAL);
       return ref;  // kBadf
     }
-    const std::uint32_t magic =
-        proc.mem().read_u32(fp + kFileOffMagic, sim::Access::kUser);
+    std::uint32_t magic = 0;
+    if (fault(mem.read_u32(fp + kFileOffMagic, &magic, sim::Access::kUser)))
+      return ref;
     if (magic != kFileMagic) {
       proc.set_errno(EINVAL);
       return ref;
@@ -159,16 +176,19 @@ FileRef resolve_file(CallContext& ctx, Addr fp, bool ce_prevalidates) {
     // unmapped garbage = SIGSEGV/Abort); on a mismatch, chase the stream's
     // internal buffer and lock pointers the way the real locking fast path
     // does — garbage pointers fault here.
-    const std::uint32_t magic =
-        proc.mem().read_u32(fp + kFileOffMagic, sim::Access::kUser);
+    std::uint32_t magic = 0;
+    if (fault(mem.read_u32(fp + kFileOffMagic, &magic, sim::Access::kUser)))
+      return ref;
     if (magic != kFileMagic) {
-      const Addr buf = proc.mem().read_u32(fp + kFileOffBuf, sim::Access::kUser);
-      const Addr lock =
-          proc.mem().read_u32(fp + kFileOffLock, sim::Access::kUser);
+      std::uint32_t buf = 0, lock = 0;
+      std::uint8_t scratch = 0;
       // Touch the lock word, then the buffer.
-      (void)proc.mem().read_u8(lock, sim::Access::kUser);
-      proc.mem().write_u8(lock, 1, sim::Access::kUser);
-      (void)proc.mem().read_u8(buf, sim::Access::kUser);
+      if (fault(mem.read_u32(fp + kFileOffBuf, &buf, sim::Access::kUser)) ||
+          fault(mem.read_u32(fp + kFileOffLock, &lock, sim::Access::kUser)) ||
+          fault(mem.read_u8(lock, &scratch, sim::Access::kUser)) ||
+          fault(mem.write_u8(lock, 1, sim::Access::kUser)) ||
+          fault(mem.read_u8(buf, &scratch, sim::Access::kUser)))
+        return ref;
       // Survived by luck (all garbage happened to be mapped): EBADF.
       proc.set_errno(EBADF);
       return ref;
@@ -176,33 +196,36 @@ FileRef resolve_file(CallContext& ctx, Addr fp, bool ce_prevalidates) {
   } else {  // CeCrt: stdio thunks into the kernel.
     if (ce_prevalidates) {
       // The rewind-style quirk: user-mode pre-check before the thunk.
-      if (!proc.mem().check_range(fp, kFileStructSize, false,
-                                  sim::Access::kUser)) {
+      if (!mem.check_range(fp, kFileStructSize, false, sim::Access::kUser)) {
         // CE pre-validating wrappers raise into the task (Abort).
-        (void)proc.mem().read_u32(fp + kFileOffMagic, sim::Access::kUser);
+        std::uint32_t magic = 0;
+        if (fault(mem.read_u32(fp + kFileOffMagic, &magic,
+                               sim::Access::kUser)))
+          return ref;
       }
     }
-    const std::uint32_t magic = file_field_read(ctx, fp, kFileOffMagic);
+    std::uint32_t magic = 0;
+    if (field(kFileOffMagic, &magic)) return ref;
     if (magic != kFileMagic) {
       // Kernel-side stream locking with garbage pointers: under CE slot
       // addressing these dereferences land in the shared slot space and
       // corrupt it (panic timing decided by the MuT's hazard style).
-      const Addr lock = file_field_read(ctx, fp, kFileOffLock);
-      ctx.k_write_u32(lock, 1);
-      const Addr buf = file_field_read(ctx, fp, kFileOffBuf);
-      std::uint32_t scratch = 0;
-      ctx.k_read_u32(buf, &scratch);
+      std::uint32_t lock = 0, buf = 0, scratch = 0;
+      if (field(kFileOffLock, &lock) || faulted(ctx.k_write_u32(lock, 1)) ||
+          field(kFileOffBuf, &buf) || faulted(ctx.k_read_u32(buf, &scratch)))
+        return ref;
       proc.set_errno(EBADF);
       return ref;
     }
   }
 
-  ref.flags = file_field_read(ctx, fp, kFileOffFlags);
+  if (field(kFileOffFlags, &ref.flags)) return ref;
   if ((ref.flags & kFOpen) == 0) {
     proc.set_errno(EBADF);
     return ref;
   }
-  const std::uint32_t h = file_field_read(ctx, fp, kFileOffHandle);
+  std::uint32_t h = 0;
+  if (field(kFileOffHandle, &h)) return ref;
   auto obj = proc.handles().get(h);
   if (obj == nullptr || obj->kind() != sim::ObjectKind::kFile) {
     proc.set_errno(EBADF);
@@ -213,55 +236,68 @@ FileRef resolve_file(CallContext& ctx, Addr fp, bool ce_prevalidates) {
   return ref;
 }
 
-std::uint32_t CharWidth::get(CallContext& ctx, Addr a, std::uint64_t i) const {
+sim::MaybeFault CharWidth::get(CallContext& ctx, Addr a, std::uint64_t i,
+                               std::uint32_t* c) const {
   auto& mem = ctx.proc().mem();
-  return bytes == 1 ? mem.read_u8(a + i, sim::Access::kUser)
-                    : mem.read_u16(a + 2 * i, sim::Access::kUser);
+  if (bytes == 1) {
+    std::uint8_t v = 0;
+    if (auto f = mem.read_u8(a + i, &v, sim::Access::kUser)) return f;
+    *c = v;
+    return {};
+  }
+  std::uint16_t v = 0;
+  if (auto f = mem.read_u16(a + 2 * i, &v, sim::Access::kUser)) return f;
+  *c = v;
+  return {};
 }
 
-void CharWidth::put(CallContext& ctx, Addr a, std::uint64_t i,
-                    std::uint32_t c) const {
+sim::MaybeFault CharWidth::put(CallContext& ctx, Addr a, std::uint64_t i,
+                               std::uint32_t c) const {
   auto& mem = ctx.proc().mem();
   if (bytes == 1)
-    mem.write_u8(a + i, static_cast<std::uint8_t>(c), sim::Access::kUser);
-  else
-    mem.write_u16(a + 2 * i, static_cast<std::uint16_t>(c), sim::Access::kUser);
+    return mem.write_u8(a + i, static_cast<std::uint8_t>(c),
+                        sim::Access::kUser);
+  return mem.write_u16(a + 2 * i, static_cast<std::uint16_t>(c),
+                       sim::Access::kUser);
 }
 
-std::vector<std::uint8_t> gather_bytes(sim::AddressSpace& mem, Addr a,
-                                       std::uint64_t n) {
-  std::vector<std::uint8_t> out;
-  while (out.size() < n) {
-    const std::size_t done = out.size();
+sim::MaybeFault gather_bytes(sim::AddressSpace& mem, Addr a, std::uint64_t n,
+                             std::vector<std::uint8_t>* out) {
+  out->clear();
+  while (out->size() < n) {
+    const std::size_t done = out->size();
     const Addr at = a + done;
     const std::size_t seg = std::min<std::uint64_t>(
         sim::kPageSize - at % sim::kPageSize, n - done);
-    out.resize(done + seg);
-    mem.read_bytes(at, {out.data() + done, seg}, sim::Access::kUser);
+    out->resize(done + seg);
+    if (auto f = mem.read_bytes(at, {out->data() + done, seg},
+                                sim::Access::kUser))
+      return f;
   }
-  return out;
+  return {};
 }
 
-std::uint32_t CharScanner::at(std::uint64_t i) {
+sim::MaybeFault CharScanner::at(std::uint64_t i, std::uint32_t* c) {
   const Addr a = base_ + static_cast<Addr>(i) * static_cast<Addr>(bytes_);
   if (a < seg_start_ || a + static_cast<Addr>(bytes_) > seg_end_) {
     // Unaligned or page-straddling wide chars keep the plain read_u16 path so
     // strict-alignment personalities still raise their misalignment fault.
     if (bytes_ == 2 &&
         (a % 2 != 0 || a % sim::kPageSize == sim::kPageSize - 1))
-      return w_.get(ctx_, base_, i);
+      return w_.get(ctx_, base_, i, c);
     auto& mem = ctx_.proc().mem();
     const std::size_t n = sim::kPageSize - (a % sim::kPageSize);
     // Buffer from the first touched byte of the page (not the page start) so
     // an unmapped page faults at the character's own address.
-    mem.read_bytes(a, {buf_, n}, sim::Access::kUser);
+    if (auto f = mem.read_bytes(a, {buf_, n}, sim::Access::kUser)) return f;
     seg_start_ = a;
     seg_end_ = a + n;
   }
   const std::size_t off = static_cast<std::size_t>(a - seg_start_);
-  return bytes_ == 1
-             ? buf_[off]
-             : static_cast<std::uint32_t>(buf_[off] | (buf_[off + 1] << 8));
+  *c = bytes_ == 1
+           ? buf_[off]
+           : static_cast<std::uint32_t>(buf_[off] | (buf_[off + 1] << 8));
+  return {};
 }
 
 std::uint8_t clib_mask_all() { return core::kMaskEverything; }

@@ -86,18 +86,27 @@ struct CrtState {
 CrtState& crt_state(sim::SimProcess& proc);
 
 /// Result of resolving a FILE* argument under the active CRT personality.
-/// May throw SimFault (glibc/msvcrt chasing garbage in user mode) or
-/// KernelPanic (CE kernel thunks) before returning.
+/// Resolving may fault (glibc/msvcrt chasing garbage in user mode, or a CE
+/// thunk under the raise policy: kFault, with the fault recorded on the
+/// context) or throw KernelPanic (CE kernel thunks under a hazard).
 struct FileRef {
   enum class Status {
     kOk,
     kBadf,    // detected invalid: fail with errno (robust)
     kSilent,  // swallowed by a loose path: report success, do nothing
+    kFault,   // the task faulted resolving it: the call ends faulted
   };
   Status status = Status::kBadf;
   Addr fp = 0;
   std::shared_ptr<sim::FileObject> obj;  // null for detected-bad streams
   std::uint32_t flags = 0;
+
+  /// The outcome of a call whose stream did not resolve: faulted when
+  /// resolving faulted, else the error return `ret`.
+  CallOutcome fail(std::uint64_t ret) const {
+    return status == Status::kFault ? core::faulted()
+                                    : core::error_reported(ret);
+  }
 };
 
 /// `needs_kernel_guard` marks CE functions that pre-validate (the rewind
@@ -110,26 +119,31 @@ Addr make_file_struct(sim::SimProcess& proc, std::shared_ptr<sim::FsNode> node,
                       std::uint32_t flags);
 
 /// Reads/writes one FILE field honoring the personality (user-mode for
-/// desktop CRTs, kernel thunk for CE).
-std::uint32_t file_field_read(CallContext& ctx, Addr fp, Addr off);
-void file_field_write(CallContext& ctx, Addr fp, Addr off, std::uint32_t v);
+/// desktop CRTs, kernel thunk for CE).  kOk or kFault (recorded); a CE field
+/// the kernel rejects or swallows reads as zero and ignores the write.
+MemStatus file_field_read(CallContext& ctx, Addr fp, Addr off,
+                          std::uint32_t* v);
+MemStatus file_field_write(CallContext& ctx, Addr fp, Addr off,
+                           std::uint32_t v);
 
 /// Character width abstraction so ASCII and UNICODE (CE) variants share
-/// implementations.
+/// implementations.  User-mode accesses: the caller raises their fault.
 struct CharWidth {
   int bytes = 1;  // 1 = char, 2 = wchar (UTF-16)
-  std::uint32_t get(CallContext& ctx, Addr a, std::uint64_t i) const;
-  void put(CallContext& ctx, Addr a, std::uint64_t i, std::uint32_t c) const;
+  sim::MaybeFault get(CallContext& ctx, Addr a, std::uint64_t i,
+                      std::uint32_t* c) const;
+  sim::MaybeFault put(CallContext& ctx, Addr a, std::uint64_t i,
+                      std::uint32_t c) const;
 };
 inline constexpr CharWidth kNarrow{1};
 inline constexpr CharWidth kWide{2};
 
-/// Reads [a, a+n) in user mode into a host buffer grown one page segment at
-/// a time, so a read that faults after its first page costs one page, not n
-/// zero-filled bytes.  Faults exactly where one read_bytes over the whole
-/// range would.
-std::vector<std::uint8_t> gather_bytes(sim::AddressSpace& mem, Addr a,
-                                       std::uint64_t n);
+/// Reads [a, a+n) in user mode into `out`, grown one page segment at a
+/// time, so a read that faults after its first page costs one page, not n
+/// zero-filled bytes.  Returns the fault exactly where one read_bytes over
+/// the whole range would.
+sim::MaybeFault gather_bytes(sim::AddressSpace& mem, Addr a, std::uint64_t n,
+                             std::vector<std::uint8_t>* out);
 
 /// Page-buffered sequential character reader.  Access checks are
 /// page-granular, so buffering the page a character lands in (loaded lazily,
@@ -143,9 +157,10 @@ class CharScanner {
   CharScanner(CallContext& ctx, Addr base, CharWidth w)
       : ctx_(ctx), base_(base), bytes_(w.bytes), w_(w) {}
 
-  /// The character at index i (byte or UTF-16 code unit).  Scans must touch
-  /// indices in non-decreasing page order to preserve fault timing.
-  std::uint32_t at(std::uint64_t i);
+  /// Stores the character at index i (byte or UTF-16 code unit) in `*c`, or
+  /// returns the fault reading it.  Scans must touch indices in
+  /// non-decreasing page order to preserve fault timing.
+  sim::MaybeFault at(std::uint64_t i, std::uint32_t* c);
 
  private:
   CallContext& ctx_;

@@ -106,8 +106,9 @@ CallOutcome do_modf(CallContext& ctx) {
   const double frac = std::isnan(x) ? x : std::modf(x, &ipart);
   // The integral part is stored through the user pointer — bad pointers
   // fault in every CRT (there is nothing to validate against).
-  ctx.proc().mem().write_u64(iptr, std::bit_cast<std::uint64_t>(ipart),
-                             sim::Access::kUser);
+  if (auto f = ctx.proc().mem().write_u64(
+          iptr, std::bit_cast<std::uint64_t>(ipart), sim::Access::kUser))
+    return ctx.raise(*f);
   return ret_d(frac);
 }
 

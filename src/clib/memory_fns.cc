@@ -32,60 +32,72 @@ constexpr std::uint64_t kHeapLimit = 16 << 20;
 /// page-granular), so faults land at segment boundaries — the same
 /// addresses, in the same read-before-write order, with the same partially
 /// written destination, as the historical byte-interleaved loop.
-void block_copy(sim::AddressSpace& mem, Addr dst, Addr src, std::uint64_t n) {
+sim::MaybeFault block_copy(sim::AddressSpace& mem, Addr dst, Addr src,
+                           std::uint64_t n) {
   std::uint8_t tmp[sim::kPageSize];
   std::uint64_t i = 0;
   while (i < n) {
     const std::uint64_t seg = std::min<std::uint64_t>(
         {sim::kPageSize - ((src + i) % sim::kPageSize),
          sim::kPageSize - ((dst + i) % sim::kPageSize), n - i});
-    mem.read_bytes(src + i, {tmp, seg}, sim::Access::kUser);
-    mem.write_bytes(dst + i, {tmp, seg}, sim::Access::kUser);
+    if (auto f = mem.read_bytes(src + i, {tmp, seg}, sim::Access::kUser))
+      return f;
+    if (auto f = mem.write_bytes(dst + i, {tmp, seg}, sim::Access::kUser))
+      return f;
     i += seg;
   }
+  return {};
 }
 
 Addr heap_alloc(CallContext& ctx, std::uint64_t size) {
   auto& mem = ctx.proc().mem();
   const Addr base = mem.alloc(size + 16);
-  mem.write_u64(base, kHeapMagic, sim::Access::kKernel);
-  mem.write_u64(base + 8, size, sim::Access::kKernel);
+  mem.poke_u64(base, kHeapMagic);
+  mem.poke_u64(base + 8, size);
   ctx.proc().default_heap()->allocations[base + 16] = size;
   return base + 16;
 }
 
-/// Validates a heap pointer the way the active CRT would.  Returns the chunk
-/// size, or nullopt when the pointer was rejected (9x CRT table check);
-/// throws SimFault when the CRT dereferences garbage (glibc, NT CRT).
-std::optional<std::uint64_t> heap_validate(CallContext& ctx, Addr p) {
-  auto& proc = ctx.proc();
-  auto& allocs = proc.default_heap()->allocations;
+/// Validates a heap pointer the way the active CRT would.  Stores the chunk
+/// size in `*size`, or nullopt when the pointer was rejected (9x CRT table
+/// check); returns the fault the CRT takes dereferencing garbage (glibc, NT
+/// CRT), for the caller to raise.
+sim::MaybeFault heap_validate(CallContext& ctx, Addr p,
+                              std::optional<std::uint64_t>* size) {
+  auto& mem = ctx.proc().mem();
+  auto& allocs = ctx.proc().default_heap()->allocations;
   const auto flavor = ctx.os().crt;
+  constexpr auto kUser = sim::Access::kUser;
+  std::uint64_t magic = 0, chunk = 0;
 
+  *size = std::nullopt;
   if (flavor == sim::CrtFlavor::kGlibc) {
     // Chase chunk metadata: header magic, then the "next chunk" walk.  On a
     // bogus chunk the walk strides past the page the pointer happened to sit
     // in — the classic unlink crash.
-    const std::uint64_t magic = proc.mem().read_u64(p - 16, sim::Access::kUser);
-    const std::uint64_t size = proc.mem().read_u64(p - 8, sim::Access::kUser);
+    if (auto f = mem.read_u64(p - 16, &magic, kUser)) return f;
+    if (auto f = mem.read_u64(p - 8, &chunk, kUser)) return f;
     if (magic != kHeapMagic) {
       const std::uint64_t stride =
-          std::max<std::uint64_t>(size & 0xffffff, sim::kPageSize);
-      (void)proc.mem().read_u8(p + stride, sim::Access::kUser);
-      return std::nullopt;
+          std::max<std::uint64_t>(chunk & 0xffffff, sim::kPageSize);
+      std::uint8_t next = 0;
+      return mem.read_u8(p + stride, &next, kUser);
     }
-    return size;
+    *size = chunk;
+    return {};
   }
   if (sim::is_nt_family(ctx.variant())) {
     // VC6 CRT on NT: trust the header.
-    const std::uint64_t magic = proc.mem().read_u64(p - 16, sim::Access::kUser);
-    if (magic != kHeapMagic) return std::nullopt;
-    return proc.mem().read_u64(p - 8, sim::Access::kUser);
+    if (auto f = mem.read_u64(p - 16, &magic, kUser)) return f;
+    if (magic != kHeapMagic) return {};
+    if (auto f = mem.read_u64(p - 8, &chunk, kUser)) return f;
+    *size = chunk;
+    return {};
   }
   // 9x / CE CRT: allocation-table lookup, no dereference.
   auto it = allocs.find(p);
-  if (it == allocs.end()) return std::nullopt;
-  return it->second;
+  if (it != allocs.end()) *size = it->second;
+  return {};
 }
 
 CallOutcome do_malloc(CallContext& ctx) {
@@ -112,7 +124,8 @@ CallOutcome do_calloc(CallContext& ctx) {
 CallOutcome do_free(CallContext& ctx) {
   const Addr p = ctx.arg_addr(0);
   if (p == 0) return ok(0);  // free(NULL) is legal
-  const auto size = heap_validate(ctx, p);
+  std::optional<std::uint64_t> size;
+  if (auto f = heap_validate(ctx, p, &size)) return ctx.raise(*f);
   auto& allocs = ctx.proc().default_heap()->allocations;
   if (!size) {
     // Rejected: glibc/NT already dereferenced (or survived); the 9x table
@@ -135,7 +148,8 @@ CallOutcome do_realloc(CallContext& ctx) {
     ctx.proc().set_errno(ENOMEM);
     return core::error_reported(0);
   }
-  const auto old_size = heap_validate(ctx, p);
+  std::optional<std::uint64_t> old_size;
+  if (auto f = heap_validate(ctx, p, &old_size)) return ctx.raise(*f);
   if (!old_size) {
     ctx.proc().set_errno(EINVAL);
     return core::error_reported(0);
@@ -146,7 +160,8 @@ CallOutcome do_realloc(CallContext& ctx) {
   }
   const Addr np = heap_alloc(ctx, size);
   const std::uint64_t copy = std::min(*old_size, size);
-  block_copy(ctx.proc().mem(), np, p, std::min(copy, kScanCap));
+  if (auto f = block_copy(ctx.proc().mem(), np, p, std::min(copy, kScanCap)))
+    return ctx.raise(*f);
   ctx.proc().default_heap()->allocations.erase(p);
   return ok(np);
 }
@@ -154,7 +169,8 @@ CallOutcome do_realloc(CallContext& ctx) {
 CallOutcome do_memcpy(CallContext& ctx) {
   const Addr dst = ctx.arg_addr(0), src = ctx.arg_addr(1);
   const std::uint64_t n = ctx.arg(2);
-  block_copy(ctx.proc().mem(), dst, src, std::min(n, kScanCap));
+  if (auto f = block_copy(ctx.proc().mem(), dst, src, std::min(n, kScanCap)))
+    return ctx.raise(*f);
   return ok(dst);
 }
 
@@ -164,8 +180,10 @@ CallOutcome do_memmove(CallContext& ctx) {
   auto& mem = ctx.proc().mem();
   const std::uint64_t len = std::min(n, kScanCap);
   // Full gather then full scatter, as before (that is what makes it a move).
-  const auto tmp = gather_bytes(mem, src, len);
-  mem.write_bytes(dst, tmp, sim::Access::kUser);
+  std::vector<std::uint8_t> tmp;
+  if (auto f = gather_bytes(mem, src, len, &tmp)) return ctx.raise(*f);
+  if (auto f = mem.write_bytes(dst, tmp, sim::Access::kUser))
+    return ctx.raise(*f);
   return ok(dst);
 }
 
@@ -181,7 +199,8 @@ CallOutcome do_memset(CallContext& ctx) {
   while (i < len) {
     const std::uint64_t seg = std::min<std::uint64_t>(
         sim::kPageSize - ((dst + i) % sim::kPageSize), len - i);
-    mem.write_bytes(dst + i, {fill, seg}, sim::Access::kUser);
+    if (auto f = mem.write_bytes(dst + i, {fill, seg}, sim::Access::kUser))
+      return ctx.raise(*f);
     i += seg;
   }
   return ok(dst);
@@ -201,8 +220,10 @@ CallOutcome do_memcmp(CallContext& ctx) {
     const std::uint64_t seg = std::min<std::uint64_t>(
         {sim::kPageSize - ((a + i) % sim::kPageSize),
          sim::kPageSize - ((b + i) % sim::kPageSize), len - i});
-    mem.read_bytes(a + i, {ta, seg}, sim::Access::kUser);
-    mem.read_bytes(b + i, {tb, seg}, sim::Access::kUser);
+    if (auto f = mem.read_bytes(a + i, {ta, seg}, sim::Access::kUser))
+      return ctx.raise(*f);
+    if (auto f = mem.read_bytes(b + i, {tb, seg}, sim::Access::kUser))
+      return ctx.raise(*f);
     for (std::uint64_t k = 0; k < seg; ++k)
       if (ta[k] != tb[k])
         return ok(static_cast<std::uint64_t>(ta[k] < tb[k] ? -1 : 1));
@@ -222,7 +243,8 @@ CallOutcome do_memchr(CallContext& ctx) {
   while (i < len) {
     const std::uint64_t seg = std::min<std::uint64_t>(
         sim::kPageSize - ((s + i) % sim::kPageSize), len - i);
-    mem.read_bytes(s + i, {tmp, seg}, sim::Access::kUser);
+    if (auto f = mem.read_bytes(s + i, {tmp, seg}, sim::Access::kUser))
+      return ctx.raise(*f);
     const void* hit = std::memchr(tmp, c, seg);
     if (hit != nullptr)
       return ok(s + i +

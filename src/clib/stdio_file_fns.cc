@@ -19,15 +19,26 @@ using core::CallOutcome;
 using core::ok;
 using sim::Addr;
 
-std::string read_path(CallContext& ctx, Addr p, CharWidth w) {
-  std::string out;
+sim::MaybeFault read_path(CallContext& ctx, Addr p, CharWidth w,
+                          std::string* out) {
   CharScanner sc(ctx, p, w);
   for (std::uint64_t i = 0; i < 4096; ++i) {
-    const std::uint32_t c = sc.at(i);
+    std::uint32_t c = 0;
+    if (auto f = sc.at(i, &c)) return f;
     if (c == 0) break;
-    out.push_back(static_cast<char>(c & 0xff));
+    out->push_back(static_cast<char>(c & 0xff));
   }
-  return out;
+  return {};
+}
+
+/// Writes FILE fields in order, stopping at the first fault.
+MemStatus write_fields(
+    CallContext& ctx, Addr fp,
+    std::initializer_list<std::pair<Addr, std::uint32_t>> fields) {
+  for (const auto& [off, v] : fields)
+    if (file_field_write(ctx, fp, off, v) == MemStatus::kFault)
+      return MemStatus::kFault;
+  return MemStatus::kOk;
 }
 
 struct Mode {
@@ -38,21 +49,18 @@ struct Mode {
   bool append = false;
 };
 
-Mode parse_mode(CallContext& ctx, Addr m, CharWidth w) {
-  Mode out;
-  auto& mem = ctx.proc().mem();
-  char c0 = 0, c1 = 0, c2 = 0;
-  if (w.bytes == 1) {
-    c0 = static_cast<char>(mem.read_u8(m, sim::Access::kUser));
-    if (c0 != 0) c1 = static_cast<char>(mem.read_u8(m + 1, sim::Access::kUser));
-    if (c1 != 0) c2 = static_cast<char>(mem.read_u8(m + 2, sim::Access::kUser));
-  } else {
-    c0 = static_cast<char>(mem.read_u16(m, sim::Access::kUser));
-    if (c0 != 0)
-      c1 = static_cast<char>(mem.read_u16(m + 2, sim::Access::kUser));
-    if (c1 != 0)
-      c2 = static_cast<char>(mem.read_u16(m + 4, sim::Access::kUser));
+sim::MaybeFault parse_mode(CallContext& ctx, Addr m, CharWidth w,
+                           Mode* mode) {
+  Mode& out = *mode;
+  // Reads up to three characters, stopping after a NUL.
+  char c[3] = {0, 0, 0};
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    std::uint32_t ch = 0;
+    if (auto f = w.get(ctx, m, i, &ch)) return f;
+    c[i] = static_cast<char>(ch);
+    if (c[i] == 0) break;
   }
+  const char c0 = c[0], c1 = c[1], c2 = c[2];
   const bool plus = c1 == '+' || c2 == '+';
   switch (c0) {
     case 'r':
@@ -74,15 +82,17 @@ Mode parse_mode(CallContext& ctx, Addr m, CharWidth w) {
     default:
       break;
   }
-  return out;
+  return {};
 }
 
 /// Opens a path into a fresh or reused FILE structure.
 CallOutcome open_common(CallContext& ctx, Addr path_arg, Addr mode_arg,
                         CharWidth w, Addr reuse_fp) {
   auto& proc = ctx.proc();
-  const std::string path = read_path(ctx, path_arg, w);
-  const Mode mode = parse_mode(ctx, mode_arg, w);
+  std::string path;
+  if (auto f = read_path(ctx, path_arg, w, &path)) return ctx.raise(*f);
+  Mode mode;
+  if (auto f = parse_mode(ctx, mode_arg, w, &mode)) return ctx.raise(*f);
   if (!mode.valid || path.empty()) {
     if (ctx.os().crt == sim::CrtFlavor::kGlibc && !mode.valid) {
       // Period glibc quirk: fopen with a bogus mode string failed with
@@ -131,9 +141,11 @@ CallOutcome open_common(CallContext& ctx, Addr path_arg, Addr mode_arg,
         sim::FileObject::kAccessRead | sim::FileObject::kAccessWrite,
         mode.append);
     const std::uint64_t h = proc.handles().insert(std::move(obj));
-    file_field_write(ctx, fp, kFileOffHandle, static_cast<std::uint32_t>(h));
-    file_field_write(ctx, fp, kFileOffFlags, mode.flags | kFOpen);
-    file_field_write(ctx, fp, kFileOffMagic, kFileMagic);
+    if (write_fields(ctx, fp,
+                     {{kFileOffHandle, static_cast<std::uint32_t>(h)},
+                      {kFileOffFlags, mode.flags | kFOpen},
+                      {kFileOffMagic, kFileMagic}}) == MemStatus::kFault)
+      return core::faulted();
   }
   return ok(fp);
 }
@@ -145,8 +157,10 @@ CallOutcome fopen_impl(CallContext& ctx, CharWidth w) {
 CallOutcome freopen_impl(CallContext& ctx, CharWidth w) {
   const Addr fp = ctx.arg_addr(2);
   const FileRef ref = resolve_file(ctx, fp);
-  if (ref.status != FileRef::Status::kOk) return core::error_reported(0);
-  const std::uint32_t h = file_field_read(ctx, fp, kFileOffHandle);
+  if (ref.status != FileRef::Status::kOk) return ref.fail(0);
+  std::uint32_t h = 0;
+  if (file_field_read(ctx, fp, kFileOffHandle, &h) == MemStatus::kFault)
+    return core::faulted();
   ctx.proc().handles().close(h);
   return open_common(ctx, ctx.arg_addr(0), ctx.arg_addr(1), w, fp);
 }
@@ -155,15 +169,19 @@ CallOutcome fclose_impl(CallContext& ctx) {
   const Addr fp = ctx.arg_addr(0);
   const FileRef ref = resolve_file(ctx, fp);
   if (ref.status != FileRef::Status::kOk)
-    return core::error_reported(static_cast<std::uint64_t>(-1));
-  const std::uint32_t h = file_field_read(ctx, fp, kFileOffHandle);
+    return ref.fail(static_cast<std::uint64_t>(-1));
+  std::uint32_t h = 0;
+  if (file_field_read(ctx, fp, kFileOffHandle, &h) == MemStatus::kFault)
+    return core::faulted();
   ctx.proc().handles().close(h);
   // Mark the structure closed: cleared magic, cleared pointers — the state
   // the "file_closed" test value reproduces.
-  file_field_write(ctx, fp, kFileOffMagic, 0);
-  file_field_write(ctx, fp, kFileOffFlags, 0);
-  file_field_write(ctx, fp, kFileOffBuf, 0);
-  file_field_write(ctx, fp, kFileOffLock, 0);
+  if (write_fields(ctx, fp,
+                   {{kFileOffMagic, 0},
+                    {kFileOffFlags, 0},
+                    {kFileOffBuf, 0},
+                    {kFileOffLock, 0}}) == MemStatus::kFault)
+    return core::faulted();
   return ok(0);
 }
 
@@ -174,7 +192,7 @@ CallOutcome fflush_impl(CallContext& ctx) {
   if (fp == 0 && !ctx.os().crt_in_kernel) return ok(0);
   const FileRef ref = resolve_file(ctx, fp);
   if (ref.status != FileRef::Status::kOk)
-    return core::error_reported(static_cast<std::uint64_t>(-1));
+    return ref.fail(static_cast<std::uint64_t>(-1));
   return ok(0);  // in-memory backing store: nothing buffered
 }
 
@@ -184,7 +202,7 @@ CallOutcome fseek_impl(CallContext& ctx) {
   const std::int32_t whence = ctx.argi(2);
   const FileRef ref = resolve_file(ctx, fp);
   if (ref.status != FileRef::Status::kOk)
-    return core::error_reported(static_cast<std::uint64_t>(-1));
+    return ref.fail(static_cast<std::uint64_t>(-1));
   std::int64_t base = 0;
   switch (whence) {
     case 0: base = 0; break;                                          // SEEK_SET
@@ -202,15 +220,17 @@ CallOutcome fseek_impl(CallContext& ctx) {
   }
   ref.obj->set_position(static_cast<std::uint64_t>(target));
   // fseek clears the unget slot and EOF.
-  file_field_write(ctx, fp, kFileOffUnget, 0xffffffff);
-  file_field_write(ctx, fp, kFileOffFlags, ref.flags & ~kFEof);
+  if (write_fields(ctx, fp,
+                   {{kFileOffUnget, 0xffffffff},
+                    {kFileOffFlags, ref.flags & ~kFEof}}) == MemStatus::kFault)
+    return core::faulted();
   return ok(0);
 }
 
 CallOutcome ftell_impl(CallContext& ctx) {
   const FileRef ref = resolve_file(ctx, ctx.arg_addr(0));
   if (ref.status != FileRef::Status::kOk)
-    return core::error_reported(static_cast<std::uint64_t>(-1));
+    return ref.fail(static_cast<std::uint64_t>(-1));
   return ok(ref.obj->position());
 }
 
@@ -219,23 +239,27 @@ CallOutcome rewind_impl(CallContext& ctx) {
   const FileRef ref = resolve_file(ctx, ctx.arg_addr(0),
                                    /*ce_prevalidates=*/true);
   if (ref.status != FileRef::Status::kOk)
-    return core::error_reported(0);  // void function; observable via errno
+    return ref.fail(0);  // void function; observable via errno
   ref.obj->set_position(0);
-  file_field_write(ctx, ctx.arg_addr(0), kFileOffFlags,
-                   ref.flags & ~(kFEof | kFErr));
+  if (file_field_write(ctx, ctx.arg_addr(0), kFileOffFlags,
+                       ref.flags & ~(kFEof | kFErr)) == MemStatus::kFault)
+    return core::faulted();
   return ok(0);
 }
 
 CallOutcome clearerr_impl(CallContext& ctx) {
   const Addr fp = ctx.arg_addr(0);
   const FileRef ref = resolve_file(ctx, fp);
-  if (ref.status != FileRef::Status::kOk) return core::error_reported(0);
-  file_field_write(ctx, fp, kFileOffFlags, ref.flags & ~(kFEof | kFErr));
+  if (ref.status != FileRef::Status::kOk) return ref.fail(0);
+  if (file_field_write(ctx, fp, kFileOffFlags, ref.flags & ~(kFEof | kFErr)) ==
+      MemStatus::kFault)
+    return core::faulted();
   return ok(0);
 }
 
 CallOutcome remove_impl(CallContext& ctx, CharWidth w) {
-  const std::string path = read_path(ctx, ctx.arg_addr(0), w);
+  std::string path;
+  if (auto f = read_path(ctx, ctx.arg_addr(0), w, &path)) return ctx.raise(*f);
   auto& fs = ctx.machine().fs();
   if (!fs.remove_file(fs.parse(path, ctx.proc().cwd()))) {
     ctx.proc().set_errno(ENOENT);
@@ -245,8 +269,9 @@ CallOutcome remove_impl(CallContext& ctx, CharWidth w) {
 }
 
 CallOutcome rename_impl(CallContext& ctx, CharWidth w) {
-  const std::string from = read_path(ctx, ctx.arg_addr(0), w);
-  const std::string to = read_path(ctx, ctx.arg_addr(1), w);
+  std::string from, to;
+  if (auto f = read_path(ctx, ctx.arg_addr(0), w, &from)) return ctx.raise(*f);
+  if (auto f = read_path(ctx, ctx.arg_addr(1), w, &to)) return ctx.raise(*f);
   auto& fs = ctx.machine().fs();
   if (!fs.rename(fs.parse(from, ctx.proc().cwd()),
                  fs.parse(to, ctx.proc().cwd()))) {

@@ -38,32 +38,33 @@ void maybe_block_on_stdin(CallContext& ctx, const FileRef& ref) {
 }
 
 /// Stores bytes at a task address; hazard-active MuTs (Win98 fwrite, CE
-/// fread/fgets) stage through kernel memory.
-bool store_bytes(CallContext& ctx, Addr a, std::span<const std::uint8_t> in) {
+/// fread/fgets) stage through kernel memory.  kOk, or kFault (recorded).
+MemStatus store_bytes(CallContext& ctx, Addr a,
+                      std::span<const std::uint8_t> in) {
   if (ctx.hazard() != core::CrashStyle::kNone) {
-    (void)ctx.k_write(a, in);  // corruption/panic handled inside
-    return true;
+    // Corruption/panic are handled inside; only a fault ends the call.
+    return ctx.k_write(a, in) == MemStatus::kFault ? MemStatus::kFault
+                                                   : MemStatus::kOk;
   }
-  ctx.proc().mem().write_bytes(a, in, sim::Access::kUser);
-  return true;
+  return ctx.trap(ctx.proc().mem().write_bytes(a, in, sim::Access::kUser));
 }
 
-std::vector<std::uint8_t> load_bytes(CallContext& ctx, Addr a,
-                                     std::uint64_t n) {
+MemStatus load_bytes(CallContext& ctx, Addr a, std::uint64_t n,
+                     std::vector<std::uint8_t>* out) {
   n = std::min(n, kIoCap);
   if (ctx.hazard() != core::CrashStyle::kNone) {
-    std::vector<std::uint8_t> out(n);
-    (void)ctx.k_read(a, out);
-    return out;
+    out->assign(n, 0);
+    return ctx.k_read(a, *out) == MemStatus::kFault ? MemStatus::kFault
+                                                    : MemStatus::kOk;
   }
-  return gather_bytes(ctx.proc().mem(), a, n);
+  return ctx.trap(gather_bytes(ctx.proc().mem(), a, n, out));
 }
 
 CallOutcome fread_impl(CallContext& ctx) {
   const Addr ptr = ctx.arg_addr(0);
   const std::uint64_t size = ctx.arg(1), n = ctx.arg(2);
   const FileRef ref = resolve_file(ctx, ctx.arg_addr(3));
-  if (ref.status != FileRef::Status::kOk) return core::error_reported(0);
+  if (ref.status != FileRef::Status::kOk) return ref.fail(0);
   if (size == 0 || n == 0) return ok(0);
   maybe_block_on_stdin(ctx, ref);
   // Size the buffer by what the stream still holds, not by the request.
@@ -73,7 +74,7 @@ CallOutcome fread_impl(CallContext& ctx) {
   std::vector<std::uint8_t> data(std::min({size * n, kIoCap, left}));
   const std::uint64_t got = ref.obj->read_at(data);
   data.resize(got);
-  store_bytes(ctx, ptr, data);
+  if (store_bytes(ctx, ptr, data) == MemStatus::kFault) return core::faulted();
   return ok(got / size);
 }
 
@@ -81,14 +82,16 @@ CallOutcome fwrite_impl(CallContext& ctx) {
   const Addr ptr = ctx.arg_addr(0);
   const std::uint64_t size = ctx.arg(1), n = ctx.arg(2);
   const FileRef ref = resolve_file(ctx, ctx.arg_addr(3));
-  if (ref.status != FileRef::Status::kOk) return core::error_reported(0);
+  if (ref.status != FileRef::Status::kOk) return ref.fail(0);
   if (size == 0 || n == 0) return ok(0);
   if ((ref.flags & kFWrite) == 0) {
     ctx.proc().set_errno(EBADF);
     return core::error_reported(0);
   }
   const std::uint64_t total = std::min(size * n, kIoCap);
-  const auto data = load_bytes(ctx, ptr, total);
+  std::vector<std::uint8_t> data;
+  if (load_bytes(ctx, ptr, total, &data) == MemStatus::kFault)
+    return core::faulted();
   ref.obj->write_at(data);
   return ok(total / size);
 }
@@ -97,10 +100,14 @@ CallOutcome fgetc_impl(CallContext& ctx) {
   const Addr fp = ctx.arg_addr(0);
   const FileRef ref = resolve_file(ctx, fp);
   if (ref.status != FileRef::Status::kOk)
-    return core::error_reported(static_cast<std::uint64_t>(-1));
-  const std::uint32_t unget = file_field_read(ctx, fp, kFileOffUnget);
+    return ref.fail(static_cast<std::uint64_t>(-1));
+  std::uint32_t unget = 0;
+  if (file_field_read(ctx, fp, kFileOffUnget, &unget) == MemStatus::kFault)
+    return core::faulted();
   if (unget != 0xffffffff) {
-    file_field_write(ctx, fp, kFileOffUnget, 0xffffffff);
+    if (file_field_write(ctx, fp, kFileOffUnget, 0xffffffff) ==
+        MemStatus::kFault)
+      return core::faulted();
     return ok(unget);
   }
   std::uint8_t c = 0;
@@ -108,7 +115,9 @@ CallOutcome fgetc_impl(CallContext& ctx) {
     // Reading past the end of an interactive stream blocks for input that
     // will never come (a Restart failure); a regular file is simply at EOF.
     if (ref.obj->node()->name() == "stdin") ctx.proc().hang("fgetc(stdin)");
-    file_field_write(ctx, fp, kFileOffFlags, ref.flags | kFEof);
+    if (file_field_write(ctx, fp, kFileOffFlags, ref.flags | kFEof) ==
+        MemStatus::kFault)
+      return core::faulted();
     return ok(static_cast<std::uint64_t>(-1));  // EOF: normal indication
   }
   return ok(c);
@@ -118,7 +127,7 @@ CallOutcome fputc_impl(CallContext& ctx) {
   const std::uint8_t c = static_cast<std::uint8_t>(ctx.arg32(0));
   const FileRef ref = resolve_file(ctx, ctx.arg_addr(1));
   if (ref.status != FileRef::Status::kOk)
-    return core::error_reported(static_cast<std::uint64_t>(-1));
+    return ref.fail(static_cast<std::uint64_t>(-1));
   if ((ref.flags & kFWrite) == 0) {
     ctx.proc().set_errno(EBADF);
     return core::error_reported(static_cast<std::uint64_t>(-1));
@@ -132,9 +141,10 @@ CallOutcome ungetc_impl(CallContext& ctx) {
   const Addr fp = ctx.arg_addr(1);
   const FileRef ref = resolve_file(ctx, fp);
   if (ref.status != FileRef::Status::kOk)
-    return core::error_reported(static_cast<std::uint64_t>(-1));
+    return ref.fail(static_cast<std::uint64_t>(-1));
   if (c == 0xffffffff) return ok(static_cast<std::uint64_t>(-1));  // EOF
-  file_field_write(ctx, fp, kFileOffUnget, c & 0xff);
+  if (file_field_write(ctx, fp, kFileOffUnget, c & 0xff) == MemStatus::kFault)
+    return core::faulted();
   return ok(c & 0xff);
 }
 
@@ -143,7 +153,7 @@ core::ApiImpl fgets_fn(CharWidth w) {
     const Addr s = ctx.arg_addr(0);
     const std::int32_t n = ctx.argi(1);
     const FileRef ref = resolve_file(ctx, ctx.arg_addr(2));
-    if (ref.status != FileRef::Status::kOk) return core::error_reported(0);
+    if (ref.status != FileRef::Status::kOk) return ref.fail(0);
     if (n <= 0) {
       ctx.proc().set_errno(EINVAL);
       return core::error_reported(0);
@@ -158,19 +168,19 @@ core::ApiImpl fgets_fn(CharWidth w) {
       if (c == '\n') break;
     }
     if (line.empty()) return core::error_reported(0);  // EOF
+    std::vector<std::uint8_t> bytes;
     if (w.bytes == 1) {
-      line.push_back(0);
-      store_bytes(ctx, s, line);
+      bytes = std::move(line);
+      bytes.push_back(0);
     } else {
-      std::vector<std::uint8_t> wide;
       for (std::uint8_t c : line) {
-        wide.push_back(c);
-        wide.push_back(0);
+        bytes.push_back(c);
+        bytes.push_back(0);
       }
-      wide.push_back(0);
-      wide.push_back(0);
-      store_bytes(ctx, s, wide);
+      bytes.push_back(0);
+      bytes.push_back(0);
     }
+    if (store_bytes(ctx, s, bytes) == MemStatus::kFault) return core::faulted();
     return ok(s);
   };
 }
@@ -187,11 +197,12 @@ core::ApiImpl fputs_fn(CharWidth w, bool with_file, bool newline) {
       ref = resolve_file(ctx, st.file_stdout);
     }
     if (ref.status != FileRef::Status::kOk)
-      return core::error_reported(static_cast<std::uint64_t>(-1));
+      return ref.fail(static_cast<std::uint64_t>(-1));
     CharScanner sc(ctx, s, w);
     std::vector<std::uint8_t> data;
     for (std::uint64_t i = 0; i < kIoCap; ++i) {
-      const std::uint32_t c = sc.at(i);
+      std::uint32_t c = 0;
+      if (auto f = sc.at(i, &c)) return ctx.raise(*f);
       if (c == 0) break;
       data.push_back(static_cast<std::uint8_t>(c & 0xff));
     }
@@ -204,14 +215,14 @@ core::ApiImpl fputs_fn(CharWidth w, bool with_file, bool newline) {
 /// printf-core with no variadic arguments: %d-class conversions print a
 /// garbage zero; %s reads and %n writes through the garbage pointer slot
 /// (address 0).
-std::string format_no_args(CallContext& ctx, Addr fmt, CharWidth w,
-                           bool* ok_out) {
+sim::MaybeFault format_no_args(CallContext& ctx, Addr fmt, CharWidth w,
+                               std::string* out_str) {
   auto& mem = ctx.proc().mem();
   CharScanner sc(ctx, fmt, w);
-  std::string out;
-  *ok_out = true;
+  std::string& out = *out_str;
   for (std::uint64_t i = 0; i < kIoCap; ++i) {
-    const std::uint32_t c = sc.at(i);
+    std::uint32_t c = 0;
+    if (auto f = sc.at(i, &c)) return f;
     if (c == 0) break;
     if (c != '%') {
       out.push_back(static_cast<char>(c & 0xff));
@@ -222,7 +233,7 @@ std::string format_no_args(CallContext& ctx, Addr fmt, CharWidth w,
     std::uint64_t width = 0;
     std::uint32_t conv = 0;
     for (; i < kIoCap; ++i) {
-      conv = sc.at(i);
+      if (auto f = sc.at(i, &conv)) return f;
       if (conv >= '0' && conv <= '9') {
         width = width * 10 + (conv - '0');
         continue;
@@ -235,7 +246,7 @@ std::string format_no_args(CallContext& ctx, Addr fmt, CharWidth w,
     switch (conv) {
       case 0:  // trailing '%'
         out.push_back('%');
-        return out;
+        return {};
       case '%':
         out.push_back('%');
         break;
@@ -251,12 +262,14 @@ std::string format_no_args(CallContext& ctx, Addr fmt, CharWidth w,
         break;
       case 's': {
         // Missing variadic argument: stack garbage, modeled as NULL.
-        (void)mem.read_u8(0, sim::Access::kUser);  // faults
+        std::uint8_t garbage = 0;
+        if (auto f = mem.read_u8(0, &garbage, sim::Access::kUser)) return f;
         break;
       }
       case 'n': {
-        mem.write_u32(0, static_cast<std::uint32_t>(out.size()),
-                      sim::Access::kUser);  // faults
+        if (auto f = mem.write_u32(0, static_cast<std::uint32_t>(out.size()),
+                                   sim::Access::kUser))
+          return f;
         break;
       }
       default:
@@ -264,16 +277,17 @@ std::string format_no_args(CallContext& ctx, Addr fmt, CharWidth w,
         break;
     }
   }
-  return out;
+  return {};
 }
 
 core::ApiImpl fprintf_fn(CharWidth w) {
   return [w](CallContext& ctx) -> CallOutcome {
     const FileRef ref = resolve_file(ctx, ctx.arg_addr(0));
     if (ref.status != FileRef::Status::kOk)
-      return core::error_reported(static_cast<std::uint64_t>(-1));
-    bool fmt_ok = false;
-    const std::string s = format_no_args(ctx, ctx.arg_addr(1), w, &fmt_ok);
+      return ref.fail(static_cast<std::uint64_t>(-1));
+    std::string s;
+    if (auto f = format_no_args(ctx, ctx.arg_addr(1), w, &s))
+      return ctx.raise(*f);
     ref.obj->write_at(
         {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
     return ok(s.size());
@@ -283,8 +297,9 @@ core::ApiImpl fprintf_fn(CharWidth w) {
 core::ApiImpl sprintf_fn(CharWidth w) {
   return [w](CallContext& ctx) -> CallOutcome {
     const Addr buf = ctx.arg_addr(0);
-    bool fmt_ok = false;
-    const std::string s = format_no_args(ctx, ctx.arg_addr(1), w, &fmt_ok);
+    std::string s;
+    if (auto f = format_no_args(ctx, ctx.arg_addr(1), w, &s))
+      return ctx.raise(*f);
     std::vector<std::uint8_t> bytes;
     if (w.bytes == 1) {
       bytes.assign(s.begin(), s.end());
@@ -297,7 +312,8 @@ core::ApiImpl sprintf_fn(CharWidth w) {
       bytes.push_back(0);
       bytes.push_back(0);
     }
-    store_bytes(ctx, buf, bytes);
+    if (store_bytes(ctx, buf, bytes) == MemStatus::kFault)
+      return core::faulted();
     return ok(s.size());
   };
 }
@@ -310,17 +326,19 @@ CallOutcome scan_no_args(CallContext& ctx, const std::string& input, Addr fmt,
   int converted = 0;
   std::size_t pos = 0;
   for (std::uint64_t i = 0; i < kIoCap; ++i) {
-    const std::uint32_t c = sc.at(i);
+    std::uint32_t c = 0;
+    if (auto f = sc.at(i, &c)) return ctx.raise(*f);
     if (c == 0) break;
     if (c != '%') {
       if (pos < input.size() && input[pos] == static_cast<char>(c)) ++pos;
       continue;
     }
     ++i;
-    std::uint32_t conv = sc.at(i);
+    std::uint32_t conv = 0;
+    if (auto f = sc.at(i, &conv)) return ctx.raise(*f);
     while (conv == 'l' || conv == 'h' || (conv >= '0' && conv <= '9')) {
       ++i;
-      conv = sc.at(i);
+      if (auto f = sc.at(i, &conv)) return ctx.raise(*f);
     }
     while (pos < input.size() && input[pos] == ' ') ++pos;
     switch (conv) {
@@ -333,14 +351,17 @@ CallOutcome scan_no_args(CallContext& ctx, const std::string& input, Addr fmt,
           any = true;
         }
         if (!any) return ok(static_cast<std::uint64_t>(converted));
-        mem.write_u32(0, v, sim::Access::kUser);  // missing arg: faults
+        // Missing argument: faults.
+        if (auto f = mem.write_u32(0, v, sim::Access::kUser))
+          return ctx.raise(*f);
         ++converted;
         break;
       }
       case 's': case 'c': {
         if (pos >= input.size()) return ok(static_cast<std::uint64_t>(converted));
-        mem.write_u8(0, static_cast<std::uint8_t>(input[pos]),
-                     sim::Access::kUser);  // faults
+        if (auto f = mem.write_u8(0, static_cast<std::uint8_t>(input[pos]),
+                                  sim::Access::kUser))  // faults
+          return ctx.raise(*f);
         ++converted;
         break;
       }
@@ -358,7 +379,7 @@ core::ApiImpl fscanf_fn(CharWidth w) {
   return [w](CallContext& ctx) -> CallOutcome {
     const FileRef ref = resolve_file(ctx, ctx.arg_addr(0));
     if (ref.status != FileRef::Status::kOk)
-      return core::error_reported(static_cast<std::uint64_t>(-1));
+      return ref.fail(static_cast<std::uint64_t>(-1));
     maybe_block_on_stdin(ctx, ref);
     std::vector<std::uint8_t> data(256);
     const std::uint64_t got = ref.obj->read_at(data);
@@ -372,7 +393,8 @@ CallOutcome sscanf_impl(CallContext& ctx) {
   CharScanner sc(ctx, ctx.arg_addr(0), kNarrow);
   std::string input;
   for (std::uint64_t i = 0; i < 4096; ++i) {
-    const std::uint32_t c = sc.at(i);
+    std::uint32_t c = 0;
+    if (auto f = sc.at(i, &c)) return ctx.raise(*f);
     if (c == 0) break;
     input.push_back(static_cast<char>(c));
   }

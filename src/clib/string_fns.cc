@@ -6,8 +6,10 @@
 // per-variant hazard entries: strncpy's optimized copy path on Windows 98 /
 // 98 SE (and _tcsncpy on CE) stages the transfer through kernel memory,
 // reproducing the paper's `*strncpy` / `*_tcsncpy` Catastrophic entries.
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 
 #include "clib/crt.h"
@@ -24,38 +26,48 @@ using sim::Addr;
 
 constexpr std::uint64_t kScanCap = 1 << 20;  // bound runaway scans
 
-std::uint64_t c_strlen(CallContext& ctx, Addr s, CharWidth w) {
+sim::MaybeFault c_strlen(CallContext& ctx, Addr s, CharWidth w,
+                         std::uint64_t* len) {
   CharScanner sc(ctx, s, w);
   std::uint64_t i = 0;
-  while (i < kScanCap && sc.at(i) != 0) ++i;
-  return i;
+  for (; i < kScanCap; ++i) {
+    std::uint32_t c = 0;
+    if (auto f = sc.at(i, &c)) return f;
+    if (c == 0) break;
+  }
+  *len = i;
+  return {};
 }
 
 /// Reads a bounded host copy of a NUL-terminated simulated string.
-std::string c_str_host(CallContext& ctx, Addr s, CharWidth w,
-                       std::uint64_t cap = 65536) {
+sim::MaybeFault c_str_host(CallContext& ctx, Addr s, CharWidth w,
+                           std::string* out, std::uint64_t cap = 65536) {
   CharScanner sc(ctx, s, w);
-  std::string out;
   for (std::uint64_t i = 0; i < cap; ++i) {
-    const std::uint32_t c = sc.at(i);
+    std::uint32_t c = 0;
+    if (auto f = sc.at(i, &c)) return f;
     if (c == 0) break;
-    out.push_back(static_cast<char>(c & 0xff));
+    out->push_back(static_cast<char>(c & 0xff));
   }
-  return out;
+  return {};
 }
 
 core::ApiImpl strlen_fn(CharWidth w) {
-  return [w](CallContext& ctx) { return ok(c_strlen(ctx, ctx.arg_addr(0), w)); };
+  return [w](CallContext& ctx) {
+    std::uint64_t len = 0;
+    if (auto f = c_strlen(ctx, ctx.arg_addr(0), w, &len)) return ctx.raise(*f);
+    return ok(len);
+  };
 }
 
 core::ApiImpl strcpy_fn(CharWidth w) {
   return [w](CallContext& ctx) {
     const Addr dst = ctx.arg_addr(0), src = ctx.arg_addr(1);
     CharScanner sc(ctx, src, w);  // reads stay src-faithful; writes per-char
-    std::uint64_t i = 0;
-    for (; i < kScanCap; ++i) {
-      const std::uint32_t c = sc.at(i);
-      w.put(ctx, dst, i, c);
+    for (std::uint64_t i = 0; i < kScanCap; ++i) {
+      std::uint32_t c = 0;
+      if (auto f = sc.at(i, &c)) return ctx.raise(*f);
+      if (auto f = w.put(ctx, dst, i, c)) return ctx.raise(*f);
       if (c == 0) break;
     }
     return ok(dst);
@@ -65,11 +77,13 @@ core::ApiImpl strcpy_fn(CharWidth w) {
 core::ApiImpl strcat_fn(CharWidth w) {
   return [w](CallContext& ctx) {
     const Addr dst = ctx.arg_addr(0), src = ctx.arg_addr(1);
-    std::uint64_t base = c_strlen(ctx, dst, w);
+    std::uint64_t base = 0;
+    if (auto f = c_strlen(ctx, dst, w, &base)) return ctx.raise(*f);
     CharScanner sc(ctx, src, w);
     for (std::uint64_t i = 0; i < kScanCap; ++i) {
-      const std::uint32_t c = sc.at(i);
-      w.put(ctx, dst, base + i, c);
+      std::uint32_t c = 0;
+      if (auto f = sc.at(i, &c)) return ctx.raise(*f);
+      if (auto f = w.put(ctx, dst, base + i, c)) return ctx.raise(*f);
       if (c == 0) break;
     }
     return ok(dst);
@@ -80,15 +94,17 @@ core::ApiImpl strncat_fn(CharWidth w) {
   return [w](CallContext& ctx) {
     const Addr dst = ctx.arg_addr(0), src = ctx.arg_addr(1);
     const std::uint64_t n = ctx.arg(2);
-    const std::uint64_t base = c_strlen(ctx, dst, w);
+    std::uint64_t base = 0;
+    if (auto f = c_strlen(ctx, dst, w, &base)) return ctx.raise(*f);
     CharScanner sc(ctx, src, w);
     std::uint64_t i = 0;
     for (; i < n && i < kScanCap; ++i) {
-      const std::uint32_t c = sc.at(i);
+      std::uint32_t c = 0;
+      if (auto f = sc.at(i, &c)) return ctx.raise(*f);
       if (c == 0) break;
-      w.put(ctx, dst, base + i, c);
+      if (auto f = w.put(ctx, dst, base + i, c)) return ctx.raise(*f);
     }
-    w.put(ctx, dst, base + i, 0);
+    if (auto f = w.put(ctx, dst, base + i, 0)) return ctx.raise(*f);
     return ok(dst);
   };
 }
@@ -103,57 +119,56 @@ core::ApiImpl strncpy_fn(CharWidth w) {
     if (ctx.hazard() != core::CrashStyle::kNone) {
       // Optimized block path: gather (bounded) source, then one kernel-side
       // block store of min(n, one page).
-      std::string data = c_str_host(ctx, src, w, 4096);
+      std::string data;
+      if (auto f = c_str_host(ctx, src, w, &data, 4096)) return ctx.raise(*f);
       const std::uint64_t total =
           std::min<std::uint64_t>(n, 4096) * w.bytes;
       std::vector<std::uint8_t> block(total, 0);
       for (std::size_t i = 0; i < data.size() && i * w.bytes < total; ++i)
         block[i * w.bytes] = static_cast<std::uint8_t>(data[i]);
       const MemStatus s = ctx.k_write(dst, block);
+      if (s == MemStatus::kFault) return core::faulted();
       if (s == MemStatus::kSilent) return core::silent_success(dst);
       return ok(dst);
     }
     CharScanner sc(ctx, src, w);
     std::uint64_t i = 0;
     for (; i < n && i < kScanCap; ++i) {
-      const std::uint32_t c = sc.at(i);
-      w.put(ctx, dst, i, c);
+      std::uint32_t c = 0;
+      if (auto f = sc.at(i, &c)) return ctx.raise(*f);
+      if (auto f = w.put(ctx, dst, i, c)) return ctx.raise(*f);
       if (c == 0) {
         ++i;
         break;
       }
     }
-    for (; i < n && i < kScanCap; ++i) w.put(ctx, dst, i, 0);
+    for (; i < n && i < kScanCap; ++i)
+      if (auto f = w.put(ctx, dst, i, 0)) return ctx.raise(*f);
     return ok(dst);
   };
 }
 
+/// strcmp/strncmp: compares up to `n` characters, reading a before b.
+CallOutcome compare_strings(CallContext& ctx, CharWidth w, std::uint64_t n) {
+  const Addr a = ctx.arg_addr(0), b = ctx.arg_addr(1);
+  CharScanner sa(ctx, a, w), sb(ctx, b, w);
+  for (std::uint64_t i = 0; i < n && i < kScanCap; ++i) {
+    std::uint32_t ca = 0, cb = 0;
+    if (auto f = sa.at(i, &ca)) return ctx.raise(*f);
+    if (auto f = sb.at(i, &cb)) return ctx.raise(*f);
+    if (ca != cb) return ok(static_cast<std::uint64_t>(ca < cb ? -1 : 1));
+    if (ca == 0) break;
+  }
+  return ok(0);
+}
+
 core::ApiImpl strcmp_fn(CharWidth w) {
-  return [w](CallContext& ctx) {
-    const Addr a = ctx.arg_addr(0), b = ctx.arg_addr(1);
-    CharScanner sa(ctx, a, w), sb(ctx, b, w);
-    for (std::uint64_t i = 0; i < kScanCap; ++i) {
-      const std::uint32_t ca = sa.at(i), cb = sb.at(i);
-      if (ca != cb)
-        return ok(static_cast<std::uint64_t>(ca < cb ? -1 : 1));
-      if (ca == 0) break;
-    }
-    return ok(0);
-  };
+  return [w](CallContext& ctx) { return compare_strings(ctx, w, kScanCap); };
 }
 
 core::ApiImpl strncmp_fn(CharWidth w) {
   return [w](CallContext& ctx) {
-    const Addr a = ctx.arg_addr(0), b = ctx.arg_addr(1);
-    const std::uint64_t n = ctx.arg(2);
-    CharScanner sa(ctx, a, w), sb(ctx, b, w);
-    for (std::uint64_t i = 0; i < n && i < kScanCap; ++i) {
-      const std::uint32_t ca = sa.at(i), cb = sb.at(i);
-      if (ca != cb)
-        return ok(static_cast<std::uint64_t>(ca < cb ? -1 : 1));
-      if (ca == 0) break;
-    }
-    return ok(0);
+    return compare_strings(ctx, w, ctx.arg(2));
   };
 }
 
@@ -164,7 +179,8 @@ core::ApiImpl strchr_fn(CharWidth w, bool reverse) {
     CharScanner sc(ctx, s, w);
     Addr found = 0;
     for (std::uint64_t i = 0; i < kScanCap; ++i) {
-      const std::uint32_t c = sc.at(i);
+      std::uint32_t c = 0;
+      if (auto f = sc.at(i, &c)) return ctx.raise(*f);
       if (c == target) {
         found = s + i * w.bytes;
         if (!reverse) return ok(found);
@@ -178,11 +194,13 @@ core::ApiImpl strchr_fn(CharWidth w, bool reverse) {
 core::ApiImpl strspn_fn(CharWidth w, bool complement) {
   return [w, complement](CallContext& ctx) {
     const Addr s = ctx.arg_addr(0), accept = ctx.arg_addr(1);
-    const std::string set = c_str_host(ctx, accept, w);
+    std::string set;
+    if (auto f = c_str_host(ctx, accept, w, &set)) return ctx.raise(*f);
     CharScanner sc(ctx, s, w);
     std::uint64_t i = 0;
     for (; i < kScanCap; ++i) {
-      const std::uint32_t c = sc.at(i);
+      std::uint32_t c = 0;
+      if (auto f = sc.at(i, &c)) return ctx.raise(*f);
       if (c == 0) break;
       const bool in_set =
           set.find(static_cast<char>(c & 0xff)) != std::string::npos;
@@ -195,10 +213,12 @@ core::ApiImpl strspn_fn(CharWidth w, bool complement) {
 core::ApiImpl strpbrk_fn(CharWidth w) {
   return [w](CallContext& ctx) {
     const Addr s = ctx.arg_addr(0), set_addr = ctx.arg_addr(1);
-    const std::string set = c_str_host(ctx, set_addr, w);
+    std::string set;
+    if (auto f = c_str_host(ctx, set_addr, w, &set)) return ctx.raise(*f);
     CharScanner sc(ctx, s, w);
     for (std::uint64_t i = 0; i < kScanCap; ++i) {
-      const std::uint32_t c = sc.at(i);
+      std::uint32_t c = 0;
+      if (auto f = sc.at(i, &c)) return ctx.raise(*f);
       if (c == 0) break;
       if (set.find(static_cast<char>(c & 0xff)) != std::string::npos)
         return ok(s + i * w.bytes);
@@ -210,8 +230,9 @@ core::ApiImpl strpbrk_fn(CharWidth w) {
 core::ApiImpl strstr_fn(CharWidth w) {
   return [w](CallContext& ctx) {
     const Addr hay = ctx.arg_addr(0), needle = ctx.arg_addr(1);
-    const std::string h = c_str_host(ctx, hay, w);
-    const std::string n = c_str_host(ctx, needle, w);
+    std::string h, n;
+    if (auto f = c_str_host(ctx, hay, w, &h)) return ctx.raise(*f);
+    if (auto f = c_str_host(ctx, needle, w, &n)) return ctx.raise(*f);
     if (n.empty()) return ok(hay);
     const auto pos = h.find(n);
     return ok(pos == std::string::npos ? 0 : hay + pos * w.bytes);
@@ -224,26 +245,29 @@ core::ApiImpl strtok_fn(CharWidth w) {
     Addr s = ctx.arg_addr(0);
     const Addr delim = ctx.arg_addr(1);
     if (s == 0) s = st.strtok_next;  // continue previous scan (0 => deref 0)
-    const std::string set = c_str_host(ctx, delim, w);
+    std::string set;
+    if (auto f = c_str_host(ctx, delim, w, &set)) return ctx.raise(*f);
     // The single put below is the last access, so buffered reads stay fresh.
     CharScanner sc(ctx, s, w);
     std::uint64_t i = 0;
     // skip leading delimiters
     while (i < kScanCap) {
-      const std::uint32_t c = sc.at(i);
+      std::uint32_t c = 0;
+      if (auto f = sc.at(i, &c)) return ctx.raise(*f);
       if (c == 0) return ok(0);
       if (set.find(static_cast<char>(c & 0xff)) == std::string::npos) break;
       ++i;
     }
     const std::uint64_t start = i;
     while (i < kScanCap) {
-      const std::uint32_t c = sc.at(i);
+      std::uint32_t c = 0;
+      if (auto f = sc.at(i, &c)) return ctx.raise(*f);
       if (c == 0) {
         st.strtok_next = s + i * w.bytes;
         return ok(s + start * w.bytes);
       }
       if (set.find(static_cast<char>(c & 0xff)) != std::string::npos) {
-        w.put(ctx, s, i, 0);
+        if (auto f = w.put(ctx, s, i, 0)) return ctx.raise(*f);
         st.strtok_next = s + (i + 1) * w.bytes;
         return ok(s + start * w.bytes);
       }
@@ -251,6 +275,17 @@ core::ApiImpl strtok_fn(CharWidth w) {
     }
     return ok(0);
   };
+}
+
+/// std::strtod with std::stod's two rejections and no host exception: no
+/// conversion gives 0, and so does a value out of double's range (ERANGE).
+double parse_double(const std::string& s) {
+  const char* begin = s.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(begin, &end);
+  if (end == begin || errno == ERANGE) return 0;
+  return v;
 }
 
 long long parse_int(const std::string& s, int base, bool* any) {
@@ -277,7 +312,8 @@ long long parse_int(const std::string& s, int base, bool* any) {
 core::ApiImpl atoi_fn(CharWidth w) {
   return [w](CallContext& ctx) {
     bool any = false;
-    const std::string s = c_str_host(ctx, ctx.arg_addr(0), w);
+    std::string s;
+    if (auto f = c_str_host(ctx, ctx.arg_addr(0), w, &s)) return ctx.raise(*f);
     return ok(static_cast<std::uint64_t>(parse_int(s, 10, &any)));
   };
 }
@@ -291,11 +327,13 @@ core::ApiImpl strtol_fn(CharWidth w) {
       return core::error_reported(0);
     }
     bool any = false;
-    const std::string s = c_str_host(ctx, nptr, w);
+    std::string s;
+    if (auto f = c_str_host(ctx, nptr, w, &s)) return ctx.raise(*f);
     const long long v = parse_int(s, base == 0 ? 10 : base, &any);
     if (endptr != 0) {
-      ctx.proc().mem().write_u32(endptr, static_cast<std::uint32_t>(nptr),
-                                 sim::Access::kUser);
+      if (auto f = ctx.proc().mem().write_u32(
+              endptr, static_cast<std::uint32_t>(nptr), sim::Access::kUser))
+        return ctx.raise(*f);
     }
     return ok(static_cast<std::uint64_t>(v));
   };
@@ -304,16 +342,13 @@ core::ApiImpl strtol_fn(CharWidth w) {
 core::ApiImpl strtod_fn(CharWidth w) {
   return [w](CallContext& ctx) -> CallOutcome {
     const Addr nptr = ctx.arg_addr(0), endptr = ctx.arg_addr(1);
-    const std::string s = c_str_host(ctx, nptr, w);
-    double v = 0;
-    try {
-      v = std::stod(s);
-    } catch (...) {
-      v = 0;
-    }
+    std::string s;
+    if (auto f = c_str_host(ctx, nptr, w, &s)) return ctx.raise(*f);
+    const double v = parse_double(s);
     if (endptr != 0) {
-      ctx.proc().mem().write_u32(endptr, static_cast<std::uint32_t>(nptr),
-                                 sim::Access::kUser);
+      if (auto f = ctx.proc().mem().write_u32(
+              endptr, static_cast<std::uint32_t>(nptr), sim::Access::kUser))
+        return ctx.raise(*f);
     }
     return ok(std::bit_cast<std::uint64_t>(v));
   };

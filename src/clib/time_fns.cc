@@ -26,14 +26,27 @@ enum TmField {
   kTmSec, kTmMin, kTmHour, kTmMday, kTmMon, kTmYear, kTmWday, kTmYday, kTmIsdst
 };
 
-std::int32_t tm_read(CallContext& ctx, Addr tm, int field) {
-  return static_cast<std::int32_t>(
-      ctx.proc().mem().read_u32(tm + 4 * field, sim::Access::kUser));
+/// Reads tm fields in the listed order, stopping at the first fault.
+sim::MaybeFault tm_read(
+    CallContext& ctx, Addr tm,
+    std::initializer_list<std::pair<int, std::int32_t*>> fields) {
+  for (const auto& [field, out] : fields) {
+    std::uint32_t v = 0;
+    if (auto f = ctx.proc().mem().read_u32(tm + 4 * field, &v,
+                                           sim::Access::kUser))
+      return f;
+    *out = static_cast<std::int32_t>(v);
+  }
+  return {};
 }
 
-void tm_write(CallContext& ctx, Addr tm, int field, std::int32_t v) {
-  ctx.proc().mem().write_u32(tm + 4 * field, static_cast<std::uint32_t>(v),
-                             sim::Access::kUser);
+/// Stores all nine fields of `f` into the tm at `tm`.
+sim::MaybeFault tm_write(CallContext& ctx, Addr tm, const std::int32_t f[9]) {
+  for (int i = 0; i < 9; ++i)
+    if (auto fault = ctx.proc().mem().write_u32(
+            tm + 4 * i, static_cast<std::uint32_t>(f[i]), sim::Access::kUser))
+      return fault;
+  return {};
 }
 
 std::uint64_t sim_now(CallContext& ctx) {
@@ -83,8 +96,9 @@ CallOutcome do_time(CallContext& ctx) {
       if (s != MemStatus::kOk) return ctx.posix_mem_fail(s);
     } else {
       // The Windows CRT converts GetSystemTime in user mode.
-      ctx.proc().mem().write_u32(out, static_cast<std::uint32_t>(now),
-                                 sim::Access::kUser);
+      if (auto f = ctx.proc().mem().write_u32(
+              out, static_cast<std::uint32_t>(now), sim::Access::kUser))
+        return ctx.raise(*f);
     }
   }
   return ok(now);
@@ -98,27 +112,36 @@ CallOutcome do_difftime(CallContext& ctx) {
   return ok(std::bit_cast<std::uint64_t>(d));
 }
 
+/// Breaks the time_t at `tp` into the static tm.
+sim::MaybeFault time_ptr_to_static_tm(CallContext& ctx, Addr tp) {
+  std::uint32_t t = 0;
+  if (auto f = ctx.proc().mem().read_u32(tp, &t, sim::Access::kUser)) return f;
+  std::int32_t fields[9];
+  epoch_to_tm(t, fields);
+  return tm_write(ctx, crt_state(ctx.proc()).static_tm, fields);
+}
+
 CallOutcome tm_from_time_ptr(CallContext& ctx) {
-  const Addr tp = ctx.arg_addr(0);
-  const std::uint32_t t = ctx.proc().mem().read_u32(tp, sim::Access::kUser);
-  std::int32_t f[9];
-  epoch_to_tm(t, f);
-  CrtState& st = crt_state(ctx.proc());
-  for (int i = 0; i < 9; ++i) tm_write(ctx, st.static_tm, i, f[i]);
-  return ok(st.static_tm);
+  if (auto f = time_ptr_to_static_tm(ctx, ctx.arg_addr(0)))
+    return ctx.raise(*f);
+  return ok(crt_state(ctx.proc()).static_tm);
 }
 
 /// Formats a tm into the static 26-char buffer.  glibc indexes its name
 /// tables directly (out-of-range wday/mon fault via a simulated table read);
 /// MSVC validates first.
 CallOutcome asctime_core(CallContext& ctx, Addr tm) {
-  const std::int32_t sec = tm_read(ctx, tm, kTmSec);
-  const std::int32_t min = tm_read(ctx, tm, kTmMin);
-  const std::int32_t hour = tm_read(ctx, tm, kTmHour);
-  const std::int32_t mday = tm_read(ctx, tm, kTmMday);
-  const std::int32_t mon = tm_read(ctx, tm, kTmMon);
-  const std::int32_t year = tm_read(ctx, tm, kTmYear);
-  const std::int32_t wday = tm_read(ctx, tm, kTmWday);
+  std::int32_t sec = 0, min = 0, hour = 0, mday = 0, mon = 0, year = 0,
+               wday = 0;
+  if (auto f = tm_read(ctx, tm,
+                       {{kTmSec, &sec},
+                        {kTmMin, &min},
+                        {kTmHour, &hour},
+                        {kTmMday, &mday},
+                        {kTmMon, &mon},
+                        {kTmYear, &year},
+                        {kTmWday, &wday}}))
+    return ctx.raise(*f);
   CrtState& st = crt_state(ctx.proc());
 
   const char* mon_name = "???";
@@ -127,12 +150,11 @@ CallOutcome asctime_core(CallContext& ctx, Addr tm) {
     // Raw table lookup: model by touching the simulated ctype page at the
     // offset the index would reach — out-of-range indexes fault like walking
     // off __tzname-adjacent tables.
-    (void)ctx.proc().mem().read_u8(
-        st.ctype_table + static_cast<std::int64_t>(wday) * 4,
-        sim::Access::kUser);
-    (void)ctx.proc().mem().read_u8(
-        st.ctype_table + static_cast<std::int64_t>(mon) * 4,
-        sim::Access::kUser);
+    std::uint8_t entry = 0;
+    for (const std::int64_t index : {wday, mon})
+      if (auto f = ctx.proc().mem().read_u8(st.ctype_table + index * 4, &entry,
+                                            sim::Access::kUser))
+        return ctx.raise(*f);
     if (wday >= 0 && wday < 7) day_name = kDays[wday];
     if (mon >= 0 && mon < 12) mon_name = kMonths[mon];
   } else {
@@ -147,7 +169,9 @@ CallOutcome asctime_core(CallContext& ctx, Addr tm) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%s %s %2d %02d:%02d:%02d %d\n", day_name,
                 mon_name, mday, hour, min, sec, 1900 + year);
-  ctx.proc().mem().write_cstr(st.static_str, buf, sim::Access::kUser);
+  if (auto f = ctx.proc().mem().write_cstr(st.static_str, buf,
+                                           sim::Access::kUser))
+    return ctx.raise(*f);
   return ok(st.static_str);
 }
 
@@ -156,30 +180,30 @@ CallOutcome do_asctime(CallContext& ctx) {
 }
 
 CallOutcome do_ctime(CallContext& ctx) {
-  const Addr tp = ctx.arg_addr(0);
-  const std::uint32_t t = ctx.proc().mem().read_u32(tp, sim::Access::kUser);
-  std::int32_t f[9];
-  epoch_to_tm(t, f);
-  CrtState& st = crt_state(ctx.proc());
-  for (int i = 0; i < 9; ++i) tm_write(ctx, st.static_tm, i, f[i]);
-  return asctime_core(ctx, st.static_tm);
+  if (auto f = time_ptr_to_static_tm(ctx, ctx.arg_addr(0)))
+    return ctx.raise(*f);
+  return asctime_core(ctx, crt_state(ctx.proc()).static_tm);
 }
 
 CallOutcome do_mktime(CallContext& ctx) {
   const Addr tm = ctx.arg_addr(0);
-  const std::int64_t year = tm_read(ctx, tm, kTmYear);
-  const std::int64_t mon = tm_read(ctx, tm, kTmMon);
-  const std::int64_t mday = tm_read(ctx, tm, kTmMday);
+  std::int32_t year = 0, mon = 0, mday = 0, hour = 0, min = 0, sec = 0;
+  if (auto f = tm_read(ctx, tm,
+                       {{kTmYear, &year}, {kTmMon, &mon}, {kTmMday, &mday}}))
+    return ctx.raise(*f);
   if (year < 70 || year > 200 || mon < -12 || mon > 24 || mday < -31 ||
       mday > 62) {
     ctx.proc().set_errno(EINVAL);  // out of representable range
     return core::error_reported(static_cast<std::uint64_t>(-1));
   }
-  const std::int64_t days =
-      (year - 70) * 365 + (year - 69) / 4 + mon * 30 + (mday - 1);
-  const std::int64_t secs = days * 86400 + tm_read(ctx, tm, kTmHour) * 3600 +
-                            tm_read(ctx, tm, kTmMin) * 60 +
-                            tm_read(ctx, tm, kTmSec);
+  if (auto f = tm_read(ctx, tm,
+                       {{kTmHour, &hour}, {kTmMin, &min}, {kTmSec, &sec}}))
+    return ctx.raise(*f);
+  const std::int64_t days = (std::int64_t{year} - 70) * 365 +
+                            (std::int64_t{year} - 69) / 4 +
+                            std::int64_t{mon} * 30 + (std::int64_t{mday} - 1);
+  const std::int64_t secs =
+      days * 86400 + hour * 3600 + min * 60 + std::int64_t{sec};
   return ok(static_cast<std::uint64_t>(secs));
 }
 
@@ -190,21 +214,28 @@ CallOutcome do_strftime(CallContext& ctx) {
   const Addr tm = ctx.arg_addr(3);
   auto& mem = ctx.proc().mem();
 
-  const std::int32_t hour = tm_read(ctx, tm, kTmHour);
-  const std::int32_t min = tm_read(ctx, tm, kTmMin);
-  const std::int32_t mon = tm_read(ctx, tm, kTmMon);
-  const std::int32_t year = tm_read(ctx, tm, kTmYear);
-  const std::int32_t mday = tm_read(ctx, tm, kTmMday);
+  std::int32_t hour = 0, min = 0, mon = 0, year = 0, mday = 0;
+  if (auto f = tm_read(ctx, tm,
+                       {{kTmHour, &hour},
+                        {kTmMin, &min},
+                        {kTmMon, &mon},
+                        {kTmYear, &year},
+                        {kTmMday, &mday}}))
+    return ctx.raise(*f);
 
   std::string out;
   for (std::uint64_t i = 0; i < 4096; ++i) {
-    const std::uint8_t c = mem.read_u8(fmt + i, sim::Access::kUser);
+    std::uint8_t c = 0;
+    if (auto f = mem.read_u8(fmt + i, &c, sim::Access::kUser))
+      return ctx.raise(*f);
     if (c == 0) break;
     if (c != '%') {
       out.push_back(static_cast<char>(c));
       continue;
     }
-    const std::uint8_t conv = mem.read_u8(fmt + ++i, sim::Access::kUser);
+    std::uint8_t conv = 0;
+    if (auto f = mem.read_u8(fmt + ++i, &conv, sim::Access::kUser))
+      return ctx.raise(*f);
     char tmp[32];
     switch (conv) {
       case 'Y': std::snprintf(tmp, sizeof tmp, "%d", 1900 + year); break;
@@ -219,7 +250,8 @@ CallOutcome do_strftime(CallContext& ctx) {
     out += tmp;
   }
   if (out.size() + 1 > maxsize) return ok(0);  // didn't fit: returns 0
-  mem.write_cstr(buf, out, sim::Access::kUser);
+  if (auto f = mem.write_cstr(buf, out, sim::Access::kUser))
+    return ctx.raise(*f);
   return ok(out.size());
 }
 

@@ -26,9 +26,11 @@ enum class CallStatus : std::uint8_t {
   kSilentSuccess,  // returned success while knowingly doing nothing
                    // (the Win9x loose-stub path)
   kWrongError,     // failure return with a misleading error code (Hindering)
+  kFaulted,        // the task took a hardware-class fault, recorded on its
+                   // CallContext (CallContext::raise); classified as Abort
 };
 
-struct CallOutcome {
+struct [[nodiscard]] CallOutcome {
   CallStatus status = CallStatus::kSuccess;
   std::uint64_t ret = 0;
 };
@@ -46,5 +48,8 @@ inline CallOutcome silent_success(std::uint64_t ret) {
 inline CallOutcome wrong_error(std::uint64_t ret) {
   return {CallStatus::kWrongError, ret};
 }
+/// The outcome of a call whose task took a fault; only valid once the fault
+/// is recorded on the CallContext (CallContext::raise, or a kFault MemStatus).
+inline CallOutcome faulted() { return {CallStatus::kFaulted, 0}; }
 
 }  // namespace ballista::core

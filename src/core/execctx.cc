@@ -47,70 +47,61 @@ MemStatus CallContext::hazard_write(sim::Addr a,
     // caller's point of view while corrupting system structures.  Immediate-
     // style hazards die on the spot (panic throws); deferred-style arm the
     // fuse and let this call return success.
-    mem.write_bytes(a, in, sim::Access::kKernel);
+    if (auto f = mem.write_bytes(a, in, sim::Access::kKernel))
+      return record(*f);
     machine_.trace().emit(trace::hazard_write_event(
         a, static_cast<std::uint32_t>(in.size()), /*staging=*/false));
     machine_.note_arena_corruption(a, hazard_ == CrashStyle::kImmediate);
     return MemStatus::kOk;
   }
   if (hazard_ == CrashStyle::kImmediate) {
-    try {
-      mem.write_bytes(a, in, sim::Access::kKernel);
-      return MemStatus::kOk;
-    } catch (const sim::SimFault&) {
+    // An unprobed kernel write that faults is a page fault in kernel context.
+    if (mem.write_bytes(a, in, sim::Access::kKernel))
       machine_.panic(sim::PanicKind::kKernelPageFault);
-    }
+    return MemStatus::kOk;
   }
   // Deferred-style hazard: the fast path stages the transfer through a
   // kernel buffer in the shared arena using a length derived from the
   // (garbage) arguments.  The staging copy overruns into adjacent kernel
   // structures — the call itself "succeeds", and the machine dies a few
   // kernel entries later (the paper's `*` failures).
-  if (!mem.check_range(a, in.size(), /*write=*/true, sim::Access::kKernel)) {
-    corrupt_staging_area();
-    return MemStatus::kOk;
-  }
-  mem.write_bytes(a, in, sim::Access::kKernel);
-  return MemStatus::kOk;
+  if (!mem.check_range(a, in.size(), /*write=*/true, sim::Access::kKernel))
+    return trap(corrupt_staging_area());
+  return trap(mem.write_bytes(a, in, sim::Access::kKernel));
 }
 
-void CallContext::corrupt_staging_area() {
+sim::MaybeFault CallContext::corrupt_staging_area() {
   auto& mem = proc_.mem();
-  if (mem.arena() == nullptr) return;  // no shared state to corrupt
+  if (mem.arena() == nullptr) return {};  // no shared state to corrupt
   constexpr sim::Addr kStaging = sim::kSharedArenaBase + 0x5000;
   const std::uint8_t junk[16] = {0xde, 0xad, 0xbe, 0xef, 0xde, 0xad,
                                  0xbe, 0xef, 0xde, 0xad, 0xbe, 0xef,
                                  0xde, 0xad, 0xbe, 0xef};
-  mem.write_bytes(kStaging, junk, sim::Access::kKernel);
+  if (auto f = mem.write_bytes(kStaging, junk, sim::Access::kKernel)) return f;
   machine_.trace().emit(
       trace::hazard_write_event(kStaging, sizeof junk, /*staging=*/true));
   machine_.note_arena_corruption(kStaging, /*critical=*/false);
+  return {};
 }
 
 MemStatus CallContext::hazard_read(sim::Addr a, std::span<std::uint8_t> out) {
   auto& mem = proc_.mem();
   a = slotize(a);
-  if (mem.arena() != nullptr && mem.arena()->contains(a)) {
-    mem.read_bytes(a, out, sim::Access::kKernel);
-    return MemStatus::kOk;
-  }
+  if (mem.arena() != nullptr && mem.arena()->contains(a))
+    return trap(mem.read_bytes(a, out, sim::Access::kKernel));
   if (hazard_ == CrashStyle::kImmediate) {
-    try {
-      mem.read_bytes(a, out, sim::Access::kKernel);
-      return MemStatus::kOk;
-    } catch (const sim::SimFault&) {
+    if (mem.read_bytes(a, out, sim::Access::kKernel))
       machine_.panic(sim::PanicKind::kKernelPageFault);
-    }
+    return MemStatus::kOk;
   }
   if (!mem.check_range(a, out.size(), /*write=*/false, sim::Access::kKernel)) {
     // Deferred-style hazard on a read: the staging copy still overruns.
     // The caller receives zero-filled data and a success indication.
-    corrupt_staging_area();
+    if (auto f = corrupt_staging_area()) return record(*f);
     std::fill(out.begin(), out.end(), std::uint8_t{0});
     return MemStatus::kOk;
   }
-  mem.read_bytes(a, out, sim::Access::kKernel);
-  return MemStatus::kOk;
+  return trap(mem.read_bytes(a, out, sim::Access::kKernel));
 }
 
 MemStatus CallContext::k_write(sim::Addr a, std::span<const std::uint8_t> in) {
@@ -127,16 +118,14 @@ MemStatus CallContext::k_write(sim::Addr a, std::span<const std::uint8_t> in) {
         return MemStatus::kError;
       }
       emit_probe(trace::ProbeResult::kOk, a, in.size(), true);
-      mem.write_bytes(a, in, sim::Access::kKernel);
-      return MemStatus::kOk;
+      return trap(mem.write_bytes(a, in, sim::Access::kKernel));
 
     case sim::PointerPolicy::kProbeRaiseException:
       // NT/2000: the probe failure surfaces as an access-violation exception
       // raised into the calling task — write through user-mode rules so the
       // fault carries the faulting address.
       emit_probe(trace::ProbeResult::kGuarded, a, in.size(), true);
-      mem.write_bytes(a, in, sim::Access::kUser);
-      return MemStatus::kOk;
+      return trap(mem.write_bytes(a, in, sim::Access::kUser));
 
     case sim::PointerPolicy::kStubCheckLoose:
       if (stub_rejects(a)) {
@@ -146,8 +135,7 @@ MemStatus CallContext::k_write(sim::Addr a, std::span<const std::uint8_t> in) {
       // Subtler garbage (dangling, read-only, guard pages) is dereferenced in
       // user mode and faults there: an Abort, not a crash.
       emit_probe(trace::ProbeResult::kOk, a, in.size(), true);
-      mem.write_bytes(a, in, sim::Access::kUser);
-      return MemStatus::kOk;
+      return trap(mem.write_bytes(a, in, sim::Access::kUser));
   }
   return MemStatus::kError;
 }
@@ -166,13 +154,11 @@ MemStatus CallContext::k_read(sim::Addr a, std::span<std::uint8_t> out) {
         return MemStatus::kError;
       }
       emit_probe(trace::ProbeResult::kOk, a, out.size(), false);
-      mem.read_bytes(a, out, sim::Access::kKernel);
-      return MemStatus::kOk;
+      return trap(mem.read_bytes(a, out, sim::Access::kKernel));
 
     case sim::PointerPolicy::kProbeRaiseException:
       emit_probe(trace::ProbeResult::kGuarded, a, out.size(), false);
-      mem.read_bytes(a, out, sim::Access::kUser);
-      return MemStatus::kOk;
+      return trap(mem.read_bytes(a, out, sim::Access::kUser));
 
     case sim::PointerPolicy::kStubCheckLoose:
       if (stub_rejects(a)) {
@@ -180,8 +166,7 @@ MemStatus CallContext::k_read(sim::Addr a, std::span<std::uint8_t> out) {
         return MemStatus::kSilent;
       }
       emit_probe(trace::ProbeResult::kOk, a, out.size(), false);
-      mem.read_bytes(a, out, sim::Access::kUser);
-      return MemStatus::kOk;
+      return trap(mem.read_bytes(a, out, sim::Access::kUser));
   }
   return MemStatus::kError;
 }
@@ -218,7 +203,9 @@ MemStatus CallContext::k_read_str(sim::Addr a, std::string* out,
         }
         const std::size_t n = std::min<std::size_t>(
             sim::kPageSize - ((a + i) % sim::kPageSize), max_len - i);
-        const std::string seg = mem.read_cstr(a + i, n, sim::Access::kKernel);
+        std::string seg;
+        if (auto f = mem.read_cstr(a + i, &seg, n, sim::Access::kKernel))
+          return record(*f);
         out->append(seg);
         if (seg.size() < n) {
           emit_probe(trace::ProbeResult::kOk, a, i + seg.size(), false);
@@ -231,16 +218,14 @@ MemStatus CallContext::k_read_str(sim::Addr a, std::string* out,
     }
     case sim::PointerPolicy::kProbeRaiseException:
       emit_probe(trace::ProbeResult::kGuarded, a, 0, false);
-      *out = mem.read_cstr(a, max_len, sim::Access::kUser);
-      return MemStatus::kOk;
+      return trap(mem.read_cstr(a, out, max_len, sim::Access::kUser));
     case sim::PointerPolicy::kStubCheckLoose:
       if (stub_rejects(a)) {
         emit_probe(trace::ProbeResult::kStubSilent, a, 0, false);
         return MemStatus::kSilent;
       }
       emit_probe(trace::ProbeResult::kOk, a, 0, false);
-      *out = mem.read_cstr(a, max_len, sim::Access::kUser);
-      return MemStatus::kOk;
+      return trap(mem.read_cstr(a, out, max_len, sim::Access::kUser));
   }
   return MemStatus::kError;
 }
@@ -269,29 +254,28 @@ MemStatus CallContext::k_read_wstr(sim::Addr a, std::u16string* out,
           emit_probe(trace::ProbeResult::kRejected, a + 2 * i, 2, false);
           return MemStatus::kError;
         }
-        const char16_t c = static_cast<char16_t>(
-            mem.read_u16(a + 2 * i, sim::Access::kKernel));
+        std::uint16_t c = 0;
+        if (auto f = mem.read_u16(a + 2 * i, &c, sim::Access::kKernel))
+          return record(*f);
         if (c == 0) {
           emit_probe(trace::ProbeResult::kOk, a, 2 * i, false);
           return MemStatus::kOk;
         }
-        out->push_back(c);
+        out->push_back(static_cast<char16_t>(c));
       }
       emit_probe(trace::ProbeResult::kOk, a, 2 * max_len, false);
       return MemStatus::kOk;
     }
     case sim::PointerPolicy::kProbeRaiseException:
       emit_probe(trace::ProbeResult::kGuarded, a, 0, false);
-      *out = mem.read_wstr(a, max_len, sim::Access::kUser);
-      return MemStatus::kOk;
+      return trap(mem.read_wstr(a, out, max_len, sim::Access::kUser));
     case sim::PointerPolicy::kStubCheckLoose:
       if (stub_rejects(a)) {
         emit_probe(trace::ProbeResult::kStubSilent, a, 0, false);
         return MemStatus::kSilent;
       }
       emit_probe(trace::ProbeResult::kOk, a, 0, false);
-      *out = mem.read_wstr(a, max_len, sim::Access::kUser);
-      return MemStatus::kOk;
+      return trap(mem.read_wstr(a, out, max_len, sim::Access::kUser));
   }
   return MemStatus::kError;
 }
@@ -337,13 +321,25 @@ CallOutcome CallContext::posix_fail(int code) {
 }
 
 CallOutcome CallContext::win_mem_fail(MemStatus s, std::uint64_t fail_ret) {
+  if (s == MemStatus::kFault) return faulted();
   if (s == MemStatus::kSilent) return silent_success(1);
   return win_fail(kErrorNoaccess, fail_ret);
 }
 
 CallOutcome CallContext::posix_mem_fail(MemStatus s) {
+  if (s == MemStatus::kFault) return faulted();
   if (s == MemStatus::kSilent) return silent_success(0);
   return posix_fail(EFAULT);
+}
+
+CallOutcome CallContext::raise(const sim::Fault& f) {
+  (void)record(f);
+  return faulted();
+}
+
+MemStatus CallContext::record(const sim::Fault& f) {
+  if (faults_recorded_++ == 0) fault_ = f;
+  return MemStatus::kFault;
 }
 
 }  // namespace ballista::core

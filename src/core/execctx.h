@@ -7,6 +7,11 @@
 // counted as Abort), a silent no-op (Win9x loose stubs), or a kernel-side
 // catastrophe (Win9x/CE hazard paths) is decided here from the Machine's
 // personality and the MuT's hazard entry.
+//
+// A fault the task takes is a value, not a C++ exception: the context
+// records it (raise, or a k_* helper returning kFault) and the API returns
+// the faulted CallOutcome, which Executor::run_case classifies as Abort
+// (DESIGN.md §4).
 #pragma once
 
 #include <cstdint>
@@ -20,10 +25,13 @@
 namespace ballista::core {
 
 /// Result of a kernel-side user-memory operation.
-enum class MemStatus : std::uint8_t {
+enum class [[nodiscard]] MemStatus : std::uint8_t {
   kOk,
   kError,   // caller should fail with a proper error code (EFAULT / ERROR_NOACCESS)
   kSilent,  // loose stub swallowed the bad pointer: return success, do nothing
+  kFault,   // the access faulted in the task (NT raise policy, Win9x loose
+            // stub past its check): the fault is recorded on the context and
+            // the call must end now, with the outcome *_mem_fail returns
 };
 
 class CallContext {
@@ -81,9 +89,27 @@ class CallContext {
   CallOutcome win_fail(std::uint32_t code, std::uint64_t ret = 0);
   /// POSIX: returns -1 after errno = code.
   CallOutcome posix_fail(int code);
-  /// Propagates a MemStatus into the correct Win32 failure shape.
+  /// Propagates a MemStatus into the correct Win32 failure shape (kFault:
+  /// the faulted outcome).
   CallOutcome win_mem_fail(MemStatus s, std::uint64_t fail_ret = 0);
   CallOutcome posix_mem_fail(MemStatus s);
+
+  // --- the fault in flight ---------------------------------------------------
+
+  /// Records `f`, the fault a user-mode access took, and returns the faulted
+  /// outcome that carries it to the executor: `return ctx.raise(*f);`.
+  CallOutcome raise(const sim::Fault& f);
+  /// Records `f` for a helper that reports MemStatus; returns kFault.
+  MemStatus record(const sim::Fault& f);
+  /// Folds an access's returned fault into a MemStatus: kOk, or kFault with
+  /// the fault recorded.
+  MemStatus trap(const sim::MaybeFault& f) {
+    return f ? record(*f) : MemStatus::kOk;
+  }
+  /// The first fault recorded, and how many were: a faulted call records
+  /// exactly one (Executor::run_case treats anything else as a harness bug).
+  const std::optional<sim::Fault>& fault() const noexcept { return fault_; }
+  int faults_recorded() const noexcept { return faults_recorded_; }
 
  private:
   /// Records the validation layer's verdict on one API-level user-memory
@@ -98,13 +124,15 @@ class CallContext {
   MemStatus hazard_write(sim::Addr a, std::span<const std::uint8_t> in);
   MemStatus hazard_read(sim::Addr a, std::span<std::uint8_t> out);
   /// Deferred-hazard staging-buffer overrun into the shared arena.
-  void corrupt_staging_area();
+  sim::MaybeFault corrupt_staging_area();
 
   sim::Machine& machine_;
   sim::SimProcess& proc_;
   const MuT& mut_;
   std::span<const RawArg> args_;
   CrashStyle hazard_;
+  std::optional<sim::Fault> fault_;
+  int faults_recorded_ = 0;
 };
 
 }  // namespace ballista::core

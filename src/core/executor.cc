@@ -33,6 +33,27 @@ std::vector<trace::TraceEvent> causal_window(std::vector<trace::TraceEvent> tail
   return tail;
 }
 
+[[noreturn]] void harness_error(const MuT& mut, std::string_view what) {
+  std::string s{"harness error in "};
+  s += mut.name;
+  s += ": ";
+  s += what;
+  throw HarnessError(s);
+}
+
+/// The fault behind a call that recorded or returned one: a faulted outcome
+/// carries exactly one recorded fault; anything else is a harness bug.
+const sim::Fault& taken_fault(const MuT& mut, const CallOutcome& out,
+                              const CallContext& ctx) {
+  if (out.status != CallStatus::kFaulted)
+    harness_error(mut, "a fault was recorded but not returned");
+  if (ctx.faults_recorded() == 0)
+    harness_error(mut, "a faulted outcome carries no recorded fault");
+  if (ctx.faults_recorded() > 1)
+    harness_error(mut, "a fault was recorded twice");
+  return *ctx.fault();
+}
+
 }  // namespace
 
 CaseResult Executor::run_case(const MuT& mut,
@@ -61,7 +82,11 @@ CaseResult Executor::run_case(const MuT& mut,
   ValueCtx vctx{machine_, *proc};
 
   args_.clear();
-  for (const TestValue* v : tuple) args_.push_back(v->make(vctx));
+  try {
+    for (const TestValue* v : tuple) args_.push_back(v->make(vctx));
+  } catch (const std::logic_error& e) {
+    harness_error(mut, e.what());
+  }
 
   // Sentinel error state so the classifier can see whether the call reported.
   proc->set_last_error(0);
@@ -75,20 +100,19 @@ CaseResult Executor::run_case(const MuT& mut,
   try {
     machine_.kernel_enter();
     const CallOutcome out = mut.impl(ctx);
-    sink.emit(trace::syscall_exit_event(out.status, out.ret));
-    switch (out.status) {
-      case CallStatus::kErrorReported:
-        result.outcome = Outcome::kPass;
-        break;
-      case CallStatus::kWrongError:
-        result.outcome = Outcome::kPass;
-        result.wrong_error = true;
-        break;
-      case CallStatus::kSuccess:
-      case CallStatus::kSilentSuccess:
-        result.outcome = Outcome::kPass;
-        result.success_no_error = true;
-        break;
+    if (out.status == CallStatus::kFaulted || ctx.faults_recorded() != 0) {
+      // The task took a hardware-class fault: it never returns to its
+      // caller, so no kSyscallExit.
+      const sim::Fault& f = taken_fault(mut, out, ctx);
+      result.outcome = Outcome::kAbort;
+      result.fault = f.type;
+      result.detail = sim::describe_fault(f);
+    } else {
+      sink.emit(trace::syscall_exit_event(out.status, out.ret));
+      result.outcome = Outcome::kPass;
+      result.wrong_error = out.status == CallStatus::kWrongError;
+      result.success_no_error = out.status == CallStatus::kSuccess ||
+                                out.status == CallStatus::kSilentSuccess;
     }
   } catch (const sim::KernelPanic& p) {
     result.outcome = Outcome::kCatastrophic;
@@ -99,10 +123,11 @@ CaseResult Executor::run_case(const MuT& mut,
   } catch (const sim::TaskHang& h) {
     result.outcome = Outcome::kRestart;
     result.detail = h.what();
-  } catch (const sim::SimFault& f) {
-    result.outcome = Outcome::kAbort;
-    result.fault = f.fault().type;
-    result.detail = f.what();
+  } catch (const HarnessError&) {
+    throw;
+  } catch (const std::logic_error& e) {
+    // A fault in harness code the call runs (CRT set-up).
+    harness_error(mut, e.what());
   }
   machine_.mutations().close_window();
   sink.emit(trace::classified_event(result.outcome, result.fault,

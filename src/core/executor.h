@@ -4,6 +4,7 @@
 
 #include <functional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,14 @@ struct CaseResult {
   std::vector<trace::TraceEvent> trace_tail;
 };
 
+/// A bug in the harness, never a verdict: a fault recorded but not returned,
+/// recorded twice, or taken by harness code (value materialization, CRT
+/// set-up).  The message names the MuT.
+class HarnessError : public std::logic_error {
+ public:
+  using std::logic_error::logic_error;
+};
+
 class Executor {
  public:
   explicit Executor(sim::Machine& machine) : machine_(machine) {}
@@ -45,6 +54,9 @@ class Executor {
   /// machine's process pool, materializes the tuple, dispatches, classifies,
   /// and releases the task for recycling.
   /// `case_index` stamps the emitted trace events (-1 = unindexed run).
+  /// A faulted call classifies as Abort; the fault arrives as a value (the
+  /// CallContext's recorded fault behind a kFaulted outcome), and any
+  /// mismatch between the two throws HarnessError.
   CaseResult run_case(const MuT& mut, std::span<const TestValue* const> tuple,
                       std::int64_t case_index = -1);
 

@@ -56,13 +56,13 @@ Addr alloc_sockaddr(ValueCtx& c, std::uint16_t family, std::uint32_t ip,
   encode_sockaddr({family, port, ip}, bytes);
   const Addr a = c.proc.mem().alloc(kSockAddrSize);
   for (std::size_t i = 0; i < kSockAddrSize; ++i)
-    c.proc.mem().write_u8(a + i, bytes[i], sim::Access::kKernel);
+    c.proc.mem().poke_u8(a + i, bytes[i]);
   return a;
 }
 
 Addr alloc_u32(ValueCtx& c, std::uint32_t v) {
   const Addr a = c.proc.mem().alloc(4);
-  c.proc.mem().write_u32(a, v, sim::Access::kKernel);
+  c.proc.mem().poke_u32(a, v);
   return a;
 }
 

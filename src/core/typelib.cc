@@ -157,7 +157,7 @@ void register_base_types(TypeLibrary& lib) {
              for (int i = 0; i < 64; ++i)
                fill[i] = static_cast<std::uint8_t>(i);
              const auto a = c.proc.mem().alloc(64);
-             c.proc.mem().write_bytes(a, fill, sim::Access::kKernel);
+             c.proc.mem().poke_bytes(a, fill);
              return a;
            })
       .add("cbuf_page", false,
@@ -206,7 +206,7 @@ void register_base_types(TypeLibrary& lib) {
              // any scanner that trusts termination.
              const std::vector<std::uint8_t> fill(4096, 'A');
              const auto a = c.proc.mem().alloc(4096);
-             c.proc.mem().write_bytes(a, fill, sim::Access::kKernel);
+             c.proc.mem().poke_bytes(a, fill);
              return a;
            })
       .add("str_kernel", true, fixed(0xC0002000ull));
@@ -250,7 +250,7 @@ void register_base_types(TypeLibrary& lib) {
       .add("wstr_unterminated", true, [](ValueCtx& c) {
         const auto a = c.proc.mem().alloc(4096);
         for (int i = 0; i < 4096; i += 2)
-          c.proc.mem().write_u16(a + i, u'B', sim::Access::kKernel);
+          c.proc.mem().poke_u16(a + i, u'B');
         return a;
       });
 

@@ -58,8 +58,8 @@ core::CampaignResult run_stressed_campaign(sim::OsVariant variant,
       }
       for (int i = 0; i < p.heap_chunks; ++i) {
         const sim::Addr a = proc.mem().alloc(64 + 16);
-        proc.mem().write_u64(a, 0x48454150'4348554eULL, sim::Access::kKernel);
-        proc.mem().write_u64(a + 8, 64, sim::Access::kKernel);
+        proc.mem().poke_u64(a, 0x48454150'4348554eULL);
+        proc.mem().poke_u64(a + 8, 64);
         proc.default_heap()->allocations[a + 16] = 64;
       }
     };

@@ -19,7 +19,9 @@ CallOutcome do_getenv(CallContext& ctx) {
   auto& mem = ctx.proc().mem();
   std::string name;
   for (std::uint64_t i = 0; i < 65536; ++i) {
-    const std::uint8_t c = mem.read_u8(ctx.arg_addr(0) + i, sim::Access::kUser);
+    std::uint8_t c = 0;
+    if (auto f = mem.read_u8(ctx.arg_addr(0) + i, &c, sim::Access::kUser))
+      return ctx.raise(*f);
     if (c == 0) break;
     name.push_back(static_cast<char>(c));
   }
@@ -32,7 +34,9 @@ CallOutcome do_putenv(CallContext& ctx) {
   auto& mem = ctx.proc().mem();
   std::string kv;
   for (std::uint64_t i = 0; i < 65536; ++i) {
-    const std::uint8_t c = mem.read_u8(ctx.arg_addr(0) + i, sim::Access::kUser);
+    std::uint8_t c = 0;
+    if (auto f = mem.read_u8(ctx.arg_addr(0) + i, &c, sim::Access::kUser))
+      return ctx.raise(*f);
     if (c == 0) break;
     kv.push_back(static_cast<char>(c));
   }

@@ -299,23 +299,37 @@ CallOutcome do_readlink(CallContext& ctx) {
 // The directory-stream trio: glibc dereferences the DIR* in user space.
 struct DirRef {
   bool ok = false;
+  bool faulted = false;  // the task faulted resolving it (fault recorded)
   sim::DirectoryObject* dir = nullptr;
   Addr d = 0;
+
+  CallOutcome fail(std::uint64_t ret) const {
+    return faulted ? core::faulted() : core::error_reported(ret);
+  }
 };
 
 DirRef resolve_dir(CallContext& ctx, Addr d) {
   DirRef out;
   out.d = d;
   auto& mem = ctx.proc().mem();
-  const std::uint32_t magic = mem.read_u32(d, sim::Access::kUser);
+  const auto fault = [&](const sim::MaybeFault& f) {
+    out.faulted = ctx.trap(f) == MemStatus::kFault;
+    return out.faulted;
+  };
+  std::uint32_t magic = 0;
+  if (fault(mem.read_u32(d, &magic, sim::Access::kUser))) return out;
   if (magic != kDirMagic) {
     // Chase the embedded fd/cursor like the real wrapper would.
-    const std::uint32_t bogus = mem.read_u32(d + 4, sim::Access::kUser);
-    (void)mem.read_u8(bogus, sim::Access::kUser);
+    std::uint32_t bogus = 0;
+    std::uint8_t scratch = 0;
+    if (fault(mem.read_u32(d + 4, &bogus, sim::Access::kUser)) ||
+        fault(mem.read_u8(bogus, &scratch, sim::Access::kUser)))
+      return out;
     ctx.proc().set_errno(EBADF);
     return out;
   }
-  const std::uint32_t h = mem.read_u32(d + 4, sim::Access::kUser);
+  std::uint32_t h = 0;
+  if (fault(mem.read_u32(d + 4, &h, sim::Access::kUser))) return out;
   auto obj = ctx.proc().handles().get(h);
   if (obj == nullptr || obj->kind() != sim::ObjectKind::kDirectory) {
     ctx.proc().set_errno(EBADF);
@@ -334,16 +348,19 @@ CallOutcome do_opendir(CallContext& ctx) {
   if (!node->is_dir()) return ctx.posix_fail(ENOTDIR);
   auto& mem = ctx.proc().mem();
   const Addr d = mem.alloc(16);
-  mem.write_u32(d, kDirMagic, sim::Access::kKernel);
+  if (auto f = mem.write_u32(d, kDirMagic, sim::Access::kKernel))
+    return ctx.raise(*f);
   const std::uint64_t h = ctx.proc().handles().insert(
       std::make_shared<sim::DirectoryObject>(node));
-  mem.write_u32(d + 4, static_cast<std::uint32_t>(h), sim::Access::kKernel);
+  if (auto f = mem.write_u32(d + 4, static_cast<std::uint32_t>(h),
+                             sim::Access::kKernel))
+    return ctx.raise(*f);
   return ok(d);
 }
 
 CallOutcome do_readdir(CallContext& ctx) {
   const DirRef ref = resolve_dir(ctx, ctx.arg_addr(0));
-  if (!ref.ok) return core::error_reported(0);
+  if (!ref.ok) return ref.fail(0);
   const auto& children = ref.dir->node()->children();
   if (ref.dir->cursor >= children.size()) return ok(0);  // end of stream
   auto it = children.begin();
@@ -351,23 +368,27 @@ CallOutcome do_readdir(CallContext& ctx) {
   // dirent: 8-byte header + name, in a per-DIR static area appended to the
   // DIR structure's page.
   const Addr entry = ctx.proc().mem().alloc(8 + 256);
-  ctx.proc().mem().write_cstr(entry + 8, it->first, sim::Access::kKernel);
+  if (auto f = ctx.proc().mem().write_cstr(entry + 8, it->first,
+                                           sim::Access::kKernel))
+    return ctx.raise(*f);
   return ok(entry);
 }
 
 CallOutcome do_closedir(CallContext& ctx) {
   const DirRef ref = resolve_dir(ctx, ctx.arg_addr(0));
-  if (!ref.ok) return core::error_reported(static_cast<std::uint64_t>(-1));
-  const std::uint32_t h =
-      ctx.proc().mem().read_u32(ref.d + 4, sim::Access::kUser);
+  if (!ref.ok) return ref.fail(static_cast<std::uint64_t>(-1));
+  std::uint32_t h = 0;
+  if (auto f = ctx.proc().mem().read_u32(ref.d + 4, &h, sim::Access::kUser))
+    return ctx.raise(*f);
   ctx.proc().handles().close(h);
-  ctx.proc().mem().write_u32(ref.d, 0, sim::Access::kUser);
+  if (auto f = ctx.proc().mem().write_u32(ref.d, 0, sim::Access::kUser))
+    return ctx.raise(*f);
   return ok(0);
 }
 
 CallOutcome do_rewinddir(CallContext& ctx) {
   const DirRef ref = resolve_dir(ctx, ctx.arg_addr(0));
-  if (!ref.ok) return core::error_reported(0);
+  if (!ref.ok) return ref.fail(0);
   ref.dir->cursor = 0;
   return ok(0);
 }

@@ -86,6 +86,7 @@ CallOutcome do_pipe(CallContext& ctx) {
   const std::uint64_t r = ctx.proc().handles().insert(pipe);
   const std::uint64_t w = ctx.proc().handles().insert(pipe);
   MemStatus st = ctx.k_write_u32(out, static_cast<std::uint32_t>(r));
+  if (st == MemStatus::kFault) return core::faulted();  // the task dies
   if (st != MemStatus::kOk) {
     ctx.proc().handles().close(r);
     ctx.proc().handles().close(w);

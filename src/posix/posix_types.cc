@@ -27,13 +27,13 @@ constexpr std::uint32_t kDirMagic = 0x44495221;  // 'DIR!'
 std::uint64_t make_dir_struct(ValueCtx& c) {
   auto& mem = c.proc.mem();
   const sim::Addr d = mem.alloc(16);
-  mem.write_u32(d, kDirMagic, sim::Access::kKernel);
+  mem.poke_u32(d, kDirMagic);
   auto& fs = c.machine.fs();
   auto node = fs.resolve(fs.parse("/tmp", c.proc.cwd()));
   auto obj = std::make_shared<sim::DirectoryObject>(node);
   const std::uint64_t h = c.proc.handles().insert(std::move(obj));
-  mem.write_u32(d + 4, static_cast<std::uint32_t>(h), sim::Access::kKernel);
-  mem.write_u32(d + 8, 0, sim::Access::kKernel);  // cursor
+  mem.poke_u32(d + 4, static_cast<std::uint32_t>(h));
+  mem.poke_u32(d + 8, 0);  // cursor
   return d;
 }
 
@@ -63,7 +63,7 @@ void register_posix_types(core::TypeLibrary& lib) {
       .add("dir_closed", true,
            [](ValueCtx& c) {
              const auto d = make_dir_struct(c);
-             c.proc.mem().write_u32(d, 0, sim::Access::kKernel);
+             c.proc.mem().poke_u32(d, 0);
              return d;
            })
       .add("dir_dangling", true,
@@ -113,11 +113,9 @@ void register_posix_types(core::TypeLibrary& lib) {
              const sim::Addr s0 = mem.alloc_cstr("prog");
              const sim::Addr s1 = mem.alloc_cstr("-x");
              const sim::Addr v = mem.alloc(24);
-             mem.write_u32(v, static_cast<std::uint32_t>(s0),
-                           sim::Access::kKernel);
-             mem.write_u32(v + 4, static_cast<std::uint32_t>(s1),
-                           sim::Access::kKernel);
-             mem.write_u32(v + 8, 0, sim::Access::kKernel);
+             mem.poke_u32(v, static_cast<std::uint32_t>(s0));
+             mem.poke_u32(v + 4, static_cast<std::uint32_t>(s1));
+             mem.poke_u32(v + 8, 0);
              return v;
            })
       .add("argv_empty", false,
@@ -133,7 +131,7 @@ void register_posix_types(core::TypeLibrary& lib) {
              auto& mem = c.proc.mem();
              const sim::Addr v = mem.alloc(4096);
              for (int i = 0; i < 1024; ++i)
-               mem.write_u32(v + 4 * i, 0x61616161, sim::Access::kKernel);
+               mem.poke_u32(v + 4 * i, 0x61616161);
              return v;
            })
       .add("argv_dangling", true,
@@ -141,8 +139,8 @@ void register_posix_types(core::TypeLibrary& lib) {
       .add("argv_bad_member", true, [](ValueCtx& c) {
         auto& mem = c.proc.mem();
         const sim::Addr v = mem.alloc(16);
-        mem.write_u32(v, 0xdead0000, sim::Access::kKernel);
-        mem.write_u32(v + 4, 0, sim::Access::kKernel);
+        mem.poke_u32(v, 0xdead0000);
+        mem.poke_u32(v + 4, 0);
         return v;
       });
 
@@ -157,24 +155,23 @@ void register_posix_types(core::TypeLibrary& lib) {
            [](ValueCtx& c) {
              auto& mem = c.proc.mem();
              const sim::Addr a = mem.alloc(16);
-             mem.write_u64(a, 0, sim::Access::kKernel);
-             mem.write_u64(a + 8, 1000, sim::Access::kKernel);  // 1us
+             mem.poke_u64(a, 0);
+             mem.poke_u64(a + 8, 1000);  // 1us
              return a;
            })
       .add("ts_negative", true,
            [](ValueCtx& c) {
              auto& mem = c.proc.mem();
              const sim::Addr a = mem.alloc(16);
-             mem.write_u64(a, static_cast<std::uint64_t>(-5),
-                           sim::Access::kKernel);
-             mem.write_u64(a + 8, 0, sim::Access::kKernel);
+             mem.poke_u64(a, static_cast<std::uint64_t>(-5));
+             mem.poke_u64(a + 8, 0);
              return a;
            })
       .add("ts_huge_nsec", true, [](ValueCtx& c) {
         auto& mem = c.proc.mem();
         const sim::Addr a = mem.alloc(16);
-        mem.write_u64(a, 0, sim::Access::kKernel);
-        mem.write_u64(a + 8, 5'000'000'000ull, sim::Access::kKernel);
+        mem.poke_u64(a, 0);
+        mem.poke_u64(a + 8, 5'000'000'000ull);
         return a;
       });
 

@@ -69,8 +69,7 @@ CallOutcome do_kill(CallContext& ctx) {
       // Delivering a fatal signal to ourselves terminates the task: the
       // harness classifies the escape as an Abort, which is exactly what a
       // real kill(getpid(), SIGKILL) test case produces.
-      throw sim::SimFault(
-          sim::Fault{sim::FaultType::kAccessViolation, 0, false});
+      return ctx.raise(sim::Fault{sim::FaultType::kAccessViolation, 0, false});
     }
     return ok(0);  // non-fatal signals: default-ignored in this model
   }
@@ -81,10 +80,8 @@ CallOutcome do_kill(CallContext& ctx) {
 CallOutcome do_raise(CallContext& ctx) {
   const std::int64_t sig = static_cast<std::int32_t>(ctx.arg32(0));
   if (sig < 0 || sig > 63) return ctx.posix_fail(EINVAL);
-  if (sig == 9 || sig == 15 || sig == 11) {
-    throw sim::SimFault(
-        sim::Fault{sim::FaultType::kAccessViolation, 0, false});
-  }
+  if (sig == 9 || sig == 15 || sig == 11)
+    return ctx.raise(sim::Fault{sim::FaultType::kAccessViolation, 0, false});
   return ok(0);
 }
 
@@ -98,8 +95,13 @@ CallOutcome do_sigaction(CallContext& ctx) {
   // space before trapping — bad struct pointers fault in the wrapper, one of
   // the few places Linux system-call tests abort.
   auto& mem = ctx.proc().mem();
-  if (act != 0) (void)mem.read_u32(act, sim::Access::kUser);
-  if (old != 0) mem.write_u32(old, 0, sim::Access::kUser);
+  std::uint32_t act_word = 0;
+  if (act != 0)
+    if (auto f = mem.read_u32(act, &act_word, sim::Access::kUser))
+      return ctx.raise(*f);
+  if (old != 0)
+    if (auto f = mem.write_u32(old, 0, sim::Access::kUser))
+      return ctx.raise(*f);
   return ok(0);
 }
 
@@ -110,8 +112,13 @@ CallOutcome do_sigprocmask(CallContext& ctx) {
   const Addr old = ctx.arg_addr(2);
   // Same glibc user-space conversion shim as sigaction.
   auto& mem = ctx.proc().mem();
-  if (set != 0) (void)mem.read_u64(set, sim::Access::kUser);
-  if (old != 0) mem.write_u64(old, 0, sim::Access::kUser);
+  std::uint64_t set_word = 0;
+  if (set != 0)
+    if (auto f = mem.read_u64(set, &set_word, sim::Access::kUser))
+      return ctx.raise(*f);
+  if (old != 0)
+    if (auto f = mem.write_u64(old, 0, sim::Access::kUser))
+      return ctx.raise(*f);
   return ok(0);
 }
 
@@ -213,7 +220,8 @@ CallOutcome exec_common(CallContext& ctx, bool user_space_walk) {
   for (; argc < 4096; ++argc) {
     std::uint32_t p = 0;
     if (user_space_walk) {
-      p = mem.read_u32(argv + 4ull * argc, sim::Access::kUser);
+      if (auto f = mem.read_u32(argv + 4ull * argc, &p, sim::Access::kUser))
+        return ctx.raise(*f);
     } else {
       const MemStatus st = ctx.k_read_u32(argv + 4ull * argc, &p);
       if (st != MemStatus::kOk) return ctx.posix_mem_fail(st);
@@ -221,7 +229,9 @@ CallOutcome exec_common(CallContext& ctx, bool user_space_walk) {
     if (p == 0) break;
     // Each argument string is copied in as well.
     if (user_space_walk) {
-      (void)mem.read_u8(p, sim::Access::kUser);
+      std::uint8_t first = 0;
+      if (auto f = mem.read_u8(p, &first, sim::Access::kUser))
+        return ctx.raise(*f);
     } else {
       std::string s;
       const MemStatus st = ctx.k_read_str(p, &s, 4096);

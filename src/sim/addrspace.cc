@@ -215,14 +215,14 @@ Addr AddressSpace::alloc(std::uint64_t size, std::uint8_t perm) {
 Addr AddressSpace::alloc_bytes(std::span<const std::uint8_t> bytes,
                                std::uint8_t perm) {
   const Addr base = alloc(std::max<std::uint64_t>(bytes.size(), 1), kPermRW);
-  write_bytes(base, bytes, Access::kKernel);
+  poke_bytes(base, bytes);
   if (perm != kPermRW) protect(base, std::max<std::uint64_t>(bytes.size(), 1), perm);
   return base;
 }
 
 Addr AddressSpace::alloc_cstr(std::string_view s, std::uint8_t perm) {
   const Addr base = alloc(s.size() + 1, kPermRW);
-  write_cstr(base, s, Access::kKernel);
+  expect_no_fault(write_cstr(base, s, Access::kKernel), "harness store");
   if (perm != kPermRW) protect(base, s.size() + 1, perm);
   return base;
 }
@@ -236,7 +236,7 @@ Addr AddressSpace::alloc_wstr(std::u16string_view s, std::uint8_t perm) {
     bytes[2 * i] = static_cast<std::uint8_t>(s[i]);
     bytes[2 * i + 1] = static_cast<std::uint8_t>(s[i] >> 8);
   }
-  write_bytes(base, bytes, Access::kKernel);
+  poke_bytes(base, bytes);
   if (perm != kPermRW) protect(base, (s.size() + 1) * 2, perm);
   return base;
 }
@@ -255,45 +255,48 @@ const Page* AddressSpace::page_for(Addr a, Access m, bool write) const {
   } else if (arena_ != nullptr && arena_->contains(a)) {
     p = arena_->page(a);
   }
-  if (p == nullptr) fault(FaultType::kAccessViolation, a, write);
+  if (p == nullptr) return nullptr;
   if (m == Access::kUser) {
-    if (p->kernel_only) fault(FaultType::kAccessViolation, a, write);
-    if (write && (p->perm & kPermWrite) == 0)
-      fault(FaultType::kAccessViolation, a, true);
-    if (!write && (p->perm & kPermRead) == 0)
-      fault(FaultType::kAccessViolation, a, false);
+    if (p->kernel_only) return nullptr;
+    if (write && (p->perm & kPermWrite) == 0) return nullptr;
+    if (!write && (p->perm & kPermRead) == 0) return nullptr;
   } else {
     // Kernel mode bypasses the user/kernel split.  Writes to read-only user
     // pages still fault (write-protect honoured in ring 0, as on NT/Linux;
     // Win9x hazard paths never reach here with a read-only page unnoticed
     // because the arena pages are RW).
-    if (write && (p->perm & kPermWrite) == 0)
-      fault(FaultType::kAccessViolation, a, true);
+    if (write && (p->perm & kPermWrite) == 0) return nullptr;
   }
   return p;
 }
 
-void AddressSpace::fault(FaultType t, Addr a, bool write) const {
+Fault AddressSpace::fault(FaultType t, Addr a, bool write) const {
   if (trace_ != nullptr) trace_->emit(trace::fault_event(t, a, write));
-  throw SimFault(Fault{t, a, write});
+  return Fault{t, a, write};
 }
 
-void AddressSpace::check_alignment(Addr a, std::uint64_t size,
-                                   bool write) const {
+MaybeFault AddressSpace::check_alignment(Addr a, std::uint64_t size,
+                                         bool write) const {
   if (strict_align_ && size > 1 && (a % size) != 0)
-    fault(FaultType::kMisalignment, a, write);
+    return fault(FaultType::kMisalignment, a, write);
+  return {};
 }
 
-std::uint8_t AddressSpace::read_u8(Addr a, Access m) const {
-  return bytes_of(*page_for(a, m, false))[a % kPageSize];
+MaybeFault AddressSpace::read_u8(Addr a, std::uint8_t* out, Access m) const {
+  const Page* p = page_for(a, m, false);
+  if (p == nullptr) return fault(FaultType::kAccessViolation, a, false);
+  *out = bytes_of(*p)[a % kPageSize];
+  return {};
 }
 
-void AddressSpace::write_u8(Addr a, std::uint8_t v, Access m) {
+MaybeFault AddressSpace::write_u8(Addr a, std::uint8_t v, Access m) {
   Page* p = writable_page(a, m);
+  if (p == nullptr) return fault(FaultType::kAccessViolation, a, true);
   // Announce after the access check (a faulting store mutates nothing) and
   // before applying, so an armed cut leaves this very byte unwritten.
   if (hub_ != nullptr) hub_->notify(MutationKind::kPageWrite, page_of(a));
   backing(*p, page_of(a))[a % kPageSize] = v;
+  return {};
 }
 
 // Multi-byte accessors and bulk transfers walk page-granular segments: one
@@ -302,72 +305,78 @@ void AddressSpace::write_u8(Addr a, std::uint8_t v, Access m) {
 // page-granular, so the first offending byte of a range is always the first
 // byte the range touches in the offending page, which is exactly where the
 // segment walk faults too (and nothing in that page is mutated when it does).
-std::uint16_t AddressSpace::read_u16(Addr a, Access m) const {
-  check_alignment(a, 2, false);
+MaybeFault AddressSpace::read_u16(Addr a, std::uint16_t* out, Access m) const {
   std::uint8_t b[2];
-  read_bytes(a, b, m);
-  return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
+  if (auto f = check_alignment(a, 2, false)) return f;
+  if (auto f = read_bytes(a, b, m)) return f;
+  *out = static_cast<std::uint16_t>(b[0] | (b[1] << 8));
+  return {};
 }
 
-std::uint32_t AddressSpace::read_u32(Addr a, Access m) const {
-  check_alignment(a, 4, false);
+MaybeFault AddressSpace::read_u32(Addr a, std::uint32_t* out, Access m) const {
   std::uint8_t b[4];
-  read_bytes(a, b, m);
+  if (auto f = check_alignment(a, 4, false)) return f;
+  if (auto f = read_bytes(a, b, m)) return f;
   std::uint32_t v = 0;
   for (int i = 3; i >= 0; --i) v = (v << 8) | b[i];
-  return v;
+  *out = v;
+  return {};
 }
 
-std::uint64_t AddressSpace::read_u64(Addr a, Access m) const {
-  check_alignment(a, 8, false);
+MaybeFault AddressSpace::read_u64(Addr a, std::uint64_t* out, Access m) const {
   std::uint8_t b[8];
-  read_bytes(a, b, m);
+  if (auto f = check_alignment(a, 8, false)) return f;
+  if (auto f = read_bytes(a, b, m)) return f;
   std::uint64_t v = 0;
   for (int i = 7; i >= 0; --i) v = (v << 8) | b[i];
-  return v;
+  *out = v;
+  return {};
 }
 
-void AddressSpace::write_u16(Addr a, std::uint16_t v, Access m) {
-  check_alignment(a, 2, true);
+MaybeFault AddressSpace::write_u16(Addr a, std::uint16_t v, Access m) {
+  if (auto f = check_alignment(a, 2, true)) return f;
   const std::uint8_t b[2] = {static_cast<std::uint8_t>(v),
                              static_cast<std::uint8_t>(v >> 8)};
-  write_bytes(a, b, m);
+  return write_bytes(a, b, m);
 }
 
-void AddressSpace::write_u32(Addr a, std::uint32_t v, Access m) {
-  check_alignment(a, 4, true);
+MaybeFault AddressSpace::write_u32(Addr a, std::uint32_t v, Access m) {
+  if (auto f = check_alignment(a, 4, true)) return f;
   std::uint8_t b[4];
   for (int i = 0; i < 4; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  write_bytes(a, b, m);
+  return write_bytes(a, b, m);
 }
 
-void AddressSpace::write_u64(Addr a, std::uint64_t v, Access m) {
-  check_alignment(a, 8, true);
+MaybeFault AddressSpace::write_u64(Addr a, std::uint64_t v, Access m) {
+  if (auto f = check_alignment(a, 8, true)) return f;
   std::uint8_t b[8];
   for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  write_bytes(a, b, m);
+  return write_bytes(a, b, m);
 }
 
-void AddressSpace::read_bytes(Addr a, std::span<std::uint8_t> out,
-                              Access m) const {
+MaybeFault AddressSpace::read_bytes(Addr a, std::span<std::uint8_t> out,
+                                    Access m) const {
   std::size_t done = 0;
   while (done < out.size()) {
     const Addr addr = a + done;
     const Page* p = page_for(addr, m, false);
+    if (p == nullptr) return fault(FaultType::kAccessViolation, addr, false);
     const std::size_t off = addr % kPageSize;
     const std::size_t n =
         std::min<std::size_t>(kPageSize - off, out.size() - done);
     std::memcpy(out.data() + done, bytes_of(*p) + off, n);
     done += n;
   }
+  return {};
 }
 
-void AddressSpace::write_bytes(Addr a, std::span<const std::uint8_t> in,
-                               Access m) {
+MaybeFault AddressSpace::write_bytes(Addr a, std::span<const std::uint8_t> in,
+                                     Access m) {
   std::size_t done = 0;
   while (done < in.size()) {
     const Addr addr = a + done;
     Page* p = writable_page(addr, m);
+    if (p == nullptr) return fault(FaultType::kAccessViolation, addr, true);
     // One persistence point per page run, announced after the access check
     // and before the bytes land — the same coalesced sequence the byte-wise
     // walk produced (consecutive same-page stores were one point), so crash
@@ -380,15 +389,17 @@ void AddressSpace::write_bytes(Addr a, std::span<const std::uint8_t> in,
     std::memcpy(backing(*p, page_of(addr)) + off, in.data() + done, n);
     done += n;
   }
+  return {};
 }
 
-std::string AddressSpace::read_cstr(Addr a, std::size_t max_len,
-                                    Access m) const {
-  std::string s;
+MaybeFault AddressSpace::read_cstr(Addr a, std::string* out,
+                                   std::size_t max_len, Access m) const {
+  out->clear();
   std::size_t i = 0;
   while (i < max_len) {
     const Addr addr = a + i;
     const Page* p = page_for(addr, m, false);
+    if (p == nullptr) return fault(FaultType::kAccessViolation, addr, false);
     const std::size_t off = addr % kPageSize;
     const std::size_t n = std::min<std::size_t>(kPageSize - off, max_len - i);
     const std::uint8_t* base = bytes_of(*p) + off;
@@ -398,28 +409,50 @@ std::string AddressSpace::read_cstr(Addr a, std::size_t max_len,
             ? static_cast<std::size_t>(static_cast<const std::uint8_t*>(nul) -
                                        base)
             : n;
-    s.append(reinterpret_cast<const char*>(base), len);
-    if (nul != nullptr) return s;
+    out->append(reinterpret_cast<const char*>(base), len);
+    if (nul != nullptr) return {};
     i += n;
   }
-  return s;
+  return {};
 }
 
-std::u16string AddressSpace::read_wstr(Addr a, std::size_t max_len,
-                                       Access m) const {
-  std::u16string s;
+MaybeFault AddressSpace::read_wstr(Addr a, std::u16string* out,
+                                   std::size_t max_len, Access m) const {
+  out->clear();
   for (std::size_t i = 0; i < max_len; ++i) {
-    const std::uint16_t c = read_u16(a + 2 * i, m);
-    if (c == 0) return s;
-    s.push_back(static_cast<char16_t>(c));
+    std::uint16_t c = 0;
+    if (auto f = read_u16(a + 2 * i, &c, m)) return f;
+    if (c == 0) return {};
+    out->push_back(static_cast<char16_t>(c));
   }
-  return s;
+  return {};
 }
 
-void AddressSpace::write_cstr(Addr a, std::string_view s, Access m) {
-  write_bytes(a,
-              {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()}, m);
-  write_u8(a + s.size(), 0, m);
+MaybeFault AddressSpace::write_cstr(Addr a, std::string_view s, Access m) {
+  if (auto f = write_bytes(
+          a, {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()}, m))
+    return f;
+  return write_u8(a + s.size(), 0, m);
+}
+
+void AddressSpace::poke_u8(Addr a, std::uint8_t v) {
+  expect_no_fault(write_u8(a, v, Access::kKernel), "harness store");
+}
+
+void AddressSpace::poke_u16(Addr a, std::uint16_t v) {
+  expect_no_fault(write_u16(a, v, Access::kKernel), "harness store");
+}
+
+void AddressSpace::poke_u32(Addr a, std::uint32_t v) {
+  expect_no_fault(write_u32(a, v, Access::kKernel), "harness store");
+}
+
+void AddressSpace::poke_u64(Addr a, std::uint64_t v) {
+  expect_no_fault(write_u64(a, v, Access::kKernel), "harness store");
+}
+
+void AddressSpace::poke_bytes(Addr a, std::span<const std::uint8_t> in) {
+  expect_no_fault(write_bytes(a, in, Access::kKernel), "harness store");
 }
 
 bool AddressSpace::check_range(Addr a, std::uint64_t size, bool write,

@@ -166,29 +166,53 @@ class AddressSpace {
   /// Allocates then immediately unmaps: a dangling pointer test value.
   Addr alloc_dangling(std::uint64_t size);
 
-  // --- access (throws SimFault) ---------------------------------------------
+  // --- access (returns the fault it takes) ----------------------------------
+  //
+  // Every accessor returns its fault instead of trapping: the same Fault
+  // (type, address, is_write) at the same byte, with the one kFault trace
+  // event emitted where the access faults.  A faulting store mutates nothing
+  // in the faulting page; a range that crosses into a bad page has already
+  // written (and announced) its earlier page runs.  A faulting scalar read
+  // leaves its out-value unset; a bulk read has filled what precedes the
+  // faulting page.
 
-  std::uint8_t read_u8(Addr a, Access m = Access::kUser) const;
-  std::uint16_t read_u16(Addr a, Access m = Access::kUser) const;
-  std::uint32_t read_u32(Addr a, Access m = Access::kUser) const;
-  std::uint64_t read_u64(Addr a, Access m = Access::kUser) const;
-  void write_u8(Addr a, std::uint8_t v, Access m = Access::kUser);
-  void write_u16(Addr a, std::uint16_t v, Access m = Access::kUser);
-  void write_u32(Addr a, std::uint32_t v, Access m = Access::kUser);
-  void write_u64(Addr a, std::uint64_t v, Access m = Access::kUser);
+  MaybeFault read_u8(Addr a, std::uint8_t* out,
+                     Access m = Access::kUser) const;
+  MaybeFault read_u16(Addr a, std::uint16_t* out,
+                      Access m = Access::kUser) const;
+  MaybeFault read_u32(Addr a, std::uint32_t* out,
+                      Access m = Access::kUser) const;
+  MaybeFault read_u64(Addr a, std::uint64_t* out,
+                      Access m = Access::kUser) const;
+  MaybeFault write_u8(Addr a, std::uint8_t v, Access m = Access::kUser);
+  MaybeFault write_u16(Addr a, std::uint16_t v, Access m = Access::kUser);
+  MaybeFault write_u32(Addr a, std::uint32_t v, Access m = Access::kUser);
+  MaybeFault write_u64(Addr a, std::uint64_t v, Access m = Access::kUser);
 
-  void read_bytes(Addr a, std::span<std::uint8_t> out,
-                  Access m = Access::kUser) const;
-  void write_bytes(Addr a, std::span<const std::uint8_t> in,
-                   Access m = Access::kUser);
+  MaybeFault read_bytes(Addr a, std::span<std::uint8_t> out,
+                        Access m = Access::kUser) const;
+  MaybeFault write_bytes(Addr a, std::span<const std::uint8_t> in,
+                         Access m = Access::kUser);
 
   /// Reads a NUL-terminated string, faulting wherever the walk leaves mapped
   /// memory.  `max_len` bounds runaway scans over huge mapped regions.
-  std::string read_cstr(Addr a, std::size_t max_len = 1 << 20,
-                        Access m = Access::kUser) const;
-  std::u16string read_wstr(Addr a, std::size_t max_len = 1 << 20,
-                           Access m = Access::kUser) const;
-  void write_cstr(Addr a, std::string_view s, Access m = Access::kUser);
+  MaybeFault read_cstr(Addr a, std::string* out, std::size_t max_len = 1 << 20,
+                       Access m = Access::kUser) const;
+  MaybeFault read_wstr(Addr a, std::u16string* out,
+                       std::size_t max_len = 1 << 20,
+                       Access m = Access::kUser) const;
+  MaybeFault write_cstr(Addr a, std::string_view s, Access m = Access::kUser);
+
+  // --- harness stores ------------------------------------------------------
+
+  /// Kernel-mode stores for harness code (test-value constructors, CRT
+  /// set-up) into memory it has just mapped.  A fault here is a bug in the
+  /// harness, never a verdict: expect_no_fault throws std::logic_error.
+  void poke_u8(Addr a, std::uint8_t v);
+  void poke_u16(Addr a, std::uint16_t v);
+  void poke_u32(Addr a, std::uint32_t v);
+  void poke_u64(Addr a, std::uint64_t v);
+  void poke_bytes(Addr a, std::span<const std::uint8_t> in);
 
   /// True if [a, a+size) is fully readable/writable in the given mode, without
   /// faulting — the probe primitive NT-class kernels use.
@@ -199,7 +223,7 @@ class AddressSpace {
   SharedArena* arena() const noexcept { return arena_; }
 
   /// Wires the MMU into the owning machine's trace spine so faults are
-  /// recorded before they throw.  Standalone address spaces (tests, benches)
+  /// recorded where they are taken.  Standalone address spaces (tests, benches)
   /// leave it unset and fault silently, as before.
   void set_trace(trace::TraceSink* sink) noexcept { trace_ = sink; }
 
@@ -219,13 +243,17 @@ class AddressSpace {
     bool kernel_only;
   };
 
+  /// The page an access to `a` lands on, or null when the access faults: the
+  /// fault is then always an access violation at `a` in the access's
+  /// direction, which the caller returns through fault().
   const Page* page_for(Addr a, Access m, bool write) const;
   /// page_for for the write paths, which may mutate this space.
   Page* writable_page(Addr a, Access m) {
     return const_cast<Page*>(page_for(a, m, true));
   }
-  [[noreturn]] void fault(FaultType t, Addr a, bool write) const;
-  void check_alignment(Addr a, std::uint64_t size, bool write) const;
+  /// Records the fault on the trace spine and returns it.
+  Fault fault(FaultType t, Addr a, bool write) const;
+  MaybeFault check_alignment(Addr a, std::uint64_t size, bool write) const;
   /// The map entry for page `pg`, inserted unwritten (on a free-listed
   /// node when there is one) if absent.
   PageMap::iterator entry(Addr pg);

@@ -1,6 +1,6 @@
 // Hardware-class fault model for the simulated machine.
 //
-// A test task that lets one of these escape is classified as an Abort failure
+// A test task that takes one of these is classified as an Abort failure
 // (paper §2: "Abort failures are an abnormal termination ... as the result of
 // a signal or thrown exception").  A fault taken *inside the kernel* on an OS
 // personality that does not probe user pointers escalates to a KernelPanic,
@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -32,6 +33,17 @@ struct Fault {
   FaultType type = FaultType::kAccessViolation;
   Addr address = 0;
   bool is_write = false;
+
+  friend bool operator==(const Fault&, const Fault&) = default;
+};
+
+/// What an access that may trap returns: empty when it completed, else the
+/// fault it took.  The MMU returns it where hardware would trap, and every
+/// layer above passes it up to the executor, which classifies the task's
+/// fault (DESIGN.md §4).  [[nodiscard]], so a dropped fault does not compile
+/// cleanly.
+struct [[nodiscard]] MaybeFault : std::optional<Fault> {
+  using std::optional<Fault>::optional;
 };
 
 /// Why a machine died.  The structured counterpart of the old free-form
@@ -55,9 +67,14 @@ std::string describe_fault(const Fault& f);
 std::string describe_panic(PanicKind k);
 std::string describe_hang(std::string_view site);
 
-/// Thrown by the MMU when simulated code touches invalid memory.  Propagates
-/// like the hardware trap it models; the executor catches it at the task
-/// boundary.
+/// Harness code (CRT set-up, test-value materialization) touches only memory
+/// it has just mapped, so a fault there is a harness bug, never a verdict:
+/// throws std::logic_error naming `where` and the fault.
+void expect_no_fault(MaybeFault f, std::string_view where);
+
+/// A fault as an exception.  Nothing a module under test runs throws it: the
+/// MMU returns its faults as MaybeFault values.  It stays for callers that
+/// still name it in a handler.
 class SimFault : public std::runtime_error {
  public:
   explicit SimFault(const Fault& f)

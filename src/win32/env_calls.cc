@@ -62,9 +62,10 @@ CallOutcome do_get_env_strings(CallContext& ctx) {
   }
   block.push_back('\0');
   const Addr a = ctx.proc().mem().alloc(block.size());
-  ctx.proc().mem().write_bytes(
-      a, {reinterpret_cast<const std::uint8_t*>(block.data()), block.size()},
-      sim::Access::kKernel);
+  const std::span<const std::uint8_t> bytes{
+      reinterpret_cast<const std::uint8_t*>(block.data()), block.size()};
+  if (auto f = ctx.proc().mem().write_bytes(a, bytes, sim::Access::kKernel))
+    return ctx.raise(*f);
   return ok(a);
 }
 
@@ -150,15 +151,18 @@ CallOutcome do_get_computer_name(CallContext& ctx) {
   if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
   const std::string name = "BALLISTA-PC";
   if (name.size() + 1 > cap) {
-    (void)ctx.k_write_u32(size_ptr,
-                          static_cast<std::uint32_t>(name.size() + 1));
+    if (ctx.k_write_u32(size_ptr, static_cast<std::uint32_t>(
+                                      name.size() + 1)) == MemStatus::kFault)
+      return core::faulted();
     return ctx.win_fail(ERR_NOT_ENOUGH_MEMORY, 0);
   }
   std::vector<std::uint8_t> bytes(name.begin(), name.end());
   bytes.push_back(0);
   st = ctx.k_write(buf, bytes);
   if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
-  (void)ctx.k_write_u32(size_ptr, static_cast<std::uint32_t>(name.size()));
+  if (ctx.k_write_u32(size_ptr, static_cast<std::uint32_t>(name.size())) ==
+      MemStatus::kFault)
+    return core::faulted();
   return ok(1);
 }
 

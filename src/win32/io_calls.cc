@@ -49,6 +49,7 @@ CallOutcome do_duplicate_handle(CallContext& ctx) {
   // On the 9x family this store went through an unprobed kernel path
   // (Table 3: *DuplicateHandle).
   const MemStatus st = ctx.k_write_u32(out, static_cast<std::uint32_t>(nh));
+  if (st == MemStatus::kFault) return core::faulted();  // the task dies
   if (st != MemStatus::kOk) {
     ctx.proc().handles().close(nh);
     return ctx.win_mem_fail(st);

@@ -36,7 +36,8 @@ CallOutcome do_virtual_alloc(CallContext& ctx) {
       (type & 0x1000u) != 0) {
     // The CE kernel commits at the caller-chosen (slotized) address before
     // fully validating it — the Table 3 VirtualAlloc Catastrophic.
-    (void)ctx.k_write_u32(sim::page_base(lp), 0);
+    if (ctx.k_write_u32(sim::page_base(lp), 0) == MemStatus::kFault)
+      return core::faulted();
   }
   if (!valid_protect(prot) || (type & ~0x3000u) != 0 || type == 0)
     return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
@@ -116,7 +117,9 @@ CallOutcome do_heap_create(CallContext& ctx) {
       (initial > 0x1000'0000ull || (maximum != 0 && maximum < initial))) {
     // Win95: the VMM wrote reservation bookkeeping computed from the raw
     // sizes into the shared arena — the Table 3 HeapCreate Catastrophic.
-    (void)ctx.k_write_u32(sim::kSharedArenaBase + (initial & 0x00ffe000), 0);
+    if (ctx.k_write_u32(sim::kSharedArenaBase + (initial & 0x00ffe000), 0) ==
+        MemStatus::kFault)
+      return core::faulted();
   }
   if ((opts & ~0x00040005u) != 0)
     return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
@@ -152,8 +155,7 @@ CallOutcome do_heap_alloc(CallContext& ctx) {
   if (size > kVmLimit) return ctx.win_fail(ERR_NOT_ENOUGH_MEMORY, 0);
   auto& mem = ctx.proc().mem();
   const Addr base = mem.alloc(size + 8);
-  mem.write_u32(base, static_cast<std::uint32_t>(kHeapHdrMagic),
-                sim::Access::kKernel);
+  mem.poke_u32(base, static_cast<std::uint32_t>(kHeapHdrMagic));
   heap->allocations[base + 8] = size;
   return ok(base + 8);
 }
@@ -178,7 +180,10 @@ CallOutcome heap_block_op(CallContext& ctx, bool free_it, bool size_query) {
   if (!size) {
     if (sim::is_nt_family(ctx.variant())) {
       // The NT RtlHeap walks the header of whatever it is handed.
-      (void)ctx.proc().mem().read_u32(p - 8, sim::Access::kUser);
+      std::uint32_t header = 0;
+      if (auto f = ctx.proc().mem().read_u32(p - 8, &header,
+                                             sim::Access::kUser))
+        return ctx.raise(*f);
       return ctx.win_fail(ERR_INVALID_PARAMETER,
                           size_query ? INVALID_HANDLE_VALUE32 : 0);
     }
@@ -213,9 +218,13 @@ CallOutcome do_heap_realloc(CallContext& ctx) {
   auto& mem = ctx.proc().mem();
   const Addr np = mem.alloc(size + 8) + 8;
   const std::uint64_t copy = std::min(*old_size, size);
-  for (std::uint64_t i = 0; i < copy && i < (1 << 20); ++i)
-    mem.write_u8(np + i, mem.read_u8(p + i, sim::Access::kUser),
-                 sim::Access::kUser);
+  for (std::uint64_t i = 0; i < copy && i < (1 << 20); ++i) {
+    std::uint8_t b = 0;
+    if (auto f = mem.read_u8(p + i, &b, sim::Access::kUser))
+      return ctx.raise(*f);
+    if (auto f = mem.write_u8(np + i, b, sim::Access::kUser))
+      return ctx.raise(*f);
+  }
   heap->allocations.erase(p);
   heap->allocations[np] = size;
   return ok(np);
@@ -247,7 +256,9 @@ CallOutcome do_ga_free(CallContext& ctx) {
   if (allocs.erase(p) == 0) {
     if (ctx.os().pointer_policy == sim::PointerPolicy::kStubCheckLoose) {
       // The 9x GlobalFree dereferenced the "handle" to find its header.
-      (void)ctx.proc().mem().read_u32(p, sim::Access::kUser);
+      std::uint32_t header = 0;
+      if (auto f = ctx.proc().mem().read_u32(p, &header, sim::Access::kUser))
+        return ctx.raise(*f);
       return core::silent_success(0);
     }
     return ctx.win_fail(ERR_INVALID_HANDLE, p);  // returns hMem on failure
@@ -260,7 +271,9 @@ CallOutcome do_ga_lock(CallContext& ctx) {
   auto& allocs = ctx.proc().default_heap()->allocations;
   if (allocs.count(p) == 0) {
     if (ctx.os().pointer_policy == sim::PointerPolicy::kStubCheckLoose) {
-      (void)ctx.proc().mem().read_u32(p, sim::Access::kUser);
+      std::uint32_t header = 0;
+      if (auto f = ctx.proc().mem().read_u32(p, &header, sim::Access::kUser))
+        return ctx.raise(*f);
       return core::silent_success(p);
     }
     return ctx.win_fail(ERR_INVALID_HANDLE, 0);

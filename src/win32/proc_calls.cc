@@ -59,6 +59,7 @@ CallOutcome do_create_thread(CallContext& ctx) {
   if (tid_out != 0) {
     // Stored from kernel context — *CreateThread (Table 3) on 98SE/CE.
     const MemStatus st = ctx.k_write_u32(tid_out, tid);
+    if (st == MemStatus::kFault) return core::faulted();  // the task dies
     if (st != MemStatus::kOk) {
       ctx.proc().handles().close(h);
       return ctx.win_mem_fail(st);
@@ -337,7 +338,8 @@ CallOutcome interlocked(CallContext& ctx, int op) {
     return ok(op <= 1 ? nv : v);
   }
   auto& mem = ctx.proc().mem();
-  v = mem.read_u32(target, sim::Access::kUser);
+  if (auto f = mem.read_u32(target, &v, sim::Access::kUser))
+    return ctx.raise(*f);
   std::uint32_t nv = v;
   switch (op) {
     case 0: nv = v + 1; break;
@@ -348,7 +350,8 @@ CallOutcome interlocked(CallContext& ctx, int op) {
       if (v == ctx.arg32(2)) nv = ctx.arg32(1);
       break;
   }
-  mem.write_u32(target, nv, sim::Access::kUser);
+  if (auto f = mem.write_u32(target, nv, sim::Access::kUser))
+    return ctx.raise(*f);
   return ok(op <= 1 ? nv : v);
 }
 

@@ -62,6 +62,7 @@ SockCheck check_socket(CallContext& ctx, std::uint64_t h,
 
 CallOutcome wsa_mem_fail(CallContext& ctx, MemStatus st,
                          std::uint64_t fail_ret = SOCKET_ERROR32) {
+  if (st == MemStatus::kFault) return core::faulted();
   if (st == MemStatus::kSilent) return core::silent_success(0);
   return ctx.win_fail(WSAEFAULT, fail_ret);
 }

@@ -161,39 +161,35 @@ void register_sync_types(core::TypeLibrary& lib) {
                  insert_event(c, true, true), insert_mutex(c, false),
                  insert_semaphore(c, 2, 4), insert_event(c, false, true)};
              for (int i = 0; i < 4; ++i)
-               c.proc.mem().write_u32(a + 4 * i,
-                                      static_cast<std::uint32_t>(hs[i]),
-                                      sim::Access::kKernel);
+               c.proc.mem().poke_u32(a + 4 * i,
+                                      static_cast<std::uint32_t>(hs[i]));
              return a;
            })
       .add("sarr_none_signaled", false,
            [](ValueCtx& c) {
              const auto a = c.proc.mem().alloc(16);
              for (int i = 0; i < 4; ++i)
-               c.proc.mem().write_u32(
+               c.proc.mem().poke_u32(
                    a + 4 * i,
-                   static_cast<std::uint32_t>(insert_event(c, true, false)),
-                   sim::Access::kKernel);
+                   static_cast<std::uint32_t>(insert_event(c, true, false)));
              return a;
            })
       .add("sarr_with_closed", true,
            [](ValueCtx& c) {
              const auto a = c.proc.mem().alloc(16);
-             c.proc.mem().write_u32(
-                 a, static_cast<std::uint32_t>(insert_event(c, true, true)),
-                 sim::Access::kKernel);
-             c.proc.mem().write_u32(
+             c.proc.mem().poke_u32(
+                 a, static_cast<std::uint32_t>(insert_event(c, true, true)));
+             c.proc.mem().poke_u32(
                  a + 4,
                  static_cast<std::uint32_t>(core::poolkit::insert_closed_handle(
-                     c, std::make_shared<sim::EventObject>(true, true, ""))),
-                 sim::Access::kKernel);
+                     c, std::make_shared<sim::EventObject>(true, true, ""))));
              return a;
            })
       .add("sarr_with_garbage", true,
            [](ValueCtx& c) {
              const auto a = c.proc.mem().alloc(16);
-             c.proc.mem().write_u32(a, 0xdeadbeef, sim::Access::kKernel);
-             c.proc.mem().write_u32(a + 4, 0, sim::Access::kKernel);
+             c.proc.mem().poke_u32(a, 0xdeadbeef);
+             c.proc.mem().poke_u32(a + 4, 0);
              return a;
            });
   core::poolkit::add_bad_pointer_values(
@@ -219,13 +215,13 @@ void register_sync_types(core::TypeLibrary& lib) {
   t_il.add("il_valid", false,
            [](ValueCtx& c) {
              const auto a = c.proc.mem().alloc(4);
-             c.proc.mem().write_u32(a, 41, sim::Access::kKernel);
+             c.proc.mem().poke_u32(a, 41);
              return a;
            })
       .add("il_wraparound", false,
            [](ValueCtx& c) {
              const auto a = c.proc.mem().alloc(4);
-             c.proc.mem().write_u32(a, 0xffffffff, sim::Access::kKernel);
+             c.proc.mem().poke_u32(a, 0xffffffff);
              return a;
            })
       .add("il_unaligned", false,
@@ -233,7 +229,7 @@ void register_sync_types(core::TypeLibrary& lib) {
              // Seed byte-wise: a u32 store at a+1 would itself fault on the
              // strict-alignment CE personality before the MuT ever runs.
              const auto a = c.proc.mem().alloc(8);
-             c.proc.mem().write_u8(a + 1, 7, sim::Access::kKernel);
+             c.proc.mem().poke_u8(a + 1, 7);
              return a + 1;
            });
   core::poolkit::add_bad_pointer_values(
@@ -502,7 +498,8 @@ CallOutcome sync_interlocked(CallContext& ctx, int op) {
     return ok(op <= 1 ? nv : v);
   }
   auto& mem = ctx.proc().mem();
-  v = mem.read_u32(target, sim::Access::kUser);
+  if (auto f = mem.read_u32(target, &v, sim::Access::kUser))
+    return ctx.raise(*f);
   std::uint32_t nv = v;
   switch (op) {
     case 0: nv = v + 1; break;
@@ -513,7 +510,8 @@ CallOutcome sync_interlocked(CallContext& ctx, int op) {
       if (v == ctx.arg32(2)) nv = ctx.arg32(1);
       break;
   }
-  mem.write_u32(target, nv, sim::Access::kUser);
+  if (auto f = mem.write_u32(target, nv, sim::Access::kUser))
+    return ctx.raise(*f);
   return ok(op <= 1 ? nv : v);
 }
 

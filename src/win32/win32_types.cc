@@ -130,8 +130,7 @@ void register_win32_types(core::TypeLibrary& lib) {
              for (int i = 0; i < 2; ++i) {
                const auto h = c.proc.handles().insert(
                    std::make_shared<sim::EventObject>(true, true, ""));
-               c.proc.mem().write_u32(a + 4 * i, static_cast<std::uint32_t>(h),
-                                      sim::Access::kKernel);
+               c.proc.mem().poke_u32(a + 4 * i, static_cast<std::uint32_t>(h));
              }
              return a;
            })
@@ -140,15 +139,14 @@ void register_win32_types(core::TypeLibrary& lib) {
              const auto a = c.proc.mem().alloc(16);
              const auto h = c.proc.handles().insert(
                  std::make_shared<sim::EventObject>(true, false, ""));
-             c.proc.mem().write_u32(a, static_cast<std::uint32_t>(h),
-                                    sim::Access::kKernel);
+             c.proc.mem().poke_u32(a, static_cast<std::uint32_t>(h));
              return a;
            })
       .add("harr_garbage_handles", true,
            [](ValueCtx& c) {
              const auto a = c.proc.mem().alloc(16);
-             c.proc.mem().write_u32(a, 0xdeadbeef, sim::Access::kKernel);
-             c.proc.mem().write_u32(a + 4, 0, sim::Access::kKernel);
+             c.proc.mem().poke_u32(a, 0xdeadbeef);
+             c.proc.mem().poke_u32(a + 4, 0);
              return a;
            })
       .add("harr_null", true, [](ValueCtx&) { return RawArg{0}; })
@@ -163,7 +161,7 @@ void register_win32_types(core::TypeLibrary& lib) {
   auto& t_ctx = lib.make("context_ptr", &lib.get("buf"));
   t_ctx.add("ctx_valid_full", false, [](ValueCtx& c) {
     const auto a = c.proc.mem().alloc(68);
-    c.proc.mem().write_u32(a, 0x10007, sim::Access::kKernel);  // CONTEXT_FULL
+    c.proc.mem().poke_u32(a, 0x10007);  // CONTEXT_FULL
     return a;
   });
 
@@ -171,7 +169,7 @@ void register_win32_types(core::TypeLibrary& lib) {
   t_ft.add("ft_valid_1999", false, [](ValueCtx& c) {
     const auto a = c.proc.mem().alloc(8);
     // 100ns units since 1601; a mid-1999 value.
-    c.proc.mem().write_u64(a, 0x01BEC2'33F0E4'4000ull, sim::Access::kKernel);
+    c.proc.mem().poke_u64(a, 0x01BEC2'33F0E4'4000ull);
     return a;
   });
 
@@ -180,7 +178,7 @@ void register_win32_types(core::TypeLibrary& lib) {
     const auto a = c.proc.mem().alloc(16);
     const std::uint16_t f[8] = {1999, 6, 1, 28, 13, 45, 30, 0};
     for (int i = 0; i < 8; ++i)
-      c.proc.mem().write_u16(a + 2 * i, f[i], sim::Access::kKernel);
+      c.proc.mem().poke_u16(a + 2 * i, f[i]);
     return a;
   });
 
@@ -190,7 +188,7 @@ void register_win32_types(core::TypeLibrary& lib) {
       .add("sa_valid", false,
            [](ValueCtx& c) {
              const auto a = c.proc.mem().alloc(12);
-             c.proc.mem().write_u32(a, 12, sim::Access::kKernel);
+             c.proc.mem().poke_u32(a, 12);
              return a;
            })
       .add("sa_dangling", true,

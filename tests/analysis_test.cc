@@ -29,8 +29,10 @@ class AnalysisTest : public ::testing::Test {
     m.variant_mask = kMaskEverything;
     m.impl = [](CallContext& ctx) -> CallOutcome {
       // Fails exactly when either argument is the "killer" value (0).
+      std::uint8_t b = 0;
       if (ctx.arg(0) == 0 || ctx.arg(1) == 0)
-        ctx.proc().mem().read_u8(0, sim::Access::kUser);
+        if (auto f = ctx.proc().mem().read_u8(0, &b, sim::Access::kUser))
+          return ctx.raise(*f);
       return ok(0);
     };
     reg.add(std::move(m));

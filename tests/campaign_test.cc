@@ -55,7 +55,12 @@ TEST_F(CampaignTest, AbortsAndRestartsAreCounted) {
   reg.add(make("mixed", [](CallContext& c) -> CallOutcome {
     switch (c.arg32(0)) {
       case 0: return ok(0);
-      case 1: c.proc().mem().read_u8(0, sim::Access::kUser); return ok(0);
+      case 1: {
+        std::uint8_t b = 0;
+        if (auto f = c.proc().mem().read_u8(0, &b, sim::Access::kUser))
+          return c.raise(*f);
+        return ok(0);
+      }
       case 2: c.proc().hang("x");
       default: return c.win_fail(87);
     }

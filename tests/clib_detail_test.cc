@@ -7,6 +7,7 @@
 #include <string>
 
 #include "clib/crt.h"
+#include "tests/fault_util.h"
 #include "tests/test_util.h"
 
 namespace ballista::clib {
@@ -16,6 +17,10 @@ using core::CallOutcome;
 using core::RawArg;
 using sim::OsVariant;
 using testing::shared_world;
+using testing::av;
+using testing::rd32;
+using testing::rd8;
+using testing::rdstr;
 
 /// Dispatch helper: one call against a persistent machine/process.
 class ClibFixture : public ::testing::Test {
@@ -35,7 +40,7 @@ class ClibFixture : public ::testing::Test {
 
   sim::Addr cstr(std::string_view s) { return proc->mem().alloc_cstr(s); }
   std::string str_at(sim::Addr a) {
-    return proc->mem().read_cstr(a, 4096, sim::Access::kKernel);
+    return rdstr(proc->mem(), a, 4096, sim::Access::kKernel);
   }
 
   sim::Machine machine;
@@ -67,7 +72,7 @@ TEST_F(ClibFixture, WriteReadRoundTripThroughStdio) {
   ASSERT_NE(g.ret, 0u);
   const sim::Addr buf = proc->mem().alloc(64);
   EXPECT_EQ(call("fread", {buf, 1, 10, g.ret}).ret, 10u);
-  EXPECT_EQ(proc->mem().read_cstr(buf, 10, sim::Access::kKernel),
+  EXPECT_EQ(rdstr(proc->mem(), buf, 10, sim::Access::kKernel),
             "roundtrip!");
 }
 
@@ -105,8 +110,9 @@ TEST_F(ClibFixture, UngetcComesBackFirst) {
 TEST_F(ClibFixture, FgetsStopsAtNewline) {
   const auto f = call("fopen", {cstr("/tmp/lines.txt"), cstr("w")});
   const sim::Addr text = cstr("one\ntwo\n");
-  call("fwrite", {text, 1, 8, f.ret});
-  call("fclose", {f.ret});
+  EXPECT_EQ(call("fwrite", {text, 1, 8, f.ret}).status,
+            core::CallStatus::kSuccess);
+  EXPECT_EQ(call("fclose", {f.ret}).status, core::CallStatus::kSuccess);
   const auto g = call("fopen", {cstr("/tmp/lines.txt"), cstr("r")});
   const sim::Addr buf = proc->mem().alloc(64);
   EXPECT_NE(call("fgets", {buf, 32, g.ret}).ret, 0u);
@@ -157,15 +163,17 @@ TEST_F(ClibFixture, StrchrAndStrrchrFindEnds) {
 
 TEST_F(ClibFixture, StrncatRespectsN) {
   const sim::Addr dst = proc->mem().alloc(64);
-  proc->mem().write_cstr(dst, "ab", sim::Access::kKernel);
-  call("strncat", {dst, cstr("cdef"), 2});
+  EXPECT_FALSE(proc->mem().write_cstr(dst, "ab", sim::Access::kKernel));
+  EXPECT_EQ(call("strncat", {dst, cstr("cdef"), 2}).status,
+            core::CallStatus::kSuccess);
   EXPECT_EQ(str_at(dst), "abcd");
 }
 
 TEST_F(ClibFixture, MemmoveHandlesOverlap) {
   const sim::Addr buf = proc->mem().alloc(16);
-  proc->mem().write_cstr(buf, "0123456789", sim::Access::kKernel);
-  call("memmove", {buf + 2, buf, 8});
+  EXPECT_FALSE(proc->mem().write_cstr(buf, "0123456789", sim::Access::kKernel));
+  EXPECT_EQ(call("memmove", {buf + 2, buf, 8}).status,
+            core::CallStatus::kSuccess);
   EXPECT_EQ(str_at(buf + 2), "01234567");
 }
 
@@ -193,7 +201,7 @@ TEST_F(ClibFixture, TimePipeline) {
   const sim::Addr tloc = proc->mem().alloc(8);
   const auto now = call("time", {tloc});
   EXPECT_GT(now.ret, 900'000'000u);  // anchored in 1999
-  EXPECT_EQ(proc->mem().read_u32(tloc, sim::Access::kKernel),
+  EXPECT_EQ(rd32(proc->mem(), tloc, sim::Access::kKernel),
             static_cast<std::uint32_t>(now.ret));
   const auto tm = call("gmtime", {tloc});
   ASSERT_NE(tm.ret, 0u);
@@ -209,8 +217,9 @@ TEST_F(ClibFixture, MktimeInvertsRoughly) {
   const sim::Addr tm = proc->mem().alloc(40);
   const std::int32_t f[9] = {0, 0, 12, 28, 5, 99, 0, 0, 0};
   for (int i = 0; i < 9; ++i)
-    proc->mem().write_u32(tm + 4 * i, static_cast<std::uint32_t>(f[i]),
-                          sim::Access::kKernel);
+    EXPECT_FALSE(proc->mem().write_u32(tm + 4 * i,
+                                       static_cast<std::uint32_t>(f[i]),
+                                       sim::Access::kKernel));
   const auto t = call("mktime", {tm});
   EXPECT_GT(t.ret, 890'000'000u);
   EXPECT_LT(t.ret, 970'000'000u);
@@ -220,8 +229,9 @@ TEST_F(ClibFixture, StrftimeKnownConversions) {
   const sim::Addr tm = proc->mem().alloc(40);
   const std::int32_t f[9] = {30, 45, 13, 28, 5, 99, 1, 178, 0};
   for (int i = 0; i < 9; ++i)
-    proc->mem().write_u32(tm + 4 * i, static_cast<std::uint32_t>(f[i]),
-                          sim::Access::kKernel);
+    EXPECT_FALSE(proc->mem().write_u32(tm + 4 * i,
+                                       static_cast<std::uint32_t>(f[i]),
+                                       sim::Access::kKernel));
   const sim::Addr buf = proc->mem().alloc(64);
   const auto n = call("strftime", {buf, 64, cstr("%Y-%m-%d %H:%M"), tm});
   EXPECT_EQ(n.ret, 16u);
@@ -242,6 +252,24 @@ TEST_F(ClibFixture, MathErrnoProtocol) {
   EXPECT_EQ(proc->err_no(), EDOM);
 }
 
+TEST_F(ClibFixture, StrtodRejectsWhatStodRejected) {
+  // No conversion gives 0, and so does a value outside double's range; the
+  // rest is std::strtod, hex floats and trailing junk included.
+  const std::pair<const char*, double> rows[] = {
+      {"abc", 0}, {" 3.5x", 3.5}, {"1e999", 0}, {"1e-400", 0}, {"0x1p3", 8}};
+  const sim::Addr end = proc->mem().alloc(8);
+  for (const auto& [text, want] : rows) {
+    const sim::Addr s = cstr(text);
+    const auto r = call("strtod", {s, end});
+    ASSERT_EQ(r.status, core::CallStatus::kSuccess) << text;
+    EXPECT_EQ(std::bit_cast<double>(r.ret), want) << text;
+    // endptr receives nptr itself: the model does not track the parse end.
+    EXPECT_EQ(rd32(proc->mem(), end, sim::Access::kKernel),
+              static_cast<std::uint32_t>(s))
+        << text;
+  }
+}
+
 TEST_F(ClibFixture, CallocZeroesAndMallocChunksAreDistinct) {
   const auto a = call("malloc", {64});
   const auto b = call("malloc", {64});
@@ -249,13 +277,13 @@ TEST_F(ClibFixture, CallocZeroesAndMallocChunksAreDistinct) {
   EXPECT_NE(a.ret, b.ret);
   const auto c = call("calloc", {4, 16});
   for (int i = 0; i < 64; ++i)
-    EXPECT_EQ(proc->mem().read_u8(c.ret + i, sim::Access::kKernel), 0);
+    EXPECT_EQ(rd8(proc->mem(), c.ret + i, sim::Access::kKernel), 0);
   EXPECT_EQ(call("free", {a.ret}).status, core::CallStatus::kSuccess);
 }
 
 TEST_F(ClibFixture, ReallocPreservesPrefix) {
   const auto a = call("malloc", {8});
-  proc->mem().write_cstr(a.ret, "seven!!", sim::Access::kKernel);
+  EXPECT_FALSE(proc->mem().write_cstr(a.ret, "seven!!", sim::Access::kKernel));
   const auto b = call("realloc", {a.ret, 64});
   EXPECT_EQ(str_at(b.ret), "seven!!");
 }
@@ -272,16 +300,18 @@ CallOutcome dispatch(sim::Machine& m, sim::SimProcess& proc, const char* name,
   return mut->impl(ctx);
 }
 
-/// The fault a call raises (fails the test when it returns instead).
+/// The one fault a call records and returns (fails the test when it returns
+/// normally instead).
 sim::Fault fault_of(sim::Machine& m, sim::SimProcess& proc, const char* name,
                     std::vector<RawArg> args) {
-  try {
-    dispatch(m, proc, name, std::move(args));
-  } catch (const sim::SimFault& f) {
-    return f.fault();
-  }
-  ADD_FAILURE() << name << " did not fault";
-  return {};
+  const core::MuT* mut = shared_world().registry.find(name);
+  EXPECT_NE(mut, nullptr) << name;
+  core::CallContext ctx(m, proc, *mut, args);
+  m.kernel_enter();
+  EXPECT_EQ(mut->impl(ctx).status, core::CallStatus::kFaulted)
+      << name << " did not fault";
+  EXPECT_EQ(ctx.faults_recorded(), 1) << name;
+  return ctx.fault().value_or(sim::Fault{});
 }
 
 /// The ctype classification, recomputed from libc for comparison.
@@ -310,7 +340,7 @@ TEST(CrtSetup, CtypeTableHoldsTheClassificationUnderEveryFlavor) {
       auto proc = m.acquire_process();
       const sim::Addr table = crt_state(*proc).ctype_table;
       for (int c = -128; c <= 255; ++c)
-        ASSERT_EQ(proc->mem().read_u8(table + 128 + c, sim::Access::kKernel),
+        ASSERT_EQ(rd8(proc->mem(), table + 128 + c, sim::Access::kKernel),
                   libc_ctype(c & 0xff))
             << sim::variant_name(v) << " c=" << c;
       // Flush against the end of its page: one past it is unmapped.
@@ -349,7 +379,7 @@ TEST(CrtSetup, CutAtTheCtypePointLeavesTheWholeTableUnwritten) {
   EXPECT_EQ(hub.cut_fired_at(), 2u);
   const sim::Addr table = 0x7000'0000 + sim::kPageSize - 384;
   for (sim::Addr a = table; a < table + 384; ++a)
-    ASSERT_EQ(proc->mem().read_u8(a, sim::Access::kKernel), 0) << a - table;
+    ASSERT_EQ(rd8(proc->mem(), a, sim::Access::kKernel), 0) << a - table;
 }
 
 TEST(CrtBuffers, FreadOfAMegabyteCopiesWhatTheStreamHolds) {
@@ -365,12 +395,12 @@ TEST(CrtBuffers, FreadOfAMegabyteCopiesWhatTheStreamHolds) {
     // size*n far beyond 1 MiB: whole items of what the stream holds.
     EXPECT_EQ(dispatch(m, *proc, "fread", {buf, 1, 0xffffffff, fp}).ret, 34u)
         << sim::variant_name(v);
-    EXPECT_EQ(proc->mem().read_cstr(buf, 64, sim::Access::kKernel), payload);
+    EXPECT_EQ(rdstr(proc->mem(), buf, 64, sim::Access::kKernel), payload);
     EXPECT_EQ(dispatch(m, *proc, "fread", {buf, 1, 0xffffffff, fp}).ret, 0u);
     EXPECT_EQ(dispatch(m, *proc, "fseek", {fp, 0, 0}).ret, 0u);
     EXPECT_EQ(
         dispatch(m, *proc, "fread", {buf + 100, 2, 0x80000000, fp}).ret, 17u);
-    EXPECT_EQ(proc->mem().read_cstr(buf + 100, 64, sim::Access::kKernel),
+    EXPECT_EQ(rdstr(proc->mem(), buf + 100, 64, sim::Access::kKernel),
               payload);
     m.release_process(std::move(proc));
   }
@@ -382,9 +412,8 @@ TEST_F(ClibFixture, FwriteOverAnUnmappedPageFaultsThereAndWritesNothing) {
   const sim::Addr src = proc->mem().alloc(64) + 60;
   const sim::Addr guard = sim::page_base(src) + sim::kPageSize;
   for (const RawArg n : {RawArg{0xffffffff}, RawArg{1 << 20}, RawArg{5000}}) {
-    const sim::Fault flt = fault_of(machine, *proc, "fwrite", {src, 1, n, f.ret});
-    EXPECT_EQ(flt.address, guard);
-    EXPECT_FALSE(flt.is_write);
+    EXPECT_EQ(fault_of(machine, *proc, "fwrite", {src, 1, n, f.ret}),
+              av(guard, false));
   }
   const auto node = machine.fs().resolve(
       machine.fs().parse("/tmp/fw.dat", sim::FileSystem::root_path()));
@@ -395,36 +424,34 @@ TEST_F(ClibFixture, FwriteOverAnUnmappedPageFaultsThereAndWritesNothing) {
 TEST_F(ClibFixture, MemmoveOverAnUnmappedPageFaultsThereAndMovesNothing) {
   const sim::Addr dst = proc->mem().alloc(sim::kPageSize);
   const std::vector<std::uint8_t> fill(sim::kPageSize, 0x5a);
-  proc->mem().write_bytes(dst, fill, sim::Access::kKernel);
+  EXPECT_FALSE(proc->mem().write_bytes(dst, fill, sim::Access::kKernel));
   const sim::Addr src = proc->mem().alloc(64) + 60;
   const sim::Addr guard = sim::page_base(src) + sim::kPageSize;
   for (const RawArg n : {RawArg{0xffffffff}, RawArg{4096}}) {
-    const sim::Fault flt = fault_of(machine, *proc, "memmove", {dst, src, n});
-    EXPECT_EQ(flt.address, guard);
-    EXPECT_FALSE(flt.is_write);
+    EXPECT_EQ(fault_of(machine, *proc, "memmove", {dst, src, n}),
+              av(guard, false));
   }
   std::vector<std::uint8_t> now(sim::kPageSize);
-  proc->mem().read_bytes(dst, now, sim::Access::kKernel);
+  EXPECT_FALSE(proc->mem().read_bytes(dst, now, sim::Access::kKernel));
   EXPECT_EQ(now, fill);
 }
 
 TEST_F(ClibFixture, PathReadsFaultAtTheFirstUnmappedByte) {
   const sim::Addr page = proc->mem().alloc(sim::kPageSize);
   const std::vector<std::uint8_t> fill(sim::kPageSize, 'p');
-  proc->mem().write_bytes(page, fill, sim::Access::kKernel);
+  EXPECT_FALSE(proc->mem().write_bytes(page, fill, sim::Access::kKernel));
   const sim::Addr guard = page + sim::kPageSize;
   // Paths are read up to 4,096 characters, so start inside the page.
   for (const sim::Addr path : {page + 1, page + 4000}) {
-    EXPECT_EQ(fault_of(machine, *proc, "fopen", {path, cstr("r")}).address,
-              guard);
-    EXPECT_EQ(fault_of(machine, *proc, "remove", {path}).address, guard);
-    EXPECT_EQ(
-        fault_of(machine, *proc, "rename", {cstr("/tmp/a"), path}).address,
-        guard);
+    EXPECT_EQ(fault_of(machine, *proc, "fopen", {path, cstr("r")}),
+              av(guard, false));
+    EXPECT_EQ(fault_of(machine, *proc, "remove", {path}), av(guard, false));
+    EXPECT_EQ(fault_of(machine, *proc, "rename", {cstr("/tmp/a"), path}),
+              av(guard, false));
   }
   const sim::Addr dangling = proc->mem().alloc_dangling(32);
-  EXPECT_EQ(fault_of(machine, *proc, "fopen", {dangling, cstr("r")}).address,
-            dangling);
+  EXPECT_EQ(fault_of(machine, *proc, "fopen", {dangling, cstr("r")}),
+            av(dangling, false));
 }
 
 TEST(CrtBuffers, MisalignedWidePathRaisesMisalignmentOnCe) {
@@ -434,18 +461,15 @@ TEST(CrtBuffers, MisalignedWidePathRaisesMisalignmentOnCe) {
   const sim::Addr odd = mem.alloc_wstr(u"/tmp/fixture.dat") + 1;
   const sim::Addr mode = mem.alloc_wstr(u"r");
   for (const sim::Fault& flt : {fault_of(m, *proc, "_wfopen", {odd, mode}),
-                                fault_of(m, *proc, "_wremove", {odd})}) {
-    EXPECT_EQ(flt.type, sim::FaultType::kMisalignment);
-    EXPECT_EQ(flt.address, odd);
-  }
+                                fault_of(m, *proc, "_wremove", {odd})})
+    EXPECT_EQ(flt, (sim::Fault{sim::FaultType::kMisalignment, odd, false}));
   // An aligned wide path that runs into unmapped memory faults at its
   // first unmapped byte.
   const sim::Addr page = mem.alloc(sim::kPageSize);
   for (sim::Addr a = page; a < page + sim::kPageSize; a += 2)
-    mem.write_u16(a, u'w', sim::Access::kKernel);
-  const sim::Fault flt = fault_of(m, *proc, "_wfopen", {page + 64, mode});
-  EXPECT_EQ(flt.type, sim::FaultType::kAccessViolation);
-  EXPECT_EQ(flt.address, page + sim::kPageSize);
+    EXPECT_FALSE(mem.write_u16(a, u'w', sim::Access::kKernel));
+  EXPECT_EQ(fault_of(m, *proc, "_wfopen", {page + 64, mode}),
+            av(page + sim::kPageSize, false));
   m.release_process(std::move(proc));
 }
 

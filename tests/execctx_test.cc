@@ -2,17 +2,20 @@
 // validation architectures.  Each personality must turn the same bad pointer
 // into its own characteristic outcome:
 //   Linux   -> MemStatus::kError   (EFAULT-style error return)
-//   NT/2000 -> SimFault            (exception raised into the task: Abort)
-//   Win9x   -> kSilent for obvious garbage, SimFault for subtle garbage
+//   NT/2000 -> kFault, fault recorded (exception raised into the task: Abort)
+//   Win9x   -> kSilent for obvious garbage, kFault for subtle garbage
 //   hazard  -> KernelPanic (immediate) or arena corruption (deferred)
 #include <gtest/gtest.h>
 
+#include "tests/fault_util.h"
 #include "tests/test_util.h"
 
 namespace ballista::core {
 namespace {
 
+using ballista::testing::av;
 using ballista::testing::CallFixture;
+using ballista::testing::rd8;
 using sim::OsVariant;
 
 std::uint8_t buf4[4] = {1, 2, 3, 4};
@@ -27,7 +30,7 @@ TEST(CallContext, LinuxBadPointerReturnsError) {
   // Valid target works and the data lands.
   const sim::Addr a = f.proc->mem().alloc(16);
   EXPECT_EQ(ctx.k_write(a, buf4), MemStatus::kOk);
-  EXPECT_EQ(f.proc->mem().read_u8(a + 3, sim::Access::kKernel), 4);
+  EXPECT_EQ(rd8(f.proc->mem(), a + 3, sim::Access::kKernel), 4);
 }
 
 TEST(CallContext, LinuxReadOnlyTargetIsErrorNotFault) {
@@ -41,11 +44,18 @@ TEST(CallContext, NtBadPointerRaisesIntoTask) {
   for (OsVariant v : {OsVariant::kWinNT4, OsVariant::kWin2000}) {
     CallFixture f(v);
     auto ctx = f.ctx();
-    EXPECT_THROW(ctx.k_write(0, buf4), sim::SimFault);
+    EXPECT_EQ(ctx.k_write(0, buf4), MemStatus::kFault);
+    EXPECT_EQ(ctx.fault(), av(0, true));
+    EXPECT_EQ(ctx.faults_recorded(), 1);
+    auto rctx = f.ctx();
     std::uint8_t out[4];
-    EXPECT_THROW(ctx.k_read(0xDEAD0000, out), sim::SimFault);
+    EXPECT_EQ(rctx.k_read(0xDEAD0000, out), MemStatus::kFault);
+    EXPECT_EQ(rctx.fault(), av(0xDEAD0000, false));
+    EXPECT_EQ(rctx.faults_recorded(), 1);
+    auto okctx = f.ctx();
     const sim::Addr a = f.proc->mem().alloc(16);
-    EXPECT_EQ(ctx.k_write(a, buf4), MemStatus::kOk);
+    EXPECT_EQ(okctx.k_write(a, buf4), MemStatus::kOk);
+    EXPECT_EQ(okctx.faults_recorded(), 0);
     EXPECT_FALSE(f.machine.crashed());
   }
 }
@@ -62,15 +72,20 @@ TEST(CallContext, Win9xStubMissesSubtleGarbage) {
   CallFixture f(OsVariant::kWin98);
   auto ctx = f.ctx();
   const sim::Addr dangling = f.proc->mem().alloc_dangling(16);
-  EXPECT_THROW(ctx.k_write(dangling, buf4), sim::SimFault);  // Abort
+  EXPECT_EQ(ctx.k_write(dangling, buf4), MemStatus::kFault);  // Abort
+  EXPECT_EQ(ctx.fault(), av(dangling, true));
+  EXPECT_EQ(ctx.faults_recorded(), 1);
+  auto ro_ctx = f.ctx();
   const sim::Addr ro = f.proc->mem().alloc(16, sim::kPermRead);
-  EXPECT_THROW(ctx.k_write(ro, buf4), sim::SimFault);
+  EXPECT_EQ(ro_ctx.k_write(ro, buf4), MemStatus::kFault);
+  EXPECT_EQ(ro_ctx.fault(), av(ro, true));
+  EXPECT_EQ(ro_ctx.faults_recorded(), 1);
 }
 
 TEST(CallContext, ImmediateHazardPanicsOnLowAddress) {
   CallFixture f(OsVariant::kWin98, CrashStyle::kImmediate);
   auto ctx = f.ctx();
-  EXPECT_THROW(ctx.k_write(0, buf4), sim::KernelPanic);
+  EXPECT_THROW((void)ctx.k_write(0, buf4), sim::KernelPanic);
   EXPECT_TRUE(f.machine.crashed());
 }
 
@@ -78,7 +93,7 @@ TEST(CallContext, ImmediateHazardPanicsOnUnmappedUserAddress) {
   CallFixture f(OsVariant::kWin98, CrashStyle::kImmediate);
   auto ctx = f.ctx();
   const sim::Addr dangling = f.proc->mem().alloc_dangling(16);
-  EXPECT_THROW(ctx.k_write(dangling, buf4), sim::KernelPanic);
+  EXPECT_THROW((void)ctx.k_write(dangling, buf4), sim::KernelPanic);
 }
 
 TEST(CallContext, ImmediateHazardSucceedsOnValidMemory) {
@@ -126,7 +141,7 @@ TEST(CallContext, CeSlotAddressingRedirectsGarbageIntoArena) {
   auto ctx = f.ctx();
   // A garbage user address that is unmapped in the task resolves into the
   // shared slot space in kernel context -> critical corruption -> panic.
-  EXPECT_THROW(ctx.k_write(0x20746f6e, buf4), sim::KernelPanic);
+  EXPECT_THROW((void)ctx.k_write(0x20746f6e, buf4), sim::KernelPanic);
   EXPECT_TRUE(f.machine.crashed());
 }
 
@@ -135,7 +150,7 @@ TEST(CallContext, CeSlotAddressingLeavesValidAddressesAlone) {
   auto ctx = f.ctx();
   const sim::Addr a = f.proc->mem().alloc(16);
   EXPECT_EQ(ctx.k_write(a, buf4), MemStatus::kOk);
-  EXPECT_EQ(f.proc->mem().read_u8(a, sim::Access::kKernel), 1);
+  EXPECT_EQ(rd8(f.proc->mem(), a, sim::Access::kKernel), 1);
   EXPECT_FALSE(f.machine.crashed());
 }
 
@@ -153,7 +168,9 @@ TEST(CallContext, ReadStrPerPolicy) {
     CallFixture f(OsVariant::kWinNT4);
     auto ctx = f.ctx();
     std::string s;
-    EXPECT_THROW(ctx.k_read_str(0, &s), sim::SimFault);
+    EXPECT_EQ(ctx.k_read_str(0, &s), MemStatus::kFault);
+    EXPECT_EQ(ctx.fault(), av(0, false));
+    EXPECT_EQ(ctx.faults_recorded(), 1);
   }
   {
     CallFixture f(OsVariant::kWin95);

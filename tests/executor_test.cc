@@ -63,14 +63,91 @@ TEST(Executor, SimFaultClassifiesAsAbort) {
   Executor ex(m);
   MiniMut mini(
       [](CallContext& c) -> CallOutcome {
-        c.proc().mem().read_u8(0, sim::Access::kUser);
+        std::uint8_t b = 0;
+        if (auto f = c.proc().mem().read_u8(0, &b, sim::Access::kUser))
+          return c.raise(*f);
         return ok(0);
       },
       {});
   const CaseResult r = ex.run_case(mini.mut, {});
   EXPECT_EQ(r.outcome, Outcome::kAbort);
   EXPECT_EQ(r.fault, sim::FaultType::kAccessViolation);
+  // The rendered fault names its address and direction.
+  EXPECT_EQ(r.detail, "ACCESS_VIOLATION reading 0x0");
   EXPECT_FALSE(m.crashed());
+}
+
+/// A MuT whose user-mode store through a wild pointer faults.
+CallOutcome wild_store(CallContext& c) {
+  if (auto f = c.proc().mem().write_u8(0xDEAD0000, 7, sim::Access::kUser))
+    return c.raise(*f);
+  return ok(0);
+}
+
+TEST(Executor, FaultedCallIsAbortAndNeverReturnsToItsCaller) {
+  sim::Machine m(OsVariant::kWinNT4);
+  Executor ex(m);
+  MiniMut mini(wild_store);
+  const CaseResult r = ex.run_case(mini.mut, {}, 7);
+  EXPECT_EQ(r.outcome, Outcome::kAbort);
+  EXPECT_EQ(r.fault, sim::FaultType::kAccessViolation);
+  EXPECT_EQ(r.detail, "ACCESS_VIOLATION writing 0xdead0000");
+  std::vector<trace::EventKind> kinds;
+  for (const trace::TraceEvent& ev : m.trace().tail())
+    if (ev.case_index == 7) kinds.push_back(ev.kind);
+  EXPECT_EQ(kinds, (std::vector<trace::EventKind>{
+                       trace::EventKind::kSyscallEnter,
+                       trace::EventKind::kFault,
+                       trace::EventKind::kCaseClassified}));
+  EXPECT_EQ(r.events[trace::EventKind::kSyscallExit], 0u);
+  EXPECT_EQ(r.events[trace::EventKind::kFault], 1u);
+}
+
+/// Runs `impl` as the MuT "mini" and returns the HarnessError it raised.
+std::string harness_error_of(ApiImpl impl,
+                             std::vector<const DataType*> params = {},
+                             std::span<const TestValue* const> tuple = {}) {
+  sim::Machine m(OsVariant::kWinNT4);
+  Executor ex(m);
+  MiniMut mini(std::move(impl), std::move(params));
+  try {
+    (void)ex.run_case(mini.mut, tuple);
+  } catch (const HarnessError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "no harness error";
+  return "";
+}
+
+TEST(Executor, SwallowedFaultIsAHarnessError) {
+  EXPECT_EQ(harness_error_of([](CallContext& c) -> CallOutcome {
+              (void)wild_store(c);
+              return ok(0);
+            }),
+            "harness error in mini: a fault was recorded but not returned");
+}
+
+TEST(Executor, DoubledFaultIsAHarnessError) {
+  EXPECT_EQ(harness_error_of([](CallContext& c) -> CallOutcome {
+              (void)wild_store(c);
+              return wild_store(c);
+            }),
+            "harness error in mini: a fault was recorded twice");
+  EXPECT_EQ(harness_error_of([](CallContext&) { return faulted(); }),
+            "harness error in mini: a faulted outcome carries no recorded "
+            "fault");
+}
+
+TEST(Executor, FaultInValueMaterializationIsAHarnessError) {
+  DataType t("wild_type");
+  const TestValue wild{"wild", false, [](ValueCtx& c) {
+                         c.proc.mem().poke_u8(0xDEAD0000, 1);
+                         return RawArg{0};
+                       }};
+  const TestValue* tuple[1] = {&wild};
+  EXPECT_EQ(harness_error_of([](CallContext&) { return ok(0); }, {&t}, tuple),
+            "harness error in mini: fault in harness code (harness store): "
+            "ACCESS_VIOLATION writing 0xdead0000");
 }
 
 TEST(Executor, HangClassifiesAsRestart) {
@@ -166,8 +243,10 @@ TEST(Executor, ValueFactoriesRunInsideTheFreshTask) {
                              }};
   MiniMut mini(
       [](CallContext& c) -> CallOutcome {
-        const std::string s =
-            c.proc().mem().read_cstr(c.arg_addr(0), 64, sim::Access::kKernel);
+        std::string s;
+        if (auto f = c.proc().mem().read_cstr(c.arg_addr(0), &s, 64,
+                                              sim::Access::kKernel))
+          return c.raise(*f);
         return s == "made-in-task" ? ok(1) : wrong_error(0);
       },
       {&t});

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/machine.h"
+#include "tests/fault_util.h"
 
 namespace ballista::sim {
 namespace {
@@ -64,7 +65,7 @@ TEST(Machine, RebootClearsEverything) {
   Machine m(OsVariant::kWin98);
   // A kernel-context store through a task's view backs the arena page.
   AddressSpace view(&m.arena());
-  view.write_u8(0x100, 0xFF, Access::kKernel);
+  EXPECT_FALSE(view.write_u8(0x100, 0xFF, Access::kKernel));
   ASSERT_NE(m.arena().page(0x100)->data, nullptr);
   try {
     m.panic(PanicKind::kInduced);
@@ -76,7 +77,7 @@ TEST(Machine, RebootClearsEverything) {
   EXPECT_EQ(m.arena().corruption(), 0);
   // Arena wiped: the page is unwritten again and reads as zero.
   EXPECT_EQ(m.arena().page(0x100)->data, nullptr);
-  EXPECT_EQ(view.read_u8(0x100, Access::kKernel), 0);
+  EXPECT_EQ(testing::rd8(view, 0x100, Access::kKernel), 0);
 }
 
 TEST(Machine, CriticalCorruptionPanicsImmediately) {

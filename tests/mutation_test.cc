@@ -54,19 +54,19 @@ TEST(MutationHub, ConsecutiveSamePageWritesCoalesce) {
 
   // A memcpy is one torn write, not kPageSize of them.
   for (int i = 0; i < 64; ++i)
-    proc->mem().write_u8(a + static_cast<sim::Addr>(i), 0xAA);
+    EXPECT_FALSE(proc->mem().write_u8(a + static_cast<sim::Addr>(i), 0xAA));
   EXPECT_EQ(hub.count(MutationKind::kPageWrite), 1u);
 
   // Crossing into another page is a second point; coming back is a third
   // (only *consecutive* same-page stores coalesce).
-  proc->mem().write_u8(a + sim::kPageSize, 0xBB);
-  proc->mem().write_u8(a, 0xCC);
+  EXPECT_FALSE(proc->mem().write_u8(a + sim::kPageSize, 0xBB));
+  EXPECT_FALSE(proc->mem().write_u8(a, 0xCC));
   EXPECT_EQ(hub.count(MutationKind::kPageWrite), 3u);
 
   // An interleaved point of another kind breaks the run too.
   auto p = m.fs().parse("tmp/interleave.txt", sim::FileSystem::root_path());
   ASSERT_NE(m.fs().create_file(p, false, false), nullptr);
-  proc->mem().write_u8(a, 0xDD);
+  EXPECT_FALSE(proc->mem().write_u8(a, 0xDD));
   EXPECT_EQ(hub.count(MutationKind::kPageWrite), 4u);
 
   hub.close_window();

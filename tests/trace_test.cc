@@ -310,7 +310,9 @@ TEST_F(TraceChainTest, ExactlyOneProbeDecisionPerMemoryAccessCall) {
 
 TEST_F(TraceChainTest, SyscallExitOnlyOnNormalReturn) {
   reg.add(make("aborter", [](CallContext& c) -> CallOutcome {
-    c.proc().mem().read_u8(0, sim::Access::kUser);  // always faults
+    std::uint8_t b = 0;
+    if (auto f = c.proc().mem().read_u8(0, &b, sim::Access::kUser))
+      return c.raise(*f);  // always faults
     return ok(0);
   }));
   sim::Machine machine(OsVariant::kWinNT4);

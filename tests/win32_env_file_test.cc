@@ -2,11 +2,16 @@
 // groups.
 #include <gtest/gtest.h>
 
+#include "tests/fault_util.h"
 #include "tests/test_util.h"
 #include "win32/win32.h"
 
 namespace ballista::win32 {
 namespace {
+
+using ballista::testing::rd32;
+using ballista::testing::rd64;
+using ballista::testing::rdstr;
 
 using ballista::testing::run_named_case;
 using ballista::testing::shared_world;
@@ -29,7 +34,7 @@ TEST(EnvCalls, ExpandEnvironmentStringsSubstitutes) {
   m.kernel_enter();
   const auto out = mut->impl(ctx);
   EXPECT_EQ(out.status, core::CallStatus::kSuccess);
-  EXPECT_EQ(proc->mem().read_cstr(dst, 64, sim::Access::kKernel),
+  EXPECT_EQ(rdstr(proc->mem(), dst, 64, sim::Access::kKernel),
             "hello ballista!");
 }
 
@@ -44,7 +49,7 @@ TEST(EnvCalls, UnknownVariableStaysVerbatim) {
   core::CallContext ctx(m, *proc, *mut, args);
   m.kernel_enter();
   (void)mut->impl(ctx);
-  EXPECT_EQ(proc->mem().read_cstr(dst, 64, sim::Access::kKernel),
+  EXPECT_EQ(rdstr(proc->mem(), dst, 64, sim::Access::kKernel),
             "%NO_SUCH_VAR%");
 }
 
@@ -100,20 +105,20 @@ TEST(EnvCalls, ComputerNameRoundTrip) {
   const core::MuT* mut = w.registry.find("GetComputerName");
   const sim::Addr buf = proc->mem().alloc(64);
   const sim::Addr size = proc->mem().alloc(8);
-  proc->mem().write_u32(size, 64, sim::Access::kKernel);
+  EXPECT_FALSE(proc->mem().write_u32(size, 64, sim::Access::kKernel));
   std::vector<core::RawArg> args = {buf, size};
   core::CallContext ctx(m, *proc, *mut, args);
   m.kernel_enter();
   const auto out = mut->impl(ctx);
   EXPECT_EQ(out.ret, 1u);
-  EXPECT_EQ(proc->mem().read_cstr(buf, 32, sim::Access::kKernel),
+  EXPECT_EQ(rdstr(proc->mem(), buf, 32, sim::Access::kKernel),
             "BALLISTA-PC");
   // Too-small buffer reports the needed size.
-  proc->mem().write_u32(size, 4, sim::Access::kKernel);
+  EXPECT_FALSE(proc->mem().write_u32(size, 4, sim::Access::kKernel));
   core::CallContext ctx2(m, *proc, *mut, args);
   const auto out2 = mut->impl(ctx2);
   EXPECT_EQ(out2.status, core::CallStatus::kErrorReported);
-  EXPECT_EQ(proc->mem().read_u32(size, sim::Access::kKernel), 12u);
+  EXPECT_EQ(rd32(proc->mem(), size, sim::Access::kKernel), 12u);
 }
 
 TEST(EnvCalls, SetComputerNameValidates) {
@@ -180,7 +185,7 @@ TEST(FileCalls, GetTempFileNameCreatesWhenUniqueZero) {
   const auto r = mut->impl(ctx);
   EXPECT_EQ(r.status, core::CallStatus::kSuccess);
   const std::string name =
-      proc->mem().read_cstr(out, 128, sim::Access::kKernel);
+      rdstr(proc->mem(), out, 128, sim::Access::kKernel);
   auto node = m.fs().resolve(m.fs().parse(name, proc->cwd()));
   EXPECT_NE(node, nullptr) << name;
 }
@@ -210,7 +215,8 @@ TEST(FileCalls, FileTimeConversionsAreConsistent) {
   const core::MuT* f2s = w.registry.find("FileTimeToSystemTime");
   const core::MuT* s2f = w.registry.find("SystemTimeToFileTime");
   const sim::Addr ft = proc->mem().alloc(8);
-  proc->mem().write_u64(ft, 0x01BEC233F0E44000ull, sim::Access::kKernel);
+  EXPECT_FALSE(proc->mem().write_u64(ft, 0x01BEC233F0E44000ull,
+                                     sim::Access::kKernel));
   const sim::Addr st = proc->mem().alloc(16);
   const sim::Addr ft2 = proc->mem().alloc(8);
   {
@@ -224,8 +230,8 @@ TEST(FileCalls, FileTimeConversionsAreConsistent) {
     core::CallContext ctx(m, *proc, *s2f, args);
     EXPECT_EQ(s2f->impl(ctx).ret, 1u);
   }
-  const std::uint64_t a = proc->mem().read_u64(ft, sim::Access::kKernel);
-  const std::uint64_t b = proc->mem().read_u64(ft2, sim::Access::kKernel);
+  const std::uint64_t a = rd64(proc->mem(), ft, sim::Access::kKernel);
+  const std::uint64_t b = rd64(proc->mem(), ft2, sim::Access::kKernel);
   // Exact round trip (sub-second truncation only).
   EXPECT_LT(a > b ? a - b : b - a, 10'000'000ull);
 }
@@ -243,7 +249,7 @@ TEST(FileCalls, FindFirstWildcardEnumeratesScratchDir) {
   const auto r = mut->impl(ctx);
   EXPECT_EQ(r.status, core::CallStatus::kSuccess);
   // First match (alphabetical): fixture.dat, written into the find data.
-  EXPECT_EQ(proc->mem().read_cstr(data + 48, 64, sim::Access::kKernel),
+  EXPECT_EQ(rdstr(proc->mem(), data + 48, 64, sim::Access::kKernel),
             "fixture.dat");
 }
 

@@ -3,6 +3,7 @@
 // family's actual arithmetic.
 #include <gtest/gtest.h>
 
+#include "tests/fault_util.h"
 #include "tests/test_util.h"
 #include "win32/win32.h"
 
@@ -13,6 +14,7 @@ using core::CallOutcome;
 using core::RawArg;
 using sim::OsVariant;
 using testing::shared_world;
+using testing::rd32;
 
 class ProcFixture : public ::testing::Test {
  protected:
@@ -37,7 +39,8 @@ class ProcFixture : public ::testing::Test {
 TEST_F(ProcFixture, AutoResetEventConsumesOneWait) {
   const auto ev = call("CreateEvent", {0, 0 /*auto*/, 1 /*signaled*/, 0});
   ASSERT_EQ(ev.status, core::CallStatus::kSuccess);
-  EXPECT_EQ(call("WaitForSingleObject", {ev.ret, 100}).ret, 0u);  // WAIT_OBJECT_0
+  EXPECT_EQ(call("WaitForSingleObject", {ev.ret, 100}).ret,
+            0u);  // WAIT_OBJECT_0
   EXPECT_EQ(call("WaitForSingleObject", {ev.ret, 100}).ret, 0x102u);  // timeout
   EXPECT_EQ(call("SetEvent", {ev.ret}).ret, 1u);
   EXPECT_EQ(call("WaitForSingleObject", {ev.ret, 100}).ret, 0u);
@@ -70,7 +73,7 @@ TEST_F(ProcFixture, SemaphoreCountsDownAndUp) {
   EXPECT_EQ(call("WaitForSingleObject", {sem.ret, 100}).ret, 0x102u);
   const sim::Addr prev = proc->mem().alloc(8);
   EXPECT_EQ(call("ReleaseSemaphore", {sem.ret, 1, prev}).ret, 1u);
-  EXPECT_EQ(proc->mem().read_u32(prev, sim::Access::kKernel), 0u);
+  EXPECT_EQ(rd32(proc->mem(), prev, sim::Access::kKernel), 0u);
   // Releasing beyond the maximum fails.
   EXPECT_EQ(call("ReleaseSemaphore", {sem.ret, 5, 0}).status,
             core::CallStatus::kErrorReported);
@@ -97,13 +100,14 @@ TEST_F(ProcFixture, SuspendResumeCountsNest) {
 TEST_F(ProcFixture, ThreadContextRoundTrip) {
   const auto h = call("CreateThread", {0, 0, 0x5000, 0, 0, 0});
   const sim::Addr ctx_buf = proc->mem().alloc(68);
-  proc->mem().write_u32(ctx_buf, 0x10007, sim::Access::kKernel);
+  EXPECT_FALSE(proc->mem().write_u32(ctx_buf, 0x10007, sim::Access::kKernel));
   // Set register 0 to a marker via SetThreadContext, read it back.
-  proc->mem().write_u32(ctx_buf + 4, 0xfeedface, sim::Access::kKernel);
+  EXPECT_FALSE(proc->mem().write_u32(ctx_buf + 4,
+                                     0xfeedface, sim::Access::kKernel));
   EXPECT_EQ(call("SetThreadContext", {h.ret, ctx_buf}).ret, 1u);
   const sim::Addr out_buf = proc->mem().alloc(68);
   EXPECT_EQ(call("GetThreadContext", {h.ret, out_buf}).ret, 1u);
-  EXPECT_EQ(proc->mem().read_u32(out_buf + 4, sim::Access::kKernel),
+  EXPECT_EQ(rd32(proc->mem(), out_buf + 4, sim::Access::kKernel),
             0xfeedfaceu);
 }
 
@@ -116,32 +120,32 @@ TEST_F(ProcFixture, CreateThreadWritesTidThroughPointer) {
   const sim::Addr tid_out = proc->mem().alloc(8);
   const auto h = call("CreateThread", {0, 0, 0x5000, 0, 0, tid_out});
   EXPECT_EQ(h.status, core::CallStatus::kSuccess);
-  EXPECT_NE(proc->mem().read_u32(tid_out, sim::Access::kKernel), 0u);
+  EXPECT_NE(rd32(proc->mem(), tid_out, sim::Access::kKernel), 0u);
 }
 
 TEST_F(ProcFixture, InterlockedArithmetic) {
   const sim::Addr v = proc->mem().alloc(8);
-  proc->mem().write_u32(v, 10, sim::Access::kKernel);
+  EXPECT_FALSE(proc->mem().write_u32(v, 10, sim::Access::kKernel));
   EXPECT_EQ(call("InterlockedIncrement", {v}).ret, 11u);
   EXPECT_EQ(call("InterlockedDecrement", {v}).ret, 10u);
   EXPECT_EQ(call("InterlockedExchange", {v, 99}).ret, 10u);  // old value
-  EXPECT_EQ(proc->mem().read_u32(v, sim::Access::kKernel), 99u);
+  EXPECT_EQ(rd32(proc->mem(), v, sim::Access::kKernel), 99u);
   EXPECT_EQ(call("InterlockedExchangeAdd", {v, 1}).ret, 99u);
   EXPECT_EQ(call("InterlockedCompareExchange", {v, 5, 100}).ret, 100u);
-  EXPECT_EQ(proc->mem().read_u32(v, sim::Access::kKernel), 5u);
+  EXPECT_EQ(rd32(proc->mem(), v, sim::Access::kKernel), 5u);
   EXPECT_EQ(call("InterlockedCompareExchange", {v, 7, 42}).ret, 5u);
-  EXPECT_EQ(proc->mem().read_u32(v, sim::Access::kKernel), 5u);  // no match
+  EXPECT_EQ(rd32(proc->mem(), v, sim::Access::kKernel), 5u);  // no match
 }
 
 TEST_F(ProcFixture, TerminateAndExitCodeFlow) {
   const auto h = call("CreateThread", {0, 0, 0x5000, 0, 0, 0});
   const sim::Addr code = proc->mem().alloc(8);
   EXPECT_EQ(call("GetExitCodeThread", {h.ret, code}).ret, 1u);
-  EXPECT_EQ(proc->mem().read_u32(code, sim::Access::kKernel),
+  EXPECT_EQ(rd32(proc->mem(), code, sim::Access::kKernel),
             0x103u);  // STILL_ACTIVE
   EXPECT_EQ(call("TerminateThread", {h.ret, 77}).ret, 1u);
   EXPECT_EQ(call("GetExitCodeThread", {h.ret, code}).ret, 1u);
-  EXPECT_EQ(proc->mem().read_u32(code, sim::Access::kKernel), 77u);
+  EXPECT_EQ(rd32(proc->mem(), code, sim::Access::kKernel), 77u);
   // A terminated thread is signaled: waits return immediately.
   EXPECT_EQ(call("WaitForSingleObject", {h.ret, 100}).ret, 0u);
 }
@@ -150,10 +154,11 @@ TEST_F(ProcFixture, WaitForMultipleWaitAllSemantics) {
   const auto e1 = call("CreateEvent", {0, 1, 1, 0});
   const auto e2 = call("CreateEvent", {0, 1, 0, 0});
   const sim::Addr arr = proc->mem().alloc(16);
-  proc->mem().write_u32(arr, static_cast<std::uint32_t>(e1.ret),
-                        sim::Access::kKernel);
-  proc->mem().write_u32(arr + 4, static_cast<std::uint32_t>(e2.ret),
-                        sim::Access::kKernel);
+  EXPECT_FALSE(proc->mem().write_u32(arr, static_cast<std::uint32_t>(e1.ret),
+                                     sim::Access::kKernel));
+  EXPECT_FALSE(proc->mem().write_u32(arr + 4,
+                                     static_cast<std::uint32_t>(e2.ret),
+                                     sim::Access::kKernel));
   // wait-any: satisfied by e1.
   EXPECT_EQ(call("WaitForMultipleObjects", {2, arr, 0, 100}).ret, 0u);
   // wait-all: e2 unsignaled -> timeout.
@@ -170,7 +175,7 @@ TEST_F(ProcFixture, CreateProcessNeedsARealImage) {
   const sim::Addr image = proc->mem().alloc_cstr("/tmp/fixture.dat");
   const auto r = call("CreateProcess", {image, 0, 0, pi});
   EXPECT_EQ(r.status, core::CallStatus::kSuccess);
-  const std::uint32_t h = proc->mem().read_u32(pi, sim::Access::kKernel);
+  const std::uint32_t h = rd32(proc->mem(), pi, sim::Access::kKernel);
   EXPECT_NE(proc->handles().get(h), nullptr);
 }
 
