@@ -10,8 +10,11 @@
 //     few more allocations than later runs (function-local statics), so the
 //     gate counts the second run;
 //   - one run of the seven-variant default campaign at cap 2000 and jobs 1,
-//     whose throws are counted.  Simulated faults are values, so what still
-//     throws is the rare KernelPanic and TaskHang.
+//     whose throws are counted.  Simulated faults and kernel panics are
+//     values, so what still throws is the rare TaskHang;
+//   - the NT4 and Win95 default crash campaigns at cap 500 and jobs 1, whose
+//     allocations and throws are counted on a second run.  Every one of
+//     their throws must be a TaskHang: a cut is a returned value.
 //
 // Throws are counted by linking with -Wl,--wrap=__cxa_throw, which routes
 // every throw the project's code makes through __wrap___cxa_throw below
@@ -35,12 +38,15 @@
 #include <string>
 #include <typeinfo>
 
+#include "core/crashplan.h"
 #include "harness/world.h"
+#include "sim/fault.h"
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
 std::atomic<std::uint64_t> g_throws{0};
+std::atomic<std::uint64_t> g_hangs{0};  // the throws that are TaskHangs
 
 }  // namespace
 
@@ -51,6 +57,8 @@ extern "C" {
 [[noreturn]] void __wrap___cxa_throw(void* obj, std::type_info* type,
                                      void (*dtor)(void*)) {
   g_throws.fetch_add(1, std::memory_order_relaxed);
+  if (*type == typeid(ballista::sim::TaskHang))
+    g_hangs.fetch_add(1, std::memory_order_relaxed);
   __real___cxa_throw(obj, type, dtor);
 }
 }
@@ -84,6 +92,9 @@ using namespace ballista;
 
 constexpr std::uint64_t kRecycleCycles = 10'000;
 constexpr std::uint64_t kCampaignCap = 2000;
+constexpr std::uint64_t kCrashCap = 500;
+constexpr sim::OsVariant kCrashVariants[] = {sim::OsVariant::kWinNT4,
+                                             sim::OsVariant::kWin95};
 
 struct Counts {
   std::uint64_t recycle_allocs = 0;
@@ -92,7 +103,21 @@ struct Counts {
   std::uint64_t campaign_throws = 0;  // informational: not gated
   std::uint64_t campaign7_cases = 0;
   std::uint64_t campaign7_throws = 0;
+  std::uint64_t crash_cuts = 0;
+  std::uint64_t crash_allocs = 0;
+  std::uint64_t crash_throws = 0;
+  std::uint64_t crash_hangs = 0;  // must equal crash_throws
 };
+
+/// The NT4 + Win95 crash campaigns; returns the cuts they tested.
+std::uint64_t run_crash_campaigns(const harness::World& world) {
+  core::CrashOptions opt;
+  opt.cap = kCrashCap;
+  std::uint64_t cuts = 0;
+  for (const sim::OsVariant v : kCrashVariants)
+    cuts += core::run_crash_engine(v, world.registry, opt).total_cuts;
+  return cuts;
+}
 
 Counts measure(const harness::World& world) {
   Counts c;
@@ -120,6 +145,14 @@ Counts measure(const harness::World& world) {
     c.campaign7_cases +=
         core::Campaign::run(v, world.registry, opt).total_cases;
   c.campaign7_throws = g_throws.load() - t7;
+
+  run_crash_campaigns(world);
+  const std::uint64_t a8 = g_allocs.load(), t8 = g_throws.load(),
+                      h8 = g_hangs.load();
+  c.crash_cuts = run_crash_campaigns(world);
+  c.crash_allocs = g_allocs.load() - a8;
+  c.crash_throws = g_throws.load() - t8;
+  c.crash_hangs = g_hangs.load() - h8;
   return c;
 }
 
@@ -170,6 +203,20 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(kCampaignCap),
               static_cast<unsigned long long>(c.campaign7_cases),
               static_cast<unsigned long long>(c.campaign7_throws));
+  std::printf("NT4 + Win95 crash campaigns, cap %llu, jobs 1, second run: "
+              "%llu cuts, %llu allocations, %llu throws (%llu task hangs)\n",
+              static_cast<unsigned long long>(kCrashCap),
+              static_cast<unsigned long long>(c.crash_cuts),
+              static_cast<unsigned long long>(c.crash_allocs),
+              static_cast<unsigned long long>(c.crash_throws),
+              static_cast<unsigned long long>(c.crash_hangs));
+  if (c.crash_throws != c.crash_hangs) {
+    std::fprintf(stderr, "THROW REGRESSION: the crash campaigns threw %llu "
+                         "times that were not task hangs\n",
+                 static_cast<unsigned long long>(c.crash_throws -
+                                                 c.crash_hangs));
+    return 3;
+  }
 
   if (write_baseline) {
     std::ofstream(baseline_path)
@@ -183,7 +230,12 @@ int main(int argc, char** argv) {
         << "  \"campaign7\": \"seven variants default groups cap="
         << kCampaignCap << " jobs=1\",\n"
         << "  \"campaign7_cases\": " << c.campaign7_cases << ",\n"
-        << "  \"campaign7_throws\": " << c.campaign7_throws << "\n}\n";
+        << "  \"campaign7_throws\": " << c.campaign7_throws << ",\n"
+        << "  \"crash\": \"nt4 + win95 default crash groups cap=" << kCrashCap
+        << " jobs=1, second run\",\n"
+        << "  \"crash_cuts\": " << c.crash_cuts << ",\n"
+        << "  \"crash_allocs\": " << c.crash_allocs << ",\n"
+        << "  \"crash_throws\": " << c.crash_throws << "\n}\n";
     std::printf("wrote %s\n", baseline_path.c_str());
     return 0;
   }
@@ -196,7 +248,10 @@ int main(int argc, char** argv) {
       !read_field(ss.str(), "campaign_cases", base.campaign_cases) ||
       !read_field(ss.str(), "campaign_allocs", base.campaign_allocs) ||
       !read_field(ss.str(), "campaign7_cases", base.campaign7_cases) ||
-      !read_field(ss.str(), "campaign7_throws", base.campaign7_throws)) {
+      !read_field(ss.str(), "campaign7_throws", base.campaign7_throws) ||
+      !read_field(ss.str(), "crash_cuts", base.crash_cuts) ||
+      !read_field(ss.str(), "crash_allocs", base.crash_allocs) ||
+      !read_field(ss.str(), "crash_throws", base.crash_throws)) {
     std::fprintf(stderr, "cannot read the allocation baseline from %s\n",
                  baseline_path.c_str());
     return 2;
@@ -235,6 +290,28 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(c.campaign7_throws),
                  static_cast<unsigned long long>(base.campaign7_throws));
     ok = false;
+  }
+  if (c.crash_cuts != base.crash_cuts) {
+    std::fprintf(stderr, "crash campaigns tested %llu cuts, baseline %llu: "
+                         "the baseline no longer describes this workload\n",
+                 static_cast<unsigned long long>(c.crash_cuts),
+                 static_cast<unsigned long long>(base.crash_cuts));
+    ok = false;
+  } else {
+    if (c.crash_allocs > base.crash_allocs) {
+      std::fprintf(stderr, "ALLOCATION REGRESSION: the crash campaigns made "
+                           "%llu allocations, baseline %llu\n",
+                   static_cast<unsigned long long>(c.crash_allocs),
+                   static_cast<unsigned long long>(base.crash_allocs));
+      ok = false;
+    }
+    if (c.crash_throws > base.crash_throws) {
+      std::fprintf(stderr, "THROW REGRESSION: the crash campaigns made %llu "
+                           "throws, baseline %llu\n",
+                   static_cast<unsigned long long>(c.crash_throws),
+                   static_cast<unsigned long long>(base.crash_throws));
+      ok = false;
+    }
   }
   if (!ok) return 3;
   if (c.campaign_allocs < base.campaign_allocs)

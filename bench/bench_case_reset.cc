@@ -107,7 +107,7 @@ void fixture_micro(double& verify_ns, double& rebuild_ns) {
   const auto cwd = sim::FileSystem::root_path();
   start = Clock::now();
   for (int i = 0; i < kIters; ++i) {
-    fs.create_file(fs.parse("/tmp/junk.dat", cwd), false, true);
+    (void)fs.create_file(fs.parse("/tmp/junk.dat", cwd), false, true);
     fs.restore_fixture();
   }
   rebuild_ns = seconds_since(start) / kIters * 1e9;

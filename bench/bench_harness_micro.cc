@@ -120,7 +120,7 @@ void BM_FixtureRestore(benchmark::State& state) {
   sim::FileSystem fs;
   const auto cwd = sim::FileSystem::root_path();
   for (auto _ : state) {
-    if (churn) fs.create_file(fs.parse("/tmp/junk.dat", cwd), false, true);
+    if (churn) (void)fs.create_file(fs.parse("/tmp/junk.dat", cwd), false, true);
     benchmark::DoNotOptimize(fs.restore_fixture());
   }
 }
@@ -176,9 +176,9 @@ constexpr std::uint64_t kWholeRange = 1ull << 32;
 
 void BM_ProtectWholeRange(benchmark::State& state) {
   sim::AddressSpace mem;
-  mem.map(kMicroStack, kMicroStackSize, sim::kPermRW);
+  (void)mem.map(kMicroStack, kMicroStackSize, sim::kPermRW);
   for (auto _ : state) {
-    mem.protect(kMicroStack, kWholeRange, sim::kPermRead);
+    (void)mem.protect(kMicroStack, kWholeRange, sim::kPermRead);
     benchmark::ClobberMemory();
   }
 }
@@ -188,8 +188,8 @@ void BM_UnmapWholeRange(benchmark::State& state) {
   // Each iteration maps the stack again (from the free list) and unmaps it.
   sim::AddressSpace mem;
   for (auto _ : state) {
-    mem.map(kMicroStack, kMicroStackSize, sim::kPermRW);
-    mem.unmap(kMicroStack, kWholeRange);
+    (void)mem.map(kMicroStack, kMicroStackSize, sim::kPermRW);
+    (void)mem.unmap(kMicroStack, kWholeRange);
     benchmark::ClobberMemory();
   }
 }
@@ -202,11 +202,11 @@ void BM_MapLarge(benchmark::State& state) {
   constexpr sim::Addr kLargeBase = 0x1000'0000;
   constexpr std::uint64_t kLargeSize = 16ull << 20;
   sim::AddressSpace mem;
-  mem.map(kMicroStack, kMicroStackSize, sim::kPermRW);
+  (void)mem.map(kMicroStack, kMicroStackSize, sim::kPermRW);
   mem.checkpoint();
   for (auto _ : state) {
-    mem.map(kLargeBase, kLargeSize, sim::kPermRW);
-    mem.unmap(kLargeBase, kLargeSize);
+    (void)mem.map(kLargeBase, kLargeSize, sim::kPermRW);
+    (void)mem.unmap(kLargeBase, kLargeSize);
     benchmark::ClobberMemory();
   }
 }
@@ -219,7 +219,7 @@ void BM_CrtStateFirstUse(benchmark::State& state) {
   machine.release_process(machine.acquire_process());
   for (auto _ : state) {
     auto p = machine.acquire_process();
-    benchmark::DoNotOptimize(&clib::crt_state(*p));
+    benchmark::DoNotOptimize(clib::crt_state(*p));
     machine.release_process(std::move(p));
   }
 }

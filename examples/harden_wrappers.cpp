@@ -23,7 +23,9 @@ core::ApiImpl wrap_with_validation(const core::MuT& original,
   return [inner, file_param_index](core::CallContext& ctx)
              -> core::CallOutcome {
     const sim::Addr fp = ctx.arg_addr(file_param_index);
-    clib::CrtState& st = clib::crt_state(ctx.proc());
+    const clib::CrtState* crt = clib::crt_state(ctx.proc());
+    if (crt == nullptr) return core::panicked();  // cut in CRT set-up
+    const clib::CrtState& st = *crt;
     const bool in_table = fp >= st.iob_base &&
                           fp + clib::kFileStructSize <= st.iob_end &&
                           (fp - st.iob_base) % clib::kFileStructSize == 0;

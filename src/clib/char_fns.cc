@@ -28,11 +28,12 @@ struct CtypeLookup {
 sim::MaybeFault ctype_lookup(CallContext& ctx, std::int32_t c,
                              CtypeLookup* out) {
   if (ctx.os().crt == sim::CrtFlavor::kGlibc) {
-    CrtState& st = crt_state(ctx.proc());
+    const CrtState* st = crt_state(ctx.proc());
+    if (st == nullptr) return sim::MaybeFault::down();
     // table[c]: the index is the sign-extended int, exactly like
     // __ctype_b[c].  Large or very negative c walks off the table.
     const sim::Addr a =
-        st.ctype_table + 128 + static_cast<std::int64_t>(c);
+        st->ctype_table + 128 + static_cast<std::int64_t>(c);
     if (auto f = ctx.proc().mem().read_u8(a, &out->bits, sim::Access::kUser))
       return f;
     out->looked_up = true;
@@ -46,8 +47,9 @@ sim::MaybeFault ctype_lookup(CallContext& ctx, std::int32_t c,
     return {};
   }
   if (c < 0 || c > 255) return {};  // rejected
-  CrtState& st = crt_state(ctx.proc());
-  if (auto f = ctx.proc().mem().read_u8(st.ctype_table + 128 + c, &out->bits,
+  const CrtState* st = crt_state(ctx.proc());
+  if (st == nullptr) return sim::MaybeFault::down();
+  if (auto f = ctx.proc().mem().read_u8(st->ctype_table + 128 + c, &out->bits,
                                         sim::Access::kUser))
     return f;
   out->looked_up = true;

@@ -19,8 +19,10 @@ sim::Addr make_valid_file(ValueCtx& c, bool writable) {
   auto node = std::make_shared<sim::FsNode>("stream.dat", false);
   const std::string payload = "stream contents: 42 1999 ballista\n";
   node->data().assign(payload.begin(), payload.end());
+  // Materialization runs outside the module window: nothing is cut here.
   return make_file_struct(c.proc, std::move(node),
-                          kFRead | (writable ? kFWrite : 0u) | kFOpen);
+                          kFRead | (writable ? kFWrite : 0u) | kFOpen)
+      .value;
 }
 
 }  // namespace
@@ -36,9 +38,9 @@ void register_clib_types(core::TypeLibrary& lib) {
       .add("file_valid_ro", false,
            [](ValueCtx& c) { return make_valid_file(c, false); })
       .add("file_stdout", false,
-           [](ValueCtx& c) { return crt_state(c.proc).file_stdout; })
+           [](ValueCtx& c) { return harness_crt_state(c.proc).file_stdout; })
       .add("file_stdin", false,
-           [](ValueCtx& c) { return crt_state(c.proc).file_stdin; })
+           [](ValueCtx& c) { return harness_crt_state(c.proc).file_stdin; })
       .add("file_closed", true,
            [](ValueCtx& c) {
              const sim::Addr fp = make_valid_file(c, true);

@@ -4,6 +4,8 @@
 #include <array>
 #include <cctype>
 #include <cerrno>
+#include <stdexcept>
+#include <utility>
 
 namespace ballista::clib {
 
@@ -39,7 +41,9 @@ const std::array<std::uint8_t, kCtypeEntries>& ctype_image() {
   return image;
 }
 
-CrtState& build_state(sim::SimProcess& proc) {
+/// Builds the per-task CRT state, or returns null when the machine died
+/// under one of its steps (the state is then not attached).
+CrtState* build_state(sim::SimProcess& proc) {
   auto state = std::make_shared<CrtState>();
   auto& mem = proc.mem();
 
@@ -49,68 +53,97 @@ CrtState& build_state(sim::SimProcess& proc) {
   // exactly like running off the real __ctype_b table.
   constexpr Addr kCtypeRegion = 0x7000'0000;
   const Addr page = kCtypeRegion;
-  mem.map(page, sim::kPageSize, sim::kPermRW);
+  if (mem.map(page, sim::kPageSize, sim::kPermRW) == sim::Verdict::kDown)
+    return nullptr;
   state->ctype_table = page + sim::kPageSize - kCtypeEntries;
-  mem.poke_bytes(state->ctype_table, ctype_image());
+  if (sim::expect_no_fault(mem.write_bytes(state->ctype_table, ctype_image(),
+                                           sim::Access::kKernel),
+                           "CRT set-up") == sim::Verdict::kDown)
+    return nullptr;
 
-  // _iob region: room for 64 FILE structures.
-  state->iob_base = mem.alloc(64 * kFileStructSize);
+  // _iob region: room for 64 FILE structures, then the static CRT result
+  // buffers.
+  const auto iob = mem.task_alloc(64 * kFileStructSize);
+  if (!iob) return nullptr;
+  state->iob_base = *iob;
   state->iob_end = state->iob_base + 64 * kFileStructSize;
   state->iob_next = state->iob_base;
-
-  // Static CRT result buffers.
-  state->static_str = mem.alloc(128);
-  state->static_tm = mem.alloc(64);
+  const auto str = mem.task_alloc(128);
+  if (!str) return nullptr;
+  state->static_str = *str;
+  const auto tm = mem.task_alloc(64);
+  if (!tm) return nullptr;
+  state->static_tm = *tm;
 
   proc.set_crt_state(state);
-  return *state;
+  return state.get();
 }
 
 }  // namespace
 
-CrtState& crt_state(sim::SimProcess& proc) {
-  if (auto existing = std::static_pointer_cast<CrtState>(proc.crt_state())) {
-    return *existing;
-  }
-  CrtState& st = build_state(proc);
+CrtState* crt_state(sim::SimProcess& proc) {
+  if (auto existing = std::static_pointer_cast<CrtState>(proc.crt_state()))
+    return existing.get();
+  CrtState* st = build_state(proc);
+  if (st == nullptr) return nullptr;
   // Standard streams, built after the state is attached so make_file_struct
   // can use it.
-  auto stdio_node = [&](const char* name) {
-    auto node = std::make_shared<sim::FsNode>(name, false);
-    return node;
+  const auto stream = [&](const char* name, std::uint32_t flags, Addr* fp) {
+    const sim::Survived<Addr> made = make_file_struct(
+        proc, std::make_shared<sim::FsNode>(name, false), flags | kFOpen);
+    *fp = made.value;
+    return !made.down();
   };
-  st.file_stdin = make_file_struct(proc, stdio_node("stdin"), kFRead | kFOpen);
-  st.file_stdout =
-      make_file_struct(proc, stdio_node("stdout"), kFWrite | kFOpen);
-  st.file_stderr =
-      make_file_struct(proc, stdio_node("stderr"), kFWrite | kFOpen);
+  if (!stream("stdin", kFRead, &st->file_stdin) ||
+      !stream("stdout", kFWrite, &st->file_stdout) ||
+      !stream("stderr", kFWrite, &st->file_stderr))
+    return nullptr;
   return st;
 }
 
-Addr make_file_struct(sim::SimProcess& proc, std::shared_ptr<sim::FsNode> node,
-                      std::uint32_t flags) {
-  CrtState& st = crt_state(proc);
+CrtState& harness_crt_state(sim::SimProcess& proc) {
+  CrtState* st = crt_state(proc);
+  if (st == nullptr)
+    throw std::logic_error("CRT set-up in harness code was cut");
+  return *st;
+}
+
+sim::Survived<Addr> make_file_struct(sim::SimProcess& proc,
+                                     std::shared_ptr<sim::FsNode> node,
+                                     std::uint32_t flags) {
+  const sim::Survived<Addr> kDown{0, sim::Verdict::kDown};
+  CrtState* st = crt_state(proc);
+  if (st == nullptr) return kDown;
   auto& mem = proc.mem();
-  if (st.iob_next + kFileStructSize > st.iob_end) return 0;  // table full
-  const Addr fp = st.iob_next;
-  st.iob_next += kFileStructSize;
+  if (st->iob_next + kFileStructSize > st->iob_end) return {0};  // table full
+  const Addr fp = st->iob_next;
+  st->iob_next += kFileStructSize;
 
   auto obj = std::make_shared<sim::FileObject>(
       std::move(node),
       sim::FileObject::kAccessRead | sim::FileObject::kAccessWrite,
       /*append=*/false);
-  const std::uint64_t h = proc.handles().insert(std::move(obj));
+  const sim::Survived<std::uint64_t> h = proc.handles().insert(std::move(obj));
+  if (h.down()) return kDown;
 
-  const Addr buf = mem.alloc(512);
-  const Addr lock = mem.alloc(16);
-  mem.poke_u32(fp + kFileOffMagic, kFileMagic);
-  mem.poke_u32(fp + kFileOffHandle, static_cast<std::uint32_t>(h));
-  mem.poke_u32(fp + kFileOffFlags, flags);
-  mem.poke_u32(fp + kFileOffBuf, static_cast<std::uint32_t>(buf));
-  mem.poke_u32(fp + kFileOffLock, static_cast<std::uint32_t>(lock));
-  mem.poke_u32(fp + kFileOffUnget, 0xffffffff);
-  mem.poke_u32(fp + kFileOffPos, 0);
-  return fp;
+  const auto buf = mem.task_alloc(512);
+  if (!buf) return kDown;
+  const auto lock = mem.task_alloc(16);
+  if (!lock) return kDown;
+  const std::pair<Addr, std::uint32_t> fields[] = {
+      {kFileOffMagic, kFileMagic},
+      {kFileOffHandle, static_cast<std::uint32_t>(h.value)},
+      {kFileOffFlags, flags},
+      {kFileOffBuf, static_cast<std::uint32_t>(*buf)},
+      {kFileOffLock, static_cast<std::uint32_t>(*lock)},
+      {kFileOffUnget, 0xffffffff},
+      {kFileOffPos, 0}};
+  for (const auto& [off, v] : fields)
+    if (sim::expect_no_fault(
+            mem.write_u32(fp + off, v, sim::Access::kKernel), "CRT set-up") ==
+        sim::Verdict::kDown)
+      return kDown;
+  return {fp};
 }
 
 MemStatus file_field_read(CallContext& ctx, Addr fp, Addr off,
@@ -119,9 +152,8 @@ MemStatus file_field_read(CallContext& ctx, Addr fp, Addr off,
   if (ctx.os().crt_in_kernel) {
     // Hazard/probe semantics applied by the context; a kSilent (deferred
     // stub) result reads as zero, which downstream treats as garbage.
-    if (ctx.k_read_u32(fp + off, v) == MemStatus::kFault)
-      return MemStatus::kFault;
-    return MemStatus::kOk;
+    const MemStatus s = ctx.k_read_u32(fp + off, v);
+    return core::ends_call(s) ? s : MemStatus::kOk;
   }
   return ctx.trap(ctx.proc().mem().read_u32(fp + off, v, sim::Access::kUser));
 }
@@ -129,9 +161,8 @@ MemStatus file_field_read(CallContext& ctx, Addr fp, Addr off,
 MemStatus file_field_write(CallContext& ctx, Addr fp, Addr off,
                            std::uint32_t v) {
   if (ctx.os().crt_in_kernel) {
-    if (ctx.k_write_u32(fp + off, v) == MemStatus::kFault)
-      return MemStatus::kFault;
-    return MemStatus::kOk;
+    const MemStatus s = ctx.k_write_u32(fp + off, v);
+    return core::ends_call(s) ? s : MemStatus::kOk;
   }
   return ctx.trap(ctx.proc().mem().write_u32(fp + off, v, sim::Access::kUser));
 }
@@ -142,11 +173,18 @@ FileRef resolve_file(CallContext& ctx, Addr fp, bool ce_prevalidates) {
   const auto flavor = ctx.os().crt;
   auto& proc = ctx.proc();
   auto& mem = proc.mem();
-  CrtState& st = crt_state(ctx.proc());
-  // Marks the stream faulted when an access took a (recorded) fault.
+  const CrtState* crt = crt_state(ctx.proc());
+  if (crt == nullptr) {
+    ref.status = FileRef::Status::kPanic;
+    return ref;
+  }
+  const CrtState& st = *crt;
+  // Marks the stream faulted (or its machine dead) when an access took a
+  // (recorded) fault or a panic.
   const auto faulted = [&](MemStatus s) {
-    if (s != MemStatus::kFault) return false;
-    ref.status = FileRef::Status::kFault;
+    if (!core::ends_call(s)) return false;
+    ref.status = s == MemStatus::kPanic ? FileRef::Status::kPanic
+                                        : FileRef::Status::kFault;
     return true;
   };
   const auto fault = [&](const sim::MaybeFault& f) {

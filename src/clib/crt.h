@@ -81,31 +81,39 @@ struct CrtState {
 };
 
 /// Gets (or builds) the CRT state for the current task.  Setup-time accesses
-/// go through kernel mode (no policy involved), so this is also usable from
-/// test-value constructors.
-CrtState& crt_state(sim::SimProcess& proc);
+/// go through kernel mode (no policy involved).  Built from inside a module
+/// under test, its maps, stores and handle inserts announce persistence
+/// points like any others, so an armed cut can kill the machine part-way:
+/// then it returns null and the caller passes the panic up.
+CrtState* crt_state(sim::SimProcess& proc);
+/// crt_state for test-value constructors, which run outside the module
+/// window where nothing announces (a cut there is a harness bug).
+CrtState& harness_crt_state(sim::SimProcess& proc);
 
 /// Result of resolving a FILE* argument under the active CRT personality.
 /// Resolving may fault (glibc/msvcrt chasing garbage in user mode, or a CE
 /// thunk under the raise policy: kFault, with the fault recorded on the
-/// context) or throw KernelPanic (CE kernel thunks under a hazard).
+/// context) or kill the machine (CE kernel thunks under a hazard, or an
+/// armed cut in CRT set-up: kPanic).
 struct FileRef {
   enum class Status {
     kOk,
     kBadf,    // detected invalid: fail with errno (robust)
     kSilent,  // swallowed by a loose path: report success, do nothing
     kFault,   // the task faulted resolving it: the call ends faulted
+    kPanic,   // the machine died resolving it: the call ends panicked
   };
   Status status = Status::kBadf;
   Addr fp = 0;
   std::shared_ptr<sim::FileObject> obj;  // null for detected-bad streams
   std::uint32_t flags = 0;
 
-  /// The outcome of a call whose stream did not resolve: faulted when
-  /// resolving faulted, else the error return `ret`.
+  /// The outcome of a call whose stream did not resolve: faulted or
+  /// panicked when resolving was, else the error return `ret`.
   CallOutcome fail(std::uint64_t ret) const {
-    return status == Status::kFault ? core::faulted()
-                                    : core::error_reported(ret);
+    if (status == Status::kFault) return core::faulted();
+    if (status == Status::kPanic) return core::panicked();
+    return core::error_reported(ret);
   }
 };
 
@@ -114,13 +122,17 @@ struct FileRef {
 /// crashing).
 FileRef resolve_file(CallContext& ctx, Addr fp, bool ce_prevalidates = false);
 
-/// Writes a fresh FILE structure bound to `node` and returns its address.
-Addr make_file_struct(sim::SimProcess& proc, std::shared_ptr<sim::FsNode> node,
-                      std::uint32_t flags);
+/// Writes a fresh FILE structure bound to `node` and returns its address (0
+/// when the _iob region is full); kDown when the machine died doing so (an
+/// armed cut, as for crt_state).
+sim::Survived<Addr> make_file_struct(sim::SimProcess& proc,
+                                     std::shared_ptr<sim::FsNode> node,
+                                     std::uint32_t flags);
 
 /// Reads/writes one FILE field honoring the personality (user-mode for
-/// desktop CRTs, kernel thunk for CE).  kOk or kFault (recorded); a CE field
-/// the kernel rejects or swallows reads as zero and ignores the write.
+/// desktop CRTs, kernel thunk for CE).  kOk, kFault (recorded) or kPanic; a
+/// CE field the kernel rejects or swallows reads as zero and ignores the
+/// write.
 MemStatus file_field_read(CallContext& ctx, Addr fp, Addr off,
                           std::uint32_t* v);
 MemStatus file_field_write(CallContext& ctx, Addr fp, Addr off,

@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <optional>
+#include <utility>
 
 #include "clib/crt.h"
 #include "clib/defs.h"
@@ -49,14 +51,22 @@ sim::MaybeFault block_copy(sim::AddressSpace& mem, Addr dst, Addr src,
   return {};
 }
 
-Addr heap_alloc(CallContext& ctx, std::uint64_t size) {
+/// A fresh chunk's user address, or nothing when the machine died making it
+/// (an armed cut on its map or header stores).
+std::optional<Addr> heap_alloc(CallContext& ctx, std::uint64_t size) {
   auto& mem = ctx.proc().mem();
-  const Addr base = mem.alloc(size + 16);
-  mem.poke_u64(base, kHeapMagic);
-  mem.poke_u64(base + 8, size);
-  ctx.proc().default_heap()->allocations[base + 16] = size;
-  return base + 16;
+  const std::optional<Addr> base = mem.task_alloc(size + 16);
+  if (!base) return std::nullopt;
+  for (const auto& [off, v] : {std::pair<Addr, std::uint64_t>{0, kHeapMagic},
+                               std::pair<Addr, std::uint64_t>{8, size}})
+    if (sim::down(sim::expect_no_fault(
+            mem.write_u64(*base + off, v, sim::Access::kKernel),
+            "heap header")))
+      return std::nullopt;
+  ctx.proc().default_heap()->allocations[*base + 16] = size;
+  return *base + 16;
 }
+
 
 /// Validates a heap pointer the way the active CRT would.  Stores the chunk
 /// size in `*size`, or nullopt when the pointer was rejected (9x CRT table
@@ -106,7 +116,7 @@ CallOutcome do_malloc(CallContext& ctx) {
     ctx.proc().set_errno(ENOMEM);
     return core::error_reported(0);
   }
-  return ok(heap_alloc(ctx, size == 0 ? 1 : size));
+  return core::ok_or_panicked(heap_alloc(ctx, size == 0 ? 1 : size));
 }
 
 CallOutcome do_calloc(CallContext& ctx) {
@@ -118,7 +128,8 @@ CallOutcome do_calloc(CallContext& ctx) {
     ctx.proc().set_errno(ENOMEM);
     return core::error_reported(0);
   }
-  return ok(heap_alloc(ctx, total == 0 ? 1 : total));  // zero-filled by map
+  // Zero-filled by the map.
+  return core::ok_or_panicked(heap_alloc(ctx, total == 0 ? 1 : total));
 }
 
 CallOutcome do_free(CallContext& ctx) {
@@ -136,7 +147,9 @@ CallOutcome do_free(CallContext& ctx) {
     }
     return core::silent_success(0);
   }
-  if (allocs.erase(p) != 0) ctx.proc().mem().unmap(p - 16, *size + 16);
+  if (allocs.erase(p) != 0 &&
+      ctx.proc().mem().unmap(p - 16, *size + 16) == sim::Verdict::kDown)
+    return core::panicked();
   return ok(0);
 }
 
@@ -158,7 +171,9 @@ CallOutcome do_realloc(CallContext& ctx) {
     ctx.proc().default_heap()->allocations.erase(p);
     return ok(0);
   }
-  const Addr np = heap_alloc(ctx, size);
+  const std::optional<Addr> allocated = heap_alloc(ctx, size);
+  if (!allocated) return core::panicked();
+  const Addr np = *allocated;
   const std::uint64_t copy = std::min(*old_size, size);
   if (auto f = block_copy(ctx.proc().mem(), np, p, std::min(copy, kScanCap)))
     return ctx.raise(*f);

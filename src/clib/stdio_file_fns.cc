@@ -31,13 +31,14 @@ sim::MaybeFault read_path(CallContext& ctx, Addr p, CharWidth w,
   return {};
 }
 
-/// Writes FILE fields in order, stopping at the first fault.
+/// Writes FILE fields in order, stopping at the first fault or panic.
 MemStatus write_fields(
     CallContext& ctx, Addr fp,
     std::initializer_list<std::pair<Addr, std::uint32_t>> fields) {
   for (const auto& [off, v] : fields)
-    if (file_field_write(ctx, fp, off, v) == MemStatus::kFault)
-      return MemStatus::kFault;
+    if (const MemStatus s = file_field_write(ctx, fp, off, v);
+        core::ends_call(s))
+      return s;
   return MemStatus::kOk;
 }
 
@@ -111,7 +112,9 @@ CallOutcome open_common(CallContext& ctx, Addr path_arg, Addr mode_arg,
       proc.set_errno(ENOENT);
       return core::error_reported(0);
     }
-    node = fs.create_file(parsed, false, false);
+    const auto created = fs.create_file(parsed, false, false);
+    if (created.down()) return core::panicked();
+    node = created.value;
     if (node == nullptr) {
       proc.set_errno(ENOENT);
       return core::error_reported(0);
@@ -129,7 +132,10 @@ CallOutcome open_common(CallContext& ctx, Addr path_arg, Addr mode_arg,
 
   Addr fp = reuse_fp;
   if (fp == 0) {
-    fp = make_file_struct(proc, node, mode.flags | kFOpen);
+    const sim::Survived<Addr> made =
+        make_file_struct(proc, node, mode.flags | kFOpen);
+    if (made.down()) return core::panicked();
+    fp = made.value;
     if (fp == 0) {
       proc.set_errno(EMFILE);
       return core::error_reported(0);
@@ -140,12 +146,16 @@ CallOutcome open_common(CallContext& ctx, Addr path_arg, Addr mode_arg,
         node,
         sim::FileObject::kAccessRead | sim::FileObject::kAccessWrite,
         mode.append);
-    const std::uint64_t h = proc.handles().insert(std::move(obj));
-    if (write_fields(ctx, fp,
-                     {{kFileOffHandle, static_cast<std::uint32_t>(h)},
-                      {kFileOffFlags, mode.flags | kFOpen},
-                      {kFileOffMagic, kFileMagic}}) == MemStatus::kFault)
-      return core::faulted();
+    const sim::Survived<std::uint64_t> h =
+        proc.handles().insert(std::move(obj));
+    if (h.down()) return core::panicked();
+    if (const MemStatus ms = write_fields(
+            ctx, fp,
+            {{kFileOffHandle, static_cast<std::uint32_t>(h.value)},
+             {kFileOffFlags, mode.flags | kFOpen},
+             {kFileOffMagic, kFileMagic}});
+        core::ends_call(ms))
+      return core::ended(ms);
   }
   return ok(fp);
 }
@@ -159,9 +169,10 @@ CallOutcome freopen_impl(CallContext& ctx, CharWidth w) {
   const FileRef ref = resolve_file(ctx, fp);
   if (ref.status != FileRef::Status::kOk) return ref.fail(0);
   std::uint32_t h = 0;
-  if (file_field_read(ctx, fp, kFileOffHandle, &h) == MemStatus::kFault)
-    return core::faulted();
-  ctx.proc().handles().close(h);
+  if (const MemStatus ms = file_field_read(ctx, fp, kFileOffHandle, &h);
+      core::ends_call(ms))
+    return core::ended(ms);
+  if (ctx.proc().handles().close(h).down()) return core::panicked();
   return open_common(ctx, ctx.arg_addr(0), ctx.arg_addr(1), w, fp);
 }
 
@@ -171,17 +182,19 @@ CallOutcome fclose_impl(CallContext& ctx) {
   if (ref.status != FileRef::Status::kOk)
     return ref.fail(static_cast<std::uint64_t>(-1));
   std::uint32_t h = 0;
-  if (file_field_read(ctx, fp, kFileOffHandle, &h) == MemStatus::kFault)
-    return core::faulted();
-  ctx.proc().handles().close(h);
+  if (const MemStatus ms = file_field_read(ctx, fp, kFileOffHandle, &h);
+      core::ends_call(ms))
+    return core::ended(ms);
+  if (ctx.proc().handles().close(h).down()) return core::panicked();
   // Mark the structure closed: cleared magic, cleared pointers — the state
   // the "file_closed" test value reproduces.
-  if (write_fields(ctx, fp,
-                   {{kFileOffMagic, 0},
-                    {kFileOffFlags, 0},
-                    {kFileOffBuf, 0},
-                    {kFileOffLock, 0}}) == MemStatus::kFault)
-    return core::faulted();
+  if (const MemStatus ms = write_fields(ctx, fp,
+                                       {{kFileOffMagic, 0},
+                                        {kFileOffFlags, 0},
+                                        {kFileOffBuf, 0},
+                                        {kFileOffLock, 0}});
+      core::ends_call(ms))
+    return core::ended(ms);
   return ok(0);
 }
 
@@ -220,10 +233,12 @@ CallOutcome fseek_impl(CallContext& ctx) {
   }
   ref.obj->set_position(static_cast<std::uint64_t>(target));
   // fseek clears the unget slot and EOF.
-  if (write_fields(ctx, fp,
-                   {{kFileOffUnget, 0xffffffff},
-                    {kFileOffFlags, ref.flags & ~kFEof}}) == MemStatus::kFault)
-    return core::faulted();
+  if (const MemStatus ms =
+          write_fields(ctx, fp,
+                       {{kFileOffUnget, 0xffffffff},
+                        {kFileOffFlags, ref.flags & ~kFEof}});
+      core::ends_call(ms))
+    return core::ended(ms);
   return ok(0);
 }
 
@@ -241,9 +256,10 @@ CallOutcome rewind_impl(CallContext& ctx) {
   if (ref.status != FileRef::Status::kOk)
     return ref.fail(0);  // void function; observable via errno
   ref.obj->set_position(0);
-  if (file_field_write(ctx, ctx.arg_addr(0), kFileOffFlags,
-                       ref.flags & ~(kFEof | kFErr)) == MemStatus::kFault)
-    return core::faulted();
+  if (const MemStatus ms = file_field_write(ctx, ctx.arg_addr(0), kFileOffFlags,
+                                            ref.flags & ~(kFEof | kFErr));
+      core::ends_call(ms))
+    return core::ended(ms);
   return ok(0);
 }
 
@@ -251,9 +267,10 @@ CallOutcome clearerr_impl(CallContext& ctx) {
   const Addr fp = ctx.arg_addr(0);
   const FileRef ref = resolve_file(ctx, fp);
   if (ref.status != FileRef::Status::kOk) return ref.fail(0);
-  if (file_field_write(ctx, fp, kFileOffFlags, ref.flags & ~(kFEof | kFErr)) ==
-      MemStatus::kFault)
-    return core::faulted();
+  if (const MemStatus ms = file_field_write(ctx, fp, kFileOffFlags,
+                                            ref.flags & ~(kFEof | kFErr));
+      core::ends_call(ms))
+    return core::ended(ms);
   return ok(0);
 }
 
@@ -261,7 +278,10 @@ CallOutcome remove_impl(CallContext& ctx, CharWidth w) {
   std::string path;
   if (auto f = read_path(ctx, ctx.arg_addr(0), w, &path)) return ctx.raise(*f);
   auto& fs = ctx.machine().fs();
-  if (!fs.remove_file(fs.parse(path, ctx.proc().cwd()))) {
+  const sim::Survived<bool> removed =
+      fs.remove_file(fs.parse(path, ctx.proc().cwd()));
+  if (removed.down()) return core::panicked();
+  if (!removed.value) {
     ctx.proc().set_errno(ENOENT);
     return core::error_reported(static_cast<std::uint64_t>(-1));
   }
@@ -273,8 +293,10 @@ CallOutcome rename_impl(CallContext& ctx, CharWidth w) {
   if (auto f = read_path(ctx, ctx.arg_addr(0), w, &from)) return ctx.raise(*f);
   if (auto f = read_path(ctx, ctx.arg_addr(1), w, &to)) return ctx.raise(*f);
   auto& fs = ctx.machine().fs();
-  if (!fs.rename(fs.parse(from, ctx.proc().cwd()),
-                 fs.parse(to, ctx.proc().cwd()))) {
+  const sim::Survived<bool> renamed = fs.rename(
+      fs.parse(from, ctx.proc().cwd()), fs.parse(to, ctx.proc().cwd()));
+  if (renamed.down()) return core::panicked();
+  if (!renamed.value) {
     ctx.proc().set_errno(ENOENT);
     return core::error_reported(static_cast<std::uint64_t>(-1));
   }

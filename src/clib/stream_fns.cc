@@ -38,13 +38,14 @@ void maybe_block_on_stdin(CallContext& ctx, const FileRef& ref) {
 }
 
 /// Stores bytes at a task address; hazard-active MuTs (Win98 fwrite, CE
-/// fread/fgets) stage through kernel memory.  kOk, or kFault (recorded).
+/// fread/fgets) stage through kernel memory.  kOk, kFault (recorded) or
+/// kPanic.
 MemStatus store_bytes(CallContext& ctx, Addr a,
                       std::span<const std::uint8_t> in) {
   if (ctx.hazard() != core::CrashStyle::kNone) {
-    // Corruption/panic are handled inside; only a fault ends the call.
-    return ctx.k_write(a, in) == MemStatus::kFault ? MemStatus::kFault
-                                                   : MemStatus::kOk;
+    // Corruption is handled inside; only a fault or a panic ends the call.
+    const MemStatus s = ctx.k_write(a, in);
+    return core::ends_call(s) ? s : MemStatus::kOk;
   }
   return ctx.trap(ctx.proc().mem().write_bytes(a, in, sim::Access::kUser));
 }
@@ -54,8 +55,8 @@ MemStatus load_bytes(CallContext& ctx, Addr a, std::uint64_t n,
   n = std::min(n, kIoCap);
   if (ctx.hazard() != core::CrashStyle::kNone) {
     out->assign(n, 0);
-    return ctx.k_read(a, *out) == MemStatus::kFault ? MemStatus::kFault
-                                                    : MemStatus::kOk;
+    const MemStatus s = ctx.k_read(a, *out);
+    return core::ends_call(s) ? s : MemStatus::kOk;
   }
   return ctx.trap(gather_bytes(ctx.proc().mem(), a, n, out));
 }
@@ -74,7 +75,8 @@ CallOutcome fread_impl(CallContext& ctx) {
   std::vector<std::uint8_t> data(std::min({size * n, kIoCap, left}));
   const std::uint64_t got = ref.obj->read_at(data);
   data.resize(got);
-  if (store_bytes(ctx, ptr, data) == MemStatus::kFault) return core::faulted();
+  if (const MemStatus ms = store_bytes(ctx, ptr, data); core::ends_call(ms))
+    return core::ended(ms);
   return ok(got / size);
 }
 
@@ -90,9 +92,10 @@ CallOutcome fwrite_impl(CallContext& ctx) {
   }
   const std::uint64_t total = std::min(size * n, kIoCap);
   std::vector<std::uint8_t> data;
-  if (load_bytes(ctx, ptr, total, &data) == MemStatus::kFault)
-    return core::faulted();
-  ref.obj->write_at(data);
+  if (const MemStatus ms = load_bytes(ctx, ptr, total, &data);
+      core::ends_call(ms))
+    return core::ended(ms);
+  if (ref.obj->write_at(data).down()) return core::panicked();
   return ok(total / size);
 }
 
@@ -102,12 +105,14 @@ CallOutcome fgetc_impl(CallContext& ctx) {
   if (ref.status != FileRef::Status::kOk)
     return ref.fail(static_cast<std::uint64_t>(-1));
   std::uint32_t unget = 0;
-  if (file_field_read(ctx, fp, kFileOffUnget, &unget) == MemStatus::kFault)
-    return core::faulted();
+  if (const MemStatus ms = file_field_read(ctx, fp, kFileOffUnget, &unget);
+      core::ends_call(ms))
+    return core::ended(ms);
   if (unget != 0xffffffff) {
-    if (file_field_write(ctx, fp, kFileOffUnget, 0xffffffff) ==
-        MemStatus::kFault)
-      return core::faulted();
+    if (const MemStatus ms =
+            file_field_write(ctx, fp, kFileOffUnget, 0xffffffff);
+        core::ends_call(ms))
+      return core::ended(ms);
     return ok(unget);
   }
   std::uint8_t c = 0;
@@ -115,9 +120,10 @@ CallOutcome fgetc_impl(CallContext& ctx) {
     // Reading past the end of an interactive stream blocks for input that
     // will never come (a Restart failure); a regular file is simply at EOF.
     if (ref.obj->node()->name() == "stdin") ctx.proc().hang("fgetc(stdin)");
-    if (file_field_write(ctx, fp, kFileOffFlags, ref.flags | kFEof) ==
-        MemStatus::kFault)
-      return core::faulted();
+    if (const MemStatus ms =
+            file_field_write(ctx, fp, kFileOffFlags, ref.flags | kFEof);
+        core::ends_call(ms))
+      return core::ended(ms);
     return ok(static_cast<std::uint64_t>(-1));  // EOF: normal indication
   }
   return ok(c);
@@ -132,7 +138,7 @@ CallOutcome fputc_impl(CallContext& ctx) {
     ctx.proc().set_errno(EBADF);
     return core::error_reported(static_cast<std::uint64_t>(-1));
   }
-  ref.obj->write_at({&c, 1});
+  if (ref.obj->write_at({&c, 1}).down()) return core::panicked();
   return ok(c);
 }
 
@@ -143,8 +149,9 @@ CallOutcome ungetc_impl(CallContext& ctx) {
   if (ref.status != FileRef::Status::kOk)
     return ref.fail(static_cast<std::uint64_t>(-1));
   if (c == 0xffffffff) return ok(static_cast<std::uint64_t>(-1));  // EOF
-  if (file_field_write(ctx, fp, kFileOffUnget, c & 0xff) == MemStatus::kFault)
-    return core::faulted();
+  if (const MemStatus ms = file_field_write(ctx, fp, kFileOffUnget, c & 0xff);
+      core::ends_call(ms))
+    return core::ended(ms);
   return ok(c & 0xff);
 }
 
@@ -180,7 +187,8 @@ core::ApiImpl fgets_fn(CharWidth w) {
       bytes.push_back(0);
       bytes.push_back(0);
     }
-    if (store_bytes(ctx, s, bytes) == MemStatus::kFault) return core::faulted();
+    if (const MemStatus ms = store_bytes(ctx, s, bytes); core::ends_call(ms))
+      return core::ended(ms);
     return ok(s);
   };
 }
@@ -193,8 +201,9 @@ core::ApiImpl fputs_fn(CharWidth w, bool with_file, bool newline) {
       ref = resolve_file(ctx, ctx.arg_addr(1));
     } else {
       // puts writes to stdout.
-      CrtState& st = crt_state(ctx.proc());
-      ref = resolve_file(ctx, st.file_stdout);
+      const CrtState* st = crt_state(ctx.proc());
+      if (st == nullptr) return core::panicked();
+      ref = resolve_file(ctx, st->file_stdout);
     }
     if (ref.status != FileRef::Status::kOk)
       return ref.fail(static_cast<std::uint64_t>(-1));
@@ -207,7 +216,7 @@ core::ApiImpl fputs_fn(CharWidth w, bool with_file, bool newline) {
       data.push_back(static_cast<std::uint8_t>(c & 0xff));
     }
     if (newline) data.push_back('\n');
-    ref.obj->write_at(data);
+    if (ref.obj->write_at(data).down()) return core::panicked();
     return ok(data.size());
   };
 }
@@ -288,8 +297,11 @@ core::ApiImpl fprintf_fn(CharWidth w) {
     std::string s;
     if (auto f = format_no_args(ctx, ctx.arg_addr(1), w, &s))
       return ctx.raise(*f);
-    ref.obj->write_at(
-        {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+    if (ref.obj
+            ->write_at({reinterpret_cast<const std::uint8_t*>(s.data()),
+                        s.size()})
+            .down())
+      return core::panicked();
     return ok(s.size());
   };
 }
@@ -312,8 +324,8 @@ core::ApiImpl sprintf_fn(CharWidth w) {
       bytes.push_back(0);
       bytes.push_back(0);
     }
-    if (store_bytes(ctx, buf, bytes) == MemStatus::kFault)
-      return core::faulted();
+    if (const MemStatus ms = store_bytes(ctx, buf, bytes); core::ends_call(ms))
+      return core::ended(ms);
     return ok(s.size());
   };
 }

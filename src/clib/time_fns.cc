@@ -118,13 +118,15 @@ sim::MaybeFault time_ptr_to_static_tm(CallContext& ctx, Addr tp) {
   if (auto f = ctx.proc().mem().read_u32(tp, &t, sim::Access::kUser)) return f;
   std::int32_t fields[9];
   epoch_to_tm(t, fields);
-  return tm_write(ctx, crt_state(ctx.proc()).static_tm, fields);
+  const CrtState* st = crt_state(ctx.proc());
+  if (st == nullptr) return sim::MaybeFault::down();
+  return tm_write(ctx, st->static_tm, fields);
 }
 
 CallOutcome tm_from_time_ptr(CallContext& ctx) {
   if (auto f = time_ptr_to_static_tm(ctx, ctx.arg_addr(0)))
     return ctx.raise(*f);
-  return ok(crt_state(ctx.proc()).static_tm);
+  return ok(crt_state(ctx.proc())->static_tm);  // built just above
 }
 
 /// Formats a tm into the static 26-char buffer.  glibc indexes its name
@@ -142,7 +144,9 @@ CallOutcome asctime_core(CallContext& ctx, Addr tm) {
                         {kTmYear, &year},
                         {kTmWday, &wday}}))
     return ctx.raise(*f);
-  CrtState& st = crt_state(ctx.proc());
+  const CrtState* crt = crt_state(ctx.proc());
+  if (crt == nullptr) return core::panicked();
+  const CrtState& st = *crt;
 
   const char* mon_name = "???";
   const char* day_name = "???";
@@ -182,7 +186,7 @@ CallOutcome do_asctime(CallContext& ctx) {
 CallOutcome do_ctime(CallContext& ctx) {
   if (auto f = time_ptr_to_static_tm(ctx, ctx.arg_addr(0)))
     return ctx.raise(*f);
-  return asctime_core(ctx, crt_state(ctx.proc()).static_tm);
+  return asctime_core(ctx, crt_state(ctx.proc())->static_tm);  // built above
 }
 
 CallOutcome do_mktime(CallContext& ctx) {

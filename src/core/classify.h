@@ -28,6 +28,8 @@ enum class CallStatus : std::uint8_t {
   kWrongError,     // failure return with a misleading error code (Hindering)
   kFaulted,        // the task took a hardware-class fault, recorded on its
                    // CallContext (CallContext::raise); classified as Abort
+  kPanicked,       // the machine panicked under the call (Machine::panic
+                   // returned Verdict::kDown); classified as Catastrophic
 };
 
 struct [[nodiscard]] CallOutcome {
@@ -51,5 +53,8 @@ inline CallOutcome wrong_error(std::uint64_t ret) {
 /// The outcome of a call whose task took a fault; only valid once the fault
 /// is recorded on the CallContext (CallContext::raise, or a kFault MemStatus).
 inline CallOutcome faulted() { return {CallStatus::kFaulted, 0}; }
+/// The outcome of a call the machine died under; only valid once the
+/// machine has panicked (a step returned sim::Verdict::kDown).
+inline CallOutcome panicked() { return {CallStatus::kPanicked, 0}; }
 
 }  // namespace ballista::core

@@ -1,7 +1,6 @@
 #include "core/crashplan.h"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "core/executor.h"
@@ -32,30 +31,42 @@ std::vector<std::uint64_t> select_cuts(std::uint64_t points,
   return ks;
 }
 
+/// The fs walk's working set, kept across cuts so the oracle allocates
+/// nothing once warm.
+struct FsWalk {
+  std::vector<const sim::FsNode*> stack;
+  std::vector<const sim::FsNode*> visited;
+};
+
 /// Post-reboot consistency oracle.  Returns the name of the first violated
 /// invariant, or empty when the rebooted world is consistent.  The fs
 /// structural walk deliberately does NOT require child-map key == node name:
 /// rename re-keys a node without renaming it, which is a representation
 /// artifact, not an inconsistency.
-std::string first_violation(sim::Machine& m) {
+std::string first_violation(sim::Machine& m, FsWalk& walk) {
   if (m.crashed()) return "machine still crashed after reboot";
   if (m.panic_kind() != sim::PanicKind::kNone)
     return "panic kind not cleared by reboot";
   if (m.arena().corruption() != 0) return "arena corruption survived reboot";
   if (!m.fs().fixture_clean()) return "disk fixture differs from checkpoint";
 
-  // Structural walk: acyclic, files childless, link counts sane.
-  std::set<const sim::FsNode*> visited;
-  std::vector<std::shared_ptr<sim::FsNode>> stack{m.fs().root()};
-  while (!stack.empty()) {
-    auto node = stack.back();
-    stack.pop_back();
-    if (!node) return "null node in fs tree";
-    if (!visited.insert(node.get()).second) return "cycle in fs tree";
+  // Structural walk: acyclic, files childless, link counts sane.  The tree
+  // is a handful of nodes, so a linear visited list beats a set.
+  walk.stack.assign(1, m.fs().root().get());
+  walk.visited.clear();
+  while (!walk.stack.empty()) {
+    const sim::FsNode* node = walk.stack.back();
+    walk.stack.pop_back();
+    if (node == nullptr) return "null node in fs tree";
+    if (std::find(walk.visited.begin(), walk.visited.end(), node) !=
+        walk.visited.end())
+      return "cycle in fs tree";
+    walk.visited.push_back(node);
     if (!node->is_dir() && !node->children().empty())
       return "regular file has children";
     if (node->nlink < 1) return "node with nlink < 1 still linked";
-    for (const auto& [key, child] : node->children()) stack.push_back(child);
+    for (const auto& [key, child] : node->children())
+      walk.stack.push_back(child.get());
   }
 
   // A task acquired from the rebooted machine must be pristine.
@@ -67,8 +78,8 @@ std::string first_violation(sim::Machine& m) {
     bad = "fresh task has nonzero last_error";
   else if (proc->err_no() != 0)
     bad = "fresh task has nonzero errno";
-  else if (proc->cwd().components !=
-           std::vector<std::string>{std::string(sim::FileSystem::kScratchDir)})
+  else if (proc->cwd().components.size() != 1 ||
+           proc->cwd().components[0] != sim::FileSystem::kScratchDir)
     bad = "fresh task cwd is not the scratch directory";
   m.release_process(std::move(proc));
   return bad;
@@ -123,17 +134,24 @@ CrashShardOutcome run_crash_shard(sim::Machine& machine, const Shard& shard,
   out.shard_index = shard.index;
   Executor executor(machine);
   sim::MutationHub& hub = machine.mutations();
+  // One tuple scratch and one oracle walk for the whole shard: the per-case
+  // loop allocates nothing for either.
+  TupleScratch scratch;
+  FsWalk walk;
 
   for (const ShardItem& item : shard.items) {
     out.partials.push_back({item.mut_index, item.range.first, {}});
     CrashMutStats& stats = out.partials.back().stats;
     stats.mut = item.mut;
     stats.planned = item.planned;
+    if (item.range.count == 0) continue;
     TupleGenerator gen(*item.mut, opt.cap, opt.seed);
     const std::uint64_t end = item.range.first + item.range.count;
+    TupleCursor cur = gen.begin(item.range.first, scratch);
 
     for (std::uint64_t i = item.range.first; i < end; ++i) {
-      const auto tuple = gen.tuple(i);
+      if (i != item.range.first) cur.advance();
+      const auto tuple = cur.values();
 
       // Counting pass: fixes the persistence-point count N for this case.
       // The executor's own kCaseReset puts every pass (this one and each
@@ -173,7 +191,7 @@ CrashShardOutcome run_crash_shard(sim::Machine& machine, const Shard& shard,
              << " (counting pass saw " << points << " points)";
           detail = os.str();
         } else {
-          detail = first_violation(machine);
+          detail = first_violation(machine, walk);
           verdict = detail.empty() ? CrashVerdict::kConsistent
                                    : CrashVerdict::kInconsistent;
         }
@@ -288,7 +306,8 @@ CrashVerdict crash_probe_case(sim::OsVariant variant, const MuT& mut,
     }
     return CrashVerdict::kNoCut;
   }
-  std::string bad = first_violation(machine);
+  FsWalk walk;
+  std::string bad = first_violation(machine, walk);
   if (detail) *detail = bad;
   return bad.empty() ? CrashVerdict::kConsistent : CrashVerdict::kInconsistent;
 }

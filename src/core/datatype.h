@@ -26,6 +26,12 @@ namespace ballista::core {
 struct ValueCtx {
   sim::Machine& machine;
   sim::SimProcess& proc;
+
+  /// Inserts `obj` into the task's handle table.  Materialization runs
+  /// outside the module window, where nothing announces, so no cut fires.
+  std::uint64_t insert_handle(std::shared_ptr<sim::KernelObject> obj) const {
+    return proc.handles().insert(std::move(obj)).value;
+  }
 };
 
 /// All argument values travel as raw 64-bit payloads: addresses, handles,

@@ -45,19 +45,21 @@ MemStatus CallContext::hazard_write(sim::Addr a,
   if (mem.arena() != nullptr && mem.arena()->contains(a)) {
     // The write lands in the machine-shared arena: it "succeeds" from the
     // caller's point of view while corrupting system structures.  Immediate-
-    // style hazards die on the spot (panic throws); deferred-style arm the
-    // fuse and let this call return success.
+    // style hazards die on the spot (kPanic); deferred-style arm the fuse and
+    // let this call return success.
     if (auto f = mem.write_bytes(a, in, sim::Access::kKernel))
       return record(*f);
     machine_.trace().emit(trace::hazard_write_event(
         a, static_cast<std::uint32_t>(in.size()), /*staging=*/false));
-    machine_.note_arena_corruption(a, hazard_ == CrashStyle::kImmediate);
-    return MemStatus::kOk;
+    return mem_status(
+        machine_.note_arena_corruption(a, hazard_ == CrashStyle::kImmediate));
   }
   if (hazard_ == CrashStyle::kImmediate) {
     // An unprobed kernel write that faults is a page fault in kernel context.
-    if (mem.write_bytes(a, in, sim::Access::kKernel))
-      machine_.panic(sim::PanicKind::kKernelPageFault);
+    if (auto f = mem.write_bytes(a, in, sim::Access::kKernel))
+      return f.panicked() ? MemStatus::kPanic
+                          : mem_status(machine_.panic(
+                                sim::PanicKind::kKernelPageFault));
     return MemStatus::kOk;
   }
   // Deferred-style hazard: the fast path stages the transfer through a
@@ -80,7 +82,9 @@ sim::MaybeFault CallContext::corrupt_staging_area() {
   if (auto f = mem.write_bytes(kStaging, junk, sim::Access::kKernel)) return f;
   machine_.trace().emit(
       trace::hazard_write_event(kStaging, sizeof junk, /*staging=*/true));
-  machine_.note_arena_corruption(kStaging, /*critical=*/false);
+  if (machine_.note_arena_corruption(kStaging, /*critical=*/false) ==
+      sim::Verdict::kDown)
+    return sim::MaybeFault::down();
   return {};
 }
 
@@ -91,7 +95,7 @@ MemStatus CallContext::hazard_read(sim::Addr a, std::span<std::uint8_t> out) {
     return trap(mem.read_bytes(a, out, sim::Access::kKernel));
   if (hazard_ == CrashStyle::kImmediate) {
     if (mem.read_bytes(a, out, sim::Access::kKernel))
-      machine_.panic(sim::PanicKind::kKernelPageFault);
+      return mem_status(machine_.panic(sim::PanicKind::kKernelPageFault));
     return MemStatus::kOk;
   }
   if (!mem.check_range(a, out.size(), /*write=*/false, sim::Access::kKernel)) {
@@ -321,23 +325,23 @@ CallOutcome CallContext::posix_fail(int code) {
 }
 
 CallOutcome CallContext::win_mem_fail(MemStatus s, std::uint64_t fail_ret) {
-  if (s == MemStatus::kFault) return faulted();
+  if (ends_call(s)) return ended(s);
   if (s == MemStatus::kSilent) return silent_success(1);
   return win_fail(kErrorNoaccess, fail_ret);
 }
 
 CallOutcome CallContext::posix_mem_fail(MemStatus s) {
-  if (s == MemStatus::kFault) return faulted();
+  if (ends_call(s)) return ended(s);
   if (s == MemStatus::kSilent) return silent_success(0);
   return posix_fail(EFAULT);
 }
 
 CallOutcome CallContext::raise(const sim::Fault& f) {
-  (void)record(f);
-  return faulted();
+  return ended(record(f));
 }
 
 MemStatus CallContext::record(const sim::Fault& f) {
+  if (machine_.crashed()) return MemStatus::kPanic;
   if (faults_recorded_++ == 0) fault_ = f;
   return MemStatus::kFault;
 }

@@ -11,7 +11,9 @@
 // A fault the task takes is a value, not a C++ exception: the context
 // records it (raise, or a k_* helper returning kFault) and the API returns
 // the faulted CallOutcome, which Executor::run_case classifies as Abort
-// (DESIGN.md §4).
+// (DESIGN.md §4).  A kernel panic is a value too: a step that kills the
+// machine returns sim::Verdict::kDown (kPanic from a k_* helper) and the API
+// returns the panicked CallOutcome, classified as Catastrophic.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +34,31 @@ enum class [[nodiscard]] MemStatus : std::uint8_t {
   kFault,   // the access faulted in the task (NT raise policy, Win9x loose
             // stub past its check): the fault is recorded on the context and
             // the call must end now, with the outcome *_mem_fail returns
+  kPanic,   // the machine panicked under the access (an unprobed kernel
+            // access under a hazard, an armed cut on a store): the call must
+            // end now, with the outcome *_mem_fail returns
 };
+
+/// kFault and kPanic end the call on the spot, with ended(s).
+constexpr bool ends_call(MemStatus s) noexcept {
+  return s == MemStatus::kFault || s == MemStatus::kPanic;
+}
+inline CallOutcome ended(MemStatus s) {
+  return s == MemStatus::kPanic ? panicked() : faulted();
+}
+/// ok(r.value), or panicked() when the step that produced it killed the
+/// machine (a handle insert or a file write under an armed cut).
+inline CallOutcome ok_or_panicked(const sim::Survived<std::uint64_t>& r) {
+  return r.down() ? panicked() : ok(r.value);
+}
+/// ok(*a), or panicked() for a task allocation an armed cut fired on.
+inline CallOutcome ok_or_panicked(const std::optional<sim::Addr>& a) {
+  return a ? ok(*a) : panicked();
+}
+/// kPanic for a step that killed the machine, else kOk.
+constexpr MemStatus mem_status(sim::Verdict v) noexcept {
+  return v == sim::Verdict::kDown ? MemStatus::kPanic : MemStatus::kOk;
+}
 
 class CallContext {
  public:
@@ -89,20 +115,24 @@ class CallContext {
   CallOutcome win_fail(std::uint32_t code, std::uint64_t ret = 0);
   /// POSIX: returns -1 after errno = code.
   CallOutcome posix_fail(int code);
-  /// Propagates a MemStatus into the correct Win32 failure shape (kFault:
-  /// the faulted outcome).
+  /// Propagates a MemStatus into the correct Win32 failure shape (kFault,
+  /// kPanic: the faulted or panicked outcome).
   CallOutcome win_mem_fail(MemStatus s, std::uint64_t fail_ret = 0);
   CallOutcome posix_mem_fail(MemStatus s);
 
   // --- the fault in flight ---------------------------------------------------
 
   /// Records `f`, the fault a user-mode access took, and returns the faulted
-  /// outcome that carries it to the executor: `return ctx.raise(*f);`.
+  /// outcome that carries it to the executor: `return ctx.raise(*f);`.  Once
+  /// the machine has died, what stopped the access was the panic (a store an
+  /// armed cut fired on returns MaybeFault::down()): nothing is recorded and
+  /// the outcome is panicked().
   CallOutcome raise(const sim::Fault& f);
-  /// Records `f` for a helper that reports MemStatus; returns kFault.
+  /// Records `f` for a helper that reports MemStatus; returns kFault (kPanic
+  /// once the machine has died, recording nothing).
   MemStatus record(const sim::Fault& f);
   /// Folds an access's returned fault into a MemStatus: kOk, or kFault with
-  /// the fault recorded.
+  /// the fault recorded (kPanic for a store the machine died under).
   MemStatus trap(const sim::MaybeFault& f) {
     return f ? record(*f) : MemStatus::kOk;
   }
@@ -120,7 +150,8 @@ class CallContext {
   bool stub_rejects(sim::Addr a) const noexcept;
   /// Windows CE slot addressing for kernel-context dereferences.
   sim::Addr slotize(sim::Addr a) const noexcept;
-  /// Hazardous unprobed kernel write: may corrupt the arena or panic.
+  /// Hazardous unprobed kernel write: may corrupt the arena or panic
+  /// (kPanic).
   MemStatus hazard_write(sim::Addr a, std::span<const std::uint8_t> in);
   MemStatus hazard_read(sim::Addr a, std::span<std::uint8_t> out);
   /// Deferred-hazard staging-buffer overrun into the shared arena.

@@ -96,11 +96,27 @@ CaseResult Executor::run_case(const MuT& mut,
   // Mutation points exist only while the module under test runs: harness
   // work (tuple materialization above, process recycling, fixture restores)
   // must never count as a persistence point.
-  machine_.mutations().open_window();
+  sim::MutationHub& hub = machine_.mutations();
+  hub.open_window();
   try {
-    machine_.kernel_enter();
-    const CallOutcome out = mut.impl(ctx);
-    if (out.status == CallStatus::kFaulted || ctx.faults_recorded() != 0) {
+    const CallOutcome out = machine_.kernel_enter() == sim::Verdict::kDown
+                                ? panicked()
+                                : mut.impl(ctx);
+    if (hub.late_announcements() != 0)
+      harness_error(mut, "a persistence point was announced after a panic");
+    if (out.status == CallStatus::kPanicked || machine_.crashed()) {
+      // The machine died under the call: nothing ran past the panic, so the
+      // ring still ends at the kPanic event, the causal chain behind it.
+      if (out.status != CallStatus::kPanicked)
+        harness_error(mut, "a kernel panic was not returned");
+      if (!machine_.crashed())
+        harness_error(mut, "a panicked outcome without a kernel panic");
+      result.outcome = Outcome::kCatastrophic;
+      result.panic = machine_.panic_kind();
+      result.detail = sim::describe_panic(result.panic);
+      result.trace_tail = causal_window(sink.tail(), result.panic);
+    } else if (out.status == CallStatus::kFaulted ||
+               ctx.faults_recorded() != 0) {
       // The task took a hardware-class fault: it never returns to its
       // caller, so no kSyscallExit.
       const sim::Fault& f = taken_fault(mut, out, ctx);
@@ -114,12 +130,6 @@ CaseResult Executor::run_case(const MuT& mut,
       result.success_no_error = out.status == CallStatus::kSuccess ||
                                 out.status == CallStatus::kSilentSuccess;
     }
-  } catch (const sim::KernelPanic& p) {
-    result.outcome = Outcome::kCatastrophic;
-    result.panic = p.kind();
-    result.detail = p.what();
-    // The ring ends at the kPanic event: the causal chain behind the crash.
-    result.trace_tail = causal_window(sink.tail(), result.panic);
   } catch (const sim::TaskHang& h) {
     result.outcome = Outcome::kRestart;
     result.detail = h.what();
@@ -129,7 +139,7 @@ CaseResult Executor::run_case(const MuT& mut,
     // A fault in harness code the call runs (CRT set-up).
     harness_error(mut, e.what());
   }
-  machine_.mutations().close_window();
+  hub.close_window();
   sink.emit(trace::classified_event(result.outcome, result.fault,
                                     result.success_no_error,
                                     result.wrong_error));

@@ -39,7 +39,9 @@ struct CaseResult {
 
 /// A bug in the harness, never a verdict: a fault recorded but not returned,
 /// recorded twice, or taken by harness code (value materialization, CRT
-/// set-up).  The message names the MuT.
+/// set-up); a kernel panic not returned (the machine died but the call
+/// returned another outcome), or a persistence point announced after it.
+/// The message names the MuT.
 class HarnessError : public std::logic_error {
  public:
   using std::logic_error::logic_error;
@@ -56,7 +58,9 @@ class Executor {
   /// `case_index` stamps the emitted trace events (-1 = unindexed run).
   /// A faulted call classifies as Abort; the fault arrives as a value (the
   /// CallContext's recorded fault behind a kFaulted outcome), and any
-  /// mismatch between the two throws HarnessError.
+  /// mismatch between the two throws HarnessError.  A panicked call (the
+  /// machine crashed and the call returned kPanicked) classifies as
+  /// Catastrophic, with the panic's causal trace tail.
   CaseResult run_case(const MuT& mut, std::span<const TestValue* const> tuple,
                       std::int64_t case_index = -1);
 

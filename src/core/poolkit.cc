@@ -6,17 +6,20 @@
 
 namespace ballista::core::poolkit {
 
+// Value materialization runs outside the module window, where nothing
+// announces, so the close below always reports kUp.
+
 std::uint64_t insert_closed_handle(ValueCtx& c,
                                    std::shared_ptr<sim::KernelObject> obj) {
-  const auto h = c.proc.handles().insert(std::move(obj));
-  c.proc.handles().close(h);
+  const std::uint64_t h = c.insert_handle(std::move(obj));
+  (void)c.proc.handles().close(h);
   return h;
 }
 
 std::uint64_t insert_fixture_file_handle(ValueCtx& c) {
   auto& fs = c.machine.fs();
   auto node = fs.resolve(fs.parse("/tmp/fixture.dat", c.proc.cwd()));
-  return c.proc.handles().insert(std::make_shared<sim::FileObject>(
+  return c.insert_handle(std::make_shared<sim::FileObject>(
       node, sim::FileObject::kAccessRead, false));
 }
 

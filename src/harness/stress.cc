@@ -42,18 +42,20 @@ core::CampaignResult run_stressed_campaign(sim::OsVariant variant,
   if (profile.extra_handles > 0 || profile.heap_chunks > 0 ||
       profile.fs_clutter_files > 0) {
     const StressProfile p = profile;
+    // Task set-up runs before the module window opens, where nothing
+    // announces, so no step below can be cut.
     opt.task_setup = [p](sim::SimProcess& proc) {
       auto& fs = proc.machine().fs();
       for (int i = 0; i < p.fs_clutter_files; ++i) {
         const auto path = fs.parse("/tmp/clutter_" + std::to_string(i),
                                    sim::FileSystem::root_path());
-        auto node = fs.create_file(path, false, false);
+        auto node = fs.create_file(path, false, false).value;
         if (node != nullptr && node->data().empty())
           node->data().assign(64, static_cast<std::uint8_t>(i));
       }
       auto root = fs.resolve(fs.parse("/tmp/fixture.dat", proc.cwd()));
       for (int i = 0; i < p.extra_handles; ++i) {
-        proc.handles().insert(std::make_shared<sim::FileObject>(
+        (void)proc.handles().insert(std::make_shared<sim::FileObject>(
             root, sim::FileObject::kAccessRead, false));
       }
       for (int i = 0; i < p.heap_chunks; ++i) {

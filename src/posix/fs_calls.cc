@@ -5,6 +5,7 @@
 // the glibc wrapper, in user space — the main source of Linux's residual
 // system-call Aborts in Figure 1.
 #include <cstring>
+#include <optional>
 
 #include "posix/posix.h"
 
@@ -36,7 +37,9 @@ CallOutcome do_open(CallContext& ctx) {
   auto node = fs.resolve(parsed);
   if (node == nullptr) {
     if (!creat) return ctx.posix_fail(ENOENT);
-    node = fs.create_file(parsed, excl, false);
+    const auto created = fs.create_file(parsed, excl, false);
+    if (created.down()) return core::panicked();
+    node = created.value;
     if (node == nullptr) return ctx.posix_fail(ENOENT);
   } else if (creat && excl) {
     return ctx.posix_fail(EEXIST);
@@ -49,19 +52,21 @@ CallOutcome do_open(CallContext& ctx) {
       sim::FileObject::kAccessRead |
           (acc != 0 ? sim::FileObject::kAccessWrite : 0u),
       (flags & 0x400) != 0 /*O_APPEND*/);
-  return ok(ctx.proc().handles().insert(std::move(obj)));
+  return core::ok_or_panicked(ctx.proc().handles().insert(std::move(obj)));
 }
 
 CallOutcome do_creat(CallContext& ctx) {
   const auto pr = read_posix_path(ctx, ctx.arg_addr(0));
   if (!pr.path) return pr.fail;
   auto& fs = fs_of(ctx);
-  auto node = fs.create_file(fs.parse(*pr.path, ctx.proc().cwd()), false, true);
-  if (node == nullptr) return ctx.posix_fail(EACCES);
+  const auto created =
+      fs.create_file(fs.parse(*pr.path, ctx.proc().cwd()), false, true);
+  if (created.down()) return core::panicked();
+  if (created.value == nullptr) return ctx.posix_fail(EACCES);
   auto obj = std::make_shared<sim::FileObject>(
-      node, sim::FileObject::kAccessRead | sim::FileObject::kAccessWrite,
-      false);
-  return ok(ctx.proc().handles().insert(std::move(obj)));
+      created.value,
+      sim::FileObject::kAccessRead | sim::FileObject::kAccessWrite, false);
+  return core::ok_or_panicked(ctx.proc().handles().insert(std::move(obj)));
 }
 
 CallOutcome do_unlink(CallContext& ctx) {
@@ -72,7 +77,9 @@ CallOutcome do_unlink(CallContext& ctx) {
   auto node = fs.resolve(parsed);
   if (node == nullptr) return ctx.posix_fail(ENOENT);
   if (node->is_dir()) return ctx.posix_fail(EISDIR);
-  if (!fs.remove_file(parsed)) return ctx.posix_fail(EACCES);
+  const sim::Survived<bool> removed = fs.remove_file(parsed);
+  if (removed.down()) return core::panicked();
+  if (!removed.value) return ctx.posix_fail(EACCES);
   return ok(0);
 }
 
@@ -80,8 +87,9 @@ CallOutcome do_mkdir(CallContext& ctx) {
   const auto pr = read_posix_path(ctx, ctx.arg_addr(0));
   if (!pr.path) return pr.fail;
   auto& fs = fs_of(ctx);
-  if (fs.create_dir(fs.parse(*pr.path, ctx.proc().cwd())) == nullptr)
-    return ctx.posix_fail(EEXIST);
+  const auto created = fs.create_dir(fs.parse(*pr.path, ctx.proc().cwd()));
+  if (created.down()) return core::panicked();
+  if (created.value == nullptr) return ctx.posix_fail(EEXIST);
   return ok(0);
 }
 
@@ -94,7 +102,9 @@ CallOutcome do_rmdir(CallContext& ctx) {
   if (node == nullptr) return ctx.posix_fail(ENOENT);
   if (!node->is_dir()) return ctx.posix_fail(ENOTDIR);
   if (!node->children().empty()) return ctx.posix_fail(ENOTEMPTY);
-  if (!fs.remove_dir(parsed)) return ctx.posix_fail(EACCES);
+  const sim::Survived<bool> removed = fs.remove_dir(parsed);
+  if (removed.down()) return core::panicked();
+  if (!removed.value) return ctx.posix_fail(EACCES);
   return ok(0);
 }
 
@@ -175,7 +185,8 @@ CallOutcome do_chmod(CallContext& ctx) {
   if (!pr.path) return pr.fail;
   auto node = node_at(ctx, *pr.path);
   if (node == nullptr) return ctx.posix_fail(ENOENT);
-  fs_of(ctx).set_read_only(*node, (ctx.arg32(1) & 0200) == 0);
+  if (sim::down(fs_of(ctx).set_read_only(*node, (ctx.arg32(1) & 0200) == 0)))
+    return core::panicked();
   return ok(0);
 }
 
@@ -183,7 +194,9 @@ CallOutcome do_fchmod(CallContext& ctx) {
   auto fc = check_fd(ctx, ctx.arg(0), sim::ObjectKind::kFile);
   if (fc.fail) return *fc.fail;
   auto* f = static_cast<sim::FileObject*>(fc.obj.get());
-  fs_of(ctx).set_read_only(*f->node(), (ctx.arg32(1) & 0200) == 0);
+  if (sim::down(
+          fs_of(ctx).set_read_only(*f->node(), (ctx.arg32(1) & 0200) == 0)))
+    return core::panicked();
   return ok(0);
 }
 
@@ -215,7 +228,8 @@ CallOutcome do_utime(CallContext& ctx) {
     std::uint32_t t = 0;
     const MemStatus st = ctx.k_read_u32(times, &t);
     if (st != MemStatus::kOk) return ctx.posix_mem_fail(st);
-    fs_of(ctx).set_last_write(*node, t);
+    if (sim::down(fs_of(ctx).set_last_write(*node, t)))
+      return core::panicked();
   }
   return ok(0);
 }
@@ -272,11 +286,14 @@ CallOutcome do_symlink(CallContext& ctx) {
   const auto linkpath = read_posix_path(ctx, ctx.arg_addr(1));
   if (!linkpath.path) return linkpath.fail;
   auto& fs = fs_of(ctx);
-  auto node =
+  const auto created =
       fs.create_file(fs.parse(*linkpath.path, ctx.proc().cwd()), true, false);
+  if (created.down()) return core::panicked();
+  const std::shared_ptr<sim::FsNode>& node = created.value;
   if (node == nullptr) return ctx.posix_fail(EEXIST);
   node->data().assign(target.path->begin(), target.path->end());
-  fs.set_hidden(*node, true);  // marks "symlink" in this model
+  if (sim::down(fs.set_hidden(*node, true)))  // marks "symlink" in this model
+    return core::panicked();
   return ok(0);
 }
 
@@ -299,12 +316,15 @@ CallOutcome do_readlink(CallContext& ctx) {
 // The directory-stream trio: glibc dereferences the DIR* in user space.
 struct DirRef {
   bool ok = false;
-  bool faulted = false;  // the task faulted resolving it (fault recorded)
+  /// kFault when the task faulted resolving it (fault recorded), kPanic when
+  /// the machine died doing so; else kOk.
+  MemStatus stop = MemStatus::kOk;
   sim::DirectoryObject* dir = nullptr;
   Addr d = 0;
 
   CallOutcome fail(std::uint64_t ret) const {
-    return faulted ? core::faulted() : core::error_reported(ret);
+    return core::ends_call(stop) ? core::ended(stop)
+                                 : core::error_reported(ret);
   }
 };
 
@@ -313,8 +333,8 @@ DirRef resolve_dir(CallContext& ctx, Addr d) {
   out.d = d;
   auto& mem = ctx.proc().mem();
   const auto fault = [&](const sim::MaybeFault& f) {
-    out.faulted = ctx.trap(f) == MemStatus::kFault;
-    return out.faulted;
+    out.stop = ctx.trap(f);
+    return core::ends_call(out.stop);
   };
   std::uint32_t magic = 0;
   if (fault(mem.read_u32(d, &magic, sim::Access::kUser))) return out;
@@ -347,12 +367,15 @@ CallOutcome do_opendir(CallContext& ctx) {
   if (node == nullptr) return ctx.posix_fail(ENOENT);
   if (!node->is_dir()) return ctx.posix_fail(ENOTDIR);
   auto& mem = ctx.proc().mem();
-  const Addr d = mem.alloc(16);
+  const std::optional<Addr> dir = mem.task_alloc(16);
+  if (!dir) return core::panicked();
+  const Addr d = *dir;
   if (auto f = mem.write_u32(d, kDirMagic, sim::Access::kKernel))
     return ctx.raise(*f);
-  const std::uint64_t h = ctx.proc().handles().insert(
+  const sim::Survived<std::uint64_t> h = ctx.proc().handles().insert(
       std::make_shared<sim::DirectoryObject>(node));
-  if (auto f = mem.write_u32(d + 4, static_cast<std::uint32_t>(h),
+  if (h.down()) return core::panicked();
+  if (auto f = mem.write_u32(d + 4, static_cast<std::uint32_t>(h.value),
                              sim::Access::kKernel))
     return ctx.raise(*f);
   return ok(d);
@@ -367,11 +390,12 @@ CallOutcome do_readdir(CallContext& ctx) {
   std::advance(it, static_cast<std::ptrdiff_t>(ref.dir->cursor++));
   // dirent: 8-byte header + name, in a per-DIR static area appended to the
   // DIR structure's page.
-  const Addr entry = ctx.proc().mem().alloc(8 + 256);
-  if (auto f = ctx.proc().mem().write_cstr(entry + 8, it->first,
+  const std::optional<Addr> entry = ctx.proc().mem().task_alloc(8 + 256);
+  if (!entry) return core::panicked();
+  if (auto f = ctx.proc().mem().write_cstr(*entry + 8, it->first,
                                            sim::Access::kKernel))
     return ctx.raise(*f);
-  return ok(entry);
+  return ok(*entry);
 }
 
 CallOutcome do_closedir(CallContext& ctx) {
@@ -380,7 +404,7 @@ CallOutcome do_closedir(CallContext& ctx) {
   std::uint32_t h = 0;
   if (auto f = ctx.proc().mem().read_u32(ref.d + 4, &h, sim::Access::kUser))
     return ctx.raise(*f);
-  ctx.proc().handles().close(h);
+  if (ctx.proc().handles().close(h).down()) return core::panicked();
   if (auto f = ctx.proc().mem().write_u32(ref.d, 0, sim::Access::kUser))
     return ctx.raise(*f);
   return ok(0);
@@ -404,8 +428,10 @@ CallOutcome do_mkfifo(CallContext& ctx) {
   const auto pr = read_posix_path(ctx, ctx.arg_addr(0));
   if (!pr.path) return pr.fail;
   auto& fs = fs_of(ctx);
-  auto node = fs.create_file(fs.parse(*pr.path, ctx.proc().cwd()), true, false);
-  if (node == nullptr) return ctx.posix_fail(EEXIST);
+  const auto created =
+      fs.create_file(fs.parse(*pr.path, ctx.proc().cwd()), true, false);
+  if (created.down()) return core::panicked();
+  if (created.value == nullptr) return ctx.posix_fail(EEXIST);
   return ok(0);
 }
 
@@ -416,9 +442,10 @@ CallOutcome do_mknod(CallContext& ctx) {
   if ((mode & 0170000u) == 0020000u || (mode & 0170000u) == 0060000u)
     return ctx.posix_fail(EPERM);  // device nodes need privilege
   auto& fs = fs_of(ctx);
-  if (fs.create_file(fs.parse(*pr.path, ctx.proc().cwd()), true, false) ==
-      nullptr)
-    return ctx.posix_fail(EEXIST);
+  const auto created =
+      fs.create_file(fs.parse(*pr.path, ctx.proc().cwd()), true, false);
+  if (created.down()) return core::panicked();
+  if (created.value == nullptr) return ctx.posix_fail(EEXIST);
   return ok(0);
 }
 

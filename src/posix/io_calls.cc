@@ -13,15 +13,17 @@ using core::ok;
 CallOutcome do_close(CallContext& ctx) {
   const std::int64_t fd = static_cast<std::int32_t>(ctx.arg(0));
   if (fd < 0) return ctx.posix_fail(EBADF);
-  if (!ctx.proc().handles().close(static_cast<std::uint64_t>(fd)))
-    return ctx.posix_fail(EBADF);
+  const sim::Survived<bool> closed =
+      ctx.proc().handles().close(static_cast<std::uint64_t>(fd));
+  if (closed.down()) return core::panicked();
+  if (!closed.value) return ctx.posix_fail(EBADF);
   return ok(0);
 }
 
 CallOutcome do_dup(CallContext& ctx) {
   auto fc = check_fd(ctx, ctx.arg(0));
   if (fc.fail) return *fc.fail;
-  return ok(ctx.proc().handles().insert(fc.obj));
+  return core::ok_or_panicked(ctx.proc().handles().insert(fc.obj));
 }
 
 CallOutcome do_dup2(CallContext& ctx) {
@@ -29,8 +31,10 @@ CallOutcome do_dup2(CallContext& ctx) {
   if (fc.fail) return *fc.fail;
   const std::int64_t newfd = static_cast<std::int32_t>(ctx.arg(1));
   if (newfd < 0 || newfd > 1024) return ctx.posix_fail(EBADF);
-  ctx.proc().handles().close(static_cast<std::uint64_t>(newfd));
-  ctx.proc().handles().insert_at(static_cast<std::uint64_t>(newfd), fc.obj);
+  auto& handles = ctx.proc().handles();
+  if (handles.close(static_cast<std::uint64_t>(newfd)).down() ||
+      sim::down(handles.insert_at(static_cast<std::uint64_t>(newfd), fc.obj)))
+    return core::panicked();
   return ok(static_cast<std::uint64_t>(newfd));
 }
 
@@ -40,7 +44,7 @@ CallOutcome do_fcntl(CallContext& ctx) {
   const std::uint32_t cmd = ctx.arg32(1);
   switch (cmd) {
     case 0:  // F_DUPFD
-      return ok(ctx.proc().handles().insert(fc.obj));
+      return core::ok_or_panicked(ctx.proc().handles().insert(fc.obj));
     case 1:  // F_GETFD
       return ok(0);
     case 2:  // F_SETFD
@@ -83,13 +87,17 @@ CallOutcome do_lseek(CallContext& ctx) {
 CallOutcome do_pipe(CallContext& ctx) {
   const Addr out = ctx.arg_addr(0);
   auto pipe = std::make_shared<sim::PipeObject>();
-  const std::uint64_t r = ctx.proc().handles().insert(pipe);
-  const std::uint64_t w = ctx.proc().handles().insert(pipe);
+  auto& handles = ctx.proc().handles();
+  const sim::Survived<std::uint64_t> read_end = handles.insert(pipe);
+  if (read_end.down()) return core::panicked();
+  const sim::Survived<std::uint64_t> write_end = handles.insert(pipe);
+  if (write_end.down()) return core::panicked();
+  const std::uint64_t r = read_end.value, w = write_end.value;
   MemStatus st = ctx.k_write_u32(out, static_cast<std::uint32_t>(r));
-  if (st == MemStatus::kFault) return core::faulted();  // the task dies
+  if (core::ends_call(st)) return core::ended(st);  // the task dies
   if (st != MemStatus::kOk) {
-    ctx.proc().handles().close(r);
-    ctx.proc().handles().close(w);
+    if (handles.close(r).down() || handles.close(w).down())
+      return core::panicked();
     return ctx.posix_mem_fail(st);
   }
   st = ctx.k_write_u32(out + 4, static_cast<std::uint32_t>(w));
@@ -150,7 +158,7 @@ CallOutcome do_write(CallContext& ctx) {
   auto* f = static_cast<sim::FileObject*>(fc.obj.get());
   if ((f->access() & sim::FileObject::kAccessWrite) == 0)
     return ctx.posix_fail(EBADF);
-  return ok(f->write_at(data));
+  return core::ok_or_panicked(f->write_at(data));
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // munlock mlockall munlockall.  The Linux kernel validates every argument and
 // returns EINVAL/EFAULT/ENOMEM — this group's near-zero Abort rate is a
 // centerpiece of the paper's Figure 1 contrast with Windows.
+#include <optional>
+
 #include "posix/posix.h"
 
 namespace ballista::posix_api {
@@ -38,15 +40,17 @@ CallOutcome do_mmap(CallContext& ctx) {
   if (addr != 0) {
     if (!page_aligned(addr) || addr >= sim::kSharedArenaBase)
       return ctx.posix_fail(EINVAL);
-    ctx.proc().mem().map(addr, len,
-                         prot == 0 ? sim::kPermNone
-                                   : ((prot & 2) ? sim::kPermRW
-                                                 : sim::kPermRead));
+    if (sim::down(ctx.proc().mem().map(
+            addr, len,
+            prot == 0 ? sim::kPermNone
+                      : ((prot & 2) ? sim::kPermRW : sim::kPermRead))))
+      return core::panicked();
     return ok(addr);
   }
-  return ok(ctx.proc().mem().alloc(
+  const std::optional<Addr> base = ctx.proc().mem().task_alloc(
       len, prot == 0 ? sim::kPermNone
-                     : ((prot & 2) ? sim::kPermRW : sim::kPermRead)));
+                     : ((prot & 2) ? sim::kPermRW : sim::kPermRead));
+  return base ? ok(*base) : core::panicked();
 }
 
 CallOutcome do_munmap(CallContext& ctx) {
@@ -54,7 +58,8 @@ CallOutcome do_munmap(CallContext& ctx) {
   const std::uint64_t len = ctx.arg(1);
   if (!page_aligned(addr) || len == 0) return ctx.posix_fail(EINVAL);
   // munmap of unmapped ranges succeeds on Linux.
-  ctx.proc().mem().unmap(addr, std::min(len, kVmLimit));
+  if (sim::down(ctx.proc().mem().unmap(addr, std::min(len, kVmLimit))))
+    return core::panicked();
   return ok(0);
 }
 
@@ -65,10 +70,11 @@ CallOutcome do_mprotect(CallContext& ctx) {
   if (!page_aligned(addr)) return ctx.posix_fail(EINVAL);
   if ((prot & ~7u) != 0) return ctx.posix_fail(EINVAL);
   if (!ctx.proc().mem().is_mapped(addr)) return ctx.posix_fail(ENOMEM);
-  ctx.proc().mem().protect(
-      addr, std::min(len, kVmLimit),
-      prot == 0 ? sim::kPermNone
-                : ((prot & 2) ? sim::kPermRW : sim::kPermRead));
+  if (sim::down(ctx.proc().mem().protect(
+          addr, std::min(len, kVmLimit),
+          prot == 0 ? sim::kPermNone
+                    : ((prot & 2) ? sim::kPermRW : sim::kPermRead))))
+    return core::panicked();
   return ok(0);
 }
 

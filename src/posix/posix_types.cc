@@ -17,7 +17,7 @@ std::uint64_t open_fixture_fd(ValueCtx& c, bool writable) {
       sim::FileObject::kAccessRead |
           (writable ? sim::FileObject::kAccessWrite : 0u),
       false);
-  return c.proc.handles().insert(std::move(obj));
+  return c.insert_handle(std::move(obj));
 }
 
 // DIR structure: magic + cursor, in simulated memory (glibc resolves it in
@@ -31,7 +31,7 @@ std::uint64_t make_dir_struct(ValueCtx& c) {
   auto& fs = c.machine.fs();
   auto node = fs.resolve(fs.parse("/tmp", c.proc.cwd()));
   auto obj = std::make_shared<sim::DirectoryObject>(node);
-  const std::uint64_t h = c.proc.handles().insert(std::move(obj));
+  const std::uint64_t h = c.insert_handle(std::move(obj));
   mem.poke_u32(d + 4, static_cast<std::uint32_t>(h));
   mem.poke_u32(d + 8, 0);  // cursor
   return d;
@@ -50,7 +50,7 @@ void register_posix_types(core::TypeLibrary& lib) {
       .add("fd_closed", true,
            [](ValueCtx& c) {
              const auto fd = open_fixture_fd(c, false);
-             c.proc.handles().close(fd);
+             (void)c.proc.handles().close(fd);  // outside the window: kUp
              return fd;
            })
       .add("fd_neg1", true, [](ValueCtx&) { return RawArg(-1); })

@@ -15,9 +15,10 @@ CallOutcome do_fork(CallContext& ctx) {
   // Single-task model: the "child" is a process object the parent can wait
   // on; the call itself returns the child pid.
   auto child = std::make_shared<sim::ProcessObject>(ctx.proc().pid() + 1);
-  child->set_signaled(true);  // exits immediately
+  (void)child->set_signaled(true);  // exits immediately; unbound: no point
   child->exit_code = 0;
-  ctx.proc().handles().insert(std::move(child));
+  if (ctx.proc().handles().insert(std::move(child)).down())
+    return core::panicked();
   return ok(ctx.proc().pid() + 1);
 }
 

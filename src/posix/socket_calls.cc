@@ -66,6 +66,7 @@ CallOutcome posix_net_fail(CallContext& ctx, NetErr e) {
     case NetErr::kConnReset: return ctx.posix_fail(ECONNRESET);
     case NetErr::kMsgSize: return ctx.posix_fail(EMSGSIZE);
     case NetErr::kOpNotSupp: return ctx.posix_fail(EOPNOTSUPP);
+    case NetErr::kDown: return core::panicked();
     default: return ctx.posix_fail(EINVAL);
   }
 }
@@ -139,7 +140,8 @@ CallOutcome do_socket(CallContext& ctx) {
       proto == 0 || (p == SockProto::kTcp && proto == core::IPPROTO_TCP_SIM) ||
       (p == SockProto::kUdp && proto == core::IPPROTO_UDP_SIM);
   if (!proto_ok) return ctx.posix_fail(EPROTONOSUPPORT);
-  return ok(ctx.proc().handles().insert(std::make_shared<SocketObject>(p)));
+  return core::ok_or_panicked(
+      ctx.proc().handles().insert(std::make_shared<SocketObject>(p)));
 }
 
 CallOutcome do_bind(CallContext& ctx) {
@@ -192,7 +194,7 @@ CallOutcome do_accept(CallContext& ctx) {
   if (e != NetErr::kOk) return posix_net_fail(ctx, e);
   const SockAddrIn peer{core::AF_INET_SIM, conn->remote_port, conn->remote_ip};
   if (auto fail = write_sockaddr_out(ctx, addr, len_ptr, peer)) return *fail;
-  return ok(ctx.proc().handles().insert(std::move(conn)));
+  return core::ok_or_panicked(ctx.proc().handles().insert(std::move(conn)));
 }
 
 CallOutcome do_send(CallContext& ctx) {
@@ -226,7 +228,9 @@ CallOutcome do_recv(CallContext& ctx) {
   const MemStatus st =
       ctx.k_write(ctx.arg_addr(1), std::span(data.data(), got));
   if (st != MemStatus::kOk) return ctx.posix_mem_fail(st);
-  if (!peek) ctx.machine().net().recv(*sf.sock, data, /*peek=*/false, &got);
+  if (!peek && ctx.machine().net().recv(*sf.sock, data, /*peek=*/false,
+                                        &got) == NetErr::kDown)
+    return core::panicked();
   return ok(got);
 }
 
@@ -269,7 +273,8 @@ CallOutcome do_recvfrom(CallContext& ctx) {
     return *fail;
   if (!peek) {
     sim::Datagram discard;
-    ctx.machine().net().recvfrom(*sf.sock, &discard);
+    if (ctx.machine().net().recvfrom(*sf.sock, &discard) == NetErr::kDown)
+      return core::panicked();
   }
   // Linux datagram truncation is silent: excess bytes vanish, the call
   // reports the copied length — unlike Winsock's WSAEMSGSIZE error.

@@ -64,12 +64,13 @@ bool CeFileDropClient::execute(const std::string& mut_name,
   auto& fs = target_.fs();
   const auto path = fs.parse(std::string("/tmp/") + std::string(kResultFile),
                              sim::FileSystem::root_path());
-  auto node = fs.create_file(path, false, true);
+  // The drop file is written outside the module window: nothing announces.
+  auto node = fs.create_file(path, false, true).value;
   if (node == nullptr) {
     // The test case itself may have renamed or removed the scratch
     // directory; restore the canonical tree so reporting can continue.
     target_.restore(sim::RestoreLevel::kCaseReset);
-    node = fs.create_file(path, false, true);
+    node = fs.create_file(path, false, true).value;
   }
   // "<name> <index> <code> <event counters> <probe counters>": the
   // trace-spine counters travel in the same drop file as the case code.
@@ -102,7 +103,7 @@ core::CampaignResult run_ce_file_drop_campaign(const core::Registry& registry,
     auto node = fs.resolve(path);
     if (node == nullptr) return std::nullopt;
     const std::string text(node->data().begin(), node->data().end());
-    fs.remove_file(path);
+    (void)fs.remove_file(path);
     std::istringstream in(text);
     std::string name;
     std::uint64_t index = 0;

@@ -1,6 +1,7 @@
 #include "sim/addrspace.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "core/trace.h"
 #include "sim/mutation.h"
@@ -11,6 +12,13 @@ namespace {
 
 /// What every unwritten page reads as.
 constexpr PageBytes kZeroPage{};
+
+/// A step of harness code (value materialization) died under an armed cut:
+/// harness code runs outside the module window, so that is a harness bug.
+void harness_step(Verdict v) {
+  if (v == Verdict::kDown)
+    throw std::logic_error("harness code was cut by an armed fault plan");
+}
 
 const std::uint8_t* bytes_of(const Page& p) noexcept {
   return p.data != nullptr ? p.data->data() : kZeroPage.data();
@@ -89,6 +97,10 @@ void AddressSpace::retire(PageMap::iterator it) {
     free_nodes_.push_back(std::move(node));
 }
 
+Verdict AddressSpace::announce(MutationKind kind, Addr page) {
+  return hub_ != nullptr ? hub_->notify(kind, page) : Verdict::kUp;
+}
+
 AddressSpace::PageMap::iterator AddressSpace::entry(Addr pg) {
   const auto it = pages_.find(pg);
   if (it != pages_.end()) return it;
@@ -100,10 +112,10 @@ AddressSpace::PageMap::iterator AddressSpace::entry(Addr pg) {
   return pages_.insert(std::move(node)).position;
 }
 
-void AddressSpace::map(Addr start, std::uint64_t size, std::uint8_t perm,
-                       bool kernel_only) {
-  if (hub_ != nullptr)
-    hub_->notify(MutationKind::kPageMap, page_of(start));
+Verdict AddressSpace::map(Addr start, std::uint64_t size, std::uint8_t perm,
+                          bool kernel_only) {
+  if (announce(MutationKind::kPageMap, page_of(start)) == Verdict::kDown)
+    return Verdict::kDown;
   const Addr first = page_of(start);
   const Addr last = page_of(start + (size ? size - 1 : 0));
   for (Addr pg = first; pg <= last; ++pg) {
@@ -112,13 +124,15 @@ void AddressSpace::map(Addr start, std::uint64_t size, std::uint8_t perm,
     p.kernel_only = kernel_only;
     touch(p, pg);
   }
+  return Verdict::kUp;
 }
 
-void AddressSpace::unmap(Addr start, std::uint64_t size) {
-  if (hub_ != nullptr)
-    hub_->notify(MutationKind::kPageUnmap, page_of(start));
+Verdict AddressSpace::unmap(Addr start, std::uint64_t size) {
+  if (announce(MutationKind::kPageUnmap, page_of(start)) == Verdict::kDown)
+    return Verdict::kDown;
   for_each_mapped(pages_, start, size,
                   [this](PageMap::iterator it) { retire(it); });
+  return Verdict::kUp;
 }
 
 void AddressSpace::reset() {
@@ -181,13 +195,15 @@ void AddressSpace::restore() {
   bump_ = image_bump_;
 }
 
-void AddressSpace::protect(Addr start, std::uint64_t size, std::uint8_t perm) {
-  if (hub_ != nullptr)
-    hub_->notify(MutationKind::kPageProtect, page_of(start));
+Verdict AddressSpace::protect(Addr start, std::uint64_t size,
+                              std::uint8_t perm) {
+  if (announce(MutationKind::kPageProtect, page_of(start)) == Verdict::kDown)
+    return Verdict::kDown;
   for_each_mapped(pages_, start, size, [this, perm](PageMap::iterator it) {
     it->second.perm = perm;
     touch(it->second, it->first);
   });
+  return Verdict::kUp;
 }
 
 bool AddressSpace::is_mapped(Addr a) const noexcept {
@@ -202,28 +218,45 @@ std::uint8_t AddressSpace::perm_of(Addr a) const noexcept {
   return kPermNone;
 }
 
-Addr AddressSpace::alloc(std::uint64_t size, std::uint8_t perm) {
+std::optional<Addr> AddressSpace::task_alloc(std::uint64_t size,
+                                             std::uint8_t perm) {
   if (size == 0) size = 1;
   const Addr base = bump_;
-  map(base, size, perm);
+  if (map(base, size, perm) == Verdict::kDown) return std::nullopt;
   // Advance past the allocation plus one permanently-unmapped guard page.
   const std::uint64_t pages = (size + kPageSize - 1) / kPageSize;
   bump_ += (pages + 1) * kPageSize;
   return base;
 }
 
+std::optional<Addr> AddressSpace::task_alloc_cstr(std::string_view s) {
+  const std::optional<Addr> base = task_alloc(s.size() + 1);
+  if (!base || expect_no_fault(write_cstr(*base, s, Access::kKernel),
+                               "task string") == Verdict::kDown)
+    return std::nullopt;
+  return base;
+}
+
+Addr AddressSpace::alloc(std::uint64_t size, std::uint8_t perm) {
+  const std::optional<Addr> base = task_alloc(size, perm);
+  harness_step(base ? Verdict::kUp : Verdict::kDown);
+  return *base;
+}
+
 Addr AddressSpace::alloc_bytes(std::span<const std::uint8_t> bytes,
                                std::uint8_t perm) {
   const Addr base = alloc(std::max<std::uint64_t>(bytes.size(), 1), kPermRW);
   poke_bytes(base, bytes);
-  if (perm != kPermRW) protect(base, std::max<std::uint64_t>(bytes.size(), 1), perm);
+  if (perm != kPermRW)
+    harness_step(protect(base, std::max<std::uint64_t>(bytes.size(), 1), perm));
   return base;
 }
 
 Addr AddressSpace::alloc_cstr(std::string_view s, std::uint8_t perm) {
   const Addr base = alloc(s.size() + 1, kPermRW);
-  expect_no_fault(write_cstr(base, s, Access::kKernel), "harness store");
-  if (perm != kPermRW) protect(base, s.size() + 1, perm);
+  harness_step(expect_no_fault(write_cstr(base, s, Access::kKernel),
+                               "harness store"));
+  if (perm != kPermRW) harness_step(protect(base, s.size() + 1, perm));
   return base;
 }
 
@@ -237,13 +270,13 @@ Addr AddressSpace::alloc_wstr(std::u16string_view s, std::uint8_t perm) {
     bytes[2 * i + 1] = static_cast<std::uint8_t>(s[i] >> 8);
   }
   poke_bytes(base, bytes);
-  if (perm != kPermRW) protect(base, (s.size() + 1) * 2, perm);
+  if (perm != kPermRW) harness_step(protect(base, (s.size() + 1) * 2, perm));
   return base;
 }
 
 Addr AddressSpace::alloc_dangling(std::uint64_t size) {
   const Addr base = alloc(size);
-  unmap(base, size);
+  harness_step(unmap(base, size));
   return base;
 }
 
@@ -294,7 +327,8 @@ MaybeFault AddressSpace::write_u8(Addr a, std::uint8_t v, Access m) {
   if (p == nullptr) return fault(FaultType::kAccessViolation, a, true);
   // Announce after the access check (a faulting store mutates nothing) and
   // before applying, so an armed cut leaves this very byte unwritten.
-  if (hub_ != nullptr) hub_->notify(MutationKind::kPageWrite, page_of(a));
+  if (announce(MutationKind::kPageWrite, page_of(a)) == Verdict::kDown)
+    return MaybeFault::down();
   backing(*p, page_of(a))[a % kPageSize] = v;
   return {};
 }
@@ -382,7 +416,8 @@ MaybeFault AddressSpace::write_bytes(Addr a, std::span<const std::uint8_t> in,
     // walk produced (consecutive same-page stores were one point), so crash
     // cut numbering is unchanged and an armed cut still leaves the whole
     // page run unwritten.
-    if (hub_ != nullptr) hub_->notify(MutationKind::kPageWrite, page_of(addr));
+    if (announce(MutationKind::kPageWrite, page_of(addr)) == Verdict::kDown)
+      return MaybeFault::down();
     const std::size_t off = addr % kPageSize;
     const std::size_t n =
         std::min<std::size_t>(kPageSize - off, in.size() - done);
@@ -436,23 +471,28 @@ MaybeFault AddressSpace::write_cstr(Addr a, std::string_view s, Access m) {
 }
 
 void AddressSpace::poke_u8(Addr a, std::uint8_t v) {
-  expect_no_fault(write_u8(a, v, Access::kKernel), "harness store");
+  harness_step(
+      expect_no_fault(write_u8(a, v, Access::kKernel), "harness store"));
 }
 
 void AddressSpace::poke_u16(Addr a, std::uint16_t v) {
-  expect_no_fault(write_u16(a, v, Access::kKernel), "harness store");
+  harness_step(
+      expect_no_fault(write_u16(a, v, Access::kKernel), "harness store"));
 }
 
 void AddressSpace::poke_u32(Addr a, std::uint32_t v) {
-  expect_no_fault(write_u32(a, v, Access::kKernel), "harness store");
+  harness_step(
+      expect_no_fault(write_u32(a, v, Access::kKernel), "harness store"));
 }
 
 void AddressSpace::poke_u64(Addr a, std::uint64_t v) {
-  expect_no_fault(write_u64(a, v, Access::kKernel), "harness store");
+  harness_step(
+      expect_no_fault(write_u64(a, v, Access::kKernel), "harness store"));
 }
 
 void AddressSpace::poke_bytes(Addr a, std::span<const std::uint8_t> in) {
-  expect_no_fault(write_bytes(a, in, Access::kKernel), "harness store");
+  harness_step(
+      expect_no_fault(write_bytes(a, in, Access::kKernel), "harness store"));
 }
 
 bool AddressSpace::check_range(Addr a, std::uint64_t size, bool write,

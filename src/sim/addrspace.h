@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -36,6 +37,7 @@ class TraceSink;
 namespace ballista::sim {
 
 class MutationHub;
+enum class MutationKind : std::uint8_t;
 
 inline constexpr Addr kPageSize = 4096;
 inline constexpr Addr kLowSystemEnd = 0x0001'0000;
@@ -123,9 +125,11 @@ class AddressSpace {
   // --- mapping -------------------------------------------------------------
 
   /// Maps [start, start+size) with the given permissions (page granular).
-  void map(Addr start, std::uint64_t size, std::uint8_t perm,
-           bool kernel_only = false);
-  void unmap(Addr start, std::uint64_t size);
+  /// map, unmap and protect each announce one persistence point first and
+  /// return kDown, having changed nothing, when an armed cut fires on it.
+  Verdict map(Addr start, std::uint64_t size, std::uint8_t perm,
+              bool kernel_only = false);
+  Verdict unmap(Addr start, std::uint64_t size);
 
   /// Returns the space to its just-constructed state (no mappings, bump
   /// allocator rewound).  The dirty set is exactly the live page table, and
@@ -148,7 +152,7 @@ class AddressSpace {
   /// the image to map it again.  Without a prior checkpoint this
   /// degenerates to reset().
   void restore();
-  void protect(Addr start, std::uint64_t size, std::uint8_t perm);
+  Verdict protect(Addr start, std::uint64_t size, std::uint8_t perm);
   bool is_mapped(Addr a) const noexcept;
   /// Permission byte of the page containing `a`, or kPermNone if unmapped.
   std::uint8_t perm_of(Addr a) const noexcept;
@@ -157,7 +161,17 @@ class AddressSpace {
 
   /// Bump allocator with an unmapped guard page after every allocation, so
   /// one-past-the-end overruns fault like a real heap with guard pages.
+  /// The alloc* helpers serve harness code, which runs outside the module
+  /// window where nothing announces; a cut reaching one is a harness bug
+  /// (std::logic_error).
   Addr alloc(std::uint64_t size, std::uint8_t perm = kPermRW);
+  /// alloc for code a module under test runs (malloc, HeapAlloc, mmap, CRT
+  /// set-up): the base, or nothing when an armed cut fired on the map (no
+  /// page mapped, the bump pointer unmoved).
+  [[nodiscard]] std::optional<Addr> task_alloc(std::uint64_t size,
+                                               std::uint8_t perm = kPermRW);
+  /// alloc_cstr for code a module under test runs, as task_alloc.
+  [[nodiscard]] std::optional<Addr> task_alloc_cstr(std::string_view s);
   Addr alloc_bytes(std::span<const std::uint8_t> bytes,
                    std::uint8_t perm = kPermRW);
   Addr alloc_cstr(std::string_view s, std::uint8_t perm = kPermRW);
@@ -174,7 +188,8 @@ class AddressSpace {
   // in the faulting page; a range that crosses into a bad page has already
   // written (and announced) its earlier page runs.  A faulting scalar read
   // leaves its out-value unset; a bulk read has filled what precedes the
-  // faulting page.
+  // faulting page.  A store whose page-run announcement fires an armed cut
+  // returns MaybeFault::down() with that run unwritten.
 
   MaybeFault read_u8(Addr a, std::uint8_t* out,
                      Access m = Access::kUser) const;
@@ -205,9 +220,11 @@ class AddressSpace {
 
   // --- harness stores ------------------------------------------------------
 
-  /// Kernel-mode stores for harness code (test-value constructors, CRT
-  /// set-up) into memory it has just mapped.  A fault here is a bug in the
-  /// harness, never a verdict: expect_no_fault throws std::logic_error.
+  /// Kernel-mode stores for harness code (test-value constructors) into
+  /// memory it has just mapped.  A fault or a cut here is a bug in the
+  /// harness, never a verdict: both throw std::logic_error.  Code a module
+  /// under test runs (CRT set-up included) stores through write_* and
+  /// expect_no_fault instead, which passes a cut up.
   void poke_u8(Addr a, std::uint8_t v);
   void poke_u16(Addr a, std::uint16_t v);
   void poke_u32(Addr a, std::uint32_t v);
@@ -253,6 +270,8 @@ class AddressSpace {
   }
   /// Records the fault on the trace spine and returns it.
   Fault fault(FaultType t, Addr a, bool write) const;
+  /// Announces one persistence point to the hub, if wired.
+  Verdict announce(MutationKind kind, Addr page);
   MaybeFault check_alignment(Addr a, std::uint64_t size, bool write) const;
   /// The map entry for page `pg`, inserted unwritten (on a free-listed
   /// node when there is one) if absent.

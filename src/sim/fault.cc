@@ -49,8 +49,9 @@ std::string describe_panic(PanicKind k) {
   return s;
 }
 
-void expect_no_fault(MaybeFault f, std::string_view where) {
-  if (!f) return;
+Verdict expect_no_fault(MaybeFault f, std::string_view where) {
+  if (!f) return Verdict::kUp;
+  if (f.panicked()) return Verdict::kDown;
   std::string s{"fault in harness code ("};
   s += where;
   s += "): ";

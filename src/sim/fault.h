@@ -3,8 +3,9 @@
 // A test task that takes one of these is classified as an Abort failure
 // (paper §2: "Abort failures are an abnormal termination ... as the result of
 // a signal or thrown exception").  A fault taken *inside the kernel* on an OS
-// personality that does not probe user pointers escalates to a KernelPanic,
-// which the harness classifies as Catastrophic.
+// personality that does not probe user pointers escalates to a kernel panic,
+// which the harness classifies as Catastrophic.  Both travel to the executor
+// as values: a fault as a MaybeFault, a panic as a Verdict (DESIGN.md §4).
 #pragma once
 
 #include <cstdint>
@@ -37,13 +38,46 @@ struct Fault {
   friend bool operator==(const Fault&, const Fault&) = default;
 };
 
+/// What a kernel step that can kill the machine reports: kUp when the
+/// machine survived it, kDown when it panicked during the step.  kDown means
+/// Machine::panic ran (the crash is recorded and kPanic emitted) and the step
+/// applied nothing past that point; the caller stops and passes it up to the
+/// executor, which classifies the case Catastrophic (DESIGN.md §10).
+/// [[nodiscard]], so a dropped panic does not compile cleanly.
+enum class [[nodiscard]] Verdict : std::uint8_t { kUp, kDown };
+
+constexpr bool down(Verdict v) noexcept { return v == Verdict::kDown; }
+
+/// What a kernel step that can kill the machine returns when it also yields
+/// a value: the value, meaningful only while `verdict` is kUp.
+template <typename T>
+struct [[nodiscard]] Survived {
+  T value{};
+  Verdict verdict = Verdict::kUp;
+
+  bool down() const noexcept { return verdict == Verdict::kDown; }
+};
+
 /// What an access that may trap returns: empty when it completed, else the
 /// fault it took.  The MMU returns it where hardware would trap, and every
 /// layer above passes it up to the executor, which classifies the task's
-/// fault (DESIGN.md §4).  [[nodiscard]], so a dropped fault does not compile
-/// cleanly.
+/// fault (DESIGN.md §4).  A store the machine died under (an armed cut fired
+/// on it) returns a panicked() value: engaged, so every path that passes a
+/// fault up passes the panic up too, and the Fault it holds means nothing.
+/// [[nodiscard]], so a dropped fault does not compile cleanly.
 struct [[nodiscard]] MaybeFault : std::optional<Fault> {
   using std::optional<Fault>::optional;
+
+  /// The machine panicked during the access (Verdict::kDown).
+  static MaybeFault down() {
+    MaybeFault f{Fault{}};
+    f.down_ = true;
+    return f;
+  }
+  bool panicked() const noexcept { return down_; }
+
+ private:
+  bool down_ = false;
 };
 
 /// Why a machine died.  The structured counterpart of the old free-form
@@ -69,8 +103,10 @@ std::string describe_hang(std::string_view site);
 
 /// Harness code (CRT set-up, test-value materialization) touches only memory
 /// it has just mapped, so a fault there is a harness bug, never a verdict:
-/// throws std::logic_error naming `where` and the fault.
-void expect_no_fault(MaybeFault f, std::string_view where);
+/// throws std::logic_error naming `where` and the fault.  A store the machine
+/// died under is kDown (CRT set-up reached from a module under test can be
+/// cut like any store).
+Verdict expect_no_fault(MaybeFault f, std::string_view where);
 
 /// A fault as an exception.  Nothing a module under test runs throws it: the
 /// MMU returns its faults as MaybeFault values.  It stays for callers that
@@ -86,8 +122,10 @@ class SimFault : public std::runtime_error {
   Fault fault_;
 };
 
-/// Thrown when kernel-mode code corrupts machine state beyond recovery: the
-/// simulated Blue Screen.  Only a Machine::reboot() clears it.
+/// A kernel panic as an exception.  Nothing in the simulator throws it: a
+/// panic is a Verdict (Machine::panic), and the crash state it records is
+/// cleared only by Machine::reboot().  It stays for callers that still name
+/// it in a handler.
 class KernelPanic : public std::runtime_error {
  public:
   explicit KernelPanic(PanicKind why)

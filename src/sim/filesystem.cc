@@ -65,26 +65,32 @@ FileSystem::FileSystem() : root_(std::make_shared<FsNode>("", true)) {
   checkpoint();
 }
 
-void FileSystem::announce(MutationKind kind, std::string_view leaf) {
-  if (hub_ != nullptr) hub_->notify(kind, leaf_hash(leaf));
+Verdict FileSystem::announce(MutationKind kind, std::string_view leaf) {
+  return hub_ != nullptr ? hub_->notify(kind, leaf_hash(leaf)) : Verdict::kUp;
 }
 
-void FileSystem::set_read_only(FsNode& node, bool value) {
-  if (node.read_only == value) return;  // no state change, no point
-  announce(MutationKind::kFsMeta, node.name());
+Verdict FileSystem::set_read_only(FsNode& node, bool value) {
+  if (node.read_only == value) return Verdict::kUp;  // no change, no point
+  if (announce(MutationKind::kFsMeta, node.name()) == Verdict::kDown)
+    return Verdict::kDown;
   node.read_only = value;
+  return Verdict::kUp;
 }
 
-void FileSystem::set_hidden(FsNode& node, bool value) {
-  if (node.hidden == value) return;
-  announce(MutationKind::kFsMeta, node.name());
+Verdict FileSystem::set_hidden(FsNode& node, bool value) {
+  if (node.hidden == value) return Verdict::kUp;
+  if (announce(MutationKind::kFsMeta, node.name()) == Verdict::kDown)
+    return Verdict::kDown;
   node.hidden = value;
+  return Verdict::kUp;
 }
 
-void FileSystem::set_last_write(FsNode& node, std::uint64_t t) {
-  if (node.times.last_write == t) return;
-  announce(MutationKind::kFsMeta, node.name());
+Verdict FileSystem::set_last_write(FsNode& node, std::uint64_t t) {
+  if (node.times.last_write == t) return Verdict::kUp;
+  if (announce(MutationKind::kFsMeta, node.name()) == Verdict::kDown)
+    return Verdict::kDown;
   node.times.last_write = t;
+  return Verdict::kUp;
 }
 
 void FileSystem::checkpoint() { image_ = clone_tree(*root_); }
@@ -195,71 +201,77 @@ std::shared_ptr<FsNode> FileSystem::resolve_parent(const ParsedPath& p,
   return node;
 }
 
-std::shared_ptr<FsNode> FileSystem::create_file(const ParsedPath& p,
-                                                bool fail_if_exists,
-                                                bool truncate_existing) {
+Survived<std::shared_ptr<FsNode>> FileSystem::create_file(
+    const ParsedPath& p, bool fail_if_exists, bool truncate_existing) {
+  const Survived<std::shared_ptr<FsNode>> kDown{nullptr, Verdict::kDown};
   std::string leaf;
   auto parent = resolve_parent(p, &leaf);
-  if (parent == nullptr || leaf.empty()) return nullptr;
+  if (parent == nullptr || leaf.empty()) return {};
   auto it = parent->children().find(leaf);
   if (it != parent->children().end()) {
     auto existing = it->second;
-    if (existing->is_dir() || fail_if_exists) return nullptr;
-    if (existing->read_only) return nullptr;
+    if (existing->is_dir() || fail_if_exists) return {};
+    if (existing->read_only) return {};
     if (truncate_existing) {
-      if (!existing->data().empty()) announce(MutationKind::kFsData, leaf);
+      if (!existing->data().empty() &&
+          announce(MutationKind::kFsData, leaf) == Verdict::kDown)
+        return kDown;
       existing->data().clear();
     }
-    return existing;
+    return {existing};
   }
-  announce(MutationKind::kFsCreate, leaf);
+  if (announce(MutationKind::kFsCreate, leaf) == Verdict::kDown) return kDown;
   auto node = std::make_shared<FsNode>(leaf, false);
   parent->children().emplace(leaf, node);
-  return node;
+  return {node};
 }
 
-std::shared_ptr<FsNode> FileSystem::create_dir(const ParsedPath& p) {
+Survived<std::shared_ptr<FsNode>> FileSystem::create_dir(const ParsedPath& p) {
   std::string leaf;
   auto parent = resolve_parent(p, &leaf);
-  if (parent == nullptr || leaf.empty()) return nullptr;
-  if (parent->children().count(leaf) != 0) return nullptr;
-  announce(MutationKind::kFsCreate, leaf);
+  if (parent == nullptr || leaf.empty()) return {};
+  if (parent->children().count(leaf) != 0) return {};
+  if (announce(MutationKind::kFsCreate, leaf) == Verdict::kDown)
+    return {nullptr, Verdict::kDown};
   auto node = std::make_shared<FsNode>(leaf, true);
   parent->children().emplace(leaf, node);
-  return node;
+  return {node};
 }
 
-bool FileSystem::remove_file(const ParsedPath& p) {
+Survived<bool> FileSystem::remove_file(const ParsedPath& p) {
   std::string leaf;
   auto parent = resolve_parent(p, &leaf);
-  if (parent == nullptr) return false;
+  if (parent == nullptr) return {false};
   auto it = parent->children().find(leaf);
-  if (it == parent->children().end() || it->second->is_dir()) return false;
-  if (it->second->read_only) return false;
-  announce(MutationKind::kFsRemove, leaf);
+  if (it == parent->children().end() || it->second->is_dir()) return {false};
+  if (it->second->read_only) return {false};
+  if (announce(MutationKind::kFsRemove, leaf) == Verdict::kDown)
+    return {false, Verdict::kDown};
   it->second->nlink -= 1;
   parent->children().erase(it);
-  return true;
+  return {true};
 }
 
-bool FileSystem::remove_dir(const ParsedPath& p) {
+Survived<bool> FileSystem::remove_dir(const ParsedPath& p) {
   std::string leaf;
   auto parent = resolve_parent(p, &leaf);
-  if (parent == nullptr) return false;
+  if (parent == nullptr) return {false};
   auto it = parent->children().find(leaf);
-  if (it == parent->children().end() || !it->second->is_dir()) return false;
-  if (!it->second->children().empty()) return false;
-  announce(MutationKind::kFsRemove, leaf);
+  if (it == parent->children().end() || !it->second->is_dir()) return {false};
+  if (!it->second->children().empty()) return {false};
+  if (announce(MutationKind::kFsRemove, leaf) == Verdict::kDown)
+    return {false, Verdict::kDown};
   parent->children().erase(it);
-  return true;
+  return {true};
 }
 
-bool FileSystem::rename(const ParsedPath& from, const ParsedPath& to) {
+Survived<bool> FileSystem::rename(const ParsedPath& from,
+                                  const ParsedPath& to) {
   std::string from_leaf;
   auto from_parent = resolve_parent(from, &from_leaf);
-  if (from_parent == nullptr) return false;
+  if (from_parent == nullptr) return {false};
   auto it = from_parent->children().find(from_leaf);
-  if (it == from_parent->children().end()) return false;
+  if (it == from_parent->children().end()) return {false};
 
   // Moving a directory into its own subtree (rename("/a", "/a/b")) would
   // detach the node from the root while re-attaching it beneath itself: a
@@ -268,38 +280,40 @@ bool FileSystem::rename(const ParsedPath& from, const ParsedPath& to) {
   if (from.components.size() <= to.components.size() &&
       std::equal(from.components.begin(), from.components.end(),
                  to.components.begin()))
-    return false;
+    return {false};
 
   std::string to_leaf;
   auto to_parent = resolve_parent(to, &to_leaf);
-  if (to_parent == nullptr || to_leaf.empty()) return false;
-  if (to_parent->children().count(to_leaf) != 0) return false;
+  if (to_parent == nullptr || to_leaf.empty()) return {false};
+  if (to_parent->children().count(to_leaf) != 0) return {false};
 
   // One point for the whole move: rename is atomic with respect to cuts (a
   // torn rename — detached but not re-attached — is not a state this model
   // can leave behind, matching journalled-metadata semantics).
-  announce(MutationKind::kFsRename, to_leaf);
+  if (announce(MutationKind::kFsRename, to_leaf) == Verdict::kDown)
+    return {false, Verdict::kDown};
   auto node = it->second;
   from_parent->children().erase(it);
   to_parent->children().emplace(to_leaf, node);
-  return true;
+  return {true};
 }
 
 void FileSystem::build_fixture() {
+  // Runs before the hub is wired, so nothing here announces.
   ParsedPath scratch;
   scratch.components = {"tmp"};
-  create_dir(scratch);
+  (void)create_dir(scratch);
 
   ParsedPath fixture;
   fixture.components = {"tmp", "fixture.dat"};
-  auto f = create_file(fixture, false, true);
+  auto f = create_file(fixture, false, true).value;
   const std::string payload =
       "ballista fixture file: twelve dozen dependable bytes of test data.\n";
   f->data().assign(payload.begin(), payload.end());
 
   ParsedPath ro;
   ro.components = {"tmp", "readonly.dat"};
-  auto r = create_file(ro, false, true);
+  auto r = create_file(ro, false, true).value;
   const std::string ro_payload = "read-only fixture\n";
   r->data().assign(ro_payload.begin(), ro_payload.end());
   r->read_only = true;

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/fault.h"
+
 namespace ballista::sim {
 
 class MutationHub;
@@ -74,15 +76,20 @@ class FileSystem {
   std::shared_ptr<FsNode> resolve_parent(const ParsedPath& p,
                                          std::string* leaf) const;
 
+  // Every edit below announces its persistence point before it applies and
+  // reports kDown, having changed nothing, when an armed cut fires there.
+  // A refused edit (null node, false) announces nothing.
+
   /// Creates a regular file; fails if the parent is missing or a directory /
   /// read-only file already exists there (unless truncate_existing).
-  std::shared_ptr<FsNode> create_file(const ParsedPath& p, bool fail_if_exists,
-                                      bool truncate_existing);
-  std::shared_ptr<FsNode> create_dir(const ParsedPath& p);
-  bool remove_file(const ParsedPath& p);
+  Survived<std::shared_ptr<FsNode>> create_file(const ParsedPath& p,
+                                                bool fail_if_exists,
+                                                bool truncate_existing);
+  Survived<std::shared_ptr<FsNode>> create_dir(const ParsedPath& p);
+  Survived<bool> remove_file(const ParsedPath& p);
   /// Fails unless the directory exists and is empty.
-  bool remove_dir(const ParsedPath& p);
-  bool rename(const ParsedPath& from, const ParsedPath& to);
+  Survived<bool> remove_dir(const ParsedPath& p);
+  Survived<bool> rename(const ParsedPath& from, const ParsedPath& to);
 
   // --- metadata setters (the kFsMeta persistence points) ---------------------
   //
@@ -90,9 +97,9 @@ class FileSystem {
   // public fields, so every metadata change announces a mutation point.
   // Each is announce-then-apply: an armed cut leaves the field untouched.
 
-  void set_read_only(FsNode& node, bool value);
-  void set_hidden(FsNode& node, bool value);
-  void set_last_write(FsNode& node, std::uint64_t t);
+  Verdict set_read_only(FsNode& node, bool value);
+  Verdict set_hidden(FsNode& node, bool value);
+  Verdict set_last_write(FsNode& node, std::uint64_t t);
 
   std::shared_ptr<FsNode> root() const noexcept { return root_; }
 
@@ -145,7 +152,7 @@ class FileSystem {
 
  private:
   void build_fixture();
-  void announce(MutationKind kind, std::string_view leaf);
+  Verdict announce(MutationKind kind, std::string_view leaf);
 
   MutationHub* hub_ = nullptr;
   std::shared_ptr<FsNode> root_;

@@ -7,13 +7,15 @@
 
 namespace ballista::sim {
 
-void KernelObject::set_signaled(bool s) {
+Verdict KernelObject::set_signaled(bool s) {
   // Only an actual flip is a persistence point — re-signaling a signaled
   // event mutates nothing.
-  if (s != signaled_ && hub_ != nullptr)
-    hub_->notify(MutationKind::kHandleSignal,
-                 static_cast<std::uint64_t>(kind_));
+  if (s != signaled_ && hub_ != nullptr &&
+      hub_->notify(MutationKind::kHandleSignal,
+                   static_cast<std::uint64_t>(kind_)) == Verdict::kDown)
+    return Verdict::kDown;
   signaled_ = s;
+  return Verdict::kUp;
 }
 
 std::uint64_t FileObject::read_at(std::span<std::uint8_t> out) {
@@ -26,17 +28,19 @@ std::uint64_t FileObject::read_at(std::span<std::uint8_t> out) {
   return n;
 }
 
-std::uint64_t FileObject::write_at(std::span<const std::uint8_t> in) {
-  if (node_ == nullptr || node_->is_dir()) return 0;
-  if (!in.empty() && mutation_hub() != nullptr)
-    mutation_hub()->notify(MutationKind::kFsData, in.size());
+Survived<std::uint64_t> FileObject::write_at(std::span<const std::uint8_t> in) {
+  if (node_ == nullptr || node_->is_dir()) return {0};
+  if (!in.empty() && mutation_hub() != nullptr &&
+      mutation_hub()->notify(MutationKind::kFsData, in.size()) ==
+          Verdict::kDown)
+    return {0, Verdict::kDown};
   auto& data = node_->data();
   if (append_) pos_ = data.size();
   if (pos_ + in.size() > data.size()) data.resize(pos_ + in.size());
   std::copy(in.begin(), in.end(),
             data.begin() + static_cast<std::ptrdiff_t>(pos_));
   pos_ += in.size();
-  return in.size();
+  return {in.size()};
 }
 
 std::string_view object_kind_name(ObjectKind k) noexcept {
@@ -74,7 +78,7 @@ void HandleTable::put(std::size_t slot, ObjectRef obj) {
   slots_[slot] = std::move(obj);
 }
 
-std::uint64_t HandleTable::insert(ObjectRef obj) {
+Survived<std::uint64_t> HandleTable::insert(ObjectRef obj) {
   std::uint64_t h;
   if (posix_numbering_) {
     // POSIX fd allocation: the lowest unused slot.
@@ -82,19 +86,22 @@ std::uint64_t HandleTable::insert(ObjectRef obj) {
     while (h < slots_.size() && slots_[h] != nullptr) ++h;
   } else {
     h = next_win32_;
-    next_win32_ += 4;
   }
+  if (announce(MutationKind::kHandleCreate, h) == Verdict::kDown)
+    return {0, Verdict::kDown};
+  if (!posix_numbering_) next_win32_ += 4;
   obj->bind_mutation_hub(hub_);
-  if (hub_ != nullptr) hub_->notify(MutationKind::kHandleCreate, h);
   put(slot_of(h), std::move(obj));
-  return h;
+  return {h};
 }
 
-void HandleTable::insert_at(std::uint64_t h, ObjectRef obj) {
-  if (slot_of(h) == kNoSlot) return;
+Verdict HandleTable::insert_at(std::uint64_t h, ObjectRef obj) {
+  if (slot_of(h) == kNoSlot) return Verdict::kUp;
+  if (announce(MutationKind::kHandleCreate, h) == Verdict::kDown)
+    return Verdict::kDown;
   obj->bind_mutation_hub(hub_);
-  if (hub_ != nullptr) hub_->notify(MutationKind::kHandleCreate, h);
   put(slot_of(h), std::move(obj));
+  return Verdict::kUp;
 }
 
 HandleTable::ObjectRef HandleTable::get(std::uint64_t h) const noexcept {
@@ -102,14 +109,19 @@ HandleTable::ObjectRef HandleTable::get(std::uint64_t h) const noexcept {
   return slot < slots_.size() ? slots_[slot] : nullptr;
 }
 
-bool HandleTable::close(std::uint64_t h) {
+Survived<bool> HandleTable::close(std::uint64_t h) {
   const std::size_t slot = slot_of(h);
   if (slot >= slots_.size() || slots_[slot] == nullptr)
-    return false;  // no mutation, no point
-  if (hub_ != nullptr) hub_->notify(MutationKind::kHandleClose, h);
+    return {false};  // no mutation, no point
+  if (announce(MutationKind::kHandleClose, h) == Verdict::kDown)
+    return {false, Verdict::kDown};
   slots_[slot].reset();
   --live_;
-  return true;
+  return {true};
+}
+
+Verdict HandleTable::announce(MutationKind kind, std::uint64_t h) {
+  return hub_ != nullptr ? hub_->notify(kind, h) : Verdict::kUp;
 }
 
 }  // namespace ballista::sim

@@ -24,6 +24,7 @@ namespace ballista::sim {
 
 class FsNode;
 class MutationHub;
+enum class MutationKind : std::uint8_t;
 
 enum class ObjectKind : std::uint8_t {
   kFile,
@@ -59,9 +60,9 @@ class KernelObject {
   /// so waits on them return immediately (as NT does for e.g. process handles
   /// of exited processes).
   bool signaled() const noexcept { return signaled_; }
-  /// Announces kHandleSignal when the value actually flips.  May throw
-  /// KernelPanic when an armed cut fires, so deliberately not noexcept.
-  void set_signaled(bool s);
+  /// Announces kHandleSignal when the value actually flips; kDown, with the
+  /// state unchanged, when an armed cut fires there.
+  Verdict set_signaled(bool s);
 
   /// Wires the object into the owning machine's mutation hub; the
   /// HandleTable binds every object it inserts.  Unbound objects (tests,
@@ -113,8 +114,9 @@ class FileObject final : public KernelObject {
   /// Reads from the current position, advancing it; returns bytes read.
   std::uint64_t read_at(std::span<std::uint8_t> out);
   /// Writes at the current position (end when in append mode), growing the
-  /// node and advancing; returns bytes written.
-  std::uint64_t write_at(std::span<const std::uint8_t> in);
+  /// node and advancing; returns bytes written (kDown, nothing written, when
+  /// an armed cut fires on its kFsData point).
+  Survived<std::uint64_t> write_at(std::span<const std::uint8_t> in);
 
  private:
   std::shared_ptr<FsNode> node_;
@@ -152,7 +154,7 @@ class EventObject final : public KernelObject {
   EventObject(bool manual_reset, bool initial, std::string name)
       : KernelObject(ObjectKind::kEvent, std::move(name)),
         manual_reset_(manual_reset) {
-    set_signaled(initial);
+    reset_kernel_state(initial);
   }
   bool manual_reset() const noexcept { return manual_reset_; }
 
@@ -165,12 +167,13 @@ class MutexObject final : public KernelObject {
   MutexObject(bool initially_owned, std::string name)
       : KernelObject(ObjectKind::kMutex, std::move(name)),
         held_(initially_owned) {
-    set_signaled(!initially_owned);
+    reset_kernel_state(!initially_owned);
   }
   bool held() const noexcept { return held_; }
-  void set_held(bool h) {
+  Verdict set_held(bool h) {
+    if (set_signaled(!h) == Verdict::kDown) return Verdict::kDown;
     held_ = h;
-    set_signaled(!h);
+    return Verdict::kUp;
   }
 
  private:
@@ -183,15 +186,17 @@ class SemaphoreObject final : public KernelObject {
       : KernelObject(ObjectKind::kSemaphore, std::move(name)),
         count_(initial),
         max_(maximum) {
-    set_signaled(count_ > 0);
+    reset_kernel_state(count_ > 0);
   }
   std::int64_t count() const noexcept { return count_; }
   std::int64_t maximum() const noexcept { return max_; }
-  bool release(std::int64_t n) {
-    if (count_ + n > max_) return false;
+  /// False when the count would pass the maximum (nothing changes).
+  Survived<bool> release(std::int64_t n) {
+    if (count_ + n > max_) return {false};
+    if (set_signaled(count_ + n > 0) == Verdict::kDown)
+      return {false, Verdict::kDown};
     count_ += n;
-    set_signaled(count_ > 0);
-    return true;
+    return {true};
   }
 
  private:
@@ -210,7 +215,7 @@ class ThreadObject final : public KernelObject {
  public:
   ThreadObject(std::uint64_t tid, std::uint64_t owner_pid)
       : KernelObject(ObjectKind::kThread), tid_(tid), owner_pid_(owner_pid) {
-    set_signaled(false);  // running threads are non-signaled
+    reset_kernel_state(false);  // running threads are non-signaled
   }
   /// Returns the object to the state the constructor gives it.
   void reset(std::uint64_t tid, std::uint64_t owner_pid) noexcept {
@@ -239,7 +244,7 @@ class ProcessObject final : public KernelObject {
  public:
   explicit ProcessObject(std::uint64_t pid)
       : KernelObject(ObjectKind::kProcess), pid_(pid) {
-    set_signaled(false);
+    reset_kernel_state(false);
   }
   /// Returns the object to the state the constructor gives it.
   void reset(std::uint64_t pid) noexcept {
@@ -302,15 +307,16 @@ class HandleTable {
  public:
   using ObjectRef = std::shared_ptr<KernelObject>;
 
-  std::uint64_t insert(ObjectRef obj);
+  /// insert, insert_at and close announce their point before they apply and
+  /// report kDown, having changed nothing, when an armed cut fires there.
+  Survived<std::uint64_t> insert(ObjectRef obj);
   /// Inserts at a specific slot (POSIX dup2 semantics; the caller bounds
   /// `h`, since the vector grows to reach it).  A Win32 value that is not a
   /// multiple of 4 names no slot, and inserting there does nothing.
-  void insert_at(std::uint64_t h, ObjectRef obj);
+  Verdict insert_at(std::uint64_t h, ObjectRef obj);
   ObjectRef get(std::uint64_t h) const noexcept;
-  /// Announces kHandleClose for live handles; may throw KernelPanic when an
-  /// armed cut fires (hence not noexcept).
-  bool close(std::uint64_t h);
+  /// False for a handle that names nothing (no point announced).
+  Survived<bool> close(std::uint64_t h);
   bool valid(std::uint64_t h) const noexcept { return get(h) != nullptr; }
   /// Number of live handles.
   std::size_t size() const noexcept { return live_; }
@@ -376,6 +382,8 @@ class HandleTable {
   /// The first live slot at or after `slot`, or slots_.size().
   std::size_t next_live(std::size_t slot) const noexcept;
   void put(std::size_t slot, ObjectRef obj);
+  /// Announces one persistence point to the hub, if wired.
+  Verdict announce(MutationKind kind, std::uint64_t h);
 
   std::vector<ObjectRef> slots_;
   std::size_t live_ = 0;

@@ -38,34 +38,33 @@ void Machine::release_process(std::unique_ptr<SimProcess> proc) {
     process_pool_.push_back(std::move(proc));
 }
 
-void Machine::kernel_enter() {
+Verdict Machine::kernel_enter() {
   ticks_ += 1;
-  if (crashed_) throw KernelPanic(panic_kind_);
+  if (crashed_) return Verdict::kDown;
   trace_.emit(trace::syscall_enter_event(fuse_remaining_));
   if (fuse_remaining_ > 0) {
     trace_.emit(trace::fuse_burn_event(fuse_remaining_ - 1));
-    if (--fuse_remaining_ == 0) {
-      panic(PanicKind::kDeferredFuse);
-    }
+    if (--fuse_remaining_ == 0) return panic(PanicKind::kDeferredFuse);
   }
+  return Verdict::kUp;
 }
 
-void Machine::panic(PanicKind why) {
+Verdict Machine::panic(PanicKind why) {
   crashed_ = true;
   panic_kind_ = why;
   ++panic_count_;
   fuse_remaining_ = -1;
+  mutations_.set_machine_down(true);
   trace_.emit(trace::panic_event(why));
-  throw KernelPanic(why);
+  return Verdict::kDown;
 }
 
-void Machine::note_arena_corruption(Addr where, bool critical) {
+Verdict Machine::note_arena_corruption(Addr where, bool critical) {
   arena_.note_corruption();
   trace_.emit(trace::corruption_event(where, critical));
-  if (critical) {
-    panic(PanicKind::kCriticalArenaWrite);
-  }
+  if (critical) return panic(PanicKind::kCriticalArenaWrite);
   if (fuse_remaining_ < 0) fuse_remaining_ = pers_.corruption_fuse;
+  return Verdict::kUp;
 }
 
 void Machine::age_arena(int fuse_entries) {
@@ -98,6 +97,7 @@ void Machine::restore(RestoreLevel level) {
   crashed_ = false;
   panic_kind_ = PanicKind::kNone;
   fuse_remaining_ = -1;
+  mutations_.set_machine_down(false);
   arena_.clear();
   if (policy_ == ResetPolicy::kAlwaysRebuild)
     fs_.rebuild_fixture();

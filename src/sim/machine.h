@@ -126,16 +126,20 @@ class Machine {
   /// stray kernel write has landed in the shared arena, the machine survives
   /// only `corruption_fuse` further kernel entries — so a single-test re-run
   /// completes, but the full harness goes down (the paper's `*` failures).
-  void kernel_enter();
+  /// kDown when the fuse burns out here (the machine panics) or the machine
+  /// is already down.
+  Verdict kernel_enter();
 
   /// Immediate, attributable kernel death (unprobed kernel write hit a
-  /// critical structure, or page fault in kernel/VxD context).
-  [[noreturn]] void panic(PanicKind why);
+  /// critical structure, page fault in kernel/VxD context, an armed cut):
+  /// records the crash, emits kPanic and returns kDown for the caller to
+  /// pass up.
+  Verdict panic(PanicKind why);
 
   /// A kernel-context write landed in the shared arena.  `critical` writes
   /// (low system area: interrupt vectors, VMM structures) kill the machine
-  /// now; others arm the deferred fuse.
-  void note_arena_corruption(Addr where, bool critical);
+  /// now (kDown); others arm the deferred fuse.
+  Verdict note_arena_corruption(Addr where, bool critical);
 
   /// Pre-ages the machine for load testing (paper §5 future work; cf. the
   /// intro's observation that Windows machines needed periodic reboots):

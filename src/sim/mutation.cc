@@ -23,13 +23,17 @@ std::string_view mutation_kind_name(MutationKind k) noexcept {
   return "unknown";
 }
 
-void MutationHub::notify_slow(MutationKind kind, std::uint64_t detail) {
+Verdict MutationHub::notify_slow(MutationKind kind, std::uint64_t detail) {
+  if (down_) {
+    ++late_;
+    return Verdict::kDown;
+  }
   // Page-write coalescing: a run of byte stores to one page is one
   // persistence point.  Any other announcement (including a write to a
   // different page) breaks the run.
   if (kind == MutationKind::kPageWrite && have_last_ &&
       last_kind_ == MutationKind::kPageWrite && last_detail_ == detail)
-    return;
+    return Verdict::kUp;
   have_last_ = true;
   last_kind_ = kind;
   last_detail_ = detail;
@@ -38,16 +42,15 @@ void MutationHub::notify_slow(MutationKind kind, std::uint64_t detail) {
   ++counts_[static_cast<std::size_t>(kind)];
   machine_.trace().emit(trace::mutation_point_event(kind, seq_, detail));
 
-  if (plan_.cut_at != 0 && seq_ == plan_.cut_at) {
-    // The cut fires *before* the caller applies the mutation: disarm first
-    // (the unwind and the reboot that follows must not re-trigger), record
-    // where it fired, and kill the machine.
-    cut_fired_at_ = seq_;
-    plan_ = FaultPlan{};
-    update_live();
-    machine_.trace().emit(trace::fault_cut_event(kind, cut_fired_at_));
-    machine_.panic(PanicKind::kFaultInjection);  // [[noreturn]]
-  }
+  if (plan_.cut_at == 0 || seq_ != plan_.cut_at) return Verdict::kUp;
+  // The cut fires *before* the caller applies the mutation: disarm first
+  // (the reboot that follows must not re-trigger), record where it fired,
+  // and kill the machine.
+  cut_fired_at_ = seq_;
+  plan_ = FaultPlan{};
+  update_live();
+  machine_.trace().emit(trace::fault_cut_event(kind, cut_fired_at_));
+  return machine_.panic(PanicKind::kFaultInjection);
 }
 
 }  // namespace ballista::sim

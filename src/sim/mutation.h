@@ -18,9 +18,11 @@
 //   count them   (the crash campaign's counting pass),
 //   trace them   (trace::EventKind::kMutationPoint), or
 //   *cut* at the k-th point via a FaultPlan: the announcement escalates to
-//   Machine::panic(PanicKind::kFaultInjection) *before* the mutation applies,
-//   so the simulated world dies with the k-th persistent effect un-applied —
-//   exactly the torn state a power cut at that instant would leave.
+//   Machine::panic(PanicKind::kFaultInjection) *before* the mutation applies
+//   and returns Verdict::kDown, so the announcing primitive applies nothing
+//   and returns the verdict to its caller.  The simulated world dies with the
+//   k-th persistent effect un-applied — exactly the torn state a power cut
+//   at that instant would leave.
 //
 // Announcements are gated by an execution window the Executor opens around
 // the module-under-test dispatch: harness work (tuple materialization,
@@ -33,6 +35,8 @@
 #include <array>
 #include <cstdint>
 #include <string_view>
+
+#include "sim/fault.h"
 
 namespace ballista::sim {
 
@@ -102,6 +106,7 @@ class MutationHub {
 
   void open_window() noexcept {
     window_ = true;
+    late_ = 0;
     update_live();
   }
   void close_window() noexcept {
@@ -113,13 +118,25 @@ class MutationHub {
   // --- the funnel -----------------------------------------------------------
 
   /// Announces one persistence point.  The hot path is the single `live_`
-  /// check; everything else lives out of line.  May throw KernelPanic (via
-  /// Machine::panic) when an armed cut fires — before the caller applies the
-  /// mutation, which is the whole point.
-  void notify(MutationKind kind, std::uint64_t detail) {
-    if (!live_) return;
-    notify_slow(kind, detail);
+  /// check; everything else lives out of line.  Returns kDown when an armed
+  /// cut fires (the machine panics through Machine::panic) — before the
+  /// caller applies the mutation, which is the whole point — and for any
+  /// announcement made in the window once the machine has died, which it
+  /// also counts (late_announcements()).
+  Verdict notify(MutationKind kind, std::uint64_t detail) {
+    if (!live_) return Verdict::kUp;
+    return notify_slow(kind, detail);
   }
+
+  /// Machine::panic and Machine::restore keep the hub's view of the machine
+  /// in step: a panicked machine must announce nothing more.
+  void set_machine_down(bool down) noexcept {
+    down_ = down;
+    update_live();
+  }
+  /// Announcements made in the window after the machine died, since the
+  /// window last opened: a caller that did not stop on a panic.
+  std::uint64_t late_announcements() const noexcept { return late_; }
 
   // --- counters -------------------------------------------------------------
 
@@ -149,21 +166,27 @@ class MutationHub {
     reset_counts();
     counting_ = false;
     window_ = false;
+    down_ = false;
+    late_ = 0;
     plan_ = FaultPlan{};
     update_live();
   }
 
  private:
-  void notify_slow(MutationKind kind, std::uint64_t detail);
+  Verdict notify_slow(MutationKind kind, std::uint64_t detail);
   void update_live() noexcept {
-    live_ = window_ && (counting_ || plan_.cut_at != 0);
+    live_ = window_ && (counting_ || plan_.cut_at != 0 || down_);
   }
 
   Machine& machine_;
   bool counting_ = false;
   bool window_ = false;
-  /// counting/armed AND window open — the one flag the hot path reads.
+  /// The machine has panicked and not yet rebooted.
+  bool down_ = false;
+  /// (counting, armed or down) AND window open — the one flag the hot path
+  /// reads.
   bool live_ = false;
+  std::uint64_t late_ = 0;
   FaultPlan plan_;
   std::uint64_t seq_ = 0;
   std::uint64_t cut_fired_at_ = 0;

@@ -20,14 +20,14 @@ std::size_t SocketObject::bytes_readable() const noexcept {
   return recv_buf.size();
 }
 
-void SocketObject::update_readable() {
+Verdict SocketObject::update_readable() {
   // A dead peer counts as readable: recv() must wake to report EOF/reset
   // rather than block on a connection nothing will ever feed again.
   const bool peer_gone =
       state_ == SockState::kConnected && proto_ == SockProto::kTcp &&
       (peer_closed || peer_.expired());
-  set_signaled(!recv_buf.empty() || !dgrams.empty() || !accept_queue.empty() ||
-               peer_gone);
+  return set_signaled(!recv_buf.empty() || !dgrams.empty() ||
+                      !accept_queue.empty() || peer_gone);
 }
 
 std::shared_ptr<SocketObject> NetStack::holder(
@@ -118,7 +118,7 @@ NetErr NetStack::connect(const std::shared_ptr<SocketObject>& s,
   s->peer_ = server;
   s->set_state(SockState::kConnected);
   listener->accept_queue.push_back(std::move(server));
-  listener->update_readable();
+  if (listener->update_readable() == Verdict::kDown) return NetErr::kDown;
   ++connections_;
   return NetErr::kOk;
 }
@@ -130,7 +130,7 @@ NetErr NetStack::accept(SocketObject& listener,
   if (listener.accept_queue.empty()) return NetErr::kWouldBlock;
   *out = std::move(listener.accept_queue.front());
   listener.accept_queue.pop_front();
-  listener.update_readable();
+  if (listener.update_readable() == Verdict::kDown) return NetErr::kDown;
   return NetErr::kOk;
 }
 
@@ -151,7 +151,7 @@ NetErr NetStack::send(SocketObject& s, std::span<const std::uint8_t> data,
   if (space == 0 && !data.empty()) return NetErr::kWouldBlock;
   const std::size_t n = std::min(space, data.size());
   peer->recv_buf.insert(peer->recv_buf.end(), data.begin(), data.begin() + n);
-  peer->update_readable();
+  if (peer->update_readable() == Verdict::kDown) return NetErr::kDown;
   bytes_delivered_ += n;
   *sent = n;
   return NetErr::kOk;
@@ -172,7 +172,7 @@ NetErr NetStack::recv(SocketObject& s, std::span<std::uint8_t> out, bool peek,
   std::copy_n(s.recv_buf.begin(), n, out.begin());
   if (!peek) {
     s.recv_buf.erase(s.recv_buf.begin(), s.recv_buf.begin() + n);
-    s.update_readable();
+    if (s.update_readable() == Verdict::kDown) return NetErr::kDown;
   }
   *received = n;
   return NetErr::kOk;
@@ -198,7 +198,7 @@ NetErr NetStack::sendto(const std::shared_ptr<SocketObject>& s,
   d.payload.assign(data.begin(), data.end());
   bytes_delivered_ += d.payload.size();
   dst->dgrams.push_back(std::move(d));
-  dst->update_readable();
+  if (dst->update_readable() == Verdict::kDown) return NetErr::kDown;
   return NetErr::kOk;
 }
 
@@ -208,7 +208,7 @@ NetErr NetStack::recvfrom(SocketObject& s, Datagram* out) {
   if (s.dgrams.empty()) return NetErr::kWouldBlock;
   *out = std::move(s.dgrams.front());
   s.dgrams.pop_front();
-  s.update_readable();
+  if (s.update_readable() == Verdict::kDown) return NetErr::kDown;
   return NetErr::kOk;
 }
 
@@ -221,13 +221,13 @@ NetErr NetStack::shutdown(SocketObject& s, int how) {
     s.shut_wr = true;
     if (auto peer = s.peer(); peer != nullptr) {
       peer->peer_closed = true;
-      peer->update_readable();
+      if (peer->update_readable() == Verdict::kDown) return NetErr::kDown;
     }
   }
   return NetErr::kOk;
 }
 
-void NetStack::on_close(SocketObject& s) {
+Verdict NetStack::on_close(SocketObject& s) {
   // Accepted server endpoints share the listener's local port without owning
   // the binding: only the holder's close releases the port.
   const auto it = ports_.find({static_cast<std::uint8_t>(s.proto()),
@@ -238,18 +238,19 @@ void NetStack::on_close(SocketObject& s) {
   while (!s.accept_queue.empty()) {
     if (auto client = s.accept_queue.front()->peer(); client != nullptr) {
       client->peer_closed = true;
-      client->update_readable();
+      if (client->update_readable() == Verdict::kDown) return Verdict::kDown;
     }
     s.accept_queue.pop_front();
   }
   if (auto peer = s.peer(); peer != nullptr) {
     peer->peer_closed = true;
-    peer->update_readable();
+    if (peer->update_readable() == Verdict::kDown) return Verdict::kDown;
   }
   s.peer_.reset();
   s.recv_buf.clear();
   s.dgrams.clear();
   s.set_state(SockState::kFresh);
+  return Verdict::kUp;
 }
 
 void NetStack::reset() noexcept {

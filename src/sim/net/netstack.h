@@ -50,7 +50,7 @@ class SocketObject final : public KernelObject {
  public:
   explicit SocketObject(SockProto proto)
       : KernelObject(ObjectKind::kSocket), proto_(proto) {
-    set_signaled(false);  // a fresh socket has nothing to read
+    reset_kernel_state(false);  // a fresh socket has nothing to read
   }
 
   SockProto proto() const noexcept { return proto_; }
@@ -86,9 +86,9 @@ class SocketObject final : public KernelObject {
   friend class NetStack;
   void set_state(SockState s) noexcept { state_ = s; }
   /// Recomputes the readable/signaled bit after any queue or peer change.
-  /// May announce kHandleSignal (and thus throw KernelPanic under an armed
+  /// May announce kHandleSignal (and so return kDown under an armed
   /// crash-campaign cut), like every other signal flip.
-  void update_readable();
+  Verdict update_readable();
 
   SockProto proto_;
   SockState state_ = SockState::kFresh;
@@ -112,6 +112,9 @@ enum class NetErr : std::uint8_t {
   kConnReset,     // peer vanished abortively (handle closed without close())
   kMsgSize,       // datagram larger than kMaxDatagramSize
   kOpNotSupp,     // e.g. listen() on a UDP socket
+  kDown,          // the machine panicked under the operation (an armed cut
+                  // fired on a readable-bit flip): the caller passes the
+                  // panic up, and nothing after the flip was applied
 };
 
 /// The machine-wide network state: the loopback interface's port-binding
@@ -164,7 +167,8 @@ class NetStack {
   /// and POSIX close() route here before the handle-table close; a socket
   /// destroyed *without* passing through (case teardown, CloseHandle) is an
   /// abortive reset — the peer sees kConnReset via the expired weak_ptr.
-  void on_close(SocketObject& s);
+  /// kDown when an armed cut fires on a peer's readable-bit flip.
+  Verdict on_close(SocketObject& s);
 
   /// Forgets every binding and counter: part of Machine::restore at every
   /// level, so case N's ports can never collide with case N+1's.

@@ -48,7 +48,8 @@ SimProcess::SimProcess(Machine& machine, std::uint64_t pid, SharedArena* arena,
       cwd_(FileSystem::root_path()),
       next_tid_(pid * 1000 + 1) {
   handles_.set_posix_numbering(posix_fd_numbering);
-  mem_.map(kStackTop - kStackSize, kStackSize, kPermRW);
+  // The hub is wired after construction, so the stack map announces nothing.
+  (void)mem_.map(kStackTop - kStackSize, kStackSize, kPermRW);
   mem_.checkpoint();  // the pristine image recycle() restores to
 
   main_thread_ = std::make_shared<ThreadObject>(next_tid_++, pid_);
@@ -106,16 +107,19 @@ void SimProcess::recycle(std::uint64_t pid) {
 void SimProcess::open_std_streams() {
   // POSIX numbering gives fds 0/1/2, Win32 numbering handles 4/8/12 —
   // decided by the table.
-  std_in = handles_.insert(std_pipes_[0]);
-  std_out = handles_.insert(std_pipes_[1]);
-  std_err = handles_.insert(std_pipes_[2]);
+  // Runs in acquire_process, outside the module window: nothing announces.
+  std_in = handles_.insert(std_pipes_[0]).value;
+  std_out = handles_.insert(std_pipes_[1]).value;
+  std_err = handles_.insert(std_pipes_[2]).value;
 }
 
-std::shared_ptr<ThreadObject> SimProcess::spawn_thread() {
+Survived<std::shared_ptr<ThreadObject>> SimProcess::spawn_thread() {
   // Announce before allocating the tid: a cut here leaves the process table
   // without the new thread *and* the tid counter unadvanced.
-  machine_.mutations().notify(MutationKind::kProcessUpdate, next_tid_);
-  return std::make_shared<ThreadObject>(next_tid_++, pid_);
+  if (machine_.mutations().notify(MutationKind::kProcessUpdate, next_tid_) ==
+      Verdict::kDown)
+    return {nullptr, Verdict::kDown};
+  return {std::make_shared<ThreadObject>(next_tid_++, pid_)};
 }
 
 }  // namespace ballista::sim

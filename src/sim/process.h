@@ -74,7 +74,9 @@ class SimProcess {
   const std::shared_ptr<ProcessObject>& self_object() const noexcept {
     return self_object_;
   }
-  std::shared_ptr<ThreadObject> spawn_thread();
+  /// A new thread of this process; kDown, with no thread made and the tid
+  /// counter unadvanced, when an armed cut fires on its kProcessUpdate point.
+  Survived<std::shared_ptr<ThreadObject>> spawn_thread();
 
   // --- process-wide default heap (Win32 GetProcessHeap / C malloc arena) -----
 

@@ -61,12 +61,13 @@ CallOutcome do_get_env_strings(CallContext& ctx) {
     block.push_back('\0');
   }
   block.push_back('\0');
-  const Addr a = ctx.proc().mem().alloc(block.size());
+  const std::optional<Addr> a = ctx.proc().mem().task_alloc(block.size());
+  if (!a) return core::panicked();
   const std::span<const std::uint8_t> bytes{
       reinterpret_cast<const std::uint8_t*>(block.data()), block.size()};
-  if (auto f = ctx.proc().mem().write_bytes(a, bytes, sim::Access::kKernel))
+  if (auto f = ctx.proc().mem().write_bytes(*a, bytes, sim::Access::kKernel))
     return ctx.raise(*f);
-  return ok(a);
+  return ok(*a);
 }
 
 CallOutcome do_free_env_strings(CallContext& ctx) {
@@ -77,7 +78,8 @@ CallOutcome do_free_env_strings(CallContext& ctx) {
       return core::silent_success(1);
     return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
   }
-  ctx.proc().mem().unmap(a, sim::kPageSize);
+  if (sim::down(ctx.proc().mem().unmap(a, sim::kPageSize)))
+    return core::panicked();
   return ok(1);
 }
 
@@ -106,7 +108,8 @@ CallOutcome do_expand_env(CallContext& ctx) {
 
 CallOutcome do_get_command_line(CallContext& ctx) {
   // Returns a pointer to the task's command line, materialized on demand.
-  return ok(ctx.proc().mem().alloc_cstr("ballista_test.exe /case"));
+  return core::ok_or_panicked(
+      ctx.proc().mem().task_alloc_cstr("ballista_test.exe /case"));
 }
 
 CallOutcome do_get_startup_info(CallContext& ctx) {
@@ -151,18 +154,20 @@ CallOutcome do_get_computer_name(CallContext& ctx) {
   if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
   const std::string name = "BALLISTA-PC";
   if (name.size() + 1 > cap) {
-    if (ctx.k_write_u32(size_ptr, static_cast<std::uint32_t>(
-                                      name.size() + 1)) == MemStatus::kFault)
-      return core::faulted();
+    if (const MemStatus ms = ctx.k_write_u32(
+            size_ptr, static_cast<std::uint32_t>(name.size() + 1));
+        core::ends_call(ms))
+      return core::ended(ms);
     return ctx.win_fail(ERR_NOT_ENOUGH_MEMORY, 0);
   }
   std::vector<std::uint8_t> bytes(name.begin(), name.end());
   bytes.push_back(0);
   st = ctx.k_write(buf, bytes);
   if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
-  if (ctx.k_write_u32(size_ptr, static_cast<std::uint32_t>(name.size())) ==
-      MemStatus::kFault)
-    return core::faulted();
+  if (const MemStatus ms =
+          ctx.k_write_u32(size_ptr, static_cast<std::uint32_t>(name.size()));
+      core::ends_call(ms))
+    return core::ended(ms);
   return ok(1);
 }
 

@@ -29,21 +29,28 @@ CallOutcome do_create_file(CallContext& ctx) {
   auto& fs = fs_of(ctx);
   const auto parsed = fs.parse(*pr.path, ctx.proc().cwd());
   auto node = fs.resolve(parsed);
+  // Creates through the filesystem; false when the machine died doing so.
+  const auto create = [&](bool fail_if_exists, bool truncate_existing) {
+    const auto created =
+        fs.create_file(parsed, fail_if_exists, truncate_existing);
+    node = created.value;
+    return !created.down();
+  };
   switch (disposition) {
     case 1:  // CREATE_NEW
       if (node != nullptr)
         return ctx.win_fail(ERR_FILE_EXISTS, INVALID_HANDLE_VALUE32);
-      node = fs.create_file(parsed, true, false);
+      if (!create(true, false)) return core::panicked();
       break;
     case 2:  // CREATE_ALWAYS
-      node = fs.create_file(parsed, false, true);
+      if (!create(false, true)) return core::panicked();
       break;
     case 3:  // OPEN_EXISTING
       if (node == nullptr)
         return ctx.win_fail(ERR_FILE_NOT_FOUND, INVALID_HANDLE_VALUE32);
       break;
     case 4:  // OPEN_ALWAYS
-      if (node == nullptr) node = fs.create_file(parsed, false, false);
+      if (node == nullptr && !create(false, false)) return core::panicked();
       break;
     case 5:  // TRUNCATE_EXISTING
       if (node == nullptr)
@@ -65,7 +72,7 @@ CallOutcome do_create_file(CallContext& ctx) {
       sim::FileObject::kAccessRead |
           (wants_write ? sim::FileObject::kAccessWrite : 0u),
       false);
-  return ok(ctx.proc().handles().insert(std::move(obj)));
+  return core::ok_or_panicked(ctx.proc().handles().insert(std::move(obj)));
 }
 
 CallOutcome do_delete_file(CallContext& ctx) {
@@ -76,7 +83,9 @@ CallOutcome do_delete_file(CallContext& ctx) {
   auto node = fs.resolve(parsed);
   if (node == nullptr) return ctx.win_fail(ERR_FILE_NOT_FOUND, 0);
   if (node->is_dir()) return ctx.win_fail(ERR_ACCESS_DENIED, 0);
-  if (!fs.remove_file(parsed)) return ctx.win_fail(ERR_ACCESS_DENIED, 0);
+  const sim::Survived<bool> removed = fs.remove_file(parsed);
+  if (removed.down()) return core::panicked();
+  if (!removed.value) return ctx.win_fail(ERR_ACCESS_DENIED, 0);
   return ok(1);
 }
 
@@ -90,10 +99,11 @@ CallOutcome do_copy_file(CallContext& ctx) {
   auto from = node_at(ctx, *src.path);
   if (from == nullptr || from->is_dir())
     return ctx.win_fail(ERR_FILE_NOT_FOUND, 0);
-  auto to = fs.create_file(fs.parse(*dst.path, ctx.proc().cwd()),
-                           fail_if_exists, true);
-  if (to == nullptr) return ctx.win_fail(ERR_FILE_EXISTS, 0);
-  to->data() = from->data();
+  const auto to = fs.create_file(fs.parse(*dst.path, ctx.proc().cwd()),
+                                 fail_if_exists, true);
+  if (to.down()) return core::panicked();
+  if (to.value == nullptr) return ctx.win_fail(ERR_FILE_EXISTS, 0);
+  to.value->data() = from->data();
   return ok(1);
 }
 
@@ -103,9 +113,11 @@ CallOutcome do_move_file(CallContext& ctx) {
   const auto dst = read_path_arg(ctx, ctx.arg_addr(1));
   if (!dst.path) return dst.fail;
   auto& fs = fs_of(ctx);
-  if (!fs.rename(fs.parse(*src.path, ctx.proc().cwd()),
-                 fs.parse(*dst.path, ctx.proc().cwd())))
-    return ctx.win_fail(ERR_FILE_NOT_FOUND, 0);
+  const sim::Survived<bool> moved =
+      fs.rename(fs.parse(*src.path, ctx.proc().cwd()),
+                fs.parse(*dst.path, ctx.proc().cwd()));
+  if (moved.down()) return core::panicked();
+  if (!moved.value) return ctx.win_fail(ERR_FILE_NOT_FOUND, 0);
   return ok(1);
 }
 
@@ -113,8 +125,9 @@ CallOutcome do_create_dir(CallContext& ctx) {
   const auto pr = read_path_arg(ctx, ctx.arg_addr(0));
   if (!pr.path) return pr.fail;
   auto& fs = fs_of(ctx);
-  if (fs.create_dir(fs.parse(*pr.path, ctx.proc().cwd())) == nullptr)
-    return ctx.win_fail(ERR_ALREADY_EXISTS, 0);
+  const auto created = fs.create_dir(fs.parse(*pr.path, ctx.proc().cwd()));
+  if (created.down()) return core::panicked();
+  if (created.value == nullptr) return ctx.win_fail(ERR_ALREADY_EXISTS, 0);
   return ok(1);
 }
 
@@ -136,7 +149,9 @@ CallOutcome do_remove_dir(CallContext& ctx) {
   }
   if (!node->is_dir()) return ctx.win_fail(ERR_INVALID_NAME, 0);
   if (!node->children().empty()) return ctx.win_fail(ERR_DIR_NOT_EMPTY, 0);
-  if (!fs.remove_dir(parsed)) return ctx.win_fail(ERR_ACCESS_DENIED, 0);
+  const sim::Survived<bool> removed = fs.remove_dir(parsed);
+  if (removed.down()) return core::panicked();
+  if (!removed.value) return ctx.win_fail(ERR_ACCESS_DENIED, 0);
   return ok(1);
 }
 
@@ -162,8 +177,9 @@ CallOutcome do_set_attrs(CallContext& ctx) {
   auto node = node_at(ctx, *pr.path);
   if (node == nullptr) return ctx.win_fail(ERR_FILE_NOT_FOUND, 0);
   auto& fs = ctx.machine().fs();
-  fs.set_read_only(*node, (attrs & 0x01) != 0);
-  fs.set_hidden(*node, (attrs & 0x02) != 0);
+  if (sim::down(fs.set_read_only(*node, (attrs & 0x01) != 0)) ||
+      sim::down(fs.set_hidden(*node, (attrs & 0x02) != 0)))
+    return core::panicked();
   return ok(1);
 }
 
@@ -291,7 +307,9 @@ CallOutcome do_get_temp_file_name(CallContext& ctx) {
                 prefix.substr(0, 3).c_str(), id);
   auto& fs = fs_of(ctx);
   const std::string full = *dir.path + "/" + name;
-  if (unique == 0) fs.create_file(fs.parse(full, ctx.proc().cwd()), false, false);
+  if (unique == 0 &&
+      fs.create_file(fs.parse(full, ctx.proc().cwd()), false, false).down())
+    return core::panicked();
   std::vector<std::uint8_t> bytes(full.begin(), full.end());
   bytes.push_back(0);
   const MemStatus wst = ctx.k_write(ctx.arg_addr(3), bytes);
@@ -341,7 +359,7 @@ CallOutcome do_find_first(CallContext& ctx) {
       write_find_data(ctx, ctx.arg_addr(1), find->names().front());
   if (wrote.status != core::CallStatus::kSuccess) return wrote;
   find->cursor = 1;
-  return ok(ctx.proc().handles().insert(std::move(find)));
+  return core::ok_or_panicked(ctx.proc().handles().insert(std::move(find)));
 }
 
 CallOutcome do_find_next(CallContext& ctx) {
@@ -356,7 +374,8 @@ CallOutcome do_find_next(CallContext& ctx) {
 CallOutcome do_find_close(CallContext& ctx) {
   auto hc = check_handle(ctx, ctx.arg(0), sim::ObjectKind::kFindHandle);
   if (hc.fail) return *hc.fail;
-  ctx.proc().handles().close(static_cast<std::uint32_t>(ctx.arg(0)));
+  if (ctx.proc().handles().close(static_cast<std::uint32_t>(ctx.arg(0))).down())
+    return core::panicked();
   return ok(1);
 }
 
@@ -567,7 +586,9 @@ CallOutcome do_set_file_time(CallContext& ctx) {
     std::uint64_t ft = 0;
     const MemStatus st = ctx.k_read_u64(in, &ft);
     if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
-    ctx.machine().fs().set_last_write(*f->node(), ft / 10'000'000ull);
+    if (sim::down(
+            ctx.machine().fs().set_last_write(*f->node(), ft / 10'000'000ull)))
+      return core::panicked();
   }
   return ok(1);
 }

@@ -29,7 +29,10 @@ CallOutcome do_close_handle(CallContext& ctx) {
   if (static_cast<std::uint32_t>(h) == kPseudoCurrentProcess ||
       static_cast<std::uint32_t>(h) == kPseudoCurrentThread)
     return ok(1);  // closing a pseudo-handle is a harmless no-op
-  if (!ctx.proc().handles().close(static_cast<std::uint32_t>(h))) {
+  const sim::Survived<bool> closed =
+      ctx.proc().handles().close(static_cast<std::uint32_t>(h));
+  if (closed.down()) return core::panicked();
+  if (!closed.value) {
     if (ctx.os().pointer_policy == sim::PointerPolicy::kStubCheckLoose)
       return core::silent_success(1);
     return ctx.win_fail(ERR_INVALID_HANDLE, 0);
@@ -45,13 +48,15 @@ CallOutcome do_duplicate_handle(CallContext& ctx) {
   auto dst_proc = check_handle(ctx, ctx.arg(2), sim::ObjectKind::kProcess);
   if (dst_proc.fail) return *dst_proc.fail;
   const Addr out = ctx.arg_addr(3);
-  const std::uint64_t nh = ctx.proc().handles().insert(src.obj);
+  const sim::Survived<std::uint64_t> dup = ctx.proc().handles().insert(src.obj);
+  if (dup.down()) return core::panicked();
+  const std::uint64_t nh = dup.value;
   // On the 9x family this store went through an unprobed kernel path
   // (Table 3: *DuplicateHandle).
   const MemStatus st = ctx.k_write_u32(out, static_cast<std::uint32_t>(nh));
-  if (st == MemStatus::kFault) return core::faulted();  // the task dies
+  if (core::ends_call(st)) return core::ended(st);  // the task dies
   if (st != MemStatus::kOk) {
-    ctx.proc().handles().close(nh);
+    if (ctx.proc().handles().close(nh).down()) return core::panicked();
     return ctx.win_mem_fail(st);
   }
   return ok(1);
@@ -188,7 +193,7 @@ CallOutcome do_write_file(CallContext& ctx, bool ex_variant) {
   std::vector<std::uint8_t> data(n);
   MemStatus st = ctx.k_read(buf, data);
   if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
-  f->write_at(data);
+  if (f->write_at(data).down()) return core::panicked();
   if (!ex_variant) {
     const Addr out = ctx.arg_addr(3);
     if (out != 0) {

@@ -37,8 +37,10 @@ CallOutcome do_create_process(CallContext& ctx) {
   auto child = std::make_shared<sim::ProcessObject>(ctx.proc().pid() + 1);
   // PROCESS_INFORMATION out-struct: 16 bytes.
   const Addr pi = ctx.arg_addr(3);
-  const std::uint64_t h = ctx.proc().handles().insert(std::move(child));
-  const MemStatus st = ctx.k_write_u32(pi, static_cast<std::uint32_t>(h));
+  const sim::Survived<std::uint64_t> h =
+      ctx.proc().handles().insert(std::move(child));
+  if (h.down()) return core::panicked();
+  const MemStatus st = ctx.k_write_u32(pi, static_cast<std::uint32_t>(h.value));
   if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
   return ok(1);
 }
@@ -54,14 +56,18 @@ CallOutcome do_create_thread(CallContext& ctx) {
   }
   if (start == 0) return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
   auto thread = ctx.proc().spawn_thread();
-  const std::uint32_t tid = static_cast<std::uint32_t>(thread->tid());
-  const std::uint64_t h = ctx.proc().handles().insert(std::move(thread));
+  if (thread.down()) return core::panicked();
+  const std::uint32_t tid = static_cast<std::uint32_t>(thread.value->tid());
+  const sim::Survived<std::uint64_t> inserted =
+      ctx.proc().handles().insert(std::move(thread.value));
+  if (inserted.down()) return core::panicked();
+  const std::uint64_t h = inserted.value;
   if (tid_out != 0) {
     // Stored from kernel context — *CreateThread (Table 3) on 98SE/CE.
     const MemStatus st = ctx.k_write_u32(tid_out, tid);
-    if (st == MemStatus::kFault) return core::faulted();  // the task dies
+    if (core::ends_call(st)) return core::ended(st);  // the task dies
     if (st != MemStatus::kOk) {
-      ctx.proc().handles().close(h);
+      if (ctx.proc().handles().close(h).down()) return core::panicked();
       return ctx.win_mem_fail(st);
     }
   }
@@ -83,7 +89,7 @@ CallOutcome do_terminate(CallContext& ctx, sim::ObjectKind kind) {
   } else {
     static_cast<sim::ThreadObject*>(hc.obj.get())->exit_code = code;
   }
-  hc.obj->set_signaled(true);
+  if (sim::down(hc.obj->set_signaled(true))) return core::panicked();
   return ok(1);
 }
 
@@ -160,7 +166,8 @@ CallOutcome do_thread_priority(CallContext& ctx, bool set) {
 CallOutcome do_open_process(CallContext& ctx) {
   const std::uint32_t pid = ctx.arg32(2);
   if (pid == ctx.proc().pid())
-    return ok(ctx.proc().handles().insert(ctx.proc().self_object()));
+    return core::ok_or_panicked(
+        ctx.proc().handles().insert(ctx.proc().self_object()));
   return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
 }
 
@@ -170,15 +177,15 @@ CallOutcome wait_single(CallContext& ctx, std::uint64_t h,
   auto hc = check_handle(ctx, h, std::nullopt, WAIT_FAILED);
   if (hc.fail) return *hc.fail;
   if (hc.obj->signaled()) {
+    sim::Verdict v = sim::Verdict::kUp;
     if (hc.obj->kind() == sim::ObjectKind::kMutex)
-      static_cast<sim::MutexObject*>(hc.obj.get())->set_held(true);
+      v = static_cast<sim::MutexObject*>(hc.obj.get())->set_held(true);
     else if (hc.obj->kind() == sim::ObjectKind::kEvent &&
              !static_cast<sim::EventObject*>(hc.obj.get())->manual_reset())
-      hc.obj->set_signaled(false);
-    else if (hc.obj->kind() == sim::ObjectKind::kSemaphore) {
-      auto* s = static_cast<sim::SemaphoreObject*>(hc.obj.get());
-      s->release(-1);
-    }
+      v = hc.obj->set_signaled(false);
+    else if (hc.obj->kind() == sim::ObjectKind::kSemaphore)
+      v = static_cast<sim::SemaphoreObject*>(hc.obj.get())->release(-1).verdict;
+    if (sim::down(v)) return core::panicked();
     return ok(WAIT_OBJECT_0);
   }
   if (timeout == INFINITE32) {
@@ -252,19 +259,17 @@ CallOutcome do_create_event(CallContext& ctx) {
     const MemStatus st = ctx.k_read_str(name, &n, 260);
     if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
   }
-  return ok(ctx.proc().handles().insert(std::make_shared<sim::EventObject>(
-      ctx.arg32(1) != 0, ctx.arg32(2) != 0, std::move(n))));
+  return core::ok_or_panicked(
+      ctx.proc().handles().insert(std::make_shared<sim::EventObject>(
+          ctx.arg32(1) != 0, ctx.arg32(2) != 0, std::move(n))));
 }
 
 CallOutcome event_op(CallContext& ctx, int op) {
   auto hc = check_handle(ctx, ctx.arg(0), sim::ObjectKind::kEvent);
   if (hc.fail) return *hc.fail;
   auto* e = static_cast<sim::EventObject*>(hc.obj.get());
-  switch (op) {
-    case 0: e->set_signaled(true); break;                    // SetEvent
-    case 1: e->set_signaled(false); break;                   // ResetEvent
-    case 2: e->set_signaled(false); break;                   // PulseEvent
-  }
+  // SetEvent signals; ResetEvent and PulseEvent leave it non-signaled.
+  if (sim::down(e->set_signaled(op == 0))) return core::panicked();
   return ok(1);
 }
 
@@ -275,7 +280,7 @@ CallOutcome do_create_mutex(CallContext& ctx) {
     const MemStatus st = ctx.k_read_str(name, &n, 260);
     if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
   }
-  return ok(ctx.proc().handles().insert(
+  return core::ok_or_panicked(ctx.proc().handles().insert(
       std::make_shared<sim::MutexObject>(ctx.arg32(1) != 0, std::move(n))));
 }
 
@@ -284,7 +289,7 @@ CallOutcome do_release_mutex(CallContext& ctx) {
   if (hc.fail) return *hc.fail;
   auto* m = static_cast<sim::MutexObject*>(hc.obj.get());
   if (!m->held()) return ctx.win_fail(ERR_NOT_SUPPORTED, 0);  // not owner
-  m->set_held(false);
+  if (sim::down(m->set_held(false))) return core::panicked();
   return ok(1);
 }
 
@@ -293,7 +298,7 @@ CallOutcome do_create_semaphore(CallContext& ctx) {
   const std::int64_t maximum = ctx.argi(2);
   if (maximum <= 0 || initial < 0 || initial > maximum)
     return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
-  return ok(ctx.proc().handles().insert(
+  return core::ok_or_panicked(ctx.proc().handles().insert(
       std::make_shared<sim::SemaphoreObject>(initial, maximum, "")));
 }
 
@@ -304,7 +309,9 @@ CallOutcome do_release_semaphore(CallContext& ctx) {
   const std::int32_t n = ctx.argi(1);
   if (n <= 0) return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
   const std::int64_t prev = s->count();
-  if (!s->release(n)) return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
+  const sim::Survived<bool> released = s->release(n);
+  if (released.down()) return core::panicked();
+  if (!released.value) return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
   const Addr out = ctx.arg_addr(2);
   if (out != 0) {
     const MemStatus st =

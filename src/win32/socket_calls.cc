@@ -62,7 +62,7 @@ SockCheck check_socket(CallContext& ctx, std::uint64_t h,
 
 CallOutcome wsa_mem_fail(CallContext& ctx, MemStatus st,
                          std::uint64_t fail_ret = SOCKET_ERROR32) {
-  if (st == MemStatus::kFault) return core::faulted();
+  if (core::ends_call(st)) return core::ended(st);
   if (st == MemStatus::kSilent) return core::silent_success(0);
   return ctx.win_fail(WSAEFAULT, fail_ret);
 }
@@ -82,6 +82,7 @@ CallOutcome wsa_net_fail(CallContext& ctx, NetErr e,
     case NetErr::kConnReset: return ctx.win_fail(WSAECONNRESET, fail_ret);
     case NetErr::kMsgSize: return ctx.win_fail(WSAEMSGSIZE, fail_ret);
     case NetErr::kOpNotSupp: return ctx.win_fail(WSAEOPNOTSUPP, fail_ret);
+    case NetErr::kDown: return core::panicked();
     default: return ctx.win_fail(WSAEINVAL, fail_ret);
   }
 }
@@ -168,7 +169,8 @@ CallOutcome do_socket(CallContext& ctx) {
       proto == 0 || (p == SockProto::kTcp && proto == core::IPPROTO_TCP_SIM) ||
       (p == SockProto::kUdp && proto == core::IPPROTO_UDP_SIM);
   if (!proto_ok) return ctx.win_fail(WSAEPROTONOSUPPORT, INVALID_SOCKET32);
-  return ok(ctx.proc().handles().insert(std::make_shared<SocketObject>(p)));
+  return core::ok_or_panicked(
+      ctx.proc().handles().insert(std::make_shared<SocketObject>(p)));
 }
 
 CallOutcome do_bind(CallContext& ctx) {
@@ -228,7 +230,7 @@ CallOutcome do_accept(CallContext& ctx) {
   if (auto fail = write_sockaddr_out(ctx, addr, len_ptr, peer,
                                      INVALID_SOCKET32))
     return *fail;
-  return ok(ctx.proc().handles().insert(std::move(conn)));
+  return core::ok_or_panicked(ctx.proc().handles().insert(std::move(conn)));
 }
 
 CallOutcome do_send(CallContext& ctx) {
@@ -265,7 +267,9 @@ CallOutcome do_recv(CallContext& ctx) {
   const MemStatus st = ctx.k_write(ctx.arg_addr(1),
                                    std::span(data.data(), got));
   if (st != MemStatus::kOk) return wsa_mem_fail(ctx, st);
-  if (!peek) ctx.machine().net().recv(*sc.sock, data, /*peek=*/false, &got);
+  if (!peek && ctx.machine().net().recv(*sc.sock, data, /*peek=*/false,
+                                        &got) == NetErr::kDown)
+    return core::panicked();
   return ok(got);
 }
 
@@ -314,7 +318,8 @@ CallOutcome do_recvfrom(CallContext& ctx) {
     return *fail;
   if (!peek) {
     sim::Datagram discard;
-    ctx.machine().net().recvfrom(*sc.sock, &discard);
+    if (ctx.machine().net().recvfrom(*sc.sock, &discard) == NetErr::kDown)
+      return core::panicked();
   }
   // A datagram larger than the buffer is delivered truncated with
   // WSAEMSGSIZE — an error return that still moved data.
@@ -386,8 +391,9 @@ CallOutcome do_shutdown(CallContext& ctx) {
 CallOutcome do_closesocket(CallContext& ctx) {
   auto sc = check_socket(ctx, ctx.arg(0));
   if (sc.fail) return *sc.fail;
-  ctx.machine().net().on_close(*sc.sock);
-  ctx.proc().handles().close(static_cast<std::uint32_t>(ctx.arg(0)));
+  if (sim::down(ctx.machine().net().on_close(*sc.sock)) ||
+      ctx.proc().handles().close(static_cast<std::uint32_t>(ctx.arg(0))).down())
+    return core::panicked();
   return ok(0);
 }
 

@@ -31,18 +31,18 @@ using core::poolkit::BadPtr;
 
 std::uint64_t insert_event(ValueCtx& c, bool manual, bool signaled,
                            std::string name = {}) {
-  return c.proc.handles().insert(
+  return c.insert_handle(
       std::make_shared<sim::EventObject>(manual, signaled, std::move(name)));
 }
 
 std::uint64_t insert_mutex(ValueCtx& c, bool owned, std::string name = {}) {
-  return c.proc.handles().insert(
+  return c.insert_handle(
       std::make_shared<sim::MutexObject>(owned, std::move(name)));
 }
 
 std::uint64_t insert_semaphore(ValueCtx& c, std::int64_t initial,
                                std::int64_t maximum, std::string name = {}) {
-  return c.proc.handles().insert(std::make_shared<sim::SemaphoreObject>(
+  return c.insert_handle(std::make_shared<sim::SemaphoreObject>(
       initial, maximum, std::move(name)));
 }
 
@@ -126,7 +126,7 @@ void register_sync_types(core::TypeLibrary& lib) {
            [](ValueCtx& c) { return insert_semaphore(c, 2, 4); })
       .add("w_thread_running", false,
            [](ValueCtx& c) {
-             return c.proc.handles().insert(c.proc.spawn_thread());
+             return c.insert_handle(c.proc.spawn_thread().value);
            })
       .add("w_pseudo_process", false,
            [](ValueCtx&) { return kPseudoCurrentProcess; })
@@ -283,19 +283,18 @@ CallOutcome do_sync_create_event(CallContext& ctx) {
     const MemStatus st = ctx.k_read_str(name, &n, 260);
     if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
   }
-  return ok(ctx.proc().handles().insert(std::make_shared<sim::EventObject>(
-      ctx.arg32(1) != 0, ctx.arg32(2) != 0, std::move(n))));
+  return core::ok_or_panicked(
+      ctx.proc().handles().insert(std::make_shared<sim::EventObject>(
+          ctx.arg32(1) != 0, ctx.arg32(2) != 0, std::move(n))));
 }
 
 CallOutcome sync_event_op(CallContext& ctx, int op) {
   auto hc = check_handle(ctx, ctx.arg(0), sim::ObjectKind::kEvent);
   if (hc.fail) return *hc.fail;
   auto* e = static_cast<sim::EventObject*>(hc.obj.get());
-  switch (op) {
-    case 0: e->set_signaled(true); break;   // SetEvent
-    case 1: e->set_signaled(false); break;  // ResetEvent
-    case 2: e->set_signaled(false); break;  // PulseEvent releases + resets
-  }
+  // SetEvent signals; ResetEvent, and PulseEvent (which releases and then
+  // resets), leave it non-signaled.
+  if (sim::down(e->set_signaled(op == 0))) return core::panicked();
   return ok(1);
 }
 
@@ -306,7 +305,7 @@ CallOutcome do_sync_create_mutex(CallContext& ctx) {
     const MemStatus st = ctx.k_read_str(name, &n, 260);
     if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
   }
-  return ok(ctx.proc().handles().insert(
+  return core::ok_or_panicked(ctx.proc().handles().insert(
       std::make_shared<sim::MutexObject>(ctx.arg32(1) != 0, std::move(n))));
 }
 
@@ -318,7 +317,7 @@ CallOutcome do_sync_release_mutex(CallContext& ctx) {
   // variant — the 9x stubs validate ownership even though they skip handle
   // validation, so this arm contributes no Silent contrast.
   if (!m->held()) return ctx.win_fail(ERR_NOT_OWNER, 0);
-  m->set_held(false);
+  if (sim::down(m->set_held(false))) return core::panicked();
   return ok(1);
 }
 
@@ -333,8 +332,9 @@ CallOutcome do_sync_create_semaphore(CallContext& ctx) {
     const MemStatus st = ctx.k_read_str(name, &n, 260);
     if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
   }
-  return ok(ctx.proc().handles().insert(std::make_shared<sim::SemaphoreObject>(
-      initial, maximum, std::move(n))));
+  return core::ok_or_panicked(
+      ctx.proc().handles().insert(std::make_shared<sim::SemaphoreObject>(
+          initial, maximum, std::move(n))));
 }
 
 CallOutcome do_sync_release_semaphore(CallContext& ctx) {
@@ -346,7 +346,9 @@ CallOutcome do_sync_release_semaphore(CallContext& ctx) {
   const std::int64_t prev = s->count();
   // Past the maximum the release is rejected whole (the SDK's
   // ERROR_TOO_MANY_POSTS), leaving the count untouched.
-  if (!s->release(n)) return ctx.win_fail(ERR_TOO_MANY_POSTS, 0);
+  const sim::Survived<bool> released = s->release(n);
+  if (released.down()) return core::panicked();
+  if (!released.value) return ctx.win_fail(ERR_TOO_MANY_POSTS, 0);
   const Addr out = ctx.arg_addr(2);
   if (out != 0) {
     const MemStatus st =
@@ -357,14 +359,15 @@ CallOutcome do_sync_release_semaphore(CallContext& ctx) {
 }
 
 /// Acquire side effects of a satisfied wait, by object kind.
-void consume_signal(sim::KernelObject& obj) {
+sim::Verdict consume_signal(sim::KernelObject& obj) {
   if (obj.kind() == sim::ObjectKind::kMutex)
-    static_cast<sim::MutexObject&>(obj).set_held(true);
-  else if (obj.kind() == sim::ObjectKind::kEvent &&
-           !static_cast<sim::EventObject&>(obj).manual_reset())
-    obj.set_signaled(false);
-  else if (obj.kind() == sim::ObjectKind::kSemaphore)
-    static_cast<sim::SemaphoreObject&>(obj).release(-1);
+    return static_cast<sim::MutexObject&>(obj).set_held(true);
+  if (obj.kind() == sim::ObjectKind::kEvent &&
+      !static_cast<sim::EventObject&>(obj).manual_reset())
+    return obj.set_signaled(false);
+  if (obj.kind() == sim::ObjectKind::kSemaphore)
+    return static_cast<sim::SemaphoreObject&>(obj).release(-1).verdict;
+  return sim::Verdict::kUp;
 }
 
 CallOutcome sync_wait_single(CallContext& ctx, std::uint64_t h,
@@ -372,7 +375,7 @@ CallOutcome sync_wait_single(CallContext& ctx, std::uint64_t h,
   auto hc = check_handle(ctx, h, std::nullopt, WAIT_FAILED);
   if (hc.fail) return *hc.fail;
   if (hc.obj->signaled()) {
-    consume_signal(*hc.obj);
+    if (sim::down(consume_signal(*hc.obj))) return core::panicked();
     return ok(WAIT_OBJECT_0);
   }
   if (timeout == INFINITE32) {
@@ -410,7 +413,7 @@ CallOutcome do_sync_wait_multiple(CallContext& ctx) {
     if (hc.fail) return *hc.fail;
     if (hc.obj->signaled()) {
       if (!wait_all) {
-        consume_signal(*hc.obj);
+        if (sim::down(consume_signal(*hc.obj))) return core::panicked();
         return ok(WAIT_OBJECT_0 + i);
       }
       ++satisfied;
@@ -421,7 +424,8 @@ CallOutcome do_sync_wait_multiple(CallContext& ctx) {
   if (wait_all && satisfied == count) {
     // All-or-nothing acquisition: side effects land only once every object
     // is signaled, never piecemeal.
-    for (sim::KernelObject* o : objs) consume_signal(*o);
+    for (sim::KernelObject* o : objs)
+      if (sim::down(consume_signal(*o))) return core::panicked();
     return ok(WAIT_OBJECT_0);
   }
   if (timeout == INFINITE32) ctx.proc().hang(ctx.mut().name);
@@ -436,18 +440,21 @@ CallOutcome do_signal_object_and_wait(CallContext& ctx) {
   if (hc.fail) return *hc.fail;
   switch (hc.obj->kind()) {
     case sim::ObjectKind::kEvent:
-      hc.obj->set_signaled(true);
+      if (sim::down(hc.obj->set_signaled(true))) return core::panicked();
       break;
     case sim::ObjectKind::kMutex: {
       auto* m = static_cast<sim::MutexObject*>(hc.obj.get());
       if (!m->held()) return ctx.win_fail(ERR_NOT_OWNER, WAIT_FAILED);
-      m->set_held(false);
+      if (sim::down(m->set_held(false))) return core::panicked();
       break;
     }
-    case sim::ObjectKind::kSemaphore:
-      if (!static_cast<sim::SemaphoreObject*>(hc.obj.get())->release(1))
-        return ctx.win_fail(ERR_TOO_MANY_POSTS, WAIT_FAILED);
+    case sim::ObjectKind::kSemaphore: {
+      const sim::Survived<bool> released =
+          static_cast<sim::SemaphoreObject*>(hc.obj.get())->release(1);
+      if (released.down()) return core::panicked();
+      if (!released.value) return ctx.win_fail(ERR_TOO_MANY_POSTS, WAIT_FAILED);
       break;
+    }
     default:
       // Only the three signalable kinds are accepted for the signal half.
       return ctx.win_fail(ERR_INVALID_HANDLE, WAIT_FAILED);
@@ -469,7 +476,7 @@ CallOutcome do_open_object(CallContext& ctx, sim::ObjectKind kind) {
   if (n.empty()) return ctx.win_fail(ERR_INVALID_NAME, 0);
   for (const auto& [h, obj] : ctx.proc().handles().entries()) {
     if (obj && obj->kind() == kind && obj->name() == n)
-      return ok(ctx.proc().handles().insert(obj));
+      return core::ok_or_panicked(ctx.proc().handles().insert(obj));
   }
   return ctx.win_fail(ERR_FILE_NOT_FOUND, 0);
 }

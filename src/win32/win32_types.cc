@@ -18,7 +18,7 @@ std::uint64_t insert_fixture_file(ValueCtx& c, bool writable) {
       sim::FileObject::kAccessRead |
           (writable ? sim::FileObject::kAccessWrite : 0u),
       false);
-  return c.proc.handles().insert(std::move(obj));
+  return c.insert_handle(std::move(obj));
 }
 
 }  // namespace
@@ -30,12 +30,12 @@ void register_win32_types(core::TypeLibrary& lib) {
           [](ValueCtx& c) { return insert_fixture_file(c, true); })
       .add("h_event_valid", false,
            [](ValueCtx& c) {
-             return c.proc.handles().insert(
+             return c.insert_handle(
                  std::make_shared<sim::EventObject>(true, true, ""));
            })
       .add("h_event_unsignaled", false,
            [](ValueCtx& c) {
-             return c.proc.handles().insert(
+             return c.insert_handle(
                  std::make_shared<sim::EventObject>(true, false, ""));
            })
       .add("h_null", true, [](ValueCtx&) { return RawArg{0}; })
@@ -44,7 +44,7 @@ void register_win32_types(core::TypeLibrary& lib) {
       .add("h_closed", true,
            [](ValueCtx& c) {
              const auto h = insert_fixture_file(c, false);
-             c.proc.handles().close(h);
+             (void)c.proc.handles().close(h);  // outside the window: kUp
              return h;
            })
       .add("h_garbage", true, [](ValueCtx&) { return RawArg{0x12345678}; })
@@ -60,7 +60,7 @@ void register_win32_types(core::TypeLibrary& lib) {
            [](ValueCtx& c) {
              auto& fs = c.machine.fs();
              auto node = fs.resolve(fs.parse("/tmp/readonly.dat", c.proc.cwd()));
-             return c.proc.handles().insert(std::make_shared<sim::FileObject>(
+             return c.insert_handle(std::make_shared<sim::FileObject>(
                  node, sim::FileObject::kAccessRead, false));
            })
       .add("h_pseudo_process_as_file", true,
@@ -69,11 +69,11 @@ void register_win32_types(core::TypeLibrary& lib) {
   auto& t_hthread = lib.make("h_thread", &lib.get("h_any"));
   t_hthread
       .add("h_thread_main", false,
-           [](ValueCtx& c) { return c.proc.handles().insert(c.proc.main_thread()); })
+           [](ValueCtx& c) { return c.insert_handle(c.proc.main_thread()); })
       .add("h_thread_pseudo", false,
            [](ValueCtx&) { return kPseudoCurrentThread; })
       .add("h_thread_spawned", false, [](ValueCtx& c) {
-        return c.proc.handles().insert(c.proc.spawn_thread());
+        return c.insert_handle(c.proc.spawn_thread().value);
       });
 
   auto& t_hproc = lib.make("h_process", &lib.get("h_any"));
@@ -81,43 +81,43 @@ void register_win32_types(core::TypeLibrary& lib) {
       .add("h_process_pseudo", false,
            [](ValueCtx&) { return kPseudoCurrentProcess; })
       .add("h_process_self", false, [](ValueCtx& c) {
-        return c.proc.handles().insert(c.proc.self_object());
+        return c.insert_handle(c.proc.self_object());
       });
 
   auto& t_hevent = lib.make("h_event", &lib.get("h_any"));
   t_hevent
       .add("h_event_unsignaled", false,
            [](ValueCtx& c) {
-             return c.proc.handles().insert(
+             return c.insert_handle(
                  std::make_shared<sim::EventObject>(true, false, ""));
            })
       .add("h_event_auto", false, [](ValueCtx& c) {
-        return c.proc.handles().insert(
+        return c.insert_handle(
             std::make_shared<sim::EventObject>(false, true, ""));
       });
 
   auto& t_hmutex = lib.make("h_mutex", &lib.get("h_any"));
   t_hmutex.add("h_mutex_valid", false, [](ValueCtx& c) {
-    return c.proc.handles().insert(
+    return c.insert_handle(
         std::make_shared<sim::MutexObject>(false, ""));
   });
 
   auto& t_hsem = lib.make("h_sem", &lib.get("h_any"));
   t_hsem.add("h_sem_valid", false, [](ValueCtx& c) {
-    return c.proc.handles().insert(
+    return c.insert_handle(
         std::make_shared<sim::SemaphoreObject>(1, 4, ""));
   });
 
   auto& t_hheap = lib.make("h_heap", &lib.get("h_any"));
   t_hheap.add("h_heap_valid", false, [](ValueCtx& c) {
-    return c.proc.handles().insert(
+    return c.insert_handle(
         std::make_shared<sim::HeapObject>(1 << 16, 1 << 20));
   });
 
   auto& t_hfind = lib.make("h_find", &lib.get("h_any"));
   t_hfind.add("h_find_valid", false, [](ValueCtx& c) {
     std::vector<std::string> names{"fixture.dat", "readonly.dat"};
-    return c.proc.handles().insert(
+    return c.insert_handle(
         std::make_shared<sim::FindObject>(std::move(names)));
   });
 
@@ -128,7 +128,7 @@ void register_win32_types(core::TypeLibrary& lib) {
            [](ValueCtx& c) {
              const auto a = c.proc.mem().alloc(16);
              for (int i = 0; i < 2; ++i) {
-               const auto h = c.proc.handles().insert(
+               const auto h = c.insert_handle(
                    std::make_shared<sim::EventObject>(true, true, ""));
                c.proc.mem().poke_u32(a + 4 * i, static_cast<std::uint32_t>(h));
              }
@@ -137,7 +137,7 @@ void register_win32_types(core::TypeLibrary& lib) {
       .add("harr_unsignaled", false,
            [](ValueCtx& c) {
              const auto a = c.proc.mem().alloc(16);
-             const auto h = c.proc.handles().insert(
+             const auto h = c.insert_handle(
                  std::make_shared<sim::EventObject>(true, false, ""));
              c.proc.mem().poke_u32(a, static_cast<std::uint32_t>(h));
              return a;

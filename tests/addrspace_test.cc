@@ -35,7 +35,7 @@ TEST(AddressSpace, UnmappedReadFaults) {
 
 TEST(AddressSpace, MapThenAccess) {
   AddressSpace mem;
-  mem.map(0x10000, 4096, kPermRW);
+  (void)mem.map(0x10000, 4096, kPermRW);
   EXPECT_FALSE(mem.write_u8(0x10000, 42));
   EXPECT_EQ(rd8(mem, 0x10000), 42);
   EXPECT_FALSE(mem.write_u32(0x10100, 0xCAFEBABE));
@@ -55,7 +55,7 @@ TEST(AddressSpace, FaultCarriesAddressAndDirection) {
 
 TEST(AddressSpace, ReadOnlyPageRejectsWrites) {
   AddressSpace mem;
-  mem.map(0x20000, 4096, kPermRead);
+  (void)mem.map(0x20000, 4096, kPermRead);
   EXPECT_EQ(rd8(mem, 0x20000), 0);
   EXPECT_EQ(mem.write_u8(0x20000, 1), av(0x20000, true));
   // Kernel mode also honours write protection.
@@ -64,26 +64,26 @@ TEST(AddressSpace, ReadOnlyPageRejectsWrites) {
 
 TEST(AddressSpace, ProtectChangesPermissions) {
   AddressSpace mem;
-  mem.map(0x30000, 4096, kPermRW);
+  (void)mem.map(0x30000, 4096, kPermRW);
   EXPECT_FALSE(mem.write_u8(0x30000, 9));
-  mem.protect(0x30000, 4096, kPermRead);
+  (void)mem.protect(0x30000, 4096, kPermRead);
   EXPECT_EQ(mem.write_u8(0x30000, 1), av(0x30000, true));
   EXPECT_EQ(rd8(mem, 0x30000), 9);  // contents survive protection change
-  mem.protect(0x30000, 4096, kPermNone);
+  (void)mem.protect(0x30000, 4096, kPermNone);
   EXPECT_EQ(read_fault<std::uint8_t>(mem, 0x30000), av(0x30000, false));
 }
 
 TEST(AddressSpace, UnmapCreatesDanglingFaults) {
   AddressSpace mem;
-  mem.map(0x40000, 8192, kPermRW);
-  mem.unmap(0x40000, 4096);
+  (void)mem.map(0x40000, 8192, kPermRW);
+  (void)mem.unmap(0x40000, 4096);
   EXPECT_EQ(read_fault<std::uint8_t>(mem, 0x40000), av(0x40000, false));
   EXPECT_EQ(rd8(mem, 0x41000), 0);  // second page still mapped
 }
 
 TEST(AddressSpace, KernelOnlyPagesBlockUserAccess) {
   AddressSpace mem;
-  mem.map(0x50000, 4096, kPermRW, /*kernel_only=*/true);
+  (void)mem.map(0x50000, 4096, kPermRW, /*kernel_only=*/true);
   EXPECT_EQ(read_fault<std::uint8_t>(mem, 0x50000, Access::kUser),
             av(0x50000, false));
   EXPECT_EQ(rd8(mem, 0x50000, Access::kKernel), 0);
@@ -130,19 +130,19 @@ TEST(AddressSpace, WideStringRoundTrip) {
 
 TEST(AddressSpace, StrictAlignmentFaultsOnOddAccess) {
   AddressSpace strict(nullptr, /*strict_align=*/true);
-  strict.map(0x60000, 4096, kPermRW);
+  (void)strict.map(0x60000, 4096, kPermRW);
   EXPECT_FALSE(read_fault<std::uint32_t>(strict, 0x60000));
   EXPECT_EQ(read_fault<std::uint32_t>(strict, 0x60001),
             (Fault{FaultType::kMisalignment, 0x60001, false}));
   // Relaxed spaces tolerate it (x86 semantics).
   AddressSpace relaxed;
-  relaxed.map(0x60000, 4096, kPermRW);
+  (void)relaxed.map(0x60000, 4096, kPermRW);
   EXPECT_FALSE(read_fault<std::uint32_t>(relaxed, 0x60001));
 }
 
 TEST(AddressSpace, CheckRangeMatchesAccessOutcome) {
   AddressSpace mem;
-  mem.map(0x70000, 4096, kPermRead);
+  (void)mem.map(0x70000, 4096, kPermRead);
   EXPECT_TRUE(mem.check_range(0x70000, 4096, false, Access::kUser));
   EXPECT_FALSE(mem.check_range(0x70000, 4096, true, Access::kUser));
   EXPECT_FALSE(mem.check_range(0x70000, 4097, false, Access::kUser));
@@ -152,12 +152,12 @@ TEST(AddressSpace, CheckRangeMatchesAccessOutcome) {
 
 TEST(AddressSpace, ValueSpanningPageBoundary) {
   AddressSpace mem;
-  mem.map(0x80000, 8192, kPermRW);
+  (void)mem.map(0x80000, 8192, kPermRW);
   const Addr split = 0x81000 - 2;
   EXPECT_FALSE(mem.write_u32(split, 0xA1B2C3D4));
   EXPECT_EQ(rd32(mem, split), 0xA1B2C3D4u);
   // With the second page missing, the same write faults at the boundary.
-  mem.unmap(0x81000, 4096);
+  (void)mem.unmap(0x81000, 4096);
   EXPECT_EQ(mem.write_u32(split, 1), av(0x81000, true));
 }
 
@@ -284,11 +284,11 @@ void check_access_row(const AccessRow& row, bool strict) {
   AddressSpace mem(nullptr, strict);
   mem.set_trace(&machine.trace());
   mem.set_mutation_hub(&machine.mutations());
-  mem.map(kGood, kPageSize, kPermRW);
-  mem.map(kReadOnly, kPageSize, kPermRead);
-  mem.map(kNoRead, kPageSize, kPermNone);
-  mem.map(kKernelPg, kPageSize, kPermRW, /*kernel_only=*/true);
-  mem.map(kEdge, kPageSize, kPermRW);
+  (void)mem.map(kGood, kPageSize, kPermRW);
+  (void)mem.map(kReadOnly, kPageSize, kPermRead);
+  (void)mem.map(kNoRead, kPageSize, kPermNone);
+  (void)mem.map(kKernelPg, kPageSize, kPermRW, /*kernel_only=*/true);
+  (void)mem.map(kEdge, kPageSize, kPermRW);
   mem.poke_bytes(kCross, std::vector<std::uint8_t>{'x', 'y'});
 
   MutationHub& hub = machine.mutations();
@@ -379,7 +379,7 @@ TEST(AddressSpace, WithoutArenaLowAndHighAddressesFault) {
 
 TEST(AddressSpace, UnwrittenPagesReadAsZeros) {
   AddressSpace mem;
-  mem.map(0x60000, 2 * kPageSize, kPermRW);
+  (void)mem.map(0x60000, 2 * kPageSize, kPermRW);
   EXPECT_EQ(rd8(mem, 0x60000), 0);
   EXPECT_EQ(rd8(mem, 0x61FFF), 0);
   EXPECT_EQ(rd64(mem, 0x60FF8), 0u);
@@ -402,10 +402,10 @@ constexpr Addr kCheckpointStack = 0x7ff0'0000 - 0x1'0000;
 
 TEST(AddressSpace, RestoreAfterLargeMapKeepsTheCheckpointCount) {
   AddressSpace mem;
-  mem.map(kCheckpointStack, 16 * kPageSize, kPermRW);
+  (void)mem.map(kCheckpointStack, 16 * kPageSize, kPermRW);
   mem.checkpoint();
   const std::size_t at_checkpoint = mem.mapped_page_count();
-  mem.map(0x1000'0000, 16ull << 20, kPermRW);
+  (void)mem.map(0x1000'0000, 16ull << 20, kPermRW);
   EXPECT_EQ(mem.mapped_page_count(), at_checkpoint + 4096);
   EXPECT_FALSE(mem.write_u8(0x1000'0000 + (8ull << 20), 1));
   mem.restore();
@@ -415,7 +415,7 @@ TEST(AddressSpace, RestoreAfterLargeMapKeepsTheCheckpointCount) {
 
 TEST(AddressSpace, WrittenStackPageReadsZeroAfterRestore) {
   AddressSpace mem;
-  mem.map(kCheckpointStack, 16 * kPageSize, kPermRW);
+  (void)mem.map(kCheckpointStack, 16 * kPageSize, kPermRW);
   mem.checkpoint();
   for (int round = 0; round < 3; ++round) {
     EXPECT_FALSE(mem.write_u32(kCheckpointStack + 3 * kPageSize + 16,
@@ -429,15 +429,15 @@ TEST(AddressSpace, WrittenStackPageReadsZeroAfterRestore) {
 
 TEST(AddressSpace, UnmappedOrReprotectedStackPagesComeBackZeroed) {
   AddressSpace mem;
-  mem.map(kCheckpointStack, 4 * kPageSize, kPermRW);
-  mem.map(kCheckpointStack + 4 * kPageSize, kPageSize, kPermRead,
+  (void)mem.map(kCheckpointStack, 4 * kPageSize, kPermRW);
+  (void)mem.map(kCheckpointStack + 4 * kPageSize, kPageSize, kPermRead,
           /*kernel_only=*/true);
   mem.checkpoint();
   for (Addr pg = 0; pg < 4; ++pg)
     EXPECT_FALSE(mem.write_u8(kCheckpointStack + pg * kPageSize + 1, 0x11));
-  mem.unmap(kCheckpointStack + kPageSize, kPageSize);
-  mem.protect(kCheckpointStack + 2 * kPageSize, kPageSize, kPermNone);
-  mem.protect(kCheckpointStack + 4 * kPageSize, kPageSize, kPermRW);
+  (void)mem.unmap(kCheckpointStack + kPageSize, kPageSize);
+  (void)mem.protect(kCheckpointStack + 2 * kPageSize, kPageSize, kPermNone);
+  (void)mem.protect(kCheckpointStack + 4 * kPageSize, kPageSize, kPermRW);
   EXPECT_FALSE(mem.write_u8(kCheckpointStack + 4 * kPageSize,
                             0x22, Access::kKernel));
   mem.restore();
@@ -518,7 +518,7 @@ class RangeWalk : public ::testing::Test {
   }
 
   void map(Addr start, std::uint64_t size, std::uint8_t perm) {
-    mem_.map(start, size, perm);
+    (void)mem_.map(start, size, perm);
     for (Addr pg = page_of(start); pg <= page_of(start + size - 1); ++pg)
       model_[pg] = perm;
   }
@@ -551,9 +551,9 @@ class RangeWalk : public ::testing::Test {
         perm ? MutationKind::kPageProtect : MutationKind::kPageUnmap;
     const std::uint64_t seq = hub().seq(), before = hub().count(kind);
     if (perm)
-      mem_.protect(start, size, *perm);
+      (void)mem_.protect(start, size, *perm);
     else
-      mem_.unmap(start, size);
+      (void)mem_.unmap(start, size);
     EXPECT_EQ(hub().seq(), seq + 1);
     EXPECT_EQ(hub().count(kind), before + 1);
     const PageModel ever = model_;
@@ -611,7 +611,7 @@ TEST_F(RangeWalk, ArenaPagesAreUntouched) {
 TEST_F(RangeWalk, RestoreRemapsUnmappedStackPagesZeroed) {
   EXPECT_FALSE(mem_.write_u32(kStackBase + 4 * kPageSize + 8,
                               0xDEADBEEF, Access::kUser));
-  mem_.protect(kStackBase + 9 * kPageSize, kPageSize, kPermRead);
+  (void)mem_.protect(kStackBase + 9 * kPageSize, kPageSize, kPermRead);
   check(kStackBase - 4 * kPageSize, 0xFFFF'FFFF, std::nullopt);
   EXPECT_FALSE(mem_.is_mapped(kStackBase));
   mem_.restore();

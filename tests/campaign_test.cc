@@ -74,7 +74,9 @@ TEST_F(CampaignTest, AbortsAndRestartsAreCounted) {
 
 TEST_F(CampaignTest, ImmediateCrashInterruptsTheMut) {
   reg.add(make("crasher", [](CallContext& c) -> CallOutcome {
-    if (c.arg32(0) == 1) c.machine().panic(sim::PanicKind::kInduced);
+    if (c.arg32(0) == 1 &&
+        sim::down(c.machine().panic(sim::PanicKind::kInduced)))
+      return core::panicked();
     return ok(0);
   }));
   reg.add(make("after", [](CallContext&) { return ok(0); }));

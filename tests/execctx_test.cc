@@ -4,7 +4,8 @@
 //   Linux   -> MemStatus::kError   (EFAULT-style error return)
 //   NT/2000 -> kFault, fault recorded (exception raised into the task: Abort)
 //   Win9x   -> kSilent for obvious garbage, kFault for subtle garbage
-//   hazard  -> KernelPanic (immediate) or arena corruption (deferred)
+//   hazard  -> kPanic, machine down (immediate) or arena corruption
+//              (deferred)
 #include <gtest/gtest.h>
 
 #include "tests/fault_util.h"
@@ -85,15 +86,20 @@ TEST(CallContext, Win9xStubMissesSubtleGarbage) {
 TEST(CallContext, ImmediateHazardPanicsOnLowAddress) {
   CallFixture f(OsVariant::kWin98, CrashStyle::kImmediate);
   auto ctx = f.ctx();
-  EXPECT_THROW((void)ctx.k_write(0, buf4), sim::KernelPanic);
+  EXPECT_EQ(ctx.k_write(0, buf4), MemStatus::kPanic);
   EXPECT_TRUE(f.machine.crashed());
+  // The low system area is in the shared arena: a critical structure.
+  EXPECT_EQ(f.machine.panic_kind(), sim::PanicKind::kCriticalArenaWrite);
+  EXPECT_EQ(ctx.faults_recorded(), 0);
 }
 
 TEST(CallContext, ImmediateHazardPanicsOnUnmappedUserAddress) {
   CallFixture f(OsVariant::kWin98, CrashStyle::kImmediate);
   auto ctx = f.ctx();
   const sim::Addr dangling = f.proc->mem().alloc_dangling(16);
-  EXPECT_THROW((void)ctx.k_write(dangling, buf4), sim::KernelPanic);
+  EXPECT_EQ(ctx.k_write(dangling, buf4), MemStatus::kPanic);
+  EXPECT_TRUE(f.machine.crashed());
+  EXPECT_EQ(f.machine.panic_kind(), sim::PanicKind::kKernelPageFault);
 }
 
 TEST(CallContext, ImmediateHazardSucceedsOnValidMemory) {
@@ -112,11 +118,12 @@ TEST(CallContext, DeferredHazardCorruptsAndReportsSuccess) {
   EXPECT_FALSE(f.machine.crashed());
   EXPECT_GT(f.machine.arena().corruption(), 0);
   // The machine dies a few kernel entries later.
-  EXPECT_THROW(
-      {
-        for (int i = 0; i < 100; ++i) f.machine.kernel_enter();
-      },
-      sim::KernelPanic);
+  int entries = 0;
+  while (entries < 100 && f.machine.kernel_enter() == sim::Verdict::kUp)
+    ++entries;
+  EXPECT_LT(entries, 100);
+  EXPECT_TRUE(f.machine.crashed());
+  EXPECT_EQ(f.machine.panic_kind(), sim::PanicKind::kDeferredFuse);
 }
 
 TEST(CallContext, DeferredHazardReadAlsoCorrupts) {
@@ -141,8 +148,9 @@ TEST(CallContext, CeSlotAddressingRedirectsGarbageIntoArena) {
   auto ctx = f.ctx();
   // A garbage user address that is unmapped in the task resolves into the
   // shared slot space in kernel context -> critical corruption -> panic.
-  EXPECT_THROW((void)ctx.k_write(0x20746f6e, buf4), sim::KernelPanic);
+  EXPECT_EQ(ctx.k_write(0x20746f6e, buf4), MemStatus::kPanic);
   EXPECT_TRUE(f.machine.crashed());
+  EXPECT_EQ(f.machine.panic_kind(), sim::PanicKind::kCriticalArenaWrite);
 }
 
 TEST(CallContext, CeSlotAddressingLeavesValidAddressesAlone) {

@@ -165,11 +165,15 @@ TEST(Executor, PanicClassifiesAsCatastrophicAndCrashesMachine) {
   Executor ex(m);
   MiniMut mini(
       [](CallContext& c) -> CallOutcome {
-        c.machine().panic(sim::PanicKind::kInduced);
+        if (sim::down(c.machine().panic(sim::PanicKind::kInduced)))
+          return core::panicked();
+        return ok(0);
       },
       {});
   const CaseResult r = ex.run_case(mini.mut, {});
   EXPECT_EQ(r.outcome, Outcome::kCatastrophic);
+  EXPECT_EQ(r.panic, sim::PanicKind::kInduced);
+  EXPECT_EQ(r.detail, sim::describe_panic(sim::PanicKind::kInduced));
   EXPECT_TRUE(m.crashed());
 }
 
@@ -197,7 +201,7 @@ TEST(Executor, FilesystemFixtureIsResetBetweenCases) {
   MiniMut dirty(
       [](CallContext& c) -> CallOutcome {
         auto& fs = c.machine().fs();
-        fs.remove_file(fs.parse("/tmp/fixture.dat", c.proc().cwd()));
+        (void)fs.remove_file(fs.parse("/tmp/fixture.dat", c.proc().cwd()));
         return ok(0);
       },
       {});

@@ -47,69 +47,69 @@ TEST_F(FsTest, EmptyPathIsInvalid) {
 }
 
 TEST_F(FsTest, CreateFileVariants) {
-  EXPECT_NE(fs.create_file(p("/tmp/new.dat"), true, false), nullptr);
+  EXPECT_NE(fs.create_file(p("/tmp/new.dat"), true, false).value, nullptr);
   // fail_if_exists
-  EXPECT_EQ(fs.create_file(p("/tmp/new.dat"), true, false), nullptr);
+  EXPECT_EQ(fs.create_file(p("/tmp/new.dat"), true, false).value, nullptr);
   // reuse without truncation
-  auto n = fs.create_file(p("/tmp/new.dat"), false, false);
+  auto n = fs.create_file(p("/tmp/new.dat"), false, false).value;
   ASSERT_NE(n, nullptr);
   n->data().assign({1, 2, 3});
-  auto again = fs.create_file(p("/tmp/new.dat"), false, false);
+  auto again = fs.create_file(p("/tmp/new.dat"), false, false).value;
   EXPECT_EQ(again->data().size(), 3u);
   // truncate_existing
-  auto trunc = fs.create_file(p("/tmp/new.dat"), false, true);
+  auto trunc = fs.create_file(p("/tmp/new.dat"), false, true).value;
   EXPECT_TRUE(trunc->data().empty());
 }
 
 TEST_F(FsTest, CreateFileInMissingDirFails) {
-  EXPECT_EQ(fs.create_file(p("/nowhere/file"), false, false), nullptr);
+  EXPECT_EQ(fs.create_file(p("/nowhere/file"), false, false).value, nullptr);
 }
 
 TEST_F(FsTest, ReadOnlyFilesResistModification) {
-  EXPECT_EQ(fs.create_file(p("/tmp/readonly.dat"), false, true), nullptr);
-  EXPECT_FALSE(fs.remove_file(p("/tmp/readonly.dat")));
+  EXPECT_EQ(fs.create_file(p("/tmp/readonly.dat"), false, true).value, nullptr);
+  EXPECT_FALSE(fs.remove_file(p("/tmp/readonly.dat")).value);
 }
 
 TEST_F(FsTest, DirectoryLifecycle) {
-  EXPECT_NE(fs.create_dir(p("/tmp/sub")), nullptr);
-  EXPECT_EQ(fs.create_dir(p("/tmp/sub")), nullptr);  // exists
-  EXPECT_NE(fs.create_file(p("/tmp/sub/f"), true, false), nullptr);
-  EXPECT_FALSE(fs.remove_dir(p("/tmp/sub")));  // not empty
-  EXPECT_TRUE(fs.remove_file(p("/tmp/sub/f")));
-  EXPECT_TRUE(fs.remove_dir(p("/tmp/sub")));
+  EXPECT_NE(fs.create_dir(p("/tmp/sub")).value, nullptr);
+  EXPECT_EQ(fs.create_dir(p("/tmp/sub")).value, nullptr);  // exists
+  EXPECT_NE(fs.create_file(p("/tmp/sub/f"), true, false).value, nullptr);
+  EXPECT_FALSE(fs.remove_dir(p("/tmp/sub")).value);  // not empty
+  EXPECT_TRUE(fs.remove_file(p("/tmp/sub/f")).value);
+  EXPECT_TRUE(fs.remove_dir(p("/tmp/sub")).value);
   EXPECT_EQ(fs.resolve(p("/tmp/sub")), nullptr);
 }
 
 TEST_F(FsTest, RemoveDirRejectsFiles) {
-  EXPECT_FALSE(fs.remove_dir(p("/tmp/fixture.dat")));
-  EXPECT_FALSE(fs.remove_file(p("/tmp")));
+  EXPECT_FALSE(fs.remove_dir(p("/tmp/fixture.dat")).value);
+  EXPECT_FALSE(fs.remove_file(p("/tmp")).value);
 }
 
 TEST_F(FsTest, RenameMovesNodes) {
-  EXPECT_TRUE(fs.rename(p("/tmp/fixture.dat"), p("/tmp/moved.dat")));
+  EXPECT_TRUE(fs.rename(p("/tmp/fixture.dat"), p("/tmp/moved.dat")).value);
   EXPECT_EQ(fs.resolve(p("/tmp/fixture.dat")), nullptr);
   EXPECT_NE(fs.resolve(p("/tmp/moved.dat")), nullptr);
   // destination exists -> refused
-  EXPECT_FALSE(fs.rename(p("/tmp/moved.dat"), p("/tmp/readonly.dat")));
+  EXPECT_FALSE(fs.rename(p("/tmp/moved.dat"), p("/tmp/readonly.dat")).value);
   // missing source -> refused
-  EXPECT_FALSE(fs.rename(p("/tmp/ghost"), p("/tmp/x")));
+  EXPECT_FALSE(fs.rename(p("/tmp/ghost"), p("/tmp/x")).value);
 }
 
 TEST_F(FsTest, RenameRejectsMovingADirectoryIntoItsOwnSubtree) {
   // rename("/a", "/a/b") would make the directory its own child: a shared_ptr
   // cycle unreachable from the root (caught by the asan preset's leak check).
-  ASSERT_NE(fs.create_dir(p("/tmp/a")), nullptr);
-  EXPECT_FALSE(fs.rename(p("/tmp/a"), p("/tmp/a/b")));
-  EXPECT_FALSE(fs.rename(p("/tmp"), p("/tmp/a/deep")));
-  EXPECT_FALSE(fs.rename(p("/tmp/a"), p("/tmp/a")));  // onto itself
+  ASSERT_NE(fs.create_dir(p("/tmp/a")).value, nullptr);
+  EXPECT_FALSE(fs.rename(p("/tmp/a"), p("/tmp/a/b")).value);
+  EXPECT_FALSE(fs.rename(p("/tmp"), p("/tmp/a/deep")).value);
+  EXPECT_FALSE(fs.rename(p("/tmp/a"), p("/tmp/a")).value);  // onto itself
   // the source tree is untouched by a refused rename
   EXPECT_NE(fs.resolve(p("/tmp/a")), nullptr);
   // a sibling move still works
-  EXPECT_TRUE(fs.rename(p("/tmp/a"), p("/tmp/b")));
+  EXPECT_TRUE(fs.rename(p("/tmp/a"), p("/tmp/b")).value);
 }
 
 TEST_F(FsTest, RestoreFixtureRebuildsCanonicalTree) {
-  fs.create_file(p("/tmp/junk"), true, false);
+  (void)fs.create_file(p("/tmp/junk"), true, false);
   fs.resolve(p("/tmp/fixture.dat"))->data().clear();
   EXPECT_TRUE(fs.restore_fixture());  // dirtied -> full rebuild
   EXPECT_EQ(fs.resolve(p("/tmp/junk")), nullptr);
@@ -148,7 +148,7 @@ TEST_F(FsTest, ResetFixtureRestoresRootMetadata) {
 
 TEST_F(FsTest, UnlinkedNodeSurvivesThroughSharedPtr) {
   auto node = fs.resolve(p("/tmp/fixture.dat"));
-  ASSERT_TRUE(fs.remove_file(p("/tmp/fixture.dat")));
+  ASSERT_TRUE(fs.remove_file(p("/tmp/fixture.dat")).value);
   EXPECT_EQ(node->nlink, 0);
   node->data().push_back('x');  // still usable via the open reference
 }

@@ -96,7 +96,7 @@ TEST_F(GeneratorTest, SamplingHitsEveryPoolValueEventually) {
   TupleGenerator gen(wide, 5000);
   std::set<const TestValue*> seen;
   for (std::uint64_t i = 0; i < gen.count(); ++i)
-    seen.insert(gen.tuple(i)[0]);
+    (void)seen.insert(gen.tuple(i)[0]);
   EXPECT_EQ(seen.size(), lib.get("buf").value_count());
 }
 

@@ -136,7 +136,7 @@ TEST(PaperShape, NoCatastrophicOnNt2000Linux) {
 std::set<std::string> catastrophic_names(OsVariant v) {
   std::set<std::string> out;
   for (const auto& e : core::catastrophic_list(campaign_for(v)))
-    out.insert(e.name);
+    (void)out.insert(e.name);
   return out;
 }
 

@@ -15,8 +15,8 @@ using ballista::testing::CallFixture;
 
 TEST(HandleTable, Win32NumberingIsMultiplesOfFour) {
   HandleTable t;
-  const auto h1 = t.insert(std::make_shared<EventObject>(true, true, ""));
-  const auto h2 = t.insert(std::make_shared<EventObject>(true, true, ""));
+  const auto h1 = t.insert(std::make_shared<EventObject>(true, true, "")).value;
+  const auto h2 = t.insert(std::make_shared<EventObject>(true, true, "")).value;
   EXPECT_EQ(h1, 4u);
   EXPECT_EQ(h2, 8u);
   EXPECT_TRUE(t.valid(h1));
@@ -26,18 +26,18 @@ TEST(HandleTable, Win32NumberingIsMultiplesOfFour) {
 TEST(HandleTable, PosixNumberingIsLowestFree) {
   HandleTable t;
   t.set_posix_numbering(true);
-  EXPECT_EQ(t.insert(std::make_shared<PipeObject>()), 0u);
-  EXPECT_EQ(t.insert(std::make_shared<PipeObject>()), 1u);
-  EXPECT_EQ(t.insert(std::make_shared<PipeObject>()), 2u);
-  t.close(1);
-  EXPECT_EQ(t.insert(std::make_shared<PipeObject>()), 1u);  // reuses the gap
+  EXPECT_EQ(t.insert(std::make_shared<PipeObject>()).value, 0u);
+  EXPECT_EQ(t.insert(std::make_shared<PipeObject>()).value, 1u);
+  EXPECT_EQ(t.insert(std::make_shared<PipeObject>()).value, 2u);
+  (void)t.close(1);
+  EXPECT_EQ(t.insert(std::make_shared<PipeObject>()).value, 1u);  // reuses the gap
 }
 
 TEST(HandleTable, CloseIsIdempotentlyReported) {
   HandleTable t;
-  const auto h = t.insert(std::make_shared<EventObject>(true, true, ""));
-  EXPECT_TRUE(t.close(h));
-  EXPECT_FALSE(t.close(h));
+  const auto h = t.insert(std::make_shared<EventObject>(true, true, "")).value;
+  EXPECT_TRUE(t.close(h).value);
+  EXPECT_FALSE(t.close(h).value);
   EXPECT_EQ(t.get(h), nullptr);
 }
 
@@ -46,43 +46,43 @@ TEST(HandleTable, InsertAtOverwrites) {
   t.set_posix_numbering(true);
   auto a = std::make_shared<PipeObject>();
   auto b = std::make_shared<PipeObject>();
-  t.insert(a);
-  t.insert_at(0, b);
+  (void)t.insert(a);
+  (void)t.insert_at(0, b);
   EXPECT_EQ(t.get(0), b);
 }
 
 TEST(HandleTable, SharedObjectsSurviveOneClose) {
   HandleTable t;
   auto obj = std::make_shared<EventObject>(true, true, "ev");
-  const auto h1 = t.insert(obj);
-  const auto h2 = t.insert(obj);
-  t.close(h1);
+  const auto h1 = t.insert(obj).value;
+  const auto h2 = t.insert(obj).value;
+  (void)t.close(h1);
   EXPECT_EQ(t.get(h2)->name(), "ev");
 }
 
 TEST(HandleTable, Win32ValuesOffTheGridNameNothing) {
   HandleTable t;
-  const auto h = t.insert(std::make_shared<PipeObject>());
+  const auto h = t.insert(std::make_shared<PipeObject>()).value;
   ASSERT_EQ(h, 4u);
   EXPECT_EQ(t.get(0), nullptr);
   EXPECT_EQ(t.get(5), nullptr);
   EXPECT_EQ(t.get(1ull << 62), nullptr);
-  EXPECT_FALSE(t.close(5));
-  EXPECT_FALSE(t.close(1ull << 62));
+  EXPECT_FALSE(t.close(5).value);
+  EXPECT_FALSE(t.close(1ull << 62).value);
   EXPECT_NE(t.get(4), nullptr);
 }
 
 TEST(HandleTable, PosixDupFarThenInsertTakesLowestFree) {
   HandleTable t;
   t.set_posix_numbering(true);
-  for (int i = 0; i < 3; ++i) t.insert(std::make_shared<PipeObject>());
+  for (int i = 0; i < 3; ++i) (void)t.insert(std::make_shared<PipeObject>());
   auto far = std::make_shared<PipeObject>();
-  t.insert_at(1024, far);  // dup2's largest target
+  (void)t.insert_at(1024, far);  // dup2's largest target
   EXPECT_EQ(t.get(1024), far);
-  EXPECT_EQ(t.insert(std::make_shared<PipeObject>()), 3u);
+  EXPECT_EQ(t.insert(std::make_shared<PipeObject>()).value, 3u);
   EXPECT_EQ(t.size(), 5u);
-  t.close(1);
-  EXPECT_EQ(t.insert(std::make_shared<PipeObject>()), 1u);
+  (void)t.close(1);
+  EXPECT_EQ(t.insert(std::make_shared<PipeObject>()).value, 1u);
   EXPECT_EQ(t.get(1ull << 62), nullptr);
 }
 
@@ -92,15 +92,15 @@ TEST(HandleTable, ResetRewindsNumberingAndSize) {
     t.set_posix_numbering(posix);
     std::uint64_t first = 0;
     for (int i = 0; i < 5; ++i) {
-      const auto h = t.insert(std::make_shared<PipeObject>());
+      const auto h = t.insert(std::make_shared<PipeObject>()).value;
       if (i == 0) first = h;
     }
-    t.close(first);
+    (void)t.close(first);
     EXPECT_EQ(t.size(), 4u);
     t.reset();
     EXPECT_EQ(t.size(), 0u);
     EXPECT_EQ(t.get(first), nullptr);
-    EXPECT_EQ(t.insert(std::make_shared<PipeObject>()), posix ? 0u : 4u);
+    EXPECT_EQ(t.insert(std::make_shared<PipeObject>()).value, posix ? 0u : 4u);
     EXPECT_EQ(t.size(), 1u);
   }
 }
@@ -110,9 +110,9 @@ TEST(HandleTable, EntriesAscend) {
   std::vector<std::shared_ptr<PipeObject>> objs;
   for (int i = 0; i < 5; ++i) {
     objs.push_back(std::make_shared<PipeObject>());
-    win.insert(objs.back());
+    (void)win.insert(objs.back());
   }
-  win.close(12);
+  (void)win.close(12);
   std::vector<std::uint64_t> seen;
   for (const auto& [h, obj] : win.entries()) {
     seen.push_back(h);
@@ -122,9 +122,9 @@ TEST(HandleTable, EntriesAscend) {
 
   HandleTable posix;
   posix.set_posix_numbering(true);
-  posix.insert_at(7, std::make_shared<PipeObject>());
-  posix.insert(std::make_shared<PipeObject>());
-  posix.insert(std::make_shared<PipeObject>());
+  (void)posix.insert_at(7, std::make_shared<PipeObject>());
+  (void)posix.insert(std::make_shared<PipeObject>());
+  (void)posix.insert(std::make_shared<PipeObject>());
   seen.clear();
   for (const auto& [h, obj] : posix.entries()) {
     seen.push_back(h);
@@ -138,7 +138,7 @@ TEST(FileObject, ReadWriteAdvancesPosition) {
   FileObject f(node, FileObject::kAccessRead | FileObject::kAccessWrite,
                false);
   const std::uint8_t in[5] = {'h', 'e', 'l', 'l', 'o'};
-  EXPECT_EQ(f.write_at(in), 5u);
+  EXPECT_EQ(f.write_at(in).value, 5u);
   EXPECT_EQ(f.position(), 5u);
   f.set_position(0);
   std::uint8_t out[5] = {};
@@ -153,7 +153,7 @@ TEST(FileObject, AppendModeWritesAtEnd) {
   FileObject f(node, FileObject::kAccessWrite, /*append=*/true);
   f.set_position(0);
   const std::uint8_t in[1] = {9};
-  f.write_at(in);
+  (void)f.write_at(in);
   EXPECT_EQ(node->data().size(), 4u);
   EXPECT_EQ(node->data()[3], 9);
 }
@@ -163,7 +163,7 @@ TEST(FileObject, SparseWriteGrowsFile) {
   FileObject f(node, FileObject::kAccessWrite, false);
   f.set_position(100);
   const std::uint8_t in[1] = {7};
-  f.write_at(in);
+  (void)f.write_at(in);
   EXPECT_EQ(node->data().size(), 101u);
   EXPECT_EQ(node->data()[50], 0);
 }
@@ -171,10 +171,10 @@ TEST(FileObject, SparseWriteGrowsFile) {
 TEST(SemaphoreObject, ReleaseRespectsMaximum) {
   SemaphoreObject s(1, 2, "");
   EXPECT_TRUE(s.signaled());
-  EXPECT_TRUE(s.release(1));
-  EXPECT_FALSE(s.release(1));  // would exceed max
+  EXPECT_TRUE(s.release(1).value);
+  EXPECT_FALSE(s.release(1).value);  // would exceed max
   EXPECT_EQ(s.count(), 2);
-  EXPECT_TRUE(s.release(-2));  // acquire twice (internal use)
+  EXPECT_TRUE(s.release(-2).value);  // acquire twice (internal use)
   EXPECT_FALSE(s.signaled());
 }
 
@@ -182,7 +182,7 @@ TEST(MutexObject, HeldStateTracksSignal) {
   MutexObject m(true, "");
   EXPECT_TRUE(m.held());
   EXPECT_FALSE(m.signaled());
-  m.set_held(false);
+  (void)m.set_held(false);
   EXPECT_TRUE(m.signaled());
 }
 
@@ -210,13 +210,13 @@ TEST(EventObject, ManualVsAutoResetState) {
   EventObject manual(/*manual_reset=*/true, /*initial=*/true, "");
   EXPECT_TRUE(manual.manual_reset());
   EXPECT_TRUE(manual.signaled());
-  manual.set_signaled(false);  // ResetEvent
+  (void)manual.set_signaled(false);  // ResetEvent
   EXPECT_FALSE(manual.signaled());
 
   EventObject auto_ev(/*manual_reset=*/false, /*initial=*/false, "");
   EXPECT_FALSE(auto_ev.manual_reset());
   EXPECT_FALSE(auto_ev.signaled());
-  auto_ev.set_signaled(true);  // SetEvent; a successful wait clears it
+  (void)auto_ev.set_signaled(true);  // SetEvent; a successful wait clears it
   EXPECT_TRUE(auto_ev.signaled());
 }
 
@@ -224,17 +224,17 @@ TEST(MutexObject, FreeMutexIsSignaled) {
   MutexObject m(/*initially_owned=*/false, "");
   EXPECT_FALSE(m.held());
   EXPECT_TRUE(m.signaled());
-  m.set_held(true);  // a successful wait acquires it
+  (void)m.set_held(true);  // a successful wait acquires it
   EXPECT_FALSE(m.signaled());
 }
 
 TEST(SemaphoreObject, DrainedSemaphoreIsNotSignaled) {
   SemaphoreObject s(0, 4, "");
   EXPECT_FALSE(s.signaled());
-  EXPECT_TRUE(s.release(1));
+  EXPECT_TRUE(s.release(1).value);
   EXPECT_TRUE(s.signaled());
-  EXPECT_FALSE(s.release(4));  // 1 + 4 > max: ERROR_TOO_MANY_POSTS shape
-  EXPECT_TRUE(s.release(3));   // exactly to the maximum is fine
+  EXPECT_FALSE(s.release(4).value);  // 1 + 4 > max: ERROR_TOO_MANY_POSTS shape
+  EXPECT_TRUE(s.release(3).value);   // exactly to the maximum is fine
   EXPECT_EQ(s.count(), 4);
 }
 
@@ -264,7 +264,7 @@ TEST(CheckHandle, BadHandleDispatchesPerPersonality) {
     // A kind mismatch must fail like a stale handle: an event handle is not
     // a mutex.
     const auto h =
-        f.proc->handles().insert(std::make_shared<EventObject>(true, true, ""));
+        f.proc->handles().insert(std::make_shared<EventObject>(true, true, "")).value;
     auto ctx = f.ctx();
     const auto stale = win32::check_handle(ctx, 0x4444, ObjectKind::kEvent);
     const auto wrong = win32::check_handle(ctx, h, ObjectKind::kMutex);

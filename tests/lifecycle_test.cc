@@ -62,18 +62,18 @@ void make_mess(sim::Machine& m) {
   auto& fs = m.fs();
   const sim::ParsedPath cwd = sim::FileSystem::root_path();
   const auto p = [&](std::string_view s) { return fs.parse(s, cwd); };
-  fs.create_dir(p("/tmp/mess"));
-  if (auto f = fs.create_file(p("/tmp/mess/a.txt"), false, true))
+  (void)fs.create_dir(p("/tmp/mess"));
+  if (auto f = fs.create_file(p("/tmp/mess/a.txt"), false, true).value)
     f->data().assign(512, 'x');
-  fs.remove_file(p("/tmp/fixture.dat"));
+  (void)fs.remove_file(p("/tmp/fixture.dat"));
   if (auto ro = fs.resolve(p("/tmp/readonly.dat"))) ro->read_only = false;
-  fs.rename(p("/tmp/mess"), p("/tmp/mess2"));
+  (void)fs.rename(p("/tmp/mess"), p("/tmp/mess2"));
 
   auto proc = m.acquire_process();
-  if (auto leak = fs.create_file(p("/tmp/leak.dat"), false, true))
-    proc->handles().insert(std::make_shared<sim::FileObject>(
+  if (auto leak = fs.create_file(p("/tmp/leak.dat"), false, true).value)
+    (void)proc->handles().insert(std::make_shared<sim::FileObject>(
         leak, sim::FileObject::kAccessRead, false));
-  proc->mem().map(0x5000'0000, 8 * 4096, sim::kPermRW);
+  (void)proc->mem().map(0x5000'0000, 8 * 4096, sim::kPermRW);
   proc->env()["MESS"] = "1";
   proc->cwd().components = {"tmp", "mess2"};
   proc->set_last_error(5);
@@ -165,9 +165,10 @@ TEST(Lifecycle, RebootedFixtureIsNotRebuiltAgainByTheNextCase) {
   MiniMut killer([](core::CallContext& c) -> core::CallOutcome {
     // Dirty the disk, then die in the kernel — the worst case for cleanup.
     auto& fs = c.machine().fs();
-    fs.create_file(fs.parse("/tmp/wreck.dat", sim::FileSystem::root_path()),
-                   false, true);
-    c.machine().panic(sim::PanicKind::kInduced);
+    (void)fs.create_file(
+        fs.parse("/tmp/wreck.dat", sim::FileSystem::root_path()), false, true);
+    (void)c.machine().panic(sim::PanicKind::kInduced);
+    return core::panicked();
   });
 
   // A clean boot fixture verifies; nothing has ever rebuilt it.
@@ -240,8 +241,8 @@ TEST(Lifecycle, RecycledProcessIsObservationallyFresh) {
   auto first = m.acquire_process();
   const std::uint64_t pid0 = first->pid();
   // Dirty everything a case can reach.
-  first->handles().insert(std::make_shared<sim::PipeObject>());
-  first->mem().map(0x6000'0000, 4096, sim::kPermRW);
+  (void)first->handles().insert(std::make_shared<sim::PipeObject>());
+  (void)first->mem().map(0x6000'0000, 4096, sim::kPermRW);
   first->env().clear();
   first->cwd().components = {"somewhere", "else"};
   first->set_last_error(87);
@@ -253,16 +254,16 @@ TEST(Lifecycle, RecycledProcessIsObservationallyFresh) {
   thread.suspend_count = 3;
   thread.priority = 15;
   thread.exit_code = 7;
-  thread.set_signaled(true);
+  (void)thread.set_signaled(true);
   first->self_object()->exit_code = 9;
-  first->self_object()->set_signaled(true);
+  (void)first->self_object()->set_signaled(true);
   first->default_heap()->allocations[0x0030'0000] = 64;
   for (const auto h : {first->std_in, first->std_out, first->std_err}) {
     const auto pipe = pipe_at(*first, h);
     pipe->buffer.assign(100, 0x5A);
     pipe->read_end_open = false;
     pipe->write_end_open = false;
-    pipe->set_signaled(false);
+    (void)pipe->set_signaled(false);
   }
   const sim::ThreadObject* thread_before = first->main_thread().get();
   m.release_process(std::move(first));
@@ -291,8 +292,9 @@ TEST(Lifecycle, RecycledProcessIsObservationallyFresh) {
   // Nothing outside the process held its objects, so they were reset in
   // place rather than replaced.
   EXPECT_EQ(recycled->main_thread().get(), thread_before);
-  EXPECT_EQ(recycled->handles().insert(std::make_shared<sim::PipeObject>()),
-            fresh->handles().insert(std::make_shared<sim::PipeObject>()));
+  EXPECT_EQ(
+      recycled->handles().insert(std::make_shared<sim::PipeObject>()).value,
+      fresh->handles().insert(std::make_shared<sim::PipeObject>()).value);
   // The dirty mapping is gone; the stack is back.
   EXPECT_FALSE(recycled->mem().is_mapped(0x6000'0000));
 }

@@ -42,23 +42,27 @@ TEST(Personality, FamilyPredicates) {
   EXPECT_FALSE(is_windows(OsVariant::kLinux));
 }
 
-TEST(Machine, PanicSetsCrashStateAndThrows) {
+TEST(Machine, PanicSetsCrashStateAndReturnsDown) {
   Machine m(OsVariant::kWin98);
   EXPECT_FALSE(m.crashed());
-  EXPECT_THROW(m.panic(PanicKind::kInduced), KernelPanic);
+  EXPECT_EQ(m.panic(PanicKind::kInduced), Verdict::kDown);
   EXPECT_TRUE(m.crashed());
   EXPECT_EQ(m.panic_kind(), PanicKind::kInduced);
   EXPECT_EQ(m.crash_reason(), "induced panic (test hook)");
   EXPECT_EQ(m.panic_count(), 1);
 }
 
-TEST(Machine, KernelEnterOnCrashedMachineRethrows) {
+TEST(Machine, KernelEnterOnCrashedMachineReportsDown) {
   Machine m(OsVariant::kWin98);
-  try {
-    m.panic(PanicKind::kInduced);
-  } catch (const KernelPanic&) {
-  }
-  EXPECT_THROW(m.kernel_enter(), KernelPanic);
+  ASSERT_EQ(m.panic(PanicKind::kInduced), Verdict::kDown);
+  const std::uint64_t panics = m.trace().counters().n[static_cast<std::size_t>(
+      trace::EventKind::kPanic)];
+  EXPECT_EQ(m.kernel_enter(), Verdict::kDown);
+  // Reporting the dead machine is not a second panic.
+  EXPECT_EQ(m.panic_count(), 1);
+  EXPECT_EQ(m.trace().counters().n[static_cast<std::size_t>(
+                trace::EventKind::kPanic)],
+            panics);
 }
 
 TEST(Machine, RebootClearsEverything) {
@@ -67,13 +71,10 @@ TEST(Machine, RebootClearsEverything) {
   AddressSpace view(&m.arena());
   EXPECT_FALSE(view.write_u8(0x100, 0xFF, Access::kKernel));
   ASSERT_NE(m.arena().page(0x100)->data, nullptr);
-  try {
-    m.panic(PanicKind::kInduced);
-  } catch (const KernelPanic&) {
-  }
+  ASSERT_EQ(m.panic(PanicKind::kInduced), Verdict::kDown);
   m.reboot();
   EXPECT_FALSE(m.crashed());
-  EXPECT_NO_THROW(m.kernel_enter());
+  EXPECT_EQ(m.kernel_enter(), Verdict::kUp);
   EXPECT_EQ(m.arena().corruption(), 0);
   // Arena wiped: the page is unwritten again and reads as zero.
   EXPECT_EQ(m.arena().page(0x100)->data, nullptr);
@@ -82,36 +83,40 @@ TEST(Machine, RebootClearsEverything) {
 
 TEST(Machine, CriticalCorruptionPanicsImmediately) {
   Machine m(OsVariant::kWin98);
-  EXPECT_THROW(m.note_arena_corruption(0x10, /*critical=*/true), KernelPanic);
+  EXPECT_EQ(m.note_arena_corruption(0x10, /*critical=*/true), Verdict::kDown);
   EXPECT_TRUE(m.crashed());
+  EXPECT_EQ(m.panic_kind(), PanicKind::kCriticalArenaWrite);
 }
 
 TEST(Machine, DeferredCorruptionBurnsTheFuse) {
   Machine m(OsVariant::kWin98);
   const int fuse = personality_for(OsVariant::kWin98).corruption_fuse;
-  m.note_arena_corruption(0x80005000, /*critical=*/false);
+  EXPECT_EQ(m.note_arena_corruption(0x80005000, /*critical=*/false),
+            Verdict::kUp);
   EXPECT_FALSE(m.crashed());
-  for (int i = 0; i < fuse - 1; ++i) EXPECT_NO_THROW(m.kernel_enter());
-  EXPECT_THROW(m.kernel_enter(), KernelPanic);
+  for (int i = 0; i < fuse - 1; ++i) EXPECT_EQ(m.kernel_enter(), Verdict::kUp);
+  EXPECT_EQ(m.kernel_enter(), Verdict::kDown);
   EXPECT_TRUE(m.crashed());
+  EXPECT_EQ(m.panic_kind(), PanicKind::kDeferredFuse);
 }
 
 TEST(Machine, FuseDoesNotRearmOnRepeatCorruption) {
   Machine m(OsVariant::kWin98);
-  m.note_arena_corruption(0x80005000, false);
-  m.kernel_enter();
+  ASSERT_EQ(m.note_arena_corruption(0x80005000, false), Verdict::kUp);
+  ASSERT_EQ(m.kernel_enter(), Verdict::kUp);
   // Additional corruption must not push the deadline out.
-  m.note_arena_corruption(0x80005000, false);
+  ASSERT_EQ(m.note_arena_corruption(0x80005000, false), Verdict::kUp);
   const int fuse = personality_for(OsVariant::kWin98).corruption_fuse;
-  for (int i = 0; i < fuse - 2; ++i) EXPECT_NO_THROW(m.kernel_enter());
-  EXPECT_THROW(m.kernel_enter(), KernelPanic);
+  for (int i = 0; i < fuse - 2; ++i) EXPECT_EQ(m.kernel_enter(), Verdict::kUp);
+  EXPECT_EQ(m.kernel_enter(), Verdict::kDown);
+  EXPECT_TRUE(m.crashed());
 }
 
 TEST(Machine, RebootDisarmsTheFuse) {
   Machine m(OsVariant::kWin98);
-  m.note_arena_corruption(0x80005000, false);
+  ASSERT_EQ(m.note_arena_corruption(0x80005000, false), Verdict::kUp);
   m.reboot();
-  for (int i = 0; i < 100; ++i) EXPECT_NO_THROW(m.kernel_enter());
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(m.kernel_enter(), Verdict::kUp);
 }
 
 TEST(Machine, ProcessesGetPosixFdNumberingOnLinuxOnly) {
@@ -138,7 +143,7 @@ TEST(Machine, ProcessesShareArenaOn9xOnly) {
 TEST(Machine, TicksAdvanceOnKernelEntry) {
   Machine m(OsVariant::kLinux);
   const auto t0 = m.ticks();
-  m.kernel_enter();
+  (void)m.kernel_enter();
   EXPECT_GT(m.ticks(), t0);
 }
 

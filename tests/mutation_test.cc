@@ -26,12 +26,12 @@ TEST(MutationHub, WindowGatesEveryAnnouncement) {
 
   // Window closed: harness work never counts as a persistence point.
   auto p = m.fs().parse("tmp/gated.txt", sim::FileSystem::root_path());
-  ASSERT_NE(m.fs().create_file(p, false, false), nullptr);
+  ASSERT_NE(m.fs().create_file(p, false, false).value, nullptr);
   EXPECT_EQ(hub.seq(), 0u);
 
   hub.open_window();
   auto p2 = m.fs().parse("tmp/counted.txt", sim::FileSystem::root_path());
-  ASSERT_NE(m.fs().create_file(p2, false, false), nullptr);
+  ASSERT_NE(m.fs().create_file(p2, false, false).value, nullptr);
   EXPECT_EQ(hub.seq(), 1u);
   EXPECT_EQ(hub.count(MutationKind::kFsCreate), 1u);
   hub.close_window();
@@ -40,7 +40,7 @@ TEST(MutationHub, WindowGatesEveryAnnouncement) {
   hub.set_counting(false);
   hub.open_window();
   auto p3 = m.fs().parse("tmp/idle.txt", sim::FileSystem::root_path());
-  ASSERT_NE(m.fs().create_file(p3, false, false), nullptr);
+  ASSERT_NE(m.fs().create_file(p3, false, false).value, nullptr);
   EXPECT_EQ(hub.seq(), 1u);
 }
 
@@ -65,7 +65,7 @@ TEST(MutationHub, ConsecutiveSamePageWritesCoalesce) {
 
   // An interleaved point of another kind breaks the run too.
   auto p = m.fs().parse("tmp/interleave.txt", sim::FileSystem::root_path());
-  ASSERT_NE(m.fs().create_file(p, false, false), nullptr);
+  ASSERT_NE(m.fs().create_file(p, false, false).value, nullptr);
   EXPECT_FALSE(proc->mem().write_u8(a, 0xDD));
   EXPECT_EQ(hub.count(MutationKind::kPageWrite), 4u);
 
@@ -81,7 +81,9 @@ TEST(MutationHub, CutFiresBeforeTheMutationApplies) {
   hub.open_window();
 
   auto p = m.fs().parse("tmp/torn.txt", sim::FileSystem::root_path());
-  EXPECT_THROW(m.fs().create_file(p, false, false), sim::KernelPanic);
+  const auto created = m.fs().create_file(p, false, false);
+  EXPECT_TRUE(created.down());
+  EXPECT_EQ(created.value, nullptr);
   EXPECT_TRUE(m.crashed());
   EXPECT_EQ(m.panic_kind(), sim::PanicKind::kFaultInjection);
   EXPECT_EQ(hub.cut_fired_at(), 1u);
@@ -92,7 +94,7 @@ TEST(MutationHub, CutFiresBeforeTheMutationApplies) {
   hub.close_window();
   m.restore(sim::RestoreLevel::kReboot);
   EXPECT_FALSE(hub.armed());
-  ASSERT_NE(m.fs().create_file(p, false, false), nullptr);
+  ASSERT_NE(m.fs().create_file(p, false, false).value, nullptr);
 }
 
 TEST(MutationHub, ResetCountsKeepsModesFullResetClearsThem) {
@@ -101,7 +103,7 @@ TEST(MutationHub, ResetCountsKeepsModesFullResetClearsThem) {
   hub.set_counting(true);
   hub.open_window();
   auto p = m.fs().parse("tmp/n.txt", sim::FileSystem::root_path());
-  ASSERT_NE(m.fs().create_file(p, false, false), nullptr);
+  ASSERT_NE(m.fs().create_file(p, false, false).value, nullptr);
   EXPECT_EQ(hub.seq(), 1u);
 
   hub.reset_counts();
@@ -149,7 +151,10 @@ TEST(MutationTrace, BaseCampaignCrashChainsRenderUnchanged) {
   imm.hazards = {{OsVariant::kWin95, core::CrashStyle::kImmediate}};
   imm.impl = [](core::CallContext& c) -> core::CallOutcome {
     std::uint8_t junk[4] = {};
-    if (c.arg32(0) >= 2) (void)c.k_write(0xDEAD0000, junk);
+    if (c.arg32(0) >= 2) {
+      const core::MemStatus st = c.k_write(0xDEAD0000, junk);
+      if (core::ends_call(st)) return core::ended(st);
+    }
     return core::ok(0);
   };
   reg.add(std::move(imm));
@@ -182,12 +187,13 @@ TEST(MutationKobject, DoubleCloseAfterACutLeavesTheHandleLive) {
   auto proc = m.acquire_process();
   auto& hub = m.mutations();
   const auto h =
-      proc->handles().insert(std::make_shared<sim::EventObject>(true, true, ""));
+      proc->handles().insert(std::make_shared<sim::EventObject>(true, true, "")).value;
   ASSERT_TRUE(proc->handles().valid(h));
 
   hub.arm(FaultPlan{1});
   hub.open_window();
-  EXPECT_THROW(proc->handles().close(h), sim::KernelPanic);
+  EXPECT_TRUE(proc->handles().close(h).down());
+  EXPECT_TRUE(m.crashed());
   hub.close_window();
 
   // The cut fired *before* the close applied: the handle is still live, so
@@ -197,8 +203,8 @@ TEST(MutationKobject, DoubleCloseAfterACutLeavesTheHandleLive) {
 
   // After reboot the first close is the real one; the second is the ordinary
   // double-close failure, not a crash.
-  EXPECT_TRUE(proc->handles().close(h));
-  EXPECT_FALSE(proc->handles().close(h));
+  EXPECT_TRUE(proc->handles().close(h).value);
+  EXPECT_FALSE(proc->handles().close(h).value);
   m.release_process(std::move(proc));
 }
 
@@ -207,9 +213,9 @@ TEST(MutationKobject, HandleValuesRecurExactlyAcrossRecycle) {
   auto proc = m.acquire_process();
   const std::size_t boot_handles = proc->handles().size();
   const auto h1 =
-      proc->handles().insert(std::make_shared<sim::EventObject>(true, true, ""));
+      proc->handles().insert(std::make_shared<sim::EventObject>(true, true, "")).value;
   const auto h2 =
-      proc->handles().insert(std::make_shared<sim::PipeObject>());
+      proc->handles().insert(std::make_shared<sim::PipeObject>()).value;
   m.release_process(std::move(proc));
 
   // A recycled task is observationally identical to a new one: same handle
@@ -217,9 +223,9 @@ TEST(MutationKobject, HandleValuesRecurExactlyAcrossRecycle) {
   auto again = m.acquire_process();
   EXPECT_EQ(again->handles().size(), boot_handles);
   EXPECT_EQ(again->handles().insert(
-                std::make_shared<sim::EventObject>(true, true, "")),
+                std::make_shared<sim::EventObject>(true, true, "")).value,
             h1);
-  EXPECT_EQ(again->handles().insert(std::make_shared<sim::PipeObject>()), h2);
+  EXPECT_EQ(again->handles().insert(std::make_shared<sim::PipeObject>()).value, h2);
   m.release_process(std::move(again));
 }
 

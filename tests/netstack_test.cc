@@ -158,7 +158,7 @@ TEST(NetStack, OrderlyCloseGivesEofAbortiveGivesReset) {
   ASSERT_EQ(net.accept(*listener, &s1), NetErr::kOk);
   std::size_t n = 0;
   ASSERT_EQ(net.send(*s1, bytes(8), &n), NetErr::kOk);
-  net.on_close(*s1);
+  (void)net.on_close(*s1);
   std::vector<std::uint8_t> out(16);
   ASSERT_EQ(net.recv(*c1, out, false, &n), NetErr::kOk);
   EXPECT_EQ(n, 8u);  // drain survives the close

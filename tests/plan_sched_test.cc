@@ -105,10 +105,9 @@ TEST(MachinePool, CheckoutResetsToPristineBootState) {
   MachinePool pool(OsVariant::kWin98, 2);
   sim::Machine& m = pool.checkout(0);
   m.age_arena(3);
-  try {
+  {
     auto proc = m.create_process();
-    m.panic(sim::PanicKind::kInduced);
-  } catch (const sim::KernelPanic&) {
+    ASSERT_EQ(m.panic(sim::PanicKind::kInduced), sim::Verdict::kDown);
   }
   sim::Machine& again = pool.checkout(0);
   EXPECT_EQ(&again, &m);  // same machine, reused

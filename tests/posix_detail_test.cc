@@ -29,7 +29,7 @@ class PosixFixture : public ::testing::Test {
     EXPECT_NE(mut, nullptr) << name;
     last_args = std::move(args);
     core::CallContext ctx(machine, *proc, *mut, last_args);
-    machine.kernel_enter();
+    (void)machine.kernel_enter();
     return mut->impl(ctx);
   }
 
@@ -212,7 +212,7 @@ TEST_F(PosixFixture, OpendirReaddirSeesFixtureFiles) {
   for (;;) {
     const auto e = call("readdir", {d.ret});
     if (e.ret == 0) break;
-    names.insert(
+    (void)names.insert(
         rdstr(proc->mem(), e.ret + 8, 256, sim::Access::kKernel));
   }
   EXPECT_TRUE(names.count("fixture.dat"));

@@ -30,7 +30,7 @@ std::vector<std::uint8_t> file_bytes(const std::string& path) {
     std::uint8_t buf[4096];
     std::size_t n;
     while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-      bytes.insert(bytes.end(), buf, buf + n);
+      (void)bytes.insert(bytes.end(), buf, buf + n);
     std::fclose(f);
   }
   return bytes;

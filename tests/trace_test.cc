@@ -194,7 +194,10 @@ TEST_F(TraceChainTest, ImmediateHazardEmitsTheExactGoldenChain) {
       "imm",
       [](CallContext& c) -> CallOutcome {
         std::uint8_t junk[4] = {};
-        if (c.arg32(0) >= 2) (void)c.k_write(0xDEAD0000, junk);
+        if (c.arg32(0) >= 2) {
+          const MemStatus st = c.k_write(0xDEAD0000, junk);
+          if (ends_call(st)) return ended(st);
+        }
         return ok(0);
       },
       {{OsVariant::kWin95, CrashStyle::kImmediate}}));
@@ -228,7 +231,10 @@ TEST_F(TraceChainTest, DeferredHazardChainCrossesMutBoundaries) {
       "hazard",
       [](CallContext& c) -> CallOutcome {
         std::uint8_t junk[4] = {};
-        if (c.arg32(0) >= 2) (void)c.k_write(0xDEAD0000, junk);
+        if (c.arg32(0) >= 2) {
+          const MemStatus st = c.k_write(0xDEAD0000, junk);
+          if (ends_call(st)) return ended(st);
+        }
         return ok(0);
       },
       {{OsVariant::kWin95, CrashStyle::kDeferred}}));
@@ -333,7 +339,10 @@ TEST_F(TraceChainTest, CountersAreIdenticalAcrossWorkerCounts) {
       "hazard",
       [](CallContext& c) -> CallOutcome {
         std::uint8_t junk[4] = {};
-        if (c.arg32(0) >= 2) (void)c.k_write(0xDEAD0000, junk);
+        if (c.arg32(0) >= 2) {
+          const MemStatus st = c.k_write(0xDEAD0000, junk);
+          if (ends_call(st)) return ended(st);
+        }
         return ok(0);
       },
       {{OsVariant::kWin95, CrashStyle::kDeferred}}));

@@ -31,7 +31,7 @@ TEST(EnvCalls, ExpandEnvironmentStringsSubstitutes) {
   const sim::Addr dst = proc->mem().alloc(256);
   std::vector<core::RawArg> args = {src, dst, 256};
   core::CallContext ctx(m, *proc, *mut, args);
-  m.kernel_enter();
+  (void)m.kernel_enter();
   const auto out = mut->impl(ctx);
   EXPECT_EQ(out.status, core::CallStatus::kSuccess);
   EXPECT_EQ(rdstr(proc->mem(), dst, 64, sim::Access::kKernel),
@@ -47,7 +47,7 @@ TEST(EnvCalls, UnknownVariableStaysVerbatim) {
   const sim::Addr dst = proc->mem().alloc(256);
   std::vector<core::RawArg> args = {src, dst, 256};
   core::CallContext ctx(m, *proc, *mut, args);
-  m.kernel_enter();
+  (void)m.kernel_enter();
   (void)mut->impl(ctx);
   EXPECT_EQ(rdstr(proc->mem(), dst, 64, sim::Access::kKernel),
             "%NO_SUCH_VAR%");
@@ -62,7 +62,7 @@ TEST(EnvCalls, SetEnvironmentVariableRejectsEquals) {
   const sim::Addr value = proc->mem().alloc_cstr("x");
   std::vector<core::RawArg> args = {name, value};
   core::CallContext ctx(m, *proc, *mut, args);
-  m.kernel_enter();
+  (void)m.kernel_enter();
   const auto out = mut->impl(ctx);
   EXPECT_EQ(out.status, core::CallStatus::kErrorReported);
 }
@@ -76,7 +76,7 @@ TEST(EnvCalls, SetWithNullValueDeletes) {
   const sim::Addr name = proc->mem().alloc_cstr("DOOMED");
   std::vector<core::RawArg> args = {name, 0};
   core::CallContext ctx(m, *proc, *mut, args);
-  m.kernel_enter();
+  (void)m.kernel_enter();
   (void)mut->impl(ctx);
   EXPECT_EQ(proc->env().count("DOOMED"), 0u);
 }
@@ -108,7 +108,7 @@ TEST(EnvCalls, ComputerNameRoundTrip) {
   EXPECT_FALSE(proc->mem().write_u32(size, 64, sim::Access::kKernel));
   std::vector<core::RawArg> args = {buf, size};
   core::CallContext ctx(m, *proc, *mut, args);
-  m.kernel_enter();
+  (void)m.kernel_enter();
   const auto out = mut->impl(ctx);
   EXPECT_EQ(out.ret, 1u);
   EXPECT_EQ(rdstr(proc->mem(), buf, 32, sim::Access::kKernel),
@@ -163,7 +163,7 @@ TEST(FileCalls, AttributesReflectNodeState) {
   const sim::Addr p = proc->mem().alloc_cstr("/tmp/readonly.dat");
   std::vector<core::RawArg> args = {p};
   core::CallContext ctx(m, *proc, *mut, args);
-  m.kernel_enter();
+  (void)m.kernel_enter();
   EXPECT_EQ(mut->impl(ctx).ret & 0x01u, 0x01u);  // FILE_ATTRIBUTE_READONLY
   const sim::Addr d = proc->mem().alloc_cstr("/tmp");
   std::vector<core::RawArg> args2 = {d};
@@ -181,7 +181,7 @@ TEST(FileCalls, GetTempFileNameCreatesWhenUniqueZero) {
   const sim::Addr out = proc->mem().alloc(256);
   std::vector<core::RawArg> args = {dir, prefix, 0, out};
   core::CallContext ctx(m, *proc, *mut, args);
-  m.kernel_enter();
+  (void)m.kernel_enter();
   const auto r = mut->impl(ctx);
   EXPECT_EQ(r.status, core::CallStatus::kSuccess);
   const std::string name =
@@ -222,7 +222,7 @@ TEST(FileCalls, FileTimeConversionsAreConsistent) {
   {
     std::vector<core::RawArg> args = {ft, st};
     core::CallContext ctx(m, *proc, *f2s, args);
-    m.kernel_enter();
+    (void)m.kernel_enter();
     EXPECT_EQ(f2s->impl(ctx).ret, 1u);
   }
   {
@@ -245,7 +245,7 @@ TEST(FileCalls, FindFirstWildcardEnumeratesScratchDir) {
   const sim::Addr data = proc->mem().alloc(512);
   std::vector<core::RawArg> args = {pat, data};
   core::CallContext ctx(m, *proc, *mut, args);
-  m.kernel_enter();
+  (void)m.kernel_enter();
   const auto r = mut->impl(ctx);
   EXPECT_EQ(r.status, core::CallStatus::kSuccess);
   // First match (alphabetical): fixture.dat, written into the find data.
@@ -261,7 +261,7 @@ TEST(IoCalls, GetStdHandleKnowsTheThreeStreams) {
   for (std::uint32_t which : {0xfffffff6u, 0xfffffff5u, 0xfffffff4u}) {
     std::vector<core::RawArg> args = {which};
     core::CallContext ctx(m, *proc, *mut, args);
-    m.kernel_enter();
+    (void)m.kernel_enter();
     const auto r = mut->impl(ctx);
     EXPECT_EQ(r.status, core::CallStatus::kSuccess);
     EXPECT_NE(proc->handles().get(r.ret), nullptr);

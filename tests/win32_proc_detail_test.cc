@@ -27,7 +27,7 @@ class ProcFixture : public ::testing::Test {
     EXPECT_NE(mut, nullptr) << name;
     last_args = std::move(args);
     core::CallContext ctx(machine, *proc, *mut, last_args);
-    machine.kernel_enter();
+    (void)machine.kernel_enter();
     return mut->impl(ctx);
   }
 
