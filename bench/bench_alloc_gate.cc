@@ -8,7 +8,11 @@
 //     which must allocate nothing;
 //   - the NT4 default campaign at cap 2000 and jobs 1.  Its first run makes a
 //     few more allocations than later runs (function-local statics), so the
-//     gate counts the second run;
+//     gate counts the second run.  On that run it also pins the reset work
+//     the machines did (core::EngineMetrics): fixture restores that walked
+//     the tree because a node was edited, and recycles that rebuilt an
+//     edited environment or cwd.  Either count moving either way means the
+//     reset path changed what it does per case;
 //   - one run of the seven-variant default campaign at cap 2000 and jobs 1,
 //     whose throws are counted.  Simulated faults and kernel panics are
 //     values, so what still throws is the rare TaskHang;
@@ -21,10 +25,11 @@
 // (throws made inside the C++ runtime library itself are not seen).
 //
 // The counts do not depend on the host, so unlike a timing floor this gate
-// trips on the first per-case allocation or throw anyone adds.  Exits 3 when
-// a count grows past its baseline (or a campaign's case count moved, which
-// means the baseline no longer describes that workload).  A change that
-// means to grow a count re-pins the baseline with:
+// trips on the first per-case allocation, throw or tree walk anyone adds.
+// Exits 3 when a count grows past its baseline, a work count differs from
+// it (or a campaign's case count moved, which means the baseline no longer
+// describes that workload).  A change that means to move a count re-pins
+// the baseline with:
 //
 //   bench_alloc_gate --write-baseline tests/golden/alloc_baseline.json
 #include <algorithm>
@@ -39,6 +44,7 @@
 #include <typeinfo>
 
 #include "core/crashplan.h"
+#include "core/sched.h"
 #include "harness/world.h"
 #include "sim/fault.h"
 
@@ -101,6 +107,8 @@ struct Counts {
   std::uint64_t campaign_cases = 0;
   std::uint64_t campaign_allocs = 0;
   std::uint64_t campaign_throws = 0;  // informational: not gated
+  std::uint64_t fixture_walks = 0;
+  std::uint64_t env_rebuilds = 0;
   std::uint64_t campaign7_cases = 0;
   std::uint64_t campaign7_throws = 0;
   std::uint64_t crash_cuts = 0;
@@ -133,12 +141,17 @@ Counts measure(const harness::World& world) {
   opt.cap = kCampaignCap;
   opt.jobs = 1;
   core::Campaign::run(sim::OsVariant::kWinNT4, world.registry, opt);
+  core::EngineMetrics work;
+  opt.metrics = &work;
   const std::uint64_t c0 = g_allocs.load(), t0 = g_throws.load();
   const auto result =
       core::Campaign::run(sim::OsVariant::kWinNT4, world.registry, opt);
   c.campaign_allocs = g_allocs.load() - c0;
   c.campaign_throws = g_throws.load() - t0;
   c.campaign_cases = result.total_cases;
+  c.fixture_walks = work.fixture_walks;
+  c.env_rebuilds = work.env_rebuilds;
+  opt.metrics = nullptr;
 
   const std::uint64_t t7 = g_throws.load();
   for (const sim::OsVariant v : sim::kAllVariants)
@@ -198,6 +211,9 @@ int main(int argc, char** argv) {
               static_cast<double>(c.campaign_allocs) /
                   static_cast<double>(c.campaign_cases),
               static_cast<unsigned long long>(c.campaign_throws));
+  std::printf("  reset work: %llu fixture walks, %llu environment rebuilds\n",
+              static_cast<unsigned long long>(c.fixture_walks),
+              static_cast<unsigned long long>(c.env_rebuilds));
   std::printf("seven-variant default campaign, cap %llu, jobs 1: %llu cases, "
               "%llu throws\n",
               static_cast<unsigned long long>(kCampaignCap),
@@ -227,6 +243,8 @@ int main(int argc, char** argv) {
         << " jobs=1, second run\",\n"
         << "  \"campaign_cases\": " << c.campaign_cases << ",\n"
         << "  \"campaign_allocs\": " << c.campaign_allocs << ",\n"
+        << "  \"fixture_walks\": " << c.fixture_walks << ",\n"
+        << "  \"env_rebuilds\": " << c.env_rebuilds << ",\n"
         << "  \"campaign7\": \"seven variants default groups cap="
         << kCampaignCap << " jobs=1\",\n"
         << "  \"campaign7_cases\": " << c.campaign7_cases << ",\n"
@@ -247,6 +265,8 @@ int main(int argc, char** argv) {
   if (!in || !read_field(ss.str(), "recycle_allocs", base.recycle_allocs) ||
       !read_field(ss.str(), "campaign_cases", base.campaign_cases) ||
       !read_field(ss.str(), "campaign_allocs", base.campaign_allocs) ||
+      !read_field(ss.str(), "fixture_walks", base.fixture_walks) ||
+      !read_field(ss.str(), "env_rebuilds", base.env_rebuilds) ||
       !read_field(ss.str(), "campaign7_cases", base.campaign7_cases) ||
       !read_field(ss.str(), "campaign7_throws", base.campaign7_throws) ||
       !read_field(ss.str(), "crash_cuts", base.crash_cuts) ||
@@ -270,12 +290,25 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(c.campaign_cases),
                  static_cast<unsigned long long>(base.campaign_cases));
     ok = false;
-  } else if (c.campaign_allocs > base.campaign_allocs) {
-    std::fprintf(stderr, "ALLOCATION REGRESSION: the campaign made %llu "
-                         "allocations, baseline %llu\n",
-                 static_cast<unsigned long long>(c.campaign_allocs),
-                 static_cast<unsigned long long>(base.campaign_allocs));
-    ok = false;
+  } else {
+    if (c.campaign_allocs > base.campaign_allocs) {
+      std::fprintf(stderr, "ALLOCATION REGRESSION: the campaign made %llu "
+                           "allocations, baseline %llu\n",
+                   static_cast<unsigned long long>(c.campaign_allocs),
+                   static_cast<unsigned long long>(base.campaign_allocs));
+      ok = false;
+    }
+    if (c.fixture_walks != base.fixture_walks ||
+        c.env_rebuilds != base.env_rebuilds) {
+      std::fprintf(stderr, "RESET WORK CHANGED: the campaign walked the "
+                           "fixture %llu times and rebuilt %llu environments, "
+                           "baseline %llu and %llu\n",
+                   static_cast<unsigned long long>(c.fixture_walks),
+                   static_cast<unsigned long long>(c.env_rebuilds),
+                   static_cast<unsigned long long>(base.fixture_walks),
+                   static_cast<unsigned long long>(base.env_rebuilds));
+      ok = false;
+    }
   }
   if (c.campaign7_cases != base.campaign7_cases) {
     std::fprintf(stderr, "seven-variant campaign ran %llu cases, baseline "

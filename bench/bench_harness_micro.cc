@@ -1,7 +1,8 @@
 // google-benchmark micro-suite for the harness itself: cost of one test case
 // end to end (task creation, value construction, dispatch, classification)
 // per OS personality, plus the building blocks (tuple generation, simulated
-// memory access, range protect/unmap, a large map, CRT set-up, machine boot)
+// memory access, page lookup, map-write-restore, range protect/unmap, a
+// large map, CRT set-up, machine boot)
 // and the trace-spine overhead per sink mode (disabled / counters-only /
 // full ring), reported to BENCH_trace.json.
 #include <benchmark/benchmark.h>
@@ -10,6 +11,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -194,6 +196,43 @@ void BM_UnmapWholeRange(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UnmapWholeRange);
+
+void BM_PageLookup(benchmark::State& state) {
+  // read_u8 on mapped pages of a task-shaped space, alternating between a
+  // harness allocation and the stack, which sit in different leaves of the
+  // page table: the lookup every simulated access pays.
+  sim::AddressSpace mem;
+  (void)mem.map(kMicroStack, kMicroStackSize, sim::kPermRW);
+  mem.checkpoint();
+  const sim::Addr pages[2] = {mem.alloc(sim::kPageSize), kMicroStack};
+  std::uint64_t i = 0;
+  std::uint8_t v = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mem.read_u8(pages[i & 1] + (i % 4096), &v));
+    ++i;
+  }
+  benchmark::DoNotOptimize(v);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PageLookup);
+
+void BM_MapWriteRestore(benchmark::State& state) {
+  // What a case's argument buffer costs the MMU end to end: map it, store
+  // 16 bytes into it, and restore the checkpoint, which retires the page
+  // and zeroes the storage it wrote.
+  sim::AddressSpace mem;
+  (void)mem.map(kMicroStack, kMicroStackSize, sim::kPermRW);
+  mem.checkpoint();
+  const std::uint8_t bytes[16] = {1, 2, 3, 4, 5, 6, 7, 8,
+                                  9, 10, 11, 12, 13, 14, 15, 16};
+  for (auto _ : state) {
+    const std::optional<sim::Addr> a = mem.task_alloc(64);
+    benchmark::DoNotOptimize(mem.write_bytes(*a, bytes));
+    mem.restore();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_MapWriteRestore);
 
 void BM_MapLarge(benchmark::State& state) {
   // A 16 MiB mapping (a large malloc/calloc value) on a task-shaped space,

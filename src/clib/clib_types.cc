@@ -18,7 +18,7 @@ constexpr std::uint64_t kHeapMagic = 0x48454150'4348554eULL;  // "HEAPCHUN"
 sim::Addr make_valid_file(ValueCtx& c, bool writable) {
   auto node = std::make_shared<sim::FsNode>("stream.dat", false);
   const std::string payload = "stream contents: 42 1999 ballista\n";
-  node->data().assign(payload.begin(), payload.end());
+  node->edit_data().assign(payload.begin(), payload.end());
   // Materialization runs outside the module window: nothing is cut here.
   return make_file_struct(c.proc, std::move(node),
                           kFRead | (writable ? kFWrite : 0u) | kFOpen)

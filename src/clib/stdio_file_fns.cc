@@ -124,11 +124,11 @@ CallOutcome open_common(CallContext& ctx, Addr path_arg, Addr mode_arg,
     proc.set_errno(EISDIR);
     return core::error_reported(0);
   }
-  if (node->read_only && (mode.flags & kFWrite) != 0) {
+  if (node->read_only() && (mode.flags & kFWrite) != 0) {
     proc.set_errno(EACCES);
     return core::error_reported(0);
   }
-  if (mode.truncate) node->data().clear();
+  if (mode.truncate) node->edit_data().clear();
 
   Addr fp = reuse_fp;
   if (fp == 0) {

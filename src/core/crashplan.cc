@@ -64,7 +64,7 @@ std::string first_violation(sim::Machine& m, FsWalk& walk) {
     walk.visited.push_back(node);
     if (!node->is_dir() && !node->children().empty())
       return "regular file has children";
-    if (node->nlink < 1) return "node with nlink < 1 still linked";
+    if (node->nlink() < 1) return "node with nlink < 1 still linked";
     for (const auto& [key, child] : node->children())
       walk.stack.push_back(child.get());
   }

@@ -1,36 +1,44 @@
 #include "core/executor.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace ballista::core {
 namespace {
 
-// Trims a raw ring tail down to the schedule-invariant causal window behind a
-// panic.  The ring spans the machine's whole recent history, which differs
-// between the sequential loop and a freshly checked-out shard machine; the
-// chain from the corrupting case (deferred fuse) or the dying case (immediate
-// panic) to the kPanic event is guaranteed identical across schedules by the
-// plan's corruption-stays-in-shard invariant, so only that window is kept.
-std::vector<trace::TraceEvent> causal_window(std::vector<trace::TraceEvent> tail,
+// The schedule-invariant causal window behind a panic, cut from the last
+// kDefaultCapacity events of the ring.  The ring spans the machine's whole
+// recent history, which differs between the sequential loop and a freshly
+// checked-out shard machine; the chain from the corrupting case (deferred
+// fuse) or the dying case (immediate panic) to the kPanic event is
+// guaranteed identical across schedules by the plan's corruption-stays-in-
+// shard invariant, so only that window is kept.  The window is found in
+// place and copied out once.
+std::vector<trace::TraceEvent> causal_window(const trace::TraceSink& sink,
                                              sim::PanicKind why) {
-  if (tail.empty()) return tail;
-  std::size_t anchor = tail.size() - 1;  // the kPanic event
+  const std::size_t n =
+      std::min(sink.size(), trace::TraceSink::kDefaultCapacity);
+  if (n == 0) return {};
+  // Event k of the n-event tail, oldest first.
+  const auto at = [&](std::size_t k) -> const trace::TraceEvent& {
+    return sink.recent(n - 1 - k);
+  };
+  std::size_t anchor = n - 1;  // the kPanic event
   if (why == sim::PanicKind::kDeferredFuse) {
-    for (std::size_t k = tail.size(); k-- > 0;) {
-      if (tail[k].kind == trace::EventKind::kArenaCorruption) {
+    for (std::size_t k = n; k-- > 0;) {
+      if (at(k).kind == trace::EventKind::kArenaCorruption) {
         anchor = k;
         break;
       }
     }
   }
   // Walk back to the anchor case's first kernel event (its kSyscallEnter).
-  const std::int64_t c = tail[anchor].case_index;
+  const std::int64_t c = at(anchor).case_index;
   std::size_t start = anchor;
-  while (start > 0 && tail[start].kind != trace::EventKind::kSyscallEnter &&
-         tail[start - 1].case_index == c)
+  while (start > 0 && at(start).kind != trace::EventKind::kSyscallEnter &&
+         at(start - 1).case_index == c)
     --start;
-  tail.erase(tail.begin(), tail.begin() + static_cast<std::ptrdiff_t>(start));
-  return tail;
+  return sink.tail(n - start);
 }
 
 [[noreturn]] void harness_error(const MuT& mut, std::string_view what) {
@@ -114,7 +122,7 @@ CaseResult Executor::run_case(const MuT& mut,
       result.outcome = Outcome::kCatastrophic;
       result.panic = machine_.panic_kind();
       result.detail = sim::describe_panic(result.panic);
-      result.trace_tail = causal_window(sink.tail(), result.panic);
+      result.trace_tail = causal_window(sink, result.panic);
     } else if (out.status == CallStatus::kFaulted ||
                ctx.faults_recorded() != 0) {
       // The task took a hardware-class fault: it never returns to its

@@ -177,6 +177,16 @@ std::uint64_t MachinePool::machine_rebuilds() const noexcept {
   return n;
 }
 
+void MachinePool::count_reset_work(EngineMetrics& metrics) const noexcept {
+  metrics.fixture_walks = metrics.env_rebuilds = 0;
+  for (const Slot& s : slots_) {
+    for (const auto& m : s.cache) {
+      metrics.fixture_walks += m->fs().fixture_walks();
+      metrics.env_rebuilds += m->env_rebuilds();
+    }
+  }
+}
+
 CampaignResult merge_outcomes(const Plan& plan,
                               std::vector<ShardOutcome> outcomes) {
   CampaignResult result;
@@ -368,6 +378,7 @@ void detail::execute_shards(
     metrics->jobs = jobs;
     metrics->contended_steals = queue.contended_steals();
     metrics->machine_rebuilds = pool.machine_rebuilds();
+    pool.count_reset_work(*metrics);
   }
 }
 

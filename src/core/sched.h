@@ -64,6 +64,12 @@ struct EngineMetrics {
   std::uint64_t contended_steals = 0;
   /// Machines constructed from scratch by the pool (cache misses).
   std::uint64_t machine_rebuilds = 0;
+  /// Reset work the pool's machines did: fixture restores that walked the
+  /// tree because a node had been edited, and process recycles that
+  /// rebuilt an edited environment or cwd.  Host-independent, so
+  /// alloc_count_gate pins both.
+  std::uint64_t fixture_walks = 0;
+  std::uint64_t env_rebuilds = 0;
 };
 
 /// Executes one shard.  Precondition: `machine` is in freshly-booted state
@@ -100,6 +106,10 @@ class MachinePool {
 
   /// Machines constructed from scratch (slot-cache misses) so far.
   std::uint64_t machine_rebuilds() const noexcept;
+
+  /// Fills metrics->fixture_walks and env_rebuilds from the machines the
+  /// pool holds.  Not thread-safe: call once the workers are done.
+  void count_reset_work(EngineMetrics& metrics) const noexcept;
 
  private:
   struct Slot;

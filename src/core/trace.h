@@ -385,6 +385,12 @@ class TraceSink {
   std::size_t capacity() const noexcept { return capacity_; }
   std::size_t size() const noexcept { return ring_.size(); }
 
+  /// The event `back` steps before the newest (0 = the newest); `back` must
+  /// be below size().
+  const TraceEvent& recent(std::size_t back) const noexcept {
+    return ring_[(head_ + ring_.size() - 1 - back) % ring_.size()];
+  }
+
   /// The last min(max_events, size()) events in chronological order.
   std::vector<TraceEvent> tail(std::size_t max_events = kDefaultCapacity) const {
     std::vector<TraceEvent> out;

@@ -51,7 +51,7 @@ core::CampaignResult run_stressed_campaign(sim::OsVariant variant,
                                    sim::FileSystem::root_path());
         auto node = fs.create_file(path, false, false).value;
         if (node != nullptr && node->data().empty())
-          node->data().assign(64, static_cast<std::uint8_t>(i));
+          node->edit_data().assign(64, static_cast<std::uint8_t>(i));
       }
       auto root = fs.resolve(fs.parse("/tmp/fixture.dat", proc.cwd()));
       for (int i = 0; i < p.extra_handles; ++i) {

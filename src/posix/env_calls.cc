@@ -42,7 +42,7 @@ CallOutcome do_putenv(CallContext& ctx) {
   }
   const auto eq = kv.find('=');
   if (eq == std::string::npos || eq == 0) return ctx.posix_fail(EINVAL);
-  ctx.proc().env()[kv.substr(0, eq)] = kv.substr(eq + 1);
+  ctx.proc().edit_env()[kv.substr(0, eq)] = kv.substr(eq + 1);
   return ok(0);
 }
 
@@ -56,9 +56,8 @@ CallOutcome do_setenv(CallContext& ctx) {
   st = ctx.k_read_str(ctx.arg_addr(1), &value, 4096);
   if (st != MemStatus::kOk) return ctx.posix_mem_fail(st);
   const bool overwrite = ctx.arg32(2) != 0;
-  auto& env = ctx.proc().env();
-  if (!overwrite && env.count(name) != 0) return ok(0);
-  env[name] = value;
+  if (!overwrite && ctx.proc().env().count(name) != 0) return ok(0);
+  ctx.proc().edit_env()[name] = value;
   return ok(0);
 }
 
@@ -68,7 +67,7 @@ CallOutcome do_unsetenv(CallContext& ctx) {
   if (st != MemStatus::kOk) return ctx.posix_mem_fail(st);
   if (name.empty() || name.find('=') != std::string::npos)
     return ctx.posix_fail(EINVAL);
-  ctx.proc().env().erase(name);
+  if (ctx.proc().env().count(name) != 0) ctx.proc().edit_env().erase(name);
   return ok(0);
 }
 

@@ -45,8 +45,8 @@ CallOutcome do_open(CallContext& ctx) {
     return ctx.posix_fail(EEXIST);
   }
   if (node->is_dir() && acc != 0) return ctx.posix_fail(EISDIR);
-  if (node->read_only && acc != 0) return ctx.posix_fail(EACCES);
-  if (trunc && !node->is_dir()) node->data().clear();
+  if (node->read_only() && acc != 0) return ctx.posix_fail(EACCES);
+  if (trunc && !node->is_dir()) node->edit_data().clear();
   auto obj = std::make_shared<sim::FileObject>(
       node,
       sim::FileObject::kAccessRead |
@@ -116,7 +116,7 @@ CallOutcome do_chdir(CallContext& ctx) {
   auto node = fs.resolve(parsed);
   if (node == nullptr) return ctx.posix_fail(ENOENT);
   if (!node->is_dir()) return ctx.posix_fail(ENOTDIR);
-  ctx.proc().cwd() = parsed;
+  ctx.proc().set_cwd(parsed);
   return ok(0);
 }
 
@@ -143,11 +143,11 @@ CallOutcome do_getcwd(CallContext& ctx) {
 CallOutcome write_stat(CallContext& ctx, const sim::FsNode& node, Addr out) {
   std::uint8_t st[64] = {};
   const std::uint32_t mode =
-      (node.is_dir() ? 0x4000u : 0x8000u) | (node.read_only ? 0444u : 0644u);
+      (node.is_dir() ? 0x4000u : 0x8000u) | (node.read_only() ? 0444u : 0644u);
   std::memcpy(st + 4, &mode, 4);
   const std::uint32_t size = static_cast<std::uint32_t>(node.data().size());
   std::memcpy(st + 16, &size, 4);
-  const std::uint32_t nlink = static_cast<std::uint32_t>(node.nlink);
+  const std::uint32_t nlink = static_cast<std::uint32_t>(node.nlink());
   std::memcpy(st + 8, &nlink, 4);
   const MemStatus s = ctx.k_write(out, st);
   if (s != MemStatus::kOk) return ctx.posix_mem_fail(s);
@@ -176,7 +176,7 @@ CallOutcome do_access(CallContext& ctx) {
   if ((mode & ~7u) != 0 && mode != 0) return ctx.posix_fail(EINVAL);
   auto node = node_at(ctx, *pr.path);
   if (node == nullptr) return ctx.posix_fail(ENOENT);
-  if ((mode & 2) && node->read_only) return ctx.posix_fail(EACCES);
+  if ((mode & 2) && node->read_only()) return ctx.posix_fail(EACCES);
   return ok(0);
 }
 
@@ -242,8 +242,8 @@ CallOutcome do_truncate(CallContext& ctx) {
   auto node = node_at(ctx, *pr.path);
   if (node == nullptr) return ctx.posix_fail(ENOENT);
   if (node->is_dir()) return ctx.posix_fail(EISDIR);
-  if (node->read_only) return ctx.posix_fail(EACCES);
-  node->data().resize(static_cast<std::size_t>(
+  if (node->read_only()) return ctx.posix_fail(EACCES);
+  node->edit_data().resize(static_cast<std::size_t>(
       std::min<std::int64_t>(len, 1 << 24)));
   return ok(0);
 }
@@ -256,7 +256,7 @@ CallOutcome do_ftruncate(CallContext& ctx) {
   auto* f = static_cast<sim::FileObject*>(fc.obj.get());
   if ((f->access() & sim::FileObject::kAccessWrite) == 0)
     return ctx.posix_fail(EINVAL);
-  f->node()->data().resize(
+  f->node()->edit_data().resize(
       static_cast<std::size_t>(std::min<std::int64_t>(len, 1 << 24)));
   return ok(0);
 }
@@ -275,8 +275,8 @@ CallOutcome do_link(CallContext& ctx) {
   auto parent = fs.resolve_parent(to_parsed, &leaf);
   if (parent == nullptr || leaf.empty()) return ctx.posix_fail(ENOENT);
   if (parent->children().count(leaf) != 0) return ctx.posix_fail(EEXIST);
-  parent->children().emplace(leaf, src);
-  src->nlink += 1;
+  parent->add_child(leaf, src);
+  src->set_nlink(src->nlink() + 1);
   return ok(0);
 }
 
@@ -291,7 +291,7 @@ CallOutcome do_symlink(CallContext& ctx) {
   if (created.down()) return core::panicked();
   const std::shared_ptr<sim::FsNode>& node = created.value;
   if (node == nullptr) return ctx.posix_fail(EEXIST);
-  node->data().assign(target.path->begin(), target.path->end());
+  node->edit_data().assign(target.path->begin(), target.path->end());
   if (sim::down(fs.set_hidden(*node, true)))  // marks "symlink" in this model
     return core::panicked();
   return ok(0);
@@ -302,7 +302,7 @@ CallOutcome do_readlink(CallContext& ctx) {
   if (!pr.path) return pr.fail;
   auto node = node_at(ctx, *pr.path);
   if (node == nullptr) return ctx.posix_fail(ENOENT);
-  if (!node->hidden) return ctx.posix_fail(EINVAL);  // not a symlink
+  if (!node->hidden()) return ctx.posix_fail(EINVAL);  // not a symlink
   const std::uint64_t bufsiz = ctx.arg(2);
   const std::uint64_t n = std::min<std::uint64_t>(bufsiz, node->data().size());
   if (n > 0) {

@@ -78,7 +78,7 @@ bool CeFileDropClient::execute(const std::string& mut_name,
                      std::to_string(static_cast<int>(core::case_code(r)));
   for (std::uint64_t c : r.events.n) line += " " + std::to_string(c);
   for (std::uint64_t c : r.events.probe) line += " " + std::to_string(c);
-  node->data().assign(line.begin(), line.end());
+  node->edit_data().assign(line.begin(), line.end());
   return true;
 }
 

@@ -1,6 +1,7 @@
 #include "sim/addrspace.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "core/trace.h"
@@ -24,29 +25,11 @@ const std::uint8_t* bytes_of(const Page& p) noexcept {
   return p.data != nullptr ? p.data->data() : kZeroPage.data();
 }
 
-/// Calls `visit(it)` on every private page of [start, start+size) that is
-/// mapped; `visit` may retire the page.  It walks whichever is smaller: the
-/// page numbers in the range or the mapped set.  A size_neg1 VirtualProtect
-/// spans a million page numbers while a case maps a few dozen pages, so the
-/// range operations cost what they touch.  A range whose end wraps past the
-/// top of the address space is empty, as it was for the page-number walk.
-template <typename PageMap, typename Visit>
-void for_each_mapped(PageMap& pages, Addr start, std::uint64_t size,
-                     Visit visit) {
-  const Addr first = page_of(start);
-  const Addr last = page_of(start + (size ? size - 1 : 0));
-  if (last < first) return;
-  if (last - first < pages.size()) {
-    for (Addr pg = first; pg <= last; ++pg) {
-      const auto it = pages.find(pg);
-      if (it != pages.end()) visit(it);
-    }
-    return;
-  }
-  for (auto it = pages.begin(); it != pages.end();) {
-    const auto cur = it++;
-    if (cur->first >= first && cur->first <= last) visit(cur);
-  }
+/// Page::image for a page of the checkpoint with these permissions.
+std::uint8_t image_entry(std::uint8_t perm, bool kernel_only) noexcept {
+  static_assert((kPermRW & (Page::kImageMember | Page::kImageKernelOnly)) == 0);
+  return static_cast<std::uint8_t>(
+      Page::kImageMember | (kernel_only ? Page::kImageKernelOnly : 0) | perm);
 }
 
 }  // namespace
@@ -64,52 +47,136 @@ Page* SharedArena::page(Addr a) {
   return &it->second;
 }
 
+AddressSpace::Leaf* AddressSpace::find_leaf(Addr key) const noexcept {
+  if (last_leaf_ != nullptr && last_key_ == key) return last_leaf_;
+  const auto it = std::lower_bound(
+      dir_.begin(), dir_.end(), key,
+      [](const DirEntry& d, Addr k) { return d.key < k; });
+  if (it == dir_.end() || it->key != key) return nullptr;
+  last_key_ = key;
+  last_leaf_ = it->leaf.get();
+  return last_leaf_;
+}
+
+Page* AddressSpace::find_page(Addr pg) const noexcept {
+  Leaf* leaf = find_leaf(pg >> kLeafBits);
+  const std::size_t i = pg & (kLeafPages - 1);
+  return leaf != nullptr && leaf->has(i) ? &leaf->pages[i] : nullptr;
+}
+
+Page& AddressSpace::entry(Addr pg) {
+  const Addr key = pg >> kLeafBits;
+  Leaf* leaf = find_leaf(key);
+  if (leaf == nullptr) {
+    auto fresh = std::make_unique<Leaf>();
+    leaf = fresh.get();
+    const auto at = std::lower_bound(
+        dir_.begin(), dir_.end(), key,
+        [](const DirEntry& d, Addr k) { return d.key < k; });
+    dir_.insert(at, DirEntry{key, std::move(fresh)});
+    last_key_ = key;
+    last_leaf_ = leaf;
+  }
+  // An entry that is not present is a default Page (retire() leaves it so).
+  const std::size_t i = pg & (kLeafPages - 1);
+  if (!leaf->has(i)) {
+    leaf->present[i / 64] |= std::uint64_t{1} << (i % 64);
+    leaf->words |= static_cast<std::uint16_t>(1u << (i / 64));
+    ++leaf->mapped;
+    ++mapped_;
+  }
+  return leaf->pages[i];
+}
+
+template <typename Visit>
+void AddressSpace::for_each_mapped(Addr start, std::uint64_t size,
+                                   Visit visit) {
+  const Addr first = page_of(start);
+  const Addr last = page_of(start + (size ? size - 1 : 0));
+  if (last < first) return;
+  auto it = std::lower_bound(
+      dir_.begin(), dir_.end(), first >> kLeafBits,
+      [](const DirEntry& d, Addr k) { return d.key < k; });
+  for (; it != dir_.end() && it->key <= last >> kLeafBits; ++it) {
+    Leaf& leaf = *it->leaf;
+    const Addr base = it->key << kLeafBits;
+    const std::size_t lo = first > base ? first - base : 0;
+    const std::size_t hi = std::min<Addr>(last - base, kLeafPages - 1);
+    // The non-empty words from lo's through hi's.
+    std::uint32_t words = leaf.words & ((2u << (hi / 64)) - 1) &
+                          ~((1u << (lo / 64)) - 1);
+    while (words != 0) {
+      const std::size_t w = static_cast<std::size_t>(std::countr_zero(words));
+      words &= words - 1;
+      std::uint64_t bits = leaf.present[w];
+      if (w == lo / 64) bits &= ~std::uint64_t{0} << (lo % 64);
+      if (w == hi / 64) bits &= ~std::uint64_t{0} >> (63 - hi % 64);
+      // One visit per run of consecutive mapped pages.
+      while (bits != 0) {
+        const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
+        const unsigned n = static_cast<unsigned>(std::countr_one(bits >> b));
+        bits = b + n < 64 ? bits & (~std::uint64_t{0} << (b + n)) : 0;
+        visit(leaf, w * 64 + b, n, base + w * 64 + b);
+      }
+    }
+  }
+}
+
 void AddressSpace::touch(Page& p, Addr pg) {
   if (p.touched) return;
   p.touched = true;
   touched_.push_back(pg);
 }
 
-std::uint8_t* AddressSpace::backing(Page& p, Addr pg) {
+std::uint8_t* AddressSpace::backing(Page& p, Addr pg, std::size_t off,
+                                    std::size_t n) {
   if (p.data == nullptr) {
+    // Free-listed storage is all zeros already (drop_bytes saw to it).
     if (free_bytes_.empty()) {
       p.data = std::make_unique<PageBytes>();
     } else {
       p.data = std::move(free_bytes_.back());
       free_bytes_.pop_back();
-      p.data->fill(0);  // recycled storage must look freshly allocated
     }
     touch(p, pg);
   }
+  p.written_lo = std::min(p.written_lo, static_cast<std::uint16_t>(off));
+  p.written_hi = std::max(p.written_hi, static_cast<std::uint16_t>(off + n));
   return p.data->data();
 }
 
 void AddressSpace::drop_bytes(Page& p) {
-  if (p.data != nullptr && free_bytes_.size() < kMaxFreePages)
+  if (p.data != nullptr && free_bytes_.size() < kMaxFreePages) {
+    if (p.written_lo < p.written_hi)
+      std::memset(p.data->data() + p.written_lo, 0,
+                  p.written_hi - p.written_lo);
     free_bytes_.push_back(std::move(p.data));
+  }
   p.data.reset();
+  p.written_lo = static_cast<std::uint16_t>(kPageSize);
+  p.written_hi = 0;
 }
 
-void AddressSpace::retire(PageMap::iterator it) {
-  drop_bytes(it->second);
-  auto node = pages_.extract(it);
-  if (free_nodes_.size() < kMaxFreePages)
-    free_nodes_.push_back(std::move(node));
+void AddressSpace::retire(Leaf& leaf, std::size_t i, std::size_t n) {
+  for (const std::size_t end = i + n; i != end; ++i) {
+    drop_bytes(leaf.pages[i]);
+    leaf.pages[i] = Page{};
+    leaf.present[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+    if (leaf.present[i / 64] == 0)
+      leaf.words &= static_cast<std::uint16_t>(~(1u << (i / 64)));
+  }
+  leaf.mapped -= n;
+  mapped_ -= n;
+}
+
+void AddressSpace::trim_leaves() {
+  if (dir_.size() <= kMaxLeaves) return;
+  std::erase_if(dir_, [](const DirEntry& d) { return d.leaf->mapped == 0; });
+  last_leaf_ = nullptr;
 }
 
 Verdict AddressSpace::announce(MutationKind kind, Addr page) {
   return hub_ != nullptr ? hub_->notify(kind, page) : Verdict::kUp;
-}
-
-AddressSpace::PageMap::iterator AddressSpace::entry(Addr pg) {
-  const auto it = pages_.find(pg);
-  if (it != pages_.end()) return it;
-  if (free_nodes_.empty()) return pages_.try_emplace(pg).first;
-  auto node = std::move(free_nodes_.back());
-  free_nodes_.pop_back();
-  node.key() = pg;
-  node.mapped() = Page{};
-  return pages_.insert(std::move(node)).position;
 }
 
 Verdict AddressSpace::map(Addr start, std::uint64_t size, std::uint8_t perm,
@@ -119,7 +186,7 @@ Verdict AddressSpace::map(Addr start, std::uint64_t size, std::uint8_t perm,
   const Addr first = page_of(start);
   const Addr last = page_of(start + (size ? size - 1 : 0));
   for (Addr pg = first; pg <= last; ++pg) {
-    Page& p = entry(pg)->second;
+    Page& p = entry(pg);
     p.perm = perm;
     p.kernel_only = kernel_only;
     touch(p, pg);
@@ -130,31 +197,38 @@ Verdict AddressSpace::map(Addr start, std::uint64_t size, std::uint8_t perm,
 Verdict AddressSpace::unmap(Addr start, std::uint64_t size) {
   if (announce(MutationKind::kPageUnmap, page_of(start)) == Verdict::kDown)
     return Verdict::kDown;
-  for_each_mapped(pages_, start, size,
-                  [this](PageMap::iterator it) { retire(it); });
+  for_each_mapped(start, size,
+                  [this](Leaf& leaf, std::size_t i, std::size_t n, Addr) {
+                    retire(leaf, i, n);
+                  });
   return Verdict::kUp;
 }
 
 void AddressSpace::reset() {
-  while (!pages_.empty()) retire(pages_.begin());
+  for_each_mapped(0, ~std::uint64_t{0},
+                  [this](Leaf& leaf, std::size_t i, std::size_t n, Addr) {
+                    retire(leaf, i, n);
+                  });
+  trim_leaves();
   touched_.clear();
   bump_ = kBumpBase;
 }
 
 void AddressSpace::checkpoint() {
   image_.clear();
-  for (auto& [pg, page] : pages_) {
-    image_.push_back({pg, page.perm, page.kernel_only});
-    // Checkpointed pages are all-zero by contract, so dropping their
-    // storage changes nothing visible and makes the next write to any of
-    // them land on the touched list.
-    drop_bytes(page);
-    page.touched = false;
-  }
-  std::sort(image_.begin(), image_.end(),
-            [](const ImageEntry& x, const ImageEntry& y) {
-              return x.page < y.page;
-            });
+  for_each_mapped(0, ~std::uint64_t{0}, [this](Leaf& leaf, std::size_t i,
+                                               std::size_t n, Addr pg) {
+    for (const std::size_t end = i + n; i != end; ++i, ++pg) {
+      Page& page = leaf.pages[i];
+      image_.push_back({pg, page.perm, page.kernel_only});
+      page.image = image_entry(page.perm, page.kernel_only);
+      // Checkpointed pages are all-zero by contract, so dropping their
+      // storage changes nothing visible and makes the next write to any of
+      // them land on the touched list.
+      drop_bytes(page);
+      page.touched = false;
+    }
+  });
   touched_.clear();
   image_bump_ = bump_;
   has_image_ = true;
@@ -166,32 +240,32 @@ void AddressSpace::restore() {
     return;
   }
   for (const Addr pg : touched_) {
-    const auto it = pages_.find(pg);
-    if (it == pages_.end()) continue;  // unmapped again by the case
-    const auto cp = std::lower_bound(
-        image_.begin(), image_.end(), pg,
-        [](const ImageEntry& e, Addr page) { return e.page < page; });
-    if (cp == image_.end() || cp->page != pg) {
-      retire(it);
+    Leaf* leaf = find_leaf(pg >> kLeafBits);
+    const std::size_t i = pg & (kLeafPages - 1);
+    if (leaf == nullptr || !leaf->has(i)) continue;  // unmapped again
+    Page& p = leaf->pages[i];
+    if (p.image == 0) {
+      retire(*leaf, i, 1);
       continue;
     }
-    Page& p = it->second;
     drop_bytes(p);
-    p.perm = cp->perm;
-    p.kernel_only = cp->kernel_only;
+    p.perm = p.image & kPermRW;
+    p.kernel_only = (p.image & Page::kImageKernelOnly) != 0;
     p.touched = false;
   }
   touched_.clear();
   // Every page mapped since the checkpoint was touched and is gone, so a
   // short page table means the case unmapped checkpointed pages (wild
   // VirtualFree/munmap values can land in the stack); map those again.
-  if (pages_.size() != image_.size()) {
+  if (mapped_ != image_.size()) {
     for (const ImageEntry& e : image_) {
-      Page& p = entry(e.page)->second;
+      Page& p = entry(e.page);
       p.perm = e.perm;
       p.kernel_only = e.kernel_only;
+      p.image = image_entry(e.perm, e.kernel_only);
     }
   }
+  trim_leaves();
   bump_ = image_bump_;
 }
 
@@ -199,21 +273,30 @@ Verdict AddressSpace::protect(Addr start, std::uint64_t size,
                               std::uint8_t perm) {
   if (announce(MutationKind::kPageProtect, page_of(start)) == Verdict::kDown)
     return Verdict::kDown;
-  for_each_mapped(pages_, start, size, [this, perm](PageMap::iterator it) {
-    it->second.perm = perm;
-    touch(it->second, it->first);
+  for_each_mapped(start, size, [this, perm](Leaf& leaf, std::size_t i,
+                                            std::size_t n, Addr pg) {
+    protect_run(&leaf.pages[i], n, pg, perm);
   });
   return Verdict::kUp;
 }
 
+void AddressSpace::protect_run(Page* p, std::size_t n, Addr pg,
+                               std::uint8_t perm) {
+  // Unrolled: a whole-range protect over a mapped stack is this loop.
+#pragma GCC unroll 8
+  for (std::size_t k = 0; k < n; ++k) {
+    p[k].perm = perm;
+    touch(p[k], pg + k);
+  }
+}
+
 bool AddressSpace::is_mapped(Addr a) const noexcept {
-  if (pages_.count(page_of(a)) != 0) return true;
+  if (find_page(page_of(a)) != nullptr) return true;
   return arena_ != nullptr && arena_->contains(a);
 }
 
 std::uint8_t AddressSpace::perm_of(Addr a) const noexcept {
-  auto it = pages_.find(page_of(a));
-  if (it != pages_.end()) return it->second.perm;
+  if (const Page* p = find_page(page_of(a))) return p->perm;
   if (arena_ != nullptr && arena_->contains(a)) return kPermRW;
   return kPermNone;
 }
@@ -281,13 +364,9 @@ Addr AddressSpace::alloc_dangling(std::uint64_t size) {
 }
 
 const Page* AddressSpace::page_for(Addr a, Access m, bool write) const {
-  auto it = pages_.find(page_of(a));
-  const Page* p = nullptr;
-  if (it != pages_.end()) {
-    p = &it->second;
-  } else if (arena_ != nullptr && arena_->contains(a)) {
+  const Page* p = find_page(page_of(a));
+  if (p == nullptr && arena_ != nullptr && arena_->contains(a))
     p = arena_->page(a);
-  }
   if (p == nullptr) return nullptr;
   if (m == Access::kUser) {
     if (p->kernel_only) return nullptr;
@@ -329,7 +408,7 @@ MaybeFault AddressSpace::write_u8(Addr a, std::uint8_t v, Access m) {
   // before applying, so an armed cut leaves this very byte unwritten.
   if (announce(MutationKind::kPageWrite, page_of(a)) == Verdict::kDown)
     return MaybeFault::down();
-  backing(*p, page_of(a))[a % kPageSize] = v;
+  backing(*p, page_of(a), a % kPageSize, 1)[a % kPageSize] = v;
   return {};
 }
 
@@ -421,7 +500,7 @@ MaybeFault AddressSpace::write_bytes(Addr a, std::span<const std::uint8_t> in,
     const std::size_t off = addr % kPageSize;
     const std::size_t n =
         std::min<std::size_t>(kPageSize - off, in.size() - done);
-    std::memcpy(backing(*p, page_of(addr)) + off, in.data() + done, n);
+    std::memcpy(backing(*p, page_of(addr), off, n) + off, in.data() + done, n);
     done += n;
   }
   return {};
@@ -501,14 +580,10 @@ bool AddressSpace::check_range(Addr a, std::uint64_t size, bool write,
   const Addr first = page_base(a);
   const Addr last = page_base(a + size - 1);
   for (Addr pg = first;; pg += kPageSize) {
-    auto it = pages_.find(page_of(pg));
-    const Page* p = nullptr;
-    if (it != pages_.end()) {
-      p = &it->second;
-    } else if (arena_ != nullptr && arena_->contains(pg)) {
-      // The arena is demand-created; treat it as present for probing.
+    const Page* p = find_page(page_of(pg));
+    // The arena is demand-created; treat it as present for probing.
+    if (p == nullptr && arena_ != nullptr && arena_->contains(pg))
       return m == Access::kKernel;
-    }
     if (p == nullptr) return false;
     if (m == Access::kUser && p->kernel_only) return false;
     if (write && (p->perm & kPermWrite) == 0) return false;

@@ -64,7 +64,7 @@ enum class Access : std::uint8_t { kUser, kKernel };
 /// The bytes of one page.
 using PageBytes = std::array<std::uint8_t, kPageSize>;
 
-/// One page-table entry, stored by value in its owner's page map.
+/// One page-table entry, stored by value in its owner's page table.
 struct Page {
   std::uint8_t perm = kPermRW;
   bool kernel_only = false;
@@ -72,11 +72,23 @@ struct Page {
   /// re-protected since its checkpoint()), so restore() visits this page.
   /// Arena pages start touched: no space's restore() ever visits them.
   bool touched = false;
+  /// The checkpoint image's entry for this page (kImageMember plus its
+  /// permissions), or 0 when the page is not in the image: restore() reads
+  /// it here instead of searching the image.
+  std::uint8_t image = 0;
+  /// Bytes [written_lo, written_hi) of `data` are all that can be non-zero:
+  /// the extent written since the storage was handed out, and all that must
+  /// be zeroed again before it goes back to the free list.
+  std::uint16_t written_lo = static_cast<std::uint16_t>(kPageSize);
+  std::uint16_t written_hi = 0;
   /// The page's contents, or null until its first write: an unwritten page
   /// reads as zeros and costs no host memory.  Every mutation funnels
   /// through AddressSpace::write_u8/write_bytes, whose AddressSpace::backing
   /// call is the one place that allocates it.
   std::unique_ptr<PageBytes> data;
+
+  static constexpr std::uint8_t kImageMember = 0x80;
+  static constexpr std::uint8_t kImageKernelOnly = 0x40;
 };
 
 /// Pages shared machine-wide.  On Win9x personalities this models the shared
@@ -132,9 +144,10 @@ class AddressSpace {
   Verdict unmap(Addr start, std::uint64_t size);
 
   /// Returns the space to its just-constructed state (no mappings, bump
-  /// allocator rewound).  The dirty set is exactly the live page table, and
-  /// the pages it held go to a free list for reuse by later map() calls —
-  /// recycling a process costs its own mappings, not a rebuild of the world.
+  /// allocator rewound).  The dirty set is exactly the live page table; its
+  /// storage goes to a free list and its leaves stay (up to kMaxLeaves) for
+  /// later map() calls — recycling a process costs its own mappings, not a
+  /// rebuild of the world.
   void reset();
 
   /// Captures the current mapping set (page numbers + permissions) as the
@@ -147,10 +160,10 @@ class AddressSpace {
   /// case touched: it visits only the touched list, the pages mapped,
   /// written or re-protected since the checkpoint.  Pages mapped since are
   /// retired, written checkpointed pages give up their storage (and read as
-  /// zeros again), permissions are squared back, and the bump allocator
-  /// rewinds.  Only when the case unmapped a checkpointed page does it walk
-  /// the image to map it again.  Without a prior checkpoint this
-  /// degenerates to reset().
+  /// zeros again), permissions are squared back from the image entry each
+  /// page carries, and the bump allocator rewinds.  Only when the case
+  /// unmapped a checkpointed page does it walk the image to map it again.
+  /// Without a prior checkpoint this degenerates to reset().
   void restore();
   Verdict protect(Addr start, std::uint64_t size, std::uint8_t perm);
   bool is_mapped(Addr a) const noexcept;
@@ -250,10 +263,31 @@ class AddressSpace {
   void set_mutation_hub(MutationHub* hub) noexcept { hub_ = hub; }
 
   /// Total private pages currently mapped (leak checks in tests).
-  std::size_t mapped_page_count() const noexcept { return pages_.size(); }
+  std::size_t mapped_page_count() const noexcept { return mapped_; }
 
  private:
-  using PageMap = std::unordered_map<Addr, Page>;
+  /// The page table is two-level: a leaf holds 1024 consecutive page-table
+  /// entries by value plus a presence bitmap, and a small directory sorted by
+  /// leaf number holds the leaves.  A task touches a handful of leaves (the
+  /// bump region, the stack, wild mappings), so a lookup is the last-leaf
+  /// cache or a short binary search, then two indexings; 64-bit page numbers
+  /// take the same path as any other.
+  static constexpr unsigned kLeafBits = 10;
+  static constexpr Addr kLeafPages = Addr{1} << kLeafBits;
+  struct Leaf {
+    std::array<Page, kLeafPages> pages;
+    std::array<std::uint64_t, kLeafPages / 64> present{};
+    /// Bit w set when present[w] is not zero, so walks skip empty words.
+    std::uint16_t words = 0;
+    std::size_t mapped = 0;
+    bool has(std::size_t i) const noexcept {
+      return (present[i / 64] >> (i % 64) & 1) != 0;
+    }
+  };
+  struct DirEntry {
+    Addr key;  // page number >> kLeafBits
+    std::unique_ptr<Leaf> leaf;
+  };
   struct ImageEntry {
     Addr page;
     std::uint8_t perm;
@@ -273,32 +307,60 @@ class AddressSpace {
   /// Announces one persistence point to the hub, if wired.
   Verdict announce(MutationKind kind, Addr page);
   MaybeFault check_alignment(Addr a, std::uint64_t size, bool write) const;
-  /// The map entry for page `pg`, inserted unwritten (on a free-listed
-  /// node when there is one) if absent.
-  PageMap::iterator entry(Addr pg);
+  /// The leaf holding page numbers [key << kLeafBits, ...), or null.
+  Leaf* find_leaf(Addr key) const noexcept;
+  /// The mapped page `pg`, or null.
+  Page* find_page(Addr pg) const noexcept;
+  /// The entry for page `pg`, mapped unwritten (in a new leaf when its
+  /// leaf is not in the directory) if absent.
+  Page& entry(Addr pg);
+  /// Calls `visit(leaf, i, n, pg)` on every run of mapped pages in [start,
+  /// start+size): entries i..i+n-1 of `leaf`, page numbers pg..pg+n-1, in
+  /// ascending order along the presence bitmaps; `visit` may retire them.
+  /// A range whose end wraps past the top of the address space is empty.
+  template <typename Visit>
+  void for_each_mapped(Addr start, std::uint64_t size, Visit visit);
   /// Puts page `pg` on the touched list restore() walks, once.
   void touch(Page& p, Addr pg);
+  /// protect()'s work on a run of n mapped pages p[0..n), page numbers
+  /// pg..pg+n-1.  Out of line: inlined into the range walk, its unrolled
+  /// loop cost every protect call more registers to save than it saved.
+  [[gnu::noinline]] void protect_run(Page* p, std::size_t n, Addr pg,
+                                     std::uint8_t perm);
   /// The writable bytes of page `pg`, backing it with zeroed storage (from
-  /// the free list when it has some) on its first write.
-  std::uint8_t* backing(Page& p, Addr pg);
-  /// Moves a page's storage, if any, to the free list.
+  /// the free list when it has some) on its first write, for a store of `n`
+  /// bytes at offset `off`, which widens the page's written extent.
+  std::uint8_t* backing(Page& p, Addr pg, std::size_t off, std::size_t n);
+  /// Moves a page's storage, if any, to the free list, zeroing its written
+  /// extent first: storage on the free list is all zeros.
   void drop_bytes(Page& p);
-  /// Unmaps the page at `it`: its storage and its map node go to the free
-  /// lists, so mapping it again allocates nothing.
-  void retire(PageMap::iterator it);
+  /// Unmaps pages i..i+n-1 of `leaf`: their storage goes to the free list,
+  /// so mapping and writing them again allocates nothing.
+  void retire(Leaf& leaf, std::size_t i, std::size_t n);
+  /// Once the directory holds more than kMaxLeaves leaves, frees the ones
+  /// left without a mapped page.
+  void trim_leaves();
 
   static constexpr Addr kBumpBase = 0x0010'0000;  // harness allocation region
-  /// Free-list cap, for page storage and for map nodes alike: a test case
-  /// maps and writes a few dozen pages (stack + argument buffers); a
-  /// 16 MiB mapping is an outlier whose nodes are not worth caching.
+  /// Free-list cap for page storage: a test case maps and writes a few
+  /// dozen pages (stack + argument buffers).
   static constexpr std::size_t kMaxFreePages = 256;
+  /// Leaves a space keeps once they are empty: the stack's, the bump
+  /// region's (which every case empties and fills again) and a couple for
+  /// wild mappings.  Beyond that a restore frees the empty ones.
+  static constexpr std::size_t kMaxLeaves = 4;
 
-  PageMap pages_;
+  /// The leaves, sorted by key.  An empty leaf stays until a restore() or
+  /// reset() trims it, so walks never see one vanish.
+  std::vector<DirEntry> dir_;
+  /// The leaf the last lookup landed in.
+  mutable Addr last_key_ = 0;
+  mutable Leaf* last_leaf_ = nullptr;
+  std::size_t mapped_ = 0;
   std::vector<std::unique_ptr<PageBytes>> free_bytes_;
-  std::vector<PageMap::node_type> free_nodes_;
   /// Page numbers touched since the checkpoint (see Page::touched).
   std::vector<Addr> touched_;
-  /// The checkpointed pages, sorted by page number.
+  /// The checkpointed pages, for mapping again the ones a case unmapped.
   std::vector<ImageEntry> image_;
   bool has_image_ = false;
   Addr image_bump_ = kBumpBase;

@@ -19,17 +19,25 @@ std::uint64_t leaf_hash(std::string_view s) noexcept {
   return h;
 }
 
+/// Gives `to` the contents and metadata of `from` (not its name, kind or
+/// children).
+void copy_fields(const FsNode& from, FsNode& to) {
+  to.edit_data() = from.data();
+  to.set_read_only(from.read_only());
+  to.set_hidden(from.hidden());
+  to.set_times(from.times());
+  to.set_nlink(from.nlink());
+}
+
 /// Independent deep copy of a node tree (checkpoint images must not share
-/// structure with the live tree, or mutations would corrupt the oracle).
-std::shared_ptr<FsNode> clone_tree(const FsNode& node) {
-  auto copy = std::make_shared<FsNode>(node.name(), node.is_dir());
-  copy->data() = node.data();
-  copy->read_only = node.read_only;
-  copy->hidden = node.hidden;
-  copy->times = node.times;
-  copy->nlink = node.nlink;
+/// structure with the live tree, or mutations would corrupt the oracle),
+/// its nodes counting their edits into `epoch`.
+std::shared_ptr<FsNode> clone_tree(
+    const FsNode& node, const std::shared_ptr<std::uint64_t>& epoch) {
+  auto copy = std::make_shared<FsNode>(node.name(), node.is_dir(), epoch);
+  copy_fields(node, *copy);
   for (const auto& [name, child] : node.children())
-    copy->children().emplace(name, clone_tree(*child));
+    copy->add_child(name, clone_tree(*child, epoch));
   return copy;
 }
 
@@ -40,12 +48,12 @@ std::shared_ptr<FsNode> clone_tree(const FsNode& node) {
 bool tree_matches(const FsNode& live, const FsNode& image) {
   if (live.name() != image.name() || live.is_dir() != image.is_dir())
     return false;
-  if (live.read_only != image.read_only || live.hidden != image.hidden ||
-      live.nlink != image.nlink)
+  if (live.read_only() != image.read_only() ||
+      live.hidden() != image.hidden() || live.nlink() != image.nlink())
     return false;
-  if (live.times.creation != image.times.creation ||
-      live.times.last_access != image.times.last_access ||
-      live.times.last_write != image.times.last_write)
+  if (live.times().creation != image.times().creation ||
+      live.times().last_access != image.times().last_access ||
+      live.times().last_write != image.times().last_write)
     return false;
   if (live.data() != image.data()) return false;
   if (live.children().size() != image.children().size()) return false;
@@ -60,7 +68,7 @@ bool tree_matches(const FsNode& live, const FsNode& image) {
 
 }  // namespace
 
-FileSystem::FileSystem() : root_(std::make_shared<FsNode>("", true)) {
+FileSystem::FileSystem() : root_(std::make_shared<FsNode>("", true, epoch_)) {
   build_fixture();
   checkpoint();
 }
@@ -70,37 +78,48 @@ Verdict FileSystem::announce(MutationKind kind, std::string_view leaf) {
 }
 
 Verdict FileSystem::set_read_only(FsNode& node, bool value) {
-  if (node.read_only == value) return Verdict::kUp;  // no change, no point
+  if (node.read_only() == value) return Verdict::kUp;  // no change, no point
   if (announce(MutationKind::kFsMeta, node.name()) == Verdict::kDown)
     return Verdict::kDown;
-  node.read_only = value;
+  node.set_read_only(value);
   return Verdict::kUp;
 }
 
 Verdict FileSystem::set_hidden(FsNode& node, bool value) {
-  if (node.hidden == value) return Verdict::kUp;
+  if (node.hidden() == value) return Verdict::kUp;
   if (announce(MutationKind::kFsMeta, node.name()) == Verdict::kDown)
     return Verdict::kDown;
-  node.hidden = value;
+  node.set_hidden(value);
   return Verdict::kUp;
 }
 
 Verdict FileSystem::set_last_write(FsNode& node, std::uint64_t t) {
-  if (node.times.last_write == t) return Verdict::kUp;
+  if (node.times().last_write == t) return Verdict::kUp;
   if (announce(MutationKind::kFsMeta, node.name()) == Verdict::kDown)
     return Verdict::kDown;
-  node.times.last_write = t;
+  FileTimes times = node.times();
+  times.last_write = t;
+  node.set_times(times);
   return Verdict::kUp;
 }
 
-void FileSystem::checkpoint() { image_ = clone_tree(*root_); }
+void FileSystem::checkpoint() {
+  image_ = clone_tree(*root_, nullptr);
+  clean_epoch_ = *epoch_;
+}
 
 bool FileSystem::fixture_clean() const {
   return image_ != nullptr && tree_matches(*root_, *image_);
 }
 
 bool FileSystem::restore_fixture() {
+  if (epoch_clean()) {
+    ++fast_restores_;
+    return false;
+  }
+  ++walks_;
   if (fixture_clean()) {
+    clean_epoch_ = *epoch_;
     ++fast_restores_;
     return false;
   }
@@ -114,14 +133,11 @@ void FileSystem::rebuild_fixture() {
   // reach the tree through it), so its own metadata is restored in place —
   // chmod("/", ...)-style damage must not outlive the rebuild, or the "known
   // disk image" each test case starts from would depend on what ran before.
-  root_->children().clear();
-  root_->data() = image_->data();
-  root_->read_only = image_->read_only;
-  root_->hidden = image_->hidden;
-  root_->times = image_->times;
-  root_->nlink = image_->nlink;
+  root_->clear_children();
+  copy_fields(*image_, *root_);
   for (const auto& [name, child] : image_->children())
-    root_->children().emplace(name, clone_tree(*child));
+    root_->add_child(name, clone_tree(*child, epoch_));
+  clean_epoch_ = *epoch_;
 }
 
 ParsedPath FileSystem::parse(std::string_view path, const ParsedPath& cwd) const {
@@ -211,18 +227,16 @@ Survived<std::shared_ptr<FsNode>> FileSystem::create_file(
   if (it != parent->children().end()) {
     auto existing = it->second;
     if (existing->is_dir() || fail_if_exists) return {};
-    if (existing->read_only) return {};
-    if (truncate_existing) {
-      if (!existing->data().empty() &&
-          announce(MutationKind::kFsData, leaf) == Verdict::kDown)
-        return kDown;
-      existing->data().clear();
+    if (existing->read_only()) return {};
+    if (truncate_existing && !existing->data().empty()) {
+      if (announce(MutationKind::kFsData, leaf) == Verdict::kDown) return kDown;
+      existing->edit_data().clear();
     }
     return {existing};
   }
   if (announce(MutationKind::kFsCreate, leaf) == Verdict::kDown) return kDown;
-  auto node = std::make_shared<FsNode>(leaf, false);
-  parent->children().emplace(leaf, node);
+  auto node = std::make_shared<FsNode>(leaf, false, epoch_);
+  parent->add_child(leaf, node);
   return {node};
 }
 
@@ -233,8 +247,8 @@ Survived<std::shared_ptr<FsNode>> FileSystem::create_dir(const ParsedPath& p) {
   if (parent->children().count(leaf) != 0) return {};
   if (announce(MutationKind::kFsCreate, leaf) == Verdict::kDown)
     return {nullptr, Verdict::kDown};
-  auto node = std::make_shared<FsNode>(leaf, true);
-  parent->children().emplace(leaf, node);
+  auto node = std::make_shared<FsNode>(leaf, true, epoch_);
+  parent->add_child(leaf, node);
   return {node};
 }
 
@@ -244,11 +258,11 @@ Survived<bool> FileSystem::remove_file(const ParsedPath& p) {
   if (parent == nullptr) return {false};
   auto it = parent->children().find(leaf);
   if (it == parent->children().end() || it->second->is_dir()) return {false};
-  if (it->second->read_only) return {false};
+  if (it->second->read_only()) return {false};
   if (announce(MutationKind::kFsRemove, leaf) == Verdict::kDown)
     return {false, Verdict::kDown};
-  it->second->nlink -= 1;
-  parent->children().erase(it);
+  it->second->set_nlink(it->second->nlink() - 1);
+  parent->remove_child(leaf);
   return {true};
 }
 
@@ -261,7 +275,7 @@ Survived<bool> FileSystem::remove_dir(const ParsedPath& p) {
   if (!it->second->children().empty()) return {false};
   if (announce(MutationKind::kFsRemove, leaf) == Verdict::kDown)
     return {false, Verdict::kDown};
-  parent->children().erase(it);
+  parent->remove_child(leaf);
   return {true};
 }
 
@@ -293,8 +307,8 @@ Survived<bool> FileSystem::rename(const ParsedPath& from,
   if (announce(MutationKind::kFsRename, to_leaf) == Verdict::kDown)
     return {false, Verdict::kDown};
   auto node = it->second;
-  from_parent->children().erase(it);
-  to_parent->children().emplace(to_leaf, node);
+  from_parent->remove_child(from_leaf);
+  to_parent->add_child(to_leaf, std::move(node));
   return {true};
 }
 
@@ -309,14 +323,14 @@ void FileSystem::build_fixture() {
   auto f = create_file(fixture, false, true).value;
   const std::string payload =
       "ballista fixture file: twelve dozen dependable bytes of test data.\n";
-  f->data().assign(payload.begin(), payload.end());
+  f->edit_data().assign(payload.begin(), payload.end());
 
   ParsedPath ro;
   ro.components = {"tmp", "readonly.dat"};
   auto r = create_file(ro, false, true).value;
   const std::string ro_payload = "read-only fixture\n";
-  r->data().assign(ro_payload.begin(), ro_payload.end());
-  r->read_only = true;
+  r->edit_data().assign(ro_payload.begin(), ro_payload.end());
+  r->set_read_only(true);
 }
 
 }  // namespace ballista::sim

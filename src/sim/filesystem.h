@@ -23,36 +23,87 @@ struct FileTimes {
   std::uint64_t last_write = 0;
 };
 
+/// One file or directory.  Its mutable state is reachable for writing only
+/// through the mutators below, and every one of them advances the owning
+/// FileSystem's edit epoch, so restore_fixture can tell that nothing changed
+/// without walking the tree.  Read paths (resolution, stat, listings) use
+/// the const accessors and leave the epoch alone.
 class FsNode {
  public:
-  FsNode(std::string name, bool is_dir) : name_(std::move(name)), dir_(is_dir) {}
+  /// `epoch` is the owning FileSystem's edit counter; a node outside any
+  /// filesystem (a CRT stream's backing node, a test's) has none.  The
+  /// counter is shared, so a node that outlives its filesystem (held by an
+  /// open FileObject) still counts its edits into live memory.
+  FsNode(std::string name, bool is_dir,
+         std::shared_ptr<std::uint64_t> epoch = nullptr)
+      : name_(std::move(name)), dir_(is_dir), epoch_(std::move(epoch)) {}
 
   const std::string& name() const noexcept { return name_; }
   bool is_dir() const noexcept { return dir_; }
 
-  std::vector<std::uint8_t>& data() noexcept { return data_; }
   const std::vector<std::uint8_t>& data() const noexcept { return data_; }
-
-  std::map<std::string, std::shared_ptr<FsNode>>& children() noexcept {
-    return children_;
+  /// The file's bytes, for a write, truncation or copy about to happen.
+  std::vector<std::uint8_t>& edit_data() noexcept {
+    bump();
+    return data_;
   }
+
   const std::map<std::string, std::shared_ptr<FsNode>>& children()
       const noexcept {
     return children_;
   }
+  /// Links `child` as `name`; false, with nothing changed, when the name is
+  /// taken.
+  bool add_child(const std::string& name, std::shared_ptr<FsNode> child) {
+    bump();
+    return children_.emplace(name, std::move(child)).second;
+  }
+  void remove_child(const std::string& name) {
+    bump();
+    children_.erase(name);
+  }
+  void clear_children() noexcept {
+    bump();
+    children_.clear();
+  }
 
-  bool read_only = false;
-  bool hidden = false;
-  FileTimes times;
+  bool read_only() const noexcept { return read_only_; }
+  void set_read_only(bool v) noexcept {
+    bump();
+    read_only_ = v;
+  }
+  bool hidden() const noexcept { return hidden_; }
+  void set_hidden(bool v) noexcept {
+    bump();
+    hidden_ = v;
+  }
+  const FileTimes& times() const noexcept { return times_; }
+  void set_times(const FileTimes& t) noexcept {
+    bump();
+    times_ = t;
+  }
   /// Link count for POSIX semantics; unlink with open FileObjects keeps data
   /// alive through the shared_ptr, as on a real Unix.
-  int nlink = 1;
+  int nlink() const noexcept { return nlink_; }
+  void set_nlink(int n) noexcept {
+    bump();
+    nlink_ = n;
+  }
 
  private:
+  void bump() noexcept {
+    if (epoch_ != nullptr) ++*epoch_;
+  }
+
   std::string name_;
   bool dir_;
+  bool read_only_ = false;
+  bool hidden_ = false;
+  FileTimes times_;
+  int nlink_ = 1;
   std::vector<std::uint8_t> data_;
   std::map<std::string, std::shared_ptr<FsNode>> children_;
+  std::shared_ptr<std::uint64_t> epoch_;
 };
 
 /// Normalized absolute path: component list from the root.
@@ -93,8 +144,8 @@ class FileSystem {
 
   // --- metadata setters (the kFsMeta persistence points) ---------------------
   //
-  // API layers must edit node metadata through these, never by poking the
-  // public fields, so every metadata change announces a mutation point.
+  // API layers must edit node metadata through these, never through the
+  // node's own setters, so every metadata change announces a mutation point.
   // Each is announce-then-apply: an armed cut leaves the field untouched.
 
   Verdict set_read_only(FsNode& node, bool value);
@@ -113,21 +164,28 @@ class FileSystem {
   // The constructor builds the canonical fixture tree (a scratch directory, a
   // populated data file, a read-only file) and checkpoints it.  restore_fixture
   // returns the disk to that checkpoint in cost proportional to what was
-  // actually dirtied: a verify pass walks the live tree against the checkpoint
-  // image (the canonical tree is a handful of nodes, so a clean verify is a
-  // few field compares and two short memcmps) and only a failed verify pays
-  // for a rebuild.  Per-node dirty bits were rejected: node metadata
-  // (read_only/hidden/times) and file data are mutated through plain field
-  // access all over the API layers, so a bit could be missed silently — the
-  // checkpoint image is an oracle that cannot drift from the tree it captured.
+  // actually dirtied.  Every node edit advances the filesystem's epoch, and
+  // while the epoch stands where it stood at the last clean verify or
+  // rebuild, the tree is known to match and a restore compares two
+  // counters.  Otherwise a verify pass walks the live tree against the
+  // checkpoint image (a handful of nodes: a few field compares and two short
+  // memcmps) and only a failed verify pays for a rebuild.
+  //
+  // Dirty tracking is safe here because FsNode keeps its state private: the
+  // API layers cannot reach a field except through a mutator, and every
+  // mutator bumps the epoch, so a forgotten bump is a compile error rather
+  // than a silent miss, as it would be with public fields.  The image stays
+  // the oracle: fixture_clean() compares against it, and the reset_paths
+  // tests assert after every catalog case that an unmoved epoch implies it.
 
   /// Deep-copies the current tree as the image restore_fixture returns to.
   /// Called once by the constructor; re-checkpointing is an advanced
   /// operation (it changes what "clean" means for every later restore).
   void checkpoint();
 
-  /// Returns the tree to the checkpoint image: verifies first, rebuilds only
-  /// on mismatch.  Returns true when a rebuild was needed.
+  /// Returns the tree to the checkpoint image: nothing to do while the epoch
+  /// has not moved, else verifies first and rebuilds only on mismatch.
+  /// Returns true when a rebuild was needed.
   bool restore_fixture();
 
   /// Unconditionally rebuilds from the checkpoint image, skipping the verify
@@ -138,6 +196,12 @@ class FileSystem {
   /// True when the live tree matches the checkpoint image exactly.
   bool fixture_clean() const;
 
+  /// Node edits so far (see FsNode).
+  std::uint64_t epoch() const noexcept { return *epoch_; }
+  /// True while no node has been edited since the tree last matched the
+  /// image: restore_fixture's fast path.
+  bool epoch_clean() const noexcept { return *epoch_ == clean_epoch_; }
+
   /// Lifecycle telemetry: how many restore_fixture calls took the cheap
   /// verified path vs. paid for a rebuild (rebuild_fixture counts as a
   /// rebuild).  The double-rebuild regression test pins these.
@@ -145,6 +209,9 @@ class FileSystem {
   std::uint64_t fixture_fast_restores() const noexcept {
     return fast_restores_;
   }
+  /// restore_fixture calls that found the epoch moved and walked the tree
+  /// (to verify it, then to rebuild it if it differed).
+  std::uint64_t fixture_walks() const noexcept { return walks_; }
 
   static constexpr std::string_view kScratchDir = "tmp";
   static constexpr std::string_view kFixtureFile = "tmp/fixture.dat";
@@ -155,11 +222,15 @@ class FileSystem {
   Verdict announce(MutationKind kind, std::string_view leaf);
 
   MutationHub* hub_ = nullptr;
+  std::shared_ptr<std::uint64_t> epoch_ = std::make_shared<std::uint64_t>(0);
+  /// The epoch at the last clean verify, rebuild or checkpoint.
+  std::uint64_t clean_epoch_ = 0;
   std::shared_ptr<FsNode> root_;
   /// Checkpoint image: an independent deep copy of the canonical tree.
   std::shared_ptr<FsNode> image_;
   std::uint64_t rebuilds_ = 0;
   std::uint64_t fast_restores_ = 0;
+  std::uint64_t walks_ = 0;
 };
 
 }  // namespace ballista::sim

@@ -34,8 +34,10 @@ Survived<std::uint64_t> FileObject::write_at(std::span<const std::uint8_t> in) {
       mutation_hub()->notify(MutationKind::kFsData, in.size()) ==
           Verdict::kDown)
     return {0, Verdict::kDown};
-  auto& data = node_->data();
-  if (append_) pos_ = data.size();
+  if (append_) pos_ = node_->data().size();
+  // An empty write changes the file only when it lands past the end.
+  if (in.empty() && pos_ <= node_->data().size()) return {0};
+  auto& data = node_->edit_data();
   if (pos_ + in.size() > data.size()) data.resize(pos_ + in.size());
   std::copy(in.begin(), in.end(),
             data.begin() + static_cast<std::ptrdiff_t>(pos_));
@@ -70,6 +72,17 @@ std::size_t HandleTable::slot_of(std::uint64_t h) const noexcept {
 std::size_t HandleTable::next_live(std::size_t slot) const noexcept {
   while (slot < slots_.size() && slots_[slot] == nullptr) ++slot;
   return slot;
+}
+
+void HandleTable::rewind(std::size_t n) noexcept {
+  // Win32 values 4..4n live in slots 1..n; slot 0 is not among them.
+  const std::size_t keep = posix_numbering_ ? n : n + 1;
+  if (slots_.size() > keep) slots_.resize(keep);
+  if (!posix_numbering_ && !slots_.empty()) slots_[0].reset();
+  live_ = 0;
+  for (const ObjectRef& obj : slots_)
+    if (obj != nullptr) ++live_;
+  next_win32_ = 4 * (n + 1);
 }
 
 void HandleTable::put(std::size_t slot, ObjectRef obj) {

@@ -361,14 +361,30 @@ class HandleTable {
   /// so its signal flips announce too.  Standalone tables stay silent.
   void set_mutation_hub(MutationHub* hub) noexcept { hub_ = hub; }
 
-  /// Drops every handle and rewinds handle numbering to the fresh-table
-  /// state (the numbering mode persists).  Cost is the slot count, and the
-  /// vector keeps its capacity.  Part of SimProcess::recycle's pristine
-  /// contract.
-  void reset() noexcept {
-    slots_.clear();
-    live_ = 0;
-    next_win32_ = 4;
+  /// Drops every handle past the first `n` values a fresh table hands out
+  /// and numbers on as a fresh table would after n inserts.  Those n slots
+  /// keep whatever they hold.  SimProcess::recycle keeps the standard
+  /// streams this way.  Cost is the slot count, and the vector keeps its
+  /// capacity.
+  void rewind(std::size_t n) noexcept;
+  /// Drops every handle and rewinds numbering to the fresh-table state (the
+  /// numbering mode persists).
+  void reset() noexcept { rewind(0); }
+
+  /// True when handle `h` holds `obj` itself.
+  bool holds(std::uint64_t h, const KernelObject* obj) const noexcept {
+    const std::size_t slot = slot_of(h);
+    return slot < slots_.size() && slots_[slot].get() == obj;
+  }
+
+  /// Puts `obj` at handle `h`, announcing nothing (harness set-up, outside
+  /// the module window), and binds it to the table's hub.  A slot already
+  /// holding `obj` keeps it, without touching its reference count.
+  template <typename T>
+  void install(std::uint64_t h, const std::shared_ptr<T>& obj) {
+    const std::size_t slot = slot_of(h);
+    if (slot >= slots_.size() || slots_[slot] != obj) put(slot, obj);
+    obj->bind_mutation_hub(hub_);
   }
 
  private:

@@ -16,6 +16,7 @@ std::unique_ptr<SimProcess> Machine::acquire_process() {
   if (!process_pool_.empty() && policy_ == ResetPolicy::kIncremental) {
     proc = std::move(process_pool_.back());
     process_pool_.pop_back();
+    if (proc->env_dirty() || proc->cwd_dirty()) ++env_rebuilds_;
     proc->recycle(next_pid_++);
     ++recycled_;
   } else {
@@ -25,10 +26,9 @@ std::unique_ptr<SimProcess> Machine::acquire_process() {
     proc->mem().set_trace(&trace_);
     proc->mem().set_mutation_hub(&mutations_);
     proc->handles().set_mutation_hub(&mutations_);
+    proc->open_std_streams();
     ++built_;
   }
-
-  proc->open_std_streams();
   return proc;
 }
 

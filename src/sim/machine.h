@@ -53,6 +53,7 @@ class Machine {
   OsVariant variant() const noexcept { return pers_.variant; }
 
   FileSystem& fs() noexcept { return fs_; }
+  const FileSystem& fs() const noexcept { return fs_; }
   SharedArena& arena() noexcept { return arena_; }
 
   /// The simulated loopback network (DESIGN.md §12).  Port bindings are
@@ -121,6 +122,8 @@ class Machine {
   /// Lifecycle telemetry (tests and bench_case_reset).
   std::uint64_t processes_recycled() const noexcept { return recycled_; }
   std::uint64_t processes_built() const noexcept { return built_; }
+  /// Recycles that rebuilt a task's environment or cwd (an edited one).
+  std::uint64_t env_rebuilds() const noexcept { return env_rebuilds_; }
 
   /// Called on every system-call entry.  Burns the corruption fuse: once a
   /// stray kernel write has landed in the shared arena, the machine survives
@@ -174,6 +177,7 @@ class Machine {
   std::vector<std::unique_ptr<SimProcess>> process_pool_;
   std::uint64_t recycled_ = 0;
   std::uint64_t built_ = 0;
+  std::uint64_t env_rebuilds_ = 0;
 };
 
 }  // namespace ballista::sim

@@ -31,17 +31,18 @@ class SimProcess {
 
   /// Returns the task to freshly-constructed state under a new pid, in cost
   /// proportional to what the previous case dirtied: mappings and handles
-  /// are their own dirty sets, env/cwd verify against the canonical defaults
-  /// before rebuilding, and the kernel objects are reset in place.
-  /// Machine::acquire_process calls this when it hands out a pooled
-  /// process; a recycled task is observationally identical to a new one
-  /// (same addresses, same handle values, same defaults).
+  /// are their own dirty sets, env/cwd are rebuilt only when their dirty
+  /// flags are set, the standard streams stay in their handle slots, and
+  /// the kernel objects are reset in place.  Machine::acquire_process calls
+  /// this when it hands out a pooled process; a recycled task is
+  /// observationally identical to a new one (same addresses, same handle
+  /// values, same defaults).
   void recycle(std::uint64_t pid);
 
   /// Installs the standard-stream pipes in the handle table and records
   /// their handles in std_in/std_out/std_err.  Machine::acquire_process
-  /// calls this on every process it hands out, once the table is wired to
-  /// the machine's mutation hub.
+  /// calls this once, on a process it has just built and wired to the
+  /// machine's mutation hub; recycle() keeps them installed.
   void open_std_streams();
 
   Machine& machine() noexcept { return machine_; }
@@ -62,8 +63,25 @@ class SimProcess {
 
   // --- environment / cwd ----------------------------------------------------
 
-  std::map<std::string, std::string>& env() noexcept { return env_; }
-  ParsedPath& cwd() noexcept { return cwd_; }
+  const std::map<std::string, std::string>& env() const noexcept {
+    return env_;
+  }
+  /// The environment, for an edit about to happen (setenv, putenv,
+  /// SetEnvironmentVariable): recycle() will rebuild it.
+  std::map<std::string, std::string>& edit_env() noexcept {
+    env_dirty_ = true;
+    return env_;
+  }
+  const ParsedPath& cwd() const noexcept { return cwd_; }
+  /// chdir / SetCurrentDirectory: recycle() will rebuild the cwd.
+  void set_cwd(ParsedPath p) {
+    cwd_ = std::move(p);
+    cwd_dirty_ = true;
+  }
+  /// Whether the environment / cwd were edited since the task was built or
+  /// last recycled.  While clear, each equals the default a fresh task has.
+  bool env_dirty() const noexcept { return env_dirty_; }
+  bool cwd_dirty() const noexcept { return cwd_dirty_; }
 
   // --- threads ---------------------------------------------------------------
 
@@ -108,11 +126,14 @@ class SimProcess {
   int errno_ = 0;
   std::map<std::string, std::string> env_;
   ParsedPath cwd_;
+  bool env_dirty_ = false;
+  bool cwd_dirty_ = false;
   std::shared_ptr<ThreadObject> main_thread_;
   std::shared_ptr<ProcessObject> self_object_;
   std::shared_ptr<HeapObject> default_heap_;
-  /// stdin, stdout and stderr.
+  /// stdin, stdout and stderr, and the handles open_std_streams gave them.
   std::array<std::shared_ptr<PipeObject>, 3> std_pipes_;
+  std::array<std::uint64_t, 3> std_handles_{};
   std::shared_ptr<void> crt_state_;
   std::uint64_t next_tid_;
 };

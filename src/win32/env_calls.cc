@@ -41,13 +41,13 @@ CallOutcome do_set_env(CallContext& ctx) {
     return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
   const Addr value = ctx.arg_addr(1);
   if (value == 0) {
-    ctx.proc().env().erase(name);
+    if (ctx.proc().env().count(name) != 0) ctx.proc().edit_env().erase(name);
     return ok(1);
   }
   std::string v;
   st = ctx.k_read_str(value, &v, 4096);
   if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
-  ctx.proc().env()[name] = v;
+  ctx.proc().edit_env()[name] = v;
   return ok(1);
 }
 

@@ -55,7 +55,7 @@ CallOutcome do_create_file(CallContext& ctx) {
     case 5:  // TRUNCATE_EXISTING
       if (node == nullptr)
         return ctx.win_fail(ERR_FILE_NOT_FOUND, INVALID_HANDLE_VALUE32);
-      if (!node->is_dir() && !node->read_only) node->data().clear();
+      if (!node->is_dir() && !node->read_only()) node->edit_data().clear();
       break;
     default:
       return ctx.win_fail(ERR_INVALID_PARAMETER, INVALID_HANDLE_VALUE32);
@@ -65,7 +65,7 @@ CallOutcome do_create_file(CallContext& ctx) {
   if (node->is_dir())
     return ctx.win_fail(ERR_ACCESS_DENIED, INVALID_HANDLE_VALUE32);
   const bool wants_write = (access & 0x4000'0000u) != 0;  // GENERIC_WRITE
-  if (node->read_only && wants_write)
+  if (node->read_only() && wants_write)
     return ctx.win_fail(ERR_ACCESS_DENIED, INVALID_HANDLE_VALUE32);
   auto obj = std::make_shared<sim::FileObject>(
       node,
@@ -103,7 +103,7 @@ CallOutcome do_copy_file(CallContext& ctx) {
                                  fail_if_exists, true);
   if (to.down()) return core::panicked();
   if (to.value == nullptr) return ctx.win_fail(ERR_FILE_EXISTS, 0);
-  to.value->data() = from->data();
+  to.value->edit_data() = from->data();
   return ok(1);
 }
 
@@ -163,8 +163,8 @@ CallOutcome do_get_attrs(CallContext& ctx) {
     return ctx.win_fail(ERR_FILE_NOT_FOUND, INVALID_HANDLE_VALUE32);
   std::uint32_t attrs = 0;
   if (node->is_dir()) attrs |= 0x10;
-  if (node->read_only) attrs |= 0x01;
-  if (node->hidden) attrs |= 0x02;
+  if (node->read_only()) attrs |= 0x01;
+  if (node->hidden()) attrs |= 0x02;
   if (attrs == 0) attrs = 0x80;  // FILE_ATTRIBUTE_NORMAL
   return ok(attrs);
 }
@@ -230,7 +230,7 @@ CallOutcome do_gfibh(CallContext& ctx) {
   // BY_HANDLE_FILE_INFORMATION: 52 bytes, written from kernel context on the
   // 9x family (Table 3: Catastrophic on 95/98/98SE).
   std::uint8_t info[52] = {};
-  info[0] = f->node()->read_only ? 0x01 : 0x80;
+  info[0] = f->node()->read_only() ? 0x01 : 0x80;
   const std::uint32_t sz = static_cast<std::uint32_t>(f->node()->data().size());
   std::memcpy(info + 32, &sz, 4);
   info[40] = 1;  // nNumberOfLinks
@@ -257,7 +257,7 @@ CallOutcome do_set_end_of_file(CallContext& ctx) {
   if (!f) return *fail;
   if ((f->access() & sim::FileObject::kAccessWrite) == 0)
     return ctx.win_fail(ERR_ACCESS_DENIED, 0);
-  f->node()->data().resize(f->position());
+  f->node()->edit_data().resize(f->position());
   return ok(1);
 }
 
@@ -393,7 +393,7 @@ CallOutcome do_set_current_dir(CallContext& ctx) {
   auto node = fs.resolve(parsed);
   if (node == nullptr || !node->is_dir())
     return ctx.win_fail(ERR_PATH_NOT_FOUND, 0);
-  ctx.proc().cwd() = parsed;
+  ctx.proc().set_cwd(parsed);
   return ok(1);
 }
 
@@ -570,7 +570,7 @@ CallOutcome do_get_file_time(CallContext& ctx) {
     const Addr out = ctx.arg_addr(i);
     if (out == 0) continue;
     const MemStatus st = ctx.k_write_u64(
-        out, (f->node()->times.last_write + kEpoch1601Offset) * 10'000'000ull);
+        out, (f->node()->times().last_write + kEpoch1601Offset) * 10'000'000ull);
     if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
   }
   return ok(1);

@@ -469,12 +469,141 @@ TEST(SharedArena, PageReadsZeroUntilWrittenAndClearWipesIt) {
   EXPECT_EQ(rd8(mem, a, Access::kKernel), 0);
 }
 
+// --- the two-level page table -------------------------------------------------
+//
+// Leaves hold 1024 pages, so page numbers 1023 and 1024 sit in different
+// leaves, and the last page of the 32-bit space (0xFFFFF) is the top of
+// leaf 0x3FF.  Page numbers at and above 2^20 (addresses past 4 GiB) take
+// the same path as any other.
+
+constexpr Addr kLeafEdge = 1024 * kPageSize;  // first page of leaf 1
+
+TEST(AddressSpace, PagesOnEitherSideOfALeafBoundaryAreIndependent) {
+  AddressSpace mem;
+  (void)mem.map(kLeafEdge - kPageSize, kPageSize, kPermRW);  // page 1023
+  EXPECT_EQ(mem.mapped_page_count(), 1u);
+  EXPECT_FALSE(mem.write_u8(kLeafEdge - 1, 0x5A));
+  EXPECT_EQ(read_fault<std::uint8_t>(mem, kLeafEdge), av(kLeafEdge, false));
+  // A value straddling the boundary faults at the first byte past it, with
+  // the bytes before it written.
+  EXPECT_EQ(mem.write_u32(kLeafEdge - 2, 0x11223344), av(kLeafEdge, true));
+  EXPECT_EQ(rd8(mem, kLeafEdge - 2), 0x44);
+  (void)mem.map(kLeafEdge, kPageSize, kPermRW);  // page 1024
+  EXPECT_EQ(mem.mapped_page_count(), 2u);
+  EXPECT_FALSE(mem.write_u32(kLeafEdge - 2, 0xCAFEBABE));
+  EXPECT_EQ(rd32(mem, kLeafEdge - 2), 0xCAFEBABEu);
+  (void)mem.unmap(kLeafEdge - kPageSize, kPageSize);
+  EXPECT_EQ(read_fault<std::uint8_t>(mem, kLeafEdge - 1),
+            av(kLeafEdge - 1, false));
+  EXPECT_EQ(rd8(mem, kLeafEdge), 0xFE);  // little-endian byte 2
+  EXPECT_EQ(mem.mapped_page_count(), 1u);
+
+  // The last page of the 32-bit space, and the first byte past it.
+  constexpr Addr kTop32 = 0xFFFF'F000;
+  (void)mem.map(kTop32, kPageSize, kPermRW);
+  EXPECT_FALSE(mem.write_u8(0xFFFF'FFFF, 0x77));
+  EXPECT_EQ(rd8(mem, 0xFFFF'FFFF), 0x77);
+  EXPECT_EQ(read_fault<std::uint16_t>(mem, 0xFFFF'FFFF),
+            av(0x1'0000'0000, false));
+  EXPECT_TRUE(mem.check_range(kTop32, kPageSize, true, Access::kUser));
+  EXPECT_FALSE(mem.check_range(kTop32, kPageSize + 1, false, Access::kUser));
+  EXPECT_EQ(mem.mapped_page_count(), 2u);
+}
+
+TEST(AddressSpace, PageNumbersPast32BitsTakeTheSamePath) {
+  AddressSpace mem;
+  const Addr above = Addr{1} << 32;  // page 2^20
+  const Addr far = 0x1234'5678'9000;
+  const Addr top = ~Addr{0} - (kPageSize - 1);  // the last 64-bit page
+  for (const Addr a : {above, far, top}) (void)mem.map(a, kPageSize, kPermRW);
+  EXPECT_EQ(mem.mapped_page_count(), 3u);
+  for (const Addr a : {above, far, top}) {
+    EXPECT_TRUE(mem.is_mapped(a)) << std::hex << a;
+    EXPECT_FALSE(mem.write_u64(a + 8, a)) << std::hex << a;
+    EXPECT_EQ(rd64(mem, a + 8), a) << std::hex << a;
+    EXPECT_EQ(mem.perm_of(a + kPageSize - 1), kPermRW) << std::hex << a;
+  }
+  EXPECT_EQ(rd8(mem, ~Addr{0}), 0);
+  // A two-byte read from the top byte wraps to address 0.
+  EXPECT_EQ(read_fault<std::uint16_t>(mem, ~Addr{0}), av(0, false));
+  // Garbage 64-bit pointers fault where they point, in their direction.
+  constexpr Addr kGarbage = 0xDEAD'BEEF'CAFE'F00D;
+  EXPECT_EQ(read_fault<std::uint8_t>(mem, kGarbage), av(kGarbage, false));
+  EXPECT_EQ(read_fault<std::uint32_t>(mem, kGarbage), av(kGarbage, false));
+  EXPECT_EQ(mem.write_u8(kGarbage, 1), av(kGarbage, true));
+  EXPECT_EQ(mem.write_u8(kGarbage, 1, Access::kKernel), av(kGarbage, true));
+  EXPECT_EQ(rdstr(mem, far), "");
+  EXPECT_EQ(mem.perm_of(kGarbage), kPermNone);
+  EXPECT_FALSE(mem.check_range(kGarbage, 4, false));
+  // A run off the end of a far page faults at the next page's first byte.
+  std::vector<std::uint8_t> buf(2 * kPageSize);
+  EXPECT_EQ(mem.read_bytes(far, buf), av(far + kPageSize, false));
+  (void)mem.unmap(above, ~Addr{0} - above);
+  EXPECT_EQ(mem.mapped_page_count(), 0u);
+  EXPECT_EQ(read_fault<std::uint8_t>(mem, far), av(far, false));
+}
+
+TEST(AddressSpace, RangeOperationsAcrossALeafBoundary) {
+  AddressSpace mem;
+  const Addr base = kLeafEdge - 4 * kPageSize;  // pages 1020..1029
+  (void)mem.map(base, 10 * kPageSize, kPermRW);
+  EXPECT_EQ(mem.mapped_page_count(), 10u);
+  (void)mem.protect(kLeafEdge - 2 * kPageSize, 4 * kPageSize, kPermRead);
+  for (Addr pg = 0; pg < 10; ++pg) {
+    const Addr a = base + pg * kPageSize;
+    EXPECT_EQ(mem.perm_of(a), pg >= 2 && pg < 6 ? kPermRead : kPermRW) << pg;
+  }
+  EXPECT_EQ(mem.write_u8(kLeafEdge, 1), av(kLeafEdge, true));
+  (void)mem.unmap(kLeafEdge - kPageSize, 2 * kPageSize);  // pages 1023, 1024
+  EXPECT_EQ(mem.mapped_page_count(), 8u);
+  EXPECT_FALSE(mem.is_mapped(kLeafEdge - kPageSize));
+  EXPECT_FALSE(mem.is_mapped(kLeafEdge));
+  EXPECT_TRUE(mem.is_mapped(kLeafEdge - 2 * kPageSize));
+  EXPECT_TRUE(mem.is_mapped(kLeafEdge + kPageSize));
+  // A 4 GiB protect from the first page reaches both leaves' survivors.
+  (void)mem.protect(base, 1ull << 32, kPermNone);
+  for (Addr pg = 0; pg < 10; ++pg) {
+    const Addr a = base + pg * kPageSize;
+    if (mem.is_mapped(a)) {
+      EXPECT_EQ(mem.perm_of(a), kPermNone) << pg;
+    }
+  }
+  (void)mem.unmap(0, 1ull << 32);
+  EXPECT_EQ(mem.mapped_page_count(), 0u);
+}
+
+TEST(AddressSpace, RecycledStorageReadsZeroWhereAnEarlierCaseWrote) {
+  AddressSpace mem;
+  (void)mem.map(kCheckpointStack, 16 * kPageSize, kPermRW);
+  mem.checkpoint();
+  // Case 1 writes the first and last byte of a fresh page and of a stack
+  // page; restore gives both storages back.
+  const Addr page = mem.alloc(kPageSize);
+  const Addr stack = kCheckpointStack + 7 * kPageSize;
+  for (const Addr a : {page, stack}) {
+    EXPECT_FALSE(mem.write_u8(a, 0xAA));
+    EXPECT_FALSE(mem.write_u8(a + kPageSize - 1, 0xBB));
+  }
+  mem.restore();
+  // Case 2 gets the same address back, and its first write takes storage
+  // from the free list: every byte but the one it wrote reads zero.
+  EXPECT_EQ(mem.alloc(kPageSize), page);
+  for (const Addr a : {page, stack}) {
+    EXPECT_FALSE(mem.write_u8(a + 100, 0x01));
+    std::vector<std::uint8_t> bytes(kPageSize, 0xFF);
+    EXPECT_FALSE(mem.read_bytes(a, bytes));
+    std::vector<std::uint8_t> want(kPageSize, 0);
+    want[100] = 0x01;
+    EXPECT_EQ(bytes, want) << std::hex << a;
+  }
+}
+
 // --- range operations over a few mapped pages ---------------------------------
 //
-// protect/unmap walk whichever is smaller, the page numbers of the range or
-// the mapped set.  Each call is checked against the page-by-page walk over
-// every page number in the range, on a space shaped like a task: a
-// checkpointed 64 KiB stack plus a few harness allocations.
+// protect/unmap walk the presence bitmaps of the leaves the range overlaps.
+// Each call is checked against the page-by-page walk over every page number
+// in the range, on a space shaped like a task: a checkpointed 64 KiB stack
+// plus a few harness allocations.
 
 constexpr Addr kStackBase = 0x7ff0'0000 - 0x1'0000;
 constexpr std::uint64_t kAll = std::numeric_limits<std::uint64_t>::max();

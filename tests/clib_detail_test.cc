@@ -390,7 +390,7 @@ TEST(CrtBuffers, FreadOfAMegabyteCopiesWhatTheStreamHolds) {
     sim::Machine m(v);
     auto proc = m.acquire_process();
     auto node = std::make_shared<sim::FsNode>("stream.dat", false);
-    node->data().assign(payload.begin(), payload.end());
+    node->edit_data().assign(payload.begin(), payload.end());
     const sim::Addr fp =
         make_file_struct(*proc, node, kFRead | kFWrite | kFOpen).value;
     const sim::Addr buf = proc->mem().alloc(sim::kPageSize);

@@ -17,7 +17,7 @@ TEST_F(FsTest, FixtureExistsAtBoot) {
   EXPECT_NE(fs.resolve(p("/tmp/fixture.dat")), nullptr);
   auto ro = fs.resolve(p("/tmp/readonly.dat"));
   ASSERT_NE(ro, nullptr);
-  EXPECT_TRUE(ro->read_only);
+  EXPECT_TRUE(ro->read_only());
   EXPECT_FALSE(fs.resolve(p("/tmp/fixture.dat"))->data().empty());
 }
 
@@ -53,7 +53,7 @@ TEST_F(FsTest, CreateFileVariants) {
   // reuse without truncation
   auto n = fs.create_file(p("/tmp/new.dat"), false, false).value;
   ASSERT_NE(n, nullptr);
-  n->data().assign({1, 2, 3});
+  n->edit_data().assign({1, 2, 3});
   auto again = fs.create_file(p("/tmp/new.dat"), false, false).value;
   EXPECT_EQ(again->data().size(), 3u);
   // truncate_existing
@@ -110,7 +110,7 @@ TEST_F(FsTest, RenameRejectsMovingADirectoryIntoItsOwnSubtree) {
 
 TEST_F(FsTest, RestoreFixtureRebuildsCanonicalTree) {
   (void)fs.create_file(p("/tmp/junk"), true, false);
-  fs.resolve(p("/tmp/fixture.dat"))->data().clear();
+  fs.resolve(p("/tmp/fixture.dat"))->edit_data().clear();
   EXPECT_TRUE(fs.restore_fixture());  // dirtied -> full rebuild
   EXPECT_EQ(fs.resolve(p("/tmp/junk")), nullptr);
   EXPECT_FALSE(fs.resolve(p("/tmp/fixture.dat"))->data().empty());
@@ -129,9 +129,9 @@ TEST_F(FsTest, RestoreFixtureIsFreeWhenClean) {
 
 TEST_F(FsTest, RestoreFixtureCatchesMetadataOnlyDamage) {
   // Dirty-bit schemes miss plain-field writes; the verify pass must not.
-  fs.resolve(p("/tmp/readonly.dat"))->read_only = false;
+  fs.resolve(p("/tmp/readonly.dat"))->set_read_only(false);
   EXPECT_TRUE(fs.restore_fixture());
-  EXPECT_TRUE(fs.resolve(p("/tmp/readonly.dat"))->read_only);
+  EXPECT_TRUE(fs.resolve(p("/tmp/readonly.dat"))->read_only());
 }
 
 TEST_F(FsTest, ResetFixtureRestoresRootMetadata) {
@@ -139,18 +139,18 @@ TEST_F(FsTest, ResetFixtureRestoresRootMetadata) {
   // root node object persists across resets, so a leaked read_only flag
   // would make later test cases (access, create) depend on what ran before
   // them — and campaign results depend on shard scheduling.
-  fs.root()->read_only = true;
-  fs.root()->hidden = true;
+  fs.root()->set_read_only(true);
+  fs.root()->set_hidden(true);
   EXPECT_TRUE(fs.restore_fixture());
-  EXPECT_FALSE(fs.root()->read_only);
-  EXPECT_FALSE(fs.root()->hidden);
+  EXPECT_FALSE(fs.root()->read_only());
+  EXPECT_FALSE(fs.root()->hidden());
 }
 
 TEST_F(FsTest, UnlinkedNodeSurvivesThroughSharedPtr) {
   auto node = fs.resolve(p("/tmp/fixture.dat"));
   ASSERT_TRUE(fs.remove_file(p("/tmp/fixture.dat")).value);
-  EXPECT_EQ(node->nlink, 0);
-  node->data().push_back('x');  // still usable via the open reference
+  EXPECT_EQ(node->nlink(), 0);
+  node->edit_data().push_back('x');  // still usable via the open reference
 }
 
 }  // namespace

@@ -105,6 +105,34 @@ TEST(HandleTable, ResetRewindsNumberingAndSize) {
   }
 }
 
+TEST(HandleTable, RewindKeepsTheFirstHandlesAndNumbersOn) {
+  for (const bool posix : {false, true}) {
+    HandleTable t;
+    t.set_posix_numbering(posix);
+    std::vector<std::shared_ptr<PipeObject>> objs;
+    std::vector<std::uint64_t> hs;
+    for (int i = 0; i < 5; ++i) {
+      objs.push_back(std::make_shared<PipeObject>());
+      hs.push_back(t.insert(objs.back()).value);
+    }
+    (void)t.close(hs[1]);
+    t.rewind(3);
+    EXPECT_EQ(t.size(), 2u);  // hs[0] and hs[2]; hs[1] was closed
+    EXPECT_TRUE(t.holds(hs[0], objs[0].get()));
+    EXPECT_FALSE(t.holds(hs[1], objs[1].get()));
+    EXPECT_EQ(t.get(hs[3]), nullptr);
+    EXPECT_EQ(objs[3].use_count(), 1);  // dropped slots let go
+    t.install(hs[1], objs[1]);
+    EXPECT_EQ(t.size(), 3u);
+    const long refs = objs[0].use_count();
+    t.install(hs[0], objs[0]);  // already there: no new reference
+    EXPECT_EQ(objs[0].use_count(), refs);
+    // Numbering goes on as after three inserts into a fresh table.
+    EXPECT_EQ(t.insert(std::make_shared<PipeObject>()).value,
+              posix ? 3u : 16u);
+  }
+}
+
 TEST(HandleTable, EntriesAscend) {
   HandleTable win;
   std::vector<std::shared_ptr<PipeObject>> objs;
@@ -149,7 +177,7 @@ TEST(FileObject, ReadWriteAdvancesPosition) {
 
 TEST(FileObject, AppendModeWritesAtEnd) {
   auto node = std::make_shared<FsNode>("f", false);
-  node->data() = {1, 2, 3};
+  node->edit_data() = {1, 2, 3};
   FileObject f(node, FileObject::kAccessWrite, /*append=*/true);
   f.set_position(0);
   const std::uint8_t in[1] = {9};

@@ -64,9 +64,9 @@ void make_mess(sim::Machine& m) {
   const auto p = [&](std::string_view s) { return fs.parse(s, cwd); };
   (void)fs.create_dir(p("/tmp/mess"));
   if (auto f = fs.create_file(p("/tmp/mess/a.txt"), false, true).value)
-    f->data().assign(512, 'x');
+    f->edit_data().assign(512, 'x');
   (void)fs.remove_file(p("/tmp/fixture.dat"));
-  if (auto ro = fs.resolve(p("/tmp/readonly.dat"))) ro->read_only = false;
+  if (auto ro = fs.resolve(p("/tmp/readonly.dat"))) ro->set_read_only(false);
   (void)fs.rename(p("/tmp/mess"), p("/tmp/mess2"));
 
   auto proc = m.acquire_process();
@@ -74,8 +74,8 @@ void make_mess(sim::Machine& m) {
     (void)proc->handles().insert(std::make_shared<sim::FileObject>(
         leak, sim::FileObject::kAccessRead, false));
   (void)proc->mem().map(0x5000'0000, 8 * 4096, sim::kPermRW);
-  proc->env()["MESS"] = "1";
-  proc->cwd().components = {"tmp", "mess2"};
+  proc->edit_env()["MESS"] = "1";
+  proc->set_cwd({{"tmp", "mess2"}});
   proc->set_last_error(5);
   m.release_process(std::move(proc));
 }
@@ -243,8 +243,8 @@ TEST(Lifecycle, RecycledProcessIsObservationallyFresh) {
   // Dirty everything a case can reach.
   (void)first->handles().insert(std::make_shared<sim::PipeObject>());
   (void)first->mem().map(0x6000'0000, 4096, sim::kPermRW);
-  first->env().clear();
-  first->cwd().components = {"somewhere", "else"};
+  first->edit_env().clear();
+  first->set_cwd({{"somewhere", "else"}});
   first->set_last_error(87);
   first->set_errno(22);
   // ...including every mutable field of its kernel objects.

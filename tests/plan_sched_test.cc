@@ -261,11 +261,11 @@ TEST(ParallelDeterminism, FilesystemMutationsDoNotLeakAcrossShards) {
     return m;
   };
   reg.add(make("poisons_root", [](CallContext& c) {
-    c.machine().fs().root()->read_only = true;
+    c.machine().fs().root()->set_read_only(true);
     return ok(0);
   }));
   reg.add(make("observes_root", [](CallContext& c) -> CallOutcome {
-    if (c.machine().fs().root()->read_only) return c.win_fail(5);
+    if (c.machine().fs().root()->read_only()) return c.win_fail(5);
     return ok(0);
   }));
 

@@ -77,7 +77,7 @@ TEST_F(PosixFixture, LinkBumpsLinkCountAndSharesData) {
       machine.fs().parse("/tmp/fixture.dat", proc->cwd()));
   auto b = machine.fs().resolve(machine.fs().parse("/tmp/hard", proc->cwd()));
   EXPECT_EQ(a, b);
-  EXPECT_EQ(a->nlink, 2);
+  EXPECT_EQ(a->nlink(), 2);
   // Existing target refused.
   EXPECT_EQ(call("link", {cstr("/tmp/fixture.dat"), cstr("/tmp/hard")})
                 .status,

@@ -25,7 +25,7 @@ TEST(EnvCalls, ExpandEnvironmentStringsSubstitutes) {
   sim::Machine m(kNT);
   // Direct API-level check through the context rather than the harness.
   auto proc = m.create_process();
-  proc->env()["WHO"] = "ballista";
+  proc->edit_env()["WHO"] = "ballista";
   const core::MuT* mut = w.registry.find("ExpandEnvironmentStrings");
   const sim::Addr src = proc->mem().alloc_cstr("hello %WHO%!");
   const sim::Addr dst = proc->mem().alloc(256);
@@ -71,7 +71,7 @@ TEST(EnvCalls, SetWithNullValueDeletes) {
   const auto& w = shared_world();
   sim::Machine m(kNT);
   auto proc = m.create_process();
-  proc->env()["DOOMED"] = "x";
+  proc->edit_env()["DOOMED"] = "x";
   const core::MuT* mut = w.registry.find("SetEnvironmentVariable");
   const sim::Addr name = proc->mem().alloc_cstr("DOOMED");
   std::vector<core::RawArg> args = {name, 0};
