@@ -8,7 +8,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 
 #include "core/ballista.h"
 #include "core/diff.h"
@@ -307,6 +310,100 @@ TEST(SocketGroup, CampaignShowsThePaperContrastShape) {
   // No socket MuT is Catastrophic on the protected-kernel variants.
   for (const auto& s : nt.stats) EXPECT_FALSE(s.catastrophic) << s.mut->name;
   for (const auto& s : lx.stats) EXPECT_FALSE(s.catastrophic) << s.mut->name;
+}
+
+/// What every sockets call of a cap-24, default-seed campaign left behind,
+/// one line per (variant, MuT) and one token per case in case order: `hang`
+/// for a call that never returned, else status:ret:last_error:errno (ret in
+/// hex).  Neither .blog bytes nor repro traces record an error code, so this
+/// table is what pins the personalities' socket error conventions.
+std::string socket_error_table() {
+  static constexpr const char* kOs[] = {"win95",   "win98", "win98se", "nt4",
+                                        "win2000", "wince", "linux"};
+  static constexpr const char* kStatus[] = {"ok",    "err",   "silent",
+                                            "wrong", "fault", "panic"};
+  core::PlanOptions opt;
+  opt.cap = 24;
+  opt.group_mask = kSocketsBit;
+  std::string out;
+  for (OsVariant v : sim::kAllVariants) {
+    sim::Machine machine(v);
+    core::Executor executor(machine);
+    for (const core::MuT* mut :
+         core::make_plan(v, shared_world().registry, opt).muts) {
+      struct {
+        bool returned = false;
+        core::CallOutcome out;
+        std::uint32_t last_error = 0;
+        int err_no = 0;
+      } seen;
+      core::MuT probe = *mut;
+      probe.impl = [&seen, mut](core::CallContext& ctx) {
+        seen.out = mut->impl(ctx);
+        seen.returned = true;
+        seen.last_error = ctx.proc().last_error();
+        seen.err_no = ctx.proc().err_no();
+        return seen.out;
+      };
+      out += kOs[static_cast<std::size_t>(v)];
+      out += ' ';
+      out += mut->name;
+      const core::TupleGenerator gen(*mut, opt.cap, opt.seed);
+      for (std::uint64_t i = 0; i < gen.count(); ++i) {
+        if (machine.crashed()) machine.restore(sim::RestoreLevel::kReboot);
+        seen.returned = false;
+        (void)executor.run_case(probe, gen.tuple(i));
+        if (!seen.returned) {
+          out += " hang";
+          continue;
+        }
+        char token[64];
+        std::snprintf(token, sizeof(token), " %s:%llx:%u:%d",
+                      kStatus[static_cast<std::size_t>(seen.out.status)],
+                      static_cast<unsigned long long>(seen.out.ret),
+                      seen.last_error, seen.err_no);
+        out += token;
+      }
+      out += '\n';
+    }
+  }
+  return out;
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(SocketGroup, ErrorCodesMatchThePinnedTable) {
+  // Regenerate after an intentional change to a socket error convention by
+  // copying the file this test writes on a mismatch over the golden.
+  const std::string golden =
+      std::string(BALLISTA_GOLDEN_DIR) + "/sockets_errors.txt";
+  std::ifstream in(golden);
+  ASSERT_TRUE(in.good()) << "cannot read " << golden;
+  std::ostringstream pinned;
+  pinned << in.rdbuf();
+  const std::string actual = socket_error_table();
+  if (actual == pinned.str()) return;
+
+  const std::string written = ::testing::TempDir() + "sockets_errors." +
+                              std::to_string(::getpid()) + ".txt";
+  std::ofstream(written) << actual;
+  const auto want = split_lines(pinned.str());
+  const auto got = split_lines(actual);
+  for (std::size_t i = 0; i < std::max(want.size(), got.size()); ++i) {
+    const std::string w = i < want.size() ? want[i] : "(none)";
+    const std::string g = i < got.size() ? got[i] : "(none)";
+    if (w != g) {
+      ADD_FAILURE() << "line " << i + 1 << " differs\n  pinned: " << w
+                    << "\n  actual: " << g << "\nfull table written to "
+                    << written;
+      return;
+    }
+  }
 }
 
 }  // namespace
