@@ -5,7 +5,8 @@
 // here: the test values — live/closed/wrong-kind sockets, good and bad
 // sockaddr pointers, edge-case lengths, ports and flags — are personality-
 // neutral, while the error-reporting contrast (WSAENOTSOCK vs ENOTSOCK vs a
-// Win9x silent stub) is entirely the call implementations' job.
+// Win9x silent stub) is entirely the socket conventions' job
+// (core/socket_service.h).
 //
 // The simulated sockaddr_in is a fixed 16-byte little-endian layout
 // (family u16, port u16, ipv4 u32, 8 zero bytes); DESIGN.md §12 records the

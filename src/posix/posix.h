@@ -48,8 +48,8 @@ void register_posix_fs(core::TypeLibrary& lib, core::Registry& reg);
 void register_posix_io(core::TypeLibrary& lib, core::Registry& reg);
 void register_posix_proc(core::TypeLibrary& lib, core::Registry& reg);
 void register_posix_env(core::TypeLibrary& lib, core::Registry& reg);
-/// The sockets growth group (FuncGroup::kSockets), BSD flavor: -1/errno
-/// returns, EBADF vs ENOTSOCK fd rejection, EFAULT on bad sockaddr copies.
+/// The sockets growth group (FuncGroup::kSockets), BSD flavor: the shared
+/// socket service (core/socket_service.h) under Linux's errno convention.
 /// Pools are shared with the Winsock flavor (core/socket_types.h).
 void register_posix_socket(core::TypeLibrary& lib, core::Registry& reg);
 

@@ -96,8 +96,8 @@ class SocketObject final : public KernelObject {
 };
 
 /// Result of a stack operation.  The stack reports *what happened*; mapping
-/// to WSA codes, errno values, tick-burning timeouts or task hangs is the
-/// API personality's job (win32/socket_calls.cc, posix/socket_calls.cc).
+/// to tick-burning timeouts or task hangs is the socket service's job, and
+/// to WSA codes or errno values its conventions' (core/socket_service.h).
 enum class NetErr : std::uint8_t {
   kOk,
   kInvalid,       // operation illegal in this socket state

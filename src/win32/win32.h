@@ -65,8 +65,8 @@ inline constexpr std::uint32_t WSAESHUTDOWN = 10058;
 inline constexpr std::uint32_t WSAETIMEDOUT = 10060;
 inline constexpr std::uint32_t WSAECONNREFUSED = 10061;
 
-inline constexpr std::uint64_t INVALID_SOCKET32 = 0xffffffffull;
-inline constexpr std::uint64_t SOCKET_ERROR32 = 0xffffffffull;  // (int)-1
+/// SOCKET_ERROR and INVALID_SOCKET alike: (int)-1.
+inline constexpr std::uint64_t SOCKET_ERROR32 = 0xffffffffull;
 
 inline constexpr std::uint64_t INVALID_HANDLE_VALUE32 = 0xffffffffull;
 inline constexpr std::uint64_t kPseudoCurrentProcess = 0xffffffffull;
@@ -112,9 +112,9 @@ void register_env_calls(core::TypeLibrary& lib, core::Registry& reg);
 /// paper groups keep their registry order; excluded from default campaigns
 /// by the group registry (core/groups.h) until its goldens are committed.
 void register_sync_calls(core::TypeLibrary& lib, core::Registry& reg);
-/// The fourteenth group (FuncGroup::kSockets), Winsock flavor: socket
-/// operations on the simulated loopback stack (sim/net) with the WSA error
-/// model.  Pools are shared with the POSIX flavor (core/socket_types.h).
+/// The fourteenth group (FuncGroup::kSockets), Winsock flavor: the shared
+/// socket service (core/socket_service.h) under the WSA error convention.
+/// Pools are shared with the POSIX flavor (core/socket_types.h).
 void register_socket_calls(core::TypeLibrary& lib, core::Registry& reg);
 
 }  // namespace ballista::win32

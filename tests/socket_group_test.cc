@@ -9,12 +9,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "core/ballista.h"
 #include "core/diff.h"
+#include "core/socket_types.h"
 #include "store/store.h"
 #include "tests/test_util.h"
 
@@ -310,6 +312,167 @@ TEST(SocketGroup, CampaignShowsThePaperContrastShape) {
   // No socket MuT is Catastrophic on the protected-kernel variants.
   for (const auto& s : nt.stats) EXPECT_FALSE(s.catastrophic) << s.mut->name;
   for (const auto& s : lx.stats) EXPECT_FALSE(s.catastrophic) << s.mut->name;
+}
+
+/// One task with hand-built socket state, for asserting a socket call's exact
+/// return value and error code through direct dispatch.
+class SocketState {
+ public:
+  explicit SocketState(OsVariant v)
+      : v_(v), machine_(v), proc_(machine_.create_process()) {}
+
+  sim::NetStack& net() { return machine_.net(); }
+  sim::Addr buffer(std::size_t n) { return proc_->mem().alloc(n); }
+
+  core::RawArg insert(std::shared_ptr<sim::SocketObject> s) {
+    return proc_->handles().insert(std::move(s)).value;
+  }
+  /// A connected TCP endpoint (its accepted peer stays alive with it).
+  std::shared_ptr<sim::SocketObject> connected_tcp() {
+    auto listener = std::make_shared<sim::SocketObject>(sim::SockProto::kTcp);
+    auto client = std::make_shared<sim::SocketObject>(sim::SockProto::kTcp);
+    EXPECT_EQ(net().bind(listener, sim::NetStack::kLoopbackIp, 7000),
+              sim::NetErr::kOk);
+    EXPECT_EQ(net().listen(listener, 1), sim::NetErr::kOk);
+    EXPECT_EQ(net().connect(client, sim::NetStack::kLoopbackIp, 7000),
+              sim::NetErr::kOk);
+    EXPECT_EQ(net().accept(*listener, &peer_), sim::NetErr::kOk);
+    return client;
+  }
+  /// A bound UDP socket with one `n`-byte datagram queued.
+  std::shared_ptr<sim::SocketObject> udp_with_datagram(std::size_t n) {
+    auto rx = std::make_shared<sim::SocketObject>(sim::SockProto::kUdp);
+    auto tx = std::make_shared<sim::SocketObject>(sim::SockProto::kUdp);
+    EXPECT_EQ(net().bind(rx, sim::NetStack::kLoopbackIp, 7001),
+              sim::NetErr::kOk);
+    EXPECT_EQ(net().sendto(tx, sim::NetStack::kLoopbackIp, 7001,
+                           std::vector<std::uint8_t>(n, 0x5a)),
+              sim::NetErr::kOk);
+    return rx;
+  }
+  /// A user copy of the sockaddr_in for `ip:port`.
+  sim::Addr sockaddr(std::uint32_t ip, std::uint16_t port) {
+    std::uint8_t bytes[core::kSockAddrSize];
+    core::encode_sockaddr({core::AF_INET_SIM, port, ip}, bytes);
+    return proc_->mem().alloc_bytes(bytes);
+  }
+
+  struct Result {
+    core::CallOutcome out;
+    std::uint32_t code;   // last error on Windows, errno on Linux
+    std::uint64_t ticks;  // simulated ticks the call burned
+  };
+  Result call(std::string_view name, std::vector<core::RawArg> args) {
+    const core::MuT* mut =
+        shared_world().registry.find(name, FuncGroup::kSockets, v_);
+    EXPECT_NE(mut, nullptr) << name;
+    args_ = std::move(args);
+    core::CallContext ctx(machine_, *proc_, *mut, args_);
+    (void)machine_.kernel_enter();
+    const std::uint64_t t0 = machine_.ticks();
+    const core::CallOutcome out = mut->impl(ctx);
+    return {out,
+            sim::is_windows(v_) ? proc_->last_error()
+                                : static_cast<std::uint32_t>(proc_->err_no()),
+            machine_.ticks() - t0};
+  }
+
+ private:
+  OsVariant v_;
+  sim::Machine machine_;
+  std::unique_ptr<sim::SimProcess> proc_;
+  std::shared_ptr<sim::SocketObject> peer_;
+  std::vector<core::RawArg> args_;
+};
+
+/// What a call is expected to return, report and burn: `code` 0 means the
+/// call succeeded with `ret` and left the error slot alone.
+struct Expect {
+  std::uint64_t ret;
+  std::uint32_t code;
+  std::uint64_t ticks = 0;
+};
+
+void expect_result(const SocketState::Result& r, Expect e,
+                   const std::string& what) {
+  EXPECT_EQ(r.out.ret, e.ret) << what;
+  EXPECT_EQ(r.code, e.code) << what;
+  EXPECT_EQ(r.ticks, e.ticks) << what;
+  EXPECT_EQ(r.out.status, e.code == 0 ? core::CallStatus::kSuccess
+                                      : core::CallStatus::kErrorReported)
+      << what;
+}
+
+TEST(SocketGroup, WinsockAndBsdDifferOnlyWhereDocumented) {
+  // DESIGN §12's read-side and error-code contrasts, each on state built by
+  // hand: NT4 (Winsock: SOCKET_ERROR plus a WSAE* code in the last-error
+  // slot) against Linux (-1 plus errno).
+  constexpr std::uint64_t kWsaFail = 0xffffffffull;
+  constexpr std::uint64_t kBsdFail = ~0ull;
+  struct Row {
+    const char* what;
+    Expect nt4;
+    Expect bsd;
+  };
+  const Row shut_rd_recv{"recv after SHUT_RD", {kWsaFail, 10058}, {0, 0}};
+  const Row shut_rd_recvfrom{"recvfrom after SHUT_RD", {kWsaFail, 10058},
+                             {0, 0}};
+  const Row shut_wr_send{"send after SHUT_WR", {kWsaFail, 10058},
+                         {kBsdFail, EPIPE}};
+  const Row truncated{"16-byte datagram into a 4-byte buffer",
+                      {kWsaFail, 10040}, {4, 0}};
+  const Row rcvtimeo{"recv past a 500-tick SO_RCVTIMEO",
+                     {kWsaFail, 10060, 500}, {kBsdFail, EAGAIN, 500}};
+  constexpr std::uint64_t kConnectTicks = sim::NetStack::kConnectTimeoutTicks;
+  const Row off_box{"connect off-box", {kWsaFail, 10060, kConnectTicks},
+                    {kBsdFail, ETIMEDOUT, kConnectTicks}};
+
+  for (OsVariant v : {OsVariant::kWinNT4, OsVariant::kLinux}) {
+    const bool nt = v == OsVariant::kWinNT4;
+    auto expect = [&](const Row& row, const SocketState::Result& r) {
+      expect_result(r, nt ? row.nt4 : row.bsd,
+                    std::string(sim::variant_name(v)) + ": " + row.what);
+    };
+
+    {
+      SocketState s(v);
+      auto sock = s.connected_tcp();
+      ASSERT_EQ(s.net().shutdown(*sock, 0), sim::NetErr::kOk);
+      expect(shut_rd_recv, s.call("recv", {s.insert(sock), s.buffer(16), 16, 0}));
+    }
+    {
+      SocketState s(v);
+      auto sock = s.udp_with_datagram(16);
+      ASSERT_EQ(s.net().shutdown(*sock, 0), sim::NetErr::kOk);
+      expect(shut_rd_recvfrom,
+             s.call("recvfrom", {s.insert(sock), s.buffer(16), 16, 0, 0, 0}));
+    }
+    {
+      SocketState s(v);
+      auto sock = s.connected_tcp();
+      ASSERT_EQ(s.net().shutdown(*sock, 1), sim::NetErr::kOk);
+      expect(shut_wr_send, s.call("send", {s.insert(sock), s.buffer(16), 16, 0}));
+    }
+    {
+      SocketState s(v);
+      auto sock = s.udp_with_datagram(16);
+      const core::RawArg h = s.insert(sock);
+      expect(truncated, s.call("recvfrom", {h, s.buffer(16), 4, 0, 0, 0}));
+      EXPECT_TRUE(sock->dgrams.empty()) << "the datagram was consumed";
+    }
+    {
+      SocketState s(v);
+      auto sock = s.connected_tcp();
+      sock->recv_timeout_ticks = 500;
+      expect(rcvtimeo, s.call("recv", {s.insert(sock), s.buffer(16), 16, 0}));
+    }
+    {
+      SocketState s(v);
+      auto sock = std::make_shared<sim::SocketObject>(sim::SockProto::kTcp);
+      const sim::Addr to = s.sockaddr(0x0a010203, 80);
+      expect(off_box, s.call("connect", {s.insert(sock), to, 16}));
+    }
+  }
 }
 
 /// What every sockets call of a cap-24, default-seed campaign left behind,
