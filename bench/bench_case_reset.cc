@@ -16,11 +16,11 @@
 // The headline number is speedup_reset_dominated: ISSUE 4 targets >= 2x.
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "harness/world.h"
 
 namespace {
@@ -171,6 +171,6 @@ int main() {
        << ", \"always_rebuild\": " << camp_slow << "},\n"
        << "  \"speedup_clib_campaign\": " << camp_slow / camp_fast << "\n}\n";
   std::cout << json.str();
-  std::ofstream("BENCH_reset.json") << json.str();
+  bench::write_report("BENCH_reset.json", json.str());
   return 0;
 }

@@ -1,17 +1,34 @@
-// Shared plumbing for the experiment binaries: option parsing and the
-// one-campaign-per-variant run with identical seeds (paper §3.1).
+// Shared plumbing for the experiment binaries: option parsing, the
+// one-campaign-per-variant run with identical seeds (paper §3.1), and where
+// the JSON reports go.
 #pragma once
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "harness/world.h"
 
 namespace ballista::bench {
+
+/// `name` in the bench build directory (BALLISTA_BENCH_DIR, fixed by
+/// bench/CMakeLists.txt): where every bench writes its files, whatever
+/// directory it is started from.
+inline std::string bench_path(const char* name) {
+  return std::string(BALLISTA_BENCH_DIR) + "/" + name;
+}
+
+/// Writes a JSON report to bench_path(name) and says where on stderr.
+inline void write_report(const char* name, const std::string& json) {
+  const std::string path = bench_path(name);
+  std::ofstream(path) << json;
+  std::fprintf(stderr, "[report written to %s]\n", path.c_str());
+}
 
 struct Options {
   std::uint64_t cap = core::kDefaultCap;  // the paper's 5000-test cap

@@ -16,10 +16,10 @@
 //     ISSUE 6 targets < 2%.
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
+#include "bench/bench_common.h"
 #include "core/crashplan.h"
 #include "harness/world.h"
 
@@ -120,6 +120,6 @@ int main() {
        << "  \"overhead_counting_pct\": " << counting_overhead_pct << ",\n"
        << "  \"overhead_off_pct\": " << off_spread_pct << "\n}\n";
   std::cout << json.str();
-  std::ofstream("BENCH_crash.json") << json.str();
+  bench::write_report("BENCH_crash.json", json.str());
   return 0;
 }

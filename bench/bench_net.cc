@@ -15,12 +15,12 @@
 // host, but case counts and outcome codes must not (the golden gate
 // baseline_gate_sockets holds that line).
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "harness/world.h"
 #include "sim/net/netstack.h"
 
@@ -152,6 +152,6 @@ int main() {
        << ", \"linux_cases_per_s\": " << linux_rate
        << ", \"linux_cases\": " << linux_cases << "}\n}\n";
   std::cout << json.str();
-  std::ofstream("BENCH_net.json") << json.str();
+  bench::write_report("BENCH_net.json", json.str());
   return 0;
 }

@@ -10,7 +10,6 @@
 // "hardware_concurrency"); on a single-core host all worker counts
 // serialize and speedup stays ~1.0 while determinism is still exercised.
 #include <chrono>
-#include <fstream>
 #include <sstream>
 #include <thread>
 
@@ -161,6 +160,6 @@ int main(int argc, char** argv) {
   json << "  ]\n}\n";
 
   std::cout << json.str();
-  std::ofstream("BENCH_parallel.json") << json.str();
+  bench::write_report("BENCH_parallel.json", json.str());
   return deterministic ? 0 : 1;
 }

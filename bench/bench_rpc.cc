@@ -13,12 +13,12 @@
 // Rates vary with the host; shard counts and outcome bytes must not (the
 // session logs are gated byte-identical against solo runs by the tests).
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "harness/world.h"
 #include "rpc/channel.h"
 #include "rpc/protocol.h"
@@ -161,6 +161,6 @@ int main() {
        << ", \"shards_per_s_jobs1\": " << solo
        << ", \"shards_per_s_jobs4\": " << quad << "}\n}\n";
   std::cout << json.str();
-  std::ofstream("BENCH_rpc.json") << json.str();
+  bench::write_report("BENCH_rpc.json", json.str());
   return shards1 == shards4 ? 0 : 1;  // same plan either way, by contract
 }

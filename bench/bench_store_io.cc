@@ -6,11 +6,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "core/sched.h"
 #include "harness/world.h"
 #include "store/store.h"
@@ -106,7 +106,7 @@ double campaign_seconds(const std::string& path, bool with_store) {
 }  // namespace
 
 int main() {
-  const std::string path = "bench_store_io.blog";
+  const std::string path = bench::bench_path("bench_store_io.blog");
   const std::vector<core::ShardOutcome> outcomes = sample_outcomes();
 
   const AppendStats append = bench_append(outcomes, path, 5);
@@ -142,6 +142,6 @@ int main() {
        << "  \"store_overhead\": " << (with_store / without - 1.0)
        << ",\n  \"store_overhead_target\": 0.05\n}\n";
   std::cout << json.str();
-  std::ofstream("BENCH_store.json") << json.str();
+  bench::write_report("BENCH_store.json", json.str());
   return 0;
 }
