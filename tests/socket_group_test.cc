@@ -438,7 +438,8 @@ TEST(SocketGroup, WinsockAndBsdDifferOnlyWhereDocumented) {
       SocketState s(v);
       auto sock = s.connected_tcp();
       ASSERT_EQ(s.net().shutdown(*sock, 0), sim::NetErr::kOk);
-      expect(shut_rd_recv, s.call("recv", {s.insert(sock), s.buffer(16), 16, 0}));
+      expect(shut_rd_recv,
+             s.call("recv", {s.insert(sock), s.buffer(16), 16, 0}));
     }
     {
       SocketState s(v);
@@ -451,7 +452,8 @@ TEST(SocketGroup, WinsockAndBsdDifferOnlyWhereDocumented) {
       SocketState s(v);
       auto sock = s.connected_tcp();
       ASSERT_EQ(s.net().shutdown(*sock, 1), sim::NetErr::kOk);
-      expect(shut_wr_send, s.call("send", {s.insert(sock), s.buffer(16), 16, 0}));
+      expect(shut_wr_send,
+             s.call("send", {s.insert(sock), s.buffer(16), 16, 0}));
     }
     {
       SocketState s(v);
