@@ -8,6 +8,9 @@
 //   *MsgWaitForMultipleObjectsEx  98/98SE/CE deferred
 //   *CreateThread             98SE/CE deferred
 //   *Interlocked{Inc,Dec,Exchange} CE deferred (kernel-thunked on CE)
+//
+// The event, mutex, semaphore-release, single-wait and Interlocked bodies
+// are the sync group's (sync_calls.cc, declared in win32.h).
 #include <vector>
 
 #include "win32/win32.h"
@@ -171,35 +174,6 @@ CallOutcome do_open_process(CallContext& ctx) {
   return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
 }
 
-/// Core wait logic shared by all five wait entry points.
-CallOutcome wait_single(CallContext& ctx, std::uint64_t h,
-                        std::uint32_t timeout) {
-  auto hc = check_handle(ctx, h, std::nullopt, WAIT_FAILED);
-  if (hc.fail) return *hc.fail;
-  if (hc.obj->signaled()) {
-    sim::Verdict v = sim::Verdict::kUp;
-    if (hc.obj->kind() == sim::ObjectKind::kMutex)
-      v = static_cast<sim::MutexObject*>(hc.obj.get())->set_held(true);
-    else if (hc.obj->kind() == sim::ObjectKind::kEvent &&
-             !static_cast<sim::EventObject*>(hc.obj.get())->manual_reset())
-      v = hc.obj->set_signaled(false);
-    else if (hc.obj->kind() == sim::ObjectKind::kSemaphore)
-      v = static_cast<sim::SemaphoreObject*>(hc.obj.get())->release(-1).verdict;
-    if (sim::down(v)) return core::panicked();
-    return ok(WAIT_OBJECT_0);
-  }
-  if (timeout == INFINITE32) {
-    // Nothing can ever signal it: the task hangs (a Restart failure).
-    ctx.proc().hang(ctx.mut().name);
-  }
-  ctx.machine().advance_ticks(timeout);
-  return ok(WAIT_TIMEOUT);
-}
-
-CallOutcome do_wait_single(CallContext& ctx) {
-  return wait_single(ctx, ctx.arg(0), ctx.arg32(1));
-}
-
 CallOutcome wait_multiple(CallContext& ctx, std::uint32_t count, Addr handles,
                           bool wait_all, std::uint32_t timeout) {
   constexpr std::uint32_t kMaxWait = 64;  // MAXIMUM_WAIT_OBJECTS
@@ -246,53 +220,6 @@ CallOutcome do_msg_wait_ex(CallContext& ctx) {
                        ctx.arg32(2));
 }
 
-CallOutcome do_create_event(CallContext& ctx) {
-  const Addr sa = ctx.arg_addr(0);
-  if (sa != 0) {
-    std::uint32_t len = 0;
-    const MemStatus st = ctx.k_read_u32(sa, &len);
-    if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
-  }
-  const Addr name = ctx.arg_addr(3);
-  std::string n;
-  if (name != 0) {
-    const MemStatus st = ctx.k_read_str(name, &n, 260);
-    if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
-  }
-  return core::ok_or_panicked(
-      ctx.proc().handles().insert(std::make_shared<sim::EventObject>(
-          ctx.arg32(1) != 0, ctx.arg32(2) != 0, std::move(n))));
-}
-
-CallOutcome event_op(CallContext& ctx, int op) {
-  auto hc = check_handle(ctx, ctx.arg(0), sim::ObjectKind::kEvent);
-  if (hc.fail) return *hc.fail;
-  auto* e = static_cast<sim::EventObject*>(hc.obj.get());
-  // SetEvent signals; ResetEvent and PulseEvent leave it non-signaled.
-  if (sim::down(e->set_signaled(op == 0))) return core::panicked();
-  return ok(1);
-}
-
-CallOutcome do_create_mutex(CallContext& ctx) {
-  const Addr name = ctx.arg_addr(2);
-  std::string n;
-  if (name != 0) {
-    const MemStatus st = ctx.k_read_str(name, &n, 260);
-    if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
-  }
-  return core::ok_or_panicked(ctx.proc().handles().insert(
-      std::make_shared<sim::MutexObject>(ctx.arg32(1) != 0, std::move(n))));
-}
-
-CallOutcome do_release_mutex(CallContext& ctx) {
-  auto hc = check_handle(ctx, ctx.arg(0), sim::ObjectKind::kMutex);
-  if (hc.fail) return *hc.fail;
-  auto* m = static_cast<sim::MutexObject*>(hc.obj.get());
-  if (!m->held()) return ctx.win_fail(ERR_NOT_SUPPORTED, 0);  // not owner
-  if (sim::down(m->set_held(false))) return core::panicked();
-  return ok(1);
-}
-
 CallOutcome do_create_semaphore(CallContext& ctx) {
   const std::int64_t initial = ctx.argi(1);
   const std::int64_t maximum = ctx.argi(2);
@@ -300,66 +227,6 @@ CallOutcome do_create_semaphore(CallContext& ctx) {
     return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
   return core::ok_or_panicked(ctx.proc().handles().insert(
       std::make_shared<sim::SemaphoreObject>(initial, maximum, "")));
-}
-
-CallOutcome do_release_semaphore(CallContext& ctx) {
-  auto hc = check_handle(ctx, ctx.arg(0), sim::ObjectKind::kSemaphore);
-  if (hc.fail) return *hc.fail;
-  auto* s = static_cast<sim::SemaphoreObject*>(hc.obj.get());
-  const std::int32_t n = ctx.argi(1);
-  if (n <= 0) return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
-  const std::int64_t prev = s->count();
-  const sim::Survived<bool> released = s->release(n);
-  if (released.down()) return core::panicked();
-  if (!released.value) return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
-  const Addr out = ctx.arg_addr(2);
-  if (out != 0) {
-    const MemStatus st =
-        ctx.k_write_u32(out, static_cast<std::uint32_t>(prev));
-    if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
-  }
-  return ok(1);
-}
-
-/// Interlocked* dereference the target in the caller on x86 desktops (a user
-/// fault at worst) but thunk into the kernel on Windows CE — Table 3's
-/// *InterlockedIncrement/Decrement/Exchange entries.
-CallOutcome interlocked(CallContext& ctx, int op) {
-  const Addr target = ctx.arg_addr(0);
-  std::uint32_t v = 0;
-  if (ctx.os().crt_in_kernel || ctx.hazard() != core::CrashStyle::kNone) {
-    MemStatus st = ctx.k_read_u32(target, &v);
-    if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
-    std::uint32_t nv = v;
-    switch (op) {
-      case 0: nv = v + 1; break;
-      case 1: nv = v - 1; break;
-      case 2: nv = ctx.arg32(1); break;
-      case 3: nv = v + ctx.arg32(1); break;
-      case 4:
-        if (v == ctx.arg32(2)) nv = ctx.arg32(1);
-        break;
-    }
-    st = ctx.k_write_u32(target, nv);
-    if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
-    return ok(op <= 1 ? nv : v);
-  }
-  auto& mem = ctx.proc().mem();
-  if (auto f = mem.read_u32(target, &v, sim::Access::kUser))
-    return ctx.raise(*f);
-  std::uint32_t nv = v;
-  switch (op) {
-    case 0: nv = v + 1; break;
-    case 1: nv = v - 1; break;
-    case 2: nv = ctx.arg32(1); break;
-    case 3: nv = v + ctx.arg32(1); break;
-    case 4:
-      if (v == ctx.arg32(2)) nv = ctx.arg32(1);
-      break;
-  }
-  if (auto f = mem.write_u32(target, nv, sim::Access::kUser))
-    return ctx.raise(*f);
-  return ok(op <= 1 ? nv : v);
 }
 
 CallOutcome do_sleep(CallContext& ctx) {

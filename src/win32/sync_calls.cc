@@ -13,6 +13,11 @@
 // kStubCheckLoose arm) — the Silent-failure contrasts the voting layer
 // surfaces.  CE thunks the Interlocked family through the kernel (Table 3's
 // *Interlocked* deferred hazards), which this group carries too.
+//
+// The Process Primitives group registers seven of these bodies under its own
+// pools (win32.h): CreateEvent, Set/Reset/PulseEvent, CreateMutex,
+// ReleaseMutex, ReleaseSemaphore, the single-object wait and the
+// Interlocked family, so both groups set the same error codes.
 #include <vector>
 
 #include "core/poolkit.h"
@@ -268,58 +273,7 @@ void register_sync_types(core::TypeLibrary& lib) {
                {BadPtr::kKernel, "name_kernel", 0xC0002000}});
 }
 
-// --- call implementations ----------------------------------------------------
-
-CallOutcome do_sync_create_event(CallContext& ctx) {
-  const Addr sa = ctx.arg_addr(0);
-  if (sa != 0) {
-    std::uint32_t len = 0;
-    const MemStatus st = ctx.k_read_u32(sa, &len);
-    if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
-  }
-  const Addr name = ctx.arg_addr(3);
-  std::string n;
-  if (name != 0) {
-    const MemStatus st = ctx.k_read_str(name, &n, 260);
-    if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
-  }
-  return core::ok_or_panicked(
-      ctx.proc().handles().insert(std::make_shared<sim::EventObject>(
-          ctx.arg32(1) != 0, ctx.arg32(2) != 0, std::move(n))));
-}
-
-CallOutcome sync_event_op(CallContext& ctx, int op) {
-  auto hc = check_handle(ctx, ctx.arg(0), sim::ObjectKind::kEvent);
-  if (hc.fail) return *hc.fail;
-  auto* e = static_cast<sim::EventObject*>(hc.obj.get());
-  // SetEvent signals; ResetEvent, and PulseEvent (which releases and then
-  // resets), leave it non-signaled.
-  if (sim::down(e->set_signaled(op == 0))) return core::panicked();
-  return ok(1);
-}
-
-CallOutcome do_sync_create_mutex(CallContext& ctx) {
-  const Addr name = ctx.arg_addr(2);
-  std::string n;
-  if (name != 0) {
-    const MemStatus st = ctx.k_read_str(name, &n, 260);
-    if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
-  }
-  return core::ok_or_panicked(ctx.proc().handles().insert(
-      std::make_shared<sim::MutexObject>(ctx.arg32(1) != 0, std::move(n))));
-}
-
-CallOutcome do_sync_release_mutex(CallContext& ctx) {
-  auto hc = check_handle(ctx, ctx.arg(0), sim::ObjectKind::kMutex);
-  if (hc.fail) return *hc.fail;
-  auto* m = static_cast<sim::MutexObject*>(hc.obj.get());
-  // Releasing a mutex the caller does not hold is ERROR_NOT_OWNER on every
-  // variant — the 9x stubs validate ownership even though they skip handle
-  // validation, so this arm contributes no Silent contrast.
-  if (!m->held()) return ctx.win_fail(ERR_NOT_OWNER, 0);
-  if (sim::down(m->set_held(false))) return core::panicked();
-  return ok(1);
-}
+// --- calls only this group registers --------------------------------------
 
 CallOutcome do_sync_create_semaphore(CallContext& ctx) {
   const std::int64_t initial = ctx.argi(1);
@@ -337,27 +291,6 @@ CallOutcome do_sync_create_semaphore(CallContext& ctx) {
           initial, maximum, std::move(n))));
 }
 
-CallOutcome do_sync_release_semaphore(CallContext& ctx) {
-  auto hc = check_handle(ctx, ctx.arg(0), sim::ObjectKind::kSemaphore);
-  if (hc.fail) return *hc.fail;
-  auto* s = static_cast<sim::SemaphoreObject*>(hc.obj.get());
-  const std::int32_t n = ctx.argi(1);
-  if (n <= 0) return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
-  const std::int64_t prev = s->count();
-  // Past the maximum the release is rejected whole (the SDK's
-  // ERROR_TOO_MANY_POSTS), leaving the count untouched.
-  const sim::Survived<bool> released = s->release(n);
-  if (released.down()) return core::panicked();
-  if (!released.value) return ctx.win_fail(ERR_TOO_MANY_POSTS, 0);
-  const Addr out = ctx.arg_addr(2);
-  if (out != 0) {
-    const MemStatus st =
-        ctx.k_write_u32(out, static_cast<std::uint32_t>(prev));
-    if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
-  }
-  return ok(1);
-}
-
 /// Acquire side effects of a satisfied wait, by object kind.
 sim::Verdict consume_signal(sim::KernelObject& obj) {
   if (obj.kind() == sim::ObjectKind::kMutex)
@@ -370,7 +303,7 @@ sim::Verdict consume_signal(sim::KernelObject& obj) {
   return sim::Verdict::kUp;
 }
 
-CallOutcome sync_wait_single(CallContext& ctx, std::uint64_t h,
+CallOutcome wait_single(CallContext& ctx, std::uint64_t h,
                              std::uint32_t timeout) {
   auto hc = check_handle(ctx, h, std::nullopt, WAIT_FAILED);
   if (hc.fail) return *hc.fail;
@@ -384,10 +317,6 @@ CallOutcome sync_wait_single(CallContext& ctx, std::uint64_t h,
   }
   ctx.machine().advance_ticks(timeout);
   return ok(WAIT_TIMEOUT);
-}
-
-CallOutcome do_sync_wait_single(CallContext& ctx) {
-  return sync_wait_single(ctx, ctx.arg(0), ctx.arg32(1));
 }
 
 CallOutcome do_sync_wait_multiple(CallContext& ctx) {
@@ -459,7 +388,7 @@ CallOutcome do_signal_object_and_wait(CallContext& ctx) {
       // Only the three signalable kinds are accepted for the signal half.
       return ctx.win_fail(ERR_INVALID_HANDLE, WAIT_FAILED);
   }
-  return sync_wait_single(ctx, ctx.arg(1), ctx.arg32(2));
+  return wait_single(ctx, ctx.arg(1), ctx.arg32(2));
 }
 
 CallOutcome do_open_object(CallContext& ctx, sim::ObjectKind kind) {
@@ -481,10 +410,90 @@ CallOutcome do_open_object(CallContext& ctx, sim::ObjectKind kind) {
   return ctx.win_fail(ERR_FILE_NOT_FOUND, 0);
 }
 
+}  // namespace
+
+// --- calls the process group registers too (win32.h) -----------------------
+
+CallOutcome do_create_event(CallContext& ctx) {
+  const Addr sa = ctx.arg_addr(0);
+  if (sa != 0) {
+    std::uint32_t len = 0;
+    const MemStatus st = ctx.k_read_u32(sa, &len);
+    if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
+  }
+  const Addr name = ctx.arg_addr(3);
+  std::string n;
+  if (name != 0) {
+    const MemStatus st = ctx.k_read_str(name, &n, 260);
+    if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
+  }
+  return core::ok_or_panicked(
+      ctx.proc().handles().insert(std::make_shared<sim::EventObject>(
+          ctx.arg32(1) != 0, ctx.arg32(2) != 0, std::move(n))));
+}
+
+CallOutcome event_op(CallContext& ctx, int op) {
+  auto hc = check_handle(ctx, ctx.arg(0), sim::ObjectKind::kEvent);
+  if (hc.fail) return *hc.fail;
+  auto* e = static_cast<sim::EventObject*>(hc.obj.get());
+  // SetEvent signals; ResetEvent, and PulseEvent (which releases and then
+  // resets), leave it non-signaled.
+  if (sim::down(e->set_signaled(op == 0))) return core::panicked();
+  return ok(1);
+}
+
+CallOutcome do_create_mutex(CallContext& ctx) {
+  const Addr name = ctx.arg_addr(2);
+  std::string n;
+  if (name != 0) {
+    const MemStatus st = ctx.k_read_str(name, &n, 260);
+    if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
+  }
+  return core::ok_or_panicked(ctx.proc().handles().insert(
+      std::make_shared<sim::MutexObject>(ctx.arg32(1) != 0, std::move(n))));
+}
+
+CallOutcome do_release_mutex(CallContext& ctx) {
+  auto hc = check_handle(ctx, ctx.arg(0), sim::ObjectKind::kMutex);
+  if (hc.fail) return *hc.fail;
+  auto* m = static_cast<sim::MutexObject*>(hc.obj.get());
+  // Releasing a mutex the caller does not hold is ERROR_NOT_OWNER on every
+  // variant — the 9x stubs validate ownership even though they skip handle
+  // validation, so this arm contributes no Silent contrast.
+  if (!m->held()) return ctx.win_fail(ERR_NOT_OWNER, 0);
+  if (sim::down(m->set_held(false))) return core::panicked();
+  return ok(1);
+}
+
+CallOutcome do_release_semaphore(CallContext& ctx) {
+  auto hc = check_handle(ctx, ctx.arg(0), sim::ObjectKind::kSemaphore);
+  if (hc.fail) return *hc.fail;
+  auto* s = static_cast<sim::SemaphoreObject*>(hc.obj.get());
+  const std::int32_t n = ctx.argi(1);
+  if (n <= 0) return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
+  const std::int64_t prev = s->count();
+  // Past the maximum the release is rejected whole (the SDK's
+  // ERROR_TOO_MANY_POSTS), leaving the count untouched.
+  const sim::Survived<bool> released = s->release(n);
+  if (released.down()) return core::panicked();
+  if (!released.value) return ctx.win_fail(ERR_TOO_MANY_POSTS, 0);
+  const Addr out = ctx.arg_addr(2);
+  if (out != 0) {
+    const MemStatus st =
+        ctx.k_write_u32(out, static_cast<std::uint32_t>(prev));
+    if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
+  }
+  return ok(1);
+}
+
+CallOutcome do_wait_single(CallContext& ctx) {
+  return wait_single(ctx, ctx.arg(0), ctx.arg32(1));
+}
+
 /// Interlocked* dereference the target in the caller on x86 desktops (a
 /// user fault at worst) but thunk into the kernel on Windows CE — Table 3's
 /// *Interlocked{Increment,Decrement,Exchange} deferred hazards.
-CallOutcome sync_interlocked(CallContext& ctx, int op) {
+CallOutcome interlocked(CallContext& ctx, int op) {
   const Addr target = ctx.arg_addr(0);
   std::uint32_t v = 0;
   if (ctx.os().crt_in_kernel || ctx.hazard() != core::CrashStyle::kNone) {
@@ -522,8 +531,6 @@ CallOutcome sync_interlocked(CallContext& ctx, int op) {
   return ok(op <= 1 ? nv : v);
 }
 
-}  // namespace
-
 void register_sync_calls(core::TypeLibrary& lib, core::Registry& reg) {
   register_sync_types(lib);
   Defs d{lib, reg};
@@ -541,21 +548,21 @@ void register_sync_calls(core::TypeLibrary& lib, core::Registry& reg) {
   const auto kDef = core::CrashStyle::kDeferred;
 
   d.add("CreateEvent", A, G, {"security_attr", "int", "int", "sync_name"},
-        do_sync_create_event, all);
+        do_create_event, all);
   d.add("SetEvent", A, G, {"h_sync_event"},
-        [](CallContext& c) { return sync_event_op(c, 0); }, all);
+        [](CallContext& c) { return event_op(c, 0); }, all);
   d.add("ResetEvent", A, G, {"h_sync_event"},
-        [](CallContext& c) { return sync_event_op(c, 1); }, all);
+        [](CallContext& c) { return event_op(c, 1); }, all);
   d.add("PulseEvent", A, G, {"h_sync_event"},
-        [](CallContext& c) { return sync_event_op(c, 2); }, no_ce);
+        [](CallContext& c) { return event_op(c, 2); }, no_ce);
   d.add("CreateMutex", A, G, {"security_attr", "int", "sync_name"},
-        do_sync_create_mutex, all);
-  d.add("ReleaseMutex", A, G, {"h_sync_mutex"}, do_sync_release_mutex, all);
+        do_create_mutex, all);
+  d.add("ReleaseMutex", A, G, {"h_sync_mutex"}, do_release_mutex, all);
   d.add("CreateSemaphore", A, G, {"security_attr", "int", "int", "sync_name"},
         do_sync_create_semaphore, no_ce);
   d.add("ReleaseSemaphore", A, G,
         {"h_sync_sem", "sync_release_count", "buf"},
-        do_sync_release_semaphore, no_ce);
+        do_release_semaphore, no_ce);
 
   d.add("OpenEvent", A, G, {"flags32", "int", "sync_name"},
         [](CallContext& c) {
@@ -574,7 +581,7 @@ void register_sync_calls(core::TypeLibrary& lib, core::Registry& reg) {
         no_ce);
 
   d.add("WaitForSingleObject", A, G, {"h_sync_wait", "sync_timeout"},
-        do_sync_wait_single, all);
+        do_wait_single, all);
   d.add("WaitForMultipleObjects", A, G,
         {"count_small", "sync_handle_array", "int", "sync_timeout"},
         do_sync_wait_multiple, all);
@@ -583,19 +590,19 @@ void register_sync_calls(core::TypeLibrary& lib, core::Registry& reg) {
         do_signal_object_and_wait, nt_only);
 
   auto& ii = d.add("InterlockedIncrement", A, G, {"interlock_target"},
-                   [](CallContext& c) { return sync_interlocked(c, 0); }, all);
+                   [](CallContext& c) { return interlocked(c, 0); }, all);
   ii.hazards[CE] = kDef;  // Table 3: *InterlockedIncrement
   auto& id = d.add("InterlockedDecrement", A, G, {"interlock_target"},
-                   [](CallContext& c) { return sync_interlocked(c, 1); }, all);
+                   [](CallContext& c) { return interlocked(c, 1); }, all);
   id.hazards[CE] = kDef;
   auto& ix = d.add("InterlockedExchange", A, G, {"interlock_target", "int"},
-                   [](CallContext& c) { return sync_interlocked(c, 2); }, all);
+                   [](CallContext& c) { return interlocked(c, 2); }, all);
   ix.hazards[CE] = kDef;
   d.add("InterlockedExchangeAdd", A, G, {"interlock_target", "int"},
-        [](CallContext& c) { return sync_interlocked(c, 3); }, not95_no_ce);
+        [](CallContext& c) { return interlocked(c, 3); }, not95_no_ce);
   d.add("InterlockedCompareExchange", A, G,
         {"interlock_target", "int", "int"},
-        [](CallContext& c) { return sync_interlocked(c, 4); }, not95_no_ce);
+        [](CallContext& c) { return interlocked(c, 4); }, not95_no_ce);
 }
 
 }  // namespace ballista::win32

@@ -96,6 +96,18 @@ struct PathRead {
 };
 PathRead read_path_arg(CallContext& ctx, Addr a, std::uint64_t fail_ret = 0);
 
+/// The kernel-object calls both the Process Primitives group and the sync
+/// growth group register, defined once in sync_calls.cc.  `op` picks
+/// Set/Reset/PulseEvent (0-2) or InterlockedIncrement, Decrement, Exchange,
+/// ExchangeAdd and CompareExchange (0-4).
+CallOutcome do_create_event(CallContext& ctx);
+CallOutcome event_op(CallContext& ctx, int op);
+CallOutcome do_create_mutex(CallContext& ctx);
+CallOutcome do_release_mutex(CallContext& ctx);
+CallOutcome do_release_semaphore(CallContext& ctx);
+CallOutcome do_wait_single(CallContext& ctx);
+CallOutcome interlocked(CallContext& ctx, int op);
+
 /// Registers Win32-specific data types (HANDLE kinds, CONTEXT*, FILETIME*,
 /// wait arrays...) and all 143 system calls of the paper's five groups,
 /// plus the post-paper synchronization growth group (sync_calls.cc).

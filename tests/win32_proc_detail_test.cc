@@ -79,6 +79,22 @@ TEST_F(ProcFixture, SemaphoreCountsDownAndUp) {
             core::CallStatus::kErrorReported);
 }
 
+// The process group registers the sync group's ReleaseMutex and
+// ReleaseSemaphore bodies, so it sets the sync group's error codes.
+TEST_F(ProcFixture, ReleaseErrorsAreTheSyncGroups) {
+  const core::MuT* rm = shared_world().registry.find("ReleaseMutex");
+  ASSERT_NE(rm, nullptr);
+  EXPECT_EQ(rm->group, core::FuncGroup::kProcessPrimitives);
+  const auto mx = call("CreateMutex", {0, 0 /*not owned*/, 0});
+  EXPECT_EQ(call("ReleaseMutex", {mx.ret}).status,
+            core::CallStatus::kErrorReported);
+  EXPECT_EQ(proc->last_error(), 288u);  // ERROR_NOT_OWNER
+  const auto sem = call("CreateSemaphore", {0, 2, 2, 0});
+  EXPECT_EQ(call("ReleaseSemaphore", {sem.ret, 5, 0}).status,
+            core::CallStatus::kErrorReported);
+  EXPECT_EQ(proc->last_error(), 298u);  // ERROR_TOO_MANY_POSTS
+}
+
 TEST_F(ProcFixture, CreateSemaphoreValidatesCounts) {
   EXPECT_EQ(call("CreateSemaphore", {0, 5, 2, 0}).status,
             core::CallStatus::kErrorReported);  // initial > max
