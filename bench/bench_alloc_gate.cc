@@ -14,11 +14,12 @@
 //     edited environment or cwd.  Either count moving either way means the
 //     reset path changed what it does per case;
 //   - one run of the seven-variant default campaign at cap 2000 and jobs 1,
-//     whose throws are counted.  Simulated faults and kernel panics are
-//     values, so what still throws is the rare TaskHang;
+//     whose throws are counted;
 //   - the NT4 and Win95 default crash campaigns at cap 500 and jobs 1, whose
-//     allocations and throws are counted on a second run.  Every one of
-//     their throws must be a TaskHang: a cut is a returned value.
+//     allocations and throws are counted on a second run.
+//
+// Simulated faults, hangs and kernel panics (crash cuts included) are
+// values, so every campaign the gate runs must throw nothing.
 //
 // Throws are counted by linking with -Wl,--wrap=__cxa_throw, which routes
 // every throw the project's code makes through __wrap___cxa_throw below
@@ -26,10 +27,10 @@
 //
 // The counts do not depend on the host, so unlike a timing floor this gate
 // trips on the first per-case allocation, throw or tree walk anyone adds.
-// Exits 3 when a count grows past its baseline, a work count differs from
-// it (or a campaign's case count moved, which means the baseline no longer
-// describes that workload).  A change that means to move a count re-pins
-// the baseline with:
+// Exits 3 when a campaign throws, a count grows past its baseline, a work
+// count differs from it (or a campaign's case count moved, which means the
+// baseline no longer describes that workload).  A change that means to move
+// a count re-pins the baseline with:
 //
 //   bench_alloc_gate --write-baseline tests/golden/alloc_baseline.json
 #include <algorithm>
@@ -46,13 +47,11 @@
 #include "core/crashplan.h"
 #include "core/sched.h"
 #include "harness/world.h"
-#include "sim/fault.h"
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
 std::atomic<std::uint64_t> g_throws{0};
-std::atomic<std::uint64_t> g_hangs{0};  // the throws that are TaskHangs
 
 }  // namespace
 
@@ -63,8 +62,6 @@ extern "C" {
 [[noreturn]] void __wrap___cxa_throw(void* obj, std::type_info* type,
                                      void (*dtor)(void*)) {
   g_throws.fetch_add(1, std::memory_order_relaxed);
-  if (*type == typeid(ballista::sim::TaskHang))
-    g_hangs.fetch_add(1, std::memory_order_relaxed);
   __real___cxa_throw(obj, type, dtor);
 }
 }
@@ -106,7 +103,7 @@ struct Counts {
   std::uint64_t recycle_allocs = 0;
   std::uint64_t campaign_cases = 0;
   std::uint64_t campaign_allocs = 0;
-  std::uint64_t campaign_throws = 0;  // informational: not gated
+  std::uint64_t campaign_throws = 0;
   std::uint64_t fixture_walks = 0;
   std::uint64_t env_rebuilds = 0;
   std::uint64_t campaign7_cases = 0;
@@ -114,7 +111,6 @@ struct Counts {
   std::uint64_t crash_cuts = 0;
   std::uint64_t crash_allocs = 0;
   std::uint64_t crash_throws = 0;
-  std::uint64_t crash_hangs = 0;  // must equal crash_throws
 };
 
 /// The NT4 + Win95 crash campaigns; returns the cuts they tested.
@@ -160,12 +156,10 @@ Counts measure(const harness::World& world) {
   c.campaign7_throws = g_throws.load() - t7;
 
   run_crash_campaigns(world);
-  const std::uint64_t a8 = g_allocs.load(), t8 = g_throws.load(),
-                      h8 = g_hangs.load();
+  const std::uint64_t a8 = g_allocs.load(), t8 = g_throws.load();
   c.crash_cuts = run_crash_campaigns(world);
   c.crash_allocs = g_allocs.load() - a8;
   c.crash_throws = g_throws.load() - t8;
-  c.crash_hangs = g_hangs.load() - h8;
   return c;
 }
 
@@ -220,17 +214,17 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(c.campaign7_cases),
               static_cast<unsigned long long>(c.campaign7_throws));
   std::printf("NT4 + Win95 crash campaigns, cap %llu, jobs 1, second run: "
-              "%llu cuts, %llu allocations, %llu throws (%llu task hangs)\n",
+              "%llu cuts, %llu allocations, %llu throws\n",
               static_cast<unsigned long long>(kCrashCap),
               static_cast<unsigned long long>(c.crash_cuts),
               static_cast<unsigned long long>(c.crash_allocs),
-              static_cast<unsigned long long>(c.crash_throws),
-              static_cast<unsigned long long>(c.crash_hangs));
-  if (c.crash_throws != c.crash_hangs) {
-    std::fprintf(stderr, "THROW REGRESSION: the crash campaigns threw %llu "
-                         "times that were not task hangs\n",
-                 static_cast<unsigned long long>(c.crash_throws -
-                                                 c.crash_hangs));
+              static_cast<unsigned long long>(c.crash_throws));
+  if (c.campaign_throws + c.campaign7_throws + c.crash_throws != 0) {
+    std::fprintf(stderr, "THROW REGRESSION: a simulated stop threw instead "
+                         "of returning (%llu, %llu and %llu throws)\n",
+                 static_cast<unsigned long long>(c.campaign_throws),
+                 static_cast<unsigned long long>(c.campaign7_throws),
+                 static_cast<unsigned long long>(c.crash_throws));
     return 3;
   }
 
@@ -268,10 +262,8 @@ int main(int argc, char** argv) {
       !read_field(ss.str(), "fixture_walks", base.fixture_walks) ||
       !read_field(ss.str(), "env_rebuilds", base.env_rebuilds) ||
       !read_field(ss.str(), "campaign7_cases", base.campaign7_cases) ||
-      !read_field(ss.str(), "campaign7_throws", base.campaign7_throws) ||
       !read_field(ss.str(), "crash_cuts", base.crash_cuts) ||
-      !read_field(ss.str(), "crash_allocs", base.crash_allocs) ||
-      !read_field(ss.str(), "crash_throws", base.crash_throws)) {
+      !read_field(ss.str(), "crash_allocs", base.crash_allocs)) {
     std::fprintf(stderr, "cannot read the allocation baseline from %s\n",
                  baseline_path.c_str());
     return 2;
@@ -317,12 +309,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(c.campaign7_cases),
                  static_cast<unsigned long long>(base.campaign7_cases));
     ok = false;
-  } else if (c.campaign7_throws > base.campaign7_throws) {
-    std::fprintf(stderr, "THROW REGRESSION: the seven-variant campaign made "
-                         "%llu throws, baseline %llu\n",
-                 static_cast<unsigned long long>(c.campaign7_throws),
-                 static_cast<unsigned long long>(base.campaign7_throws));
-    ok = false;
   }
   if (c.crash_cuts != base.crash_cuts) {
     std::fprintf(stderr, "crash campaigns tested %llu cuts, baseline %llu: "
@@ -338,22 +324,15 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(base.crash_allocs));
       ok = false;
     }
-    if (c.crash_throws > base.crash_throws) {
-      std::fprintf(stderr, "THROW REGRESSION: the crash campaigns made %llu "
-                           "throws, baseline %llu\n",
-                   static_cast<unsigned long long>(c.crash_throws),
-                   static_cast<unsigned long long>(base.crash_throws));
-      ok = false;
-    }
   }
   if (!ok) return 3;
   if (c.campaign_allocs < base.campaign_allocs)
     std::printf("below the baseline of %llu; re-pin it to lock the gain in\n",
                 static_cast<unsigned long long>(base.campaign_allocs));
-  if (c.campaign7_throws < base.campaign7_throws)
-    std::printf("below the throw baseline of %llu; re-pin it to lock the "
+  if (c.crash_allocs < base.crash_allocs)
+    std::printf("below the crash baseline of %llu; re-pin it to lock the "
                 "gain in\n",
-                static_cast<unsigned long long>(base.campaign7_throws));
+                static_cast<unsigned long long>(base.crash_allocs));
   std::printf("allocation and throw gate: ok\n");
   return 0;
 }

@@ -226,8 +226,8 @@ void BM_MapWriteRestore(benchmark::State& state) {
   const std::uint8_t bytes[16] = {1, 2, 3, 4, 5, 6, 7, 8,
                                   9, 10, 11, 12, 13, 14, 15, 16};
   for (auto _ : state) {
-    const std::optional<sim::Addr> a = mem.task_alloc(64);
-    benchmark::DoNotOptimize(mem.write_bytes(*a, bytes));
+    const sim::Survived<sim::Addr> a = mem.task_alloc(64);
+    benchmark::DoNotOptimize(mem.write_bytes(a.value, bytes));
     mem.restore();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

@@ -34,9 +34,10 @@ int main() {
       tuple.push_back(pick);
     }
     const core::CaseResult r = executor.run_case(*mut, tuple);
+    const std::string stop = core::describe_stop(r);
     std::cout << "  " << sim::variant_name(v) << ": "
               << core::outcome_name(r.outcome)
-              << (r.detail.empty() ? "" : "  [" + r.detail + "]") << "\n";
+              << (stop.empty() ? "" : "  [" + stop + "]") << "\n";
     if (machine.crashed()) machine.reboot();
   }
   return 0;

@@ -18,7 +18,7 @@ core::ApiImpl add_file_table_check(const core::MuT& m,
   return [inner, file_param](core::CallContext& ctx) -> core::CallOutcome {
     const sim::Addr fp = ctx.arg_addr(file_param);
     const clib::CrtState* crt = clib::crt_state(ctx.proc());
-    if (crt == nullptr) return core::panicked();  // cut in CRT set-up
+    if (crt == nullptr) return core::stopped();  // cut in CRT set-up
     const clib::CrtState& st = *crt;
     const bool in_table = fp >= st.iob_base &&
                           fp + clib::kFileStructSize <= st.iob_end &&

@@ -34,7 +34,8 @@ void run_listing1(const harness::World& world, sim::OsVariant v) {
   const core::CaseResult r = executor.run_case(*mut, tuple);
   std::cout << "  " << sim::variant_name(v) << ": "
             << core::outcome_name(r.outcome);
-  if (!r.detail.empty()) std::cout << "  (" << r.detail << ")";
+  if (const std::string stop = core::describe_stop(r); !stop.empty())
+    std::cout << "  (" << stop << ")";
   std::cout << "\n";
 }
 
@@ -77,7 +78,8 @@ int main() {
     const core::CaseResult r = executor.run_case(*tick, {});
     if (r.outcome == core::Outcome::kCatastrophic) {
       std::cout << "  " << i
-                << " innocent GetTickCount() calls later: " << r.detail
+                << " innocent GetTickCount() calls later: "
+                << core::describe_stop(r)
                 << "\n";
       break;
     }

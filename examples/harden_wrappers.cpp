@@ -24,7 +24,7 @@ core::ApiImpl wrap_with_validation(const core::MuT& original,
              -> core::CallOutcome {
     const sim::Addr fp = ctx.arg_addr(file_param_index);
     const clib::CrtState* crt = clib::crt_state(ctx.proc());
-    if (crt == nullptr) return core::panicked();  // cut in CRT set-up
+    if (crt == nullptr) return core::stopped();  // cut in CRT set-up
     const clib::CrtState& st = *crt;
     const bool in_table = fp >= st.iob_base &&
                           fp + clib::kFileStructSize <= st.iob_end &&

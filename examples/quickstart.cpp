@@ -63,7 +63,7 @@ int main() {
     if (r.outcome == core::Outcome::kAbort) {
       std::cout << "\nfirst Abort: blit(" << tuple[0]->name << ", "
                 << tuple[1]->name << ", " << tuple[2]->name << ") -> "
-                << r.detail << "\n";
+                << core::describe_stop(r) << "\n";
       break;
     }
   }

@@ -25,42 +25,43 @@ struct CtypeLookup {
   std::uint8_t bits = 0;
 };
 
-sim::MaybeFault ctype_lookup(CallContext& ctx, std::int32_t c,
-                             CtypeLookup* out) {
+MemStatus ctype_lookup(CallContext& ctx, std::int32_t c,
+                       CtypeLookup* out) {
   if (ctx.os().crt == sim::CrtFlavor::kGlibc) {
     const CrtState* st = crt_state(ctx.proc());
-    if (st == nullptr) return sim::MaybeFault::down();
+    if (st == nullptr) return MemStatus::kStopped;
     // table[c]: the index is the sign-extended int, exactly like
     // __ctype_b[c].  Large or very negative c walks off the table.
     const sim::Addr a =
         st->ctype_table + 128 + static_cast<std::int64_t>(c);
     if (auto f = ctx.proc().mem().read_u8(a, &out->bits, sim::Access::kUser))
-      return f;
+      return ctx.record(*f);
     out->looked_up = true;
-    return {};
+    return MemStatus::kOk;
   }
   // MSVC / CE CRT: explicit domain check (EOF or unsigned char) before the
   // table; out-of-domain returns 0 with no error indication.
   if (c == -1) {
     out->looked_up = true;
     out->bits = 0;
-    return {};
+    return MemStatus::kOk;
   }
-  if (c < 0 || c > 255) return {};  // rejected
+  if (c < 0 || c > 255) return MemStatus::kOk;  // rejected
   const CrtState* st = crt_state(ctx.proc());
-  if (st == nullptr) return sim::MaybeFault::down();
+  if (st == nullptr) return MemStatus::kStopped;
   if (auto f = ctx.proc().mem().read_u8(st->ctype_table + 128 + c, &out->bits,
                                         sim::Access::kUser))
-    return f;
+    return ctx.record(*f);
   out->looked_up = true;
-  return {};
+  return MemStatus::kOk;
 }
 
 core::ApiImpl is_fn(std::uint8_t mask) {
   return [mask](CallContext& ctx) -> CallOutcome {
     const std::int32_t c = ctx.argi(0);
     CtypeLookup l;
-    if (auto f = ctype_lookup(ctx, c, &l)) return ctx.raise(*f);
+    if (ctype_lookup(ctx, c, &l) == MemStatus::kStopped)
+      return core::stopped();
     if (!l.looked_up) return core::silent_success(0);
     return core::ok((l.bits & mask) != 0 ? 1 : 0);
   };
@@ -69,7 +70,8 @@ core::ApiImpl is_fn(std::uint8_t mask) {
 CallOutcome do_tolower(CallContext& ctx) {
   const std::int32_t c = ctx.argi(0);
   CtypeLookup l;
-  if (auto f = ctype_lookup(ctx, c, &l)) return ctx.raise(*f);
+  if (ctype_lookup(ctx, c, &l) == MemStatus::kStopped)
+    return core::stopped();
   if (!l.looked_up) return core::silent_success(static_cast<std::uint32_t>(c));
   if (l.bits & kCtUpper) return core::ok(static_cast<std::uint32_t>(c + 32));
   return core::ok(static_cast<std::uint32_t>(c));
@@ -78,7 +80,8 @@ CallOutcome do_tolower(CallContext& ctx) {
 CallOutcome do_toupper(CallContext& ctx) {
   const std::int32_t c = ctx.argi(0);
   CtypeLookup l;
-  if (auto f = ctype_lookup(ctx, c, &l)) return ctx.raise(*f);
+  if (ctype_lookup(ctx, c, &l) == MemStatus::kStopped)
+    return core::stopped();
   if (!l.looked_up) return core::silent_success(static_cast<std::uint32_t>(c));
   if (l.bits & kCtLower) return core::ok(static_cast<std::uint32_t>(c - 32));
   return core::ok(static_cast<std::uint32_t>(c));

@@ -56,24 +56,24 @@ CrtState* build_state(sim::SimProcess& proc) {
   if (mem.map(page, sim::kPageSize, sim::kPermRW) == sim::Verdict::kDown)
     return nullptr;
   state->ctype_table = page + sim::kPageSize - kCtypeEntries;
-  if (sim::expect_no_fault(mem.write_bytes(state->ctype_table, ctype_image(),
-                                           sim::Access::kKernel),
-                           "CRT set-up") == sim::Verdict::kDown)
+  if (mem.expect_no_fault(mem.write_bytes(state->ctype_table, ctype_image(),
+                                          sim::Access::kKernel),
+                          "CRT set-up") == sim::Verdict::kDown)
     return nullptr;
 
   // _iob region: room for 64 FILE structures, then the static CRT result
   // buffers.
   const auto iob = mem.task_alloc(64 * kFileStructSize);
-  if (!iob) return nullptr;
-  state->iob_base = *iob;
+  if (iob.down()) return nullptr;
+  state->iob_base = iob.value;
   state->iob_end = state->iob_base + 64 * kFileStructSize;
   state->iob_next = state->iob_base;
   const auto str = mem.task_alloc(128);
-  if (!str) return nullptr;
-  state->static_str = *str;
+  if (str.down()) return nullptr;
+  state->static_str = str.value;
   const auto tm = mem.task_alloc(64);
-  if (!tm) return nullptr;
-  state->static_tm = *tm;
+  if (tm.down()) return nullptr;
+  state->static_tm = tm.value;
 
   proc.set_crt_state(state);
   return state.get();
@@ -127,19 +127,19 @@ sim::Survived<Addr> make_file_struct(sim::SimProcess& proc,
   if (h.down()) return kDown;
 
   const auto buf = mem.task_alloc(512);
-  if (!buf) return kDown;
+  if (buf.down()) return kDown;
   const auto lock = mem.task_alloc(16);
-  if (!lock) return kDown;
+  if (lock.down()) return kDown;
   const std::pair<Addr, std::uint32_t> fields[] = {
       {kFileOffMagic, kFileMagic},
       {kFileOffHandle, static_cast<std::uint32_t>(h.value)},
       {kFileOffFlags, flags},
-      {kFileOffBuf, static_cast<std::uint32_t>(*buf)},
-      {kFileOffLock, static_cast<std::uint32_t>(*lock)},
+      {kFileOffBuf, static_cast<std::uint32_t>(buf.value)},
+      {kFileOffLock, static_cast<std::uint32_t>(lock.value)},
       {kFileOffUnget, 0xffffffff},
       {kFileOffPos, 0}};
   for (const auto& [off, v] : fields)
-    if (sim::expect_no_fault(
+    if (mem.expect_no_fault(
             mem.write_u32(fp + off, v, sim::Access::kKernel), "CRT set-up") ==
         sim::Verdict::kDown)
       return kDown;
@@ -153,7 +153,7 @@ MemStatus file_field_read(CallContext& ctx, Addr fp, Addr off,
     // Hazard/probe semantics applied by the context; a kSilent (deferred
     // stub) result reads as zero, which downstream treats as garbage.
     const MemStatus s = ctx.k_read_u32(fp + off, v);
-    return core::ends_call(s) ? s : MemStatus::kOk;
+    return s == MemStatus::kStopped ? s : MemStatus::kOk;
   }
   return ctx.trap(ctx.proc().mem().read_u32(fp + off, v, sim::Access::kUser));
 }
@@ -162,7 +162,7 @@ MemStatus file_field_write(CallContext& ctx, Addr fp, Addr off,
                            std::uint32_t v) {
   if (ctx.os().crt_in_kernel) {
     const MemStatus s = ctx.k_write_u32(fp + off, v);
-    return core::ends_call(s) ? s : MemStatus::kOk;
+    return s == MemStatus::kStopped ? s : MemStatus::kOk;
   }
   return ctx.trap(ctx.proc().mem().write_u32(fp + off, v, sim::Access::kUser));
 }
@@ -175,23 +175,21 @@ FileRef resolve_file(CallContext& ctx, Addr fp, bool ce_prevalidates) {
   auto& mem = proc.mem();
   const CrtState* crt = crt_state(ctx.proc());
   if (crt == nullptr) {
-    ref.status = FileRef::Status::kPanic;
+    ref.status = FileRef::Status::kStopped;
     return ref;
   }
   const CrtState& st = *crt;
-  // Marks the stream faulted (or its machine dead) when an access took a
-  // (recorded) fault or a panic.
-  const auto faulted = [&](MemStatus s) {
-    if (!core::ends_call(s)) return false;
-    ref.status = s == MemStatus::kPanic ? FileRef::Status::kPanic
-                                        : FileRef::Status::kFault;
+  // Marks the stream stopped when an access stopped the call.
+  const auto stops = [&](MemStatus s) {
+    if (s != MemStatus::kStopped) return false;
+    ref.status = FileRef::Status::kStopped;
     return true;
   };
   const auto fault = [&](const sim::MaybeFault& f) {
-    return faulted(ctx.trap(f));
+    return stops(ctx.trap(f));
   };
   const auto field = [&](Addr off, std::uint32_t* v) {
-    return faulted(file_field_read(ctx, fp, off, v));
+    return stops(file_field_read(ctx, fp, off, v));
   };
 
   if (flavor == sim::CrtFlavor::kMsvcrt) {
@@ -249,8 +247,8 @@ FileRef resolve_file(CallContext& ctx, Addr fp, bool ce_prevalidates) {
       // addressing these dereferences land in the shared slot space and
       // corrupt it (panic timing decided by the MuT's hazard style).
       std::uint32_t lock = 0, buf = 0, scratch = 0;
-      if (field(kFileOffLock, &lock) || faulted(ctx.k_write_u32(lock, 1)) ||
-          field(kFileOffBuf, &buf) || faulted(ctx.k_read_u32(buf, &scratch)))
+      if (field(kFileOffLock, &lock) || stops(ctx.k_write_u32(lock, 1)) ||
+          field(kFileOffBuf, &buf) || stops(ctx.k_read_u32(buf, &scratch)))
         return ref;
       proc.set_errno(EBADF);
       return ref;

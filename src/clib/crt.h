@@ -91,28 +91,25 @@ CrtState* crt_state(sim::SimProcess& proc);
 CrtState& harness_crt_state(sim::SimProcess& proc);
 
 /// Result of resolving a FILE* argument under the active CRT personality.
-/// Resolving may fault (glibc/msvcrt chasing garbage in user mode, or a CE
-/// thunk under the raise policy: kFault, with the fault recorded on the
-/// context) or kill the machine (CE kernel thunks under a hazard, or an
-/// armed cut in CRT set-up: kPanic).
+/// Resolving may stop the call: a fault (glibc/msvcrt chasing garbage in user
+/// mode, or a CE thunk under the raise policy; recorded on the context) or a
+/// panic (CE kernel thunks under a hazard, or an armed cut in CRT set-up).
 struct FileRef {
   enum class Status {
     kOk,
-    kBadf,    // detected invalid: fail with errno (robust)
-    kSilent,  // swallowed by a loose path: report success, do nothing
-    kFault,   // the task faulted resolving it: the call ends faulted
-    kPanic,   // the machine died resolving it: the call ends panicked
+    kBadf,     // detected invalid: fail with errno (robust)
+    kSilent,   // swallowed by a loose path: report success, do nothing
+    kStopped,  // resolving it stopped the call: the call ends stopped
   };
   Status status = Status::kBadf;
   Addr fp = 0;
   std::shared_ptr<sim::FileObject> obj;  // null for detected-bad streams
   std::uint32_t flags = 0;
 
-  /// The outcome of a call whose stream did not resolve: faulted or
-  /// panicked when resolving was, else the error return `ret`.
+  /// The outcome of a call whose stream did not resolve: stopped when
+  /// resolving was, else the error return `ret`.
   CallOutcome fail(std::uint64_t ret) const {
-    if (status == Status::kFault) return core::faulted();
-    if (status == Status::kPanic) return core::panicked();
+    if (status == Status::kStopped) return core::stopped();
     return core::error_reported(ret);
   }
 };
@@ -130,7 +127,7 @@ sim::Survived<Addr> make_file_struct(sim::SimProcess& proc,
                                      std::uint32_t flags);
 
 /// Reads/writes one FILE field honoring the personality (user-mode for
-/// desktop CRTs, kernel thunk for CE).  kOk, kFault (recorded) or kPanic; a
+/// desktop CRTs, kernel thunk for CE).  kOk or kStopped; a
 /// CE field the kernel rejects or swallows reads as zero and ignores the
 /// write.
 MemStatus file_field_read(CallContext& ctx, Addr fp, Addr off,

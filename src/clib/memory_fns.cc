@@ -51,20 +51,20 @@ sim::MaybeFault block_copy(sim::AddressSpace& mem, Addr dst, Addr src,
   return {};
 }
 
-/// A fresh chunk's user address, or nothing when the machine died making it
+/// A fresh chunk's user address, or kDown when the machine died making it
 /// (an armed cut on its map or header stores).
-std::optional<Addr> heap_alloc(CallContext& ctx, std::uint64_t size) {
+sim::Survived<Addr> heap_alloc(CallContext& ctx, std::uint64_t size) {
   auto& mem = ctx.proc().mem();
-  const std::optional<Addr> base = mem.task_alloc(size + 16);
-  if (!base) return std::nullopt;
+  const sim::Survived<Addr> base = mem.task_alloc(size + 16);
+  if (base.down()) return base;
   for (const auto& [off, v] : {std::pair<Addr, std::uint64_t>{0, kHeapMagic},
                                std::pair<Addr, std::uint64_t>{8, size}})
-    if (sim::down(sim::expect_no_fault(
-            mem.write_u64(*base + off, v, sim::Access::kKernel),
+    if (sim::down(mem.expect_no_fault(
+            mem.write_u64(base.value + off, v, sim::Access::kKernel),
             "heap header")))
-      return std::nullopt;
-  ctx.proc().default_heap()->allocations[*base + 16] = size;
-  return *base + 16;
+      return {0, sim::Verdict::kDown};
+  ctx.proc().default_heap()->allocations[base.value + 16] = size;
+  return {base.value + 16};
 }
 
 
@@ -116,7 +116,7 @@ CallOutcome do_malloc(CallContext& ctx) {
     ctx.proc().set_errno(ENOMEM);
     return core::error_reported(0);
   }
-  return core::ok_or_panicked(heap_alloc(ctx, size == 0 ? 1 : size));
+  return core::ok_or_stopped(heap_alloc(ctx, size == 0 ? 1 : size));
 }
 
 CallOutcome do_calloc(CallContext& ctx) {
@@ -129,7 +129,7 @@ CallOutcome do_calloc(CallContext& ctx) {
     return core::error_reported(0);
   }
   // Zero-filled by the map.
-  return core::ok_or_panicked(heap_alloc(ctx, total == 0 ? 1 : total));
+  return core::ok_or_stopped(heap_alloc(ctx, total == 0 ? 1 : total));
 }
 
 CallOutcome do_free(CallContext& ctx) {
@@ -149,7 +149,7 @@ CallOutcome do_free(CallContext& ctx) {
   }
   if (allocs.erase(p) != 0 &&
       ctx.proc().mem().unmap(p - 16, *size + 16) == sim::Verdict::kDown)
-    return core::panicked();
+    return core::stopped();
   return ok(0);
 }
 
@@ -171,9 +171,9 @@ CallOutcome do_realloc(CallContext& ctx) {
     ctx.proc().default_heap()->allocations.erase(p);
     return ok(0);
   }
-  const std::optional<Addr> allocated = heap_alloc(ctx, size);
-  if (!allocated) return core::panicked();
-  const Addr np = *allocated;
+  const sim::Survived<Addr> allocated = heap_alloc(ctx, size);
+  if (allocated.down()) return core::stopped();
+  const Addr np = allocated.value;
   const std::uint64_t copy = std::min(*old_size, size);
   if (auto f = block_copy(ctx.proc().mem(), np, p, std::min(copy, kScanCap)))
     return ctx.raise(*f);

@@ -36,9 +36,8 @@ MemStatus write_fields(
     CallContext& ctx, Addr fp,
     std::initializer_list<std::pair<Addr, std::uint32_t>> fields) {
   for (const auto& [off, v] : fields)
-    if (const MemStatus s = file_field_write(ctx, fp, off, v);
-        core::ends_call(s))
-      return s;
+    if (file_field_write(ctx, fp, off, v) == MemStatus::kStopped)
+      return MemStatus::kStopped;
   return MemStatus::kOk;
 }
 
@@ -113,7 +112,7 @@ CallOutcome open_common(CallContext& ctx, Addr path_arg, Addr mode_arg,
       return core::error_reported(0);
     }
     const auto created = fs.create_file(parsed, false, false);
-    if (created.down()) return core::panicked();
+    if (created.down()) return core::stopped();
     node = created.value;
     if (node == nullptr) {
       proc.set_errno(ENOENT);
@@ -134,7 +133,7 @@ CallOutcome open_common(CallContext& ctx, Addr path_arg, Addr mode_arg,
   if (fp == 0) {
     const sim::Survived<Addr> made =
         make_file_struct(proc, node, mode.flags | kFOpen);
-    if (made.down()) return core::panicked();
+    if (made.down()) return core::stopped();
     fp = made.value;
     if (fp == 0) {
       proc.set_errno(EMFILE);
@@ -148,14 +147,12 @@ CallOutcome open_common(CallContext& ctx, Addr path_arg, Addr mode_arg,
         mode.append);
     const sim::Survived<std::uint64_t> h =
         proc.handles().insert(std::move(obj));
-    if (h.down()) return core::panicked();
-    if (const MemStatus ms = write_fields(
-            ctx, fp,
-            {{kFileOffHandle, static_cast<std::uint32_t>(h.value)},
-             {kFileOffFlags, mode.flags | kFOpen},
-             {kFileOffMagic, kFileMagic}});
-        core::ends_call(ms))
-      return core::ended(ms);
+    if (h.down()) return core::stopped();
+    if (write_fields(ctx, fp,
+                     {{kFileOffHandle, static_cast<std::uint32_t>(h.value)},
+                      {kFileOffFlags, mode.flags | kFOpen},
+                      {kFileOffMagic, kFileMagic}}) == MemStatus::kStopped)
+      return core::stopped();
   }
   return ok(fp);
 }
@@ -169,10 +166,9 @@ CallOutcome freopen_impl(CallContext& ctx, CharWidth w) {
   const FileRef ref = resolve_file(ctx, fp);
   if (ref.status != FileRef::Status::kOk) return ref.fail(0);
   std::uint32_t h = 0;
-  if (const MemStatus ms = file_field_read(ctx, fp, kFileOffHandle, &h);
-      core::ends_call(ms))
-    return core::ended(ms);
-  if (ctx.proc().handles().close(h).down()) return core::panicked();
+  if (file_field_read(ctx, fp, kFileOffHandle, &h) == MemStatus::kStopped)
+    return core::stopped();
+  if (ctx.proc().handles().close(h).down()) return core::stopped();
   return open_common(ctx, ctx.arg_addr(0), ctx.arg_addr(1), w, fp);
 }
 
@@ -182,19 +178,17 @@ CallOutcome fclose_impl(CallContext& ctx) {
   if (ref.status != FileRef::Status::kOk)
     return ref.fail(static_cast<std::uint64_t>(-1));
   std::uint32_t h = 0;
-  if (const MemStatus ms = file_field_read(ctx, fp, kFileOffHandle, &h);
-      core::ends_call(ms))
-    return core::ended(ms);
-  if (ctx.proc().handles().close(h).down()) return core::panicked();
+  if (file_field_read(ctx, fp, kFileOffHandle, &h) == MemStatus::kStopped)
+    return core::stopped();
+  if (ctx.proc().handles().close(h).down()) return core::stopped();
   // Mark the structure closed: cleared magic, cleared pointers — the state
   // the "file_closed" test value reproduces.
-  if (const MemStatus ms = write_fields(ctx, fp,
-                                       {{kFileOffMagic, 0},
-                                        {kFileOffFlags, 0},
-                                        {kFileOffBuf, 0},
-                                        {kFileOffLock, 0}});
-      core::ends_call(ms))
-    return core::ended(ms);
+  if (write_fields(ctx, fp,
+                   {{kFileOffMagic, 0},
+                    {kFileOffFlags, 0},
+                    {kFileOffBuf, 0},
+                    {kFileOffLock, 0}}) == MemStatus::kStopped)
+    return core::stopped();
   return ok(0);
 }
 
@@ -233,12 +227,11 @@ CallOutcome fseek_impl(CallContext& ctx) {
   }
   ref.obj->set_position(static_cast<std::uint64_t>(target));
   // fseek clears the unget slot and EOF.
-  if (const MemStatus ms =
-          write_fields(ctx, fp,
-                       {{kFileOffUnget, 0xffffffff},
-                        {kFileOffFlags, ref.flags & ~kFEof}});
-      core::ends_call(ms))
-    return core::ended(ms);
+  if (write_fields(ctx, fp,
+                   {{kFileOffUnget, 0xffffffff},
+                    {kFileOffFlags, ref.flags & ~kFEof}}) ==
+      MemStatus::kStopped)
+    return core::stopped();
   return ok(0);
 }
 
@@ -256,10 +249,9 @@ CallOutcome rewind_impl(CallContext& ctx) {
   if (ref.status != FileRef::Status::kOk)
     return ref.fail(0);  // void function; observable via errno
   ref.obj->set_position(0);
-  if (const MemStatus ms = file_field_write(ctx, ctx.arg_addr(0), kFileOffFlags,
-                                            ref.flags & ~(kFEof | kFErr));
-      core::ends_call(ms))
-    return core::ended(ms);
+  if (file_field_write(ctx, ctx.arg_addr(0), kFileOffFlags,
+                       ref.flags & ~(kFEof | kFErr)) == MemStatus::kStopped)
+    return core::stopped();
   return ok(0);
 }
 
@@ -267,10 +259,9 @@ CallOutcome clearerr_impl(CallContext& ctx) {
   const Addr fp = ctx.arg_addr(0);
   const FileRef ref = resolve_file(ctx, fp);
   if (ref.status != FileRef::Status::kOk) return ref.fail(0);
-  if (const MemStatus ms = file_field_write(ctx, fp, kFileOffFlags,
-                                            ref.flags & ~(kFEof | kFErr));
-      core::ends_call(ms))
-    return core::ended(ms);
+  if (file_field_write(ctx, fp, kFileOffFlags, ref.flags & ~(kFEof | kFErr)) ==
+      MemStatus::kStopped)
+    return core::stopped();
   return ok(0);
 }
 
@@ -280,7 +271,7 @@ CallOutcome remove_impl(CallContext& ctx, CharWidth w) {
   auto& fs = ctx.machine().fs();
   const sim::Survived<bool> removed =
       fs.remove_file(fs.parse(path, ctx.proc().cwd()));
-  if (removed.down()) return core::panicked();
+  if (removed.down()) return core::stopped();
   if (!removed.value) {
     ctx.proc().set_errno(ENOENT);
     return core::error_reported(static_cast<std::uint64_t>(-1));
@@ -295,7 +286,7 @@ CallOutcome rename_impl(CallContext& ctx, CharWidth w) {
   auto& fs = ctx.machine().fs();
   const sim::Survived<bool> renamed = fs.rename(
       fs.parse(from, ctx.proc().cwd()), fs.parse(to, ctx.proc().cwd()));
-  if (renamed.down()) return core::panicked();
+  if (renamed.down()) return core::stopped();
   if (!renamed.value) {
     ctx.proc().set_errno(ENOENT);
     return core::error_reported(static_cast<std::uint64_t>(-1));

@@ -12,6 +12,7 @@
 // the real systems.
 #include <algorithm>
 #include <cerrno>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,23 +30,24 @@ using sim::Addr;
 
 constexpr std::uint64_t kIoCap = 1 << 20;
 
-/// Reading an exhausted interactive stream blocks forever (Restart).
-void maybe_block_on_stdin(CallContext& ctx, const FileRef& ref) {
+/// Reading an exhausted interactive stream blocks forever (Restart): the
+/// stopped outcome, with the hang recorded, or nullopt to read on.
+std::optional<CallOutcome> block_on_stdin(CallContext& ctx,
+                                          const FileRef& ref) {
   if (ref.obj != nullptr && ref.obj->node()->name() == "stdin" &&
-      ref.obj->position() >= ref.obj->node()->data().size()) {
-    ctx.proc().hang("read from interactive stdin");
-  }
+      ref.obj->position() >= ref.obj->node()->data().size())
+    return ctx.hang("read from interactive stdin");
+  return std::nullopt;
 }
 
 /// Stores bytes at a task address; hazard-active MuTs (Win98 fwrite, CE
-/// fread/fgets) stage through kernel memory.  kOk, kFault (recorded) or
-/// kPanic.
+/// fread/fgets) stage through kernel memory.  kOk or kStopped.
 MemStatus store_bytes(CallContext& ctx, Addr a,
                       std::span<const std::uint8_t> in) {
   if (ctx.hazard() != core::CrashStyle::kNone) {
     // Corruption is handled inside; only a fault or a panic ends the call.
     const MemStatus s = ctx.k_write(a, in);
-    return core::ends_call(s) ? s : MemStatus::kOk;
+    return s == MemStatus::kStopped ? s : MemStatus::kOk;
   }
   return ctx.trap(ctx.proc().mem().write_bytes(a, in, sim::Access::kUser));
 }
@@ -56,7 +58,7 @@ MemStatus load_bytes(CallContext& ctx, Addr a, std::uint64_t n,
   if (ctx.hazard() != core::CrashStyle::kNone) {
     out->assign(n, 0);
     const MemStatus s = ctx.k_read(a, *out);
-    return core::ends_call(s) ? s : MemStatus::kOk;
+    return s == MemStatus::kStopped ? s : MemStatus::kOk;
   }
   return ctx.trap(gather_bytes(ctx.proc().mem(), a, n, out));
 }
@@ -67,7 +69,7 @@ CallOutcome fread_impl(CallContext& ctx) {
   const FileRef ref = resolve_file(ctx, ctx.arg_addr(3));
   if (ref.status != FileRef::Status::kOk) return ref.fail(0);
   if (size == 0 || n == 0) return ok(0);
-  maybe_block_on_stdin(ctx, ref);
+  if (auto hung = block_on_stdin(ctx, ref)) return *hung;
   // Size the buffer by what the stream still holds, not by the request.
   const auto& contents = ref.obj->node()->data();
   const std::uint64_t pos = ref.obj->position();
@@ -75,8 +77,8 @@ CallOutcome fread_impl(CallContext& ctx) {
   std::vector<std::uint8_t> data(std::min({size * n, kIoCap, left}));
   const std::uint64_t got = ref.obj->read_at(data);
   data.resize(got);
-  if (const MemStatus ms = store_bytes(ctx, ptr, data); core::ends_call(ms))
-    return core::ended(ms);
+  if (store_bytes(ctx, ptr, data) == MemStatus::kStopped)
+    return core::stopped();
   return ok(got / size);
 }
 
@@ -92,10 +94,9 @@ CallOutcome fwrite_impl(CallContext& ctx) {
   }
   const std::uint64_t total = std::min(size * n, kIoCap);
   std::vector<std::uint8_t> data;
-  if (const MemStatus ms = load_bytes(ctx, ptr, total, &data);
-      core::ends_call(ms))
-    return core::ended(ms);
-  if (ref.obj->write_at(data).down()) return core::panicked();
+  if (load_bytes(ctx, ptr, total, &data) == MemStatus::kStopped)
+    return core::stopped();
+  if (ref.obj->write_at(data).down()) return core::stopped();
   return ok(total / size);
 }
 
@@ -105,25 +106,22 @@ CallOutcome fgetc_impl(CallContext& ctx) {
   if (ref.status != FileRef::Status::kOk)
     return ref.fail(static_cast<std::uint64_t>(-1));
   std::uint32_t unget = 0;
-  if (const MemStatus ms = file_field_read(ctx, fp, kFileOffUnget, &unget);
-      core::ends_call(ms))
-    return core::ended(ms);
+  if (file_field_read(ctx, fp, kFileOffUnget, &unget) == MemStatus::kStopped)
+    return core::stopped();
   if (unget != 0xffffffff) {
-    if (const MemStatus ms =
-            file_field_write(ctx, fp, kFileOffUnget, 0xffffffff);
-        core::ends_call(ms))
-      return core::ended(ms);
+    if (file_field_write(ctx, fp, kFileOffUnget, 0xffffffff) ==
+        MemStatus::kStopped)
+      return core::stopped();
     return ok(unget);
   }
   std::uint8_t c = 0;
   if (ref.obj->read_at({&c, 1}) == 0) {
     // Reading past the end of an interactive stream blocks for input that
     // will never come (a Restart failure); a regular file is simply at EOF.
-    if (ref.obj->node()->name() == "stdin") ctx.proc().hang("fgetc(stdin)");
-    if (const MemStatus ms =
-            file_field_write(ctx, fp, kFileOffFlags, ref.flags | kFEof);
-        core::ends_call(ms))
-      return core::ended(ms);
+    if (ref.obj->node()->name() == "stdin") return ctx.hang("fgetc(stdin)");
+    if (file_field_write(ctx, fp, kFileOffFlags, ref.flags | kFEof) ==
+        MemStatus::kStopped)
+      return core::stopped();
     return ok(static_cast<std::uint64_t>(-1));  // EOF: normal indication
   }
   return ok(c);
@@ -138,7 +136,7 @@ CallOutcome fputc_impl(CallContext& ctx) {
     ctx.proc().set_errno(EBADF);
     return core::error_reported(static_cast<std::uint64_t>(-1));
   }
-  if (ref.obj->write_at({&c, 1}).down()) return core::panicked();
+  if (ref.obj->write_at({&c, 1}).down()) return core::stopped();
   return ok(c);
 }
 
@@ -149,9 +147,8 @@ CallOutcome ungetc_impl(CallContext& ctx) {
   if (ref.status != FileRef::Status::kOk)
     return ref.fail(static_cast<std::uint64_t>(-1));
   if (c == 0xffffffff) return ok(static_cast<std::uint64_t>(-1));  // EOF
-  if (const MemStatus ms = file_field_write(ctx, fp, kFileOffUnget, c & 0xff);
-      core::ends_call(ms))
-    return core::ended(ms);
+  if (file_field_write(ctx, fp, kFileOffUnget, c & 0xff) == MemStatus::kStopped)
+    return core::stopped();
   return ok(c & 0xff);
 }
 
@@ -165,7 +162,7 @@ core::ApiImpl fgets_fn(CharWidth w) {
       ctx.proc().set_errno(EINVAL);
       return core::error_reported(0);
     }
-    maybe_block_on_stdin(ctx, ref);
+    if (auto hung = block_on_stdin(ctx, ref)) return *hung;
     std::vector<std::uint8_t> line;
     for (std::int32_t i = 0; i + 1 < n && i < static_cast<std::int32_t>(kIoCap);
          ++i) {
@@ -187,8 +184,8 @@ core::ApiImpl fgets_fn(CharWidth w) {
       bytes.push_back(0);
       bytes.push_back(0);
     }
-    if (const MemStatus ms = store_bytes(ctx, s, bytes); core::ends_call(ms))
-      return core::ended(ms);
+    if (store_bytes(ctx, s, bytes) == MemStatus::kStopped)
+      return core::stopped();
     return ok(s);
   };
 }
@@ -202,7 +199,7 @@ core::ApiImpl fputs_fn(CharWidth w, bool with_file, bool newline) {
     } else {
       // puts writes to stdout.
       const CrtState* st = crt_state(ctx.proc());
-      if (st == nullptr) return core::panicked();
+      if (st == nullptr) return core::stopped();
       ref = resolve_file(ctx, st->file_stdout);
     }
     if (ref.status != FileRef::Status::kOk)
@@ -216,7 +213,7 @@ core::ApiImpl fputs_fn(CharWidth w, bool with_file, bool newline) {
       data.push_back(static_cast<std::uint8_t>(c & 0xff));
     }
     if (newline) data.push_back('\n');
-    if (ref.obj->write_at(data).down()) return core::panicked();
+    if (ref.obj->write_at(data).down()) return core::stopped();
     return ok(data.size());
   };
 }
@@ -301,7 +298,7 @@ core::ApiImpl fprintf_fn(CharWidth w) {
             ->write_at({reinterpret_cast<const std::uint8_t*>(s.data()),
                         s.size()})
             .down())
-      return core::panicked();
+      return core::stopped();
     return ok(s.size());
   };
 }
@@ -324,8 +321,8 @@ core::ApiImpl sprintf_fn(CharWidth w) {
       bytes.push_back(0);
       bytes.push_back(0);
     }
-    if (const MemStatus ms = store_bytes(ctx, buf, bytes); core::ends_call(ms))
-      return core::ended(ms);
+    if (store_bytes(ctx, buf, bytes) == MemStatus::kStopped)
+      return core::stopped();
     return ok(s.size());
   };
 }
@@ -392,7 +389,7 @@ core::ApiImpl fscanf_fn(CharWidth w) {
     const FileRef ref = resolve_file(ctx, ctx.arg_addr(0));
     if (ref.status != FileRef::Status::kOk)
       return ref.fail(static_cast<std::uint64_t>(-1));
-    maybe_block_on_stdin(ctx, ref);
+    if (auto hung = block_on_stdin(ctx, ref)) return *hung;
     std::vector<std::uint8_t> data(256);
     const std::uint64_t got = ref.obj->read_at(data);
     const std::string input(data.begin(),

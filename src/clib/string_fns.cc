@@ -127,7 +127,7 @@ core::ApiImpl strncpy_fn(CharWidth w) {
       for (std::size_t i = 0; i < data.size() && i * w.bytes < total; ++i)
         block[i * w.bytes] = static_cast<std::uint8_t>(data[i]);
       const MemStatus s = ctx.k_write(dst, block);
-      if (core::ends_call(s)) return core::ended(s);
+      if (s == MemStatus::kStopped) return core::stopped();
       if (s == MemStatus::kSilent) return core::silent_success(dst);
       return ok(dst);
     }
@@ -242,7 +242,7 @@ core::ApiImpl strstr_fn(CharWidth w) {
 core::ApiImpl strtok_fn(CharWidth w) {
   return [w](CallContext& ctx) {
     CrtState* crt = crt_state(ctx.proc());
-    if (crt == nullptr) return core::panicked();
+    if (crt == nullptr) return core::stopped();
     CrtState& st = *crt;
     Addr s = ctx.arg_addr(0);
     const Addr delim = ctx.arg_addr(1);

@@ -113,19 +113,20 @@ CallOutcome do_difftime(CallContext& ctx) {
 }
 
 /// Breaks the time_t at `tp` into the static tm.
-sim::MaybeFault time_ptr_to_static_tm(CallContext& ctx, Addr tp) {
+MemStatus time_ptr_to_static_tm(CallContext& ctx, Addr tp) {
   std::uint32_t t = 0;
-  if (auto f = ctx.proc().mem().read_u32(tp, &t, sim::Access::kUser)) return f;
+  if (auto f = ctx.proc().mem().read_u32(tp, &t, sim::Access::kUser))
+    return ctx.record(*f);
   std::int32_t fields[9];
   epoch_to_tm(t, fields);
   const CrtState* st = crt_state(ctx.proc());
-  if (st == nullptr) return sim::MaybeFault::down();
-  return tm_write(ctx, st->static_tm, fields);
+  if (st == nullptr) return MemStatus::kStopped;
+  return ctx.trap(tm_write(ctx, st->static_tm, fields));
 }
 
 CallOutcome tm_from_time_ptr(CallContext& ctx) {
-  if (auto f = time_ptr_to_static_tm(ctx, ctx.arg_addr(0)))
-    return ctx.raise(*f);
+  if (time_ptr_to_static_tm(ctx, ctx.arg_addr(0)) == MemStatus::kStopped)
+    return core::stopped();
   return ok(crt_state(ctx.proc())->static_tm);  // built just above
 }
 
@@ -145,7 +146,7 @@ CallOutcome asctime_core(CallContext& ctx, Addr tm) {
                         {kTmWday, &wday}}))
     return ctx.raise(*f);
   const CrtState* crt = crt_state(ctx.proc());
-  if (crt == nullptr) return core::panicked();
+  if (crt == nullptr) return core::stopped();
   const CrtState& st = *crt;
 
   const char* mon_name = "???";
@@ -184,8 +185,8 @@ CallOutcome do_asctime(CallContext& ctx) {
 }
 
 CallOutcome do_ctime(CallContext& ctx) {
-  if (auto f = time_ptr_to_static_tm(ctx, ctx.arg_addr(0)))
-    return ctx.raise(*f);
+  if (time_ptr_to_static_tm(ctx, ctx.arg_addr(0)) == MemStatus::kStopped)
+    return core::stopped();
   return asctime_core(ctx, crt_state(ctx.proc())->static_tm);  // built above
 }
 

@@ -78,7 +78,7 @@ CampaignResult Campaign::run_sequential(sim::OsVariant variant,
 
           if (!blamed->catastrophic) {
             blamed->catastrophic = true;
-            blamed->crash_detail = r.detail;
+            blamed->crash_detail = describe_stop(r);
             blamed->crash_trace = r.trace_tail;
             if (blamed == &stats) {
               blamed->crash_case = static_cast<std::int64_t>(i);

@@ -26,10 +26,10 @@ enum class CallStatus : std::uint8_t {
   kSilentSuccess,  // returned success while knowingly doing nothing
                    // (the Win9x loose-stub path)
   kWrongError,     // failure return with a misleading error code (Hindering)
-  kFaulted,        // the task took a hardware-class fault, recorded on its
-                   // CallContext (CallContext::raise); classified as Abort
-  kPanicked,       // the machine panicked under the call (Machine::panic
-                   // returned Verdict::kDown); classified as Catastrophic
+  kStopped,        // the call never returned normally.  Its cause is recorded
+                   // where it happened: a fault or a hang on the CallContext,
+                   // a panic on the Machine.  Executor::run_case classifies
+                   // it Abort, Restart or Catastrophic by that record.
 };
 
 struct [[nodiscard]] CallOutcome {
@@ -50,11 +50,8 @@ inline CallOutcome silent_success(std::uint64_t ret) {
 inline CallOutcome wrong_error(std::uint64_t ret) {
   return {CallStatus::kWrongError, ret};
 }
-/// The outcome of a call whose task took a fault; only valid once the fault
-/// is recorded on the CallContext (CallContext::raise, or a kFault MemStatus).
-inline CallOutcome faulted() { return {CallStatus::kFaulted, 0}; }
-/// The outcome of a call the machine died under; only valid once the
-/// machine has panicked (a step returned sim::Verdict::kDown).
-inline CallOutcome panicked() { return {CallStatus::kPanicked, 0}; }
+/// The outcome of a call that never returned normally; only valid once its
+/// cause is recorded (CallContext::record or hang, or Machine::panic).
+inline CallOutcome stopped() { return {CallStatus::kStopped, 0}; }
 
 }  // namespace ballista::core

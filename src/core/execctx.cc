@@ -45,21 +45,25 @@ MemStatus CallContext::hazard_write(sim::Addr a,
   if (mem.arena() != nullptr && mem.arena()->contains(a)) {
     // The write lands in the machine-shared arena: it "succeeds" from the
     // caller's point of view while corrupting system structures.  Immediate-
-    // style hazards die on the spot (kPanic); deferred-style arm the fuse and
-    // let this call return success.
+    // style hazards die on the spot (kStopped); deferred-style arm the fuse
+    // and let this call return success.
     if (auto f = mem.write_bytes(a, in, sim::Access::kKernel))
       return record(*f);
     machine_.trace().emit(trace::hazard_write_event(
         a, static_cast<std::uint32_t>(in.size()), /*staging=*/false));
-    return mem_status(
-        machine_.note_arena_corruption(a, hazard_ == CrashStyle::kImmediate));
+    if (sim::down(machine_.note_arena_corruption(
+            a, hazard_ == CrashStyle::kImmediate)))
+      return MemStatus::kStopped;
+    return MemStatus::kOk;
   }
   if (hazard_ == CrashStyle::kImmediate) {
-    // An unprobed kernel write that faults is a page fault in kernel context.
-    if (auto f = mem.write_bytes(a, in, sim::Access::kKernel))
-      return f.panicked() ? MemStatus::kPanic
-                          : mem_status(machine_.panic(
-                                sim::PanicKind::kKernelPageFault));
+    // An unprobed kernel write that faults is a page fault in kernel context
+    // (unless the store itself was cut: the machine is already down).
+    if (mem.write_bytes(a, in, sim::Access::kKernel)) {
+      if (!machine_.crashed())
+        (void)machine_.panic(sim::PanicKind::kKernelPageFault);
+      return MemStatus::kStopped;
+    }
     return MemStatus::kOk;
   }
   // Deferred-style hazard: the fast path stages the transfer through a
@@ -68,24 +72,24 @@ MemStatus CallContext::hazard_write(sim::Addr a,
   // structures — the call itself "succeeds", and the machine dies a few
   // kernel entries later (the paper's `*` failures).
   if (!mem.check_range(a, in.size(), /*write=*/true, sim::Access::kKernel))
-    return trap(corrupt_staging_area());
+    return corrupt_staging_area();
   return trap(mem.write_bytes(a, in, sim::Access::kKernel));
 }
 
-sim::MaybeFault CallContext::corrupt_staging_area() {
+MemStatus CallContext::corrupt_staging_area() {
   auto& mem = proc_.mem();
-  if (mem.arena() == nullptr) return {};  // no shared state to corrupt
+  if (mem.arena() == nullptr) return MemStatus::kOk;  // no shared state
   constexpr sim::Addr kStaging = sim::kSharedArenaBase + 0x5000;
   const std::uint8_t junk[16] = {0xde, 0xad, 0xbe, 0xef, 0xde, 0xad,
                                  0xbe, 0xef, 0xde, 0xad, 0xbe, 0xef,
                                  0xde, 0xad, 0xbe, 0xef};
-  if (auto f = mem.write_bytes(kStaging, junk, sim::Access::kKernel)) return f;
+  if (auto f = mem.write_bytes(kStaging, junk, sim::Access::kKernel))
+    return record(*f);
   machine_.trace().emit(
       trace::hazard_write_event(kStaging, sizeof junk, /*staging=*/true));
-  if (machine_.note_arena_corruption(kStaging, /*critical=*/false) ==
-      sim::Verdict::kDown)
-    return sim::MaybeFault::down();
-  return {};
+  if (sim::down(machine_.note_arena_corruption(kStaging, /*critical=*/false)))
+    return MemStatus::kStopped;
+  return MemStatus::kOk;
 }
 
 MemStatus CallContext::hazard_read(sim::Addr a, std::span<std::uint8_t> out) {
@@ -94,14 +98,17 @@ MemStatus CallContext::hazard_read(sim::Addr a, std::span<std::uint8_t> out) {
   if (mem.arena() != nullptr && mem.arena()->contains(a))
     return trap(mem.read_bytes(a, out, sim::Access::kKernel));
   if (hazard_ == CrashStyle::kImmediate) {
-    if (mem.read_bytes(a, out, sim::Access::kKernel))
-      return mem_status(machine_.panic(sim::PanicKind::kKernelPageFault));
+    if (mem.read_bytes(a, out, sim::Access::kKernel)) {
+      (void)machine_.panic(sim::PanicKind::kKernelPageFault);
+      return MemStatus::kStopped;
+    }
     return MemStatus::kOk;
   }
   if (!mem.check_range(a, out.size(), /*write=*/false, sim::Access::kKernel)) {
     // Deferred-style hazard on a read: the staging copy still overruns.
     // The caller receives zero-filled data and a success indication.
-    if (auto f = corrupt_staging_area()) return record(*f);
+    if (corrupt_staging_area() == MemStatus::kStopped)
+      return MemStatus::kStopped;
     std::fill(out.begin(), out.end(), std::uint8_t{0});
     return MemStatus::kOk;
   }
@@ -325,25 +332,33 @@ CallOutcome CallContext::posix_fail(int code) {
 }
 
 CallOutcome CallContext::win_mem_fail(MemStatus s, std::uint64_t fail_ret) {
-  if (ends_call(s)) return ended(s);
+  if (s == MemStatus::kStopped) return stopped();
   if (s == MemStatus::kSilent) return silent_success(1);
   return win_fail(kErrorNoaccess, fail_ret);
 }
 
 CallOutcome CallContext::posix_mem_fail(MemStatus s) {
-  if (ends_call(s)) return ended(s);
+  if (s == MemStatus::kStopped) return stopped();
   if (s == MemStatus::kSilent) return silent_success(0);
   return posix_fail(EFAULT);
 }
 
 CallOutcome CallContext::raise(const sim::Fault& f) {
-  return ended(record(f));
+  (void)record(f);
+  return stopped();
 }
 
 MemStatus CallContext::record(const sim::Fault& f) {
-  if (machine_.crashed()) return MemStatus::kPanic;
-  if (faults_recorded_++ == 0) fault_ = f;
-  return MemStatus::kFault;
+  if (machine_.crashed()) return MemStatus::kStopped;
+  ++causes_recorded_;
+  if (!fault_) fault_ = f;
+  return MemStatus::kStopped;
+}
+
+CallOutcome CallContext::hang(std::string_view site) {
+  ++causes_recorded_;
+  if (!hang_site_) hang_site_ = site;
+  return stopped();
 }
 
 }  // namespace ballista::core

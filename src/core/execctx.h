@@ -8,18 +8,19 @@
 // catastrophe (Win9x/CE hazard paths) is decided here from the Machine's
 // personality and the MuT's hazard entry.
 //
-// A fault the task takes is a value, not a C++ exception: the context
-// records it (raise, or a k_* helper returning kFault) and the API returns
-// the faulted CallOutcome, which Executor::run_case classifies as Abort
-// (DESIGN.md §4).  A kernel panic is a value too: a step that kills the
-// machine returns sim::Verdict::kDown (kPanic from a k_* helper) and the API
-// returns the panicked CallOutcome, classified as Catastrophic.
+// A call that never returns normally stops: the fault the task took or the
+// hang it entered is recorded on the context (record, hang), a kernel panic
+// on the Machine (Machine::panic), and every layer above passes up one
+// stopped value with no cause in it (MemStatus::kStopped, core::stopped()).
+// Executor::run_case classifies the case by the recorded cause: Abort,
+// Restart or Catastrophic (DESIGN.md §4).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "core/registry.h"
 #include "sim/machine.h"
@@ -29,35 +30,19 @@ namespace ballista::core {
 /// Result of a kernel-side user-memory operation.
 enum class [[nodiscard]] MemStatus : std::uint8_t {
   kOk,
-  kError,   // caller should fail with a proper error code (EFAULT / ERROR_NOACCESS)
-  kSilent,  // loose stub swallowed the bad pointer: return success, do nothing
-  kFault,   // the access faulted in the task (NT raise policy, Win9x loose
-            // stub past its check): the fault is recorded on the context and
-            // the call must end now, with the outcome *_mem_fail returns
-  kPanic,   // the machine panicked under the access (an unprobed kernel
-            // access under a hazard, an armed cut on a store): the call must
-            // end now, with the outcome *_mem_fail returns
+  kError,    // caller should fail with a proper error code (EFAULT /
+             // ERROR_NOACCESS)
+  kSilent,   // loose stub swallowed the bad pointer: return success, do nothing
+  kStopped,  // the task faulted (recorded on the context) or the machine
+             // panicked under the access: the call ends now, returning
+             // core::stopped()
 };
 
-/// kFault and kPanic end the call on the spot, with ended(s).
-constexpr bool ends_call(MemStatus s) noexcept {
-  return s == MemStatus::kFault || s == MemStatus::kPanic;
-}
-inline CallOutcome ended(MemStatus s) {
-  return s == MemStatus::kPanic ? panicked() : faulted();
-}
-/// ok(r.value), or panicked() when the step that produced it killed the
-/// machine (a handle insert or a file write under an armed cut).
-inline CallOutcome ok_or_panicked(const sim::Survived<std::uint64_t>& r) {
-  return r.down() ? panicked() : ok(r.value);
-}
-/// ok(*a), or panicked() for a task allocation an armed cut fired on.
-inline CallOutcome ok_or_panicked(const std::optional<sim::Addr>& a) {
-  return a ? ok(*a) : panicked();
-}
-/// kPanic for a step that killed the machine, else kOk.
-constexpr MemStatus mem_status(sim::Verdict v) noexcept {
-  return v == sim::Verdict::kDown ? MemStatus::kPanic : MemStatus::kOk;
+/// ok(r.value), or stopped() when the step that produced it killed the
+/// machine (a handle insert, a file write or a task allocation an armed cut
+/// fired on).
+inline CallOutcome ok_or_stopped(const sim::Survived<std::uint64_t>& r) {
+  return r.down() ? stopped() : ok(r.value);
 }
 
 class CallContext {
@@ -115,31 +100,39 @@ class CallContext {
   CallOutcome win_fail(std::uint32_t code, std::uint64_t ret = 0);
   /// POSIX: returns -1 after errno = code.
   CallOutcome posix_fail(int code);
-  /// Propagates a MemStatus into the correct Win32 failure shape (kFault,
-  /// kPanic: the faulted or panicked outcome).
+  /// Propagates a MemStatus into the correct Win32 failure shape (kStopped:
+  /// the stopped outcome).
   CallOutcome win_mem_fail(MemStatus s, std::uint64_t fail_ret = 0);
   CallOutcome posix_mem_fail(MemStatus s);
 
-  // --- the fault in flight ---------------------------------------------------
+  // --- the stop in flight ----------------------------------------------------
 
-  /// Records `f`, the fault a user-mode access took, and returns the faulted
-  /// outcome that carries it to the executor: `return ctx.raise(*f);`.  Once
-  /// the machine has died, what stopped the access was the panic (a store an
-  /// armed cut fired on returns MaybeFault::down()): nothing is recorded and
-  /// the outcome is panicked().
+  /// Records `f`, the fault a user-mode access took, and returns the stopped
+  /// outcome: `return ctx.raise(*f);`.  Once the machine has died, what
+  /// stopped the access was the panic (a store an armed cut fired on returns
+  /// an engaged MaybeFault): nothing is recorded.
   CallOutcome raise(const sim::Fault& f);
-  /// Records `f` for a helper that reports MemStatus; returns kFault (kPanic
-  /// once the machine has died, recording nothing).
+  /// Records `f` for a helper that reports MemStatus; returns kStopped.
   MemStatus record(const sim::Fault& f);
-  /// Folds an access's returned fault into a MemStatus: kOk, or kFault with
-  /// the fault recorded (kPanic for a store the machine died under).
+  /// Folds an access's returned fault into a MemStatus: kOk, or kStopped
+  /// with the fault recorded.
   MemStatus trap(const sim::MaybeFault& f) {
     return f ? record(*f) : MemStatus::kOk;
   }
-  /// The first fault recorded, and how many were: a faulted call records
-  /// exactly one (Executor::run_case treats anything else as a harness bug).
+  /// Records that the task blocks with no possible waker at `site` (the
+  /// MuT's name or a literal; the view must outlive the case) and returns
+  /// the stopped outcome, which Executor::run_case classifies Restart.
+  CallOutcome hang(std::string_view site);
+
+  /// The first fault recorded, the first hang site recorded, and how many
+  /// causes (faults and hangs) were: a stopped call records exactly one, or
+  /// none when the machine died (Executor::run_case treats anything else as
+  /// a harness bug).
   const std::optional<sim::Fault>& fault() const noexcept { return fault_; }
-  int faults_recorded() const noexcept { return faults_recorded_; }
+  const std::optional<std::string_view>& hang_site() const noexcept {
+    return hang_site_;
+  }
+  int causes_recorded() const noexcept { return causes_recorded_; }
 
  private:
   /// Records the validation layer's verdict on one API-level user-memory
@@ -151,11 +144,11 @@ class CallContext {
   /// Windows CE slot addressing for kernel-context dereferences.
   sim::Addr slotize(sim::Addr a) const noexcept;
   /// Hazardous unprobed kernel write: may corrupt the arena or panic
-  /// (kPanic).
+  /// (kStopped).
   MemStatus hazard_write(sim::Addr a, std::span<const std::uint8_t> in);
   MemStatus hazard_read(sim::Addr a, std::span<std::uint8_t> out);
   /// Deferred-hazard staging-buffer overrun into the shared arena.
-  sim::MaybeFault corrupt_staging_area();
+  MemStatus corrupt_staging_area();
 
   sim::Machine& machine_;
   sim::SimProcess& proc_;
@@ -163,7 +156,8 @@ class CallContext {
   std::span<const RawArg> args_;
   CrashStyle hazard_;
   std::optional<sim::Fault> fault_;
-  int faults_recorded_ = 0;
+  std::optional<std::string_view> hang_site_;
+  int causes_recorded_ = 0;
 };
 
 }  // namespace ballista::core

@@ -49,20 +49,18 @@ std::vector<trace::TraceEvent> causal_window(const trace::TraceSink& sink,
   throw HarnessError(s);
 }
 
-/// The fault behind a call that recorded or returned one: a faulted outcome
-/// carries exactly one recorded fault; anything else is a harness bug.
-const sim::Fault& taken_fault(const MuT& mut, const CallOutcome& out,
-                              const CallContext& ctx) {
-  if (out.status != CallStatus::kFaulted)
-    harness_error(mut, "a fault was recorded but not returned");
-  if (ctx.faults_recorded() == 0)
-    harness_error(mut, "a faulted outcome carries no recorded fault");
-  if (ctx.faults_recorded() > 1)
-    harness_error(mut, "a fault was recorded twice");
-  return *ctx.fault();
-}
-
 }  // namespace
+
+std::string describe_stop(const CaseResult& r) {
+  switch (r.outcome) {
+    case Outcome::kAbort: return sim::describe_fault(r.fault);
+    case Outcome::kRestart: return sim::describe_hang(r.hang_site);
+    case Outcome::kCatastrophic: return sim::describe_panic(r.panic);
+    case Outcome::kPass:
+    case Outcome::kNotRun: break;
+  }
+  return {};
+}
 
 CaseResult Executor::run_case(const MuT& mut,
                               std::span<const TestValue* const> tuple,
@@ -108,39 +106,43 @@ CaseResult Executor::run_case(const MuT& mut,
   hub.open_window();
   try {
     const CallOutcome out = machine_.kernel_enter() == sim::Verdict::kDown
-                                ? panicked()
+                                ? stopped()
                                 : mut.impl(ctx);
     if (hub.late_announcements() != 0)
       harness_error(mut, "a persistence point was announced after a panic");
-    if (out.status == CallStatus::kPanicked || machine_.crashed()) {
-      // The machine died under the call: nothing ran past the panic, so the
-      // ring still ends at the kPanic event, the causal chain behind it.
-      if (out.status != CallStatus::kPanicked)
-        harness_error(mut, "a kernel panic was not returned");
-      if (!machine_.crashed())
-        harness_error(mut, "a panicked outcome without a kernel panic");
-      result.outcome = Outcome::kCatastrophic;
-      result.panic = machine_.panic_kind();
-      result.detail = sim::describe_panic(result.panic);
-      result.trace_tail = causal_window(sink, result.panic);
-    } else if (out.status == CallStatus::kFaulted ||
-               ctx.faults_recorded() != 0) {
-      // The task took a hardware-class fault: it never returns to its
-      // caller, so no kSyscallExit.
-      const sim::Fault& f = taken_fault(mut, out, ctx);
-      result.outcome = Outcome::kAbort;
-      result.fault = f.type;
-      result.detail = sim::describe_fault(f);
-    } else {
+    const bool down = machine_.crashed();
+    const int causes = ctx.causes_recorded() + (down ? 1 : 0);
+    if (out.status != CallStatus::kStopped) {
+      if (causes != 0)
+        harness_error(mut, down ? "a kernel panic was not returned"
+                           : ctx.hang_site()
+                               ? "a hang was recorded but not returned"
+                               : "a fault was recorded but not returned");
       sink.emit(trace::syscall_exit_event(out.status, out.ret));
       result.outcome = Outcome::kPass;
       result.wrong_error = out.status == CallStatus::kWrongError;
       result.success_no_error = out.status == CallStatus::kSuccess ||
                                 out.status == CallStatus::kSilentSuccess;
+    } else if (causes != 1) {
+      harness_error(mut, causes == 0
+                             ? "a stopped outcome carries no recorded cause"
+                             : "a stopped outcome has two recorded causes");
+    } else if (down) {
+      // The machine died under the call: nothing ran past the panic, so the
+      // ring still ends at the kPanic event, the causal chain behind it.
+      result.outcome = Outcome::kCatastrophic;
+      result.panic = machine_.panic_kind();
+      result.trace_tail = causal_window(sink, result.panic);
+    } else if (ctx.hang_site()) {
+      // The task blocks with no possible waker; the watchdog fires.
+      result.outcome = Outcome::kRestart;
+      result.hang_site = *ctx.hang_site();
+    } else {
+      // The task took a hardware-class fault: it never returns to its
+      // caller, so no kSyscallExit.
+      result.outcome = Outcome::kAbort;
+      result.fault = *ctx.fault();
     }
-  } catch (const sim::TaskHang& h) {
-    result.outcome = Outcome::kRestart;
-    result.detail = h.what();
   } catch (const HarnessError&) {
     throw;
   } catch (const std::logic_error& e) {
@@ -148,7 +150,7 @@ CaseResult Executor::run_case(const MuT& mut,
     harness_error(mut, e.what());
   }
   hub.close_window();
-  sink.emit(trace::classified_event(result.outcome, result.fault,
+  sink.emit(trace::classified_event(result.outcome, result.fault.type,
                                     result.success_no_error,
                                     result.wrong_error));
   result.events = sink.counters() - before;

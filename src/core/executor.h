@@ -6,6 +6,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/classify.h"
@@ -23,11 +24,12 @@ struct CaseResult {
   bool success_no_error = false;  // returned success with no error indication
   bool wrong_error = false;       // Hindering candidate
   bool any_exceptional = false;   // tuple contained >= 1 exceptional value
-  sim::FaultType fault = sim::FaultType::kAccessViolation;  // when kAbort
-  sim::PanicKind panic = sim::PanicKind::kNone;             // when kCatastrophic
-  /// Rendered view (exception messages come from the shared describe_*
-  /// formatters; never assembled ad hoc here).
-  std::string detail;
+  /// What stopped the call, as recorded where it happened: the fault when
+  /// kAbort, the panic when kCatastrophic, the hang site when kRestart (a
+  /// view of the MuT's name or of a literal).  describe_stop renders it.
+  sim::Fault fault;
+  sim::PanicKind panic = sim::PanicKind::kNone;
+  std::string_view hang_site;
   /// Trace events this case emitted, by kind (delta of the machine sink's
   /// counters across the case).
   trace::Counters events;
@@ -37,11 +39,15 @@ struct CaseResult {
   std::vector<trace::TraceEvent> trace_tail;
 };
 
-/// A bug in the harness, never a verdict: a fault recorded but not returned,
-/// recorded twice, or taken by harness code (value materialization, CRT
-/// set-up); a kernel panic not returned (the machine died but the call
-/// returned another outcome), or a persistence point announced after it.
-/// The message names the MuT.
+/// The text of a case's stop, from the shared describe_* formatters: the
+/// fault (Abort), the panic (Catastrophic) or the hang (Restart); empty for
+/// any other outcome.
+std::string describe_stop(const CaseResult& r);
+
+/// A bug in the harness, never a verdict: a fault, hang or panic recorded
+/// but not returned; a stopped outcome with no recorded cause or with two;
+/// a fault taken by harness code (value materialization, CRT set-up); or a
+/// persistence point announced after a panic.  The message names the MuT.
 class HarnessError : public std::logic_error {
  public:
   using std::logic_error::logic_error;
@@ -56,11 +62,11 @@ class Executor {
   /// machine's process pool, materializes the tuple, dispatches, classifies,
   /// and releases the task for recycling.
   /// `case_index` stamps the emitted trace events (-1 = unindexed run).
-  /// A faulted call classifies as Abort; the fault arrives as a value (the
-  /// CallContext's recorded fault behind a kFaulted outcome), and any
-  /// mismatch between the two throws HarnessError.  A panicked call (the
-  /// machine crashed and the call returned kPanicked) classifies as
-  /// Catastrophic, with the panic's causal trace tail.
+  /// A stopped call classifies by the one cause recorded for it: a crashed
+  /// machine is Catastrophic (with the panic's causal trace tail), a hang
+  /// site on the CallContext is Restart, a fault on it is Abort.  A stop
+  /// with no cause or two, or a cause behind a call that returned normally,
+  /// throws HarnessError.
   CaseResult run_case(const MuT& mut, std::span<const TestValue* const> tuple,
                       std::int64_t case_index = -1);
 

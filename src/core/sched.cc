@@ -89,7 +89,7 @@ ShardOutcome run_shard(sim::Machine& machine, const Shard& shard,
 
           if (!blamed->catastrophic) {
             blamed->catastrophic = true;
-            blamed->crash_detail = r.detail;
+            blamed->crash_detail = describe_stop(r);
             blamed->crash_trace = r.trace_tail;
             if (blamed == &stats) {
               blamed->crash_case = static_cast<std::int64_t>(i);

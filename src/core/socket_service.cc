@@ -26,7 +26,7 @@ using Sock = std::shared_ptr<SocketObject>;
 constexpr std::size_t kMaxIoChunk = NetStack::kRecvBufferCap;
 
 CallOutcome mem_fail(CallContext& ctx, const Conv& c, MemStatus st) {
-  if (ends_call(st)) return ended(st);
+  if (st == MemStatus::kStopped) return stopped();
   if (st == MemStatus::kSilent) return silent_success(0);
   return c.fail(ctx, c.codes.fault);
 }
@@ -46,7 +46,7 @@ CallOutcome net_result(CallContext& ctx, const Conv& c, NetErr e) {
     case NetErr::kConnReset: return c.fail(ctx, t.conn_reset);
     case NetErr::kMsgSize: return c.fail(ctx, t.msg_size);
     case NetErr::kOpNotSupp: return c.fail(ctx, t.op_not_supp);
-    case NetErr::kDown: return panicked();
+    case NetErr::kDown: return stopped();
     default: return c.fail(ctx, t.invalid);
   }
 }
@@ -62,7 +62,7 @@ CallOutcome block_or_hang(CallContext& ctx, const Conv& c, SocketObject& s) {
     ctx.machine().advance_ticks(s.recv_timeout_ticks);
     return c.fail(ctx, c.codes.recv_timeout);
   }
-  ctx.proc().hang(ctx.mut().name);
+  return ctx.hang(ctx.mut().name);
 }
 
 /// Copy-in of a (sockaddr*, namelen) pair into `sa`.  Length sanity is an
@@ -120,7 +120,7 @@ CallOutcome do_socket(CallContext& ctx, const Conv& c, const Sock&) {
       proto == 0 || (p == SockProto::kTcp && proto == IPPROTO_TCP_SIM) ||
       (p == SockProto::kUdp && proto == IPPROTO_UDP_SIM);
   if (!proto_ok) return c.fail(ctx, c.codes.proto_no_support);
-  return ok_or_panicked(
+  return ok_or_stopped(
       ctx.proc().handles().insert(std::make_shared<SocketObject>(p)));
 }
 
@@ -162,7 +162,7 @@ CallOutcome do_accept(CallContext& ctx, const Conv& c, const Sock& s) {
   if (e != NetErr::kOk) return net_result(ctx, c, e);
   const SockAddrIn peer{AF_INET_SIM, conn->remote_port, conn->remote_ip};
   if (auto fail = write_sockaddr_out(ctx, c, addr, len_ptr, peer)) return *fail;
-  return ok_or_panicked(ctx.proc().handles().insert(std::move(conn)));
+  return ok_or_stopped(ctx.proc().handles().insert(std::move(conn)));
 }
 
 CallOutcome do_send(CallContext& ctx, const Conv& c, const Sock& s) {
@@ -197,7 +197,7 @@ CallOutcome do_recv(CallContext& ctx, const Conv& c, const Sock& s) {
   if ((flags & MSG_PEEK_SIM) == 0 &&
       ctx.machine().net().recv(*s, data, /*peek=*/false, &got) ==
           NetErr::kDown)
-    return panicked();
+    return stopped();
   return ok(got);
 }
 
@@ -239,7 +239,7 @@ CallOutcome do_recvfrom(CallContext& ctx, const Conv& c, const Sock& s) {
   sim::Datagram discard;
   if ((flags & MSG_PEEK_SIM) == 0 &&
       ctx.machine().net().recvfrom(*s, &discard) == NetErr::kDown)
-    return panicked();
+    return stopped();
   if (truncated && c.truncation_fails) return c.fail(ctx, c.codes.msg_size);
   return ok(n);
 }
@@ -289,7 +289,7 @@ CallOutcome do_shutdown(CallContext& ctx, const Conv& c, const Sock& s) {
 CallOutcome do_closesocket(CallContext& ctx, const Conv&, const Sock& s) {
   if (sim::down(ctx.machine().net().on_close(*s)) ||
       ctx.proc().handles().close(static_cast<std::uint32_t>(ctx.arg(0))).down())
-    return panicked();
+    return stopped();
   return ok(0);
 }
 

@@ -51,8 +51,7 @@ std::string_view call_status_name(core::CallStatus s) noexcept {
     case core::CallStatus::kErrorReported: return "error_reported";
     case core::CallStatus::kSilentSuccess: return "silent_success";
     case core::CallStatus::kWrongError: return "wrong_error";
-    case core::CallStatus::kFaulted: return "faulted";
-    case core::CallStatus::kPanicked: return "panicked";
+    case core::CallStatus::kStopped: return "stopped";
   }
   return "unknown";
 }

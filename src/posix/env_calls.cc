@@ -27,7 +27,7 @@ CallOutcome do_getenv(CallContext& ctx) {
   }
   auto it = ctx.proc().env().find(name);
   if (it == ctx.proc().env().end()) return ok(0);  // NULL: not found
-  return core::ok_or_panicked(ctx.proc().mem().task_alloc_cstr(it->second));
+  return core::ok_or_stopped(ctx.proc().mem().task_alloc_cstr(it->second));
 }
 
 CallOutcome do_putenv(CallContext& ctx) {
@@ -105,7 +105,7 @@ CallOutcome do_sethostname(CallContext& ctx) {
 }
 
 CallOutcome do_getlogin(CallContext& ctx) {
-  return core::ok_or_panicked(ctx.proc().mem().task_alloc_cstr("tester"));
+  return core::ok_or_stopped(ctx.proc().mem().task_alloc_cstr("tester"));
 }
 
 CallOutcome id_value(CallContext& ctx, std::uint32_t v) {

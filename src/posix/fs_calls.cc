@@ -38,7 +38,7 @@ CallOutcome do_open(CallContext& ctx) {
   if (node == nullptr) {
     if (!creat) return ctx.posix_fail(ENOENT);
     const auto created = fs.create_file(parsed, excl, false);
-    if (created.down()) return core::panicked();
+    if (created.down()) return core::stopped();
     node = created.value;
     if (node == nullptr) return ctx.posix_fail(ENOENT);
   } else if (creat && excl) {
@@ -52,7 +52,7 @@ CallOutcome do_open(CallContext& ctx) {
       sim::FileObject::kAccessRead |
           (acc != 0 ? sim::FileObject::kAccessWrite : 0u),
       (flags & 0x400) != 0 /*O_APPEND*/);
-  return core::ok_or_panicked(ctx.proc().handles().insert(std::move(obj)));
+  return core::ok_or_stopped(ctx.proc().handles().insert(std::move(obj)));
 }
 
 CallOutcome do_creat(CallContext& ctx) {
@@ -61,12 +61,12 @@ CallOutcome do_creat(CallContext& ctx) {
   auto& fs = fs_of(ctx);
   const auto created =
       fs.create_file(fs.parse(*pr.path, ctx.proc().cwd()), false, true);
-  if (created.down()) return core::panicked();
+  if (created.down()) return core::stopped();
   if (created.value == nullptr) return ctx.posix_fail(EACCES);
   auto obj = std::make_shared<sim::FileObject>(
       created.value,
       sim::FileObject::kAccessRead | sim::FileObject::kAccessWrite, false);
-  return core::ok_or_panicked(ctx.proc().handles().insert(std::move(obj)));
+  return core::ok_or_stopped(ctx.proc().handles().insert(std::move(obj)));
 }
 
 CallOutcome do_unlink(CallContext& ctx) {
@@ -78,7 +78,7 @@ CallOutcome do_unlink(CallContext& ctx) {
   if (node == nullptr) return ctx.posix_fail(ENOENT);
   if (node->is_dir()) return ctx.posix_fail(EISDIR);
   const sim::Survived<bool> removed = fs.remove_file(parsed);
-  if (removed.down()) return core::panicked();
+  if (removed.down()) return core::stopped();
   if (!removed.value) return ctx.posix_fail(EACCES);
   return ok(0);
 }
@@ -88,7 +88,7 @@ CallOutcome do_mkdir(CallContext& ctx) {
   if (!pr.path) return pr.fail;
   auto& fs = fs_of(ctx);
   const auto created = fs.create_dir(fs.parse(*pr.path, ctx.proc().cwd()));
-  if (created.down()) return core::panicked();
+  if (created.down()) return core::stopped();
   if (created.value == nullptr) return ctx.posix_fail(EEXIST);
   return ok(0);
 }
@@ -103,7 +103,7 @@ CallOutcome do_rmdir(CallContext& ctx) {
   if (!node->is_dir()) return ctx.posix_fail(ENOTDIR);
   if (!node->children().empty()) return ctx.posix_fail(ENOTEMPTY);
   const sim::Survived<bool> removed = fs.remove_dir(parsed);
-  if (removed.down()) return core::panicked();
+  if (removed.down()) return core::stopped();
   if (!removed.value) return ctx.posix_fail(EACCES);
   return ok(0);
 }
@@ -186,7 +186,7 @@ CallOutcome do_chmod(CallContext& ctx) {
   auto node = node_at(ctx, *pr.path);
   if (node == nullptr) return ctx.posix_fail(ENOENT);
   if (sim::down(fs_of(ctx).set_read_only(*node, (ctx.arg32(1) & 0200) == 0)))
-    return core::panicked();
+    return core::stopped();
   return ok(0);
 }
 
@@ -196,7 +196,7 @@ CallOutcome do_fchmod(CallContext& ctx) {
   auto* f = static_cast<sim::FileObject*>(fc.obj.get());
   if (sim::down(
           fs_of(ctx).set_read_only(*f->node(), (ctx.arg32(1) & 0200) == 0)))
-    return core::panicked();
+    return core::stopped();
   return ok(0);
 }
 
@@ -229,7 +229,7 @@ CallOutcome do_utime(CallContext& ctx) {
     const MemStatus st = ctx.k_read_u32(times, &t);
     if (st != MemStatus::kOk) return ctx.posix_mem_fail(st);
     if (sim::down(fs_of(ctx).set_last_write(*node, t)))
-      return core::panicked();
+      return core::stopped();
   }
   return ok(0);
 }
@@ -288,12 +288,12 @@ CallOutcome do_symlink(CallContext& ctx) {
   auto& fs = fs_of(ctx);
   const auto created =
       fs.create_file(fs.parse(*linkpath.path, ctx.proc().cwd()), true, false);
-  if (created.down()) return core::panicked();
+  if (created.down()) return core::stopped();
   const std::shared_ptr<sim::FsNode>& node = created.value;
   if (node == nullptr) return ctx.posix_fail(EEXIST);
   node->edit_data().assign(target.path->begin(), target.path->end());
   if (sim::down(fs.set_hidden(*node, true)))  // marks "symlink" in this model
-    return core::panicked();
+    return core::stopped();
   return ok(0);
 }
 
@@ -316,15 +316,13 @@ CallOutcome do_readlink(CallContext& ctx) {
 // The directory-stream trio: glibc dereferences the DIR* in user space.
 struct DirRef {
   bool ok = false;
-  /// kFault when the task faulted resolving it (fault recorded), kPanic when
-  /// the machine died doing so; else kOk.
-  MemStatus stop = MemStatus::kOk;
+  /// Resolving it stopped the call (a fault recorded, or the machine died).
+  bool stopped = false;
   sim::DirectoryObject* dir = nullptr;
   Addr d = 0;
 
   CallOutcome fail(std::uint64_t ret) const {
-    return core::ends_call(stop) ? core::ended(stop)
-                                 : core::error_reported(ret);
+    return stopped ? core::stopped() : core::error_reported(ret);
   }
 };
 
@@ -333,8 +331,8 @@ DirRef resolve_dir(CallContext& ctx, Addr d) {
   out.d = d;
   auto& mem = ctx.proc().mem();
   const auto fault = [&](const sim::MaybeFault& f) {
-    out.stop = ctx.trap(f);
-    return core::ends_call(out.stop);
+    out.stopped = ctx.trap(f) == MemStatus::kStopped;
+    return out.stopped;
   };
   std::uint32_t magic = 0;
   if (fault(mem.read_u32(d, &magic, sim::Access::kUser))) return out;
@@ -367,14 +365,14 @@ CallOutcome do_opendir(CallContext& ctx) {
   if (node == nullptr) return ctx.posix_fail(ENOENT);
   if (!node->is_dir()) return ctx.posix_fail(ENOTDIR);
   auto& mem = ctx.proc().mem();
-  const std::optional<Addr> dir = mem.task_alloc(16);
-  if (!dir) return core::panicked();
-  const Addr d = *dir;
+  const sim::Survived<Addr> dir = mem.task_alloc(16);
+  if (dir.down()) return core::stopped();
+  const Addr d = dir.value;
   if (auto f = mem.write_u32(d, kDirMagic, sim::Access::kKernel))
     return ctx.raise(*f);
   const sim::Survived<std::uint64_t> h = ctx.proc().handles().insert(
       std::make_shared<sim::DirectoryObject>(node));
-  if (h.down()) return core::panicked();
+  if (h.down()) return core::stopped();
   if (auto f = mem.write_u32(d + 4, static_cast<std::uint32_t>(h.value),
                              sim::Access::kKernel))
     return ctx.raise(*f);
@@ -390,12 +388,12 @@ CallOutcome do_readdir(CallContext& ctx) {
   std::advance(it, static_cast<std::ptrdiff_t>(ref.dir->cursor++));
   // dirent: 8-byte header + name, in a per-DIR static area appended to the
   // DIR structure's page.
-  const std::optional<Addr> entry = ctx.proc().mem().task_alloc(8 + 256);
-  if (!entry) return core::panicked();
-  if (auto f = ctx.proc().mem().write_cstr(*entry + 8, it->first,
+  const sim::Survived<Addr> entry = ctx.proc().mem().task_alloc(8 + 256);
+  if (entry.down()) return core::stopped();
+  if (auto f = ctx.proc().mem().write_cstr(entry.value + 8, it->first,
                                            sim::Access::kKernel))
     return ctx.raise(*f);
-  return ok(*entry);
+  return ok(entry.value);
 }
 
 CallOutcome do_closedir(CallContext& ctx) {
@@ -404,7 +402,7 @@ CallOutcome do_closedir(CallContext& ctx) {
   std::uint32_t h = 0;
   if (auto f = ctx.proc().mem().read_u32(ref.d + 4, &h, sim::Access::kUser))
     return ctx.raise(*f);
-  if (ctx.proc().handles().close(h).down()) return core::panicked();
+  if (ctx.proc().handles().close(h).down()) return core::stopped();
   if (auto f = ctx.proc().mem().write_u32(ref.d, 0, sim::Access::kUser))
     return ctx.raise(*f);
   return ok(0);
@@ -430,7 +428,7 @@ CallOutcome do_mkfifo(CallContext& ctx) {
   auto& fs = fs_of(ctx);
   const auto created =
       fs.create_file(fs.parse(*pr.path, ctx.proc().cwd()), true, false);
-  if (created.down()) return core::panicked();
+  if (created.down()) return core::stopped();
   if (created.value == nullptr) return ctx.posix_fail(EEXIST);
   return ok(0);
 }
@@ -444,7 +442,7 @@ CallOutcome do_mknod(CallContext& ctx) {
   auto& fs = fs_of(ctx);
   const auto created =
       fs.create_file(fs.parse(*pr.path, ctx.proc().cwd()), true, false);
-  if (created.down()) return core::panicked();
+  if (created.down()) return core::stopped();
   if (created.value == nullptr) return ctx.posix_fail(EEXIST);
   return ok(0);
 }

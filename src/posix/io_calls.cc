@@ -15,7 +15,7 @@ CallOutcome do_close(CallContext& ctx) {
   if (fd < 0) return ctx.posix_fail(EBADF);
   const sim::Survived<bool> closed =
       ctx.proc().handles().close(static_cast<std::uint64_t>(fd));
-  if (closed.down()) return core::panicked();
+  if (closed.down()) return core::stopped();
   if (!closed.value) return ctx.posix_fail(EBADF);
   return ok(0);
 }
@@ -23,7 +23,7 @@ CallOutcome do_close(CallContext& ctx) {
 CallOutcome do_dup(CallContext& ctx) {
   auto fc = check_fd(ctx, ctx.arg(0));
   if (fc.fail) return *fc.fail;
-  return core::ok_or_panicked(ctx.proc().handles().insert(fc.obj));
+  return core::ok_or_stopped(ctx.proc().handles().insert(fc.obj));
 }
 
 CallOutcome do_dup2(CallContext& ctx) {
@@ -34,7 +34,7 @@ CallOutcome do_dup2(CallContext& ctx) {
   auto& handles = ctx.proc().handles();
   if (handles.close(static_cast<std::uint64_t>(newfd)).down() ||
       sim::down(handles.insert_at(static_cast<std::uint64_t>(newfd), fc.obj)))
-    return core::panicked();
+    return core::stopped();
   return ok(static_cast<std::uint64_t>(newfd));
 }
 
@@ -44,7 +44,7 @@ CallOutcome do_fcntl(CallContext& ctx) {
   const std::uint32_t cmd = ctx.arg32(1);
   switch (cmd) {
     case 0:  // F_DUPFD
-      return core::ok_or_panicked(ctx.proc().handles().insert(fc.obj));
+      return core::ok_or_stopped(ctx.proc().handles().insert(fc.obj));
     case 1:  // F_GETFD
       return ok(0);
     case 2:  // F_SETFD
@@ -89,15 +89,15 @@ CallOutcome do_pipe(CallContext& ctx) {
   auto pipe = std::make_shared<sim::PipeObject>();
   auto& handles = ctx.proc().handles();
   const sim::Survived<std::uint64_t> read_end = handles.insert(pipe);
-  if (read_end.down()) return core::panicked();
+  if (read_end.down()) return core::stopped();
   const sim::Survived<std::uint64_t> write_end = handles.insert(pipe);
-  if (write_end.down()) return core::panicked();
+  if (write_end.down()) return core::stopped();
   const std::uint64_t r = read_end.value, w = write_end.value;
   MemStatus st = ctx.k_write_u32(out, static_cast<std::uint32_t>(r));
-  if (core::ends_call(st)) return core::ended(st);  // the task dies
+  if (st == MemStatus::kStopped) return core::stopped();  // the task dies
   if (st != MemStatus::kOk) {
     if (handles.close(r).down() || handles.close(w).down())
-      return core::panicked();
+      return core::stopped();
     return ctx.posix_mem_fail(st);
   }
   st = ctx.k_write_u32(out + 4, static_cast<std::uint32_t>(w));
@@ -118,7 +118,7 @@ CallOutcome do_read(CallContext& ctx) {
       if (!p->write_end_open) return ok(0);
       // An empty pipe with a writer attached blocks; no writer will ever
       // come in a single-task world.
-      ctx.proc().hang("read(empty pipe)");
+      return ctx.hang("read(empty pipe)");
     }
     const std::uint64_t got = std::min<std::uint64_t>(n, p->buffer.size());
     const MemStatus st = ctx.k_write(buf, {p->buffer.data(), got});
@@ -158,7 +158,7 @@ CallOutcome do_write(CallContext& ctx) {
   auto* f = static_cast<sim::FileObject*>(fc.obj.get());
   if ((f->access() & sim::FileObject::kAccessWrite) == 0)
     return ctx.posix_fail(EBADF);
-  return core::ok_or_panicked(f->write_at(data));
+  return core::ok_or_stopped(f->write_at(data));
 }
 
 }  // namespace

@@ -44,13 +44,12 @@ CallOutcome do_mmap(CallContext& ctx) {
             addr, len,
             prot == 0 ? sim::kPermNone
                       : ((prot & 2) ? sim::kPermRW : sim::kPermRead))))
-      return core::panicked();
+      return core::stopped();
     return ok(addr);
   }
-  const std::optional<Addr> base = ctx.proc().mem().task_alloc(
+  return core::ok_or_stopped(ctx.proc().mem().task_alloc(
       len, prot == 0 ? sim::kPermNone
-                     : ((prot & 2) ? sim::kPermRW : sim::kPermRead));
-  return base ? ok(*base) : core::panicked();
+                     : ((prot & 2) ? sim::kPermRW : sim::kPermRead)));
 }
 
 CallOutcome do_munmap(CallContext& ctx) {
@@ -59,7 +58,7 @@ CallOutcome do_munmap(CallContext& ctx) {
   if (!page_aligned(addr) || len == 0) return ctx.posix_fail(EINVAL);
   // munmap of unmapped ranges succeeds on Linux.
   if (sim::down(ctx.proc().mem().unmap(addr, std::min(len, kVmLimit))))
-    return core::panicked();
+    return core::stopped();
   return ok(0);
 }
 
@@ -74,7 +73,7 @@ CallOutcome do_mprotect(CallContext& ctx) {
           addr, std::min(len, kVmLimit),
           prot == 0 ? sim::kPermNone
                     : ((prot & 2) ? sim::kPermRW : sim::kPermRead))))
-    return core::panicked();
+    return core::stopped();
   return ok(0);
 }
 

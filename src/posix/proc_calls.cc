@@ -18,7 +18,7 @@ CallOutcome do_fork(CallContext& ctx) {
   (void)child->set_signaled(true);  // exits immediately; unbound: no point
   child->exit_code = 0;
   if (ctx.proc().handles().insert(std::move(child)).down())
-    return core::panicked();
+    return core::stopped();
   return ok(ctx.proc().pid() + 1);
 }
 
@@ -49,7 +49,7 @@ CallOutcome do_waitpid(CallContext& ctx) {
     if (pid > 0 && p->pid() != static_cast<std::uint64_t>(pid)) continue;
     if (!p->signaled()) {
       if (options & 1) return ok(0);  // WNOHANG
-      ctx.proc().hang("waitpid(running child)");
+      return ctx.hang("waitpid(running child)");
     }
     if (status != 0) {
       const MemStatus st = ctx.k_write_u32(status, p->exit_code);

@@ -301,29 +301,29 @@ std::uint8_t AddressSpace::perm_of(Addr a) const noexcept {
   return kPermNone;
 }
 
-std::optional<Addr> AddressSpace::task_alloc(std::uint64_t size,
-                                             std::uint8_t perm) {
+Survived<Addr> AddressSpace::task_alloc(std::uint64_t size,
+                                        std::uint8_t perm) {
   if (size == 0) size = 1;
   const Addr base = bump_;
-  if (map(base, size, perm) == Verdict::kDown) return std::nullopt;
+  if (map(base, size, perm) == Verdict::kDown) return {0, Verdict::kDown};
   // Advance past the allocation plus one permanently-unmapped guard page.
   const std::uint64_t pages = (size + kPageSize - 1) / kPageSize;
   bump_ += (pages + 1) * kPageSize;
-  return base;
+  return {base};
 }
 
-std::optional<Addr> AddressSpace::task_alloc_cstr(std::string_view s) {
-  const std::optional<Addr> base = task_alloc(s.size() + 1);
-  if (!base || expect_no_fault(write_cstr(*base, s, Access::kKernel),
-                               "task string") == Verdict::kDown)
-    return std::nullopt;
-  return base;
+Survived<Addr> AddressSpace::task_alloc_cstr(std::string_view s) {
+  const Survived<Addr> base = task_alloc(s.size() + 1);
+  if (base.down()) return base;
+  return {base.value,
+          expect_no_fault(write_cstr(base.value, s, Access::kKernel),
+                          "task string")};
 }
 
 Addr AddressSpace::alloc(std::uint64_t size, std::uint8_t perm) {
-  const std::optional<Addr> base = task_alloc(size, perm);
-  harness_step(base ? Verdict::kUp : Verdict::kDown);
-  return *base;
+  const Survived<Addr> base = task_alloc(size, perm);
+  harness_step(base.verdict);
+  return base.value;
 }
 
 Addr AddressSpace::alloc_bytes(std::span<const std::uint8_t> bytes,
@@ -407,7 +407,7 @@ MaybeFault AddressSpace::write_u8(Addr a, std::uint8_t v, Access m) {
   // Announce after the access check (a faulting store mutates nothing) and
   // before applying, so an armed cut leaves this very byte unwritten.
   if (announce(MutationKind::kPageWrite, page_of(a)) == Verdict::kDown)
-    return MaybeFault::down();
+    return Fault{};
   backing(*p, page_of(a), a % kPageSize, 1)[a % kPageSize] = v;
   return {};
 }
@@ -496,7 +496,7 @@ MaybeFault AddressSpace::write_bytes(Addr a, std::span<const std::uint8_t> in,
     // cut numbering is unchanged and an armed cut still leaves the whole
     // page run unwritten.
     if (announce(MutationKind::kPageWrite, page_of(addr)) == Verdict::kDown)
-      return MaybeFault::down();
+      return Fault{};
     const std::size_t off = addr % kPageSize;
     const std::size_t n =
         std::min<std::size_t>(kPageSize - off, in.size() - done);
@@ -547,6 +547,17 @@ MaybeFault AddressSpace::write_cstr(Addr a, std::string_view s, Access m) {
           a, {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()}, m))
     return f;
   return write_u8(a + s.size(), 0, m);
+}
+
+Verdict AddressSpace::expect_no_fault(const MaybeFault& f,
+                                      std::string_view where) const {
+  if (!f) return Verdict::kUp;
+  if (hub_ != nullptr && hub_->machine_down()) return Verdict::kDown;
+  std::string s{"fault in harness code ("};
+  s += where;
+  s += "): ";
+  s += describe_fault(*f);
+  throw std::logic_error(s);
 }
 
 void AddressSpace::poke_u8(Addr a, std::uint8_t v) {

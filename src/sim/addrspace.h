@@ -179,12 +179,11 @@ class AddressSpace {
   /// (std::logic_error).
   Addr alloc(std::uint64_t size, std::uint8_t perm = kPermRW);
   /// alloc for code a module under test runs (malloc, HeapAlloc, mmap, CRT
-  /// set-up): the base, or nothing when an armed cut fired on the map (no
+  /// set-up): the base, or kDown when an armed cut fired on the map (no
   /// page mapped, the bump pointer unmoved).
-  [[nodiscard]] std::optional<Addr> task_alloc(std::uint64_t size,
-                                               std::uint8_t perm = kPermRW);
+  Survived<Addr> task_alloc(std::uint64_t size, std::uint8_t perm = kPermRW);
   /// alloc_cstr for code a module under test runs, as task_alloc.
-  [[nodiscard]] std::optional<Addr> task_alloc_cstr(std::string_view s);
+  Survived<Addr> task_alloc_cstr(std::string_view s);
   Addr alloc_bytes(std::span<const std::uint8_t> bytes,
                    std::uint8_t perm = kPermRW);
   Addr alloc_cstr(std::string_view s, std::uint8_t perm = kPermRW);
@@ -202,7 +201,8 @@ class AddressSpace {
   // written (and announced) its earlier page runs.  A faulting scalar read
   // leaves its out-value unset; a bulk read has filled what precedes the
   // faulting page.  A store whose page-run announcement fires an armed cut
-  // returns MaybeFault::down() with that run unwritten.
+  // returns an engaged MaybeFault with that run unwritten; the machine has
+  // died, which its readers check (MaybeFault).
 
   MaybeFault read_u8(Addr a, std::uint8_t* out,
                      Access m = Access::kUser) const;
@@ -232,6 +232,13 @@ class AddressSpace {
   MaybeFault write_cstr(Addr a, std::string_view s, Access m = Access::kUser);
 
   // --- harness stores ------------------------------------------------------
+
+  /// Harness code (CRT set-up, test-value materialization) touches only
+  /// memory it has just mapped, so a fault there is a harness bug, never a
+  /// verdict: throws std::logic_error naming `where` and the fault.  A store
+  /// the machine died under is kDown (CRT set-up reached from a module under
+  /// test can be cut like any store).
+  Verdict expect_no_fault(const MaybeFault& f, std::string_view where) const;
 
   /// Kernel-mode stores for harness code (test-value constructors) into
   /// memory it has just mapped.  A fault or a cut here is a bug in the

@@ -49,16 +49,6 @@ std::string describe_panic(PanicKind k) {
   return s;
 }
 
-Verdict expect_no_fault(MaybeFault f, std::string_view where) {
-  if (!f) return Verdict::kUp;
-  if (f.panicked()) return Verdict::kDown;
-  std::string s{"fault in harness code ("};
-  s += where;
-  s += "): ";
-  s += describe_fault(*f);
-  throw std::logic_error(s);
-}
-
 std::string describe_hang(std::string_view site) {
   std::string s{"task hang in "};
   s += site;

@@ -4,8 +4,9 @@
 // (paper §2: "Abort failures are an abnormal termination ... as the result of
 // a signal or thrown exception").  A fault taken *inside the kernel* on an OS
 // personality that does not probe user pointers escalates to a kernel panic,
-// which the harness classifies as Catastrophic.  Both travel to the executor
-// as values: a fault as a MaybeFault, a panic as a Verdict (DESIGN.md §4).
+// which the harness classifies as Catastrophic.  Both are values: a fault is
+// a MaybeFault the CallContext records, a panic a Verdict the Machine records
+// (DESIGN.md §4).
 #pragma once
 
 #include <cstdint>
@@ -59,25 +60,14 @@ struct [[nodiscard]] Survived {
 };
 
 /// What an access that may trap returns: empty when it completed, else the
-/// fault it took.  The MMU returns it where hardware would trap, and every
-/// layer above passes it up to the executor, which classifies the task's
-/// fault (DESIGN.md §4).  A store the machine died under (an armed cut fired
-/// on it) returns a panicked() value: engaged, so every path that passes a
-/// fault up passes the panic up too, and the Fault it holds means nothing.
-/// [[nodiscard]], so a dropped fault does not compile cleanly.
+/// fault it took.  The MMU returns it where hardware would trap, and the
+/// CallContext records it (DESIGN.md §4).  A store the machine died under
+/// (an armed cut fired on it) returns an engaged value too, whose Fault
+/// means nothing: its readers ask the machine (Machine::crashed(), the
+/// MutationHub) and record nothing.  [[nodiscard]], so a dropped fault does
+/// not compile cleanly.
 struct [[nodiscard]] MaybeFault : std::optional<Fault> {
   using std::optional<Fault>::optional;
-
-  /// The machine panicked during the access (Verdict::kDown).
-  static MaybeFault down() {
-    MaybeFault f{Fault{}};
-    f.down_ = true;
-    return f;
-  }
-  bool panicked() const noexcept { return down_; }
-
- private:
-  bool down_ = false;
 };
 
 /// Why a machine died.  The structured counterpart of the old free-form
@@ -101,16 +91,12 @@ std::string describe_fault(const Fault& f);
 std::string describe_panic(PanicKind k);
 std::string describe_hang(std::string_view site);
 
-/// Harness code (CRT set-up, test-value materialization) touches only memory
-/// it has just mapped, so a fault there is a harness bug, never a verdict:
-/// throws std::logic_error naming `where` and the fault.  A store the machine
-/// died under is kDown (CRT set-up reached from a module under test can be
-/// cut like any store).
-Verdict expect_no_fault(MaybeFault f, std::string_view where);
+// The three stops as exceptions.  Nothing in the simulator or the harness
+// throws or catches them: a fault, a panic and a hang are each recorded
+// where they happen and the call returns core::stopped().  They stay only
+// because bench_record's probe_case still names them in a handler; the next
+// change to the benchmark drops that handler and these declarations.
 
-/// A fault as an exception.  Nothing a module under test runs throws it: the
-/// MMU returns its faults as MaybeFault values.  It stays for callers that
-/// still name it in a handler.
 class SimFault : public std::runtime_error {
  public:
   explicit SimFault(const Fault& f)
@@ -122,10 +108,6 @@ class SimFault : public std::runtime_error {
   Fault fault_;
 };
 
-/// A kernel panic as an exception.  Nothing in the simulator throws it: a
-/// panic is a Verdict (Machine::panic), and the crash state it records is
-/// cleared only by Machine::reboot().  It stays for callers that still name
-/// it in a handler.
 class KernelPanic : public std::runtime_error {
  public:
   explicit KernelPanic(PanicKind why)
@@ -137,8 +119,6 @@ class KernelPanic : public std::runtime_error {
   PanicKind why_;
 };
 
-/// Thrown when a simulated task blocks with no possible waker; the executor's
-/// watchdog converts it to a Restart failure.
 class TaskHang : public std::runtime_error {
  public:
   explicit TaskHang(std::string_view site)

@@ -134,6 +134,8 @@ class MutationHub {
     down_ = down;
     update_live();
   }
+  /// The machine has panicked and not yet rebooted.
+  bool machine_down() const noexcept { return down_; }
   /// Announcements made in the window after the machine died, since the
   /// window last opened: a caller that did not stop on a panic.
   std::uint64_t late_announcements() const noexcept { return late_; }

@@ -102,10 +102,6 @@ class SimProcess {
     return default_heap_;
   }
 
-  /// Blocks with no possible waker: the executor's watchdog turns this into a
-  /// Restart failure.
-  [[noreturn]] void hang(std::string site) const { throw TaskHang(std::move(site)); }
-
   /// Opaque per-process C-runtime state, owned by the clib layer (keeps the
   /// sim layer free of CRT knowledge while giving each task its own stdio
   /// table, ctype tables and FILE structures in simulated memory).

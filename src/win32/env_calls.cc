@@ -61,13 +61,14 @@ CallOutcome do_get_env_strings(CallContext& ctx) {
     block.push_back('\0');
   }
   block.push_back('\0');
-  const std::optional<Addr> a = ctx.proc().mem().task_alloc(block.size());
-  if (!a) return core::panicked();
+  const sim::Survived<Addr> a = ctx.proc().mem().task_alloc(block.size());
+  if (a.down()) return core::stopped();
   const std::span<const std::uint8_t> bytes{
       reinterpret_cast<const std::uint8_t*>(block.data()), block.size()};
-  if (auto f = ctx.proc().mem().write_bytes(*a, bytes, sim::Access::kKernel))
+  if (auto f =
+          ctx.proc().mem().write_bytes(a.value, bytes, sim::Access::kKernel))
     return ctx.raise(*f);
-  return ok(*a);
+  return ok(a.value);
 }
 
 CallOutcome do_free_env_strings(CallContext& ctx) {
@@ -79,7 +80,7 @@ CallOutcome do_free_env_strings(CallContext& ctx) {
     return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
   }
   if (sim::down(ctx.proc().mem().unmap(a, sim::kPageSize)))
-    return core::panicked();
+    return core::stopped();
   return ok(1);
 }
 
@@ -108,7 +109,7 @@ CallOutcome do_expand_env(CallContext& ctx) {
 
 CallOutcome do_get_command_line(CallContext& ctx) {
   // Returns a pointer to the task's command line, materialized on demand.
-  return core::ok_or_panicked(
+  return core::ok_or_stopped(
       ctx.proc().mem().task_alloc_cstr("ballista_test.exe /case"));
 }
 
@@ -154,20 +155,18 @@ CallOutcome do_get_computer_name(CallContext& ctx) {
   if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
   const std::string name = "BALLISTA-PC";
   if (name.size() + 1 > cap) {
-    if (const MemStatus ms = ctx.k_write_u32(
-            size_ptr, static_cast<std::uint32_t>(name.size() + 1));
-        core::ends_call(ms))
-      return core::ended(ms);
+    if (ctx.k_write_u32(size_ptr, static_cast<std::uint32_t>(
+                                      name.size() + 1)) == MemStatus::kStopped)
+      return core::stopped();
     return ctx.win_fail(ERR_NOT_ENOUGH_MEMORY, 0);
   }
   std::vector<std::uint8_t> bytes(name.begin(), name.end());
   bytes.push_back(0);
   st = ctx.k_write(buf, bytes);
   if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
-  if (const MemStatus ms =
-          ctx.k_write_u32(size_ptr, static_cast<std::uint32_t>(name.size()));
-      core::ends_call(ms))
-    return core::ended(ms);
+  if (ctx.k_write_u32(size_ptr, static_cast<std::uint32_t>(name.size())) ==
+      MemStatus::kStopped)
+    return core::stopped();
   return ok(1);
 }
 

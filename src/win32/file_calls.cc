@@ -40,17 +40,17 @@ CallOutcome do_create_file(CallContext& ctx) {
     case 1:  // CREATE_NEW
       if (node != nullptr)
         return ctx.win_fail(ERR_FILE_EXISTS, INVALID_HANDLE_VALUE32);
-      if (!create(true, false)) return core::panicked();
+      if (!create(true, false)) return core::stopped();
       break;
     case 2:  // CREATE_ALWAYS
-      if (!create(false, true)) return core::panicked();
+      if (!create(false, true)) return core::stopped();
       break;
     case 3:  // OPEN_EXISTING
       if (node == nullptr)
         return ctx.win_fail(ERR_FILE_NOT_FOUND, INVALID_HANDLE_VALUE32);
       break;
     case 4:  // OPEN_ALWAYS
-      if (node == nullptr && !create(false, false)) return core::panicked();
+      if (node == nullptr && !create(false, false)) return core::stopped();
       break;
     case 5:  // TRUNCATE_EXISTING
       if (node == nullptr)
@@ -72,7 +72,7 @@ CallOutcome do_create_file(CallContext& ctx) {
       sim::FileObject::kAccessRead |
           (wants_write ? sim::FileObject::kAccessWrite : 0u),
       false);
-  return core::ok_or_panicked(ctx.proc().handles().insert(std::move(obj)));
+  return core::ok_or_stopped(ctx.proc().handles().insert(std::move(obj)));
 }
 
 CallOutcome do_delete_file(CallContext& ctx) {
@@ -84,7 +84,7 @@ CallOutcome do_delete_file(CallContext& ctx) {
   if (node == nullptr) return ctx.win_fail(ERR_FILE_NOT_FOUND, 0);
   if (node->is_dir()) return ctx.win_fail(ERR_ACCESS_DENIED, 0);
   const sim::Survived<bool> removed = fs.remove_file(parsed);
-  if (removed.down()) return core::panicked();
+  if (removed.down()) return core::stopped();
   if (!removed.value) return ctx.win_fail(ERR_ACCESS_DENIED, 0);
   return ok(1);
 }
@@ -101,7 +101,7 @@ CallOutcome do_copy_file(CallContext& ctx) {
     return ctx.win_fail(ERR_FILE_NOT_FOUND, 0);
   const auto to = fs.create_file(fs.parse(*dst.path, ctx.proc().cwd()),
                                  fail_if_exists, true);
-  if (to.down()) return core::panicked();
+  if (to.down()) return core::stopped();
   if (to.value == nullptr) return ctx.win_fail(ERR_FILE_EXISTS, 0);
   to.value->edit_data() = from->data();
   return ok(1);
@@ -116,7 +116,7 @@ CallOutcome do_move_file(CallContext& ctx) {
   const sim::Survived<bool> moved =
       fs.rename(fs.parse(*src.path, ctx.proc().cwd()),
                 fs.parse(*dst.path, ctx.proc().cwd()));
-  if (moved.down()) return core::panicked();
+  if (moved.down()) return core::stopped();
   if (!moved.value) return ctx.win_fail(ERR_FILE_NOT_FOUND, 0);
   return ok(1);
 }
@@ -126,7 +126,7 @@ CallOutcome do_create_dir(CallContext& ctx) {
   if (!pr.path) return pr.fail;
   auto& fs = fs_of(ctx);
   const auto created = fs.create_dir(fs.parse(*pr.path, ctx.proc().cwd()));
-  if (created.down()) return core::panicked();
+  if (created.down()) return core::stopped();
   if (created.value == nullptr) return ctx.win_fail(ERR_ALREADY_EXISTS, 0);
   return ok(1);
 }
@@ -150,7 +150,7 @@ CallOutcome do_remove_dir(CallContext& ctx) {
   if (!node->is_dir()) return ctx.win_fail(ERR_INVALID_NAME, 0);
   if (!node->children().empty()) return ctx.win_fail(ERR_DIR_NOT_EMPTY, 0);
   const sim::Survived<bool> removed = fs.remove_dir(parsed);
-  if (removed.down()) return core::panicked();
+  if (removed.down()) return core::stopped();
   if (!removed.value) return ctx.win_fail(ERR_ACCESS_DENIED, 0);
   return ok(1);
 }
@@ -179,7 +179,7 @@ CallOutcome do_set_attrs(CallContext& ctx) {
   auto& fs = ctx.machine().fs();
   if (sim::down(fs.set_read_only(*node, (attrs & 0x01) != 0)) ||
       sim::down(fs.set_hidden(*node, (attrs & 0x02) != 0)))
-    return core::panicked();
+    return core::stopped();
   return ok(1);
 }
 
@@ -309,7 +309,7 @@ CallOutcome do_get_temp_file_name(CallContext& ctx) {
   const std::string full = *dir.path + "/" + name;
   if (unique == 0 &&
       fs.create_file(fs.parse(full, ctx.proc().cwd()), false, false).down())
-    return core::panicked();
+    return core::stopped();
   std::vector<std::uint8_t> bytes(full.begin(), full.end());
   bytes.push_back(0);
   const MemStatus wst = ctx.k_write(ctx.arg_addr(3), bytes);
@@ -359,7 +359,7 @@ CallOutcome do_find_first(CallContext& ctx) {
       write_find_data(ctx, ctx.arg_addr(1), find->names().front());
   if (wrote.status != core::CallStatus::kSuccess) return wrote;
   find->cursor = 1;
-  return core::ok_or_panicked(ctx.proc().handles().insert(std::move(find)));
+  return core::ok_or_stopped(ctx.proc().handles().insert(std::move(find)));
 }
 
 CallOutcome do_find_next(CallContext& ctx) {
@@ -375,7 +375,7 @@ CallOutcome do_find_close(CallContext& ctx) {
   auto hc = check_handle(ctx, ctx.arg(0), sim::ObjectKind::kFindHandle);
   if (hc.fail) return *hc.fail;
   if (ctx.proc().handles().close(static_cast<std::uint32_t>(ctx.arg(0))).down())
-    return core::panicked();
+    return core::stopped();
   return ok(1);
 }
 
@@ -588,7 +588,7 @@ CallOutcome do_set_file_time(CallContext& ctx) {
     if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
     if (sim::down(
             ctx.machine().fs().set_last_write(*f->node(), ft / 10'000'000ull)))
-      return core::panicked();
+      return core::stopped();
   }
   return ok(1);
 }

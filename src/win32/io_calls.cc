@@ -31,7 +31,7 @@ CallOutcome do_close_handle(CallContext& ctx) {
     return ok(1);  // closing a pseudo-handle is a harmless no-op
   const sim::Survived<bool> closed =
       ctx.proc().handles().close(static_cast<std::uint32_t>(h));
-  if (closed.down()) return core::panicked();
+  if (closed.down()) return core::stopped();
   if (!closed.value) {
     if (ctx.os().pointer_policy == sim::PointerPolicy::kStubCheckLoose)
       return core::silent_success(1);
@@ -49,14 +49,14 @@ CallOutcome do_duplicate_handle(CallContext& ctx) {
   if (dst_proc.fail) return *dst_proc.fail;
   const Addr out = ctx.arg_addr(3);
   const sim::Survived<std::uint64_t> dup = ctx.proc().handles().insert(src.obj);
-  if (dup.down()) return core::panicked();
+  if (dup.down()) return core::stopped();
   const std::uint64_t nh = dup.value;
   // On the 9x family this store went through an unprobed kernel path
   // (Table 3: *DuplicateHandle).
   const MemStatus st = ctx.k_write_u32(out, static_cast<std::uint32_t>(nh));
-  if (core::ends_call(st)) return core::ended(st);  // the task dies
+  if (st == MemStatus::kStopped) return core::stopped();  // the task dies
   if (st != MemStatus::kOk) {
-    if (ctx.proc().handles().close(nh).down()) return core::panicked();
+    if (ctx.proc().handles().close(nh).down()) return core::stopped();
     return ctx.win_mem_fail(st);
   }
   return ok(1);
@@ -193,7 +193,7 @@ CallOutcome do_write_file(CallContext& ctx, bool ex_variant) {
   std::vector<std::uint8_t> data(n);
   MemStatus st = ctx.k_read(buf, data);
   if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
-  if (f->write_at(data).down()) return core::panicked();
+  if (f->write_at(data).down()) return core::stopped();
   if (!ex_variant) {
     const Addr out = ctx.arg_addr(3);
     if (out != 0) {

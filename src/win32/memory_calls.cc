@@ -36,9 +36,8 @@ CallOutcome do_virtual_alloc(CallContext& ctx) {
       (type & 0x1000u) != 0) {
     // The CE kernel commits at the caller-chosen (slotized) address before
     // fully validating it — the Table 3 VirtualAlloc Catastrophic.
-    if (const MemStatus ms = ctx.k_write_u32(sim::page_base(lp), 0);
-        core::ends_call(ms))
-      return core::ended(ms);
+    if (ctx.k_write_u32(sim::page_base(lp), 0) == MemStatus::kStopped)
+      return core::stopped();
   }
   if (!valid_protect(prot) || (type & ~0x3000u) != 0 || type == 0)
     return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
@@ -49,11 +48,10 @@ CallOutcome do_virtual_alloc(CallContext& ctx) {
     if (lp >= sim::kSharedArenaBase)
       return ctx.win_fail(ERR_INVALID_ADDRESS, 0);
     if (sim::down(mem.map(sim::page_base(lp), size, sim::kPermRW)))
-      return core::panicked();
+      return core::stopped();
     return ok(sim::page_base(lp));
   }
-  const std::optional<Addr> base = mem.task_alloc(size);
-  return base ? ok(*base) : core::panicked();
+  return core::ok_or_stopped(mem.task_alloc(size));
 }
 
 CallOutcome do_virtual_free(CallContext& ctx) {
@@ -67,7 +65,7 @@ CallOutcome do_virtual_free(CallContext& ctx) {
   if (type == 0x8000 && size != 0)  // MEM_RELEASE requires size 0
     return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
   if (sim::down(ctx.proc().mem().unmap(lp, size == 0 ? sim::kPageSize : size)))
-    return core::panicked();
+    return core::stopped();
   return ok(1);
 }
 
@@ -84,7 +82,7 @@ CallOutcome do_virtual_protect(CallContext& ctx) {
   if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
   if (sim::down(mem.protect(lp, size == 0 ? 1 : size,
                             prot == 0x02 ? sim::kPermRead : sim::kPermRW)))
-    return core::panicked();
+    return core::stopped();
   return ok(1);
 }
 
@@ -122,17 +120,16 @@ CallOutcome do_heap_create(CallContext& ctx) {
       (initial > 0x1000'0000ull || (maximum != 0 && maximum < initial))) {
     // Win95: the VMM wrote reservation bookkeeping computed from the raw
     // sizes into the shared arena — the Table 3 HeapCreate Catastrophic.
-    if (const MemStatus ms = ctx.k_write_u32(
-            sim::kSharedArenaBase + (initial & 0x00ffe000), 0);
-        core::ends_call(ms))
-      return core::ended(ms);
+    if (ctx.k_write_u32(sim::kSharedArenaBase + (initial & 0x00ffe000), 0) ==
+        MemStatus::kStopped)
+      return core::stopped();
   }
   if ((opts & ~0x00040005u) != 0)
     return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
   if (maximum != 0 && maximum < initial)
     return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
   if (initial > kVmLimit) return ctx.win_fail(ERR_NOT_ENOUGH_MEMORY, 0);
-  return core::ok_or_panicked(ctx.proc().handles().insert(
+  return core::ok_or_stopped(ctx.proc().handles().insert(
       std::make_shared<sim::HeapObject>(initial, maximum)));
 }
 
@@ -140,7 +137,7 @@ CallOutcome do_heap_destroy(CallContext& ctx) {
   auto hc = check_handle(ctx, ctx.arg(0), sim::ObjectKind::kHeap);
   if (hc.fail) return *hc.fail;
   if (ctx.proc().handles().close(static_cast<std::uint32_t>(ctx.arg(0))).down())
-    return core::panicked();
+    return core::stopped();
   return ok(1);
 }
 
@@ -161,15 +158,15 @@ CallOutcome do_heap_alloc(CallContext& ctx) {
   const std::uint64_t size = ctx.arg(2);
   if (size > kVmLimit) return ctx.win_fail(ERR_NOT_ENOUGH_MEMORY, 0);
   auto& mem = ctx.proc().mem();
-  const std::optional<Addr> base = mem.task_alloc(size + 8);
-  if (!base ||
-      sim::down(sim::expect_no_fault(
-          mem.write_u32(*base, static_cast<std::uint32_t>(kHeapHdrMagic),
+  const sim::Survived<Addr> base = mem.task_alloc(size + 8);
+  if (base.down() ||
+      sim::down(mem.expect_no_fault(
+          mem.write_u32(base.value, static_cast<std::uint32_t>(kHeapHdrMagic),
                         sim::Access::kKernel),
           "heap header")))
-    return core::panicked();
-  heap->allocations[*base + 8] = size;
-  return ok(*base + 8);
+    return core::stopped();
+  heap->allocations[base.value + 8] = size;
+  return ok(base.value + 8);
 }
 
 /// Finds a block in the given heap or the process default heap.
@@ -228,9 +225,9 @@ CallOutcome do_heap_realloc(CallContext& ctx) {
   if (!old_size) return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
   if (size > kVmLimit) return ctx.win_fail(ERR_NOT_ENOUGH_MEMORY, 0);
   auto& mem = ctx.proc().mem();
-  const std::optional<Addr> block = mem.task_alloc(size + 8);
-  if (!block) return core::panicked();
-  const Addr np = *block + 8;
+  const sim::Survived<Addr> block = mem.task_alloc(size + 8);
+  if (block.down()) return core::stopped();
+  const Addr np = block.value + 8;
   const std::uint64_t copy = std::min(*old_size, size);
   for (std::uint64_t i = 0; i < copy && i < (1 << 20); ++i) {
     std::uint8_t b = 0;
@@ -259,11 +256,11 @@ CallOutcome do_ga_alloc(CallContext& ctx) {
   const std::uint64_t size = ctx.arg(1);
   if ((flags & ~0x0042u) != 0) return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
   if (size > kVmLimit) return ctx.win_fail(ERR_NOT_ENOUGH_MEMORY, 0);
-  const std::optional<Addr> p =
+  const sim::Survived<Addr> p =
       ctx.proc().mem().task_alloc(size == 0 ? 1 : size);
-  if (!p) return core::panicked();
-  ctx.proc().default_heap()->allocations[*p] = size;
-  return ok(*p);
+  if (p.down()) return core::stopped();
+  ctx.proc().default_heap()->allocations[p.value] = size;
+  return ok(p.value);
 }
 
 CallOutcome do_ga_free(CallContext& ctx) {

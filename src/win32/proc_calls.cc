@@ -42,7 +42,7 @@ CallOutcome do_create_process(CallContext& ctx) {
   const Addr pi = ctx.arg_addr(3);
   const sim::Survived<std::uint64_t> h =
       ctx.proc().handles().insert(std::move(child));
-  if (h.down()) return core::panicked();
+  if (h.down()) return core::stopped();
   const MemStatus st = ctx.k_write_u32(pi, static_cast<std::uint32_t>(h.value));
   if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
   return ok(1);
@@ -59,18 +59,18 @@ CallOutcome do_create_thread(CallContext& ctx) {
   }
   if (start == 0) return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
   auto thread = ctx.proc().spawn_thread();
-  if (thread.down()) return core::panicked();
+  if (thread.down()) return core::stopped();
   const std::uint32_t tid = static_cast<std::uint32_t>(thread.value->tid());
   const sim::Survived<std::uint64_t> inserted =
       ctx.proc().handles().insert(std::move(thread.value));
-  if (inserted.down()) return core::panicked();
+  if (inserted.down()) return core::stopped();
   const std::uint64_t h = inserted.value;
   if (tid_out != 0) {
     // Stored from kernel context — *CreateThread (Table 3) on 98SE/CE.
     const MemStatus st = ctx.k_write_u32(tid_out, tid);
-    if (core::ends_call(st)) return core::ended(st);  // the task dies
+    if (st == MemStatus::kStopped) return core::stopped();  // the task dies
     if (st != MemStatus::kOk) {
-      if (ctx.proc().handles().close(h).down()) return core::panicked();
+      if (ctx.proc().handles().close(h).down()) return core::stopped();
       return ctx.win_mem_fail(st);
     }
   }
@@ -92,7 +92,7 @@ CallOutcome do_terminate(CallContext& ctx, sim::ObjectKind kind) {
   } else {
     static_cast<sim::ThreadObject*>(hc.obj.get())->exit_code = code;
   }
-  if (sim::down(hc.obj->set_signaled(true))) return core::panicked();
+  if (sim::down(hc.obj->set_signaled(true))) return core::stopped();
   return ok(1);
 }
 
@@ -169,7 +169,7 @@ CallOutcome do_thread_priority(CallContext& ctx, bool set) {
 CallOutcome do_open_process(CallContext& ctx) {
   const std::uint32_t pid = ctx.arg32(2);
   if (pid == ctx.proc().pid())
-    return core::ok_or_panicked(
+    return core::ok_or_stopped(
         ctx.proc().handles().insert(ctx.proc().self_object()));
   return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
 }
@@ -198,7 +198,7 @@ CallOutcome wait_multiple(CallContext& ctx, std::uint32_t count, Addr handles,
     }
   }
   if (wait_all && satisfied == count) return ok(WAIT_OBJECT_0);
-  if (timeout == INFINITE32) ctx.proc().hang(ctx.mut().name);
+  if (timeout == INFINITE32) return ctx.hang(ctx.mut().name);
   ctx.machine().advance_ticks(timeout);
   return ok(WAIT_TIMEOUT);
 }
@@ -225,13 +225,13 @@ CallOutcome do_create_semaphore(CallContext& ctx) {
   const std::int64_t maximum = ctx.argi(2);
   if (maximum <= 0 || initial < 0 || initial > maximum)
     return ctx.win_fail(ERR_INVALID_PARAMETER, 0);
-  return core::ok_or_panicked(ctx.proc().handles().insert(
+  return core::ok_or_stopped(ctx.proc().handles().insert(
       std::make_shared<sim::SemaphoreObject>(initial, maximum, "")));
 }
 
 CallOutcome do_sleep(CallContext& ctx) {
   const std::uint32_t ms = ctx.arg32(0);
-  if (ms == INFINITE32) ctx.proc().hang("Sleep(INFINITE)");
+  if (ms == INFINITE32) return ctx.hang("Sleep(INFINITE)");
   ctx.machine().advance_ticks(ms);
   return ok(0);
 }

@@ -286,7 +286,7 @@ CallOutcome do_sync_create_semaphore(CallContext& ctx) {
     const MemStatus st = ctx.k_read_str(name, &n, 260);
     if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
   }
-  return core::ok_or_panicked(
+  return core::ok_or_stopped(
       ctx.proc().handles().insert(std::make_shared<sim::SemaphoreObject>(
           initial, maximum, std::move(n))));
 }
@@ -308,13 +308,11 @@ CallOutcome wait_single(CallContext& ctx, std::uint64_t h,
   auto hc = check_handle(ctx, h, std::nullopt, WAIT_FAILED);
   if (hc.fail) return *hc.fail;
   if (hc.obj->signaled()) {
-    if (sim::down(consume_signal(*hc.obj))) return core::panicked();
+    if (sim::down(consume_signal(*hc.obj))) return core::stopped();
     return ok(WAIT_OBJECT_0);
   }
-  if (timeout == INFINITE32) {
-    // Nothing else can ever signal it: the task hangs (a Restart failure).
-    ctx.proc().hang(ctx.mut().name);
-  }
+  // Nothing else can ever signal it: the task hangs (a Restart failure).
+  if (timeout == INFINITE32) return ctx.hang(ctx.mut().name);
   ctx.machine().advance_ticks(timeout);
   return ok(WAIT_TIMEOUT);
 }
@@ -342,7 +340,7 @@ CallOutcome do_sync_wait_multiple(CallContext& ctx) {
     if (hc.fail) return *hc.fail;
     if (hc.obj->signaled()) {
       if (!wait_all) {
-        if (sim::down(consume_signal(*hc.obj))) return core::panicked();
+        if (sim::down(consume_signal(*hc.obj))) return core::stopped();
         return ok(WAIT_OBJECT_0 + i);
       }
       ++satisfied;
@@ -354,10 +352,10 @@ CallOutcome do_sync_wait_multiple(CallContext& ctx) {
     // All-or-nothing acquisition: side effects land only once every object
     // is signaled, never piecemeal.
     for (sim::KernelObject* o : objs)
-      if (sim::down(consume_signal(*o))) return core::panicked();
+      if (sim::down(consume_signal(*o))) return core::stopped();
     return ok(WAIT_OBJECT_0);
   }
-  if (timeout == INFINITE32) ctx.proc().hang(ctx.mut().name);
+  if (timeout == INFINITE32) return ctx.hang(ctx.mut().name);
   ctx.machine().advance_ticks(timeout);
   return ok(WAIT_TIMEOUT);
 }
@@ -369,18 +367,18 @@ CallOutcome do_signal_object_and_wait(CallContext& ctx) {
   if (hc.fail) return *hc.fail;
   switch (hc.obj->kind()) {
     case sim::ObjectKind::kEvent:
-      if (sim::down(hc.obj->set_signaled(true))) return core::panicked();
+      if (sim::down(hc.obj->set_signaled(true))) return core::stopped();
       break;
     case sim::ObjectKind::kMutex: {
       auto* m = static_cast<sim::MutexObject*>(hc.obj.get());
       if (!m->held()) return ctx.win_fail(ERR_NOT_OWNER, WAIT_FAILED);
-      if (sim::down(m->set_held(false))) return core::panicked();
+      if (sim::down(m->set_held(false))) return core::stopped();
       break;
     }
     case sim::ObjectKind::kSemaphore: {
       const sim::Survived<bool> released =
           static_cast<sim::SemaphoreObject*>(hc.obj.get())->release(1);
-      if (released.down()) return core::panicked();
+      if (released.down()) return core::stopped();
       if (!released.value) return ctx.win_fail(ERR_TOO_MANY_POSTS, WAIT_FAILED);
       break;
     }
@@ -405,7 +403,7 @@ CallOutcome do_open_object(CallContext& ctx, sim::ObjectKind kind) {
   if (n.empty()) return ctx.win_fail(ERR_INVALID_NAME, 0);
   for (const auto& [h, obj] : ctx.proc().handles().entries()) {
     if (obj && obj->kind() == kind && obj->name() == n)
-      return core::ok_or_panicked(ctx.proc().handles().insert(obj));
+      return core::ok_or_stopped(ctx.proc().handles().insert(obj));
   }
   return ctx.win_fail(ERR_FILE_NOT_FOUND, 0);
 }
@@ -427,7 +425,7 @@ CallOutcome do_create_event(CallContext& ctx) {
     const MemStatus st = ctx.k_read_str(name, &n, 260);
     if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
   }
-  return core::ok_or_panicked(
+  return core::ok_or_stopped(
       ctx.proc().handles().insert(std::make_shared<sim::EventObject>(
           ctx.arg32(1) != 0, ctx.arg32(2) != 0, std::move(n))));
 }
@@ -438,7 +436,7 @@ CallOutcome event_op(CallContext& ctx, int op) {
   auto* e = static_cast<sim::EventObject*>(hc.obj.get());
   // SetEvent signals; ResetEvent, and PulseEvent (which releases and then
   // resets), leave it non-signaled.
-  if (sim::down(e->set_signaled(op == 0))) return core::panicked();
+  if (sim::down(e->set_signaled(op == 0))) return core::stopped();
   return ok(1);
 }
 
@@ -449,7 +447,7 @@ CallOutcome do_create_mutex(CallContext& ctx) {
     const MemStatus st = ctx.k_read_str(name, &n, 260);
     if (st != MemStatus::kOk) return ctx.win_mem_fail(st);
   }
-  return core::ok_or_panicked(ctx.proc().handles().insert(
+  return core::ok_or_stopped(ctx.proc().handles().insert(
       std::make_shared<sim::MutexObject>(ctx.arg32(1) != 0, std::move(n))));
 }
 
@@ -461,7 +459,7 @@ CallOutcome do_release_mutex(CallContext& ctx) {
   // variant — the 9x stubs validate ownership even though they skip handle
   // validation, so this arm contributes no Silent contrast.
   if (!m->held()) return ctx.win_fail(ERR_NOT_OWNER, 0);
-  if (sim::down(m->set_held(false))) return core::panicked();
+  if (sim::down(m->set_held(false))) return core::stopped();
   return ok(1);
 }
 
@@ -475,7 +473,7 @@ CallOutcome do_release_semaphore(CallContext& ctx) {
   // Past the maximum the release is rejected whole (the SDK's
   // ERROR_TOO_MANY_POSTS), leaving the count untouched.
   const sim::Survived<bool> released = s->release(n);
-  if (released.down()) return core::panicked();
+  if (released.down()) return core::stopped();
   if (!released.value) return ctx.win_fail(ERR_TOO_MANY_POSTS, 0);
   const Addr out = ctx.arg_addr(2);
   if (out != 0) {

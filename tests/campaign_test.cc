@@ -61,7 +61,7 @@ TEST_F(CampaignTest, AbortsAndRestartsAreCounted) {
           return c.raise(*f);
         return ok(0);
       }
-      case 2: c.proc().hang("x");
+      case 2: return c.hang("x");
       default: return c.win_fail(87);
     }
   }));
@@ -76,7 +76,7 @@ TEST_F(CampaignTest, ImmediateCrashInterruptsTheMut) {
   reg.add(make("crasher", [](CallContext& c) -> CallOutcome {
     if (c.arg32(0) == 1 &&
         sim::down(c.machine().panic(sim::PanicKind::kInduced)))
-      return core::panicked();
+      return core::stopped();
     return ok(0);
   }));
   reg.add(make("after", [](CallContext&) { return ok(0); }));

@@ -308,9 +308,9 @@ sim::Fault fault_of(sim::Machine& m, sim::SimProcess& proc, const char* name,
   EXPECT_NE(mut, nullptr) << name;
   core::CallContext ctx(m, proc, *mut, args);
   (void)m.kernel_enter();
-  EXPECT_EQ(mut->impl(ctx).status, core::CallStatus::kFaulted)
+  EXPECT_EQ(mut->impl(ctx).status, core::CallStatus::kStopped)
       << name << " did not fault";
-  EXPECT_EQ(ctx.faults_recorded(), 1) << name;
+  EXPECT_EQ(ctx.causes_recorded(), 1) << name;
   return ctx.fault().value_or(sim::Fault{});
 }
 

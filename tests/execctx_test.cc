@@ -45,18 +45,18 @@ TEST(CallContext, NtBadPointerRaisesIntoTask) {
   for (OsVariant v : {OsVariant::kWinNT4, OsVariant::kWin2000}) {
     CallFixture f(v);
     auto ctx = f.ctx();
-    EXPECT_EQ(ctx.k_write(0, buf4), MemStatus::kFault);
+    EXPECT_EQ(ctx.k_write(0, buf4), MemStatus::kStopped);
     EXPECT_EQ(ctx.fault(), av(0, true));
-    EXPECT_EQ(ctx.faults_recorded(), 1);
+    EXPECT_EQ(ctx.causes_recorded(), 1);
     auto rctx = f.ctx();
     std::uint8_t out[4];
-    EXPECT_EQ(rctx.k_read(0xDEAD0000, out), MemStatus::kFault);
+    EXPECT_EQ(rctx.k_read(0xDEAD0000, out), MemStatus::kStopped);
     EXPECT_EQ(rctx.fault(), av(0xDEAD0000, false));
-    EXPECT_EQ(rctx.faults_recorded(), 1);
+    EXPECT_EQ(rctx.causes_recorded(), 1);
     auto okctx = f.ctx();
     const sim::Addr a = f.proc->mem().alloc(16);
     EXPECT_EQ(okctx.k_write(a, buf4), MemStatus::kOk);
-    EXPECT_EQ(okctx.faults_recorded(), 0);
+    EXPECT_EQ(okctx.causes_recorded(), 0);
     EXPECT_FALSE(f.machine.crashed());
   }
 }
@@ -73,31 +73,31 @@ TEST(CallContext, Win9xStubMissesSubtleGarbage) {
   CallFixture f(OsVariant::kWin98);
   auto ctx = f.ctx();
   const sim::Addr dangling = f.proc->mem().alloc_dangling(16);
-  EXPECT_EQ(ctx.k_write(dangling, buf4), MemStatus::kFault);  // Abort
+  EXPECT_EQ(ctx.k_write(dangling, buf4), MemStatus::kStopped);  // Abort
   EXPECT_EQ(ctx.fault(), av(dangling, true));
-  EXPECT_EQ(ctx.faults_recorded(), 1);
+  EXPECT_EQ(ctx.causes_recorded(), 1);
   auto ro_ctx = f.ctx();
   const sim::Addr ro = f.proc->mem().alloc(16, sim::kPermRead);
-  EXPECT_EQ(ro_ctx.k_write(ro, buf4), MemStatus::kFault);
+  EXPECT_EQ(ro_ctx.k_write(ro, buf4), MemStatus::kStopped);
   EXPECT_EQ(ro_ctx.fault(), av(ro, true));
-  EXPECT_EQ(ro_ctx.faults_recorded(), 1);
+  EXPECT_EQ(ro_ctx.causes_recorded(), 1);
 }
 
 TEST(CallContext, ImmediateHazardPanicsOnLowAddress) {
   CallFixture f(OsVariant::kWin98, CrashStyle::kImmediate);
   auto ctx = f.ctx();
-  EXPECT_EQ(ctx.k_write(0, buf4), MemStatus::kPanic);
+  EXPECT_EQ(ctx.k_write(0, buf4), MemStatus::kStopped);
   EXPECT_TRUE(f.machine.crashed());
   // The low system area is in the shared arena: a critical structure.
   EXPECT_EQ(f.machine.panic_kind(), sim::PanicKind::kCriticalArenaWrite);
-  EXPECT_EQ(ctx.faults_recorded(), 0);
+  EXPECT_EQ(ctx.causes_recorded(), 0);
 }
 
 TEST(CallContext, ImmediateHazardPanicsOnUnmappedUserAddress) {
   CallFixture f(OsVariant::kWin98, CrashStyle::kImmediate);
   auto ctx = f.ctx();
   const sim::Addr dangling = f.proc->mem().alloc_dangling(16);
-  EXPECT_EQ(ctx.k_write(dangling, buf4), MemStatus::kPanic);
+  EXPECT_EQ(ctx.k_write(dangling, buf4), MemStatus::kStopped);
   EXPECT_TRUE(f.machine.crashed());
   EXPECT_EQ(f.machine.panic_kind(), sim::PanicKind::kKernelPageFault);
 }
@@ -148,7 +148,7 @@ TEST(CallContext, CeSlotAddressingRedirectsGarbageIntoArena) {
   auto ctx = f.ctx();
   // A garbage user address that is unmapped in the task resolves into the
   // shared slot space in kernel context -> critical corruption -> panic.
-  EXPECT_EQ(ctx.k_write(0x20746f6e, buf4), MemStatus::kPanic);
+  EXPECT_EQ(ctx.k_write(0x20746f6e, buf4), MemStatus::kStopped);
   EXPECT_TRUE(f.machine.crashed());
   EXPECT_EQ(f.machine.panic_kind(), sim::PanicKind::kCriticalArenaWrite);
 }
@@ -176,9 +176,9 @@ TEST(CallContext, ReadStrPerPolicy) {
     CallFixture f(OsVariant::kWinNT4);
     auto ctx = f.ctx();
     std::string s;
-    EXPECT_EQ(ctx.k_read_str(0, &s), MemStatus::kFault);
+    EXPECT_EQ(ctx.k_read_str(0, &s), MemStatus::kStopped);
     EXPECT_EQ(ctx.fault(), av(0, false));
-    EXPECT_EQ(ctx.faults_recorded(), 1);
+    EXPECT_EQ(ctx.causes_recorded(), 1);
   }
   {
     CallFixture f(OsVariant::kWin95);

@@ -71,9 +71,9 @@ TEST(Executor, SimFaultClassifiesAsAbort) {
       {});
   const CaseResult r = ex.run_case(mini.mut, {});
   EXPECT_EQ(r.outcome, Outcome::kAbort);
-  EXPECT_EQ(r.fault, sim::FaultType::kAccessViolation);
+  EXPECT_EQ(r.fault.type, sim::FaultType::kAccessViolation);
   // The rendered fault names its address and direction.
-  EXPECT_EQ(r.detail, "ACCESS_VIOLATION reading 0x0");
+  EXPECT_EQ(describe_stop(r), "ACCESS_VIOLATION reading 0x0");
   EXPECT_FALSE(m.crashed());
 }
 
@@ -90,8 +90,8 @@ TEST(Executor, FaultedCallIsAbortAndNeverReturnsToItsCaller) {
   MiniMut mini(wild_store);
   const CaseResult r = ex.run_case(mini.mut, {}, 7);
   EXPECT_EQ(r.outcome, Outcome::kAbort);
-  EXPECT_EQ(r.fault, sim::FaultType::kAccessViolation);
-  EXPECT_EQ(r.detail, "ACCESS_VIOLATION writing 0xdead0000");
+  EXPECT_EQ(r.fault.type, sim::FaultType::kAccessViolation);
+  EXPECT_EQ(describe_stop(r), "ACCESS_VIOLATION writing 0xdead0000");
   std::vector<trace::EventKind> kinds;
   for (const trace::TraceEvent& ev : m.trace().tail())
     if (ev.case_index == 7) kinds.push_back(ev.kind);
@@ -132,10 +132,10 @@ TEST(Executor, DoubledFaultIsAHarnessError) {
               (void)wild_store(c);
               return wild_store(c);
             }),
-            "harness error in mini: a fault was recorded twice");
-  EXPECT_EQ(harness_error_of([](CallContext&) { return faulted(); }),
-            "harness error in mini: a faulted outcome carries no recorded "
-            "fault");
+            "harness error in mini: a stopped outcome has two recorded causes");
+  EXPECT_EQ(harness_error_of([](CallContext&) { return stopped(); }),
+            "harness error in mini: a stopped outcome carries no recorded "
+            "cause");
 }
 
 TEST(Executor, FaultInValueMaterializationIsAHarnessError) {
@@ -153,11 +153,11 @@ TEST(Executor, FaultInValueMaterializationIsAHarnessError) {
 TEST(Executor, HangClassifiesAsRestart) {
   sim::Machine m(OsVariant::kWinNT4);
   Executor ex(m);
-  MiniMut mini(
-      [](CallContext& c) -> CallOutcome { c.proc().hang("forever"); },
-      {});
+  MiniMut mini([](CallContext& c) { return c.hang("forever"); }, {});
   const CaseResult r = ex.run_case(mini.mut, {});
   EXPECT_EQ(r.outcome, Outcome::kRestart);
+  EXPECT_EQ(r.hang_site, "forever");
+  EXPECT_EQ(describe_stop(r), "task hang in forever");
 }
 
 TEST(Executor, PanicClassifiesAsCatastrophicAndCrashesMachine) {
@@ -166,14 +166,14 @@ TEST(Executor, PanicClassifiesAsCatastrophicAndCrashesMachine) {
   MiniMut mini(
       [](CallContext& c) -> CallOutcome {
         if (sim::down(c.machine().panic(sim::PanicKind::kInduced)))
-          return core::panicked();
+          return core::stopped();
         return ok(0);
       },
       {});
   const CaseResult r = ex.run_case(mini.mut, {});
   EXPECT_EQ(r.outcome, Outcome::kCatastrophic);
   EXPECT_EQ(r.panic, sim::PanicKind::kInduced);
-  EXPECT_EQ(r.detail, sim::describe_panic(sim::PanicKind::kInduced));
+  EXPECT_EQ(describe_stop(r), sim::describe_panic(sim::PanicKind::kInduced));
   EXPECT_TRUE(m.crashed());
 }
 

@@ -30,7 +30,8 @@ void expect_same_result(const CaseResult& got, const CaseResult& want,
   EXPECT_EQ(got.any_exceptional, want.any_exceptional) << label;
   EXPECT_EQ(got.fault, want.fault) << label;
   EXPECT_EQ(got.panic, want.panic) << label;
-  EXPECT_EQ(got.detail, want.detail) << label;
+  EXPECT_EQ(got.hang_site, want.hang_site) << label;
+  EXPECT_EQ(describe_stop(got), describe_stop(want)) << label;
   EXPECT_EQ(got.events, want.events) << label;
   // Tails are compared with ticks rebased to the window start: absolute tick
   // stamps encode the machine's whole prior history (TraceEvent::operator==
@@ -168,7 +169,7 @@ TEST(Lifecycle, RebootedFixtureIsNotRebuiltAgainByTheNextCase) {
     (void)fs.create_file(
         fs.parse("/tmp/wreck.dat", sim::FileSystem::root_path()), false, true);
     (void)c.machine().panic(sim::PanicKind::kInduced);
-    return core::panicked();
+    return core::stopped();
   });
 
   // A clean boot fixture verifies; nothing has ever rebuilt it.

@@ -156,7 +156,6 @@ TEST(SimProcess, FreshTaskHasExpectedResources) {
   EXPECT_FALSE(p->env().empty());
   // The stack region is mapped.
   EXPECT_TRUE(p->mem().is_mapped(0x7ff0'0000 - 1));
-  EXPECT_THROW(p->hang("test"), TaskHang);
 }
 
 }  // namespace

@@ -153,7 +153,7 @@ TEST(MutationTrace, BaseCampaignCrashChainsRenderUnchanged) {
     std::uint8_t junk[4] = {};
     if (c.arg32(0) >= 2) {
       const core::MemStatus st = c.k_write(0xDEAD0000, junk);
-      if (core::ends_call(st)) return core::ended(st);
+      if (st == core::MemStatus::kStopped) return core::stopped();
     }
     return core::ok(0);
   };

@@ -80,18 +80,19 @@ std::vector<CutRow> cut_rows() {
          return p.mem().perm_of(kPage) == sim::kPermRW;
        }},
       {"AddressSpace::write_u8", map_page,
-       [](sim::Machine&, sim::SimProcess& p) {
-         const sim::MaybeFault f = p.mem().write_u8(kPage, 7);
-         return f.panicked() ? Verdict::kDown : Verdict::kUp;
+       [](sim::Machine& m, sim::SimProcess& p) {
+         return p.mem().write_u8(kPage, 7) && m.crashed() ? Verdict::kDown
+                                                           : Verdict::kUp;
        },
        [](sim::Machine&, sim::SimProcess& p) {
          return testing::rd8(p.mem(), kPage) == 0;
        }},
       {"AddressSpace::write_bytes", map_page,
-       [](sim::Machine&, sim::SimProcess& p) {
+       [](sim::Machine& m, sim::SimProcess& p) {
          const std::uint8_t bytes[3] = {1, 2, 3};
-         const sim::MaybeFault f = p.mem().write_bytes(kPage + 1, bytes);
-         return f.panicked() ? Verdict::kDown : Verdict::kUp;
+         return p.mem().write_bytes(kPage + 1, bytes) && m.crashed()
+                    ? Verdict::kDown
+                    : Verdict::kUp;
        },
        [](sim::Machine&, sim::SimProcess& p) {
          return testing::rd8(p.mem(), kPage + 1) == 0 &&
@@ -216,7 +217,7 @@ CallOutcome create_cut_file(CallContext& c, bool swallow) {
   auto& fs = c.machine().fs();
   const auto made = fs.create_file(
       fs.parse("/tmp/cut.dat", sim::FileSystem::root_path()), false, false);
-  if (made.down() && !swallow) return panicked();
+  if (made.down() && !swallow) return stopped();
   return ok(0);
 }
 
@@ -243,7 +244,7 @@ TEST(PanicPaths, ReturnedCutIsCatastrophicWithItsCausalTail) {
   const CaseResult r = ex.run_case(mut, {}, 3);
   EXPECT_EQ(r.outcome, Outcome::kCatastrophic);
   EXPECT_EQ(r.panic, sim::PanicKind::kFaultInjection);
-  EXPECT_EQ(r.detail,
+  EXPECT_EQ(describe_stop(r),
             "kernel panic: fault injection cut at an armed mutation point");
   ASSERT_FALSE(r.trace_tail.empty());
   EXPECT_EQ(r.trace_tail.front().kind, EventKind::kSyscallEnter);
@@ -287,7 +288,7 @@ TEST(PanicPaths, FuseBurnOutInKernelEnterIsCatastrophic) {
   EXPECT_FALSE(ran);  // the call never reached the module
   EXPECT_EQ(r.outcome, Outcome::kCatastrophic);
   EXPECT_EQ(r.panic, sim::PanicKind::kDeferredFuse);
-  EXPECT_EQ(r.detail,
+  EXPECT_EQ(describe_stop(r),
             "kernel panic: delayed failure from corrupted shared arena");
   std::vector<EventKind> kinds;
   for (const trace::TraceEvent& ev : m.trace().tail())

@@ -479,14 +479,14 @@ TEST(SocketGroup, WinsockAndBsdDifferOnlyWhereDocumented) {
 
 /// What every sockets call of a cap-24, default-seed campaign left behind,
 /// one line per (variant, MuT) and one token per case in case order: `hang`
-/// for a call that never returned, else status:ret:last_error:errno (ret in
-/// hex).  Neither .blog bytes nor repro traces record an error code, so this
-/// table is what pins the personalities' socket error conventions.
+/// for a call that hung, else status:ret:last_error:errno (ret in hex; the
+/// status of a call that stopped is its case's `fault` or `panic`).  Neither
+/// .blog bytes nor repro traces record an error code, so this table is what
+/// pins the personalities' socket error conventions.
 std::string socket_error_table() {
   static constexpr const char* kOs[] = {"win95",   "win98", "win98se", "nt4",
                                         "win2000", "wince", "linux"};
-  static constexpr const char* kStatus[] = {"ok",    "err",   "silent",
-                                            "wrong", "fault", "panic"};
+  static constexpr const char* kStatus[] = {"ok", "err", "silent", "wrong"};
   core::PlanOptions opt;
   opt.cap = 24;
   opt.group_mask = kSocketsBit;
@@ -497,7 +497,6 @@ std::string socket_error_table() {
     for (const core::MuT* mut :
          core::make_plan(v, shared_world().registry, opt).muts) {
       struct {
-        bool returned = false;
         core::CallOutcome out;
         std::uint32_t last_error = 0;
         int err_no = 0;
@@ -505,7 +504,6 @@ std::string socket_error_table() {
       core::MuT probe = *mut;
       probe.impl = [&seen, mut](core::CallContext& ctx) {
         seen.out = mut->impl(ctx);
-        seen.returned = true;
         seen.last_error = ctx.proc().last_error();
         seen.err_no = ctx.proc().err_no();
         return seen.out;
@@ -516,15 +514,17 @@ std::string socket_error_table() {
       const core::TupleGenerator gen(*mut, opt.cap, opt.seed);
       for (std::uint64_t i = 0; i < gen.count(); ++i) {
         if (machine.crashed()) machine.restore(sim::RestoreLevel::kReboot);
-        seen.returned = false;
-        (void)executor.run_case(probe, gen.tuple(i));
-        if (!seen.returned) {
+        const core::CaseResult r = executor.run_case(probe, gen.tuple(i));
+        if (r.outcome == core::Outcome::kRestart) {
           out += " hang";
           continue;
         }
+        const char* status =
+            r.outcome == core::Outcome::kAbort          ? "fault"
+            : r.outcome == core::Outcome::kCatastrophic ? "panic"
+                : kStatus[static_cast<std::size_t>(seen.out.status)];
         char token[64];
-        std::snprintf(token, sizeof(token), " %s:%llx:%u:%d",
-                      kStatus[static_cast<std::size_t>(seen.out.status)],
+        std::snprintf(token, sizeof(token), " %s:%llx:%u:%d", status,
                       static_cast<unsigned long long>(seen.out.ret),
                       seen.last_error, seen.err_no);
         out += token;

@@ -196,7 +196,7 @@ TEST_F(TraceChainTest, ImmediateHazardEmitsTheExactGoldenChain) {
         std::uint8_t junk[4] = {};
         if (c.arg32(0) >= 2) {
           const MemStatus st = c.k_write(0xDEAD0000, junk);
-          if (ends_call(st)) return ended(st);
+          if (st == MemStatus::kStopped) return stopped();
         }
         return ok(0);
       },
@@ -233,7 +233,7 @@ TEST_F(TraceChainTest, DeferredHazardChainCrossesMutBoundaries) {
         std::uint8_t junk[4] = {};
         if (c.arg32(0) >= 2) {
           const MemStatus st = c.k_write(0xDEAD0000, junk);
-          if (ends_call(st)) return ended(st);
+          if (st == MemStatus::kStopped) return stopped();
         }
         return ok(0);
       },
@@ -341,7 +341,7 @@ TEST_F(TraceChainTest, CountersAreIdenticalAcrossWorkerCounts) {
         std::uint8_t junk[4] = {};
         if (c.arg32(0) >= 2) {
           const MemStatus st = c.k_write(0xDEAD0000, junk);
-          if (ends_call(st)) return ended(st);
+          if (st == MemStatus::kStopped) return stopped();
         }
         return ok(0);
       },

@@ -751,7 +751,8 @@ int cmd_repro(const harness::World& world, const Args& a) {
   const core::CaseResult r = executor.run_case(
       *mut, tuple, static_cast<std::int64_t>(a.case_index));
   std::cout << "outcome: " << core::outcome_name(r.outcome);
-  if (!r.detail.empty()) std::cout << "  (" << r.detail << ")";
+  if (const std::string stop = core::describe_stop(r); !stop.empty())
+    std::cout << "  (" << stop << ")";
   std::cout << "\n";
   if (machine.crashed())
     std::cout << "machine state: CRASHED — reboot required\n";
