@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <map>
 #include <ostream>
+#include <set>
+#include <utility>
 
+#include "core/groups.h"
 #include "sim/personality.h"
 
 namespace ballista::core {
@@ -50,27 +53,43 @@ CampaignDiff diff_campaigns(const CampaignResult& baseline,
   out.baseline_variant = baseline.variant;
   out.variant = next.variant;
 
-  std::map<std::string_view, const MutStats*> next_by_name;
+  using Key = std::pair<FuncGroup, std::string_view>;
+  const auto key = [](const MuT& m) { return Key{m.group, m.name}; };
+  std::map<Key, const MutStats*> next_by_key;
+  // Names MuTs of more than one group carry; their drift is labelled with
+  // the group token.
+  std::map<std::string_view, FuncGroup> group_of;
+  std::set<std::string_view> shared;
+  for (const CampaignResult* r : {&baseline, &next})
+    for (const MutStats& s : r->stats) {
+      if (s.mut == nullptr) continue;
+      const auto [it, fresh] = group_of.emplace(s.mut->name, s.mut->group);
+      if (!fresh && it->second != s.mut->group) shared.insert(s.mut->name);
+    }
   for (const MutStats& s : next.stats)
-    if (s.mut != nullptr) next_by_name.emplace(s.mut->name, &s);
+    if (s.mut != nullptr) next_by_key.emplace(key(*s.mut), &s);
+  const auto label = [&shared](const MuT& m) {
+    if (shared.count(m.name) == 0) return m.name;
+    return std::string(group_descriptor(m.group).token) + ':' + m.name;
+  };
 
   for (const MutStats& base : baseline.stats) {
     if (base.mut == nullptr) continue;
-    const auto it = next_by_name.find(base.mut->name);
-    if (it == next_by_name.end()) {
+    const auto it = next_by_key.find(key(*base.mut));
+    if (it == next_by_key.end()) {
       MutDrift d;
-      d.mut = base.mut->name;
+      d.mut = label(*base.mut);
       d.kinds.push_back(DriftKind::kMutRemoved);
       d.baseline_executed = base.executed;
       out.drift.push_back(std::move(d));
       continue;
     }
     const MutStats& cur = *it->second;
-    next_by_name.erase(it);
+    next_by_key.erase(it);
     ++out.muts_compared;
 
     MutDrift d;
-    d.mut = base.mut->name;
+    d.mut = label(*base.mut);
     d.baseline_executed = base.executed;
     d.executed = cur.executed;
 
@@ -96,9 +115,9 @@ CampaignDiff diff_campaigns(const CampaignResult& baseline,
   }
 
   for (const MutStats& s : next.stats) {
-    if (s.mut == nullptr || next_by_name.count(s.mut->name) == 0) continue;
+    if (s.mut == nullptr || next_by_key.count(key(*s.mut)) == 0) continue;
     MutDrift d;
-    d.mut = s.mut->name;
+    d.mut = label(*s.mut);
     d.kinds.push_back(DriftKind::kMutAdded);
     d.executed = s.executed;
     out.drift.push_back(std::move(d));

@@ -10,7 +10,8 @@
 // second, weaker signal: equal verdicts with different kernel-event counters
 // means the observable behaviour held but the path through the kernel moved.
 //
-// The join key is the MuT name.  Runs over different OS variants are
+// The join key is the MuT's group and name: the sync group registers some of
+// the process group's names again.  Runs over different OS variants are
 // deliberately comparable (that is the paper's Table 3 use case); MuTs present
 // on one side only are reported as added/removed rather than an error.
 #pragma once
@@ -45,6 +46,8 @@ struct CaseDrift {
 
 /// Everything that drifted for one MuT.
 struct MutDrift {
+  /// The MuT's name, as "group:name" (the repro syntax) when MuTs of two
+  /// groups in the compared runs carry that name.
   std::string mut;
   std::vector<DriftKind> kinds;
   /// Flipped verdicts, ascending case index (empty unless kVerdictChanged).
@@ -76,7 +79,8 @@ struct CampaignDiff {
   }
 };
 
-/// Joins `baseline` and `next` by MuT name and classifies every difference.
+/// Joins `baseline` and `next` by MuT group and name and classifies every
+/// difference.
 CampaignDiff diff_campaigns(const CampaignResult& baseline,
                             const CampaignResult& next);
 

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -217,6 +218,55 @@ TEST(StoreDiff, IdenticalRunsShowNoDrift) {
   EXPECT_EQ(d.total_verdict_changes(), 0u);
   EXPECT_GT(d.muts_compared, 0u);
   EXPECT_GT(d.cases_compared, 0u);
+}
+
+/// A cap-24 campaign over every group, the shape `run --groups all` makes.
+CampaignResult every_group_run(OsVariant v) {
+  core::CampaignOptions opt;
+  opt.cap = 24;
+  opt.group_mask = core::kEveryGroupMask;
+  return core::Campaign::run(v, shared_world().registry, opt);
+}
+
+TEST(StoreDiff, EveryGroupSelfDiffIsIdentical) {
+  // The sync group registers fifteen process-group names again; each pair
+  // must be matched by group as well as name.
+  for (OsVariant v :
+       {OsVariant::kWinNT4, OsVariant::kWin95, OsVariant::kWinCE}) {
+    const CampaignResult r = every_group_run(v);
+    const core::CampaignDiff d = core::diff_campaigns(r, r);
+    EXPECT_TRUE(d.identical()) << sim::variant_name(v);
+    EXPECT_EQ(d.muts_compared, r.stats.size()) << sim::variant_name(v);
+  }
+}
+
+TEST(StoreDiff, FlipInASharedNameIsPinpointedWithItsGroup) {
+  const CampaignResult before = every_group_run(OsVariant::kWinNT4);
+  CampaignResult after = before;
+  core::MutStats* sync_event = nullptr;
+  for (core::MutStats& s : after.stats)
+    if (s.mut->group == core::FuncGroup::kWin32Sync &&
+        s.mut->name == "CreateEvent")
+      sync_event = &s;
+  ASSERT_NE(sync_event, nullptr);
+  ASSERT_FALSE(sync_event->case_codes.empty());
+  sync_event->case_codes[0] =
+      sync_event->case_codes[0] == core::CaseCode::kAbort
+          ? core::CaseCode::kPassWithError
+          : core::CaseCode::kAbort;
+
+  const core::CampaignDiff d = core::diff_campaigns(before, after);
+  ASSERT_EQ(d.drift.size(), 1u);
+  EXPECT_EQ(d.drift[0].mut, "sync:CreateEvent");
+  EXPECT_EQ(d.drift[0].kinds,
+            std::vector<core::DriftKind>{core::DriftKind::kVerdictChanged});
+  ASSERT_EQ(d.drift[0].cases.size(), 1u);
+  EXPECT_EQ(d.drift[0].cases[0].case_index, 0u);
+  std::ostringstream printed;
+  core::print_diff(printed, d);
+  EXPECT_NE(printed.str().find("\nsync:CreateEvent: verdict_changed\n"),
+            std::string::npos)
+      << printed.str();
 }
 
 TEST(StoreDiff, PerturbedBehaviourIsPinpointedToExactCases) {
