@@ -2,6 +2,7 @@
 // group averages, Catastrophic exclusion, CE twin shadowing, N/A rules.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <sstream>
 
 #include "core/report.h"
@@ -9,11 +10,12 @@
 namespace ballista::core {
 namespace {
 
-MuT* leak_mut(std::string name, ApiKind api, FuncGroup group,
+MuT* make_mut(std::string name, ApiKind api, FuncGroup group,
               bool twin = false, std::string twin_of = {}) {
-  // Report tests build results by hand; MuT descriptors live for the test
-  // binary's lifetime.
-  auto* m = new MuT;
+  // Report tests build results by hand; the MuT descriptors they point at
+  // live in this pool for the test binary's lifetime.
+  static std::deque<MuT> pool;
+  MuT* m = &pool.emplace_back();
   m->name = std::move(name);
   m->api = api;
   m->group = group;
@@ -40,12 +42,12 @@ TEST(Report, SummarizeSplitsSysAndClib) {
   CampaignResult r;
   r.variant = sim::OsVariant::kWinNT4;
   r.stats.push_back(stats_for(
-      leak_mut("sys1", ApiKind::kWin32Sys, FuncGroup::kIoPrimitives), 100,
+      make_mut("sys1", ApiKind::kWin32Sys, FuncGroup::kIoPrimitives), 100,
       50));
   r.stats.push_back(stats_for(
-      leak_mut("sys2", ApiKind::kWin32Sys, FuncGroup::kIoPrimitives), 100, 0));
+      make_mut("sys2", ApiKind::kWin32Sys, FuncGroup::kIoPrimitives), 100, 0));
   r.stats.push_back(stats_for(
-      leak_mut("c1", ApiKind::kCLib, FuncGroup::kCString), 100, 10));
+      make_mut("c1", ApiKind::kCLib, FuncGroup::kCString), 100, 10));
   const VariantSummary s = summarize(r);
   EXPECT_EQ(s.sys_tested, 2);
   EXPECT_EQ(s.clib_tested, 1);
@@ -58,12 +60,12 @@ TEST(Report, CatastrophicMutsExcludedFromRates) {
   CampaignResult r;
   r.variant = sim::OsVariant::kWin98;
   r.stats.push_back(stats_for(
-      leak_mut("good", ApiKind::kWin32Sys, FuncGroup::kIoPrimitives), 100,
+      make_mut("good", ApiKind::kWin32Sys, FuncGroup::kIoPrimitives), 100,
       20));
   // The crashing MuT has a wild abort rate from its truncated run; it must
   // not pollute the average.
   r.stats.push_back(
-      stats_for(leak_mut("crash", ApiKind::kWin32Sys,
+      stats_for(make_mut("crash", ApiKind::kWin32Sys,
                          FuncGroup::kIoPrimitives),
                 3, 3, 0, /*catastrophic=*/true));
   const VariantSummary s = summarize(r);
@@ -76,9 +78,9 @@ TEST(Report, GroupRateAveragesUniformly) {
   CampaignResult r;
   r.variant = sim::OsVariant::kLinux;
   r.stats.push_back(stats_for(
-      leak_mut("a", ApiKind::kPosixSys, FuncGroup::kMemoryManagement), 10, 5));
+      make_mut("a", ApiKind::kPosixSys, FuncGroup::kMemoryManagement), 10, 5));
   r.stats.push_back(stats_for(
-      leak_mut("b", ApiKind::kPosixSys, FuncGroup::kMemoryManagement), 1000,
+      make_mut("b", ApiKind::kPosixSys, FuncGroup::kMemoryManagement), 1000,
       100, 100));
   const GroupRate g = group_rate(r, FuncGroup::kMemoryManagement);
   EXPECT_EQ(g.functions, 2);
@@ -93,11 +95,11 @@ TEST(Report, GroupWithMostlyCatastrophicMembersReportsNoData) {
   CampaignResult r;
   r.variant = sim::OsVariant::kWinCE;
   r.stats.push_back(stats_for(
-      leak_mut("x", ApiKind::kCLib, FuncGroup::kCStreamIo), 5, 0, 0, true));
+      make_mut("x", ApiKind::kCLib, FuncGroup::kCStreamIo), 5, 0, 0, true));
   r.stats.push_back(stats_for(
-      leak_mut("y", ApiKind::kCLib, FuncGroup::kCStreamIo), 5, 0, 0, true));
+      make_mut("y", ApiKind::kCLib, FuncGroup::kCStreamIo), 5, 0, 0, true));
   r.stats.push_back(stats_for(
-      leak_mut("z", ApiKind::kCLib, FuncGroup::kCStreamIo), 100, 10));
+      make_mut("z", ApiKind::kCLib, FuncGroup::kCStreamIo), 100, 10));
   const GroupRate g = group_rate(r, FuncGroup::kCStreamIo);
   EXPECT_TRUE(g.no_data);  // 2 of 3 catastrophic (paper §4's CE rule)
   EXPECT_TRUE(g.has_catastrophic);
@@ -115,10 +117,10 @@ TEST(Report, CeTwinShadowingDropsAsciiVersion) {
   CampaignResult r;
   r.variant = sim::OsVariant::kWinCE;
   r.stats.push_back(stats_for(
-      leak_mut("strcpy", ApiKind::kCLib, FuncGroup::kCString, true), 100,
+      make_mut("strcpy", ApiKind::kCLib, FuncGroup::kCString, true), 100,
       100));  // ASCII twin with a (deliberately wild) 100% rate
   r.stats.push_back(stats_for(
-      leak_mut("wcscpy", ApiKind::kCLib, FuncGroup::kCString, false,
+      make_mut("wcscpy", ApiKind::kCLib, FuncGroup::kCString, false,
                "strcpy"),
       100, 10));
   const VariantSummary s = summarize(r);
@@ -134,7 +136,7 @@ TEST(Report, TwinShadowingOnlyAppliesOnCe) {
   CampaignResult r;
   r.variant = sim::OsVariant::kWinNT4;
   r.stats.push_back(stats_for(
-      leak_mut("strcpy", ApiKind::kCLib, FuncGroup::kCString, true), 100, 50));
+      make_mut("strcpy", ApiKind::kCLib, FuncGroup::kCString, true), 100, 50));
   const VariantSummary s = summarize(r);
   EXPECT_EQ(s.clib_tested, 1);
 }
@@ -143,12 +145,12 @@ TEST(Report, CatastrophicListSortedAndStarred) {
   CampaignResult r;
   r.variant = sim::OsVariant::kWin98;
   auto crash = stats_for(
-      leak_mut("zeta", ApiKind::kWin32Sys, FuncGroup::kIoPrimitives), 2, 0, 0,
+      make_mut("zeta", ApiKind::kWin32Sys, FuncGroup::kIoPrimitives), 2, 0, 0,
       true);
   crash.crash_reproducible_single = true;
   r.stats.push_back(crash);
   auto starred = stats_for(
-      leak_mut("alpha", ApiKind::kWin32Sys, FuncGroup::kIoPrimitives), 2, 0, 0,
+      make_mut("alpha", ApiKind::kWin32Sys, FuncGroup::kIoPrimitives), 2, 0, 0,
       true);
   starred.crash_reproducible_single = false;
   r.stats.push_back(starred);
@@ -177,7 +179,7 @@ TEST(Report, PrintersProduceOutput) {
   CampaignResult r;
   r.variant = sim::OsVariant::kLinux;
   r.stats.push_back(stats_for(
-      leak_mut("a", ApiKind::kPosixSys, FuncGroup::kMemoryManagement), 10, 5));
+      make_mut("a", ApiKind::kPosixSys, FuncGroup::kMemoryManagement), 10, 5));
   std::vector<CampaignResult> rs;
   rs.push_back(std::move(r));
   std::ostringstream t1, t2, f1, t3;

@@ -1,13 +1,17 @@
 // Tests for the Figure 2 Silent-failure voting analysis.
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "core/voting.h"
 
 namespace ballista::core {
 namespace {
 
-MuT* leak_mut(std::string name, FuncGroup group = FuncGroup::kCString) {
-  auto* m = new MuT;
+/// A MuT descriptor owned by this file's pool for the test binary's lifetime.
+MuT* make_mut(std::string name, FuncGroup group = FuncGroup::kCString) {
+  static std::deque<MuT> pool;
+  MuT* m = &pool.emplace_back();
   m->name = std::move(name);
   m->api = ApiKind::kCLib;
   m->group = group;
@@ -29,7 +33,7 @@ CampaignResult variant_result(sim::OsVariant v, MuT* m,
 }
 
 TEST(Voting, PassNoErrorAgainstErrorIsSilent) {
-  MuT* m = leak_mut("fn");
+  MuT* m = make_mut("fn");
   std::vector<CampaignResult> rs;
   rs.push_back(variant_result(sim::OsVariant::kWin95, m,
                               {CaseCode::kPassNoError, CaseCode::kPassNoError}));
@@ -44,7 +48,7 @@ TEST(Voting, PassNoErrorAgainstErrorIsSilent) {
 TEST(Voting, UnanimousPassNoErrorIsNotSilent) {
   // The paper's acknowledged blind spot: "it cannot find instances in which
   // all versions of Windows suffer a Silent failure."
-  MuT* m = leak_mut("fn");
+  MuT* m = make_mut("fn");
   std::vector<CampaignResult> rs;
   rs.push_back(
       variant_result(sim::OsVariant::kWin95, m, {CaseCode::kPassNoError}));
@@ -56,7 +60,7 @@ TEST(Voting, UnanimousPassNoErrorIsNotSilent) {
 }
 
 TEST(Voting, RestartAndHinderingCountAsErrorIndications) {
-  MuT* m = leak_mut("fn");
+  MuT* m = make_mut("fn");
   std::vector<CampaignResult> rs;
   rs.push_back(variant_result(sim::OsVariant::kWin95, m,
                               {CaseCode::kPassNoError, CaseCode::kPassNoError}));
@@ -68,7 +72,7 @@ TEST(Voting, RestartAndHinderingCountAsErrorIndications) {
 
 TEST(Voting, CatastrophicIsNotAnErrorIndication) {
   // A sibling's system crash yields no comparable observation.
-  MuT* m = leak_mut("fn");
+  MuT* m = make_mut("fn");
   std::vector<CampaignResult> rs;
   rs.push_back(
       variant_result(sim::OsVariant::kWin95, m, {CaseCode::kPassNoError}));
@@ -79,7 +83,7 @@ TEST(Voting, CatastrophicIsNotAnErrorIndication) {
 }
 
 TEST(Voting, TruncatedRunsCompareOnlyCommonPrefix) {
-  MuT* m = leak_mut("fn");
+  MuT* m = make_mut("fn");
   std::vector<CampaignResult> rs;
   rs.push_back(variant_result(
       sim::OsVariant::kWin95, m,
@@ -93,8 +97,8 @@ TEST(Voting, TruncatedRunsCompareOnlyCommonPrefix) {
 }
 
 TEST(Voting, MutMissingOnOneVariantIsExcluded) {
-  MuT* a = leak_mut("everywhere");
-  MuT* b = leak_mut("only95");
+  MuT* a = make_mut("everywhere");
+  MuT* b = make_mut("only95");
   std::vector<CampaignResult> rs(2);
   rs[0].variant = sim::OsVariant::kWin95;
   rs[1].variant = sim::OsVariant::kWin98;
@@ -117,8 +121,8 @@ TEST(Voting, MutMissingOnOneVariantIsExcluded) {
 }
 
 TEST(Voting, GroupAveragesAreUniform) {
-  MuT* a = leak_mut("a", FuncGroup::kCString);
-  MuT* b = leak_mut("b", FuncGroup::kCString);
+  MuT* a = make_mut("a", FuncGroup::kCString);
+  MuT* b = make_mut("b", FuncGroup::kCString);
   std::vector<CampaignResult> rs(2);
   rs[0].variant = sim::OsVariant::kWin95;
   rs[1].variant = sim::OsVariant::kWin98;
