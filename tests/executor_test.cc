@@ -133,9 +133,6 @@ TEST(Executor, DoubledFaultIsAHarnessError) {
               return wild_store(c);
             }),
             "harness error in mini: a stopped outcome has two recorded causes");
-  EXPECT_EQ(harness_error_of([](CallContext&) { return stopped(); }),
-            "harness error in mini: a stopped outcome carries no recorded "
-            "cause");
 }
 
 TEST(Executor, FaultInValueMaterializationIsAHarnessError) {
@@ -153,11 +150,50 @@ TEST(Executor, FaultInValueMaterializationIsAHarnessError) {
 TEST(Executor, HangClassifiesAsRestart) {
   sim::Machine m(OsVariant::kWinNT4);
   Executor ex(m);
-  MiniMut mini([](CallContext& c) { return c.hang("forever"); }, {});
+  MiniMut mini([](CallContext& c) { return c.hang(c.mut().name); }, {});
   const CaseResult r = ex.run_case(mini.mut, {});
   EXPECT_EQ(r.outcome, Outcome::kRestart);
-  EXPECT_EQ(r.hang_site, "forever");
-  EXPECT_EQ(describe_stop(r), "task hang in forever");
+  EXPECT_EQ(r.hang_site.data(), mini.mut.name.data());  // a view, not a copy
+  EXPECT_EQ(describe_stop(r), "task hang in mini");
+  // The task never returns to its caller, so no kSyscallExit.
+  EXPECT_EQ(r.events[trace::EventKind::kSyscallExit], 0u);
+  EXPECT_FALSE(m.crashed());
+}
+
+// The hang half of the harness-error checks (the hang_paths aggregate runs
+// them with tests/hang_paths_test.cc).
+TEST(HangPaths, SwallowedHangIsAHarnessError) {
+  EXPECT_EQ(harness_error_of([](CallContext& c) -> CallOutcome {
+              (void)c.hang("forever");
+              return ok(0);
+            }),
+            "harness error in mini: a hang was recorded but not returned");
+}
+
+TEST(HangPaths, StopWithNoCauseIsAHarnessError) {
+  EXPECT_EQ(harness_error_of([](CallContext&) { return stopped(); }),
+            "harness error in mini: a stopped outcome carries no recorded "
+            "cause");
+}
+
+TEST(HangPaths, StopWithTwoCausesIsAHarnessError) {
+  constexpr const char* kTwo =
+      "harness error in mini: a stopped outcome has two recorded causes";
+  EXPECT_EQ(harness_error_of([](CallContext& c) {
+              (void)c.hang("forever");
+              return c.hang("forever");
+            }),
+            kTwo);
+  EXPECT_EQ(harness_error_of([](CallContext& c) {
+              (void)wild_store(c);
+              return c.hang("forever");
+            }),
+            kTwo);
+  EXPECT_EQ(harness_error_of([](CallContext& c) {
+              (void)c.machine().panic(sim::PanicKind::kInduced);
+              return c.hang("forever");
+            }),
+            kTwo);
 }
 
 TEST(Executor, PanicClassifiesAsCatastrophicAndCrashesMachine) {

@@ -1,8 +1,8 @@
 // Task hangs as values: every hang site records its site on the CallContext
-// and returns the stopped outcome, the executor classifies it Restart with
-// the site's text, and a hang the call does not return (or a stop with no
-// cause, or with two) is a harness bug — the checks fault and panic paths
-// get in fault_paths and panic_paths.
+// and returns the stopped outcome, and the executor classifies it Restart
+// with the site's text.  The harness-error checks of the HangPaths suite (a
+// hang the call does not return, a stop with no cause or with two) live in
+// executor_test.cc beside the fault ones.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -98,79 +98,6 @@ TEST(HangPaths, WaitpidOnARunningChildIsRestart) {
   const CaseResult r = ex.run_case(*waitpid, tuple);
   EXPECT_EQ(r.outcome, Outcome::kRestart);
   EXPECT_EQ(describe_stop(r), "task hang in waitpid(running child)");
-}
-
-/// A MuT named "mini" running `impl`.
-MuT mini_mut(ApiImpl impl) {
-  MuT mut;
-  mut.name = "mini";
-  mut.api = ApiKind::kWin32Sys;
-  mut.group = FuncGroup::kProcessPrimitives;
-  mut.impl = std::move(impl);
-  mut.variant_mask = kMaskEverything;
-  return mut;
-}
-
-/// Runs `impl` as the MuT "mini" and returns the HarnessError it raised.
-std::string harness_error_of(ApiImpl impl) {
-  sim::Machine m(OsVariant::kWinNT4);
-  Executor ex(m);
-  try {
-    (void)ex.run_case(mini_mut(std::move(impl)), {});
-  } catch (const HarnessError& e) {
-    return e.what();
-  }
-  ADD_FAILURE() << "no harness error";
-  return "";
-}
-
-TEST(HangPaths, SwallowedHangIsAHarnessError) {
-  EXPECT_EQ(harness_error_of([](CallContext& c) -> CallOutcome {
-              (void)c.hang("forever");
-              return ok(0);
-            }),
-            "harness error in mini: a hang was recorded but not returned");
-}
-
-TEST(HangPaths, StopWithNoCauseIsAHarnessError) {
-  EXPECT_EQ(harness_error_of([](CallContext&) { return stopped(); }),
-            "harness error in mini: a stopped outcome carries no recorded "
-            "cause");
-}
-
-TEST(HangPaths, StopWithTwoCausesIsAHarnessError) {
-  constexpr const char* kTwo =
-      "harness error in mini: a stopped outcome has two recorded causes";
-  EXPECT_EQ(harness_error_of([](CallContext& c) {
-              (void)c.hang("forever");
-              return c.hang("forever");
-            }),
-            kTwo);
-  EXPECT_EQ(harness_error_of([](CallContext& c) -> CallOutcome {
-              std::uint8_t b = 0;
-              if (auto f = c.proc().mem().read_u8(0, &b, sim::Access::kUser))
-                (void)c.raise(*f);
-              return c.hang("forever");
-            }),
-            kTwo);
-  EXPECT_EQ(harness_error_of([](CallContext& c) {
-              (void)c.machine().panic(sim::PanicKind::kInduced);
-              return c.hang("forever");
-            }),
-            kTwo);
-}
-
-TEST(HangPaths, HangSiteOutlivesTheCallAndEmitsNoExit) {
-  sim::Machine m(OsVariant::kWinNT4);
-  Executor ex(m);
-  const MuT mut = mini_mut([](CallContext& c) { return c.hang(c.mut().name); });
-  const CaseResult r = ex.run_case(mut, {}, 4);
-  EXPECT_EQ(r.outcome, Outcome::kRestart);
-  EXPECT_EQ(r.hang_site, "mini");
-  EXPECT_EQ(r.hang_site.data(), mut.name.data());  // a view, not a copy
-  EXPECT_EQ(r.events[trace::EventKind::kSyscallExit], 0u);
-  EXPECT_EQ(r.events[trace::EventKind::kCaseClassified], 1u);
-  EXPECT_FALSE(m.crashed());
 }
 
 }  // namespace
