@@ -1,7 +1,7 @@
 // The structured kernel-event trace spine.
 //
 // Every diagnostic the harness used to assemble ad hoc as strings
-// (Machine::crash_reason, CaseResult::detail, MutStats::crash_detail) is now
+// (Machine::crash_reason, a case's stop text, MutStats::crash_detail) is now
 // a *rendered view* over typed TraceEvents.  Each simulated machine owns one
 // bounded ring-buffer TraceSink; the sim layer (panic/reboot/fuse/corruption,
 // MMU faults), the kernel-side memory helpers (probe decisions, hazard
@@ -423,8 +423,9 @@ class TraceSink {
 // --- rendering (trace.cc; links ballista_core) -------------------------------
 
 /// The one formatter behind every human-readable diagnostic: crash reasons,
-/// CaseResult::detail and the CLI --trace dump all render through here (or
-/// through the sim-level describe_* helpers it delegates to).
+/// a case's stop text (describe_stop) and the CLI --trace dump all render
+/// through here (or through the sim-level describe_* helpers it delegates
+/// to).
 std::string render(const TraceEvent& ev);
 
 /// `tick+OFFSET case N  <render(ev)>` lines, one per event.
