@@ -8,9 +8,9 @@
 // Campaign::run is a façade over the plan/schedule/execute engine
 // (core/plan, core/sched): the test matrix is enumerated into shards, run on
 // a pool of independent machines (CampaignOptions::jobs worker threads), and
-// merged back deterministically.  jobs = 1 reproduces the legacy sequential
-// single-machine behaviour exactly; Campaign::run_sequential keeps the
-// original loop as the reference implementation.
+// merged back deterministically.  Campaign::run_sequential runs the whole
+// campaign as one shard on one machine, through the same per-shard loop
+// (core/sched run_shard); the committed golden logs pin that loop's results.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +42,8 @@ enum class CaseCode : std::uint8_t {
 };
 
 /// Maps a classified CaseResult onto the compact per-case code.  Shared by
-/// the sequential reference loop, run_shard and the CE file-drop client
-/// (rpc/ce_file_drop) so the three paths can never drift apart.
+/// run_shard and the CE file-drop client (rpc/ce_file_drop) so the two paths
+/// can never drift apart.
 inline CaseCode case_code(const CaseResult& r) noexcept {
   switch (r.outcome) {
     case Outcome::kAbort: return CaseCode::kAbort;
@@ -84,7 +84,7 @@ struct MutStats {
 
   /// Per-event-kind totals over this MuT's executed cases (repro-pass reruns
   /// excluded).  Summed from per-case deltas, so identical across worker
-  /// counts and vs. the sequential reference loop.
+  /// counts and vs. the one-shard run_sequential.
   trace::Counters event_counts;
   /// Event tail captured when this MuT was blamed for a Catastrophic failure
   /// (for a deferred `*` crash the tail spans the victim cases' syscall
@@ -123,10 +123,10 @@ struct CampaignOptions {
   /// machines).
   std::function<void(sim::Machine&)> machine_setup;
   std::function<void(sim::SimProcess&)> task_setup;
-  /// Worker threads for the plan/schedule/execute engine.  1 = sequential
-  /// (bit-identical to the legacy single-machine loop); N > 1 runs shards on
-  /// N independent machines and merges deterministically, so the result is
-  /// identical for every value of `jobs`.
+  /// Worker threads for the plan/schedule/execute engine.  1 = one machine
+  /// runs every shard in plan order; N > 1 runs shards on N independent
+  /// machines and merges deterministically, so the result is identical for
+  /// every value of `jobs`.
   unsigned jobs = 1;
   /// Maximum case-range size when the planner slices hazard-free MuTs into
   /// parallel shards (see core/plan.h).
@@ -169,9 +169,10 @@ class Campaign {
   static CampaignResult run(sim::OsVariant variant, const Registry& registry,
                             const CampaignOptions& opt = {});
 
-  /// The original single-machine sequential loop, kept verbatim as the
-  /// reference implementation the engine's determinism tests compare
-  /// against.  Ignores opt.jobs / opt.shard_cases.
+  /// The whole campaign as one shard (PlanOptions::single_shard), run by
+  /// run_shard on one freshly booted machine: the reference the engine's
+  /// determinism tests compare sharded plans against.  Ignores opt.jobs /
+  /// opt.shard_cases.
   static CampaignResult run_sequential(sim::OsVariant variant,
                                        const Registry& registry,
                                        const CampaignOptions& opt = {});

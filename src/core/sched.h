@@ -6,20 +6,20 @@
 //                              shared by the robustness campaign, the crash
 //                              campaign (core/crashplan) and, through
 //                              fan_out alone, the campaign server; jobs = 1
-//                              degenerates to the exact legacy sequential
-//                              order
-//   execute   (this file)      run_shard mirrors the legacy single-machine
-//                              loop (crash blame, reboot bookkeeping, repro
-//                              pass) on one pooled machine
+//                              runs every shard in plan order on one machine
+//   execute   (this file)      run_shard is the campaign loop (crash blame,
+//                              reboot bookkeeping, repro pass) on one pooled
+//                              machine
 //   merge     (this file)      fold per-shard MutStats back into a
 //                              CampaignResult in plan order, moving bulk
 //                              payloads instead of copying them
 //
 // Determinism contract: for the same (variant, registry, cap, seed), the
 // merged CampaignResult is bit-identical for any worker count, and identical
-// to Campaign::run_sequential, because every shard boundary the plan emits is
-// a provably clean machine state (see core/plan.h) and the merge order is
-// fixed by the plan, not by thread timing.
+// to Campaign::run_sequential (the whole campaign as one shard), because
+// every shard boundary the plan emits is a provably clean machine state (see
+// core/plan.h) and the merge order is fixed by the plan, not by thread
+// timing.
 #pragma once
 
 #include <atomic>
@@ -45,7 +45,7 @@ struct ShardOutcome {
   };
   std::size_t shard_index = 0;
   /// One entry per ShardItem, in shard order (crash blame may retarget an
-  /// earlier partial of the same shard, exactly like the sequential loop).
+  /// earlier partial of the same shard).
   std::vector<MutPartial> partials;
   int reboots = 0;
   std::uint64_t executed_cases = 0;

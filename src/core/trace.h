@@ -11,14 +11,14 @@
 //   kProbeDecision(unprobed) -> kHazardWrite -> kArenaCorruption ->
 //   kFuseBurn... -> kPanic
 //
-// is recorded as data, identically on the sequential reference loop, the
+// is recorded as data, identically on the one-shard run_sequential, the
 // sharded engine and the RPC harness.
 //
 // Determinism rules: events are stamped with Machine::ticks() (a monotonic
 // counter advanced only by simulated work) and the executor's case index —
 // never wall-clock time.  Per-event-kind counters exclude the stamps, so the
 // aggregate counters folded into a CampaignResult are bit-identical for
-// every worker count and for the sequential reference loop.
+// every worker count and for the one-shard run_sequential.
 //
 // This header is intentionally self-contained (inline) below core: sim code
 // emits events and renders panic reasons without linking ballista_core; the
