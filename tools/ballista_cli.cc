@@ -1,32 +1,14 @@
-// ballista_cli — command-line driver for the reproduction.
-//
-//   ballista_cli list-muts  [--os NAME] [--api sys|clib]
-//   ballista_cli list-types
-//   ballista_cli list-groups [--os NAME]    (the functional-group registry)
-//   ballista_cli run        [--os NAME] [--cap N] [--seed S] [--api sys|clib]
-//                           [--groups LIST] [--mut-csv FILE] [--value-csv FILE]
-//                           [--analyze]
-//   ballista_cli repro      --os NAME --mut NAME --case I [--cap N] [--seed S]
-//   ballista_cli crashes    [--os NAME] [--cap N]
-//   ballista_cli tables     [--cap N]        (tables 1-3 + figures 1-2)
-//   ballista_cli diff       BASELINE.blog NEW.blog
-//   ballista_cli stats      FILE.blog
-//
-// OS names: win95 win98 win98se nt4 win2000 wince linux (default: all where
-// a single OS is not required).  See README.md for the full flag table.
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string_view>
 #include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "core/ballista.h"
@@ -40,14 +22,17 @@ namespace {
 
 using namespace ballista;
 
-std::optional<sim::OsVariant> parse_os(const std::string& s) {
-  if (s == "win95") return sim::OsVariant::kWin95;
-  if (s == "win98") return sim::OsVariant::kWin98;
-  if (s == "win98se") return sim::OsVariant::kWin98SE;
-  if (s == "nt4") return sim::OsVariant::kWinNT4;
-  if (s == "win2000") return sim::OsVariant::kWin2000;
-  if (s == "wince") return sim::OsVariant::kWinCE;
-  if (s == "linux") return sim::OsVariant::kLinux;
+/// The OS names the CLI takes and prints, indexed by sim::OsVariant.
+constexpr std::array<std::string_view, sim::kAllVariants.size()> kOsTokens = {
+    "win95", "win98", "win98se", "nt4", "win2000", "wince", "linux"};
+
+std::string_view os_token(sim::OsVariant v) {
+  return kOsTokens[static_cast<std::size_t>(v)];
+}
+
+std::optional<sim::OsVariant> os_from_token(std::string_view s) {
+  for (sim::OsVariant v : sim::kAllVariants)
+    if (os_token(v) == s) return v;
   return std::nullopt;
 }
 
@@ -65,186 +50,317 @@ std::optional<std::uint64_t> parse_decimal(std::string_view s) {
   return v;
 }
 
+/// The commands.  A crash-enumeration run (`run --crash-points`) is a
+/// command of its own: it takes the run flags that shape a crash campaign,
+/// none of those that shape or report a robustness one.
+enum class Command : std::uint8_t {
+  kListMuts, kListTypes, kListGroups, kRun, kRunCrash, kServe, kAttach,
+  kRepro, kCrashes, kTables, kDiff, kStats,
+};
+using enum Command;
+
+/// A set of commands, one bit per Command.
+using Commands = std::uint32_t;
+
+template <class... C>
+constexpr Commands commands(C... c) {
+  return ((Commands{1} << static_cast<unsigned>(c)) | ...);
+}
+
 struct Args {
-  std::string command;
+  Command command{};
   std::optional<sim::OsVariant> os;
   std::optional<core::ApiKind> api;
   std::uint64_t cap = core::kDefaultCap;
   std::uint64_t seed = 0x8a11157a;
   std::string mut;
   std::uint64_t case_index = 0;
-  /// --groups LIST (run): comma-separated group tokens restricting the
-  /// campaign (see `list-groups`); empty = the default-campaign groups.
-  std::string groups;
+  /// --groups mask; unset = each campaign flavour's default groups.
+  std::optional<std::uint32_t> groups;
   std::string mut_csv, value_csv;
   bool analyze = false;
   unsigned jobs = 1;
-  /// --crash-points[=N] (run): crash-enumeration campaign testing up to N
-  /// cuts per case (default 16).
   std::optional<std::uint64_t> crash_points;
-  /// --cut K (repro): re-run the case with a fault cut armed at point K and
-  /// report the post-reboot crash-consistency verdict.
-  std::uint64_t cut = 0;
-  /// --trace[=N]: print the last N rendered trace events for every
-  /// Catastrophic MuT (run) or the whole machine tail (repro).
-  std::optional<std::size_t> trace_events;
-  /// --event-counters: print per-variant aggregate event-kind counters.
+  std::uint64_t cut = 0;  // 0: no cut
+  std::optional<std::uint64_t> trace_events;
   bool event_counters = false;
-  /// Persistent campaign store (run): --store writes a fresh .blog log,
-  /// --resume recovers one and re-runs only missing shards, --baseline gates
-  /// the run against an earlier log and fails on drift.
   std::string store, resume, baseline;
-  /// Campaign service (serve/attach).  --sessions LIST opens one session per
-  /// comma-separated OS token; --log-dir houses the per-session .blog files;
-  /// --quota bounds shards per session per scheduling round; --detach-at /
-  /// --halt-at park the first session after K streamed shards (detach-at
-  /// reattaches once the others finish, halt-at leaves the partial log for a
-  /// later `attach`); --wire-trace prints every decoded frame.
-  std::string sessions;
+  std::vector<sim::OsVariant> sessions;
   std::string log_dir;
   std::uint64_t quota = 2;
   std::optional<std::uint64_t> detach_at, halt_at;
   bool wire_trace = false;
-  /// --shard-cases N (run/serve/attach): target cases per plan shard.  Part
-  /// of the campaign fingerprint — both ends of a resume must agree on it.
   std::uint64_t shard_cases = 2048;
-  /// Non-flag operands (only the diff command takes any).
+  /// Operands: the .blog files diff and stats read.
   std::vector<std::string> positional;
-  /// Every `--flag` token seen, in order — pure-operand commands (diff,
-  /// stats) reject any flag instead of silently ignoring it.
-  std::vector<std::string> flags_seen;
-  bool ok = true;
 };
 
-Args parse_args(int argc, char** argv) {
-  Args a;
-  if (argc < 2) {
-    a.ok = false;
-    return a;
-  }
-  a.command = argv[1];
+/// Where a flag's value lands.  The member's type also says how the text is
+/// read: a switch takes none; a number is plain decimal digits within the
+/// flag's bounds; a string is any non-empty text; the rest are an OS name, a
+/// comma-separated list of them, `sys|clib`, or a `--groups` list
+/// (core::parse_group_list).
+using Slot = std::variant<bool Args::*, unsigned Args::*, std::uint64_t Args::*,
+                          std::optional<std::uint64_t> Args::*,
+                          std::string Args::*,
+                          std::optional<sim::OsVariant> Args::*,
+                          std::vector<sim::OsVariant> Args::*,
+                          std::optional<core::ApiKind> Args::*,
+                          std::optional<std::uint32_t> Args::*>;
+
+constexpr Commands kNone = 0;
+constexpr std::uint64_t kNoMax = std::numeric_limits<std::uint64_t>::max();
+
+struct Flag {
+  std::string_view name;
+  std::string_view meta;  // the value's placeholder; empty for a switch
+  Slot slot;
+  Commands takes = kNone;
+  Commands required = kNone;  // commands that refuse to run without it
+  std::uint64_t min = 0, max = kNoMax;
+  /// Nonzero for a flag written --name[=N]: the value bare --name stands for.
+  std::uint64_t bare = 0;
+};
+
+constexpr Commands kRuns = commands(kRun, kRunCrash);
+/// The commands that run campaign cases.
+constexpr Commands kCases =
+    kRuns | commands(kServe, kAttach, kRepro, kCrashes, kTables);
+
+/// Every flag, in usage order: name, placeholder, slot, the commands that
+/// take it and those that require it, then a number's bounds and bare value.
+constexpr Flag kFlags[] = {
+    {"--os", "NAME", &Args::os,
+     kRuns | commands(kListMuts, kListGroups, kAttach, kRepro, kCrashes),
+     commands(kAttach, kRepro)},
+    {"--sessions", "LIST", &Args::sessions, commands(kServe),
+     commands(kServe)},
+    {"--mut", "NAME", &Args::mut, commands(kRepro), commands(kRepro)},
+    {"--case", "I", &Args::case_index, commands(kRepro)},
+    {"--crash-points", "N", &Args::crash_points, commands(kRunCrash),
+     commands(kRunCrash), 1, kNoMax, 16},
+    {"--cap", "N", &Args::cap, kCases, kNone, 1},
+    {"--seed", "S", &Args::seed, kCases},
+    {"--api", "sys|clib", &Args::api, commands(kListMuts, kRun)},
+    {"--jobs", "N", &Args::jobs, kCases & ~commands(kRepro), kNone, 1,
+     std::numeric_limits<unsigned>::max()},
+    {"--quota", "N", &Args::quota, commands(kServe, kAttach), kNone, 1},
+    {"--shard-cases", "N", &Args::shard_cases,
+     kRuns | commands(kServe, kAttach), kNone, 1},
+    {"--groups", "LIST", &Args::groups, kRuns},
+    {"--mut-csv", "F", &Args::mut_csv, commands(kRun)},
+    {"--value-csv", "F", &Args::value_csv, commands(kRun)},
+    {"--analyze", "", &Args::analyze, commands(kRun)},
+    {"--trace", "N", &Args::trace_events, commands(kRun, kRepro, kCrashes),
+     kNone, 1, kNoMax, 16},
+    {"--event-counters", "", &Args::event_counters,
+     commands(kRun, kRepro, kCrashes)},
+    {"--cut", "K", &Args::cut, commands(kRepro), kNone, 1},
+    {"--store", "F.blog", &Args::store, kRuns},
+    {"--resume", "F.blog", &Args::resume, kRuns},
+    {"--baseline", "F.blog", &Args::baseline, kRuns},
+    {"--log-dir", "D", &Args::log_dir, commands(kServe, kAttach),
+     commands(kAttach)},
+    {"--detach-at", "K", &Args::detach_at, commands(kServe), kNone, 1},
+    {"--halt-at", "K", &Args::halt_at, commands(kServe), kNone, 1},
+    {"--wire-trace", "", &Args::wire_trace, commands(kServe, kAttach)},
+};
+
+struct CommandSpec {
+  Command id;
+  std::string_view name;
+  /// A flag whose presence picks this row over the plain one of its name.
+  std::string_view selector;
+  /// The operands' placeholders, and how many of them, in words.
+  std::string_view operands, operand_count;
+  std::string_view summary;
+};
+
+constexpr CommandSpec kCommands[] = {
+    {kListMuts, "list-muts", "", "", "", "catalog of modules under test"},
+    {kListTypes, "list-types", "", "", "", "data types and value pools"},
+    {kListGroups, "list-groups", "", "", "", "functional-group registry"},
+    {kRun, "run", "", "", "", "robustness campaign (Table 1)"},
+    {kRunCrash, "run", "--crash-points", "", "", "crash-enumeration campaign"},
+    {kServe, "serve", "", "", "", "multi-session campaign server"},
+    {kAttach, "attach", "", "", "", "reattach a parked campaign"},
+    {kRepro, "repro", "", "", "", "single-test reproduction"},
+    {kCrashes, "crashes", "", "", "", "Catastrophic function lists"},
+    {kTables, "tables", "", "", "", "all paper tables and figures"},
+    {kDiff, "diff", "", "BASELINE.blog NEW.blog", "two .blog files",
+     "cross-run regression diff"},
+    {kStats, "stats", "", "FILE.blog", "one .blog file",
+     "sealed-log summary and worst MuTs"},
+};
+
+bool in(Commands set, const CommandSpec& c) {
+  return (set & commands(c.id)) != 0;
+}
+
+/// Reads `text` into the flag's slot; false when the flag's shape rejects
+/// it (`why` may then say more).
+bool read_value(Args& a, const Flag& f, std::string_view text,
+                std::string& why) {
+  return std::visit(
+      [&](auto member) {
+        auto& field = a.*member;
+        using T = std::remove_reference_t<decltype(field)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          field = true;
+          return true;
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          field = text;
+          return !text.empty();
+        } else if constexpr (std::is_same_v<T, std::optional<sim::OsVariant>>) {
+          return (field = os_from_token(text)).has_value();
+        } else if constexpr (std::is_same_v<T, std::vector<sim::OsVariant>>) {
+          field.clear();
+          for (std::size_t start = 0;;) {
+            const std::size_t comma = text.find(',', start);
+            const auto v = os_from_token(text.substr(start, comma - start));
+            if (!v) return false;
+            field.push_back(*v);
+            if (comma == std::string_view::npos) return true;
+            start = comma + 1;
+          }
+        } else if constexpr (std::is_same_v<T, std::optional<core::ApiKind>>) {
+          // "sys" is resolved per OS (Win32 or POSIX) where it is used.
+          if (text == "sys") field = core::ApiKind::kWin32Sys;
+          if (text == "clib") field = core::ApiKind::kCLib;
+          return text == "sys" || text == "clib";
+        } else if constexpr (std::is_same_v<T, std::optional<std::uint32_t>>) {
+          return (field = core::parse_group_list(text, &why)).has_value();
+        } else {  // a number: no sign, no overflow, no trailing text
+          const auto v = parse_decimal(text);
+          if (!v || *v < f.min || *v > f.max) return false;
+          field = static_cast<T>(*v);
+          return true;
+        }
+      },
+      f.slot);
+}
+
+/// Parses argv against the two tables: the command, the flags it takes with
+/// their values, and its operands.  On a usage error, says what is wrong on
+/// `err` and returns nullopt.  A flag or operand the command does not take
+/// is an error, not ignored: ignoring it would hide typos such as
+/// `repro --store x.blog` or `run nt4`.
+std::optional<Args> parse_args(int argc, const char* const* argv,
+                               std::ostream& err) {
+  if (argc < 2) return std::nullopt;
+  // Each flag given, with its value (nullopt: the value is missing).
+  std::vector<std::pair<const Flag*, std::optional<std::string>>> given;
+  std::vector<std::string> operands;
   for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag.rfind("--", 0) == 0) a.flags_seen.push_back(flag);
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        a.ok = false;
-        return "";
-      }
-      return argv[++i];
-    };
-    // Every numeric flag takes plain decimal digits: no sign, no overflow,
-    // no trailing text, and at least `min`.
-    auto number = [&](const char* text, auto& out, std::uint64_t min) {
-      const auto v = parse_decimal(text);
-      using T = std::remove_reference_t<decltype(out)>;
-      if (!v || *v < min || *v > std::numeric_limits<T>::max()) {
-        std::cerr << "invalid value '" << text << "' for "
-                  << flag.substr(0, flag.find('=')) << "\n";
-        a.ok = false;
-        return;
-      }
-      out = static_cast<T>(*v);
-    };
-    if (flag == "--os") {
-      a.os = parse_os(next());
-      if (!a.os) a.ok = false;
-    } else if (flag == "--cap") {
-      number(next(), a.cap, 1);
-    } else if (flag == "--seed") {
-      number(next(), a.seed, 0);
-    } else if (flag == "--mut") {
-      a.mut = next();
-    } else if (flag == "--case") {
-      number(next(), a.case_index, 0);
-    } else if (flag == "--groups") {
-      a.groups = next();
-      if (a.groups.empty()) a.ok = false;
-    } else if (flag == "--mut-csv") {
-      a.mut_csv = next();
-    } else if (flag == "--value-csv") {
-      a.value_csv = next();
-    } else if (flag == "--analyze") {
-      a.analyze = true;
-    } else if (flag == "--trace") {
-      a.trace_events = 16;
-    } else if (flag.rfind("--trace=", 0) == 0) {
-      number(flag.c_str() + 8, a.trace_events.emplace(), 1);
-    } else if (flag == "--event-counters") {
-      a.event_counters = true;
-    } else if (flag == "--crash-points") {
-      a.crash_points = 16;
-    } else if (flag.rfind("--crash-points=", 0) == 0) {
-      number(flag.c_str() + 15, a.crash_points.emplace(), 1);
-    } else if (flag == "--cut") {
-      number(next(), a.cut, 1);
-    } else if (flag == "--jobs") {
-      number(next(), a.jobs, 1);
-    } else if (flag == "--api") {
-      const std::string v = next();
-      if (v == "sys")
-        a.api = core::ApiKind::kWin32Sys;  // resolved per-OS below
-      else if (v == "clib")
-        a.api = core::ApiKind::kCLib;
-      else
-        a.ok = false;
-    } else if (flag == "--sessions") {
-      a.sessions = next();
-      if (a.sessions.empty()) a.ok = false;
-    } else if (flag == "--log-dir") {
-      a.log_dir = next();
-      if (a.log_dir.empty()) a.ok = false;
-    } else if (flag == "--quota") {
-      number(next(), a.quota, 1);
-    } else if (flag == "--detach-at") {
-      number(next(), a.detach_at.emplace(), 1);
-    } else if (flag == "--halt-at") {
-      number(next(), a.halt_at.emplace(), 1);
-    } else if (flag == "--wire-trace") {
-      a.wire_trace = true;
-    } else if (flag == "--shard-cases") {
-      number(next(), a.shard_cases, 1);
-    } else if (flag == "--store") {
-      a.store = next();
-    } else if (flag == "--resume") {
-      a.resume = next();
-    } else if (flag == "--baseline") {
-      a.baseline = next();
-    } else if (flag.rfind("--", 0) == 0) {
-      std::cerr << "unknown flag '" << flag << "'\n";
-      a.ok = false;
-    } else {
-      a.positional.push_back(flag);
+    const std::string_view word = argv[i];
+    if (!word.starts_with("--")) {
+      operands.emplace_back(word);
+      continue;
+    }
+    const Flag* f = std::find_if(
+        std::begin(kFlags), std::end(kFlags), [&](const Flag& flag) {
+          return word == flag.name ||
+                 (flag.bare != 0 && word.starts_with(flag.name) &&
+                  word[flag.name.size()] == '=');
+        });
+    if (f == std::end(kFlags)) {
+      err << "unknown flag '" << word << "'\n";
+      return std::nullopt;
+    }
+    auto& value = given.emplace_back(f, std::nullopt).second;
+    if (f->bare != 0)
+      value = word == f->name ? std::to_string(f->bare)
+                              : std::string(word.substr(f->name.size() + 1));
+    else if (f->meta.empty())
+      value = "";  // a switch
+    else if (i + 1 < argc)
+      value = argv[++i];
+  }
+  const auto was_given = [&](std::string_view name) {
+    return std::any_of(given.begin(), given.end(),
+                       [&](const auto& g) { return g.first->name == name; });
+  };
+
+  const CommandSpec* cmd = nullptr;
+  for (const CommandSpec& c : kCommands)
+    if (c.name == argv[1] &&
+        (c.selector.empty() ? cmd == nullptr : was_given(c.selector)))
+      cmd = &c;
+  if (cmd == nullptr) return std::nullopt;
+  const std::string label = std::string(cmd->name) +
+                            (cmd->selector.empty() ? "" : " ") +
+                            std::string(cmd->selector);
+  for (const auto& [f, value] : given) {
+    if (!in(f->takes, *cmd)) {
+      err << "unexpected argument '" << f->name << "' for " << label << "\n";
+      return std::nullopt;
+    }
+  }
+  const std::string_view want = cmd->operands;
+  if (operands.size() != (want.empty() ? 0 : 1 + static_cast<std::size_t>(
+                              std::count(want.begin(), want.end(), ' ')))) {
+    if (want.empty())
+      err << "unexpected argument '" << operands.front() << "' for " << label;
+    else
+      err << cmd->name << " takes exactly " << cmd->operand_count;
+    err << "\n";
+    return std::nullopt;
+  }
+
+  Args a;
+  a.command = cmd->id;
+  a.positional = std::move(operands);
+  for (const auto& [f, value] : given) {
+    std::string why;
+    if (value && read_value(a, *f, *value, why)) continue;
+    err << "invalid value " << (value ? "'" + *value + "'" : "(none)")
+        << " for " << f->name << (why.empty() ? "" : ": ") << why << "\n";
+    return std::nullopt;
+  }
+  for (const Flag& f : kFlags) {
+    if (in(f.required, *cmd) && !was_given(f.name)) {
+      err << label << " needs " << f.name << " " << f.meta << "\n";
+      return std::nullopt;
     }
   }
   return a;
 }
 
+/// One command's usage line: its operands and flags, the flags it requires
+/// first, wrapped at 78 columns, then its summary at column 43.
+std::string usage_line(const CommandSpec& c) {
+  std::string out = "  " + std::string(c.name);
+  const auto column = [&] {
+    const std::size_t nl = out.rfind('\n');
+    return out.size() - (nl == std::string::npos ? 0 : nl + 1);
+  };
+  const auto add = [&](const std::string& word) {
+    out += column() + 1 + word.size() > 78 ? "\n      " : " ";
+    out += word;
+  };
+  if (!c.operands.empty()) add(std::string(c.operands));
+  for (const bool required : {true, false}) {
+    for (const Flag& f : kFlags) {
+      if (!in(f.takes, c) || in(f.required, c) != required) continue;
+      std::string word(f.name);
+      if (f.bare != 0)
+        word.append("[=").append(f.meta).append("]");
+      else if (!f.meta.empty())
+        word.append(" ").append(f.meta);
+      add(required ? word : "[" + word + "]");
+    }
+  }
+  if (column() + 2 > 43) out += "\n";
+  out.append(43 - column(), ' ');
+  return out.append(c.summary).append("\n");
+}
+
 int usage() {
-  std::cerr <<
-      "usage: ballista_cli <command> [flags]\n"
-      "  list-muts [--os NAME] [--api sys|clib]   catalog of modules under test\n"
-      "  list-types                               data types and value pools\n"
-      "  list-groups [--os NAME]                  functional-group registry\n"
-      "  run [--os NAME] [--cap N] [--seed S] [--api sys|clib] [--jobs N]\n"
-      "      [--groups LIST] [--mut-csv F] [--value-csv F] [--analyze]\n"
-      "      [--trace[=N]] [--event-counters] [--crash-points[=N]]\n"
-      "      [--store F.blog | --resume F.blog] [--baseline F.blog]\n"
-      "      [--shard-cases N]\n"
-      "  serve --sessions LIST [--cap N] [--seed S] [--jobs N] [--quota N]\n"
-      "      [--shard-cases N] [--log-dir D] [--detach-at K | --halt-at K]\n"
-      "      [--wire-trace]                       multi-session campaign server\n"
-      "  attach --os NAME --log-dir D [--cap N] [--seed S] [--jobs N]\n"
-      "      [--shard-cases N] [--wire-trace]     reattach a parked campaign\n"
-      "  repro --os NAME --mut NAME --case I [--trace[=N]] [--cut K]\n"
-      "                                           single-test reproduction\n"
-      "                                           (--mut accepts group:Name)\n"
-      "  crashes [--os NAME] [--cap N] [--jobs N] Catastrophic function lists\n"
-      "  tables [--cap N] [--jobs N]              all paper tables and figures\n"
-      "  diff BASELINE.blog NEW.blog              cross-run regression diff\n"
-      "  stats FILE.blog                          sealed-log summary (CRASH\n"
-      "                                           histogram, worst MuTs)\n"
-      "OS names: win95 win98 win98se nt4 win2000 wince linux\n"
+  std::cerr << "usage: ballista_cli <command> [flags]\n";
+  for (const CommandSpec& c : kCommands) std::cerr << usage_line(c);
+  std::cerr << "OS names:";
+  for (const std::string_view os : kOsTokens) std::cerr << " " << os;
+  std::cerr << "\n" <<
       "--groups LIST restricts a run to comma-separated group tokens (see\n"
       "`list-groups`; 'all' = every group including growth groups).  The\n"
       "default campaign covers the paper's twelve groups only.\n"
@@ -259,9 +375,9 @@ int usage() {
       "--crash-points[=N] runs a crash-enumeration campaign instead of a\n"
       "robustness campaign: each case's persistence points are counted, then\n"
       "up to N cuts per case are injected and post-reboot consistency is\n"
-      "verified.  It takes --os --cap --seed --jobs --shard-cases, the store\n"
-      "flags and --groups (default filedir,memory).  repro --cut K replays\n"
-      "one (MuT, case, k) cut standalone.\n"
+      "verified.  Its --groups defaults to filedir,memory.  repro --cut K\n"
+      "replays one (MuT, case, k) cut standalone; repro --mut accepts\n"
+      "group:Name.\n"
       "`serve` multiplexes one campaign session per --sessions OS token over\n"
       "a shared machine pool; with --log-dir each session streams into its\n"
       "own .blog.  --detach-at K parks the first session after K streamed\n"
@@ -274,25 +390,6 @@ int usage() {
 core::ApiKind sys_kind_for(sim::OsVariant v) {
   return v == sim::OsVariant::kLinux ? core::ApiKind::kPosixSys
                                      : core::ApiKind::kWin32Sys;
-}
-
-/// Resolved --groups filter: the parsed mask exactly as given, unset when
-/// --groups is absent (each campaign flavour then uses its own default).
-struct GroupsArg {
-  bool ok = true;
-  std::optional<std::uint32_t> mask;
-};
-
-GroupsArg parse_groups(const Args& a) {
-  GroupsArg g;
-  if (a.groups.empty()) return g;
-  std::string err;
-  g.mask = core::parse_group_list(a.groups, &err);
-  if (!g.mask) {
-    std::cerr << err << "\n";
-    g.ok = false;
-  }
-  return g;
 }
 
 int cmd_list_groups(const harness::World& world, const Args& a) {
@@ -318,13 +415,11 @@ int cmd_list_groups(const harness::World& world, const Args& a) {
     // Per-variant MuT counts: where the group's surface shrinks (Win95's
     // missing calls, the CE subset, win32-vs-posix flavors) shows up here.
     std::cout << "      muts:";
-    static const char* kOsTokens[] = {"win95",   "win98", "win98se", "nt4",
-                                      "win2000", "wince", "linux"};
     for (sim::OsVariant v : sim::kAllVariants) {
       std::size_t n = 0;
       for (const auto& m : world.registry.muts())
         if (m.group == d.id && m.supported_on(v)) ++n;
-      std::cout << " " << kOsTokens[static_cast<unsigned>(v)] << "=" << n;
+      std::cout << " " << os_token(v) << "=" << n;
     }
     std::cout << "\n";
     std::cout << "      crash-campaign: "
@@ -455,13 +550,12 @@ std::optional<std::vector<Result>> run_variants(
   return results;
 }
 
-int cmd_run_crash(const harness::World& world, const Args& a,
-                  const GroupsArg& groups) {
+int cmd_run_crash(const harness::World& world, const Args& a) {
   const auto results = run_variants(
       world, a, core::run_crash_engine,
       [&](core::CrashOptions& opt, sim::OsVariant) {
         opt.max_cuts = *a.crash_points;
-        if (groups.mask) opt.group_mask = *groups.mask;
+        if (a.groups) opt.group_mask = *a.groups;
       });
   if (!results) return 1;
   for (const auto& r : *results) print_crash_summary(std::cout, r);
@@ -496,17 +590,15 @@ int cmd_run(const harness::World& world, const Args& a) {
                  "(a campaign log holds one OS variant)\n";
     return 2;
   }
-  const GroupsArg groups = parse_groups(a);
-  if (!groups.ok) return usage();
-  if (a.crash_points) return cmd_run_crash(world, a, groups);
+  if (a.command == kRunCrash) return cmd_run_crash(world, a);
   const auto results = run_variants(
       world, a, core::Campaign::run,
       [&](core::CampaignOptions& opt, sim::OsVariant v) {
         // A list equal to the default-campaign groups is no filter, so `run`
         // and `run --groups <defaults>` write byte-identical logs (same
         // RunHeader, no group-filter tail).
-        if (groups.mask != core::kDefaultCampaignGroupMask)
-          opt.group_mask = groups.mask;
+        if (a.groups != core::kDefaultCampaignGroupMask)
+          opt.group_mask = a.groups;
         if (a.api)
           opt.only_api =
               *a.api == core::ApiKind::kWin32Sys ? sys_kind_for(v) : *a.api;
@@ -561,10 +653,6 @@ std::optional<bool> log_is_crash(const std::string& path) {
 }
 
 int cmd_diff(const harness::World& world, const Args& a) {
-  if (a.positional.size() != 2) {
-    std::cerr << "diff takes exactly two .blog files\n";
-    return usage();
-  }
   const std::optional<bool> base_crash = log_is_crash(a.positional[0]);
   const std::optional<bool> next_crash = log_is_crash(a.positional[1]);
   if (base_crash && next_crash && *base_crash != *next_crash) {
@@ -615,10 +703,6 @@ int cmd_diff(const harness::World& world, const Args& a) {
 // log is decoded by the same store::load_result path `diff` and `--baseline`
 // use, so a log any of them accepts is one `stats` accepts.
 int cmd_stats(const harness::World& world, const Args& a) {
-  if (a.positional.size() != 1) {
-    std::cerr << "stats takes exactly one .blog file\n";
-    return usage();
-  }
   if (log_is_crash(a.positional[0]).value_or(false)) {
     const store::CrashStoreRun run =
         store::load_crash_result(world.registry, a.positional[0]);
@@ -694,7 +778,6 @@ int cmd_stats(const harness::World& world, const Args& a) {
 }
 
 int cmd_repro(const harness::World& world, const Args& a) {
-  if (!a.os || a.mut.empty()) return usage();
   // "group:Name" disambiguates API names that exist in more than one group
   // (sync re-registers e.g. CreateEvent; bare names resolve to the paper
   // MuT).  Lookups resolve through --os: the sockets group registers a
@@ -766,25 +849,16 @@ int cmd_repro(const harness::World& world, const Args& a) {
 }
 
 int cmd_crashes(const harness::World& world, const Args& a) {
-  std::vector<core::CampaignResult> results;
-  for (sim::OsVariant v : os_list(a)) {
-    core::CampaignOptions opt;
-    opt.cap = a.cap;
-    opt.seed = a.seed;
-    opt.jobs = a.jobs;
-    results.push_back(core::Campaign::run(v, world.registry, opt));
-  }
-  core::print_table3(std::cout, results);
-  for (const auto& r : results) print_observability(r, a);
+  const auto results = run_variants(world, a, core::Campaign::run,
+                                    [](core::CampaignOptions&, sim::OsVariant) {});
+  core::print_table3(std::cout, *results);
+  for (const auto& r : *results) print_observability(r, a);
   return 0;
 }
 
 int cmd_tables(const harness::World& world, const Args& a) {
-  core::CampaignOptions opt;
-  opt.cap = a.cap;
-  opt.seed = a.seed;
-  opt.jobs = a.jobs;
-  auto results = harness::run_all_variants(world, opt);
+  auto results = *run_variants(world, a, core::Campaign::run,
+                               [](core::CampaignOptions&, sim::OsVariant) {});
   core::print_table1(std::cout, results);
   std::cout << "\n";
   core::print_table2(std::cout, results);
@@ -800,12 +874,6 @@ int cmd_tables(const harness::World& world, const Args& a) {
 }
 
 // --- campaign service (serve / attach) --------------------------------------
-
-const char* os_token(sim::OsVariant v) {
-  static const char* kTokens[] = {"win95",   "win98", "win98se", "nt4",
-                                  "win2000", "wince", "linux"};
-  return kTokens[static_cast<unsigned>(v)];
-}
 
 core::CampaignOptions service_options(const Args& a) {
   core::CampaignOptions opt;
@@ -845,24 +913,7 @@ bool pump_service(rpc::CampaignServer& server,
 }
 
 int cmd_serve(const harness::World& world, const Args& a) {
-  if (a.sessions.empty()) {
-    std::cerr << "serve needs --sessions LIST (comma-separated OS names)\n";
-    return usage();
-  }
-  std::vector<sim::OsVariant> variants;
-  for (std::size_t start = 0;;) {
-    const std::size_t comma = a.sessions.find(',', start);
-    const std::string tok = a.sessions.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    const auto v = parse_os(tok);
-    if (!v) {
-      std::cerr << "unknown OS '" << tok << "' in --sessions\n";
-      return usage();
-    }
-    variants.push_back(*v);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
+  const std::vector<sim::OsVariant>& variants = a.sessions;
   if (a.detach_at && a.halt_at) {
     std::cerr << "--detach-at and --halt-at are mutually exclusive\n";
     return 2;
@@ -959,10 +1010,6 @@ int cmd_serve(const harness::World& world, const Args& a) {
 }
 
 int cmd_attach(const harness::World& world, const Args& a) {
-  if (!a.os || a.log_dir.empty()) {
-    std::cerr << "attach needs --os NAME and --log-dir DIR\n";
-    return usage();
-  }
   rpc::ServerConfig cfg;
   cfg.log_dir = a.log_dir;
   cfg.jobs = a.jobs;
@@ -1006,78 +1053,23 @@ int cmd_attach(const harness::World& world, const Args& a) {
 
 }  // namespace
 
-/// Flags each subcommand accepts.  Anything else — a flag that belongs to a
-/// different subcommand, or a trailing operand — would be silently ignored,
-/// which hides typos like `repro --store x.blog` or `run nt4`; reject with
-/// usage + exit 2 instead (same contract as the diff/stats operand checks).
-/// A crash-enumeration run (`run --crash-points`) takes the run flags that
-/// shape a crash campaign, none of those that shape or report a robustness
-/// one.
-const std::set<std::string>* allowed_flags(const std::string& command) {
-  static const std::map<std::string, std::set<std::string>> kAllowed = {
-      {"list-muts", {"--os", "--api"}},
-      {"list-types", {}},
-      {"list-groups", {"--os"}},
-      {"run",
-       {"--os", "--cap", "--seed", "--api", "--jobs", "--groups", "--mut-csv",
-        "--value-csv", "--analyze", "--trace", "--event-counters",
-        "--crash-points", "--store", "--resume", "--baseline",
-        "--shard-cases"}},
-      {"run --crash-points",
-       {"--os", "--cap", "--seed", "--jobs", "--groups", "--crash-points",
-        "--store", "--resume", "--baseline", "--shard-cases"}},
-      {"serve",
-       {"--sessions", "--cap", "--seed", "--jobs", "--quota", "--shard-cases",
-        "--log-dir", "--detach-at", "--halt-at", "--wire-trace"}},
-      {"attach",
-       {"--os", "--cap", "--seed", "--jobs", "--quota", "--shard-cases",
-        "--log-dir", "--wire-trace"}},
-      {"repro",
-       {"--os", "--mut", "--case", "--cap", "--seed", "--trace", "--cut",
-        "--event-counters"}},
-      {"crashes", {"--os", "--cap", "--seed", "--jobs", "--trace",
-                   "--event-counters"}},
-      {"tables", {"--cap", "--seed", "--jobs"}},
-      {"diff", {}},
-      {"stats", {}},
-  };
-  const auto it = kAllowed.find(command);
-  return it == kAllowed.end() ? nullptr : &it->second;
-}
-
 int main(int argc, char** argv) {
-  const Args a = parse_args(argc, argv);
-  if (!a.ok) return usage();
-  const std::string mode = a.command == "run" && a.crash_points
-                               ? "run --crash-points"
-                               : a.command;
-  const std::set<std::string>* allowed = allowed_flags(mode);
-  if (allowed != nullptr) {
-    for (const std::string& f : a.flags_seen) {
-      const std::string base = f.substr(0, f.find('='));  // --trace=8 → --trace
-      if (allowed->count(base) == 0) {
-        std::cerr << "unexpected argument '" << base << "' for " << mode
-                  << "\n";
-        return usage();
-      }
-    }
-  }
-  if (a.command != "diff" && a.command != "stats" && !a.positional.empty()) {
-    std::cerr << "unexpected argument '" << a.positional.front() << "' for "
-              << a.command << "\n";
-    return usage();
-  }
+  const std::optional<Args> a = parse_args(argc, argv, std::cerr);
+  if (!a) return usage();
   auto world = harness::build_world();
-  if (a.command == "list-muts") return cmd_list_muts(*world, a);
-  if (a.command == "list-types") return cmd_list_types(*world);
-  if (a.command == "list-groups") return cmd_list_groups(*world, a);
-  if (a.command == "run") return cmd_run(*world, a);
-  if (a.command == "serve") return cmd_serve(*world, a);
-  if (a.command == "attach") return cmd_attach(*world, a);
-  if (a.command == "repro") return cmd_repro(*world, a);
-  if (a.command == "crashes") return cmd_crashes(*world, a);
-  if (a.command == "tables") return cmd_tables(*world, a);
-  if (a.command == "diff") return cmd_diff(*world, a);
-  if (a.command == "stats") return cmd_stats(*world, a);
+  switch (a->command) {
+    case kListMuts: return cmd_list_muts(*world, *a);
+    case kListTypes: return cmd_list_types(*world);
+    case kListGroups: return cmd_list_groups(*world, *a);
+    case kRun:
+    case kRunCrash: return cmd_run(*world, *a);
+    case kServe: return cmd_serve(*world, *a);
+    case kAttach: return cmd_attach(*world, *a);
+    case kRepro: return cmd_repro(*world, *a);
+    case kCrashes: return cmd_crashes(*world, *a);
+    case kTables: return cmd_tables(*world, *a);
+    case kDiff: return cmd_diff(*world, *a);
+    case kStats: return cmd_stats(*world, *a);
+  }
   return usage();
 }
