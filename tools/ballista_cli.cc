@@ -142,8 +142,9 @@ constexpr Flag kFlags[] = {
     {"--cap", "N", &Args::cap, kCases, kNone, 1},
     {"--seed", "S", &Args::seed, kCases},
     {"--api", "sys|clib", &Args::api, commands(kListMuts, kRun)},
-    {"--jobs", "N", &Args::jobs, kCases & ~commands(kRepro), kNone, 1,
-     std::numeric_limits<unsigned>::max()},
+    // A job is a thread with a machine of its own, and serve and attach
+    // size their machine pool by it up front; nothing needs more than 256.
+    {"--jobs", "N", &Args::jobs, kCases & ~commands(kRepro), kNone, 1, 256},
     {"--quota", "N", &Args::quota, commands(kServe, kAttach), kNone, 1},
     {"--shard-cases", "N", &Args::shard_cases,
      kRuns | commands(kServe, kAttach), kNone, 1},
@@ -364,8 +365,8 @@ int usage() {
       "--groups LIST restricts a run to comma-separated group tokens (see\n"
       "`list-groups`; 'all' = every group including growth groups).  The\n"
       "default campaign covers the paper's twelve groups only.\n"
-      "--jobs N runs each campaign on N worker machines; results are\n"
-      "identical for every N (deterministic sharded engine).\n"
+      "--jobs N (at most 256) runs each campaign on N worker machines;\n"
+      "results are identical for every N (deterministic sharded engine).\n"
       "--trace[=N] dumps the causal event chain behind each Catastrophic\n"
       "failure; --event-counters prints per-variant kernel-event totals.\n"
       "--store appends each completed shard to a crash-safe log; --resume\n"
