@@ -105,9 +105,11 @@ void print_value_analysis(std::ostream& os, const ValueAnalysis& a,
   os << "\n";
 }
 
-void write_mut_csv(std::ostream& os, const CampaignResult& result) {
-  os << "os,mut,api,group,planned,executed,passes,aborts,restarts,"
-        "silent_candidates,hindering,catastrophic,crash_reproducible\n";
+void write_mut_csv(std::ostream& os, const CampaignResult& result,
+                   bool header) {
+  if (header)
+    os << "os,mut,api,group,planned,executed,passes,aborts,restarts,"
+          "silent_candidates,hindering,catastrophic,crash_reproducible\n";
   for (const MutStats& s : result.stats) {
     os << sim::variant_name(result.variant) << ',' << s.mut->name << ','
        << static_cast<int>(s.mut->api) << ',' << group_name(s.mut->group)
@@ -118,12 +120,13 @@ void write_mut_csv(std::ostream& os, const CampaignResult& result) {
   }
 }
 
-void write_value_csv(std::ostream& os, const ValueAnalysis& a) {
-  os << "type,value,exceptional,cases,failures,failure_rate\n";
+void write_value_csv(std::ostream& os, sim::OsVariant variant,
+                     const ValueAnalysis& a, bool header) {
+  if (header) os << "os,type,value,exceptional,cases,failures,failure_rate\n";
   for (const auto& s : a.stats) {
-    os << s.type_name << ',' << s.value_name << ','
-       << (s.exceptional ? 1 : 0) << ',' << s.cases << ',' << s.failures
-       << ',' << s.failure_rate() << '\n';
+    os << sim::variant_name(variant) << ',' << s.type_name << ','
+       << s.value_name << ',' << (s.exceptional ? 1 : 0) << ',' << s.cases
+       << ',' << s.failures << ',' << s.failure_rate() << '\n';
   }
 }
 

@@ -52,8 +52,12 @@ ValueAnalysis analyze_values(const CampaignResult& result,
 void print_value_analysis(std::ostream& os, const ValueAnalysis& a,
                           std::size_t top_n = 20);
 
-/// CSV exports for downstream tooling (one row per MuT / per value).
-void write_mut_csv(std::ostream& os, const CampaignResult& result);
-void write_value_csv(std::ostream& os, const ValueAnalysis& a);
+/// CSV exports for downstream tooling (one row per MuT / per value, led by
+/// the OS).  `header` writes the column line first; clear it to append a
+/// further campaign's rows under the same header.
+void write_mut_csv(std::ostream& os, const CampaignResult& result,
+                   bool header = true);
+void write_value_csv(std::ostream& os, sim::OsVariant variant,
+                     const ValueAnalysis& a, bool header = true);
 
 }  // namespace ballista::core

@@ -86,7 +86,7 @@ TEST_F(AnalysisTest, PrinterAndCsvProduceOutput) {
   const auto a = analyze_values(result, opt.cap, opt.seed);
   std::ostringstream text, vcsv, mcsv;
   print_value_analysis(text, a);
-  write_value_csv(vcsv, a);
+  write_value_csv(vcsv, result.variant, a);
   write_mut_csv(mcsv, result);
   EXPECT_NE(text.str().find("killer"), std::string::npos);
   EXPECT_NE(vcsv.str().find("mixed,killer,1,"), std::string::npos);

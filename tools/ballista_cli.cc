@@ -607,23 +607,21 @@ int cmd_run(const harness::World& world, const Args& a) {
   if (!results) return 1;
   core::print_table1(std::cout, *results);
   for (const auto& r : *results) print_observability(r, a);
+  // Each CSV is written once per run: one header, then every variant's rows.
+  std::ofstream mut_csv, value_csv;
+  if (!a.mut_csv.empty()) mut_csv.open(a.mut_csv);
+  if (!a.value_csv.empty()) value_csv.open(a.value_csv);
   for (const auto& r : *results) {
-    if (!a.mut_csv.empty()) {
-      std::ofstream f(a.mut_csv, results->size() == 1
-                                     ? std::ios::out
-                                     : std::ios::app);
-      core::write_mut_csv(f, r);
-    }
+    const bool first = &r == &results->front();
+    if (!a.mut_csv.empty()) core::write_mut_csv(mut_csv, r, first);
     if (a.analyze || !a.value_csv.empty()) {
       const auto analysis = core::analyze_values(r, a.cap, a.seed);
       if (a.analyze) {
         std::cout << "\n" << sim::variant_name(r.variant) << "\n";
         core::print_value_analysis(std::cout, analysis);
       }
-      if (!a.value_csv.empty()) {
-        std::ofstream f(a.value_csv);
-        core::write_value_csv(f, analysis);
-      }
+      if (!a.value_csv.empty())
+        core::write_value_csv(value_csv, r.variant, analysis, first);
     }
   }
   if (!a.baseline.empty()) {
