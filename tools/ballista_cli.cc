@@ -3,12 +3,8 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <optional>
-#include <string_view>
-#include <type_traits>
-#include <variant>
 #include <vector>
 
 #include "core/ballista.h"
@@ -17,376 +13,12 @@
 #include "rpc/server.h"
 #include "store/format.h"
 #include "store/store.h"
+#include "tools/cli_args.h"
 
 namespace {
 
 using namespace ballista;
-
-/// The OS names the CLI takes and prints, indexed by sim::OsVariant.
-constexpr std::array<std::string_view, sim::kAllVariants.size()> kOsTokens = {
-    "win95", "win98", "win98se", "nt4", "win2000", "wince", "linux"};
-
-std::string_view os_token(sim::OsVariant v) {
-  return kOsTokens[static_cast<std::size_t>(v)];
-}
-
-std::optional<sim::OsVariant> os_from_token(std::string_view s) {
-  for (sim::OsVariant v : sim::kAllVariants)
-    if (os_token(v) == s) return v;
-  return std::nullopt;
-}
-
-/// Plain decimal digits that fit in 64 bits, or nullopt.
-std::optional<std::uint64_t> parse_decimal(std::string_view s) {
-  if (s.empty()) return std::nullopt;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const std::uint64_t d = static_cast<std::uint64_t>(c - '0');
-    if (v > (std::numeric_limits<std::uint64_t>::max() - d) / 10)
-      return std::nullopt;
-    v = v * 10 + d;
-  }
-  return v;
-}
-
-/// The commands.  A crash-enumeration run (`run --crash-points`) is a
-/// command of its own: it takes the run flags that shape a crash campaign,
-/// none of those that shape or report a robustness one.
-enum class Command : std::uint8_t {
-  kListMuts, kListTypes, kListGroups, kRun, kRunCrash, kServe, kAttach,
-  kRepro, kCrashes, kTables, kDiff, kStats,
-};
-using enum Command;
-
-/// A set of commands, one bit per Command.
-using Commands = std::uint32_t;
-
-template <class... C>
-constexpr Commands commands(C... c) {
-  return ((Commands{1} << static_cast<unsigned>(c)) | ...);
-}
-
-struct Args {
-  Command command{};
-  std::optional<sim::OsVariant> os;
-  std::optional<core::ApiKind> api;
-  std::uint64_t cap = core::kDefaultCap;
-  std::uint64_t seed = 0x8a11157a;
-  std::string mut;
-  std::uint64_t case_index = 0;
-  /// --groups mask; unset = each campaign flavour's default groups.
-  std::optional<std::uint32_t> groups;
-  std::string mut_csv, value_csv;
-  bool analyze = false;
-  unsigned jobs = 1;
-  std::optional<std::uint64_t> crash_points;
-  std::uint64_t cut = 0;  // 0: no cut
-  std::optional<std::uint64_t> trace_events;
-  bool event_counters = false;
-  std::string store, resume, baseline;
-  std::vector<sim::OsVariant> sessions;
-  std::string log_dir;
-  std::uint64_t quota = 2;
-  std::optional<std::uint64_t> detach_at, halt_at;
-  bool wire_trace = false;
-  std::uint64_t shard_cases = 2048;
-  /// Operands: the .blog files diff and stats read.
-  std::vector<std::string> positional;
-};
-
-/// Where a flag's value lands.  The member's type also says how the text is
-/// read: a switch takes none; a number is plain decimal digits within the
-/// flag's bounds; a string is any non-empty text; the rest are an OS name, a
-/// comma-separated list of them, `sys|clib`, or a `--groups` list
-/// (core::parse_group_list).
-using Slot = std::variant<bool Args::*, unsigned Args::*, std::uint64_t Args::*,
-                          std::optional<std::uint64_t> Args::*,
-                          std::string Args::*,
-                          std::optional<sim::OsVariant> Args::*,
-                          std::vector<sim::OsVariant> Args::*,
-                          std::optional<core::ApiKind> Args::*,
-                          std::optional<std::uint32_t> Args::*>;
-
-constexpr Commands kNone = 0;
-constexpr std::uint64_t kNoMax = std::numeric_limits<std::uint64_t>::max();
-
-struct Flag {
-  std::string_view name;
-  std::string_view meta;  // the value's placeholder; empty for a switch
-  Slot slot;
-  Commands takes = kNone;
-  Commands required = kNone;  // commands that refuse to run without it
-  std::uint64_t min = 0, max = kNoMax;
-  /// Nonzero for a flag written --name[=N]: the value bare --name stands for.
-  std::uint64_t bare = 0;
-};
-
-constexpr Commands kRuns = commands(kRun, kRunCrash);
-/// The commands that run campaign cases.
-constexpr Commands kCases =
-    kRuns | commands(kServe, kAttach, kRepro, kCrashes, kTables);
-
-/// Every flag, in usage order: name, placeholder, slot, the commands that
-/// take it and those that require it, then a number's bounds and bare value.
-constexpr Flag kFlags[] = {
-    {"--os", "NAME", &Args::os,
-     kRuns | commands(kListMuts, kListGroups, kAttach, kRepro, kCrashes),
-     commands(kAttach, kRepro)},
-    {"--sessions", "LIST", &Args::sessions, commands(kServe),
-     commands(kServe)},
-    {"--mut", "NAME", &Args::mut, commands(kRepro), commands(kRepro)},
-    {"--case", "I", &Args::case_index, commands(kRepro)},
-    {"--crash-points", "N", &Args::crash_points, commands(kRunCrash),
-     commands(kRunCrash), 1, kNoMax, 16},
-    {"--cap", "N", &Args::cap, kCases, kNone, 1},
-    {"--seed", "S", &Args::seed, kCases},
-    {"--api", "sys|clib", &Args::api, commands(kListMuts, kRun)},
-    // A job is a thread with a machine of its own, and serve and attach
-    // size their machine pool by it up front; nothing needs more than 256.
-    {"--jobs", "N", &Args::jobs, kCases & ~commands(kRepro), kNone, 1, 256},
-    {"--quota", "N", &Args::quota, commands(kServe, kAttach), kNone, 1},
-    {"--shard-cases", "N", &Args::shard_cases,
-     kRuns | commands(kServe, kAttach), kNone, 1},
-    {"--groups", "LIST", &Args::groups, kRuns},
-    {"--mut-csv", "F", &Args::mut_csv, commands(kRun)},
-    {"--value-csv", "F", &Args::value_csv, commands(kRun)},
-    {"--analyze", "", &Args::analyze, commands(kRun)},
-    {"--trace", "N", &Args::trace_events, commands(kRun, kRepro, kCrashes),
-     kNone, 1, kNoMax, 16},
-    {"--event-counters", "", &Args::event_counters,
-     commands(kRun, kRepro, kCrashes)},
-    {"--cut", "K", &Args::cut, commands(kRepro), kNone, 1},
-    {"--store", "F.blog", &Args::store, kRuns},
-    {"--resume", "F.blog", &Args::resume, kRuns},
-    {"--baseline", "F.blog", &Args::baseline, kRuns},
-    {"--log-dir", "D", &Args::log_dir, commands(kServe, kAttach),
-     commands(kAttach)},
-    {"--detach-at", "K", &Args::detach_at, commands(kServe), kNone, 1},
-    {"--halt-at", "K", &Args::halt_at, commands(kServe), kNone, 1},
-    {"--wire-trace", "", &Args::wire_trace, commands(kServe, kAttach)},
-};
-
-struct CommandSpec {
-  Command id;
-  std::string_view name;
-  /// A flag whose presence picks this row over the plain one of its name.
-  std::string_view selector;
-  /// The operands' placeholders, and how many of them, in words.
-  std::string_view operands, operand_count;
-  std::string_view summary;
-};
-
-constexpr CommandSpec kCommands[] = {
-    {kListMuts, "list-muts", "", "", "", "catalog of modules under test"},
-    {kListTypes, "list-types", "", "", "", "data types and value pools"},
-    {kListGroups, "list-groups", "", "", "", "functional-group registry"},
-    {kRun, "run", "", "", "", "robustness campaign (Table 1)"},
-    {kRunCrash, "run", "--crash-points", "", "", "crash-enumeration campaign"},
-    {kServe, "serve", "", "", "", "multi-session campaign server"},
-    {kAttach, "attach", "", "", "", "reattach a parked campaign"},
-    {kRepro, "repro", "", "", "", "single-test reproduction"},
-    {kCrashes, "crashes", "", "", "", "Catastrophic function lists"},
-    {kTables, "tables", "", "", "", "all paper tables and figures"},
-    {kDiff, "diff", "", "BASELINE.blog NEW.blog", "two .blog files",
-     "cross-run regression diff"},
-    {kStats, "stats", "", "FILE.blog", "one .blog file",
-     "sealed-log summary and worst MuTs"},
-};
-
-bool in(Commands set, const CommandSpec& c) {
-  return (set & commands(c.id)) != 0;
-}
-
-/// Reads `text` into the flag's slot; false when the flag's shape rejects
-/// it (`why` may then say more).
-bool read_value(Args& a, const Flag& f, std::string_view text,
-                std::string& why) {
-  return std::visit(
-      [&](auto member) {
-        auto& field = a.*member;
-        using T = std::remove_reference_t<decltype(field)>;
-        if constexpr (std::is_same_v<T, bool>) {
-          field = true;
-          return true;
-        } else if constexpr (std::is_same_v<T, std::string>) {
-          field = text;
-          return !text.empty();
-        } else if constexpr (std::is_same_v<T, std::optional<sim::OsVariant>>) {
-          return (field = os_from_token(text)).has_value();
-        } else if constexpr (std::is_same_v<T, std::vector<sim::OsVariant>>) {
-          field.clear();
-          for (std::size_t start = 0;;) {
-            const std::size_t comma = text.find(',', start);
-            const auto v = os_from_token(text.substr(start, comma - start));
-            if (!v) return false;
-            field.push_back(*v);
-            if (comma == std::string_view::npos) return true;
-            start = comma + 1;
-          }
-        } else if constexpr (std::is_same_v<T, std::optional<core::ApiKind>>) {
-          // "sys" is resolved per OS (Win32 or POSIX) where it is used.
-          if (text == "sys") field = core::ApiKind::kWin32Sys;
-          if (text == "clib") field = core::ApiKind::kCLib;
-          return text == "sys" || text == "clib";
-        } else if constexpr (std::is_same_v<T, std::optional<std::uint32_t>>) {
-          return (field = core::parse_group_list(text, &why)).has_value();
-        } else {  // a number: no sign, no overflow, no trailing text
-          const auto v = parse_decimal(text);
-          if (!v || *v < f.min || *v > f.max) return false;
-          field = static_cast<T>(*v);
-          return true;
-        }
-      },
-      f.slot);
-}
-
-/// Parses argv against the two tables: the command, the flags it takes with
-/// their values, and its operands.  On a usage error, says what is wrong on
-/// `err` and returns nullopt.  A flag or operand the command does not take
-/// is an error, not ignored: ignoring it would hide typos such as
-/// `repro --store x.blog` or `run nt4`.
-std::optional<Args> parse_args(int argc, const char* const* argv,
-                               std::ostream& err) {
-  if (argc < 2) return std::nullopt;
-  // Each flag given, with its value (nullopt: the value is missing).
-  std::vector<std::pair<const Flag*, std::optional<std::string>>> given;
-  std::vector<std::string> operands;
-  for (int i = 2; i < argc; ++i) {
-    const std::string_view word = argv[i];
-    if (!word.starts_with("--")) {
-      operands.emplace_back(word);
-      continue;
-    }
-    const Flag* f = std::find_if(
-        std::begin(kFlags), std::end(kFlags), [&](const Flag& flag) {
-          return word == flag.name ||
-                 (flag.bare != 0 && word.starts_with(flag.name) &&
-                  word[flag.name.size()] == '=');
-        });
-    if (f == std::end(kFlags)) {
-      err << "unknown flag '" << word << "'\n";
-      return std::nullopt;
-    }
-    auto& value = given.emplace_back(f, std::nullopt).second;
-    if (f->bare != 0)
-      value = word == f->name ? std::to_string(f->bare)
-                              : std::string(word.substr(f->name.size() + 1));
-    else if (f->meta.empty())
-      value = "";  // a switch
-    else if (i + 1 < argc)
-      value = argv[++i];
-  }
-  const auto was_given = [&](std::string_view name) {
-    return std::any_of(given.begin(), given.end(),
-                       [&](const auto& g) { return g.first->name == name; });
-  };
-
-  const CommandSpec* cmd = nullptr;
-  for (const CommandSpec& c : kCommands)
-    if (c.name == argv[1] &&
-        (c.selector.empty() ? cmd == nullptr : was_given(c.selector)))
-      cmd = &c;
-  if (cmd == nullptr) return std::nullopt;
-  const std::string label = std::string(cmd->name) +
-                            (cmd->selector.empty() ? "" : " ") +
-                            std::string(cmd->selector);
-  for (const auto& [f, value] : given) {
-    if (!in(f->takes, *cmd)) {
-      err << "unexpected argument '" << f->name << "' for " << label << "\n";
-      return std::nullopt;
-    }
-  }
-  const std::string_view want = cmd->operands;
-  if (operands.size() != (want.empty() ? 0 : 1 + static_cast<std::size_t>(
-                              std::count(want.begin(), want.end(), ' ')))) {
-    if (want.empty())
-      err << "unexpected argument '" << operands.front() << "' for " << label;
-    else
-      err << cmd->name << " takes exactly " << cmd->operand_count;
-    err << "\n";
-    return std::nullopt;
-  }
-
-  Args a;
-  a.command = cmd->id;
-  a.positional = std::move(operands);
-  for (const auto& [f, value] : given) {
-    std::string why;
-    if (value && read_value(a, *f, *value, why)) continue;
-    err << "invalid value " << (value ? "'" + *value + "'" : "(none)")
-        << " for " << f->name << (why.empty() ? "" : ": ") << why << "\n";
-    return std::nullopt;
-  }
-  for (const Flag& f : kFlags) {
-    if (in(f.required, *cmd) && !was_given(f.name)) {
-      err << label << " needs " << f.name << " " << f.meta << "\n";
-      return std::nullopt;
-    }
-  }
-  return a;
-}
-
-/// One command's usage line: its operands and flags, the flags it requires
-/// first, wrapped at 78 columns, then its summary at column 43.
-std::string usage_line(const CommandSpec& c) {
-  std::string out = "  " + std::string(c.name);
-  const auto column = [&] {
-    const std::size_t nl = out.rfind('\n');
-    return out.size() - (nl == std::string::npos ? 0 : nl + 1);
-  };
-  const auto add = [&](const std::string& word) {
-    out += column() + 1 + word.size() > 78 ? "\n      " : " ";
-    out += word;
-  };
-  if (!c.operands.empty()) add(std::string(c.operands));
-  for (const bool required : {true, false}) {
-    for (const Flag& f : kFlags) {
-      if (!in(f.takes, c) || in(f.required, c) != required) continue;
-      std::string word(f.name);
-      if (f.bare != 0)
-        word.append("[=").append(f.meta).append("]");
-      else if (!f.meta.empty())
-        word.append(" ").append(f.meta);
-      add(required ? word : "[" + word + "]");
-    }
-  }
-  if (column() + 2 > 43) out += "\n";
-  out.append(43 - column(), ' ');
-  return out.append(c.summary).append("\n");
-}
-
-int usage() {
-  std::cerr << "usage: ballista_cli <command> [flags]\n";
-  for (const CommandSpec& c : kCommands) std::cerr << usage_line(c);
-  std::cerr << "OS names:";
-  for (const std::string_view os : kOsTokens) std::cerr << " " << os;
-  std::cerr << "\n" <<
-      "--groups LIST restricts a run to comma-separated group tokens (see\n"
-      "`list-groups`; 'all' = every group including growth groups).  The\n"
-      "default campaign covers the paper's twelve groups only.\n"
-      "--jobs N (at most 256) runs each campaign on N worker machines;\n"
-      "results are identical for every N (deterministic sharded engine).\n"
-      "--trace[=N] dumps the causal event chain behind each Catastrophic\n"
-      "failure; --event-counters prints per-variant kernel-event totals.\n"
-      "--store appends each completed shard to a crash-safe log; --resume\n"
-      "recovers such a log and re-runs only the missing shards; --baseline\n"
-      "diffs the run against an earlier log and exits 3 on any drift.\n"
-      "Store flags require a single --os.  See README.md for details.\n"
-      "--crash-points[=N] runs a crash-enumeration campaign instead of a\n"
-      "robustness campaign: each case's persistence points are counted, then\n"
-      "up to N cuts per case are injected and post-reboot consistency is\n"
-      "verified.  Its --groups defaults to filedir,memory.  repro --cut K\n"
-      "replays one (MuT, case, k) cut standalone; repro --mut accepts\n"
-      "group:Name.\n"
-      "`serve` multiplexes one campaign session per --sessions OS token over\n"
-      "a shared machine pool; with --log-dir each session streams into its\n"
-      "own .blog.  --detach-at K parks the first session after K streamed\n"
-      "shards and reattaches it once the others finish; --halt-at K parks it\n"
-      "and exits, leaving the partial log for a later `attach`.  Both ends of\n"
-      "a resume must agree on cap/seed/--shard-cases (the fingerprint).\n";
-  return 2;
-}
+using namespace ballista::cli;
 
 core::ApiKind sys_kind_for(sim::OsVariant v) {
   return v == sim::OsVariant::kLinux ? core::ApiKind::kPosixSys
