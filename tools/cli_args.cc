@@ -1,6 +1,7 @@
 #include "tools/cli_args.h"
 
 #include <algorithm>
+#include <charconv>
 #include <iostream>
 #include <type_traits>
 
@@ -13,17 +14,13 @@ std::optional<sim::OsVariant> os_from_token(std::string_view s) {
     if (os_token(v) == s) return v;
   return std::nullopt;
 }
-/// Plain decimal digits that fit in 64 bits, or nullopt.
+/// Plain decimal digits that fit in 64 bits, or nullopt: from_chars takes
+/// no sign for an unsigned type and reports overflow; nothing may trail.
 std::optional<std::uint64_t> parse_decimal(std::string_view s) {
-  if (s.empty()) return std::nullopt;
   std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const std::uint64_t d = static_cast<std::uint64_t>(c - '0');
-    if (v > (std::numeric_limits<std::uint64_t>::max() - d) / 10)
-      return std::nullopt;
-    v = v * 10 + d;
-  }
+  const char* end = s.data() + s.size();
+  const auto [stop, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || stop != end) return std::nullopt;
   return v;
 }
 /// Reads `text` into the flag's slot; false when the flag's shape rejects
