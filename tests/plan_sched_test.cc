@@ -1,8 +1,9 @@
 // Tests for the plan/schedule/execute engine: plan structure (chains,
 // splitting, single-shard mode), MachinePool reuse, work-stealing queue
 // coverage, and the determinism contract — the merged CampaignResult must be
-// bit-identical across worker counts and identical to the legacy sequential
-// loop, for every OS variant and every shard size.
+// bit-identical across worker counts and identical to the whole campaign run
+// as one shard on one machine (Campaign::run_sequential), for every OS
+// variant and every shard size.
 #include <gtest/gtest.h>
 
 #include <map>

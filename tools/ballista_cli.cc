@@ -148,9 +148,9 @@ void print_crash_summary(std::ostream& os,
 }
 
 /// Runs one campaign per selected OS, through the store when --store or
-/// --resume names a log.  Both campaign flavours share it, so both take the
-/// common flags alike; `tune(opt, v)` adds the flavour's own.  nullopt once
-/// a store error is reported.
+/// --resume names a log.  Every campaign command shares it, so all take the
+/// common flags alike; `tune(opt, v)` adds a command's own.  nullopt once a
+/// store error is reported.
 template <class Options, class Result, class Tune>
 std::optional<std::vector<Result>> run_variants(
     const harness::World& world, const Args& a,
@@ -479,17 +479,18 @@ int cmd_repro(const harness::World& world, const Args& a) {
   return r.outcome == core::Outcome::kPass ? 0 : 1;
 }
 
+/// The `tune` of a campaign command with no options of its own.
+constexpr auto kNoTuning = [](core::CampaignOptions&, sim::OsVariant) {};
+
 int cmd_crashes(const harness::World& world, const Args& a) {
-  const auto results = run_variants(world, a, core::Campaign::run,
-                                    [](core::CampaignOptions&, sim::OsVariant) {});
+  const auto results = run_variants(world, a, core::Campaign::run, kNoTuning);
   core::print_table3(std::cout, *results);
   for (const auto& r : *results) print_observability(r, a);
   return 0;
 }
 
 int cmd_tables(const harness::World& world, const Args& a) {
-  auto results = *run_variants(world, a, core::Campaign::run,
-                               [](core::CampaignOptions&, sim::OsVariant) {});
+  auto results = *run_variants(world, a, core::Campaign::run, kNoTuning);
   core::print_table1(std::cout, results);
   std::cout << "\n";
   core::print_table2(std::cout, results);

@@ -14,6 +14,7 @@ std::optional<sim::OsVariant> os_from_token(std::string_view s) {
     if (os_token(v) == s) return v;
   return std::nullopt;
 }
+
 /// Plain decimal digits that fit in 64 bits, or nullopt: from_chars takes
 /// no sign for an unsigned type and reports overflow; nothing may trail.
 std::optional<std::uint64_t> parse_decimal(std::string_view s) {
@@ -23,6 +24,7 @@ std::optional<std::uint64_t> parse_decimal(std::string_view s) {
   if (ec != std::errc() || stop != end) return std::nullopt;
   return v;
 }
+
 /// Reads `text` into the flag's slot; false when the flag's shape rejects
 /// it (`why` may then say more).
 bool read_value(Args& a, const Flag& f, std::string_view text,
@@ -56,7 +58,7 @@ bool read_value(Args& a, const Flag& f, std::string_view text,
           return text == "sys" || text == "clib";
         } else if constexpr (std::is_same_v<T, std::optional<std::uint32_t>>) {
           return (field = core::parse_group_list(text, &why)).has_value();
-        } else {  // a number: no sign, no overflow, no trailing text
+        } else {  // a number within the flag's bounds
           const auto v = parse_decimal(text);
           if (!v || *v < f.min || *v > f.max) return false;
           field = static_cast<T>(*v);
@@ -119,10 +121,12 @@ std::optional<Args> parse_args(int argc, const char* const* argv,
       return std::nullopt;
     }
   }
-  const std::string_view want = cmd->operands;
-  if (operands.size() != (want.empty() ? 0 : 1 + static_cast<std::size_t>(
-                              std::count(want.begin(), want.end(), ' ')))) {
-    if (want.empty())
+  const std::string_view want = cmd->operands;  // one placeholder each
+  const std::size_t wanted =
+      want.empty() ? 0 : 1 + static_cast<std::size_t>(
+                                 std::count(want.begin(), want.end(), ' '));
+  if (operands.size() != wanted) {
+    if (wanted == 0)
       err << "unexpected argument '" << operands.front() << "' for " << label;
     else
       err << cmd->name << " takes exactly " << cmd->operand_count;

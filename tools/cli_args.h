@@ -28,6 +28,7 @@ inline constexpr std::array<std::string_view, sim::kAllVariants.size()>
 inline std::string_view os_token(sim::OsVariant v) {
   return kOsTokens[static_cast<std::size_t>(v)];
 }
+
 /// The commands.  A crash-enumeration run (`run --crash-points`) is a
 /// command of its own: it takes the run flags that shape a crash campaign,
 /// none of those that shape or report a robustness one.
