@@ -147,6 +147,17 @@ void print_crash_summary(std::ostream& os,
          << (f.detail.empty() ? "" : "  (" + f.detail + ")") << "\n";
 }
 
+/// The campaign options every campaign command takes from its flags.
+template <class Options>
+Options campaign_options(const Args& a) {
+  Options opt;
+  opt.cap = a.cap;
+  opt.seed = a.seed;
+  opt.jobs = a.jobs;
+  opt.shard_cases = a.shard_cases;
+  return opt;
+}
+
 /// Runs one campaign per selected OS, through the store when --store or
 /// --resume names a log.  Every campaign command shares it, so all take the
 /// common flags alike; `tune(opt, v)` adds a command's own.  nullopt once a
@@ -158,11 +169,7 @@ std::optional<std::vector<Result>> run_variants(
     const Tune& tune) {
   std::vector<Result> results;
   for (sim::OsVariant v : os_list(a)) {
-    Options opt;
-    opt.cap = a.cap;
-    opt.seed = a.seed;
-    opt.jobs = a.jobs;
-    opt.shard_cases = a.shard_cases;
+    Options opt = campaign_options<Options>(a);
     tune(opt, v);
     if (a.store.empty() && a.resume.empty()) {
       results.push_back(engine(v, world.registry, opt));
@@ -507,14 +514,6 @@ int cmd_tables(const harness::World& world, const Args& a) {
 
 // --- campaign service (serve / attach) --------------------------------------
 
-core::CampaignOptions service_options(const Args& a) {
-  core::CampaignOptions opt;
-  opt.cap = a.cap;
-  opt.seed = a.seed;
-  opt.shard_cases = a.shard_cases;
-  return opt;
-}
-
 void enable_wire_trace(rpc::CampaignServer& server) {
   server.wire_trace = [](char dir, const rpc::Message& m) {
     std::cout << (dir == '<' ? "<- " : "-> ") << rpc::describe(m) << "\n";
@@ -564,7 +563,7 @@ int cmd_serve(const harness::World& world, const Args& a) {
   rpc::CampaignServer server(world.registry, cfg);
   if (a.wire_trace) enable_wire_trace(server);
 
-  const core::CampaignOptions opt = service_options(a);
+  const core::CampaignOptions opt = campaign_options<core::CampaignOptions>(a);
   std::vector<std::unique_ptr<rpc::Channel>> channels;
   std::vector<std::unique_ptr<rpc::CampaignClient>> clients;
   for (sim::OsVariant v : variants) {
@@ -649,7 +648,7 @@ int cmd_attach(const harness::World& world, const Args& a) {
   rpc::CampaignServer server(world.registry, cfg);
   if (a.wire_trace) enable_wire_trace(server);
 
-  const core::CampaignOptions opt = service_options(a);
+  const core::CampaignOptions opt = campaign_options<core::CampaignOptions>(a);
   rpc::Channel ch;
   server.bind(ch.a());
   rpc::CampaignClient client(ch.b(), world.registry, *a.os, opt);
