@@ -153,8 +153,9 @@ TEST(CliArgs, EveryNumericFlagTakesItsBounds) {
           std::holds_alternative<std::optional<sim::OsVariant> Args::*>(
               r.slot) ||
           std::holds_alternative<std::vector<sim::OsVariant> Args::*>(r.slot);
-      base = with(base, r, os_shaped ? std::string(os_token(sim::OsVariant::kWinNT4))
-                                     : std::string("x"));
+      const std::string_view value =
+          os_shaped ? os_token(sim::OsVariant::kWinNT4) : "x";
+      base = with(base, r, std::string(value));
     }
     ASSERT_TRUE(parse(base).args.has_value()) << joined(base);
     for (const Flag& f : kFlags) {
