@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <exception>
+#include <mutex>
 #include <thread>
 
 #include "core/report.h"
@@ -262,57 +264,131 @@ Plan plan_for(sim::OsVariant variant, const Registry& registry,
   return make_plan(variant, registry, popt);
 }
 
-void fan_out(unsigned workers,
-             const std::function<void(unsigned, const std::atomic<bool>&)>& work,
-             const std::function<void()>& drain) {
+struct WorkerPool::Threads {
+  std::mutex mu;
+  std::condition_variable wake;  // workers: a new Work, or exit
+  std::condition_variable idle;  // wait(): the last worker returned
+  Work work;
+  std::uint64_t generation = 0;  // bumped by every start()
+  unsigned running = 0;          // workers still inside the current Work
+  bool exit = false;
   std::atomic<bool> stop{false};
-  if (workers <= 1) {
-    work(0, stop);
-    if (drain) drain();
-    return;
-  }
-  std::atomic<unsigned> active{workers};
-  std::vector<std::exception_ptr> errors(workers);
+  std::vector<std::exception_ptr> errors;  // one per worker
   std::vector<std::thread> threads;
-  threads.reserve(workers);
-  try {
-    for (unsigned w = 0; w < workers; ++w) {
-      threads.emplace_back([&, w] {
-        try {
-          work(w, stop);
-        } catch (...) {
-          errors[w] = std::current_exception();
-          stop.store(true, std::memory_order_relaxed);
-        }
-        active.fetch_sub(1, std::memory_order_release);
-      });
+
+  void main(unsigned w) {
+    std::uint64_t seen = 0;
+    std::unique_lock<std::mutex> lock(mu);
+    for (;;) {
+      wake.wait(lock, [&] { return exit || generation != seen; });
+      if (exit) return;
+      seen = generation;
+      lock.unlock();
+      try {
+        work(w, stop);
+      } catch (...) {
+        errors[w] = std::current_exception();
+        stop.store(true, std::memory_order_relaxed);
+      }
+      lock.lock();
+      if (--running == 0) idle.notify_all();
     }
-  } catch (...) {  // a thread could not be started: stop and join the rest
-    stop.store(true, std::memory_order_relaxed);
-    for (auto& t : threads) t.join();
+  }
+};
+
+WorkerPool::WorkerPool(unsigned workers) : workers_(std::max(workers, 1u)) {
+  if (workers_ == 1) return;
+  threads_ = std::make_unique<Threads>();
+  Threads& t = *threads_;
+  t.errors.resize(workers_);
+  t.threads.reserve(workers_);
+  try {
+    for (unsigned w = 0; w < workers_; ++w)
+      t.threads.emplace_back([&t, w] { t.main(w); });
+  } catch (...) {  // a thread could not be started: join the rest
+    {
+      const std::lock_guard<std::mutex> lock(t.mu);
+      t.exit = true;
+    }
+    t.wake.notify_all();
+    for (auto& th : t.threads) th.join();
     throw;
   }
-  // The final pass runs after every worker has published (acquire pairs
-  // with their release), so nothing a worker handed over is left undrained.
+}
+
+WorkerPool::~WorkerPool() {
+  if (!threads_) return;
+  Threads& t = *threads_;
+  {
+    std::unique_lock<std::mutex> lock(t.mu);
+    t.stop.store(true, std::memory_order_relaxed);
+    t.idle.wait(lock, [&] { return t.running == 0; });
+    t.exit = true;
+  }
+  t.wake.notify_all();
+  for (auto& th : t.threads) th.join();
+}
+
+void WorkerPool::start(Work work) {
+  Threads& t = *threads_;
+  const std::lock_guard<std::mutex> lock(t.mu);
+  t.work = std::move(work);
+  t.stop.store(false, std::memory_order_relaxed);
+  t.running = workers_;
+  ++t.generation;
+  t.wake.notify_all();
+}
+
+void WorkerPool::request_stop() noexcept {
+  if (threads_) threads_->stop.store(true, std::memory_order_relaxed);
+}
+
+void WorkerPool::wait(const std::function<void()>& drain) {
+  Threads& t = *threads_;
   std::exception_ptr drain_error;
-  if (drain) {
-    for (;;) {
-      const bool final_pass = active.load(std::memory_order_acquire) == 0;
+  std::unique_lock<std::mutex> lock(t.mu);
+  const auto returned = [&] { return t.running == 0; };
+  for (;;) {
+    // The final pass starts after every worker has returned (the lock
+    // orders their writes before it), so nothing a worker handed over is
+    // left undrained.
+    const bool final_pass = returned();
+    if (drain && !drain_error) {
+      lock.unlock();
       try {
         drain();
       } catch (...) {
         drain_error = std::current_exception();
-        stop.store(true, std::memory_order_relaxed);
-        break;
+        t.stop.store(true, std::memory_order_relaxed);
       }
-      if (final_pass) break;
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      lock.lock();
     }
+    if (final_pass) break;
+    if (drain && !drain_error)
+      t.idle.wait_for(lock, std::chrono::microseconds(200), returned);
+    else
+      t.idle.wait(lock, returned);
   }
-  for (auto& t : threads) t.join();
-  for (auto& e : errors)
-    if (e) std::rethrow_exception(e);
+  std::exception_ptr error;
+  for (std::exception_ptr& e : t.errors) {
+    if (e && !error) error = e;
+    e = nullptr;
+  }
+  t.work = nullptr;
+  lock.unlock();
+  if (error) std::rethrow_exception(error);
   if (drain_error) std::rethrow_exception(drain_error);
+}
+
+void WorkerPool::run(const Work& work, const std::function<void()>& drain) {
+  if (!threads_) {
+    std::atomic<bool> stop{false};
+    work(0, stop);
+    if (drain) drain();
+    return;
+  }
+  start(work);
+  wait(drain);
 }
 
 namespace {
@@ -339,6 +415,7 @@ void detail::execute_shards(
                                     ? 1u
                                     : static_cast<unsigned>(plan.shards.size())));
   MachinePool pool(plan.variant, jobs);
+  WorkerPool workers(jobs);
   // At jobs 1 the single deque pops in plan order and the hook runs inline
   // right after its shard; otherwise workers publish completions to their
   // rings and the calling thread drains them, keeping hook calls serialized
@@ -372,7 +449,7 @@ void detail::execute_shards(
       }
     };
   }
-  fan_out(jobs, work, drain);
+  workers.run(work, drain);
 
   if (metrics) {
     metrics->jobs = jobs;

@@ -2,11 +2,14 @@
 //
 //   plan      (core/plan)      enumerate shards, no machine involved
 //   schedule  (core/workqueue) per-worker Chase–Lev deques + seeded stealing;
-//             (this file)      execute_plan: MachinePool + fan_out workers,
-//                              shared by the robustness campaign, the crash
-//                              campaign (core/crashplan) and, through
-//                              fan_out alone, the campaign server; jobs = 1
-//                              runs every shard in plan order on one machine
+//             (this file)      WorkerPool, the persistent threads every
+//                              parallel path runs on; execute_plan:
+//                              MachinePool + one WorkerPool per campaign,
+//                              shared by the robustness campaign and the
+//                              crash campaign (core/crashplan); the campaign
+//                              server keeps its own WorkerPool for its
+//                              lifetime; jobs = 1 runs every shard in plan
+//                              order on one machine, on the calling thread
 //   execute   (this file)      run_shard is the campaign loop (crash blame,
 //                              reboot bookkeeping, repro pass) on one pooled
 //                              machine
@@ -130,18 +133,49 @@ CampaignResult merge_outcomes(const Plan& plan,
 Plan plan_for(sim::OsVariant variant, const Registry& registry,
               const CampaignOptions& opt);
 
-/// The one place src/ starts threads.  Runs work(w, stop) for every worker
-/// w in [0, workers): on the calling thread when workers == 1, else each on
-/// a thread of its own.  While they run, the calling thread calls `drain`
-/// (when set) every 200 µs, and once more after the last worker has
-/// returned.  An exception from a worker or from `drain` raises `stop`
-/// (workers poll it between units of work) and is rethrown once every
-/// thread has joined, a worker's in preference to drain's; a throwing
-/// `drain` is never called again.
-void fan_out(unsigned workers,
-             const std::function<void(unsigned worker,
-                                      const std::atomic<bool>& stop)>& work,
-             const std::function<void()>& drain = {});
+/// The one place src/ starts threads: `workers` persistent threads, started
+/// by the constructor and joined by the destructor, that run one Work at a
+/// time, work(w, stop) on every worker w in [0, workers).  A pool of one
+/// worker starts no thread and allocates nothing: run() calls work(0, stop)
+/// on the calling thread.  Idle threads block; they never spin.
+class WorkerPool {
+ public:
+  using Work =
+      std::function<void(unsigned worker, const std::atomic<bool>& stop)>;
+
+  explicit WorkerPool(unsigned workers);
+  /// Raises the stop flag, waits for a started Work to return on every
+  /// worker (its exceptions are dropped) and joins the threads.
+  ~WorkerPool();
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
+
+  unsigned size() const noexcept { return workers_; }
+
+  /// Runs `work` on every worker and returns once each has returned.  While
+  /// they run, the calling thread calls `drain` (when set) every 200 µs, and
+  /// once more after the last worker has returned.  An exception from a
+  /// worker or from `drain` raises `stop` (workers poll it between units of
+  /// work) and is rethrown once every worker has returned, a worker's in
+  /// preference to drain's; a throwing `drain` is never called again.
+  void run(const Work& work, const std::function<void()>& drain = {});
+
+  /// Hands `work` to every worker and returns at once, for a Work that
+  /// lives as long as the pool: the destructor ends it.  Needs size() > 1.
+  void start(Work work);
+  /// Raises the stop flag the started Work polls.  A Work that blocks on a
+  /// condition of its own must also be woken.
+  void request_stop() noexcept;
+
+ private:
+  /// Blocks until the started Work has returned on every worker, then
+  /// rethrows as run() does.
+  void wait(const std::function<void()>& drain);
+
+  struct Threads;
+  unsigned workers_;
+  std::unique_ptr<Threads> threads_;  // null at one worker
+};
 
 namespace detail {
 /// Type-erased body of execute_plan.  `adopt(shard)` returns true when the

@@ -1,6 +1,7 @@
 #include "rpc/server.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <utility>
@@ -21,14 +22,37 @@ std::string fingerprint_hex(std::uint64_t fp) {
   return buf;
 }
 
+/// Runs one (session, shard) unit on `worker`'s pooled machine.
+core::ShardOutcome run_unit(core::MachinePool& pool, unsigned worker,
+                            const Session& s, std::size_t shard) {
+  return core::run_shard(pool.checkout(worker, s.variant()),
+                         s.plan().shards.at(shard), s.options());
+}
+
 }  // namespace
 
 CampaignServer::CampaignServer(const core::Registry& registry, ServerConfig cfg)
     : registry_(registry),
       cfg_(cfg),
-      pool_(kPoolSeedVariant, std::max(cfg.jobs, 1u)) {
+      pool_(kPoolSeedVariant, std::max(cfg.jobs, 1u)),
+      workers_(std::max(cfg.jobs, 1u)) {
   if (cfg_.jobs == 0) cfg_.jobs = 1;
   if (cfg_.quota == 0) cfg_.quota = 1;
+  if (workers_.size() > 1)
+    workers_.start([this](unsigned w, const std::atomic<bool>& stop) {
+      run_units(w, stop);
+    });
+}
+
+CampaignServer::~CampaignServer() {
+  // The workers block on queued_cv_, whose predicate reads the pool's stop
+  // flag: raise it under mu_, then wake them.  workers_' destructor waits
+  // for the units still running.
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    workers_.request_stop();
+  }
+  queued_cv_.notify_all();
 }
 
 void CampaignServer::bind(Endpoint& transport) {
@@ -193,68 +217,156 @@ void CampaignServer::handle_detach(Endpoint& ep, const Detach& d) {
   s.detach();
 }
 
-bool CampaignServer::schedule_round() {
-  // Candidates: attached sessions with pending shards, visited in id order
-  // rotated by the round counter, so long-lived sessions cannot starve
-  // newcomers (nor vice versa) and the interleaving is deterministic.
-  std::vector<Session*> ring;
-  for (auto& [id, s] : sessions_) {
-    if (s->state() == SessionState::kAttached && !s->all_done()) {
-      s->rewind_cursor();
-      ring.push_back(s.get());
-    }
-  }
-  if (ring.empty()) return false;
-  std::rotate(ring.begin(),
-              ring.begin() + static_cast<std::ptrdiff_t>(round_ % ring.size()),
-              ring.end());
-  ++round_;
-
-  // Collect up to `jobs` (session, shard) pairs, one per session per pass,
-  // at most `quota` per session per round.
-  struct Unit {
+CampaignServer::Selection CampaignServer::select(std::size_t rounds) const {
+  // Each lane's cursor only moves forward: every shard before it is done or
+  // picked in an earlier round, which is what "pending" means in a round
+  // that takes the earlier picks as recorded.
+  struct Lane {
     Session* session;
-    std::size_t shard;
-    core::ShardOutcome outcome;
+    std::size_t cursor;
   };
-  std::vector<Unit> batch;
-  std::vector<std::uint64_t> taken(ring.size(), 0);
-  bool any_taken = true;
-  while (batch.size() < cfg_.jobs && any_taken) {
-    any_taken = false;
-    for (std::size_t i = 0; i < ring.size() && batch.size() < cfg_.jobs; ++i) {
-      if (taken[i] >= cfg_.quota) continue;
-      if (const std::optional<std::size_t> shard = ring[i]->take_next_pending()) {
-        batch.push_back(Unit{ring[i], *shard, {}});
+  std::vector<Lane> lanes;
+  for (const auto& [id, s] : sessions_)
+    if (s->state() == SessionState::kAttached && !s->all_done())
+      lanes.push_back({s.get(), 0});
+
+  Selection sel;
+  std::vector<Lane*> ring;
+  std::vector<std::uint64_t> taken;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    // Candidates: lanes with a pending shard, visited in id order rotated by
+    // the round counter, so long-lived sessions cannot starve newcomers (nor
+    // vice versa) and the interleaving is deterministic.
+    ring.clear();
+    for (Lane& l : lanes) {
+      l.cursor = l.session->next_pending(l.cursor);
+      if (l.cursor < l.session->shard_count()) ring.push_back(&l);
+    }
+    if (ring.empty()) break;
+    std::rotate(ring.begin(),
+                ring.begin() + static_cast<std::ptrdiff_t>(
+                                   (round_ + r) % ring.size()),
+                ring.end());
+
+    // Collect up to `jobs` picks, one per session per pass, at most `quota`
+    // per session.
+    const std::size_t first = sel.picks.size();
+    taken.assign(ring.size(), 0);
+    bool any_taken = true;
+    while (sel.picks.size() - first < cfg_.jobs && any_taken) {
+      any_taken = false;
+      for (std::size_t i = 0;
+           i < ring.size() && sel.picks.size() - first < cfg_.jobs; ++i) {
+        Lane& l = *ring[i];
+        if (taken[i] >= cfg_.quota) continue;
+        l.cursor = l.session->next_pending(l.cursor);
+        if (l.cursor == l.session->shard_count()) continue;
+        sel.picks.push_back({l.session, l.cursor++});
         ++taken[i];
         any_taken = true;
       }
     }
+    if (r == 0) sel.batch = sel.picks.size();
   }
-  if (batch.empty()) return false;
+  return sel;
+}
 
-  // Execute the batch on the engine's fan-out, unit w on pooled machine w.
+std::vector<core::ShardOutcome> CampaignServer::run_batch(
+    const Selection& sel) {
+  std::vector<core::ShardOutcome> out(sel.batch);
+  if (workers_.size() == 1) {
+    for (std::size_t i = 0; i < sel.batch; ++i)
+      out[i] = run_unit(pool_, 0, *sel.picks[i].session, sel.picks[i].shard);
+    return out;
+  }
+
+  // Re-queue in selection order: the batch first, then the rounds ahead.  A
+  // unit already running or done is kept and reused; every queued one is
+  // dropped first, so one the selection no longer names (its session
+  // detached, say) is gone.
+  std::unique_lock<std::mutex> lock(mu_);
+  queue_.clear();
+  std::erase_if(units_, [](const auto& kv) {
+    return kv.second.state == Unit::State::kQueued;
+  });
+  std::vector<Unit*> batch;
+  batch.reserve(sel.batch);
+  for (const Pick& p : sel.picks) {
+    const auto [it, fresh] = units_.try_emplace({p.session->id(), p.shard});
+    Unit& u = it->second;
+    if (fresh) {
+      u.session = p.session;
+      u.shard = p.shard;
+      queue_.push_back(&u);
+    }
+    if (batch.size() < sel.batch) batch.push_back(&u);
+  }
+  if (!queue_.empty()) queued_cv_.notify_all();
+
+  done_cv_.wait(lock, [&] {
+    return std::all_of(batch.begin(), batch.end(), [](const Unit* u) {
+      return u->state == Unit::State::kDone;
+    });
+  });
+  // WorkerPool::run's rethrow contract: every unit of the batch has
+  // finished, the first failure in collection order is rethrown, and the
+  // whole batch is run again by a later step that names it.
+  std::exception_ptr error;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (batch[i]->error && !error) error = batch[i]->error;
+    out[i] = std::move(batch[i]->outcome);
+    units_.erase({batch[i]->session->id(), batch[i]->shard});
+  }
+  lock.unlock();
+  if (error) std::rethrow_exception(error);
+  return out;
+}
+
+void CampaignServer::run_units(unsigned worker,
+                               const std::atomic<bool>& stop) {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    queued_cv_.wait(lock, [&] {
+      return stop.load(std::memory_order_relaxed) || !queue_.empty();
+    });
+    if (stop.load(std::memory_order_relaxed)) return;
+    Unit& u = *queue_.front();
+    queue_.erase(queue_.begin());
+    u.state = Unit::State::kRunning;
+    const Session& s = *u.session;
+    const std::size_t shard = u.shard;
+    lock.unlock();
+    // A running unit is never erased and its outcome is read only once it
+    // is done, so the shard runs outside the lock.
+    try {
+      u.outcome = run_unit(pool_, worker, s, shard);
+    } catch (...) {
+      u.error = std::current_exception();
+    }
+    lock.lock();
+    u.state = Unit::State::kDone;
+    done_cv_.notify_one();
+  }
+}
+
+bool CampaignServer::schedule_round() {
+  const Selection sel =
+      select(workers_.size() > 1 ? 1 + kLookaheadRounds : 1);
+  if (sel.batch != 0) ++round_;
   // Shard outcomes depend only on (variant, options, shard) — checkout()
   // hands over a fully reset (or freshly built, on variant change) machine —
-  // so the batch's partition across slots and threads cannot influence any
-  // result.
-  core::fan_out(static_cast<unsigned>(batch.size()),
-                [&](unsigned w, const std::atomic<bool>&) {
-                  Unit& u = batch[w];
-                  u.outcome = core::run_shard(
-                      pool_.checkout(w, u.session->variant()),
-                      u.session->plan().shards.at(u.shard),
-                      u.session->options());
-                });
-  shards_executed_ += batch.size();
+  // so which worker ran a unit, and when, cannot influence any result.
+  std::vector<core::ShardOutcome> outcomes = run_batch(sel);
+  if (sel.batch == 0) return false;
+  shards_executed_ += sel.batch;
 
   // Record, stream and (maybe) seal in collection order — the same order a
   // jobs=1 server would have produced, which is what keeps every session's
   // log bytes independent of the jobs setting.
-  for (Unit& u : batch) {
-    Session& s = *u.session;
+  for (std::size_t i = 0; i < sel.batch; ++i) {
+    Session& s = *sel.picks[i].session;
     if (s.state() != SessionState::kAttached) continue;  // detached mid-batch
-    if (!s.record(std::move(u.outcome))) {
+    if (!s.record(std::move(outcomes[i]))) {
       Endpoint* ep = s.transport();
       s.detach();
       if (ep != nullptr)

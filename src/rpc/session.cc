@@ -103,10 +103,9 @@ std::vector<std::uint64_t> Session::completed_indices() const {
   return out;
 }
 
-std::optional<std::size_t> Session::take_next_pending() {
-  while (cursor_ < done_.size() && done_[cursor_]) ++cursor_;
-  if (cursor_ >= done_.size()) return std::nullopt;
-  return cursor_++;
+std::size_t Session::next_pending(std::size_t from) const noexcept {
+  while (from < done_.size() && done_[from]) ++from;
+  return from;
 }
 
 bool Session::record(core::ShardOutcome outcome) {

@@ -80,13 +80,9 @@ class Session {
   bool all_done() const noexcept { return done_count_ == done_.size(); }
   std::vector<std::uint64_t> completed_indices() const;
 
-  /// Next not-yet-done shard index at or after the session cursor, advancing
-  /// the cursor past it; nullopt when everything is done or already handed
-  /// out this round.  The cursor makes repeated calls within one scheduling
-  /// round hand out distinct shards.
-  std::optional<std::size_t> take_next_pending();
-  /// Rewinds the cursor to the first pending shard (start of a round).
-  void rewind_cursor() noexcept { cursor_ = 0; }
+  /// The first not-yet-done shard index at or after `from`; shard_count()
+  /// when there is none.
+  std::size_t next_pending(std::size_t from) const noexcept;
 
   /// Records one executed shard: appends it to the log (when one is bound),
   /// marks it done and queues its kStreamedShard frame.  False on a log
@@ -118,7 +114,6 @@ class Session {
   std::vector<bool> done_;
   std::size_t done_count_ = 0;
   std::vector<core::ShardOutcome> outcomes_;
-  std::size_t cursor_ = 0;
   std::deque<Message> outbox_;
 };
 

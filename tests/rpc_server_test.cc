@@ -23,6 +23,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/wire.h"
@@ -342,6 +343,154 @@ TEST(CampaignService, AFreshServerResumesAPartialSessionLog) {
                                          ref_dir + "/ref.blog", false);
   ASSERT_TRUE(ref.ok) << ref.error;
   EXPECT_EQ(slurp(server.log_path(header)), slurp(ref_dir + "/ref.blog"));
+}
+
+// --- units run ahead ---------------------------------------------------------
+//
+// At jobs > 1 the server's workers run the units of the next rounds while a
+// step records and streams its batch.  Those units must stay invisible until
+// a batch names them: detaching, failing and dying mid-campaign behave as if
+// nothing had run ahead.
+
+/// NT4 at cap 24 in 256-case shards: 237 shards, enough for a jobs-4 server
+/// to have units queued and running ahead of every step.
+CampaignOptions ahead_options() {
+  CampaignOptions opt;
+  opt.cap = 24;
+  opt.shard_cases = 256;
+  return opt;
+}
+
+std::vector<unsigned char> solo_log(const core::Registry& registry,
+                                    OsVariant v, const CampaignOptions& opt,
+                                    const std::string& stem) {
+  const std::string path = temp_dir(stem) + "/ref.blog";
+  const auto ref = store::run_with_store(v, registry, opt, path, false);
+  EXPECT_TRUE(ref.ok) << ref.error;
+  return slurp(path);
+}
+
+TEST(CampaignService, DetachWithUnitsRunningAheadStreamsOnlyTheMissingShards) {
+  const auto& world = shared_world();
+  const CampaignOptions opt = ahead_options();
+  const OsVariant v = OsVariant::kWinNT4;
+  ServerConfig cfg;
+  cfg.jobs = 4;
+  cfg.quota = 4;
+  cfg.log_dir = temp_dir("rpc_ahead_detach");
+  CampaignServer server(world.registry, cfg);
+  Channel ch;
+  server.bind(ch.a());
+
+  CampaignClient first(ch.b(), world.registry, v, opt);
+  ASSERT_TRUE(first.hello());
+  server.step();  // handshake and the first batch; later rounds run ahead
+  ASSERT_TRUE(first.poll());
+  first.detach();
+  server.step();  // the detach drops the session's queued units
+  const Session* s = server.session(1);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->state(), SessionState::kDetached);
+  // Only the batch is visible: what ran ahead is neither recorded nor
+  // counted.
+  EXPECT_EQ(s->done_count(), cfg.jobs);
+  EXPECT_EQ(first.outcomes_received(), cfg.jobs);
+  EXPECT_EQ(server.shards_executed(), cfg.jobs);
+  server.step();
+  EXPECT_EQ(server.shards_executed(), cfg.jobs);
+
+  CampaignClient second(ch.b(), world.registry, v, opt);
+  ASSERT_TRUE(second.hello());
+  pump(server, {&second});
+  ASSERT_TRUE(second.complete());
+  EXPECT_EQ(second.session_id(), 1u);
+  EXPECT_EQ(second.reused(), cfg.jobs);
+  EXPECT_EQ(second.outcomes_received(), first.plan().shards.size() - cfg.jobs);
+  const store::RunHeader header =
+      store::make_run_header(core::plan_for(v, world.registry, opt), opt);
+  EXPECT_EQ(slurp(server.log_path(header)),
+            solo_log(world.registry, v, opt, "rpc_ahead_detach_ref"));
+}
+
+TEST(CampaignService, ServerDestroyedAtJobsFourLeavesAResumableLog) {
+  const auto& world = shared_world();
+  const CampaignOptions opt = ahead_options();
+  const OsVariant v = OsVariant::kWinNT4;
+  ServerConfig cfg;
+  cfg.jobs = 4;
+  cfg.quota = 4;
+  cfg.log_dir = temp_dir("rpc_ahead_restart");
+
+  std::size_t done_first = 0;
+  {
+    CampaignServer server(world.registry, cfg);
+    Channel ch;
+    server.bind(ch.a());
+    CampaignClient client(ch.b(), world.registry, v, opt);
+    ASSERT_TRUE(client.hello());
+    for (int i = 0; i < 3; ++i) server.step();
+    ASSERT_TRUE(client.poll());
+    done_first = server.session(1)->done_count();
+    EXPECT_EQ(done_first, 3 * cfg.jobs);
+    // The server dies with units queued and running ahead.
+  }
+
+  CampaignServer server(world.registry, cfg);
+  Channel ch;
+  server.bind(ch.a());
+  CampaignClient client(ch.b(), world.registry, v, opt);
+  ASSERT_TRUE(client.hello());
+  pump(server, {&client});
+  ASSERT_TRUE(client.complete());
+  EXPECT_EQ(client.reused(), done_first);
+  const store::RunHeader header =
+      store::make_run_header(core::plan_for(v, world.registry, opt), opt);
+  EXPECT_EQ(slurp(server.log_path(header)),
+            solo_log(world.registry, v, opt, "rpc_ahead_restart_ref"));
+}
+
+TEST(CampaignService, AShardsHarnessErrorIsRethrownFromStep) {
+  // A MuT whose fifth case stops with no recorded cause: run_case reports
+  // that harness bug as a HarnessError, which reaches the caller of step().
+  core::DataType ints("stop_int");
+  for (int i = 0; i < 8; ++i)
+    ints.add("v" + std::to_string(i), /*exceptional=*/false,
+             [i](core::ValueCtx&) { return static_cast<core::RawArg>(i); });
+  core::Registry registry;
+  for (const char* name : {"stop_ok", "stop_on_five", "stop_ok_too"}) {
+    core::MuT m;
+    m.name = name;
+    m.api = core::ApiKind::kCLib;
+    m.group = core::FuncGroup::kCString;
+    m.params = {&ints};
+    m.variant_mask = core::kMaskEverything;
+    const bool stops = std::string_view(name) == "stop_on_five";
+    m.impl = [stops](core::CallContext& ctx) {
+      return stops && ctx.arg(0) == 5 ? core::stopped()
+                                      : core::error_reported(1);
+    };
+    registry.add(std::move(m));
+  }
+
+  for (const unsigned jobs : {1u, 4u}) {
+    ServerConfig cfg;
+    cfg.jobs = jobs;
+    cfg.quota = jobs;
+    CampaignServer server(registry, cfg);
+    Channel ch;
+    server.bind(ch.a());
+    CampaignClient client(ch.b(), registry, OsVariant::kWinNT4,
+                          tiny_options());
+    ASSERT_TRUE(client.hello());
+    EXPECT_THROW(
+        {
+          for (int i = 0; i < 100; ++i) server.step();
+        },
+        core::HarnessError)
+        << "jobs=" << jobs;
+    // Leaving the scope destroys the server: it must return, not wait on
+    // the failed unit or on anything queued behind it.
+  }
 }
 
 // --- lifecycle edges ---------------------------------------------------------

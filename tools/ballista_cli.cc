@@ -618,11 +618,14 @@ int cmd_serve(const harness::World& world, const Args& a) {
   for (std::size_t c = 0; c < clients.size(); ++c) {
     const rpc::CampaignClient& cl = *clients[c];
     if (a.halt_at && c == 0 && dropped) {
+      // The hint names every flag of the log's fingerprint, so following it
+      // finds the parked log instead of starting a new campaign beside it.
       std::cout << os_token(variants[c])
                 << ": parked mid-campaign (resume with `ballista_cli attach "
                    "--os "
-                << os_token(variants[c]) << " --log-dir " << a.log_dir
-                << "`)\n";
+                << os_token(variants[c]) << " --cap " << a.cap << " --seed "
+                << a.seed << " --shard-cases " << a.shard_cases
+                << " --log-dir " << a.log_dir << "`)\n";
       continue;
     }
     if (const auto result = cl.result()) {
