@@ -3,8 +3,8 @@
 // (plan / execute / merge, plus a standalone tuple-generation sweep) as JSON
 // (stdout and BENCH_parallel.json), and asserts that every worker count
 // produced the same merged CampaignResult — the engine's determinism
-// contract.  Scheduler health counters (contended steals, machine rebuilds)
-// ride along so a scaling regression can be localized without a profiler.
+// contract.  The machine-rebuild count rides along so a scaling regression
+// can be localized without a profiler.
 //
 // Speedup is bounded by the host's core count (recorded as
 // "hardware_concurrency"); on a single-core host all worker counts
@@ -79,7 +79,6 @@ int main(int argc, char** argv) {
       run.metrics.execute_seconds += m.execute_seconds;
       run.metrics.merge_seconds += m.merge_seconds;
       run.metrics.shards += m.shards;
-      run.metrics.contended_steals += m.contended_steals;
       run.metrics.machine_rebuilds += m.machine_rebuilds;
     }
     run.seconds = secs_since(start);
@@ -153,7 +152,6 @@ int main(int argc, char** argv) {
          << ", \"execute_seconds\": " << r.metrics.execute_seconds
          << ", \"merge_seconds\": " << r.metrics.merge_seconds
          << ", \"shards\": " << r.metrics.shards
-         << ", \"contended_steals\": " << r.metrics.contended_steals
          << ", \"machine_rebuilds\": " << r.metrics.machine_rebuilds << "}"
          << (i + 1 < runs.size() ? "," : "") << "\n";
   }

@@ -41,7 +41,7 @@ foreach(report IN LISTS reports)
     message(FATAL_ERROR "${report}: \"bench\" must be a non-empty string")
   endif()
   # The parallel-scaling report additionally carries per-phase engine timings
-  # and scheduler health counters; downstream tooling plots them, so their
+  # and the machine-rebuild count; downstream tooling plots them, so their
   # absence is a contract break, not a soft degradation.
   if(bench STREQUAL "parallel_scaling")
     foreach(key generate_seconds generate_cases_per_sec)
@@ -51,7 +51,7 @@ foreach(report IN LISTS reports)
       endif()
     endforeach()
     foreach(key plan_seconds execute_seconds merge_seconds shards
-                contended_steals machine_rebuilds)
+                machine_rebuilds)
       string(JSON val ERROR_VARIABLE err GET "${body}" "runs" 0 "${key}")
       if(err)
         message(FATAL_ERROR "${report}: missing runs[0].\"${key}\": ${err}")

@@ -132,17 +132,19 @@ struct CampaignOptions {
   /// parallel shards (see core/plan.h).
   std::uint64_t shard_cases = 2048;
   /// When non-null, run_engine fills these observability counters (phase
-  /// timings, steal contention, machine rebuilds).  Never affects results.
+  /// timings, machine rebuilds, reset work).  Never affects results.
   EngineMetrics* metrics = nullptr;
   /// Persistent-store hooks (src/store).  `shard_cache` is consulted before
   /// a shard executes: returning non-null substitutes the cached outcome and
   /// skips execution entirely (the --resume path; cached shards do NOT fire
   /// on_shard_complete).  `on_shard_complete` fires once per *executed*
-  /// shard as soon as its worker finishes — calls are serialized by the
-  /// engine, but arrive in completion order, which is schedule-dependent;
-  /// only the merged result is deterministic.  An exception thrown from
-  /// on_shard_complete aborts the campaign (it propagates out of
-  /// Campaign::run), which is exactly how a dying log writer should behave.
+  /// shard, on the worker that ran it, as soon as it finishes: the calling
+  /// thread at jobs 1.  Calls never overlap (the engine makes them one at a
+  /// time under one mutex), but arrive in completion order, which is
+  /// schedule-dependent; only the merged result is deterministic.  An
+  /// exception thrown from on_shard_complete aborts the campaign (no other
+  /// hook call starts, and it propagates out of Campaign::run), which is
+  /// exactly how a dying log writer should behave.
   std::function<const ShardOutcome*(const Shard&)> shard_cache;
   std::function<void(const ShardOutcome&)> on_shard_complete;
 };

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "core/report.h"
+#include "core/workqueue.h"
 
 namespace ballista::core {
 
@@ -267,7 +268,7 @@ Plan plan_for(sim::OsVariant variant, const Registry& registry,
 struct WorkerPool::Threads {
   std::mutex mu;
   std::condition_variable wake;  // workers: a new Work, or exit
-  std::condition_variable idle;  // wait(): the last worker returned
+  std::condition_variable idle;  // run(), ~WorkerPool: every worker returned
   Work work;
   std::uint64_t generation = 0;  // bumped by every start()
   unsigned running = 0;          // workers still inside the current Work
@@ -343,32 +344,16 @@ void WorkerPool::request_stop() noexcept {
   if (threads_) threads_->stop.store(true, std::memory_order_relaxed);
 }
 
-void WorkerPool::wait(const std::function<void()>& drain) {
-  Threads& t = *threads_;
-  std::exception_ptr drain_error;
-  std::unique_lock<std::mutex> lock(t.mu);
-  const auto returned = [&] { return t.running == 0; };
-  for (;;) {
-    // The final pass starts after every worker has returned (the lock
-    // orders their writes before it), so nothing a worker handed over is
-    // left undrained.
-    const bool final_pass = returned();
-    if (drain && !drain_error) {
-      lock.unlock();
-      try {
-        drain();
-      } catch (...) {
-        drain_error = std::current_exception();
-        t.stop.store(true, std::memory_order_relaxed);
-      }
-      lock.lock();
-    }
-    if (final_pass) break;
-    if (drain && !drain_error)
-      t.idle.wait_for(lock, std::chrono::microseconds(200), returned);
-    else
-      t.idle.wait(lock, returned);
+void WorkerPool::run(const Work& work) {
+  if (!threads_) {
+    std::atomic<bool> stop{false};
+    work(0, stop);
+    return;
   }
+  start(work);
+  Threads& t = *threads_;
+  std::unique_lock<std::mutex> lock(t.mu);
+  t.idle.wait(lock, [&] { return t.running == 0; });
   std::exception_ptr error;
   for (std::exception_ptr& e : t.errors) {
     if (e && !error) error = e;
@@ -377,33 +362,7 @@ void WorkerPool::wait(const std::function<void()>& drain) {
   t.work = nullptr;
   lock.unlock();
   if (error) std::rethrow_exception(error);
-  if (drain_error) std::rethrow_exception(drain_error);
 }
-
-void WorkerPool::run(const Work& work, const std::function<void()>& drain) {
-  if (!threads_) {
-    std::atomic<bool> stop{false};
-    work(0, stop);
-    if (drain) drain();
-    return;
-  }
-  start(work);
-  wait(drain);
-}
-
-namespace {
-
-/// Wait-free completion hand-off: each worker appends finished shard indices
-/// to its own ring and publishes with a release store; the calling thread is
-/// the only consumer.  Capacity is the full shard count, so a producer can
-/// never block or wrap.
-struct CompletionRing {
-  std::vector<std::size_t> slots;
-  alignas(64) std::atomic<std::size_t> published{0};
-  std::size_t drained = 0;  // consumer-only cursor
-};
-
-}  // namespace
 
 void detail::execute_shards(
     const Plan& plan, unsigned jobs,
@@ -416,44 +375,29 @@ void detail::execute_shards(
                                     : static_cast<unsigned>(plan.shards.size())));
   MachinePool pool(plan.variant, jobs);
   WorkerPool workers(jobs);
-  // At jobs 1 the single deque pops in plan order and the hook runs inline
-  // right after its shard; otherwise workers publish completions to their
-  // rings and the calling thread drains them, keeping hook calls serialized
-  // without a critical section.
-  ShardQueue queue(plan, jobs);
-  std::vector<CompletionRing> rings(jobs > 1 && complete ? jobs : 0);
-  for (auto& r : rings) r.slots.resize(plan.shards.size());
+  ShardQueue queue(plan);
+  // Hook calls take turns under one mutex, on the worker that ran the shard.
+  // `hook_threw` is set for the length of each call, so it stays set only
+  // after a call that threw, and no later call starts.
+  std::mutex hook_mu;
+  bool hook_threw = false;
 
-  const auto work = [&](unsigned w, const std::atomic<bool>& stop) {
-    while (const Shard* s = queue.next(w)) {
+  workers.run([&](unsigned w, const std::atomic<bool>& stop) {
+    while (const Shard* s = queue.next()) {
       if (stop.load(std::memory_order_relaxed)) break;
       if (adopt(*s)) continue;
       run(pool.checkout(w), *s);
       if (!complete) continue;
-      if (rings.empty()) {
-        complete(s->index);
-      } else {
-        CompletionRing& r = rings[w];
-        const std::size_t n = r.published.load(std::memory_order_relaxed);
-        r.slots[n] = s->index;
-        r.published.store(n + 1, std::memory_order_release);
-      }
+      const std::lock_guard<std::mutex> lock(hook_mu);
+      if (hook_threw) break;
+      hook_threw = true;
+      complete(s->index);
+      hook_threw = false;
     }
-  };
-  std::function<void()> drain;
-  if (!rings.empty()) {
-    drain = [&] {
-      for (CompletionRing& r : rings) {
-        const std::size_t pub = r.published.load(std::memory_order_acquire);
-        while (r.drained < pub) complete(r.slots[r.drained++]);
-      }
-    };
-  }
-  workers.run(work, drain);
+  });
 
   if (metrics) {
     metrics->jobs = jobs;
-    metrics->contended_steals = queue.contended_steals();
     metrics->machine_rebuilds = pool.machine_rebuilds();
     pool.count_reset_work(*metrics);
   }

@@ -1,7 +1,8 @@
 // Scheduling, execution and merge layers of the campaign engine.
 //
 //   plan      (core/plan)      enumerate shards, no machine involved
-//   schedule  (core/workqueue) per-worker Chase–Lev deques + seeded stealing;
+//   schedule  (core/workqueue) one atomic cursor that hands out shards in
+//                              plan order;
 //             (this file)      WorkerPool, the persistent threads every
 //                              parallel path runs on; execute_plan:
 //                              MachinePool + one WorkerPool per campaign,
@@ -33,7 +34,6 @@
 
 #include "core/campaign.h"
 #include "core/plan.h"
-#include "core/workqueue.h"
 #include "sim/machine.h"
 
 namespace ballista::core {
@@ -63,8 +63,6 @@ struct EngineMetrics {
   double merge_seconds = 0.0;
   std::uint64_t shards = 0;
   unsigned jobs = 0;
-  /// Steal attempts that lost a claim race in the work-stealing queue.
-  std::uint64_t contended_steals = 0;
   /// Machines constructed from scratch by the pool (cache misses).
   std::uint64_t machine_rebuilds = 0;
   /// Reset work the pool's machines did: fixture restores that walked the
@@ -152,13 +150,11 @@ class WorkerPool {
 
   unsigned size() const noexcept { return workers_; }
 
-  /// Runs `work` on every worker and returns once each has returned.  While
-  /// they run, the calling thread calls `drain` (when set) every 200 µs, and
-  /// once more after the last worker has returned.  An exception from a
-  /// worker or from `drain` raises `stop` (workers poll it between units of
-  /// work) and is rethrown once every worker has returned, a worker's in
-  /// preference to drain's; a throwing `drain` is never called again.
-  void run(const Work& work, const std::function<void()>& drain = {});
+  /// Runs `work` on every worker and returns once each has returned.  An
+  /// exception from a worker raises `stop` (workers poll it between units of
+  /// work) and is rethrown once every worker has returned; when several
+  /// workers threw, the lowest-numbered worker's exception wins.
+  void run(const Work& work);
 
   /// Hands `work` to every worker and returns at once, for a Work that
   /// lives as long as the pool: the destructor ends it.  Needs size() > 1.
@@ -168,10 +164,6 @@ class WorkerPool {
   void request_stop() noexcept;
 
  private:
-  /// Blocks until the started Work has returned on every worker, then
-  /// rethrows as run() does.
-  void wait(const std::function<void()>& drain);
-
   struct Threads;
   unsigned workers_;
   std::unique_ptr<Threads> threads_;  // null at one worker
@@ -193,11 +185,12 @@ void execute_shards(const Plan& plan, unsigned jobs,
 /// CrashOptions/CrashShardOutcome).  Runs `run` over every shard of `plan`
 /// on min(opt.jobs, shards) pooled machines and returns the outcomes indexed
 /// by shard.  A shard opt.shard_cache returns is adopted and neither re-run
-/// nor reported.  opt.on_shard_complete fires once per executed shard, always
-/// on the calling thread: inline right after the shard at jobs 1, else from
-/// the completion-ring drain.  A throwing hook or shard stops the campaign
-/// and propagates.  `metrics`, when set, receives jobs, contended steals and
-/// machine rebuilds.
+/// nor reported.  opt.on_shard_complete fires once per executed shard, right
+/// after it, on the worker that ran it (the calling thread at jobs 1, where
+/// shards run in plan order), one call at a time under one mutex, in
+/// completion order.  Once a hook call has thrown, no other starts.  A
+/// throwing hook or shard stops the campaign and propagates.  `metrics`,
+/// when set, receives jobs, machine rebuilds and reset work.
 template <class Options, class Outcome>
 std::vector<Outcome> execute_plan(const Plan& plan, const Options& opt,
                                   Outcome (*run)(sim::Machine&, const Shard&,

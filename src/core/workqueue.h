@@ -1,122 +1,45 @@
-// Lock-free shard scheduling.
+// Shard claiming: one atomic cursor over the plan.
 //
-// The engine deals shards round-robin into one fixed-capacity Chase–Lev
-// deque per worker.  Shards are seeded in reverse plan order so the owner,
-// popping from the bottom end, consumes its share in plan order (making the
-// jobs=1 schedule exactly the sequential schedule); thieves steal from the
-// top end — the victim's latest shards — via a CAS on `top_`.  Victim choice
-// is a per-worker seeded rotation: deterministic given (seed, worker),
-// though the *interleaving* across workers is not (and does not need to be:
-// merge is by shard index).
+// Workers claim shards in plan order from a single fetch-and-add cursor, so
+// at jobs 1 the one caller runs them in exactly plan order.  Shards are
+// ~2,048-case, multi-millisecond units, so one claim per shard does not
+// contend in practice; and merge is by shard index, so which worker claims
+// a shard, and when, never reaches a result.
 //
-// All atomic operations are seq_cst: the only races are on the two indices,
-// pops happen once per multi-millisecond shard, and TSAN reasons about
-// seq_cst directly.  The buffer never grows (capacity is the shard count,
-// known up front) and is seeded single-threaded before workers start, so the
-// storage itself is immutable while the campaign runs.  DESIGN.md §14
-// sketches the correctness argument, including the last-element arbitration.
+// The plan is immutable while the campaign runs and is built before any
+// worker starts, so the cursor is the only shared state: one fetch_add per
+// claim hands every shard out exactly once.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "common/rng.h"
 #include "core/plan.h"
 
 namespace ballista::core {
 
-/// Single-owner / multi-thief deque over pre-dealt shard pointers.
-/// `seed()` may only be called before any concurrent access; `pop()` only by
-/// the owning worker; `steal()` by anyone else.
-class ShardDeque {
- public:
-  explicit ShardDeque(std::size_t capacity) : buf_(capacity, nullptr) {}
-
-  ShardDeque(const ShardDeque&) = delete;
-  ShardDeque& operator=(const ShardDeque&) = delete;
-
-  /// Appends a shard during single-threaded setup.
-  void seed(const Shard* s) {
-    const auto b = bottom_.load(std::memory_order_relaxed);
-    buf_[static_cast<std::size_t>(b)] = s;
-    bottom_.store(b + 1, std::memory_order_relaxed);
-  }
-
-  /// Owner-side pop from the bottom end.  Uncontended pops are a store and
-  /// two loads; only the last element is arbitrated, by the same CAS on
-  /// `top_` that thieves use, so every slot is claimed exactly once.
-  const Shard* pop() {
-    const std::int64_t b = bottom_.load() - 1;
-    bottom_.store(b);
-    std::int64_t t = top_.load();
-    if (t > b) {  // already empty
-      bottom_.store(b + 1);
-      return nullptr;
-    }
-    const Shard* s = buf_[static_cast<std::size_t>(b)];
-    if (t == b) {  // last element: race the thieves for it
-      if (!top_.compare_exchange_strong(t, t + 1)) s = nullptr;
-      bottom_.store(b + 1);
-    }
-    return s;
-  }
-
-  /// Thief-side steal from the top end, keeping thieves off the owner's end
-  /// for as long as both have work.  A lost CAS sets `contended` and returns
-  /// nullptr — the caller must re-sweep before concluding the system is
-  /// drained, because the victim may still hold more shards.
-  const Shard* steal(bool& contended) {
-    std::int64_t t = top_.load();
-    const std::int64_t b = bottom_.load();
-    if (t >= b) return nullptr;  // empty
-    const Shard* s = buf_[static_cast<std::size_t>(t)];
-    if (!top_.compare_exchange_strong(t, t + 1)) {
-      contended = true;
-      return nullptr;
-    }
-    return s;
-  }
-
- private:
-  std::vector<const Shard*> buf_;
-  // On separate cache lines: top_ is hammered by thieves, bottom_ by the
-  // owner.
-  alignas(64) std::atomic<std::int64_t> top_{0};
-  alignas(64) std::atomic<std::int64_t> bottom_{0};
-};
-
-/// Work-distribution structure: shards dealt round-robin across per-worker
-/// deques.  next(worker) pops locally, then sweeps victims in a seeded
-/// per-worker rotation, retrying the sweep while any steal was contended.
-/// Returns nullptr only once every deque is truly empty.
 class ShardQueue {
  public:
-  ShardQueue(const Plan& plan, unsigned workers,
-             std::uint64_t steal_seed = 0x5ca1ab1e);
+  /// `workers` is ignored; only bench_record passes it.
+  explicit ShardQueue(const Plan& plan, unsigned /*workers*/ = 1)
+      : plan_(plan) {}
 
-  /// Claims the next shard for `worker`, or nullptr when the plan is
-  /// exhausted.  Each shard is returned exactly once across all workers.
-  const Shard* next(unsigned worker);
-
-  /// Number of steal attempts that lost a claim race (all workers summed).
-  std::uint64_t contended_steals() const {
-    return contended_steals_.load(std::memory_order_relaxed);
+  /// Claims the next shard in plan order, or nullptr once every shard is
+  /// claimed.  Each shard is returned exactly once across all callers.
+  /// `worker` is ignored; only bench_record passes it.
+  const Shard* next(unsigned /*worker*/ = 0) {
+    const std::size_t i = cursor_.fetch_add(1);
+    return i < plan_.shards.size() ? &plan_.shards[i] : nullptr;
   }
 
-  unsigned workers() const {
-    return static_cast<unsigned>(deques_.size());
-  }
+  /// Always 0: a single cursor has no steals to lose.  Only bench_record
+  /// reads it.
+  std::uint64_t contended_steals() const { return 0; }
 
  private:
-  struct alignas(64) WorkerState {
-    SplitMix64 rng{0};
-  };
-
-  std::vector<std::unique_ptr<ShardDeque>> deques_;
-  std::vector<WorkerState> states_;
-  std::atomic<std::uint64_t> contended_steals_{0};
+  const Plan& plan_;
+  std::atomic<std::size_t> cursor_{0};
 };
 
 }  // namespace ballista::core

@@ -1,16 +1,20 @@
 // Crash-consistency campaigns (core/crashplan + the store's crash flavor):
 // plan derivation from the group mask, merged-result determinism across
-// --jobs, agreement between the campaign engine and the standalone
-// crash_probe_case repro path, the kCrashOutcome codec, and the crash log's
-// resume/load drivers including record-flavor strictness.
+// --jobs, the shard-hook contract of both engines, agreement between the
+// campaign engine and the standalone crash_probe_case repro path, the
+// kCrashOutcome codec, and the crash log's resume/load drivers including
+// record-flavor strictness.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -105,7 +109,7 @@ TEST(CrashEngine, ThrowingHookStopsTheCampaign) {
   const auto& world = shared_world();
   for (const unsigned jobs : {1u, 4u}) {
     const std::string label = "jobs=" + std::to_string(jobs);
-    int calls = 0;  // the hook only ever runs on the calling thread
+    int calls = 0;  // hook calls never overlap: the engine takes them in turn
 
     CrashOptions crash = small_options();
     crash.shard_cases = 4;
@@ -138,6 +142,81 @@ TEST(CrashEngine, ThrowingHookStopsTheCampaign) {
         HookFailed)
         << label;
     EXPECT_EQ(calls, 2) << "robustness engine, " << label;
+  }
+}
+
+/// Runs one engine (`run(opt)`) at opt.jobs with every third shard adopted
+/// from `reference`, the outcomes of a jobs-1 run by shard index, and checks
+/// the hook calls: never two at once, one per executed shard, none for an
+/// adopted shard.
+template <class Options, class Outcome, class Run>
+void expect_hook_contract(Options opt, const std::vector<Outcome>& reference,
+                          Run run, const std::string& label) {
+  std::vector<unsigned> reported(reference.size(), 0);
+  std::atomic<unsigned> in_flight{0};
+  std::atomic<bool> overlapped{false};
+  opt.shard_cache = [&](const core::Shard& s) -> const Outcome* {
+    return s.index % 3 == 0 ? &reference[s.index] : nullptr;
+  };
+  opt.on_shard_complete = [&](const Outcome& o) {
+    // The in-flight count must never go above 1.
+    if (in_flight.fetch_add(1) != 0) overlapped = true;
+    // Hold the call open long enough for another worker's shard to finish.
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    ++reported[o.shard_index];
+    in_flight.fetch_sub(1);
+  };
+  run(opt);
+  EXPECT_FALSE(overlapped.load()) << label;
+  for (std::size_t i = 0; i < reported.size(); ++i)
+    EXPECT_EQ(reported[i], i % 3 == 0 ? 0u : 1u) << label << ", shard " << i;
+}
+
+TEST(CrashEngine, HookCallsNeverOverlapAndSkipAdoptedShards) {
+  // Above jobs 1 the hook runs on the worker that finished the shard, so
+  // only the engine's mutex keeps two calls apart.  Both engines, so the
+  // contract cannot drift.
+  const auto& world = shared_world();
+  CrashOptions crash = small_options();
+  crash.shard_cases = 4;
+  std::vector<CrashShardOutcome> crash_ref(
+      core::crash_plan_for(OsVariant::kWinNT4, world.registry, crash)
+          .shards.size());
+  crash.on_shard_complete = [&](const CrashShardOutcome& o) {
+    crash_ref[o.shard_index] = o;
+  };
+  core::run_crash_engine(OsVariant::kWinNT4, world.registry, crash);
+  crash.on_shard_complete = nullptr;
+
+  core::CampaignOptions robust;
+  robust.cap = 8;
+  robust.shard_cases = 4;
+  std::vector<core::ShardOutcome> robust_ref(
+      core::plan_for(OsVariant::kWinNT4, world.registry, robust)
+          .shards.size());
+  robust.on_shard_complete = [&](const core::ShardOutcome& o) {
+    robust_ref[o.shard_index] = o;
+  };
+  core::Campaign::run(OsVariant::kWinNT4, world.registry, robust);
+  robust.on_shard_complete = nullptr;
+
+  for (const unsigned jobs : {4u, 8u}) {
+    const std::string label = "jobs=" + std::to_string(jobs);
+    crash.jobs = robust.jobs = jobs;
+    ASSERT_GT(crash_ref.size(), 2 * jobs);
+    ASSERT_GT(robust_ref.size(), 2 * jobs);
+    expect_hook_contract(
+        crash, crash_ref,
+        [&](const CrashOptions& o) {
+          core::run_crash_engine(OsVariant::kWinNT4, world.registry, o);
+        },
+        "crash engine, " + label);
+    expect_hook_contract(
+        robust, robust_ref,
+        [&](const core::CampaignOptions& o) {
+          core::Campaign::run(OsVariant::kWinNT4, world.registry, o);
+        },
+        "robustness engine, " + label);
   }
 }
 

@@ -1,5 +1,5 @@
 // Tests for the plan/schedule/execute engine: plan structure (chains,
-// splitting, single-shard mode), MachinePool reuse, work-stealing queue
+// splitting, single-shard mode), MachinePool reuse, shard-cursor
 // coverage, and the determinism contract — the merged CampaignResult must be
 // bit-identical across worker counts and identical to the whole campaign run
 // as one shard on one machine (Campaign::run_sequential), for every OS
@@ -11,6 +11,7 @@
 
 #include "core/plan.h"
 #include "core/sched.h"
+#include "core/workqueue.h"
 #include "tests/test_util.h"
 
 namespace ballista::core {
@@ -185,7 +186,7 @@ TEST(ShardQueue, DeliversEveryShardExactlyOnce) {
 
   ShardQueue queue(plan, 3);
   std::set<const Shard*> delivered;
-  // Worker 1 drains everything: its own deque first, then steals the rest.
+  // Worker 1 claims every shard of a real plan; the others find none left.
   while (const Shard* s = queue.next(1)) {
     EXPECT_TRUE(delivered.insert(s).second) << "shard delivered twice";
   }

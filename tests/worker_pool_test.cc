@@ -1,8 +1,7 @@
 // core::WorkerPool, the one place src/ starts threads.  The contracts under
 // test: an exception from a worker raises the stop flag and is rethrown on
-// the caller only once every worker has returned; the drain hook gets one
-// last call after the last worker returned; the same threads serve every
-// run; destruction stops and joins a started Work that still has work
+// the caller only once every worker has returned; the same threads serve
+// every run; destruction stops and joins a started Work that still has work
 // queued; and a pool of one worker runs inline on the calling thread.
 #include <gtest/gtest.h>
 
@@ -43,24 +42,6 @@ TEST(WorkerPool, RethrowsAWorkersExceptionOnceEveryWorkerHasReturned) {
     ran.fetch_add(1);
   });
   EXPECT_EQ(ran.load(), 4u);
-}
-
-TEST(WorkerPool, DrainRunsOnceMoreAfterTheLastWorkerReturned) {
-  WorkerPool pool(3);
-  std::atomic<unsigned> published{0};
-  unsigned drains = 0;
-  unsigned last_seen = 0;
-  pool.run(
-      [&](unsigned, const std::atomic<bool>&) {
-        nap();
-        published.fetch_add(1);
-      },
-      [&] {
-        ++drains;
-        last_seen = published.load();
-      });
-  EXPECT_GE(drains, 1u);
-  EXPECT_EQ(last_seen, 3u);
 }
 
 TEST(WorkerPool, TheSameThreadsServeEveryRun) {
@@ -111,16 +92,12 @@ TEST(WorkerPool, RunsInlineAtOneWorker) {
     WorkerPool pool(workers);
     EXPECT_EQ(pool.size(), 1u);
     std::thread::id ran_on;
-    unsigned drains = 0;
-    pool.run(
-        [&](unsigned w, const std::atomic<bool>& stop) {
-          EXPECT_EQ(w, 0u);
-          EXPECT_FALSE(stop.load());
-          ran_on = std::this_thread::get_id();
-        },
-        [&] { ++drains; });
+    pool.run([&](unsigned w, const std::atomic<bool>& stop) {
+      EXPECT_EQ(w, 0u);
+      EXPECT_FALSE(stop.load());
+      ran_on = std::this_thread::get_id();
+    });
     EXPECT_EQ(ran_on, std::this_thread::get_id());
-    EXPECT_EQ(drains, 1u);
     EXPECT_THROW(pool.run([](unsigned, const std::atomic<bool>&) {
                    throw std::runtime_error("inline");
                  }),

@@ -1,7 +1,6 @@
-// Tests for the lock-free shard scheduling layer: exactly-once delivery
-// under concurrent stealing, plan-order owner pops, seeded steal-order
-// reproducibility, and the contended-steal counter.  The torture tests run
-// real threads so the tsan preset exercises the deque protocol directly.
+// Tests for the shard cursor: one caller sees exact plan order, claims from
+// any mix of worker ids come out in plan order, and real threads claim every
+// shard exactly once (the tsan preset runs that torture test).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,36 +21,6 @@ Plan skeleton_plan(std::size_t shards) {
   return plan;
 }
 
-TEST(ShardDeque, OwnerPopsAloneDrainEverything) {
-  Plan plan = skeleton_plan(7);
-  ShardDeque dq(plan.shards.size());
-  for (std::size_t i = plan.shards.size(); i-- > 0;)
-    dq.seed(&plan.shards[i]);
-  // Reverse-seeded, bottom-end pops: out comes plan order.
-  for (std::size_t i = 0; i < plan.shards.size(); ++i) {
-    const Shard* s = dq.pop();
-    ASSERT_NE(s, nullptr);
-    EXPECT_EQ(s->index, i);
-  }
-  EXPECT_EQ(dq.pop(), nullptr);
-  EXPECT_EQ(dq.pop(), nullptr);  // stays empty
-}
-
-TEST(ShardDeque, ThievesAloneDrainEverything) {
-  Plan plan = skeleton_plan(5);
-  ShardDeque dq(plan.shards.size());
-  for (const Shard& s : plan.shards) dq.seed(&s);
-  bool contended = false;
-  // Steals come from the top end: seeding order.
-  for (std::size_t i = 0; i < plan.shards.size(); ++i) {
-    const Shard* s = dq.steal(contended);
-    ASSERT_NE(s, nullptr);
-    EXPECT_EQ(s->index, i);
-  }
-  EXPECT_EQ(dq.steal(contended), nullptr);
-  EXPECT_FALSE(contended);  // empty is not contention
-}
-
 TEST(ShardQueue, SingleWorkerSeesExactPlanOrder) {
   Plan plan = skeleton_plan(23);
   ShardQueue queue(plan, 1);
@@ -63,47 +32,28 @@ TEST(ShardQueue, SingleWorkerSeesExactPlanOrder) {
   EXPECT_EQ(queue.next(0), nullptr);
 }
 
-TEST(ShardQueue, OwnerDrainsItsOwnDealInPlanOrderBeforeStealing) {
+TEST(ShardQueue, AnyWorkerClaimsInPlanOrder) {
   Plan plan = skeleton_plan(12);
   ShardQueue queue(plan, 3);
-  // Worker 1 owns shards 1, 4, 7, 10 and must surface them first, in order.
-  for (std::size_t expect : {1u, 4u, 7u, 10u}) {
-    const Shard* s = queue.next(1);
+  const unsigned workers[] = {2, 0, 0, 1, 2, 2, 1, 0, 1, 1, 0, 2};
+  for (std::size_t i = 0; i < plan.shards.size(); ++i) {
+    const Shard* s = queue.next(workers[i]);
     ASSERT_NE(s, nullptr);
-    EXPECT_EQ(s->index, expect);
+    EXPECT_EQ(s->index, i);
   }
-  // After that it steals the other workers' shards until the plan is dry.
-  std::set<std::size_t> stolen;
-  while (const Shard* s = queue.next(1)) stolen.insert(s->index);
-  EXPECT_EQ(stolen.size(), 8u);
-}
-
-TEST(ShardQueue, StealOrderIsReproducibleForTheSameSeed) {
-  const auto drain_as = [](const Plan& plan, unsigned worker,
-                           std::uint64_t seed) {
-    ShardQueue queue(plan, 4, seed);
-    std::vector<std::size_t> order;
-    while (const Shard* s = queue.next(worker)) order.push_back(s->index);
-    return order;
-  };
-  Plan plan = skeleton_plan(41);
-  const auto a = drain_as(plan, 2, 123);
-  const auto b = drain_as(plan, 2, 123);
-  EXPECT_EQ(a, b);
-  ASSERT_EQ(a.size(), plan.shards.size());
+  for (unsigned w = 0; w < 3; ++w) EXPECT_EQ(queue.next(w), nullptr);
 }
 
 TEST(ShardQueue, TortureEveryShardClaimedExactlyOnce) {
   // N workers hammer one queue; every shard must be claimed by exactly one
-  // worker.  Repeated across shapes (fewer shards than workers, uneven
-  // deals, large plans) and rounds to shake out interleavings.
+  // worker.  Repeated across shapes (fewer shards than workers, large plans)
+  // and rounds to shake out interleavings.
   for (const auto& [workers, shards] :
        std::vector<std::pair<unsigned, std::size_t>>{
            {2, 1}, {4, 3}, {4, 64}, {8, 1000}}) {
     for (int round = 0; round < 8; ++round) {
       Plan plan = skeleton_plan(shards);
-      ShardQueue queue(plan, workers,
-                       /*steal_seed=*/0xfeed + round);
+      ShardQueue queue(plan, workers);
       std::vector<std::vector<std::size_t>> claimed(workers);
       std::vector<std::thread> threads;
       std::atomic<unsigned> gate{0};
@@ -133,15 +83,6 @@ TEST(ShardQueue, TortureEveryShardClaimedExactlyOnce) {
         EXPECT_EQ(queue.next(w), nullptr);
     }
   }
-}
-
-TEST(ShardQueue, ContendedStealsCountOnlyLostRaces) {
-  // Single-threaded drains can never lose a race.
-  Plan plan = skeleton_plan(30);
-  ShardQueue queue(plan, 4);
-  while (queue.next(0) != nullptr) {
-  }
-  EXPECT_EQ(queue.contended_steals(), 0u);
 }
 
 }  // namespace
