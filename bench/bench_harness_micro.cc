@@ -1,8 +1,8 @@
 // google-benchmark micro-suite for the harness itself: cost of one test case
 // end to end (task creation, value construction, dispatch, classification)
-// per OS personality, plus the building blocks (tuple generation, simulated
-// memory access, page lookup, map-write-restore, range protect/unmap, a
-// large map, CRT set-up, machine boot)
+// per OS personality and MuT, plus the building blocks (tuple generation,
+// simulated memory access, page lookup, map-write-restore, range
+// protect/unmap, a large map, CRT set-up, machine boot)
 // and the trace-spine overhead per sink mode (disabled / counters-only /
 // full ring), reported to BENCH_trace.json.
 #include <benchmark/benchmark.h>
@@ -27,9 +27,11 @@ const harness::World& world() {
   return *w;
 }
 
-void BM_RunCase(benchmark::State& state) {
+/// One MuT's cases in turn on one variant (the argument): what its simulated
+/// kernel or CRT work costs per case, the restore and dispatch included.
+void BM_RunCase(benchmark::State& state, const char* name) {
   const auto variant = static_cast<sim::OsVariant>(state.range(0));
-  const core::MuT* mut = world().registry.find("strlen");
+  const core::MuT* mut = world().registry.find(name);
   sim::Machine machine(variant);
   core::Executor executor(machine);
   core::TupleGenerator gen(*mut);
@@ -40,11 +42,22 @@ void BM_RunCase(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_RunCase)
+BENCHMARK_CAPTURE(BM_RunCase, strlen, "strlen")
     ->Arg(static_cast<int>(sim::OsVariant::kLinux))
     ->Arg(static_cast<int>(sim::OsVariant::kWinNT4))
     ->Arg(static_cast<int>(sim::OsVariant::kWin98))
     ->Arg(static_cast<int>(sim::OsVariant::kWinCE));
+// The C-library copy and format loops that walk simulated strings a page at
+// a time.
+BENCHMARK_CAPTURE(BM_RunCase, strncpy, "strncpy")
+    ->Arg(static_cast<int>(sim::OsVariant::kLinux))
+    ->Arg(static_cast<int>(sim::OsVariant::kWinNT4));
+BENCHMARK_CAPTURE(BM_RunCase, strcat, "strcat")
+    ->Arg(static_cast<int>(sim::OsVariant::kLinux))
+    ->Arg(static_cast<int>(sim::OsVariant::kWinNT4));
+BENCHMARK_CAPTURE(BM_RunCase, strftime, "strftime")
+    ->Arg(static_cast<int>(sim::OsVariant::kLinux))
+    ->Arg(static_cast<int>(sim::OsVariant::kWinNT4));
 
 void BM_RunCaseSyscall(benchmark::State& state) {
   const core::MuT* mut = world().registry.find("CreateFile");

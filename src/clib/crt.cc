@@ -313,26 +313,20 @@ sim::MaybeFault gather_bytes(sim::AddressSpace& mem, Addr a, std::uint64_t n,
   return {};
 }
 
-sim::MaybeFault CharScanner::at(std::uint64_t i, std::uint32_t* c) {
+sim::MaybeFault CharScanner::load(std::uint64_t i, std::uint32_t* c) {
   const Addr a = base_ + static_cast<Addr>(i) * static_cast<Addr>(bytes_);
-  if (a < seg_start_ || a + static_cast<Addr>(bytes_) > seg_end_) {
-    // Unaligned or page-straddling wide chars keep the plain read_u16 path so
-    // strict-alignment personalities still raise their misalignment fault.
-    if (bytes_ == 2 &&
-        (a % 2 != 0 || a % sim::kPageSize == sim::kPageSize - 1))
-      return w_.get(ctx_, base_, i, c);
-    auto& mem = ctx_.proc().mem();
-    const std::size_t n = sim::kPageSize - (a % sim::kPageSize);
-    // Buffer from the first touched byte of the page (not the page start) so
-    // an unmapped page faults at the character's own address.
-    if (auto f = mem.read_bytes(a, {buf_, n}, sim::Access::kUser)) return f;
-    seg_start_ = a;
-    seg_end_ = a + n;
-  }
-  const std::size_t off = static_cast<std::size_t>(a - seg_start_);
-  *c = bytes_ == 1
-           ? buf_[off]
-           : static_cast<std::uint32_t>(buf_[off] | (buf_[off + 1] << 8));
+  // Unaligned or page-straddling wide chars keep the plain read_u16 path so
+  // strict-alignment personalities still raise their misalignment fault.
+  if (bytes_ == 2 && (a % 2 != 0 || a % sim::kPageSize == sim::kPageSize - 1))
+    return w_.get(ctx_, base_, i, c);
+  auto& mem = ctx_.proc().mem();
+  const std::size_t n = sim::kPageSize - (a % sim::kPageSize);
+  // Buffer from the first touched byte of the page (not the page start) so
+  // an unmapped page faults at the character's own address.
+  if (auto f = mem.read_bytes(a, {buf_, n}, sim::Access::kUser)) return f;
+  seg_start_ = a;
+  seg_end_ = a + n;
+  *c = buffered(a);
   return {};
 }
 

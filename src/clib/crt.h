@@ -158,9 +158,11 @@ sim::MaybeFault gather_bytes(sim::AddressSpace& mem, Addr a, std::uint64_t n,
 /// page-granular, so buffering the page a character lands in (loaded lazily,
 /// the first time the scan touches it) faults at exactly the address and
 /// point in the scan the per-character walk faulted at, while costing one
-/// page-table lookup per page instead of one per character.  Only valid for
-/// scans that do not write through the scanned range (a write would not be
-/// seen by an already-buffered page).
+/// page-table lookup per page instead of one per character.  A hit in the
+/// buffered page is inline; loading the next page is out of line.  The
+/// buffer is a snapshot: a store through the scanned range is not seen by a
+/// page already buffered, so a copy whose destination overlaps its source
+/// (dst = src + 1) reads the source as it was when its page was loaded.
 class CharScanner {
  public:
   CharScanner(CallContext& ctx, Addr base, CharWidth w)
@@ -169,15 +171,56 @@ class CharScanner {
   /// Stores the character at index i (byte or UTF-16 code unit) in `*c`, or
   /// returns the fault reading it.  Scans must touch indices in
   /// non-decreasing page order to preserve fault timing.
-  sim::MaybeFault at(std::uint64_t i, std::uint32_t* c);
+  sim::MaybeFault at(std::uint64_t i, std::uint32_t* c) {
+    const Addr a = base_ + static_cast<Addr>(i) * static_cast<Addr>(bytes_);
+    if (a < seg_start_ || a + static_cast<Addr>(bytes_) > seg_end_)
+      return load(i, c);
+    *c = buffered(a);
+    return {};
+  }
 
  private:
+  /// at() for a character outside the buffered segment.
+  sim::MaybeFault load(std::uint64_t i, std::uint32_t* c);
+  std::uint32_t buffered(Addr a) const {
+    const std::size_t off = static_cast<std::size_t>(a - seg_start_);
+    return bytes_ == 1
+               ? buf_[off]
+               : static_cast<std::uint32_t>(buf_[off] | (buf_[off + 1] << 8));
+  }
+
   CallContext& ctx_;
   Addr base_;
   int bytes_;
   CharWidth w_;
   std::uint8_t buf_[4096];
   Addr seg_start_ = 1, seg_end_ = 0;  // [start, end) byte range buf_ covers
+};
+
+/// Sequential character writer, CharScanner's counterpart for stores.
+/// Narrow characters go through one sim::AddressSpace::StoreRun, so a copy
+/// loop pays one access check and one kPageWrite announcement per page
+/// instead of one write_u8 call chain per character, with the same faults,
+/// bytes and persistence points.  Wide (UTF-16) characters keep CharWidth::put, so
+/// strict-alignment faults and page-straddling code units are unchanged.
+/// The run contract is the caller's: between two put() calls nothing may
+/// announce or store (CharScanner reads are fine).
+class CharWriter {
+ public:
+  CharWriter(CallContext& ctx, Addr base, CharWidth w)
+      : ctx_(ctx), base_(base), w_(w), run_(ctx.proc().mem()) {}
+
+  /// Stores character c at index i, or returns the fault storing it.
+  sim::MaybeFault put(std::uint64_t i, std::uint32_t c) {
+    if (w_.bytes != 1) return w_.put(ctx_, base_, i, c);
+    return run_.put(base_ + i, static_cast<std::uint8_t>(c));
+  }
+
+ private:
+  CallContext& ctx_;
+  Addr base_;
+  CharWidth w_;
+  sim::AddressSpace::StoreRun run_;
 };
 
 /// Registers the "cfile" data type (valid / closed / NULL / dangling /

@@ -63,11 +63,12 @@ core::ApiImpl strlen_fn(CharWidth w) {
 core::ApiImpl strcpy_fn(CharWidth w) {
   return [w](CallContext& ctx) {
     const Addr dst = ctx.arg_addr(0), src = ctx.arg_addr(1);
-    CharScanner sc(ctx, src, w);  // reads stay src-faithful; writes per-char
+    CharScanner sc(ctx, src, w);
+    CharWriter out(ctx, dst, w);
     for (std::uint64_t i = 0; i < kScanCap; ++i) {
       std::uint32_t c = 0;
       if (auto f = sc.at(i, &c)) return ctx.raise(*f);
-      if (auto f = w.put(ctx, dst, i, c)) return ctx.raise(*f);
+      if (auto f = out.put(i, c)) return ctx.raise(*f);
       if (c == 0) break;
     }
     return ok(dst);
@@ -80,10 +81,11 @@ core::ApiImpl strcat_fn(CharWidth w) {
     std::uint64_t base = 0;
     if (auto f = c_strlen(ctx, dst, w, &base)) return ctx.raise(*f);
     CharScanner sc(ctx, src, w);
+    CharWriter out(ctx, dst, w);
     for (std::uint64_t i = 0; i < kScanCap; ++i) {
       std::uint32_t c = 0;
       if (auto f = sc.at(i, &c)) return ctx.raise(*f);
-      if (auto f = w.put(ctx, dst, base + i, c)) return ctx.raise(*f);
+      if (auto f = out.put(base + i, c)) return ctx.raise(*f);
       if (c == 0) break;
     }
     return ok(dst);
@@ -97,14 +99,15 @@ core::ApiImpl strncat_fn(CharWidth w) {
     std::uint64_t base = 0;
     if (auto f = c_strlen(ctx, dst, w, &base)) return ctx.raise(*f);
     CharScanner sc(ctx, src, w);
+    CharWriter out(ctx, dst, w);
     std::uint64_t i = 0;
     for (; i < n && i < kScanCap; ++i) {
       std::uint32_t c = 0;
       if (auto f = sc.at(i, &c)) return ctx.raise(*f);
       if (c == 0) break;
-      if (auto f = w.put(ctx, dst, base + i, c)) return ctx.raise(*f);
+      if (auto f = out.put(base + i, c)) return ctx.raise(*f);
     }
-    if (auto f = w.put(ctx, dst, base + i, 0)) return ctx.raise(*f);
+    if (auto f = out.put(base + i, 0)) return ctx.raise(*f);
     return ok(dst);
   };
 }
@@ -132,18 +135,19 @@ core::ApiImpl strncpy_fn(CharWidth w) {
       return ok(dst);
     }
     CharScanner sc(ctx, src, w);
+    CharWriter out(ctx, dst, w);
     std::uint64_t i = 0;
     for (; i < n && i < kScanCap; ++i) {
       std::uint32_t c = 0;
       if (auto f = sc.at(i, &c)) return ctx.raise(*f);
-      if (auto f = w.put(ctx, dst, i, c)) return ctx.raise(*f);
+      if (auto f = out.put(i, c)) return ctx.raise(*f);
       if (c == 0) {
         ++i;
         break;
       }
     }
     for (; i < n && i < kScanCap; ++i)
-      if (auto f = w.put(ctx, dst, i, 0)) return ctx.raise(*f);
+      if (auto f = out.put(i, 0)) return ctx.raise(*f);
     return ok(dst);
   };
 }

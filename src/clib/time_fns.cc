@@ -229,18 +229,17 @@ CallOutcome do_strftime(CallContext& ctx) {
     return ctx.raise(*f);
 
   std::string out;
+  CharScanner sc(ctx, fmt, kNarrow);
   for (std::uint64_t i = 0; i < 4096; ++i) {
-    std::uint8_t c = 0;
-    if (auto f = mem.read_u8(fmt + i, &c, sim::Access::kUser))
-      return ctx.raise(*f);
+    std::uint32_t c = 0;
+    if (auto f = sc.at(i, &c)) return ctx.raise(*f);
     if (c == 0) break;
     if (c != '%') {
       out.push_back(static_cast<char>(c));
       continue;
     }
-    std::uint8_t conv = 0;
-    if (auto f = mem.read_u8(fmt + ++i, &conv, sim::Access::kUser))
-      return ctx.raise(*f);
+    std::uint32_t conv = 0;
+    if (auto f = sc.at(++i, &conv)) return ctx.raise(*f);
     char tmp[32];
     switch (conv) {
       case 'Y': std::snprintf(tmp, sizeof tmp, "%d", 1900 + year); break;

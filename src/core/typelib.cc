@@ -204,7 +204,7 @@ void register_base_types(TypeLibrary& lib) {
            [](ValueCtx& c) {
              // A full page of 'A' with no NUL; the guard page after it faults
              // any scanner that trusts termination.
-             const std::vector<std::uint8_t> fill(4096, 'A');
+             static const std::vector<std::uint8_t> fill(4096, 'A');
              const auto a = c.proc.mem().alloc(4096);
              c.proc.mem().poke_bytes(a, fill);
              return a;

@@ -140,8 +140,7 @@ std::uint8_t* AddressSpace::backing(Page& p, Addr pg, std::size_t off,
     }
     touch(p, pg);
   }
-  p.written_lo = std::min(p.written_lo, static_cast<std::uint16_t>(off));
-  p.written_hi = std::max(p.written_hi, static_cast<std::uint16_t>(off + n));
+  p.widen(off, n);
   return p.data->data();
 }
 
@@ -402,13 +401,19 @@ MaybeFault AddressSpace::read_u8(Addr a, std::uint8_t* out, Access m) const {
 }
 
 MaybeFault AddressSpace::write_u8(Addr a, std::uint8_t v, Access m) {
-  Page* p = writable_page(a, m);
-  if (p == nullptr) return fault(FaultType::kAccessViolation, a, true);
+  return StoreRun(*this, m).put(a, v);
+}
+
+MaybeFault AddressSpace::StoreRun::first_store(Addr a, std::uint8_t v) {
+  Page* p = mem_.writable_page(a, mode_);
+  if (p == nullptr) return mem_.fault(FaultType::kAccessViolation, a, true);
   // Announce after the access check (a faulting store mutates nothing) and
   // before applying, so an armed cut leaves this very byte unwritten.
-  if (announce(MutationKind::kPageWrite, page_of(a)) == Verdict::kDown)
+  if (mem_.announce(MutationKind::kPageWrite, page_of(a)) == Verdict::kDown)
     return Fault{};
-  backing(*p, page_of(a), a % kPageSize, 1)[a % kPageSize] = v;
+  mem_.backing(*p, page_of(a), a % kPageSize, 1)[a % kPageSize] = v;
+  page_ = page_of(a);
+  entry_ = p;
   return {};
 }
 

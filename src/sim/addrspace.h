@@ -18,6 +18,7 @@
 //   [0xC000_0000, ...)          kernel image / VxD space
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -83,9 +84,15 @@ struct Page {
   std::uint16_t written_hi = 0;
   /// The page's contents, or null until its first write: an unwritten page
   /// reads as zeros and costs no host memory.  Every mutation funnels
-  /// through AddressSpace::write_u8/write_bytes, whose AddressSpace::backing
-  /// call is the one place that allocates it.
+  /// through a StoreRun or AddressSpace::write_bytes, whose
+  /// AddressSpace::backing call is the one place that allocates it.
   std::unique_ptr<PageBytes> data;
+
+  /// Widens the written extent over bytes [off, off+n).
+  void widen(std::size_t off, std::size_t n) noexcept {
+    written_lo = std::min(written_lo, static_cast<std::uint16_t>(off));
+    written_hi = std::max(written_hi, static_cast<std::uint16_t>(off + n));
+  }
 
   static constexpr std::uint8_t kImageMember = 0x80;
   static constexpr std::uint8_t kImageKernelOnly = 0x40;
@@ -212,10 +219,52 @@ class AddressSpace {
                       Access m = Access::kUser) const;
   MaybeFault read_u64(Addr a, std::uint64_t* out,
                       Access m = Access::kUser) const;
+  /// One byte store: a StoreRun of one store.
   MaybeFault write_u8(Addr a, std::uint8_t v, Access m = Access::kUser);
   MaybeFault write_u16(Addr a, std::uint16_t v, Access m = Access::kUser);
   MaybeFault write_u32(Addr a, std::uint32_t v, Access m = Access::kUser);
   MaybeFault write_u64(Addr a, std::uint64_t v, Access m = Access::kUser);
+
+  /// A run of byte stores into this space in one access mode, the one
+  /// byte-store funnel.  A run's first store into a page takes the full
+  /// path: the access check, one kPageWrite announcement, backing.  Its
+  /// later stores into that page write straight into the page's storage and
+  /// widen its written extent, which is what the hub's same-page coalescing
+  /// makes of their announcements anyway.  So a run takes the faults, writes
+  /// the bytes and announces the persistence points of one write_u8 per
+  /// byte, at one access check per page.
+  ///
+  /// Run contract: between two stores of one run nothing else may announce
+  /// to the hub or change the space (no map, unmap, protect, restore or
+  /// other store); reads are fine.  A store that faults, or whose
+  /// announcement fires an armed cut, writes nothing and leaves the run
+  /// where it was.
+  class StoreRun {
+   public:
+    explicit StoreRun(AddressSpace& mem, Access m = Access::kUser) noexcept
+        : mem_(mem), mode_(m) {}
+
+    /// Stores `v` at `a`; returns what write_u8(a, v) would.
+    MaybeFault put(Addr a, std::uint8_t v) {
+      if (page_of(a) != page_) return first_store(a, v);
+      const std::size_t off = a % kPageSize;
+      entry_->data->data()[off] = v;
+      entry_->widen(off, 1);
+      return {};
+    }
+
+   private:
+    /// A store into a page the run does not hold: on success the run holds
+    /// that page.
+    MaybeFault first_store(Addr a, std::uint8_t v);
+
+    AddressSpace& mem_;
+    Access mode_;
+    /// The page number the run holds (none: page_of never yields ~0) and
+    /// its backed entry.
+    Addr page_ = ~Addr{0};
+    Page* entry_ = nullptr;
+  };
 
   MaybeFault read_bytes(Addr a, std::span<std::uint8_t> out,
                         Access m = Access::kUser) const;

@@ -30,7 +30,8 @@ Verdict MutationHub::notify_slow(MutationKind kind, std::uint64_t detail) {
   }
   // Page-write coalescing: a run of byte stores to one page is one
   // persistence point.  Any other announcement (including a write to a
-  // different page) breaks the run.
+  // different page) breaks the run.  AddressSpace::StoreRun counts on this: it
+  // announces only its first store into each page.
   if (kind == MutationKind::kPageWrite && have_last_ &&
       last_kind_ == MutationKind::kPageWrite && last_detail_ == detail)
     return Verdict::kUp;

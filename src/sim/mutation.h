@@ -6,7 +6,7 @@
 // no single place to ask "what if the world died right here?".  Now each
 // mutation *announces* a typed persistence point before it applies:
 //
-//   AddressSpace::write_u8 / map / unmap / protect   -> kPage*
+//   AddressSpace stores / map / unmap / protect       -> kPage*
 //   FileSystem create/remove/rename + metadata setters -> kFs*
 //   FileObject::write_at                              -> kFsData
 //   HandleTable insert/close + KernelObject signaling -> kHandle*
@@ -46,7 +46,7 @@ class Machine;
 /// mutations carry the page number as detail; fs mutations a path hash;
 /// handle mutations the handle value.
 enum class MutationKind : std::uint8_t {
-  kPageWrite = 0,   // byte store through the write_u8 funnel (page-coalesced)
+  kPageWrite = 0,   // store into a page (StoreRun, write_bytes; coalesced)
   kPageMap,         // AddressSpace::map
   kPageUnmap,       // AddressSpace::unmap
   kPageProtect,     // AddressSpace::protect

@@ -456,6 +456,91 @@ TEST_F(ClibFixture, PathReadsFaultAtTheFirstUnmappedByte) {
             av(dangling, false));
 }
 
+/// The address `room` bytes before the guard page of a fresh allocation.
+sim::Addr before_guard(sim::AddressSpace& mem, std::uint64_t room) {
+  const std::uint64_t pages = (room + sim::kPageSize - 1) / sim::kPageSize;
+  const sim::Addr guard = mem.alloc(pages * sim::kPageSize) +
+                          pages * sim::kPageSize;
+  return guard - room;
+}
+
+TEST(CrtStores, CopiesFaultAtTheGuardPagesFirstByteWithEarlierBytesWritten) {
+  for (const OsVariant v : kCrtFlavors) {
+    sim::Machine m(v);
+    auto proc = m.acquire_process();
+    auto& mem = proc->mem();
+    // A source longer than the room before the guard, which spans 50 bytes
+    // of one page and the whole next one.
+    const std::uint64_t room = sim::kPageSize + 50;
+    const sim::Addr src = mem.alloc_cstr(std::string(room + 200, 'q'));
+    for (const char* name : {"strcpy", "strncpy", "strncat"}) {
+      const sim::Addr dst = before_guard(mem, room);
+      const sim::Addr guard = dst + room;
+      EXPECT_EQ(fault_of(m, *proc, name, {dst, src, 2 * room}),
+                av(guard, true))
+          << sim::variant_name(v) << " " << name;
+      for (sim::Addr a = dst; a < guard; ++a)
+        ASSERT_EQ(rd8(mem, a), 'q') << sim::variant_name(v) << " " << name
+                                    << " byte " << a - dst;
+    }
+    // strncpy's NUL padding runs into the guard page the same way.
+    const sim::Addr dst = before_guard(mem, room);
+    const std::vector<std::uint8_t> fill(room, 0x5a);
+    EXPECT_FALSE(mem.write_bytes(dst, fill, sim::Access::kKernel));
+    EXPECT_EQ(fault_of(m, *proc, "strncpy", {dst, mem.alloc_cstr("hi"), 8192}),
+              av(dst + room, true))
+        << sim::variant_name(v);
+    EXPECT_EQ(rd8(mem, dst), 'h');
+    EXPECT_EQ(rd8(mem, dst + 1), 'i');
+    for (sim::Addr a = dst + 2; a < dst + room; ++a)
+      ASSERT_EQ(rd8(mem, a), 0) << sim::variant_name(v) << " byte " << a - dst;
+    m.release_process(std::move(proc));
+  }
+}
+
+TEST(CrtStores, OverlappingStrcpyReadsTheSourceAsEachPageWasLoaded) {
+  for (const OsVariant v : kCrtFlavors) {
+    sim::Machine m(v);
+    auto proc = m.acquire_process();
+    auto& mem = proc->mem();
+    // Within one page the reader's snapshot holds the original string.
+    const sim::Addr s = mem.alloc_cstr("abcdef");
+    EXPECT_EQ(dispatch(m, *proc, "strcpy", {s + 1, s}).ret, s + 1);
+    EXPECT_EQ(rdstr(mem, s), "aabcdef") << sim::variant_name(v);
+    // Across a page boundary the next page is loaded after the store into
+    // its first byte, so that byte is read as copied: "abc|def" copies as
+    // "abccef".
+    const sim::Addr page = mem.alloc(2 * sim::kPageSize);
+    const sim::Addr t = page + sim::kPageSize - 3;
+    EXPECT_FALSE(mem.write_cstr(t, "abcdef", sim::Access::kKernel));
+    EXPECT_EQ(dispatch(m, *proc, "strcpy", {t + 1, t}).ret, t + 1);
+    EXPECT_EQ(rdstr(mem, t + 1), "abccef") << sim::variant_name(v);
+    m.release_process(std::move(proc));
+  }
+}
+
+TEST(CrtStores, StrftimeFormatFaultsAtTheFirstUnmappedByte) {
+  // Windows CE has no C time group.
+  for (const OsVariant v : {OsVariant::kLinux, OsVariant::kWinNT4}) {
+    sim::Machine m(v);
+    auto proc = m.acquire_process();
+    auto& mem = proc->mem();
+    const sim::Addr tm = mem.alloc(40);
+    const sim::Addr buf = mem.alloc(64);
+    // A format that never ends, and one whose last byte opens a conversion.
+    for (const char last : {'x', '%'}) {
+      const sim::Addr fmt = before_guard(mem, 100);
+      std::vector<std::uint8_t> text(100, 'x');
+      text.back() = static_cast<std::uint8_t>(last);
+      EXPECT_FALSE(mem.write_bytes(fmt, text, sim::Access::kKernel));
+      EXPECT_EQ(fault_of(m, *proc, "strftime", {buf, 64, fmt, tm}),
+                av(fmt + 100, false))
+          << sim::variant_name(v) << " " << last;
+    }
+    m.release_process(std::move(proc));
+  }
+}
+
 TEST(CrtBuffers, MisalignedWidePathRaisesMisalignmentOnCe) {
   sim::Machine m(OsVariant::kWinCE);
   auto proc = m.acquire_process();

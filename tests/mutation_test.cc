@@ -1,6 +1,7 @@
 // The fault-point interposition layer (sim::MutationHub): window gating,
 // counting, page-write coalescing, announce-before-apply cut semantics, the
-// new trace events, and the kobject edge cases under mid-operation cuts.
+// new trace events, the store runs that rely on coalescing, and the kobject
+// edge cases under mid-operation cuts.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,6 +10,7 @@
 #include "core/ballista.h"
 #include "sim/kobject.h"
 #include "sim/mutation.h"
+#include "tests/fault_util.h"
 #include "tests/test_util.h"
 
 namespace ballista {
@@ -18,6 +20,9 @@ using sim::FaultPlan;
 using sim::Machine;
 using sim::MutationKind;
 using sim::OsVariant;
+using testing::av;
+using testing::rd8;
+using StoreRun = sim::AddressSpace::StoreRun;
 
 TEST(MutationHub, WindowGatesEveryAnnouncement) {
   Machine m(OsVariant::kWinNT4);
@@ -115,6 +120,107 @@ TEST(MutationHub, ResetCountsKeepsModesFullResetClearsThem) {
   EXPECT_FALSE(hub.counting());
   EXPECT_FALSE(hub.window_open());
   EXPECT_FALSE(hub.armed());
+}
+
+// A store run announces only a page's first store and writes the rest
+// straight into the page: the same points, faults, bytes and written extents
+// as one write_u8 per byte.
+TEST(StoreRun, AnnouncesOnePointPerPageLikeByteStores) {
+  Machine m(OsVariant::kWinNT4);
+  auto proc = m.acquire_process();
+  auto& mem = proc->mem();
+  auto& hub = m.mutations();
+  const sim::Addr a = mem.alloc(3 * sim::kPageSize);
+  // From inside the first page to inside the third.
+  const sim::Addr from = a + 100, to = a + 2 * sim::kPageSize + 100;
+  hub.set_counting(true);
+  hub.open_window();
+  StoreRun run(mem);
+  for (sim::Addr p = from; p < to; ++p) ASSERT_FALSE(run.put(p, 0x11));
+  EXPECT_EQ(hub.count(MutationKind::kPageWrite), 3u);
+  EXPECT_EQ(hub.seq(), 3u);
+
+  hub.reset_counts();
+  for (sim::Addr p = from; p < to; ++p) ASSERT_FALSE(mem.write_u8(p, 0x22));
+  EXPECT_EQ(hub.count(MutationKind::kPageWrite), 3u);
+  EXPECT_EQ(hub.seq(), 3u);
+  hub.close_window();
+  hub.set_counting(false);
+  m.release_process(std::move(proc));
+}
+
+TEST(StoreRun, FaultsAtTheFirstByteOfABadPageWithEarlierBytesWritten) {
+  Machine m(OsVariant::kWinNT4);
+  auto proc = m.acquire_process();
+  auto& mem = proc->mem();
+  auto& hub = m.mutations();
+  // An unmapped guard page follows every allocation; the second page of
+  // the other allocation refuses user stores.
+  const sim::Addr guarded = mem.alloc(sim::kPageSize);
+  const sim::Addr split = mem.alloc(2 * sim::kPageSize);
+  ASSERT_EQ(mem.protect(split + sim::kPageSize, sim::kPageSize, sim::kPermRead),
+            sim::Verdict::kUp);
+  hub.set_counting(true);
+  hub.open_window();
+  const sim::Addr guard = guarded + sim::kPageSize;
+  const sim::Addr read_only = split + sim::kPageSize;
+  for (const sim::Addr bad : {guard, read_only}) {
+    hub.reset_counts();
+    StoreRun run(mem);
+    sim::Addr p = bad - 100;
+    sim::MaybeFault f;
+    for (; p < bad + 100 && !f; ++p) f = run.put(p, 0x5a);
+    EXPECT_EQ(f, av(bad, true));
+    EXPECT_EQ(p, bad + 1);  // the faulting store was the last one made
+    EXPECT_EQ(hub.seq(), 1u);
+    for (sim::Addr q = bad - 100; q < bad; ++q)
+      ASSERT_EQ(rd8(mem, q), 0x5a) << q - bad;
+  }
+  EXPECT_EQ(rd8(mem, read_only), 0);
+  hub.close_window();
+  hub.set_counting(false);
+  m.release_process(std::move(proc));
+}
+
+TEST(StoreRun, CutAtTheSecondPointLeavesTheSecondPageUnwritten) {
+  Machine m(OsVariant::kWinNT4);
+  auto proc = m.acquire_process();
+  auto& mem = proc->mem();
+  auto& hub = m.mutations();
+  const sim::Addr a = mem.alloc(2 * sim::kPageSize);
+  const sim::Addr second = a + sim::kPageSize;
+  hub.arm(FaultPlan{2});
+  hub.open_window();
+  StoreRun run(mem);
+  sim::Addr p = second - 100;
+  sim::MaybeFault f;
+  for (; p < second + 100 && !f; ++p) f = run.put(p, 0x77);
+  hub.close_window();
+  EXPECT_TRUE(f.has_value());
+  EXPECT_EQ(p, second + 1);
+  EXPECT_EQ(hub.cut_fired_at(), 2u);
+  EXPECT_TRUE(m.crashed());
+  for (sim::Addr q = second - 100; q < second; ++q)
+    ASSERT_EQ(rd8(mem, q, sim::Access::kKernel), 0x77) << q - second;
+  for (sim::Addr q = second; q < second + 100; ++q)
+    ASSERT_EQ(rd8(mem, q, sim::Access::kKernel), 0) << q - second;
+}
+
+TEST(StoreRun, RestoreZeroesEveryByteTheRunWrote) {
+  Machine m(OsVariant::kWinNT4);
+  auto proc = m.acquire_process();
+  auto& mem = proc->mem();
+  const sim::Addr a = mem.alloc(sim::kPageSize);
+  StoreRun run(mem);
+  for (sim::Addr p = a + 100; p < a + 300; ++p) ASSERT_FALSE(run.put(p, 0xEE));
+  // The page's storage goes back to the free list, zeroed over its written
+  // extent only; the next page backed takes it again.
+  mem.restore();
+  const sim::Addr b = mem.alloc(sim::kPageSize);
+  ASSERT_FALSE(mem.write_u8(b, 1));
+  for (sim::Addr p = b + 1; p < b + sim::kPageSize; ++p)
+    ASSERT_EQ(rd8(mem, p), 0) << p - b;
+  m.release_process(std::move(proc));
 }
 
 TEST(MutationTrace, RendersTheNewEventKinds) {
